@@ -2,14 +2,11 @@
 
 from .params import ModelParams
 from .surface import (
-    EventOutcome,
-    SiteShape,
-    advance_slice,
     deposit_rule,
     evaporate_rule,
-    event_distribution,
+    event_table,
     horizon_profile,
-    site_shape,
+    local_shape,
 )
 from .codec import (
     LatticeConfig,
@@ -55,12 +52,10 @@ from .hamiltonian import (
     expectation,
     export_terms_text,
     sector_spectrum,
-    single_vertex_probability,
     term_residuals,
 )
 from .seqgen import (
     EmitterConfig,
-    boundary_channels,
     fidelity,
     init_emitter,
     local_channel,
@@ -71,7 +66,6 @@ from .scaling import (
     ensemble,
     exponent_report,
     roughness,
-    run_free_dynamics,
     saturation_time,
 )
 

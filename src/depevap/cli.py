@@ -85,7 +85,7 @@ def _write_csv(path: Path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(c) if isinstance(c, float) else c for c in row])
+            writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
 
 
 def _grid(manifest):
@@ -252,10 +252,11 @@ def _run_phase_sweep(manifest, outdir):
     _write_csv(p1, ["L", "p", "cut", "S_uncolored", "color_term", "S_total"], rows)
     fits = []
     for p, pts in sorted(by_p.items()):
-        if len(pts) >= 3:
-            Ls, Ss = zip(*sorted(pts))
-            exc, amp, r2 = fit_power_law(Ls, Ss)
-            fits.append((p, exc, amp, r2))
+        positive = sorted((L, S) for L, S in pts if S > 0)
+        if len(positive) >= 3:
+            fits.append((p, *fit_power_law(*zip(*positive))))
+        else:  # S = 0 is a valid area law (p = 0) but has no power-law fit
+            fits.append((p, float("nan"), float("nan"), float("nan")))
     p2 = outdir / "phase_exponents.csv"
     _write_csv(p2, ["p", "exponent", "amplitude", "r_squared"], fits)
     return [p1, p2], capacity

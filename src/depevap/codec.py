@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DecodeError, EncodeError, InvalidParameterError
 from .params import ModelParams
-from .surface import COLOR_NONE, site_branches, slice_parity
+from .surface import COLOR_NONE, no_change_probability, site_branches, slice_parity
 
 UP = 1
 DOWN = 0
@@ -288,9 +288,9 @@ def colored_area(profile) -> tuple[int, int]:
 def trajectory_weight(traj: TrajectoryRecord, params: ModelParams) -> float:
     """Product of per-event probabilities along the trajectory.
 
-    Frozen boundary sites contribute their absorbing-mode survival factor
-    (1+p)/2 whenever they sit at a Peak at h = 1; in reflecting mode they
-    contribute 1.
+    Frozen boundary sites contribute their no-change probability: the
+    absorbing-mode survival factor (1+p)/2 whenever they sit at a Peak at
+    h = 1, and 1 otherwise.
     """
     L, H = traj.L, traj.heights
     w = 1.0
@@ -302,8 +302,7 @@ def trajectory_weight(traj: TrajectoryRecord, params: ModelParams) -> float:
             new_h = int(H[t + 1][i])
             kind = traj.events.get((i, t), ("no_change", COLOR_NONE))[0]
             if i in (1, L):
-                if params.boundary_mode == "absorbing" and hl == hr == h - 1:
-                    w *= (1 + params.p) / 2
+                w *= no_change_probability(h, hl, hr, params)
                 continue
             branches = site_branches(h, hl, hr, params)
             for bh, bkind, _, prob in branches:

@@ -125,10 +125,15 @@ def midcut_distribution(params: ModelParams, cut_row: int,
                                params=params)
 
 
+def _shannon_bits(probs) -> float:
+    """-sum(q log2 q), as 0.0 - sum so that a point mass gives 0.0, not -0.0."""
+    probs = np.asarray(probs, dtype=float)
+    return 0.0 - float((probs * np.log2(probs)).sum())
+
+
 def entropy_formula(dist: SurfaceDistribution) -> EntropyReport:
     """S in bits from the cut distribution; color term <N_c> when colored."""
-    probs = np.array(list(dist.table.values()))
-    S_unc = float(-(probs * np.log2(probs)).sum()) if len(probs) else 0.0
+    S_unc = _shannon_bits(list(dist.table.values()))
     color = dist.mean_color_units if dist.params.colored else 0.0
     return EntropyReport(S_total=S_unc + color, S_uncolored=S_unc,
                          color_term=color, method="formula")
@@ -240,14 +245,12 @@ def _sector_label(config, params, cut_row):
 def entropy_exact(state: SparseState, cut_row: int, axis: str = "space") -> EntropyReport:
     """-sum(lam log2 lam) over the Schmidt spectrum; method 'svd'."""
     spectrum = schmidt_spectrum(state, cut_row, axis=axis)
-    lams = np.array([lam for _, lam in spectrum])
-    S_total = float(-(lams * np.log2(lams)).sum())
+    S_total = _shannon_bits([lam for _, lam in spectrum])
     by_profile = {}
     for label, lam in spectrum:
         prof = label[0] if isinstance(label, tuple) else label
         by_profile[prof] = by_profile.get(prof, 0.0) + lam
-    q = np.array(list(by_profile.values()))
-    S_unc = float(-(q * np.log2(q)).sum())
+    S_unc = _shannon_bits(list(by_profile.values()))
     return EntropyReport(S_total=S_total, S_uncolored=S_unc,
                          color_term=S_total - S_unc, method="svd")
 

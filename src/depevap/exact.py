@@ -4,9 +4,9 @@ A bridge is a trajectory over update slices t = 1..L that starts and
 ends at the horizon.  Reflecting weights multiply the reflecting event
 probabilities; absorbing weights multiply the unconstrained ones with
 every branch that would touch h < 0 pruned eagerly (post-selection
-discards it anyway).  Frozen boundary sites contribute a factor
-(1+p)/2 per slice in absorbing mode whenever they sit at a Peak at
-h = 1; in reflecting mode their factor is 1.
+discards it anyway).  Frozen boundary sites contribute their no-change
+probability per slice: (1+p)/2 in absorbing mode whenever they sit at a
+Peak at h = 1, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .codec import (
 )
 from .errors import CapacityError, InvalidParameterError
 from .params import ModelParams
-from .surface import COLOR_NONE, horizon_profile, site_branches
+from .surface import COLOR_NONE, horizon_profile, no_change_probability, site_branches
 
 MAX_NODES = 10_000_000
 
@@ -47,17 +47,6 @@ class SparseState:
         return len(self.amplitudes)
 
 
-def _frozen_site_factor(profile, i, params: ModelParams) -> float:
-    """Weight factor of a frozen boundary site for one of its slices."""
-    if params.boundary_mode != "absorbing":
-        return 1.0
-    hl = profile[i - 1]
-    hr = profile[i + 1]
-    if hl == 0 and hr == 0:  # Peak at h=1: the evaporation branch is pruned
-        return (1 + params.p) / 2
-    return 1.0
-
-
 def slice_outcomes(profile, t, params: ModelParams, split_colors=True):
     """All branch outcomes of update slice t from the zigzag profile before it.
 
@@ -70,7 +59,7 @@ def slice_outcomes(profile, t, params: ModelParams, split_colors=True):
     base = 1.0
     for i in (1, L):
         if (i + t) % 2 == 1:
-            base *= _frozen_site_factor(profile, i, params)
+            base *= no_change_probability(profile[i], profile[i - 1], profile[i + 1], params)
     sites = [i for i in range(2, L) if (i + t) % 2 == 1]
     tab_params = params if split_colors else params.with_(colored=False)
     per_site = []
@@ -106,6 +95,18 @@ def _remaining_updates(L, i, t):
     return (L - first) // 2 + 1
 
 
+def reaches_horizon(prof, t, horizon) -> bool:
+    """Whether every eligible site can still return to the horizon after slice t.
+
+    Each remaining update moves a site by at most 2.
+    """
+    L = len(horizon) - 2
+    for i in range(2, L):
+        if abs(prof[i] - horizon[i]) > 2 * _remaining_updates(L, i, t):
+            return False
+    return True
+
+
 def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES, bridge: bool = True):
     """All bridge trajectories with their exact weights.
 
@@ -119,13 +120,6 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES, bridge: bo
     results = []
     visited = 0
 
-    def reachable(prof, t):
-        for i in range(2, L):
-            gap = abs(prof[i] - horizon[i])
-            if gap > 2 * _remaining_updates(L, i, t):
-                return False
-        return True
-
     def rec(prof, t, weight, events, stacks):
         nonlocal visited
         visited += 1
@@ -137,7 +131,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES, bridge: bo
                 results.append((TrajectoryRecord(L=L, heights=H, events=dict(events), weight=weight), weight))
             return
         for new_prof, w, ev in slice_outcomes(prof, t, params):
-            if bridge and not reachable(new_prof, t):
+            if bridge and not reaches_horizon(new_prof, t, horizon):
                 continue
             resolved = [((i, t), ("no_change", COLOR_NONE))
                         for i in (1, L) if (i + t) % 2 == 1]
@@ -210,6 +204,7 @@ def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
 
 _MAGIC = b"DEQS"
 _VERSION = 1
+_HEADER = struct.Struct("<HIdBBQ")
 
 
 def save_state(state: SparseState, path):
@@ -218,30 +213,38 @@ def save_state(state: SparseState, path):
     p = state.params
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<HIdBBQ", _VERSION, p.L, p.p,
-                             0 if p.boundary_mode == "reflecting" else 1,
-                             1 if p.colored else 0, len(state.amplitudes)))
+        fh.write(_HEADER.pack(_VERSION, p.L, p.p,
+                              0 if p.boundary_mode == "reflecting" else 1,
+                              1 if p.colored else 0, len(state.amplitudes)))
         for key in sorted(state.amplitudes):
             fh.write(key)
             fh.write(struct.pack("<d", state.amplitudes[key]))
 
 
 def load_state(path) -> SparseState:
+    """Inverse of save_state; a short or overlong file raises InvalidParameterError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise InvalidParameterError("not a saved state file")
-        version, L, p, mode, colored, count = struct.unpack("<HIdBBQ", fh.read(24))
-        if version != _VERSION:
-            raise InvalidParameterError(f"unsupported state file version {version}")
-        params = ModelParams(L=L, p=p,
-                             boundary_mode="reflecting" if mode == 0 else "absorbing",
-                             colored=bool(colored))
-        klen = key_length(params)
-        amplitudes = {}
-        for _ in range(count):
-            key = fh.read(klen)
-            (amp,) = struct.unpack("<d", fh.read(8))
-            amplitudes[key] = amp
+        data = fh.read()
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise InvalidParameterError("not a saved state file")
+    body = len(_MAGIC) + _HEADER.size
+    if len(data) < body:
+        raise InvalidParameterError("state file ends inside its header")
+    version, L, p, mode, colored, count = _HEADER.unpack_from(data, len(_MAGIC))
+    if version != _VERSION:
+        raise InvalidParameterError(f"unsupported state file version {version}")
+    params = ModelParams(L=L, p=p,
+                         boundary_mode="reflecting" if mode == 0 else "absorbing",
+                         colored=bool(colored))
+    klen = key_length(params)
+    if len(data) != body + count * (klen + 8):
+        raise InvalidParameterError(
+            f"state file holds {len(data) - body} body bytes, its header promises "
+            f"{count} entries of {klen + 8}")
+    amplitudes = {}
+    for pos in range(body, len(data), klen + 8):
+        (amp,) = struct.unpack_from("<d", data, pos + klen)
+        amplitudes[data[pos:pos + klen]] = amp
     return SparseState(amplitudes=amplitudes, params=params)
 
 

@@ -52,9 +52,9 @@ from .codec import (
     _pack_codes,
 )
 from .errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
-from .exact import SparseState, _history_to_heights
+from .exact import SparseState, _history_to_heights, reaches_horizon
 from .params import ModelParams
-from .surface import horizon_profile
+from .surface import branch_probability, horizon_profile
 
 # 4-spin vertex patterns, in (ll, lu, rl, ru) order
 DEPOSIT_PATTERN = (1, 1, 1, 1)
@@ -93,20 +93,6 @@ class DeformationState:
     norm_printed: float    # w_hi + w_lo, the textbook normalizer
 
 
-def single_vertex_probability(shape_class: str, p: float) -> float:
-    """Event probability of one vertex, by local shape and outcome."""
-    table = {
-        "valley_no_change": 1 - p / 2,
-        "deposit": p / 2,
-        "peak_no_change": (1 + p) / 2,
-        "evaporate": (1 - p) / 2,
-        "slope": 1.0,
-    }
-    if shape_class not in table:
-        raise InvalidParameterError(f"unknown shape class {shape_class!r}")
-    return table[shape_class]
-
-
 def _endpoint_pattern(k):
     if k == 1:
         return -1, -1
@@ -118,18 +104,20 @@ def _endpoint_pattern(k):
 
 
 def _branch_weight(v, e_down, e_up, s_left, s_right, p):
-    """w(v) = P_down * P_up * P_left * P_right for center value v (+-1)."""
+    """w(v) = P_down * P_up * P_left * P_right for center value v (+-1).
+
+    Each factor is an event-table probability.  The site's own vertices
+    take it from e_down to v and from v to e_up, with -1 a valley and +1
+    a peak before the move and the height delta the difference.  A side
+    vertex whose direction equals v is a valley (v = +1) or a peak
+    (v = -1) that stays put; otherwise it is a slope.
+    """
     def vertical(e_from, e_to):
-        if e_from == -1:  # site below its neighbours: valley
-            return single_vertex_probability("deposit" if e_to == +1 else "valley_no_change", p)
-        return single_vertex_probability("evaporate" if e_to == -1 else "peak_no_change", p)
+        return branch_probability("valley" if e_from == -1 else "peak", e_to - e_from, p)
 
     def side(delta):
-        if delta == v == +1:
-            return single_vertex_probability("valley_no_change", p)
-        if delta == v == -1:
-            return single_vertex_probability("peak_no_change", p)
-        return single_vertex_probability("slope", p)
+        shape = "slope" if delta != v else ("valley" if v == +1 else "peak")
+        return branch_probability(shape, 0, p)
 
     return vertical(e_down, v) * vertical(v, e_up) * side(s_left) * side(s_right)
 
@@ -437,10 +425,6 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
     horizon = tuple(int(h) for h in horizon_profile(L))
     histories = []
 
-    def remaining(i, t):
-        first = t + 1 if (i + t + 1) % 2 == 1 else t + 2
-        return 0 if first > L else (L - first) // 2 + 1
-
     def rec(prof, t, hist):
         if t > L:
             if tuple(prof) == horizon:
@@ -456,9 +440,8 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
         def walk(k, acc):
             if k == len(sites):
                 tup = tuple(acc)
-                for i in range(2, L):
-                    if abs(tup[i] - horizon[i]) > 2 * remaining(i, t):
-                        return
+                if not reaches_horizon(tup, t, horizon):
+                    return
                 hist.append(tup)
                 rec(tup, t + 1, hist)
                 hist.pop()

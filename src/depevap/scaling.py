@@ -7,9 +7,10 @@ trajectory consumes its own counter-based random stream keyed by
 seed set across workers reproduces identical observables.
 
 One uniform draw per eligible site per slice decides the event: a
-valley deposits when u < p/2, a peak at h >= 2 evaporates when
-u >= (1+p)/2, everything else stays.  This reproduces the event tables
-exactly (the color split is irrelevant to heights).
+valley deposits when u is below its deposit probability, a peak at
+h >= 2 evaporates when u is at least its no-change probability, and
+everything else stays.  Both thresholds come from the event table, so
+this reproduces it exactly (the color split is irrelevant to heights).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .params import ModelParams
-from .surface import free_horizon
+from .surface import branch_probability, horizon_profile
 
 _BLOCK_SLICES = 128  # RNG is drawn in slice blocks of this size per trajectory
 
@@ -69,8 +70,8 @@ def _advance(H, idx, u, p):
     hr = H[:, idx + 1]
     valley = (hl == h + 1) & (hr == h + 1)
     peak = (hl == h - 1) & (hr == h - 1)
-    dep = valley & (u < p / 2)
-    eva = peak & (h >= 2) & (u >= (1 + p) / 2)
+    dep = valley & (u < branch_probability("valley", +2, p))
+    eva = peak & (h >= 2) & (u >= branch_probability("peak", 0, p))
     H[:, idx] = h + 2 * dep.astype(np.int64) - 2 * eva.astype(np.int64)
 
 
@@ -81,28 +82,6 @@ def _spot_check(H, L):
         raise AssertionError("height parity broken during free dynamics")
     if (H < 0).any():
         raise AssertionError("negative height in reflecting dynamics")
-
-
-def run_free_dynamics(params: ModelParams, t_max: int, rng) -> dict:
-    """One trajectory; returns {'times', 'W', 'mid', 'profile'} arrays."""
-    if params.boundary_mode != "reflecting":
-        raise InvalidParameterError("free dynamics runs in reflecting mode")
-    L = params.L
-    H = free_horizon(L)[None, :].copy()
-    even, odd = _parity_indices(L)
-    mid = (L + 1) // 2
-    W = np.empty(t_max)
-    mid_h = np.empty(t_max)
-    for t in range(1, t_max + 1):
-        idx = even if t % 2 == 1 else odd
-        u = rng.random(len(idx))[None, :]
-        _advance(H, idx, u, params.p)
-        body = H[0, 1:L + 1]
-        W[t - 1] = math.sqrt(float(np.mean((body - body.mean()) ** 2)))
-        mid_h[t - 1] = H[0, mid]
-    _spot_check(H, L)
-    return {"times": np.arange(1, t_max + 1), "W": W, "mid": mid_h,
-            "profile": H[0].copy()}
 
 
 def _trajectory_generators(params: ModelParams, n_traj):
@@ -122,7 +101,7 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int,
     max_upd = max(len(even), len(odd))
     mid = (L + 1) // 2
     gens = _trajectory_generators(params, n_traj)
-    H = np.tile(free_horizon(L), (n_traj, 1))
+    H = np.tile(horizon_profile(L), (n_traj, 1))
     center = slice(L // 3 + 1, 2 * L // 3 + 1)
     W_sum = np.zeros(t_max)
     W_sq = np.zeros(t_max)

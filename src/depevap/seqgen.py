@@ -9,15 +9,17 @@ Odd rounds update the E stacks (even sites), even rounds the F stacks
 radiates the L+1 spin qubits of lattice spin row n and the color
 qutrits of vertex row n.
 
-Per eligible site the channel branches mirror the classical event table:
+Per eligible site the channel branches are the branches of the
+classical event table (`surface.event_table`), each with the square
+root of its probability as amplitude:
 
-    valley   deposit(c)  amp sqrt(p/4) each color   emits up,up    c
-             no change   amp sqrt(1-p/2)            emits dn,dn    0
-    peak     evaporate   amp sqrt((1-p)/2)          emits dn,dn    pair color
-             no change   amp sqrt((1+p)/2)          emits up,up    0
-    peak with no pairs beneath (surface at the horizon): no change,
-             amplitude 1, emits up,up and color 0 (the reflecting rule)
-    slopes   no change   amp 1, emits the height-difference pair, 0
+    valley   deposit(c)   emits up,up    c
+             no change    emits dn,dn    0
+    peak     evaporate    emits dn,dn    pair color
+             no change    emits up,up    0
+    peak with no pairs beneath (surface at the horizon): the reflecting
+             floor, a certain no change, emits up,up and color 0
+    slopes   no change    emits the height-difference pair, 0
 
 Every column of a channel restricted to its reachable domain has unit
 norm, so each round is an isometry and the joint state stays normalized
@@ -32,6 +34,7 @@ every peak then drains with amplitude sqrt(1/2) per round.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +42,7 @@ from .codec import LatticeConfig, canonical_key, spin_sites, vertex_sites
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import SparseState
 from .params import ModelParams
+from .surface import event_table, local_shape
 
 MAX_BRANCHES = 2_000_000
 
@@ -50,32 +54,6 @@ class EmitterConfig:
     L: int
     stacks: tuple
 
-    def marker(self, i):
-        return "E" if i % 2 == 0 else "F"
-
-    def to_bytes(self) -> bytes:
-        out = bytearray([self.L])
-        for h, blocks in self.stacks:
-            out.append(h)
-            out.append(len(blocks))
-            out.extend(blocks)
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EmitterConfig":
-        L = data[0]
-        stacks = []
-        pos = 1
-        for _ in range(L):
-            h = data[pos]
-            n = data[pos + 1]
-            blocks = tuple(data[pos + 2:pos + 2 + n])
-            stacks.append((h, blocks))
-            pos += 2 + n
-        if pos != len(data):
-            raise InvalidParameterError("trailing bytes in emitter serialization")
-        return cls(L=L, stacks=tuple(stacks))
-
 
 def init_emitter(L: int) -> EmitterConfig:
     """Markers at horizon positions, no deposited pairs."""
@@ -84,82 +62,49 @@ def init_emitter(L: int) -> EmitterConfig:
     return EmitterConfig(L=L, stacks=tuple((i % 2, ()) for i in range(1, L + 1)))
 
 
+@functools.lru_cache(maxsize=None)
 def channel_branches(dh_left, dh_right, top_color, p, colored, cooling=False):
     """Branches of one local channel: (height delta, stack op, spins, color, amp).
 
     `top_color` is the color of the most recent pair beneath the marker,
-    or None when the marker rests at the horizon.  Spins are the emitted
-    (left, right) qubits of the site's vertex.
+    or None when the marker rests at the horizon, where a peak cannot
+    fall.  Spins are the emitted (left, right) qubits of the site's
+    vertex: up where the site ends above that neighbour.  Cooling runs
+    the table at p = 0 with its deposition branches removed.
     """
     if cooling:
         p = 0.0
-    if dh_left == -1 and dh_right == -1:  # valley
-        branches = []
-        if not cooling:
-            if colored:
-                branches += [(+2, ("push", c), (1, 1), c, math.sqrt(p / 4)) for c in (1, 2)]
-            else:
-                branches += [(+2, ("push", 1), (1, 1), 1, math.sqrt(p / 2))]
-        branches.append((0, ("none",), (0, 0), 0, math.sqrt(1 - p / 2)))
-        return branches
-    if dh_left == 1 and dh_right == 1:  # peak
-        if top_color is None:  # marker at the horizon: height cannot decrease
-            return [(0, ("none",), (1, 1), 0, 1.0)]
-        return [
-            (-2, ("pop",), (0, 0), top_color, math.sqrt((1 - p) / 2)),
-            (0, ("none",), (1, 1), 0, math.sqrt((1 + p) / 2)),
-        ]
-    if dh_left == 1 and dh_right == -1:
-        return [(0, ("none",), (1, 0), 0, 1.0)]
-    if dh_left == -1 and dh_right == 1:
-        return [(0, ("none",), (0, 1), 0, 1.0)]
-    raise InvalidParameterError(f"illegal height differences ({dh_left}, {dh_right})")
+    branches = []
+    for delta, kind, color, prob in event_table(local_shape(-dh_left, -dh_right),
+                                                top_color is None, p, colored):
+        if kind == "deposit":
+            if cooling:
+                continue
+            op = ("push", color)
+        elif kind == "evaporate":
+            op, color = ("pop",), top_color
+        else:
+            op = ("none",)
+        spins = (int(dh_left + delta > 0), int(dh_right + delta > 0))
+        branches.append((delta, op, spins, color, math.sqrt(prob)))
+    return tuple(branches)
 
 
-def local_channel(marker, j, p, colored=True, cooling=False):
+def local_channel(p, colored=True, cooling=False):
     """Matrix elements of one stack-update isometry over its reachable domain.
 
     Returned as {in_label: [(stack op, emitted spins, emitted color, amplitude)]}
     with in_label one of ("valley",), ("peak", pair color or None),
-    ("slope_up",), ("slope_down",).  The elements do not depend on the
-    marker symbol or the stack position j; both are accepted to mirror
-    the per-site operator layout.
+    ("slope_up",), ("slope_down",).  The elements are the same for every
+    stack, so one table serves the E and F markers alike.
     """
-    if marker not in ("E", "F"):
-        raise InvalidParameterError(f"marker must be 'E' or 'F', got {marker!r}")
-    table = {}
-    top_colors = (1, 2, None) if colored else (1, None)
-    for tc in top_colors:
-        table[("peak", tc)] = [
-            (op, spins, color, amp)
-            for _, op, spins, color, amp in channel_branches(1, 1, tc, p, colored, cooling)
-        ]
-    table[("valley",)] = [
-        (op, spins, color, amp)
-        for _, op, spins, color, amp in channel_branches(-1, -1, None, p, colored, cooling)
-    ]
-    table[("slope_up",)] = [
-        (op, spins, color, amp)
-        for _, op, spins, color, amp in channel_branches(1, -1, None, p, colored, cooling)
-    ]
-    table[("slope_down",)] = [
-        (op, spins, color, amp)
-        for _, op, spins, color, amp in channel_branches(-1, 1, None, p, colored, cooling)
-    ]
-    return table
-
-
-def boundary_channels(p):
-    """U_b flips the outermost qubits; U_L/U_R radiate the height difference.
-
-    Elements are unit-amplitude: {"U_b": ((0,0) -> (1,1)),
-    "U_L": {height of site 2: emitted bit}, "U_R": {height of site L-1: bit}}.
-    """
-    return {
-        "U_b": (((0, 0), (1, 1), 1.0),),
-        "U_L": ({0: 1, 2: 0}, 1.0),
-        "U_R": ({0: 1, 2: 0}, 1.0),
-    }
+    inputs = {("peak", tc): (1, 1, tc) for tc in ((1, 2, None) if colored else (1, None))}
+    inputs[("valley",)] = (-1, -1, None)
+    inputs[("slope_up",)] = (1, -1, None)
+    inputs[("slope_down",)] = (-1, 1, None)
+    return {label: [(op, spins, color, amp) for _, op, spins, color, amp
+                    in channel_branches(dh_l, dh_r, tc, p, colored, cooling)]
+            for label, (dh_l, dh_r, tc) in inputs.items()}
 
 
 def _round_sites(L, n):

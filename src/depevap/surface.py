@@ -22,8 +22,7 @@ h < 0 are discarded by the caller's post-selection.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -35,42 +34,12 @@ COLOR_R = 1
 COLOR_G = 2
 
 
-class SiteShape(enum.Enum):
-    VALLEY = "valley"
-    PEAK = "peak"
-    SLOPE_UP = "slope_up"
-    SLOPE_DOWN = "slope_down"
-
-
-@dataclass(frozen=True)
-class EventOutcome:
-    """One entry of a per-site event table."""
-
-    kind: str          # "deposit" | "evaporate" | "no_change"
-    color: int         # COLOR_* (COLOR_NONE for no_change and uncolored tables)
-    height_delta: int  # -2, 0, +2
-    probability: float
-
-
-@dataclass(frozen=True)
-class SliceEvent:
-    site: int
-    kind: str
-    color: int | None  # None: evaporation color unresolved (no stack given)
-    probability: float
-
-
 def horizon_profile(L: int) -> np.ndarray:
-    """Initial surface [0,1,0,...,1,0] of length L+2; requires odd L."""
-    if not isinstance(L, int) or L < 3:
-        raise InvalidParameterError(f"L must be an integer >= 3, got {L!r}")
-    if L % 2 == 0:
-        raise InvalidParameterError(f"the horizon needs odd L, got {L}")
-    return np.array([i % 2 for i in range(L + 2)], dtype=np.int64)
+    """Initial surface [0,1,0,...,1,0] of length L+2.
 
-
-def free_horizon(L: int) -> np.ndarray:
-    """Horizon for free dynamics; for even L the right wall sits at height 1."""
+    The lattice encoding needs odd L (callers check `require_odd_L`); for
+    even L, as free dynamics allows, the right wall sits at height 1.
+    """
     if not isinstance(L, int) or L < 3:
         raise InvalidParameterError(f"L must be an integer >= 3, got {L!r}")
     return np.array([i % 2 for i in range(L + 2)], dtype=np.int64)
@@ -90,79 +59,67 @@ def evaporate_rule(profile, i):
     return out
 
 
-def site_shape(profile, i) -> SiteShape:
-    dl = profile[i - 1] - profile[i]
-    dr = profile[i + 1] - profile[i]
-    if dl == 1 and dr == 1:
-        return SiteShape.VALLEY
-    if dl == -1 and dr == -1:
-        return SiteShape.PEAK
-    if dl == -1 and dr == 1:
-        return SiteShape.SLOPE_UP
-    if dl == 1 and dr == -1:
-        return SiteShape.SLOPE_DOWN
-    raise InvalidParameterError(f"profile violates |dh| = 1 around site {i}")
+def local_shape(dl, dr) -> str:
+    """"valley", "peak" or "slope" from the neighbour offsets h_{i-1} - h_i, h_{i+1} - h_i."""
+    if dl == dr == 1:
+        return "valley"
+    if dl == dr == -1:
+        return "peak"
+    if dl == -dr and abs(dl) == 1:
+        return "slope"
+    raise InvalidParameterError(f"neighbour offsets ({dl}, {dr}) violate |dh| = 1")
 
 
-def event_distribution(shape: SiteShape, h: int, params: ModelParams) -> list[EventOutcome]:
-    """Exact per-vertex event table for one eligible site.
+@functools.lru_cache(maxsize=None)
+def event_table(shape: str, floor: bool, p: float, colored: bool) -> tuple:
+    """The per-vertex rule: (height delta, kind, color, probability) branches.
 
-    The colored table splits deposition and evaporation equally over the
-    two colors.  For evaporation this is the marginal over the (uniform)
-    color of the pair beneath the surface; trajectory-level weights use
-    the full (1-p)/2 with the color fixed by the matching deposition.
+    A valley deposits with p/2 (split evenly over r and g when colored;
+    uncolored deposits are recorded as r), a peak evaporates with
+    (1-p)/2, and everything else is no change.  `floor` is the reflecting
+    rule at a peak at h = 1, which then cannot fall.  Evaporation is one
+    branch with color None: its color is owned by the matching deposit
+    and resolved from the site's stack.  The no-change branch is last.
     """
-    p = params.p
-    if shape is SiteShape.VALLEY:
-        if params.colored:
-            events = [
-                EventOutcome("deposit", COLOR_R, +2, p / 4),
-                EventOutcome("deposit", COLOR_G, +2, p / 4),
-            ]
+    if shape == "valley":
+        if colored:
+            deposits = ((+2, "deposit", COLOR_R, p / 4), (+2, "deposit", COLOR_G, p / 4))
         else:
-            events = [EventOutcome("deposit", COLOR_NONE, +2, p / 2)]
-        events.append(EventOutcome("no_change", COLOR_NONE, 0, 1 - p / 2))
-        return events
-    if shape is SiteShape.PEAK:
-        if params.boundary_mode == "reflecting" and h <= 1:
-            return [EventOutcome("no_change", COLOR_NONE, 0, 1.0)]
-        if params.colored:
-            events = [
-                EventOutcome("evaporate", COLOR_R, -2, (1 - p) / 4),
-                EventOutcome("evaporate", COLOR_G, -2, (1 - p) / 4),
-            ]
-        else:
-            events = [EventOutcome("evaporate", COLOR_NONE, -2, (1 - p) / 2)]
-        events.append(EventOutcome("no_change", COLOR_NONE, 0, (1 + p) / 2))
-        return events
-    return [EventOutcome("no_change", COLOR_NONE, 0, 1.0)]
+            deposits = ((+2, "deposit", COLOR_R, p / 2),)
+        return deposits + ((0, "no_change", COLOR_NONE, 1 - p / 2),)
+    if shape == "peak" and not floor:
+        return ((-2, "evaporate", None, (1 - p) / 2), (0, "no_change", COLOR_NONE, (1 + p) / 2))
+    if shape in ("peak", "slope"):
+        return ((0, "no_change", COLOR_NONE, 1.0),)
+    raise InvalidParameterError(f"unknown local shape {shape!r}")
+
+
+def branch_probability(shape: str, delta: int, p: float) -> float:
+    """Uncolored, floorless probability of the branch that moves the height by `delta`."""
+    for d, _, _, prob in event_table(shape, False, p, False):
+        if d == delta:
+            return prob
+    raise InvalidParameterError(f"a {shape} cannot move by {delta}")
+
+
+def site_table(h, hl, hr, params: ModelParams) -> tuple:
+    """The event table of a site at height h between neighbours hl and hr."""
+    floor = params.boundary_mode == "reflecting" and h <= 1
+    return event_table(local_shape(hl - h, hr - h), floor, params.p, params.colored)
 
 
 def site_branches(h, hl, hr, params: ModelParams):
-    """Trajectory branches (new_h, kind, color, prob) for one eligible site.
+    """Trajectory branches (new_h, kind, color, prob) for one eligible site."""
+    return [(h + d, kind, color, prob) for d, kind, color, prob in site_table(h, hl, hr, params)]
 
-    Unlike event_distribution, evaporation is a single branch of weight
-    (1-p)/2 with color None: the color is owned by the matching deposit
-    and resolved by the caller from its per-site stack.
+
+def no_change_probability(h, hl, hr, params: ModelParams) -> float:
+    """Weight of a site that stays put, e.g. a frozen boundary site.
+
+    In absorbing mode a peak at h = 1 keeps (1+p)/2: its evaporation
+    branch would go below 0 and is post-selected away.
     """
-    p = params.p
-    dl, dr = hl - h, hr - h
-    if dl == 1 and dr == 1:  # valley
-        branches = []
-        if params.colored:
-            branches += [(h + 2, "deposit", COLOR_R, p / 4), (h + 2, "deposit", COLOR_G, p / 4)]
-        else:
-            branches += [(h + 2, "deposit", COLOR_R, p / 2)]
-        branches.append((h, "no_change", COLOR_NONE, 1 - p / 2))
-        return branches
-    if dl == -1 and dr == -1:  # peak
-        if params.boundary_mode == "reflecting" and h <= 1:
-            return [(h, "no_change", COLOR_NONE, 1.0)]
-        return [
-            (h - 2, "evaporate", None, (1 - p) / 2),
-            (h, "no_change", COLOR_NONE, (1 + p) / 2),
-        ]
-    return [(h, "no_change", COLOR_NONE, 1.0)]
+    return site_table(h, hl, hr, params)[-1][3]
 
 
 def updatable_sites(L: int, parity: str) -> list[int]:
@@ -176,43 +133,6 @@ def updatable_sites(L: int, parity: str) -> list[int]:
 def slice_parity(t: int) -> str:
     """Site parity updated at slice t: vertex (i, t) exists for i + t odd."""
     return "even" if t % 2 == 1 else "odd"
-
-
-def advance_slice(profile, parity, rng, params: ModelParams, stacks=None):
-    """Advance one sublattice slice, sampling one event per eligible site.
-
-    Returns (new_profile, events, weight) where weight is the product of
-    the sampled branch probabilities.  When `stacks` (per-site lists of
-    pending pair colors) is given, deposits push their color and
-    evaporations pop it, resolving evaporation colors exactly.
-    Reflecting mode never produces a negative height; absorbing mode may
-    (the caller post-selects).
-    """
-    out = np.array(profile, dtype=np.int64, copy=True)
-    events = []
-    weight = 1.0
-    for i in updatable_sites(params.L, parity):
-        branches = site_branches(profile[i], profile[i - 1], profile[i + 1], params)
-        u = rng.random()
-        acc = 0.0
-        chosen = branches[-1]
-        for br in branches:
-            acc += br[3]
-            if u < acc:
-                chosen = br
-                break
-        new_h, kind, color, prob = chosen
-        if stacks is not None:
-            if kind == "deposit":
-                stacks[i].append(color)
-            elif kind == "evaporate":
-                color = stacks[i].pop() if stacks[i] else COLOR_R
-        out[i] = new_h
-        weight *= prob
-        events.append(SliceEvent(i, kind, color, prob))
-    if params.boundary_mode == "reflecting" and (out < 0).any():
-        raise AssertionError("reflecting dynamics produced a negative height")
-    return out, events, weight
 
 
 def validate_profile(profile, L, mode="reflecting"):

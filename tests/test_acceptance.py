@@ -34,11 +34,10 @@ def test_criterion_01_channel_completeness():
     for p in P_GRID_CHANNEL:
         for colored in (True, False):
             for cooling in (False, True):
-                for marker in ("E", "F"):
-                    table = local_channel(marker, 1, p, colored=colored, cooling=cooling)
-                    for label, elems in table.items():
-                        norm = math.fsum(a * a for _, _, _, a in elems)
-                        worst = max(worst, abs(norm - 1.0))
+                table = local_channel(p, colored=colored, cooling=cooling)
+                for label, elems in table.items():
+                    norm = math.fsum(a * a for _, _, _, a in elems)
+                    worst = max(worst, abs(norm - 1.0))
     elapsed = time.time() - started
     assert worst < 1e-12
     assert elapsed < 1.0

@@ -81,3 +81,16 @@ def test_phase_sweep(tmp_path):
     fits = [p for p in paths if p.name == "phase_exponents.csv"][0].read_text().splitlines()
     assert fits[0] == "p,exponent,amplitude,r_squared"
     assert len(fits) == 3
+
+
+def test_phase_sweep_area_law_at_p0(tmp_path):
+    out = tmp_path / "sweep"
+    code = main(["phase-sweep", "--L", "3", "--L", "5", "--L", "7",
+                 "--p", "0.0", "--p", "0.5", "--out", str(out)])
+    assert code == 0
+    rows = (out / "phase_sweep.csv").read_text().splitlines()[1:]
+    at_p0 = [r.split(",") for r in rows if r.split(",")[1] == "0.0"]
+    assert len(at_p0) == 3 and all(r[3:] == ["0.0", "0.0", "0.0"] for r in at_p0)
+    fits = (out / "phase_exponents.csv").read_text().splitlines()
+    assert fits[1] == "0.0,nan,nan,nan"
+    assert fits[2].startswith("0.5,") and "nan" not in fits[2]

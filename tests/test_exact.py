@@ -5,7 +5,7 @@ import pytest
 from conftest import oracle_enumerate, oracle_success
 from depevap import ModelParams
 from depevap.codec import canonical_key, key_to_config, vertex_sites
-from depevap.errors import CapacityError
+from depevap.errors import CapacityError, InvalidParameterError
 from depevap.exact import (
     build_state,
     enumerate_bridge,
@@ -143,3 +143,18 @@ def test_persistence_round_trip(tmp_path):
     text = export_state_text(state)
     assert len(text.splitlines()) == len(state)
     assert text == export_state_text(loaded)
+
+
+def test_load_state_rejects_damaged_files(tmp_path):
+    path = tmp_path / "state.bin"
+    save_state(build_state(ModelParams(L=3, p=0.5, colored=True)), path)
+    data = path.read_bytes()
+    damaged = tmp_path / "damaged.bin"
+    for cut in range(len(data)):
+        damaged.write_bytes(data[:cut])
+        with pytest.raises(InvalidParameterError):
+            load_state(damaged)
+    for extra in (b"\x00", b"abc", data[-16:]):
+        damaged.write_bytes(data + extra)
+        with pytest.raises(InvalidParameterError):
+            load_state(damaged)

@@ -1,0 +1,55 @@
+"""Byte-level guard on CLI outputs that every event-table consumer feeds.
+
+Each manifest is small, and together they reach the forward-backward DP
+(reflecting and absorbing, with its frozen-site factors), stack-emitter
+generation with and without colors, the parent Hamiltonian's update
+weights, and the vectorized free dynamics.  The sha256 of each listed
+CSV was recorded with numpy 2.4; a refactor that keeps the model must
+keep these bytes.  Outputs that go through LAPACK (exact_entropy.csv,
+hamiltonian_spectrum.csv and the polyfit exponent CSVs) are left out,
+because their last digits depend on the BLAS build.
+"""
+
+import hashlib
+
+import pytest
+
+from depevap.cli import run_experiment
+
+GOLDEN = [
+    ({"experiment": "phase-sweep", "L": [5, 7, 9], "p": [0.25, 0.5, 0.8],
+      "mode": "reflecting", "colored": True},
+     {"phase_sweep.csv": "032a7976ea05fe670a6d245ecb50e17f88bacb91658931ef9268d27d51a10ad0"}),
+    ({"experiment": "phase-sweep", "L": [5, 7, 9], "p": [0.25, 0.5, 0.8],
+      "mode": "absorbing", "colored": True},
+     {"phase_sweep.csv": "76ff09062ef5c5f60177f819080ef9d9756d26179e9fc78e47723e70f425edd5"}),
+    ({"experiment": "seqgen-check", "L": [3, 5], "p": [0.3, 0.8],
+      "mode": "reflecting", "colored": True},
+     {"seqgen_fidelity.csv": "09a429ac1b49fc730cb29e9632f1c00665dafc7003e5c26abdf5627c3e74157e"}),
+    ({"experiment": "seqgen-check", "L": [3, 5], "p": [0.3, 0.8],
+      "mode": "reflecting", "colored": False},
+     {"seqgen_fidelity.csv": "d7dadb98275279bbdadbde634cd990f069d298b94354fa5b798f328877cc9f89"}),
+    ({"experiment": "hamiltonian-check", "L": [3, 5], "p": [0.25, 0.8],
+      "mode": "absorbing", "colored": True},
+     {"hamiltonian_residuals.csv":
+      "264039c1b996b051957aed8e2bcb14bf6e2d94b8268021e278cd0f085a16bbab"}),
+    ({"experiment": "hamiltonian-check", "L": [3, 5], "p": [0.25, 0.8],
+      "mode": "absorbing", "colored": False},
+     {"hamiltonian_residuals.csv":
+      "28525e27406e1c242bd3d2e809123d3b02741db422aa9ecb7109329b30291cb4"}),
+    ({"experiment": "scaling", "L": [32], "p": [0.5, 0.8], "mode": "reflecting",
+      "colored": True, "seed": 3, "samples": 8, "tmax": 400, "fit_lo": 20, "fit_hi": 300},
+     {"scaling_L32_p0.5.csv": "4702f532d349b54a43c79b96519e68f386d7b34f271c987d20e303c06f87ba5c",
+      "scaling_L32_p0.8.csv": "dd447ab729042500fb48b32596f8ebd0de2588f7b822605e85529926c7772311"}),
+]
+
+
+@pytest.mark.parametrize("manifest,hashes", GOLDEN, ids=[
+    f"{m['experiment']}-{m['mode']}-{'colored' if m['colored'] else 'uncolored'}"
+    for m, _ in GOLDEN])
+def test_golden_csv_bytes(tmp_path, manifest, hashes):
+    paths, code = run_experiment({**manifest, "out": str(tmp_path)})
+    assert code == 0
+    by_name = {p.name: p for p in paths}
+    for name, want in hashes.items():
+        assert hashlib.sha256(by_name[name].read_bytes()).hexdigest() == want, name

@@ -20,21 +20,26 @@ from depevap.hamiltonian import (
     sector_keys,
     sector_matrix,
     sector_spectrum,
-    single_vertex_probability,
     term_residuals,
     update_plaquettes,
 )
+from depevap.surface import branch_probability
 
 ABS = dict(boundary_mode="absorbing")
 
 
 def test_single_vertex_probability_examples():
-    assert single_vertex_probability("valley_no_change", 1.0) == 0.5
-    assert single_vertex_probability("evaporate", 0.0) == 0.5
+    # the update weights read the uncolored, floorless event table
+    assert branch_probability("valley", 0, 1.0) == 0.5
+    assert branch_probability("peak", -2, 0.0) == 0.5
+    assert branch_probability("valley", +2, 0.6) == pytest.approx(0.3)
+    assert branch_probability("peak", 0, 0.6) == pytest.approx(0.8)
     for p in (0.0, 0.3, 1.0):
-        assert single_vertex_probability("slope", p) == 1.0
+        assert branch_probability("slope", 0, p) == 1.0
     with pytest.raises(InvalidParameterError):
-        single_vertex_probability("sideways", 0.5)
+        branch_probability("sideways", 0, 0.5)
+    with pytest.raises(InvalidParameterError):
+        branch_probability("slope", +2, 0.5)
 
 
 def test_deformation_weights_frozen():

@@ -9,12 +9,11 @@ from depevap.scaling import (
     ensemble,
     exponent_report,
     roughness,
-    run_free_dynamics,
     saturation_time,
     _advance,
     _parity_indices,
 )
-from depevap.surface import free_horizon
+from depevap.surface import horizon_profile
 
 
 def test_roughness_examples():
@@ -27,16 +26,17 @@ def test_roughness_examples():
 
 def test_p0_series_constant():
     params = ModelParams(L=17, p=0.0)
-    series = run_free_dynamics(params, 30, np.random.default_rng(0))
-    assert np.all(series["mid"] == 1)
-    assert np.allclose(series["W"], series["W"][0])
+    series = ensemble(params, 1, 30)
+    assert np.all(series.mid_height == 1)
+    assert np.allclose(series.W, series.W[0])
 
 
 def test_single_trajectory_deterministic():
     params = ModelParams(L=33, p=0.6, seed=3)
-    a = run_free_dynamics(params, 100, np.random.default_rng(3))
-    b = run_free_dynamics(params, 100, np.random.default_rng(3))
-    assert np.array_equal(a["W"], b["W"]) and np.array_equal(a["profile"], b["profile"])
+    a = ensemble(params, 1, 100)
+    b = ensemble(params, 1, 100)
+    assert np.array_equal(a.W, b.W) and np.array_equal(a.mid_height, b.mid_height)
+    assert not np.array_equal(a.W, ensemble(params.with_(seed=4), 1, 100).W)
 
 
 def test_ensemble_deterministic_and_seed_sensitive():
@@ -60,7 +60,7 @@ def test_trajectory_streams_are_keyed_by_index():
     W = np.zeros((n, t_max))
     for k in range(n):
         g = np.random.Generator(np.random.Philox(key=(params.seed << 64) + k))
-        H = free_horizon(L)[None, :].copy()
+        H = horizon_profile(L)[None, :].copy()
         U = g.random((t_max, max_upd))
         for t in range(1, t_max + 1):
             idx = even if t % 2 == 1 else odd
@@ -78,9 +78,9 @@ def test_mid_height_monotone_mean_p1():
 
 
 def test_even_L_supported():
-    params = ModelParams(L=4, p=0.5, seed=0)
-    series = run_free_dynamics(params, 50, np.random.default_rng(1))
-    assert series["profile"][-1] == 1  # parity-consistent right wall
+    assert horizon_profile(4)[-1] == 1  # parity-consistent right wall
+    series = ensemble(ModelParams(L=4, p=0.5, seed=0), 1, 50)
+    assert (series.W > 0).all()
     params = ModelParams(L=128, p=0.25, seed=0)
     s = ensemble(params, 4, 100)
     assert (s.W > 0).all()
@@ -91,7 +91,7 @@ def test_reflecting_soak_vectorized():
     L, p = 64, 0.9
     even, odd = _parity_indices(L)
     rng = np.random.Generator(np.random.Philox(key=99))
-    H = np.tile(free_horizon(L), (4, 1))
+    H = np.tile(horizon_profile(L), (4, 1))
     for t in range(1, 100_001):
         idx = even if t % 2 == 1 else odd
         _advance(H, idx, rng.random((4, len(idx))), p)

@@ -7,9 +7,7 @@ from depevap.codec import decode_config, key_to_config
 from depevap.errors import InvalidParameterError, UnsupportedModeError
 from depevap.exact import build_state, success_probability
 from depevap.seqgen import (
-    EmitterConfig,
     apply_round,
-    boundary_channels,
     channel_branches,
     cooling_start,
     fidelity,
@@ -21,9 +19,7 @@ from depevap.seqgen import (
 
 def test_init_emitter_markers_and_roundtrip():
     em = init_emitter(3)
-    assert [em.marker(i) for i in (1, 2, 3)] == ["F", "E", "F"]
-    assert em.stacks == ((1, ()), (0, ()), (1, ()))
-    assert EmitterConfig.from_bytes(em.to_bytes()) == em
+    assert em.L == 3 and em.stacks == ((1, ()), (0, ()), (1, ()))
     with pytest.raises(InvalidParameterError):
         init_emitter(4)
 
@@ -31,15 +27,14 @@ def test_init_emitter_markers_and_roundtrip():
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
 @pytest.mark.parametrize("colored", [True, False])
 def test_channel_columns_unit_norm(p, colored):
-    for marker in ("E", "F"):
-        table = local_channel(marker, 1, p, colored=colored)
-        for label, elems in table.items():
-            norm = math.fsum(a * a for _, _, _, a in elems)
-            assert norm == pytest.approx(1.0, abs=1e-12), (label, p)
+    table = local_channel(p, colored=colored)
+    for label, elems in table.items():
+        norm = math.fsum(a * a for _, _, _, a in elems)
+        assert norm == pytest.approx(1.0, abs=1e-12), (label, p)
 
 
 def test_channel_p0_and_slopes():
-    table = local_channel("F", 1, 0.0, colored=True)
+    table = local_channel(0.0, colored=True)
     valley = table[("valley",)]
     assert all(op[0] != "push" or amp == 0.0 for op, _, _, amp in valley)
     peak = table[("peak", 1)]
@@ -52,13 +47,13 @@ def test_channel_p0_and_slopes():
 
 
 def test_channel_at_bottom_peak():
-    table = local_channel("F", 1, 0.7, colored=True)
+    table = local_channel(0.7, colored=True)
     bottom = table[("peak", None)]
     assert bottom == [(("none",), (1, 1), 0, 1.0)]
 
 
 def test_cooling_channels_drop_deposits():
-    table = local_channel("E", 1, 0.9, colored=True, cooling=True)
+    table = local_channel(0.9, colored=True, cooling=True)
     assert table[("valley",)] == [(("none",), (0, 0), 0, 1.0)]
     peak = table[("peak", 2)]
     assert sorted(amp for _, _, _, amp in peak) == pytest.approx(
@@ -66,12 +61,17 @@ def test_cooling_channels_drop_deposits():
 
 
 def test_boundary_channels():
-    ch = boundary_channels(0.3)
-    assert ch["U_b"] == (((0, 0), (1, 1), 1.0),)
-    mapping, amp = ch["U_L"]
-    assert amp == 1.0 and mapping == {0: 1, 2: 0}
-    mapping, amp = ch["U_R"]
-    assert mapping == {0: 1, 2: 0}
+    # even rounds emit the outermost spins up, and the spins next to them up
+    # exactly when the adjacent interior site sits at height 0
+    params = ModelParams(L=5, p=0.6, boundary_mode="reflecting", colored=True)
+    joint = {(init_emitter(5).stacks, ()): 1.0}
+    joint = apply_round(apply_round(joint, 1, 0.6, params), 2, 0.6, params)
+    for stacks, record in joint:
+        row, _ = record[-1]
+        h2, h4 = stacks[1][0], stacks[3][0]
+        assert (row[0], row[5]) == (1, 1)
+        assert (row[1], row[4]) == (int(h2 == 0), int(h4 == 0))
+    assert {stacks[1][0] for stacks, _ in joint} == {0, 2}
 
 
 def test_apply_round_norm_and_branching():

@@ -6,24 +6,37 @@ from hypothesis import given, settings, strategies as st
 
 from depevap import ModelParams
 from depevap.errors import InvalidParameterError
+from depevap.exact import enumerate_bridge, slice_outcomes
 from depevap.surface import (
-    SiteShape,
-    advance_slice,
     deposit_rule,
     evaporate_rule,
-    event_distribution,
+    event_table,
     horizon_profile,
+    local_shape,
     site_branches,
-    site_shape,
     slice_parity,
     updatable_sites,
     validate_profile,
 )
 
 
+def _sample_slice(profile, t, rng, params):
+    """One sampled slice: each eligible site draws a branch of its event table."""
+    out = np.array(profile, dtype=np.int64, copy=True)
+    for i in updatable_sites(params.L, slice_parity(t)):
+        u = rng.random()
+        for new_h, _, _, prob in site_branches(profile[i], profile[i - 1], profile[i + 1], params):
+            u -= prob
+            if u < 0:
+                break
+        out[i] = new_h
+    return out
+
+
 def test_horizon_examples():
     assert horizon_profile(3).tolist() == [0, 1, 0, 1, 0]
     assert horizon_profile(5).tolist() == [0, 1, 0, 1, 0, 1, 0]
+    assert horizon_profile(4).tolist() == [0, 1, 0, 1, 0, 1]  # even L: right wall at 1
     with pytest.raises(InvalidParameterError):
         horizon_profile(2)
     with pytest.raises(InvalidParameterError):
@@ -43,49 +56,55 @@ def test_evaporate_rule_examples():
 
 
 def test_site_shape_examples():
-    assert site_shape([0, 1, 0, 1, 0], 2) is SiteShape.VALLEY
-    assert site_shape([0, 1, 2, 1, 0], 2) is SiteShape.PEAK
-    assert site_shape([0, 1, 2, 3, 2, 1, 0], 2) is SiteShape.SLOPE_UP
-    assert site_shape([0, 1, 2, 3, 2, 1, 0], 4) is SiteShape.SLOPE_DOWN
+    assert local_shape(1, 1) == "valley"
+    assert local_shape(-1, -1) == "peak"
+    assert local_shape(-1, 1) == local_shape(1, -1) == "slope"
+    with pytest.raises(InvalidParameterError):
+        local_shape(1, 3)
 
 
 def _table(events):
     out = {}
-    for e in events:
-        name = e.kind if e.color == 0 else f"{e.kind}_{e.color}"
-        out[name] = out.get(name, 0.0) + e.probability
+    for _, kind, color, prob in events:
+        name = kind if not color else f"{kind}_{color}"
+        out[name] = out.get(name, 0.0) + prob
     return out
 
 
 def test_event_distribution_examples():
-    p06 = ModelParams(L=5, p=0.6, colored=False)
-    assert _table(event_distribution(SiteShape.VALLEY, 0, p06)) == pytest.approx(
-        {"deposit": 0.3, "no_change": 0.7})
-    p06c = p06.with_(colored=True)
-    assert _table(event_distribution(SiteShape.PEAK, 3, p06c)) == pytest.approx(
-        {"evaporate_1": 0.1, "evaporate_2": 0.1, "no_change": 0.8})
-    for p in (0.0, 0.3, 1.0):
-        params = ModelParams(L=5, p=p, boundary_mode="reflecting")
-        assert _table(event_distribution(SiteShape.PEAK, 1, params)) == {"no_change": 1.0}
-        assert _table(event_distribution(SiteShape.SLOPE_UP, 2, params)) == {"no_change": 1.0}
-    absorbing = ModelParams(L=5, p=0.6, boundary_mode="absorbing", colored=False)
-    assert _table(event_distribution(SiteShape.PEAK, 1, absorbing)) == pytest.approx(
+    assert _table(event_table("valley", False, 0.6, False)) == pytest.approx(
+        {"deposit_1": 0.3, "no_change": 0.7})
+    assert _table(event_table("valley", False, 0.6, True)) == pytest.approx(
+        {"deposit_1": 0.15, "deposit_2": 0.15, "no_change": 0.7})
+    # evaporation is one branch; the stack resolves its color
+    assert _table(event_table("peak", False, 0.6, True)) == pytest.approx(
         {"evaporate": 0.2, "no_change": 0.8})
+    for p in (0.0, 0.3, 1.0):
+        assert _table(event_table("peak", True, p, True)) == {"no_change": 1.0}
+        assert _table(event_table("slope", False, p, True)) == {"no_change": 1.0}
+    reflecting = ModelParams(L=5, p=0.6, boundary_mode="reflecting", colored=False)
+    absorbing = reflecting.with_(boundary_mode="absorbing")
+    assert _table(site_branches(1, 0, 0, reflecting)) == {"no_change": 1.0}
+    assert _table(site_branches(1, 0, 0, absorbing)) == pytest.approx(
+        {"evaporate": 0.2, "no_change": 0.8})
+    assert _table(site_branches(3, 2, 2, reflecting)) == pytest.approx(
+        {"evaporate": 0.2, "no_change": 0.8})
+    with pytest.raises(InvalidParameterError):
+        event_table("ridge", False, 0.5, True)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    shape=st.sampled_from(list(SiteShape)),
-    h=st.integers(min_value=0, max_value=9),
+    shape=st.sampled_from(["valley", "peak", "slope"]),
+    floor=st.booleans(),
     p=st.floats(min_value=0, max_value=1, allow_nan=False),
-    mode=st.sampled_from(["reflecting", "absorbing"]),
     colored=st.booleans(),
 )
-def test_event_probabilities_sum_to_one(shape, h, p, mode, colored):
-    params = ModelParams(L=5, p=p, boundary_mode=mode, colored=colored)
-    events = event_distribution(shape, h, params)
-    assert all(e.probability >= 0 for e in events)
-    assert math.fsum(e.probability for e in events) == pytest.approx(1.0, abs=1e-12)
+def test_event_probabilities_sum_to_one(shape, floor, p, colored):
+    events = event_table(shape, floor, p, colored)
+    assert all(prob >= 0 for *_, prob in events)
+    assert math.fsum(prob for *_, prob in events) == pytest.approx(1.0, abs=1e-12)
+    assert events[-1][1] == "no_change"
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,20 +123,21 @@ def test_site_branches_sum_to_one(h, dl, dr, p, mode, colored):
 
 
 def test_advance_slice_trivial_parity():
+    # L=3 has no eligible site at odd parity: one unchanged outcome of weight 1
     params = ModelParams(L=3, p=0.5)
-    rng = np.random.default_rng(0)
-    prof, events, weight = advance_slice(horizon_profile(3), "odd", rng, params)
-    assert prof.tolist() == [0, 1, 0, 1, 0] and events == [] and weight == 1.0
+    horizon = tuple(horizon_profile(3).tolist())
+    assert list(slice_outcomes(horizon, 2, params)) == [(horizon, 1.0, ())]
 
 
 def test_advance_slice_p0_is_frozen():
     params = ModelParams(L=7, p=0.0)
+    horizon = tuple(horizon_profile(7).tolist())
     rng = np.random.default_rng(1)
-    prof = horizon_profile(7)
+    prof = horizon
     for t in range(1, 40):
-        prof, _, weight = advance_slice(prof, slice_parity(t), rng, params)
-        assert weight == 1.0
-    assert prof.tolist() == horizon_profile(7).tolist()
+        assert [(new, w) for new, w, _ in slice_outcomes(prof, t, params)] == [(horizon, 1.0)]
+        prof = tuple(_sample_slice(prof, t, rng, params).tolist())
+    assert prof == horizon
 
 
 def test_advance_slice_deterministic_and_valid():
@@ -128,7 +148,7 @@ def test_advance_slice_deterministic_and_valid():
         prof = horizon_profile(9)
         hist = []
         for t in range(1, 60):
-            prof, _, _ = advance_slice(prof, slice_parity(t), rng, params)
+            prof = _sample_slice(prof, t, rng, params)
             validate_profile(prof, 9, "reflecting")
             hist.append(prof.tolist())
         runs.append(hist)
@@ -144,12 +164,16 @@ def test_advance_slice_weight_covers_branches():
 
 
 def test_advance_slice_stack_resolution():
-    params = ModelParams(L=5, p=1.0, colored=True)  # deposits certain at valleys
-    rng = np.random.default_rng(3)
-    stacks = {i: [] for i in range(1, 6)}
-    prof, events, _ = advance_slice(horizon_profile(5), "even", rng, params, stacks=stacks)
-    deposited = {e.site: e.color for e in events if e.kind == "deposit"}
-    assert deposited and all(stacks[i][-1] == c for i, c in deposited.items())
+    # every evaporation takes the color of its site's most recent unmatched deposit
+    params = ModelParams(L=5, p=0.6, colored=True)
+    for traj, _ in enumerate_bridge(params):
+        stacks = {i: [] for i in range(1, 6)}
+        for (i, t), (kind, color) in sorted(traj.events.items(), key=lambda e: e[0][::-1]):
+            if kind == "deposit":
+                stacks[i].append(color)
+            elif kind == "evaporate":
+                assert color == stacks[i].pop()
+        assert not any(stacks.values())
 
 
 def test_updatable_sites_freezes_boundary():
@@ -161,11 +185,9 @@ def test_updatable_sites_freezes_boundary():
 def test_reflecting_soak_never_negative():
     # randomized soak; reflecting heights must stay nonnegative every slice
     # (the full 1e5-slice L=64 soak runs on the vectorized path in test_scaling)
-    from depevap.surface import free_horizon
-
     params = ModelParams(L=64, p=0.9)
     rng = np.random.default_rng(1234)
-    prof = free_horizon(64)
+    prof = horizon_profile(64)
     for t in range(1, 2001):
-        prof, _, _ = advance_slice(prof, slice_parity(t), rng, params)
+        prof = _sample_slice(prof, t, rng, params)
         assert (prof >= 0).all()
