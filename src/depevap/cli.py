@@ -163,7 +163,7 @@ def _entropy_rows(manifest, methods):
                 report = entropy_exact(build_state(params, max_nodes=manifest["max_nodes"]), cut)
                 rows.append((params.L, params.p, params.boundary_mode, cut, "svd",
                              report.S_uncolored, report.color_term, report.S_total))
-            report = entropy_dp(params, cut)
+            report = entropy_dp(params, cut, manifest["max_nodes"])
             rows.append((params.L, params.p, params.boundary_mode, cut, "dp",
                          report.S_uncolored, report.color_term, report.S_total))
         except CapacityError:
@@ -241,7 +241,7 @@ def _run_phase_sweep(manifest, outdir):
     for params in _grid(manifest):
         cut = manifest["cut_row"] or mid_cut_row(params.L)
         try:
-            report = entropy_dp(params, cut)
+            report = entropy_dp(params, cut, manifest["max_nodes"])
             rows.append((params.L, params.p, cut, report.S_uncolored,
                          report.color_term, report.S_total))
             by_p.setdefault(params.p, []).append((params.L, report.S_total))

@@ -47,7 +47,7 @@ class SparseState:
         return len(self.amplitudes)
 
 
-def slice_outcomes(profile, t, params: ModelParams, split_colors=True):
+def slice_outcomes(profile, t, params: ModelParams):
     """All branch outcomes of update slice t from the zigzag profile before it.
 
     Yields (new_profile_tuple, weight, events) with events a tuple of
@@ -61,11 +61,10 @@ def slice_outcomes(profile, t, params: ModelParams, split_colors=True):
         if (i + t) % 2 == 1:
             base *= no_change_probability(profile[i], profile[i - 1], profile[i + 1], params)
     sites = [i for i in range(2, L) if (i + t) % 2 == 1]
-    tab_params = params if split_colors else params.with_(colored=False)
     per_site = []
     for i in sites:
         opts = []
-        for new_h, kind, color, prob in site_branches(profile[i], profile[i - 1], profile[i + 1], tab_params):
+        for new_h, kind, color, prob in site_branches(profile[i], profile[i - 1], profile[i + 1], params):
             if params.boundary_mode == "absorbing" and new_h < 0:
                 continue  # eager post-selection
             if prob <= 0.0:

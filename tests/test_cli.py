@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -94,3 +95,20 @@ def test_phase_sweep_area_law_at_p0(tmp_path):
     fits = (out / "phase_exponents.csv").read_text().splitlines()
     assert fits[1] == "0.0,nan,nan,nan"
     assert fits[2].startswith("0.5,") and "nan" not in fits[2]
+
+
+def test_phase_sweep_profile_cap(tmp_path):
+    # max_nodes caps the DP's profile count too: L=5 has 5 profiles, L=9 has 42
+    manifest = {"experiment": "phase-sweep", "L": [5, 9], "p": [0.5, 0.8],
+                "max_nodes": 20, "out": str(tmp_path / "cap")}
+    paths, code = run_experiment(manifest)
+    assert code == 2
+    table = [p for p in paths if p.name == "phase_sweep.csv"][0].read_text().splitlines()
+    rows = [r.split(",") for r in table[1:]]
+    assert [r[0] for r in rows] == ["5", "5", "9", "9"]
+    for r in rows:
+        values = [float(v) for v in r[3:]]
+        if r[0] == "5":
+            assert all(math.isfinite(v) for v in values) and values[2] > 0
+        else:
+            assert all(math.isnan(v) for v in values)

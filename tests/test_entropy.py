@@ -12,10 +12,12 @@ from depevap.entropy import (
     fit_power_law,
     mid_cut_row,
     midcut_distribution,
+    profile_count,
     schmidt_spectrum,
+    TransferKernel,
 )
 from depevap.errors import CapacityError, InvalidParameterError
-from depevap.exact import build_state
+from depevap.exact import build_state, slice_outcomes
 
 
 def test_midcut_examples():
@@ -143,8 +145,9 @@ def test_schmidt_rejects_unnormalized(l3_state_reflecting):
 
 
 def test_capacity_guard():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="L=9 has 42 .* cap of 2"):
         midcut_distribution(ModelParams(L=9, p=0.5), 4, max_profiles=2)
+    assert [profile_count(L) for L in (3, 17, 25)] == [2, 4862, 742900]
 
 
 def test_fit_power_law_examples():
@@ -162,3 +165,113 @@ def test_fit_power_law_examples():
         fit_power_law([1, 2, 3], [1, -1, 2])
     with pytest.raises(InvalidParameterError):
         fit_power_law([1, 2], [1, 2])
+
+
+def test_kernel_slice_matches_slice_outcomes():
+    # one kernel slice on a point mass at every profile equals the slow
+    # branch enumeration summed per new profile; backward is its transpose
+    for L in (7, 9):
+        for mode in ("reflecting", "absorbing"):
+            for colored in (True, False):
+                for p in (0.0, 0.3, 1.0):
+                    params = ModelParams(L=L, p=p, boundary_mode=mode, colored=colored)
+                    kernel = TransferKernel(params)
+                    profiles = [tuple(h) for h in kernel.heights.tolist()]
+                    index = {prof: k for k, prof in enumerate(profiles)}
+                    eye = np.eye(len(profiles))
+                    for t in (1, 2):
+                        want = np.zeros_like(eye)  # want[new, old]
+                        for k, prof in enumerate(profiles):
+                            for new, w, _ in slice_outcomes(prof, t, params):
+                                want[index[new], k] += w
+                        got = np.column_stack([kernel.forward(e, t) for e in eye])
+                        assert np.abs(got - want).max() <= 1e-15, (L, mode, colored, p, t)
+                        got_back = np.vstack([kernel.backward(e, t) for e in eye])
+                        assert np.abs(got_back - want).max() <= 1e-15, (L, mode, colored, p, t)
+
+
+# (mode, L, p, S_uncolored, mean_area, positive-weight cut profiles) of the
+# mid cut, recorded with the dict-of-dicts DP that enumerated every joint
+# branch of a slice (exact.slice_outcomes) before the transfer kernel replaced it
+PARENT_DP = [
+    ('r', 5, 0.0, 0.0, 0.0, 1),
+    ('r', 5, 0.25, 0.8667878773022013, 0.35601592256577663, 5),
+    ('r', 5, 0.5, 1.2699163449114286, 0.6394763835295267, 5),
+    ('r', 5, 0.8, 1.3719299850384479, 0.7323085485796308, 5),
+    ('r', 5, 1.0, 0.0, 0.0, 1),
+    ('r', 7, 0.0, 0.0, 0.0, 1),
+    ('r', 7, 0.25, 1.7163733782533837, 0.8099472006016943, 14),
+    ('r', 7, 0.5, 2.4252387809234786, 1.4705882960407943, 14),
+    ('r', 7, 0.8, 2.642750346007703, 1.8071061921514922, 14),
+    ('r', 7, 1.0, 0.0, 0.0, 1),
+    ('r', 9, 0.0, 0.0, 0.0, 1),
+    ('r', 9, 0.25, 2.5398531525581305, 1.2718570404706229, 42),
+    ('r', 9, 0.5, 3.5449754207835538, 2.330984746033166, 42),
+    ('r', 9, 0.8, 3.8392050120641295, 2.9500951004613385, 42),
+    ('r', 9, 1.0, 0.0, 0.0, 1),
+    ('r', 11, 0.0, 0.0, 0.0, 1),
+    ('r', 11, 0.25, 3.5023682752670995, 1.8684154836278908, 132),
+    ('r', 11, 0.5, 4.801164010990007, 3.447037357777273, 132),
+    ('r', 11, 0.8, 5.107447409903872, 4.422641966213283, 132),
+    ('r', 11, 1.0, 0.0, 0.0, 1),
+    ('r', 13, 0.0, 0.0, 0.0, 1),
+    ('r', 13, 0.25, 4.415786153023031, 2.432039277584695, 429),
+    ('r', 13, 0.5, 6.056208942279352, 4.557960668804257, 429),
+    ('r', 13, 0.8, 6.418006256429224, 5.906187502624467, 429),
+    ('r', 13, 1.0, 0.0, 0.0, 1),
+    ('r', 15, 0.0, 0.0, 0.0, 1),
+    ('r', 15, 0.25, 5.402832304257801, 3.0779043836871596, 1430),
+    ('r', 15, 0.5, 7.386666715094124, 5.856682683615151, 1430),
+    ('r', 15, 0.8, 7.779880825167808, 7.650658127712045, 1430),
+    ('r', 15, 1.0, 0.0, 0.0, 1),
+    ('r', 17, 0.0, 0.0, 0.0, 1),
+    ('r', 17, 0.25, 6.355335900035615, 3.6922468998757476, 4862),
+    ('r', 17, 0.5, 8.742060621392795, 7.179067261595323, 4862),
+    ('r', 17, 0.8, 9.222996810399684, 9.480292612877474, 4862),
+    ('r', 17, 1.0, 0.0, 0.0, 1),
+    ('a', 5, 0.0, 0.0, 0.0, 1),
+    ('a', 5, 0.25, 1.5987888727671327, 0.9744784997550904, 5),
+    ('a', 5, 0.5, 1.7009180721797557, 1.1036509572399642, 5),
+    ('a', 5, 0.8, 1.536632952198302, 0.9031815386607718, 5),
+    ('a', 5, 1.0, 0.0, 0.0, 1),
+    ('a', 7, 0.0, 0.0, 0.0, 1),
+    ('a', 7, 0.25, 2.870173056422312, 2.305352550374986, 14),
+    ('a', 7, 0.5, 2.956836723957349, 2.4950464674376973, 14),
+    ('a', 7, 0.8, 2.8179649946572636, 2.196116545403461, 14),
+    ('a', 7, 1.0, 0.0, 0.0, 1),
+    ('a', 9, 0.0, 0.0, 0.0, 1),
+    ('a', 9, 0.25, 4.066207916401109, 3.6576362227145154, 42),
+    ('a', 9, 0.5, 4.186183042202839, 3.8967909704961996, 42),
+    ('a', 9, 0.8, 3.9996102841197407, 3.5235166727361467, 42),
+    ('a', 9, 1.0, 0.0, 0.0, 1),
+    ('a', 11, 0.0, 0.0, 0.0, 1),
+    ('a', 11, 0.25, 5.287593677044802, 5.354368690084996, 132),
+    ('a', 11, 0.5, 5.454932789279131, 5.653874414001371, 132),
+    ('a', 11, 0.8, 5.194612446912126, 5.189667868609314, 132),
+    ('a', 11, 1.0, 0.0, 0.0, 1),
+    ('a', 13, 0.0, 0.0, 0.0, 1),
+    ('a', 13, 0.25, 6.63402470481168, 7.094570383321923, 429),
+    ('a', 13, 0.5, 6.85691059991862, 7.483381020989661, 429),
+    ('a', 13, 0.8, 6.505395399728233, 6.881960991511189, 429),
+    ('a', 13, 1.0, 0.0, 0.0, 1),
+    ('a', 15, 0.0, 0.0, 0.0, 1),
+    ('a', 15, 0.25, 8.00368393485694, 9.110663365785294, 1430),
+    ('a', 15, 0.5, 8.269611175455589, 9.587845566995538, 1430),
+    ('a', 15, 0.8, 7.8432655168608045, 8.847427604125615, 1430),
+    ('a', 15, 1.0, 0.0, 0.0, 1),
+    ('a', 17, 0.0, 0.0, 0.0, 1),
+    ('a', 17, 0.25, 9.480048628535254, 11.256777196006555, 4862),
+    ('a', 17, 0.5, 9.781361704492383, 11.831079514199905, 4862),
+    ('a', 17, 0.8, 9.293896603215169, 10.936420315317733, 4862),
+    ('a', 17, 1.0, 0.0, 0.0, 1),
+]
+
+
+def test_dp_matches_parent_values():
+    modes = {"r": "reflecting", "a": "absorbing"}
+    for mode, L, p, S_unc, mean_area, count in PARENT_DP:
+        params = ModelParams(L=L, p=p, boundary_mode=modes[mode], colored=True)
+        dist = midcut_distribution(params, mid_cut_row(L))
+        assert len(dist.table) == count, (mode, L, p)
+        assert entropy_formula(dist).S_uncolored == pytest.approx(S_unc, abs=1e-12), (mode, L, p)
+        assert dist.mean_area == pytest.approx(mean_area, abs=1e-12), (mode, L, p)
