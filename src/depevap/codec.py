@@ -318,28 +318,6 @@ def trajectory_weight(traj: TrajectoryRecord, params: ModelParams) -> float:
 # canonical keys
 
 
-def _pack_bits(bits):
-    out = bytearray((len(bits) + 7) // 8)
-    for k, b in enumerate(bits):
-        out[k >> 3] |= (b & 1) << (k & 7)
-    return bytes(out)
-
-
-def _unpack_bits(data, n):
-    return [(data[k >> 3] >> (k & 7)) & 1 for k in range(n)]
-
-
-def _pack_codes(codes):
-    out = bytearray((len(codes) + 3) // 4)
-    for k, c in enumerate(codes):
-        out[k >> 2] |= (c & 3) << (2 * (k & 3))
-    return bytes(out)
-
-
-def _unpack_codes(data, n):
-    return [(data[k >> 2] >> (2 * (k & 3))) & 3 for k in range(n)]
-
-
 def key_length(params: ModelParams) -> int:
     L = params.L
     n_spins = (L + 1) ** 2
@@ -350,13 +328,43 @@ def key_length(params: ModelParams) -> int:
     return n
 
 
+def site_order(L, colored):
+    """Sites in key order: ("s", x, y) spins, then ("c", i, t) colors if colored."""
+    sites = [("s",) + s for s in spin_sites(L)]
+    if colored:
+        sites += [("c",) + v for v in vertex_sites(L)]
+    return sites
+
+
+def key_to_values(key: bytes, L, colored) -> list:
+    """Flat site values of a key, one per entry of `site_order(L, colored)`."""
+    n_spins = (L + 1) ** 2
+    values = [(key[k >> 3] >> (k & 7)) & 1 for k in range(n_spins)]
+    if colored:
+        codes = key[(n_spins + 7) // 8:]
+        values += [(codes[k >> 2] >> (2 * (k & 3))) & 3 for k in range((L * L - 1) // 2)]
+    return values
+
+
+def values_to_key(values, L, colored) -> bytes:
+    """Inverse of `key_to_values`: spin bits 8 per byte, then color codes 4 per byte."""
+    n_spins = (L + 1) ** 2
+    bits = bytearray((n_spins + 7) // 8)
+    for k, b in enumerate(values[:n_spins]):
+        bits[k >> 3] |= (b & 1) << (k & 7)
+    if not colored:
+        return bytes(bits)
+    codes = bytearray((len(values) - n_spins + 3) // 4)
+    for k, c in enumerate(values[n_spins:]):
+        codes[k >> 2] |= (c & 3) << (2 * (k & 3))
+    return bytes(bits + codes)
+
+
 def canonical_key(config: LatticeConfig) -> bytes:
-    bits = [config.spins[s] for s in spin_sites(config.L)]
-    key = _pack_bits(bits)
+    values = [config.spins[s] for s in spin_sites(config.L)]
     if config.colored:
-        codes = [config.colors[v] for v in vertex_sites(config.L)]
-        key += _pack_codes(codes)
-    return key
+        values += [config.colors[v] for v in vertex_sites(config.L)]
+    return values_to_key(values, config.L, config.colored)
 
 
 def key_to_config(key: bytes, params: ModelParams) -> LatticeConfig:
@@ -364,16 +372,11 @@ def key_to_config(key: bytes, params: ModelParams) -> LatticeConfig:
     L = params.L
     if len(key) != key_length(params):
         raise DecodeError("key", len(key), "canonical key has the wrong length")
-    n_spins = (L + 1) ** 2
-    spin_bytes = (n_spins + 7) // 8
-    bits = _unpack_bits(key[:spin_bytes], n_spins)
-    config = LatticeConfig(L=L, colored=params.colored)
-    for bit, s in zip(bits, spin_sites(L)):
-        config.spins[s] = bit
+    values = key_to_values(key, L, params.colored)
+    spins = spin_sites(L)
+    config = LatticeConfig(L=L, colored=params.colored, spins=dict(zip(spins, values)))
     if params.colored:
-        verts = vertex_sites(L)
-        codes = _unpack_codes(key[spin_bytes:], len(verts))
-        for code, v in zip(codes, verts):
+        for code, v in zip(values[len(spins):], vertex_sites(L)):
             if code > 2:
                 raise DecodeError("key", v, "malformed color code")
             config.colors[v] = code

@@ -27,19 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (
-    decode_config,
-    key_to_config,
-    spin_sites,
-    vertex_sites,
-    zigzag_profile,
-)
+from .codec import decode_config, key_to_config, site_order, zigzag_profile
 from .errors import CapacityError, InvalidParameterError
 from .exact import SparseState
 from .params import ModelParams
 from .surface import event_table, horizon_profile
 
-MAX_PROFILES = 10_000_000
+MAX_PROFILES = 3_000_000  # admits L = 27; the DP needs about 0.65 kB per profile
 
 
 @dataclass
@@ -169,16 +163,18 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     Color choices cancel from profile marginals, so one DP serves colored
     and uncolored states alike; only the entropy formula differs.  Both
     passes are rescaled to unit sum after every slice, so their overall
-    scale cannot underflow however long the DP runs.  More than `max_profiles` profiles raise CapacityError
-    before anything is allocated.
+    scale cannot underflow however long the DP runs.  More profiles than
+    `max_profiles` or the hard ceiling `MAX_PROFILES`, whichever is lower,
+    raise CapacityError before anything is allocated.
     """
     params.require_odd_L()
     L = params.L
     if not 1 <= cut_row <= L - 1:
         raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row}")
     count = profile_count(L)
-    if count > max_profiles:
-        raise CapacityError(f"L={L} has {count} zigzag profiles, over the cap of {max_profiles}")
+    cap = min(max_profiles, MAX_PROFILES)
+    if count > cap:
+        raise CapacityError(f"L={L} has {count} zigzag profiles, over the cap of {cap}")
     kernel = TransferKernel(params)
     start = np.zeros(count)
     start[np.searchsorted(kernel.codes, _step_code(horizon_profile(L)))] = 1.0
@@ -237,16 +233,12 @@ def entropy_dp(params: ModelParams, cut_row: int = None,
 
 def _bipartition(L, colored, cut, axis):
     """(bottom sites, top sites) as (kind, coordinate) lists in fixed order."""
-    spins = [("s",) + s for s in spin_sites(L)]
-    verts = [("c",) + v for v in vertex_sites(L)] if colored else []
-    if axis == "space":
-        bottom = [s for s in spins if s[2] <= cut] + [v for v in verts if v[2] <= cut]
-    elif axis == "time":
-        bottom = [s for s in spins if s[1] <= cut] + [v for v in verts if v[1] <= cut]
-    else:
+    if axis not in ("space", "time"):
         raise InvalidParameterError(f"axis must be 'space' or 'time', got {axis!r}")
-    bottom_set = set(bottom)
-    top = [s for s in spins + verts if s not in bottom_set]
+    coord = 2 if axis == "space" else 1
+    sites = site_order(L, colored)
+    bottom = [s for s in sites if s[coord] <= cut]
+    top = [s for s in sites if s[coord] > cut]
     return bottom, top
 
 

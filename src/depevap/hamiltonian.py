@@ -38,18 +38,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import (
-    DOWN,
-    UP,
-    LatticeConfig,
+    TrajectoryRecord,
     canonical_key,
-    spin_endpoints,
-    spin_sites,
+    encode_trajectory,
+    key_to_values,
+    site_order,
+    values_to_key,
     vertex_sites,
     vertex_spin_indices,
-    _unpack_bits,
-    _unpack_codes,
-    _pack_bits,
-    _pack_codes,
 )
 from .errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
 from .exact import SparseState, _history_to_heights, reaches_horizon
@@ -70,14 +66,6 @@ class LocalTerm:
     states: tuple          # active local configurations, one per matrix index
     matrix: np.ndarray     # symmetric real, over `states`
     meta: dict = field(default_factory=dict)
-
-    @property
-    def state_index(self):
-        idx = self.meta.get("_index")
-        if idx is None:
-            idx = {s: k for k, s in enumerate(self.states)}
-            self.meta["_index"] = idx
-        return idx
 
 
 @dataclass(frozen=True)
@@ -331,66 +319,50 @@ def assemble_hamiltonian(params: ModelParams):
 # sparse application over canonical keys
 
 
-def site_order(params: ModelParams):
-    sites = [("s",) + s for s in spin_sites(params.L)]
-    if params.colored:
-        sites += [("c",) + v for v in vertex_sites(params.L)]
-    return sites
+def _term_entries(terms, keys, params: ModelParams):
+    """Per term, the list of its nonzero entries (a, key2, weight * matrix entry).
 
-
-def _key_to_values(key, params):
-    L = params.L
-    n_spins = (L + 1) ** 2
-    spin_bytes = (n_spins + 7) // 8
-    values = _unpack_bits(key[:spin_bytes], n_spins)
-    if params.colored:
-        n_verts = (L * L - 1) // 2
-        values += _unpack_codes(key[spin_bytes:], n_verts)
-    return values
-
-
-def _values_to_key(values, params):
-    n_spins = (params.L + 1) ** 2
-    key = _pack_bits(values[:n_spins])
-    if params.colored:
-        key += _pack_codes(values[n_spins:])
-    return key
-
-
-def _support_indices(term, index_of):
-    cached = term.meta.get("_support_idx")
-    if cached is None:
-        cached = [index_of[s] for s in term.support]
-        term.meta["_support_idx"] = cached
-    return cached
-
-
-def apply_operator(terms, state: SparseState):
-    """H |psi> as an unnormalized key -> coefficient map."""
-    params = state.params
-    index_of = {s: k for k, s in enumerate(site_order(params))}
-    out = {}
-    decoded = {key: _key_to_values(key, params) for key in state.amplitudes}
+    An entry says the term maps basis key keys[a] onto key2 with that
+    amplitude.  Every key is decoded once per call; entries come in key
+    order, and in matrix-row order within a key.
+    """
+    L, colored = params.L, params.colored
+    index_of = {s: n for n, s in enumerate(site_order(L, colored))}
+    decoded = [key_to_values(key, L, colored) for key in keys]
     for term in terms:
-        idx = _support_indices(term, index_of)
-        lookup = term.state_index
-        for key, amp in state.amplitudes.items():
-            values = decoded[key]
-            window = tuple(values[j] for j in idx)
-            r = lookup.get(window)
+        idx = [index_of[s] for s in term.support]
+        lookup = {s: r for r, s in enumerate(term.states)}
+        entries = []
+        for a, values in enumerate(decoded):
+            r = lookup.get(tuple(values[j] for j in idx))
             if r is None:
                 continue
             col = term.matrix[:, r]
             for r2 in np.nonzero(col)[0]:
-                coeff = term.weight * col[r2] * amp
                 if r2 == r:
-                    out[key] = out.get(key, 0.0) + coeff
+                    key2 = keys[a]
                 else:
                     new_values = list(values)
                     for j, val in zip(idx, term.states[r2]):
                         new_values[j] = val
-                    key2 = _values_to_key(new_values, params)
-                    out[key2] = out.get(key2, 0.0) + coeff
+                    key2 = values_to_key(new_values, L, colored)
+                entries.append((a, key2, term.weight * col[r2]))
+        yield entries
+
+
+def _accumulate(entries, amps, out):
+    for a, key2, h in entries:
+        out[key2] = out.get(key2, 0.0) + h * amps[a]
+    return out
+
+
+def apply_operator(terms, state: SparseState):
+    """H |psi> as an unnormalized key -> coefficient map."""
+    keys = list(state.amplitudes)
+    amps = list(state.amplitudes.values())
+    out = {}
+    for entries in _term_entries(terms, keys, state.params):
+        _accumulate(entries, amps, out)
     return out
 
 
@@ -401,9 +373,11 @@ def expectation(terms, state: SparseState) -> float:
 
 def term_residuals(terms, state: SparseState):
     """||T_j |psi>|| per term."""
+    keys = list(state.amplitudes)
+    amps = list(state.amplitudes.values())
     residuals = []
-    for term in terms:
-        out = apply_operator([term], state)
+    for entries in _term_entries(terms, keys, state.params):
+        out = _accumulate(entries, amps, {})
         residuals.append(math.sqrt(math.fsum(v * v for v in out.values())))
     return residuals
 
@@ -429,6 +403,8 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
         if t > L:
             if tuple(prof) == horizon:
                 histories.append(list(hist))
+                if len(histories) > max_states:  # each history gives at least one key
+                    raise CapacityError(f"sector exceeds {max_states} states")
             return
         sites = [i for i in range(2, L) if (i + t) % 2 == 1]
         moves = []
@@ -458,36 +434,15 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
     keys = []
     for hist in histories:
         H = _history_to_heights(L, hist)
-        traj_events = {}
-        change_vertices = []
-        for t in range(1, L + 1):
-            for i in range(1, L + 1):
-                if (i + t) % 2 != 1:
-                    continue
-                before, after = int(H[t - 1][i]), int(H[t + 1][i])
-                if after > before:
-                    kind = "deposit"
-                elif after < before:
-                    kind = "evaporate"
-                else:
-                    kind = "no_change"
-                traj_events[(i, t)] = kind
-                if kind != "no_change":
-                    change_vertices.append((i, t))
-        config = LatticeConfig(L=L, colored=params.colored)
-        for (x, y) in spin_sites(L):
-            (i0, t0), (i1, t1) = spin_endpoints(x, y)
-            d = int(H[t1][i1]) - int(H[t0][i0])
-            config.spins[(x, y)] = UP if d == 1 else DOWN
+        config = encode_trajectory(TrajectoryRecord(L, H, events={}), params)
         if not params.colored:
             keys.append(canonical_key(config))
             continue
+        change_vertices = [(i, t) for (i, t) in vertex_sites(L) if H[t + 1][i] != H[t - 1][i]]
         n_change = len(change_vertices)
         if len(keys) + 2 ** n_change > max_states:
             raise CapacityError(f"sector exceeds {max_states} states")
         for assignment in np.ndindex(*([2] * n_change)):
-            for v in vertex_sites(L):
-                config.colors[v] = 0
             for v, a in zip(change_vertices, assignment):
                 config.colors[v] = 1 + a
             keys.append(canonical_key(config))
@@ -498,33 +453,14 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
 
 def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
     """Dense H restricted to the sector basis (closed under every term)."""
-    index_of = {s: k for k, s in enumerate(site_order(params))}
     key_index = {key: n for n, key in enumerate(keys)}
-    n = len(keys)
-    H = np.zeros((n, n))
-    decoded = [_key_to_values(key, params) for key in keys]
-    for term in terms:
-        idx = _support_indices(term, index_of)
-        lookup = term.state_index
-        for a in range(n):
-            values = decoded[a]
-            window = tuple(values[j] for j in idx)
-            r = lookup.get(window)
-            if r is None:
-                continue
-            col = term.matrix[:, r]
-            for r2 in np.nonzero(col)[0]:
-                if r2 == r:
-                    H[a, a] += term.weight * col[r2]
-                    continue
-                new_values = list(values)
-                for j, val in zip(idx, term.states[r2]):
-                    new_values[j] = val
-                key2 = _values_to_key(new_values, params)
-                b = key_index.get(key2)
-                if b is None:
-                    raise AssertionError("sector basis is not closed under a term")
-                H[b, a] += term.weight * col[r2]
+    H = np.zeros((len(keys), len(keys)))
+    for entries in _term_entries(terms, keys, params):
+        for a, key2, h in entries:
+            b = key_index.get(key2)
+            if b is None:
+                raise AssertionError("sector basis is not closed under a term")
+            H[b, a] += h
     return H
 
 
@@ -532,9 +468,10 @@ def sector_spectrum(terms, params: ModelParams, k: int, return_vectors=False,
                     max_states: int = 200_000):
     """Lowest-k eigenvalues of H in the constrained sector, ascending.
 
-    Uses a Lanczos eigensolver (full reorthogonalization) with a fixed
-    deterministic start vector; falls back to dense diagonalization when
-    k is not well below the sector dimension.
+    Uses ARPACK's implicitly restarted Lanczos (`scipy.sparse.linalg.eigsh`)
+    on the dense sector matrix, with a fixed deterministic start vector;
+    falls back to dense diagonalization when k is not well below the
+    sector dimension.
     """
     keys = sector_keys(params, max_states=max_states)
     H = sector_matrix(terms, keys, params)
@@ -561,8 +498,7 @@ def export_terms_text(terms) -> str:
     """Documented text dump: kind, weight, support, states, matrix rows, norms."""
     lines = []
     for n, term in enumerate(terms):
-        meta = {k: v for k, v in term.meta.items() if not k.startswith("_")}
-        lines.append(f"term {n} kind={term.kind} weight={term.weight!r} meta={meta}")
+        lines.append(f"term {n} kind={term.kind} weight={term.weight!r} meta={term.meta}")
         lines.append("  support " + " ".join("/".join(map(str, s)) for s in term.support))
         for state, row in zip(term.states, term.matrix):
             entries = " ".join(repr(float(x)) for x in row)

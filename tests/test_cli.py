@@ -112,3 +112,14 @@ def test_phase_sweep_profile_cap(tmp_path):
             assert all(math.isfinite(v) for v in values) and values[2] > 0
         else:
             assert all(math.isnan(v) for v in values)
+
+
+def test_phase_sweep_profile_ceiling(tmp_path):
+    # the default max_nodes (10^7) is above entropy.MAX_PROFILES; L=29 must still be refused
+    out = tmp_path / "ceiling"
+    code = main(["phase-sweep", "--L", "5", "--L", "29", "--p", "0.5", "--out", str(out)])
+    assert code == 2
+    rows = [r.split(",") for r in (out / "phase_sweep.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["5", "29"]
+    assert all(math.isfinite(float(v)) for v in rows[0][3:])
+    assert all(math.isnan(float(v)) for v in rows[1][3:])

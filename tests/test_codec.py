@@ -12,7 +12,10 @@ from depevap.codec import (
     gauss_residual,
     key_length,
     key_to_config,
+    key_to_values,
+    site_order,
     spin_sites,
+    values_to_key,
     vertex_sites,
     zigzag_profile,
 )
@@ -39,6 +42,13 @@ def test_round_trip_exhaustive_L3():
             assert len(key) == key_length(params)
             config2 = key_to_config(key, params)
             assert config2.spins == config.spins and config2.colors == config.colors
+            # the flat-values pair is the layout both conversions build on
+            values = key_to_values(key, params.L, params.colored)
+            sites = site_order(params.L, params.colored)
+            assert len(values) == len(sites)
+            assert values == [config.spins[s[1:]] if s[0] == "s" else config.colors[s[1:]]
+                              for s in sites]
+            assert values_to_key(values, params.L, params.colored) == key
 
 
 @pytest.mark.parametrize("L", [5, 7])

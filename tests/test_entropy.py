@@ -148,6 +148,11 @@ def test_capacity_guard():
     with pytest.raises(CapacityError, match="L=9 has 42 .* cap of 2"):
         midcut_distribution(ModelParams(L=9, p=0.5), 4, max_profiles=2)
     assert [profile_count(L) for L in (3, 17, 25)] == [2, 4862, 742900]
+    # MAX_PROFILES caps every call, whatever max_profiles asks for: L=29 would need ~6 GB
+    with pytest.raises(CapacityError, match="L=29 has 9694845 .* cap of 3000000"):
+        midcut_distribution(ModelParams(L=29, p=0.5), 14)
+    with pytest.raises(CapacityError, match="cap of 3000000"):
+        midcut_distribution(ModelParams(L=29, p=0.5), 14, max_profiles=10 ** 8)
 
 
 def test_fit_power_law_examples():

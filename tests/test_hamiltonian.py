@@ -1,11 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from depevap import ModelParams
 from depevap.codec import canonical_key, encode_trajectory
-from depevap.errors import InvalidParameterError, NoDeformationError, UnsupportedModeError
+from depevap.errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
 from depevap.exact import SparseState, build_state, enumerate_bridge
 from depevap.hamiltonian import (
     apply_operator,
@@ -200,15 +201,25 @@ def test_frustration_freeness_and_positivity():
 
 
 def test_expectation_nonnegative_on_sector():
-    params = ModelParams(L=3, p=0.5, colored=True, **ABS)
-    terms = assemble_hamiltonian(params)
-    keys = sector_keys(params)
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        vec = rng.random(len(keys))
-        vec /= np.linalg.norm(vec)
-        state = SparseState(amplitudes=dict(zip(keys, vec)), params=params)
-        assert expectation(terms, state) >= -1e-12
+    for L, colored in ((3, True), (5, False)):
+        params = ModelParams(L=L, p=0.5, colored=colored, **ABS)
+        terms = assemble_hamiltonian(params)
+        keys = sector_keys(params)
+        H = sector_matrix(terms, keys, params)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            vec = rng.random(len(keys))
+            vec /= np.linalg.norm(vec)
+            state = SparseState(amplitudes=dict(zip(keys, vec)), params=params)
+            assert expectation(terms, state) >= -1e-12
+            # the three consumers of the term loop agree
+            out = apply_operator(terms, state)
+            assert set(out) <= set(keys)
+            applied = np.array([out.get(k, 0.0) for k in keys])
+            assert np.max(np.abs(H @ vec - applied)) < 1e-12
+            per_term = [math.sqrt(math.fsum(v * v for v in apply_operator([t], state).values()))
+                        for t in terms]
+            assert term_residuals(terms, state) == per_term
 
 
 def test_sector_spectrum_and_fidelity():
@@ -225,6 +236,13 @@ def test_sector_spectrum_and_fidelity():
     H = sector_matrix(terms, keys, params)
     dense = np.linalg.eigvalsh(H)[:3]
     assert vals == pytest.approx(list(dense), abs=1e-10)
+    # L=5 colored has a doubly degenerate second level; the solver must keep both copies
+    params = ModelParams(L=5, p=0.5, colored=True, **ABS)
+    terms = assemble_hamiltonian(params)
+    vals = sector_spectrum(terms, params, 4)
+    dense = np.linalg.eigvalsh(sector_matrix(terms, sector_keys(params), params))[:4]
+    assert vals == pytest.approx(list(dense), abs=1e-10)
+    assert dense[1] == pytest.approx(dense[2], abs=1e-10) and dense[1] > 1e-6
 
 
 def test_mismatched_colors_are_gapped():
@@ -235,6 +253,16 @@ def test_mismatched_colors_are_gapped():
     config.colors[(2, 3)] = 2  # break the pair matching
     bad = _state_from_key(canonical_key(config), params)
     assert expectation(terms, bad) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("colored", [True, False])
+def test_sector_capacity_guard_trips_early(colored):
+    # L=9 has far more than 1000 histories; the guard must fire while enumerating
+    params = ModelParams(L=9, p=0.5, colored=colored, **ABS)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="1000"):
+        sector_keys(params, max_states=1000)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_dip_config_is_penalized():
