@@ -3,9 +3,10 @@
 Every experiment is described by a manifest (a flat JSON object); flags
 override manifest entries.  Each run writes deterministic CSV data files
 plus run_metadata.json (manifest echo, seed, package version, wall
-time).  Rerunning the same manifest reproduces the data files byte for
-byte; the metadata file carries the only nondeterministic content
-(timing) and is excluded from that guarantee.
+time, peak resident memory).  Rerunning the same manifest reproduces the
+data files byte for byte; the metadata file carries the only
+nondeterministic content (timing and memory) and is excluded from that
+guarantee.
 
 Exit codes: 0 success, 2 capacity guard tripped on some grid points
 (partial results written), 1 hard error.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import resource
 import sys
 import time
 from importlib import metadata as _im
@@ -100,7 +102,7 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     manifest = normalize_manifest(manifest)
     outdir = Path(manifest["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+    started = time.perf_counter()
     runner = {
         "scaling": _run_scaling,
         "exact-entropy": _run_exact_entropy,
@@ -114,8 +116,10 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
         version = _im.version("depevap")
     except _im.PackageNotFoundError:
         version = "unknown"
-    meta = {"manifest": manifest, "seed": manifest["seed"],
-            "version": version, "wall_time_s": time.time() - started}
+    wall = time.perf_counter() - started
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    meta = {"manifest": manifest, "seed": manifest["seed"], "version": version,
+            "wall_time_s": wall, "peak_rss_mb": peak_kib / 1024}
     meta_path = outdir / "run_metadata.json"
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -468,26 +468,18 @@ def sector_spectrum(terms, params: ModelParams, k: int, return_vectors=False,
                     max_states: int = 200_000):
     """Lowest-k eigenvalues of H in the constrained sector, ascending.
 
-    Uses ARPACK's implicitly restarted Lanczos (`scipy.sparse.linalg.eigsh`)
-    on the dense sector matrix, with a fixed deterministic start vector;
-    falls back to dense diagonalization when k is not well below the
-    sector dimension.
+    The sector matrix is dense, so LAPACK diagonalizes it in full
+    (`np.linalg.eigvalsh`, or `eigh` when vectors are asked for).  That
+    keeps degenerate levels with their multiplicity and gives the same
+    floats on every call, which an iterative solver restarted from a
+    random vector (ARPACK, at p = 0 and p = 1) does not.
     """
     keys = sector_keys(params, max_states=max_states)
     H = sector_matrix(terms, keys, params)
-    n = H.shape[0]
-    if k >= n - 1 or n < 8:
-        vals, vecs = np.linalg.eigh(H)
-        vals, vecs = vals[:k], vecs[:, :k]
-    else:
-        from scipy.sparse.linalg import eigsh
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        vals, vecs = eigsh(H, k=k, which="SA", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
     if return_vectors:
-        return list(map(float, vals)), vecs, keys
-    return list(map(float, vals))
+        vals, vecs = np.linalg.eigh(H)
+        return list(map(float, vals[:k])), vecs[:, :k], keys
+    return list(map(float, np.linalg.eigvalsh(H)[:k]))
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ def test_main_cli(tmp_path):
     assert (out / "dp_entropy.csv").exists()
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["manifest"]["L"] == [5, 7]
+    assert meta["wall_time_s"] > 0 and meta["peak_rss_mb"] > 0
     assert main(["dp-entropy", "--L", "4", "--out", str(out)]) == 1  # even L rejected
 
 

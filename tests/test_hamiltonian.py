@@ -232,7 +232,7 @@ def test_sector_spectrum_and_fidelity():
     state = build_state(params)
     target = np.array([state.amplitudes.get(k, 0.0) for k in keys])
     assert abs(float(target @ vecs[:, 0])) ** 2 > 1 - 1e-9
-    # dense diagonalization oracle agrees with the iterative path
+    # the eigenvalues agree with a direct eigvalsh of the sector matrix
     H = sector_matrix(terms, keys, params)
     dense = np.linalg.eigvalsh(H)[:3]
     assert vals == pytest.approx(list(dense), abs=1e-10)
@@ -243,6 +243,19 @@ def test_sector_spectrum_and_fidelity():
     dense = np.linalg.eigvalsh(sector_matrix(terms, sector_keys(params), params))[:4]
     assert vals == pytest.approx(list(dense), abs=1e-10)
     assert dense[1] == pytest.approx(dense[2], abs=1e-10) and dense[1] > 1e-6
+
+
+@pytest.mark.parametrize("colored", [False, True])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_sector_spectrum_is_reproducible(colored, p):
+    # at the edge values the sector has degenerate levels; repeated calls
+    # on the same matrix must return the same floats, bit for bit
+    params = ModelParams(L=5, p=p, colored=colored, **ABS)
+    terms = assemble_hamiltonian(params)
+    first = sector_spectrum(terms, params, 4)
+    assert all(sector_spectrum(terms, params, 4) == first for _ in range(3))
+    vals, vecs, _ = sector_spectrum(terms, params, 4, return_vectors=True)
+    assert vals == pytest.approx(first, abs=1e-12) and vecs.shape[1] == 4
 
 
 def test_mismatched_colors_are_gapped():

@@ -3,17 +3,107 @@ import math
 import numpy as np
 import pytest
 
-from depevap import ModelParams
+from depevap import ModelParams, scaling
 from depevap.errors import InvalidParameterError
 from depevap.scaling import (
     ensemble,
     exponent_report,
     roughness,
     saturation_time,
-    _advance,
-    _parity_indices,
+    _spot_check,
 )
-from depevap.surface import horizon_profile
+from depevap.surface import branch_probability, horizon_profile
+
+
+# -- slow reference: the gather-based update on trajectory-major heights ----
+
+def _parity_indices(L):
+    even = np.array([i for i in range(2, L) if i % 2 == 0], dtype=np.intp)
+    odd = np.array([i for i in range(2, L) if i % 2 == 1], dtype=np.intp)
+    return even, odd
+
+
+def _advance(H, idx, u, p):
+    """Vectorized reflecting slice update on heights (n_traj, L+2)."""
+    h = H[:, idx]
+    hl = H[:, idx - 1]
+    hr = H[:, idx + 1]
+    valley = (hl == h + 1) & (hr == h + 1)
+    peak = (hl == h - 1) & (hr == h - 1)
+    dep = valley & (u < branch_probability("valley", +2, p))
+    eva = peak & (h >= 2) & (u >= branch_probability("peak", 0, p))
+    H[:, idx] = h + 2 * dep.astype(np.int64) - 2 * eva.astype(np.int64)
+
+
+def _reference_ensemble(params, n, t_max):
+    """Observables and final heights (n, L+2) of the reference kernel.
+
+    It draws each trajectory's (seed, k)-keyed stream in one piece, so it
+    also checks that `ensemble`'s slice blocks do not reorder uniforms.
+    """
+    L = params.L
+    even, odd = _parity_indices(L)
+    max_upd = max(len(even), len(odd))
+    U = np.stack([np.random.Generator(np.random.Philox(key=(params.seed << 64) + k))
+                  .random((t_max, max_upd)) for k in range(n)], axis=1)
+    H = np.tile(horizon_profile(L), (n, 1))
+    center = slice(L // 3 + 1, 2 * L // 3 + 1)
+    W_sum, W_sq, mid_sum, mid_sq, W_fluct = np.zeros((5, t_max))
+    for t in range(1, t_max + 1):
+        idx = even if t % 2 == 1 else odd
+        _advance(H, idx, U[t - 1, :, :len(idx)], params.p)
+        body = H[:, 1:L + 1]
+        w = np.sqrt(np.mean((body - body.mean(axis=1, keepdims=True)) ** 2, axis=1))
+        m = H[:, (L + 1) // 2].astype(float)
+        W_sum[t - 1], W_sq[t - 1] = w.sum(), (w * w).sum()
+        mid_sum[t - 1], mid_sq[t - 1] = m.sum(), (m * m).sum()
+        if n > 1:
+            W_fluct[t - 1] = math.sqrt(float(np.mean(H[:, center].var(axis=0, ddof=1))))
+
+    def stderr(sq, mean):
+        if n < 2:
+            return np.zeros(t_max)
+        var = np.maximum(sq / n - mean ** 2, 0.0) * n / (n - 1)
+        return np.sqrt(var / n)
+
+    W, mid = W_sum / n, mid_sum / n
+    return {"W": W, "W_stderr": stderr(W_sq, W), "mid_height": mid,
+            "mid_stderr": stderr(mid_sq, mid), "W_fluct": W_fluct}, H
+
+
+def _ensemble_with_profile(monkeypatch, params, n, t_max):
+    """`ensemble` plus its final site-major heights, as its last spot check saw them."""
+    seen = []
+
+    def recording_check(H, L):
+        seen.append(H.copy())
+        _spot_check(H, L)
+
+    monkeypatch.setattr(scaling, "_spot_check", recording_check)
+    series = ensemble(params, n, t_max)
+    return series, seen[-1]
+
+
+@pytest.mark.parametrize("L", [4, 5, 16, 33, 129])
+def test_kernel_matches_gather_reference(monkeypatch, L):
+    # t_max = 260 crosses two RNG block boundaries (blocks of 128 slices)
+    t_max = 260
+    for p in (0.0, 0.3, 0.5, 1.0):
+        for n in (1, 2, 7):
+            params = ModelParams(L=L, p=p, seed=L + 10 * n)
+            series, H = _ensemble_with_profile(monkeypatch, params, n, t_max)
+            ref, H_ref = _reference_ensemble(params, n, t_max)
+            assert H.dtype == np.int16 and H.shape == (L + 2, n)
+            assert np.array_equal(H.T, H_ref), (L, p, n)
+            assert np.array_equal(series.mid_height, ref["mid_height"]), (L, p, n)
+            assert np.array_equal(series.mid_stderr, ref["mid_stderr"]), (L, p, n)
+            np.testing.assert_allclose(series.W, ref["W"], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(series.W_fluct, ref["W_fluct"], rtol=1e-12, atol=0)
+            # W_stderr comes from sq/n - mean^2: where every trajectory has the
+            # same W that difference is rounding noise of order eps * W^2, so
+            # the 1e-12 relative bar applies to the variance on the scale W^2
+            np.testing.assert_allclose(series.W_stderr ** 2, ref["W_stderr"] ** 2,
+                                       rtol=1e-12, atol=1e-12 * ref["W"].max() ** 2)
 
 
 def test_roughness_examples():
@@ -86,19 +176,49 @@ def test_even_L_supported():
     assert (s.W > 0).all()
 
 
-def test_reflecting_soak_vectorized():
+def test_reflecting_soak_vectorized(monkeypatch):
     # 1e5-slice soak at L=64 on the vectorized kernel: never a negative height
-    L, p = 64, 0.9
-    even, odd = _parity_indices(L)
-    rng = np.random.Generator(np.random.Philox(key=99))
-    H = np.tile(horizon_profile(L), (4, 1))
-    for t in range(1, 100_001):
-        idx = even if t % 2 == 1 else odd
-        _advance(H, idx, rng.random((4, len(idx))), p)
-        if t % 1000 == 0:
-            assert (H >= 0).all()
-    assert (H >= 0).all()
-    assert (np.abs(np.diff(H, axis=1)) == 1).all()
+    # (the spot check runs every 1000 slices and at the end, and raises)
+    calls = []
+
+    def counting_check(H, L):
+        calls.append(int(H.min()))
+        _spot_check(H, L)
+
+    monkeypatch.setattr(scaling, "_spot_check", counting_check)
+    ensemble(ModelParams(L=64, p=0.9, seed=99), 4, 100_000, check_every=1000)
+    assert len(calls) == 101 and min(calls) >= 0
+
+
+def test_spot_check_fires_on_corrupted_heights():
+    L, n = 9, 3
+    H = np.repeat(horizon_profile(L).astype(np.int16)[:, None], n, axis=1)
+    _spot_check(H, L)
+    slope = H.copy()
+    slope[4, 1] = 4
+    with pytest.raises(AssertionError, match="slope"):
+        _spot_check(slope, L)
+    parity = H.copy()
+    parity[:, 2] += 1
+    with pytest.raises(AssertionError, match="parity"):
+        _spot_check(parity, L)
+    negative = H.copy()
+    negative[:, 0] -= 2
+    with pytest.raises(AssertionError, match="negative"):
+        _spot_check(negative, L)
+
+
+def test_capacity_guard_before_allocation(monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("the guard must trip before any allocation")
+
+    monkeypatch.setattr(scaling, "_trajectory_generators", no_allocation)
+    with pytest.raises(InvalidParameterError, match="int16"):
+        ensemble(ModelParams(L=65_534, p=0.5), 1, 1)  # h_max = 32768
+    with pytest.raises(InvalidParameterError, match="int64"):
+        ensemble(ModelParams(L=5, p=0.5), 2 ** 62, 1)
+    with pytest.raises(AssertionError, match="guard"):
+        ensemble(ModelParams(L=65_533, p=0.5), 1, 1)  # h_max = 32767 fits
 
 
 def test_saturation_detection_confined():
