@@ -36,22 +36,50 @@ Key layout (compatibility contract)
 A canonical key packs the spin bits in row-major order (rows bottom to
 top, left to right within a row, bit k stored at byte k >> 3, position
 k & 7), followed, for colored states, by 2-bit color codes (0, r=1, g=2)
-over vertices in the same row-major order, 4 codes per byte.
+over vertices in the same row-major order, 4 codes per byte.  The
+(L*L - 1) / 2 codes fill whole bytes; the spin bits leave 4 padding bits
+when L = 1 mod 4, and they are 0, so keys and configurations correspond
+one to one.
+
+Array codec
+-----------
+Keys travel in bulk as (N, key_length) uint8 matrices, and their sites
+as (N, sites) value matrices in `site_order`.  Spin row y holds the
+up/down steps of the zigzag profile after update slice y (the
+plaquettes of time rows y and y + 1, alternating along the row), so
+
+* `heights_to_spins` reads a stack of height histories as row diffs,
+  and `pack_values` packs values with `np.packbits(...,
+  bitorder="little")` and 2-bit color codes;
+* `unpack_keys` inverts the packing, and `decode_keys` rebuilds every
+  zigzag profile as a cumulative sum of signed spins along its row.  It
+  checks Gauss's law at every vertex, the pinned boundary spins and the
+  colors: 0 exactly on no-change vertices, and every evaporation the
+  color of the pair it removes, replayed by `pair_slots`.
+
+`canonical_key`, `key_to_config`, `encode_trajectory` and
+`decode_config` are one-key wrappers over these, so the layout and its
+checks are written once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DecodeError, EncodeError, InvalidParameterError
 from .params import ModelParams
-from .surface import COLOR_NONE, no_change_probability, site_branches, slice_parity
+from .surface import COLOR_NONE, no_change_probability, site_branches
 
 UP = 1
 DOWN = 0
 COLOR_R_DEFAULT = 1  # uncolored trajectories record the single color as r
+KINDS = {1: "deposit", -1: "evaporate", 0: "no_change"}  # vertex kind codes of DecodedKeys
+_NO_EVENT = ("no_change", COLOR_NONE)
+_CODE_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)  # 2-bit color codes, 4 per byte
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +96,49 @@ def vertex_sites(L):
     return [(i, t) for t in range(1, L + 1) for i in range(1, L + 1) if (i + t) % 2 == 1]
 
 
-def spin_endpoints(x, y):
-    """Plaquette pair joined by spin (x, y); earlier-time point first."""
-    if (x + y) % 2 == 0:
-        return (x, y), (x + 1, y + 1)
-    return (x + 1, y), (x, y + 1)
-
-
 def vertex_spin_indices(i, t):
     """The four spins around vertex (i, t): (ll, lu, rl, ru)."""
     return (i - 1, t - 1), (i - 1, t), (i, t - 1), (i, t)
+
+
+class _Lattice(NamedTuple):
+    """Index arrays of the key layout at one L."""
+
+    zig_t: np.ndarray      # (L+1, L+2): time row of zigzag entry (y, i), y + (i + y) % 2
+    zig_i: np.ndarray      # (L+1, L+2): its column i
+    sign: np.ndarray       # (L+1, L+1): height step from column x to x+1 along row y per up spin
+    corners: np.ndarray    # (4, vertices): spin indices ll, lu, rl, ru around each vertex
+    vertex_i: np.ndarray   # (vertices,): site of each vertex
+    row_start: np.ndarray  # vertices of row t are row_start[t]:row_start[t + 1]
+    pinned: np.ndarray     # indices of the boundary spins
+    pinned_values: np.ndarray
+    pinned_sites: tuple    # their (x, y)
+    vertices: tuple        # vertex_sites(L)
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(L) -> _Lattice:
+    y, i = np.indices((L + 1, L + 2))
+    ys, xs = np.indices((L + 1, L + 1))
+    vi, vt = np.array(vertex_sites(L)).T
+    corners = np.stack([(vt - 1) * (L + 1) + vi - 1, vt * (L + 1) + vi - 1,
+                        (vt - 1) * (L + 1) + vi, vt * (L + 1) + vi])
+    expected = np.full((L + 1, L + 1), -1)
+    expected[:, 0] = expected[:, L] = (np.arange(L + 1) + 1) % 2  # up on even rows
+    expected[0], expected[L] = UP, DOWN
+    pinned = np.flatnonzero(expected.ravel() >= 0)
+    sites = spin_sites(L)
+    lattice = _Lattice(zig_t=y + (i + y) % 2, zig_i=i,
+                       sign=np.where((xs + ys) % 2 == 0, 1, -1).astype(np.int8),
+                       corners=corners, vertex_i=vi,
+                       row_start=np.searchsorted(vt, np.arange(L + 2)),
+                       pinned=pinned, pinned_values=expected.ravel()[pinned].astype(np.uint8),
+                       pinned_sites=tuple(sites[k] for k in pinned),
+                       vertices=tuple(vertex_sites(L)))
+    for field_value in lattice:  # cached and shared by every caller
+        if isinstance(field_value, np.ndarray):
+            field_value.flags.writeable = False
+    return lattice
 
 
 # ---------------------------------------------------------------------------
@@ -102,40 +163,29 @@ class LatticeConfig:
     colors: dict = field(default_factory=dict)  # (i, t) -> 0/1/2, colored only
 
 
-def _expected_boundary_spin(x, y, L):
-    """Pinned value for boundary spins; None for dynamical ones."""
-    if y == 0:
-        return UP
-    if y == L:
-        return DOWN
-    if x == 0 or x == L:
-        return UP if y % 2 == 0 else DOWN
-    return None
+@dataclass
+class DecodedKeys:
+    """Validated keys as arrays.
+
+    `values` (N, sites) follow `site_order`; `profiles[:, c]` (N, L+1, L+2)
+    is the zigzag profile after update slice c; `kinds` (N, vertices) code
+    each vertex as in `KINDS`.
+    """
+
+    L: int
+    colored: bool
+    values: np.ndarray
+    profiles: np.ndarray
+    kinds: np.ndarray
+
+    def take(self, rows) -> "DecodedKeys":
+        return DecodedKeys(self.L, self.colored, self.values[rows], self.profiles[rows],
+                           self.kinds[rows])
 
 
 def encode_trajectory(traj: TrajectoryRecord, params: ModelParams) -> LatticeConfig:
     """Spins from height differences, colors from events; validates the bridge."""
-    params.require_odd_L()
-    L = params.L
-    H = traj.heights
-    for i in range(0, L + 2, 2):
-        if H[0][i] != 0 or H[L + 1][i] != 0:
-            raise EncodeError("trajectory does not start and end at the horizon")
-    for i in range(1, L + 2, 2):
-        if H[1][i] != 1 or H[L][i] != 1:
-            raise EncodeError("trajectory does not start and end at the horizon")
-    config = LatticeConfig(L=L, colored=params.colored)
-    for (x, y) in spin_sites(L):
-        (i0, t0), (i1, t1) = spin_endpoints(x, y)
-        d = int(H[t1][i1]) - int(H[t0][i0])
-        if d not in (-1, 1):
-            raise EncodeError(f"slope violation across spin {(x, y)}: dh = {d}")
-        config.spins[(x, y)] = UP if d == 1 else DOWN
-    if params.colored:
-        for v in vertex_sites(L):
-            kind, color = traj.events.get(v, ("no_change", COLOR_NONE))
-            config.colors[v] = COLOR_NONE if kind == "no_change" else color
-    return config
+    return key_to_config(encode_trajectories([traj], params)[0], params)
 
 
 def gauss_residual(config: LatticeConfig, vertex) -> int:
@@ -146,57 +196,6 @@ def gauss_residual(config: LatticeConfig, vertex) -> int:
     return (signed(ll) + signed(lu) - signed(rl) - signed(ru)) // 2
 
 
-def vertex_kind(config: LatticeConfig, vertex):
-    """"deposit", "evaporate" or "no_change" from the four spins around a vertex."""
-    ll, lu, rl, ru = (config.spins[b] for b in vertex_spin_indices(*vertex))
-    if (ll, lu, rl, ru) == (UP, UP, UP, UP):
-        return "deposit"
-    if (ll, lu, rl, ru) == (DOWN, DOWN, DOWN, DOWN):
-        return "evaporate"
-    return "no_change"
-
-
-def integrate_heights(config: LatticeConfig) -> np.ndarray:
-    """Plaquette heights from spins, anchored at h~_0(0) = 0.
-
-    Requires Gauss's law (checked first, per vertex) and the pinned
-    boundary spins; inconsistencies raise DecodeError.
-    """
-    L = config.L
-    for v in vertex_sites(L):
-        if gauss_residual(config, v) != 0:
-            raise DecodeError("gauss", v)
-    for (x, y) in spin_sites(L):
-        want = _expected_boundary_spin(x, y, L)
-        if want is not None and config.spins[(x, y)] != want:
-            raise DecodeError("boundary", (x, y))
-    H = np.zeros((L + 2, L + 2), dtype=np.int64)  # non-plaquette entries stay 0
-    known = {(0, 0)}
-    queue = [(0, 0)]
-    adjacency = {}
-    for (x, y) in spin_sites(L):
-        lo, hi = spin_endpoints(x, y)
-        step = 1 if config.spins[(x, y)] == UP else -1
-        adjacency.setdefault(lo, []).append((hi, step))
-        adjacency.setdefault(hi, []).append((lo, -step))
-    while queue:
-        pt = queue.pop()
-        i0, t0 = pt
-        for (i1, t1), step in adjacency.get(pt, ()):
-            h = H[t0][i0] + step
-            if (i1, t1) in known:
-                if H[t1][i1] != h:
-                    raise DecodeError("gauss", (i1, t1), "inconsistent height integration")
-            else:
-                H[t1][i1] = h
-                known.add((i1, t1))
-                queue.append((i1, t1))
-    n_plaquettes = sum(1 for i in range(L + 2) for t in range(L + 2) if (i + t) % 2 == 0)
-    if len(known) != n_plaquettes:
-        raise DecodeError("gauss", None, "spin graph does not reach every plaquette")
-    return H
-
-
 def decode_config(config: LatticeConfig, params: ModelParams) -> TrajectoryRecord:
     """Inverse of encode_trajectory; validates Gauss, boundary, colors, bridge.
 
@@ -205,73 +204,38 @@ def decode_config(config: LatticeConfig, params: ModelParams) -> TrajectoryRecor
     """
     params.require_odd_L()
     L = params.L
-    H = integrate_heights(config)
-    # the pinned-column and horizon-row heights follow from the checked
-    # boundary spins plus Gauss's law; re-verified here for defence in depth
-    for t in range(0, L + 2, 2):
-        if H[t][0] != 0:
-            raise DecodeError("boundary", (0, t))
-    for t in range(1, L + 2, 2):
-        if H[t][L + 1] != 0:
-            raise DecodeError("boundary", (L + 1, t))
-    for i in range(0, L + 2, 2):
-        if H[0][i] != 0:
-            raise DecodeError("boundary", (i, 0))
-        if H[L + 1][i] != 0:
-            raise DecodeError("boundary", (i, L + 1))
-    for i in range(1, L + 2, 2):
-        if H[1][i] != 1:
-            raise DecodeError("boundary", (i, 1))
-        if H[L][i] != 1:
-            raise DecodeError("boundary", (i, L))
-    events = {}
-    pending = {i: [] for i in range(1, L + 1)}  # per-site stack of pair colors
-    for t in range(1, L + 1):
-        for i in range(1, L + 1):
-            if (i + t) % 2 != 1:
-                continue
-            kind = vertex_kind(config, (i, t))
-            color = COLOR_NONE
-            if params.colored:
-                c = config.colors.get((i, t))
-                if c is None or c not in (0, 1, 2):
-                    raise DecodeError("color", (i, t), "missing or malformed color")
-                if kind == "no_change" and c != COLOR_NONE:
-                    raise DecodeError("color", (i, t), "no-change vertex carries a color")
-                if kind != "no_change" and c == COLOR_NONE:
-                    raise DecodeError("color", (i, t), "update vertex colored 0")
-                color = c
-            elif kind != "no_change":
-                color = COLOR_R_DEFAULT
-            if kind == "deposit":
-                pending[i].append(color)
-            elif kind == "evaporate":
-                if params.colored and (not pending[i] or pending[i][-1] != color):
-                    raise DecodeError("color", (i, t), "evaporation color does not match")
-                if pending[i]:
-                    pending[i].pop()
-            events[(i, t)] = (kind, color)
+    decoded = decode_keys([canonical_key(config)], params)
+    lat = _lattice(L)
+    H = np.zeros((L + 2, L + 2), dtype=np.int64)  # non-plaquette entries stay 0
+    H[lat.zig_t, lat.zig_i] = decoded.profiles[0]
+    kinds = decoded.kinds[0].tolist()
+    if params.colored:
+        colors = decoded.values[0, (L + 1) ** 2:].tolist()
+    else:
+        colors = [COLOR_NONE if kind == 0 else COLOR_R_DEFAULT for kind in kinds]
+    events = {v: (KINDS[kind], color) for v, kind, color in zip(lat.vertices, kinds, colors)}
     traj = TrajectoryRecord(L=L, heights=H, events=events, weight=1.0)
     traj.weight = trajectory_weight(traj, params)
     return traj
 
 
 def zigzag_profile(config_or_heights, cut_row, L=None) -> np.ndarray:
-    """Equal-time profile straddling the cut after update slice `cut_row`."""
-    if isinstance(config_or_heights, LatticeConfig):
-        L = config_or_heights.L
-        H = integrate_heights(config_or_heights)
-    else:
-        H = config_or_heights
-        if L is None:
-            L = H.shape[0] - 2
+    """Equal-time profile straddling the cut after update slice `cut_row`.
+
+    A configuration's spins must obey Gauss's law and the pinned boundary.
+    """
+    config = config_or_heights if isinstance(config_or_heights, LatticeConfig) else None
+    if config is not None:
+        L = config.L
+    elif L is None:
+        L = config_or_heights.shape[0] - 2
     if not 0 <= cut_row <= L:
         raise InvalidParameterError(f"cut_row must lie in 0..{L}, got {cut_row}")
-    prof = np.empty(L + 2, dtype=np.int64)
-    for i in range(L + 2):
-        t = cut_row + 1 if (i + cut_row) % 2 == 1 else cut_row
-        prof[i] = H[t][i]
-    return prof
+    if config is not None:
+        spins = np.array([[config.spins[s] for s in spin_sites(L)]], dtype=np.uint8)
+        return _spin_profiles(spins, L)[0][0, cut_row].astype(np.int64)
+    lat = _lattice(L)
+    return np.asarray(config_or_heights)[lat.zig_t[cut_row], lat.zig_i[cut_row]].astype(np.int64)
 
 
 def colored_area(profile) -> tuple[int, int]:
@@ -300,7 +264,7 @@ def trajectory_weight(traj: TrajectoryRecord, params: ModelParams) -> float:
                 continue
             h, hl, hr = int(H[t - 1][i]), int(H[t][i - 1]), int(H[t][i + 1])
             new_h = int(H[t + 1][i])
-            kind = traj.events.get((i, t), ("no_change", COLOR_NONE))[0]
+            kind = traj.events.get((i, t), _NO_EVENT)[0]
             if i in (1, L):
                 w *= no_change_probability(h, hl, hr, params)
                 continue
@@ -319,12 +283,13 @@ def trajectory_weight(traj: TrajectoryRecord, params: ModelParams) -> float:
 
 
 def key_length(params: ModelParams) -> int:
-    L = params.L
-    n_spins = (L + 1) ** 2
-    n = (n_spins + 7) // 8
-    if params.colored:
-        n_vertices = (L * L - 1) // 2
-        n += (n_vertices + 3) // 4
+    return _key_length(params.L, params.colored)
+
+
+def _key_length(L, colored) -> int:
+    n = ((L + 1) ** 2 + 7) // 8
+    if colored:
+        n += ((L * L - 1) // 2 + 3) // 4
     return n
 
 
@@ -336,28 +301,173 @@ def site_order(L, colored):
     return sites
 
 
+def heights_to_spins(heights, L) -> np.ndarray:
+    """Spin values (N, (L+1)**2) uint8 of height histories (N, L+2, L+2).
+
+    Raises EncodeError unless every history starts and ends at the
+    horizon and every spin joins plaquettes one unit apart.
+    """
+    H = np.asarray(heights)
+    if ((H[:, 0, 0::2] != 0).any() or (H[:, L + 1, 0::2] != 0).any()
+            or (H[:, 1, 1::2] != 1).any() or (H[:, L, 1::2] != 1).any()):
+        raise EncodeError("trajectory does not start and end at the horizon")
+    lat = _lattice(L)
+    dh = np.diff(H[:, lat.zig_t, lat.zig_i], axis=2) * lat.sign  # later minus earlier plaquette
+    bad = np.argwhere((dh != 1) & (dh != -1))
+    if bad.size:
+        n, y, x = bad[0].tolist()
+        raise EncodeError(f"slope violation across spin {(x, y)}: dh = {int(dh[n, y, x])}")
+    return (dh == 1).reshape(len(H), (L + 1) ** 2).astype(np.uint8)
+
+
+def encode_trajectories(trajs, params: ModelParams) -> list:
+    """Canonical keys of trajectory records, encoded in one pass."""
+    params.require_odd_L()
+    L = params.L
+    if not trajs:
+        return []
+    values = heights_to_spins(np.stack([traj.heights for traj in trajs]), L)
+    if params.colored:
+        vertices = vertex_sites(L)
+        colors = [[COLOR_NONE if kind == "no_change" else color
+                   for kind, color in (traj.events.get(v, _NO_EVENT) for v in vertices)]
+                  for traj in trajs]
+        values = np.hstack([values, np.array(colors, dtype=np.uint8)])
+    return key_bytes(pack_values(values, L, params.colored))
+
+
+def pack_values(values, L, colored) -> np.ndarray:
+    """Keys (N, key_length) uint8 of site values (N, sites) in `site_order`."""
+    values = np.asarray(values, dtype=np.uint8)
+    n_spins = (L + 1) ** 2
+    keys = np.packbits(values[:, :n_spins] & 1, axis=1, bitorder="little")
+    if not colored:
+        return keys
+    codes = (values[:, n_spins:] & 3).reshape(len(values), (L * L - 1) // 8, 4)  # whole bytes
+    return np.concatenate([keys, np.bitwise_or.reduce(codes << _CODE_SHIFTS, axis=2)], axis=1)
+
+
+def unpack_keys(keys, L, colored) -> np.ndarray:
+    """Site values (N, sites) uint8 in `site_order`; the inverse of `pack_values`.
+
+    `keys` is a sequence of bytes or a uint8 key matrix.  A key of the
+    wrong length, a spin padding bit set (L = 1 mod 4 leaves 4) or a
+    color code 3 raises DecodeError("key", ...).
+    """
+    n_spins = (L + 1) ** 2
+    spin_bytes = (n_spins + 7) // 8
+    keys = _key_matrix(keys, _key_length(L, colored))
+    bits = np.unpackbits(keys[:, :spin_bytes], axis=1, bitorder="little")
+    if bits[:, n_spins:].any():
+        raise DecodeError("key", None, "canonical key has padding bits set")
+    if not colored:
+        return bits[:, :n_spins]
+    codes = ((keys[:, spin_bytes:, None] >> _CODE_SHIFTS) & 3).reshape(len(keys), (L * L - 1) // 2)
+    _raise_first(codes > 2, "key", _lattice(L).vertices, "malformed color code")
+    return np.concatenate([bits[:, :n_spins], codes], axis=1)
+
+
+def _key_matrix(keys, length) -> np.ndarray:
+    if isinstance(keys, np.ndarray):
+        if keys.ndim != 2 or keys.shape[1] != length:
+            raise DecodeError("key", keys.shape, "key matrix has the wrong width")
+        return keys
+    keys = list(keys)
+    for key in keys:
+        if len(key) != length:
+            raise DecodeError("key", len(key), "canonical key has the wrong length")
+    return np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), length)
+
+
+def key_bytes(keys) -> list:
+    """The rows of a key matrix as bytes."""
+    keys = np.asarray(keys, dtype=np.uint8)
+    flat, width = keys.tobytes(), keys.shape[1]
+    return [flat[k:k + width] for k in range(0, len(flat), width)]
+
+
+def _raise_first(bad, kind, locations, what):
+    """DecodeError at the first flagged location of the first key with one."""
+    hit = np.flatnonzero(bad.any(axis=1))
+    if hit.size:
+        n = int(hit[0])
+        where = locations[int(np.argmax(bad[n]))]
+        raise DecodeError(kind, where, f"{what} at {where} (key {n})")
+
+
+def _spin_profiles(spins, L):
+    """(zigzag profiles, vertex kinds) of spin value rows.
+
+    Checks Gauss's law at every vertex, then the pinned boundary spins;
+    together they make each row's cumulative sum from the pinned column
+    0 the zigzag profile of the heights.
+    """
+    lat = _lattice(L)
+    ll, lu, rl, ru = (spins[:, c].astype(np.int8) for c in lat.corners)
+    left = ll + lu
+    _raise_first(left != rl + ru, "gauss", lat.vertices, "Gauss's law fails")
+    _raise_first(spins[:, lat.pinned] != lat.pinned_values, "boundary", lat.pinned_sites,
+                 "pinned spin flipped")
+    steps = (2 * spins.astype(np.int16) - 1).reshape(len(spins), L + 1, L + 1) * lat.sign
+    profiles = np.zeros((len(spins), L + 1, L + 2), dtype=np.int16)
+    np.cumsum(steps, axis=2, out=profiles[:, :, 1:])
+    return profiles, (left == 2).astype(np.int8) - (left == 0)
+
+
+def decode_keys(keys, params: ModelParams) -> DecodedKeys:
+    """Unpack and validate keys: Gauss's law, the pinned spins, then the colors."""
+    params.require_odd_L()
+    L, colored = params.L, params.colored
+    values = unpack_keys(keys, L, colored)
+    n_spins = (L + 1) ** 2
+    decoded = DecodedKeys(L, colored, values, *_spin_profiles(values[:, :n_spins], L))
+    if colored:
+        vertices = _lattice(L).vertices
+        _raise_first((values[:, n_spins:] == COLOR_NONE) != (decoded.kinds == 0), "color",
+                     vertices, "color 0 must mark exactly the no-change vertices")
+        _raise_first(pair_slots(decoded, L)[1], "color", vertices,
+                     "evaporation color does not match")
+    return decoded
+
+
+def pair_slots(decoded: DecodedKeys, last_row: int):
+    """Replay the deposited pairs of vertex rows 1..last_row, every key at once.
+
+    Returns (slots, mismatch).  slots[n, i, k] is the color of the pair
+    at level k above site i's horizon (the pair a deposit from height
+    i % 2 + 2k put there); levels below (profiles[n, last_row, i] -
+    i % 2) // 2 are still pending after row last_row.  mismatch[n, v]
+    flags an evaporation at vertex v that finds no pair, or one of
+    another color.  Only a key with such a flag can reach a level below
+    its horizon; the negative index then lands in a slot of that key no
+    valid key uses.
+    """
+    L = decoded.L
+    lat = _lattice(L)
+    codes = decoded.values[:, (L + 1) ** 2:]
+    slots = np.zeros((len(codes), L + 2, L // 2 + 1), dtype=np.uint8)  # |h_i| <= (L+1)/2
+    mismatch = np.zeros(decoded.kinds.shape, dtype=bool)
+    for t in range(1, last_row + 1):  # the vertices of one row update distinct sites
+        first, last = lat.row_start[t], lat.row_start[t + 1]
+        sites = lat.vertex_i[first:last]
+        level = (decoded.profiles[:, t - 1, sites] - sites % 2) // 2  # pairs below, before
+        kinds, colors = decoded.kinds[:, first:last], codes[:, first:last]
+        n, j = np.nonzero(kinds == 1)
+        slots[n, sites[j], level[n, j]] = colors[n, j]
+        n, j = np.nonzero(kinds == -1)
+        below = level[n, j] - 1
+        mismatch[n, first + j] = (below < 0) | (slots[n, sites[j], below] != colors[n, j])
+    return slots, mismatch
+
+
 def key_to_values(key: bytes, L, colored) -> list:
     """Flat site values of a key, one per entry of `site_order(L, colored)`."""
-    n_spins = (L + 1) ** 2
-    values = [(key[k >> 3] >> (k & 7)) & 1 for k in range(n_spins)]
-    if colored:
-        codes = key[(n_spins + 7) // 8:]
-        values += [(codes[k >> 2] >> (2 * (k & 3))) & 3 for k in range((L * L - 1) // 2)]
-    return values
+    return unpack_keys([key], L, colored)[0].tolist()
 
 
 def values_to_key(values, L, colored) -> bytes:
     """Inverse of `key_to_values`: spin bits 8 per byte, then color codes 4 per byte."""
-    n_spins = (L + 1) ** 2
-    bits = bytearray((n_spins + 7) // 8)
-    for k, b in enumerate(values[:n_spins]):
-        bits[k >> 3] |= (b & 1) << (k & 7)
-    if not colored:
-        return bytes(bits)
-    codes = bytearray((len(values) - n_spins + 3) // 4)
-    for k, c in enumerate(values[n_spins:]):
-        codes[k >> 2] |= (c & 3) << (2 * (k & 3))
-    return bytes(bits + codes)
+    return pack_values([values], L, colored).tobytes()
 
 
 def canonical_key(config: LatticeConfig) -> bytes:
@@ -370,14 +480,8 @@ def canonical_key(config: LatticeConfig) -> bytes:
 def key_to_config(key: bytes, params: ModelParams) -> LatticeConfig:
     params.require_odd_L()
     L = params.L
-    if len(key) != key_length(params):
-        raise DecodeError("key", len(key), "canonical key has the wrong length")
     values = key_to_values(key, L, params.colored)
-    spins = spin_sites(L)
-    config = LatticeConfig(L=L, colored=params.colored, spins=dict(zip(spins, values)))
+    config = LatticeConfig(L=L, colored=params.colored, spins=dict(zip(spin_sites(L), values)))
     if params.colored:
-        for code, v in zip(values[len(spins):], vertex_sites(L)):
-            if code > 2:
-                raise DecodeError("key", v, "malformed color code")
-            config.colors[v] = code
+        config.colors = dict(zip(vertex_sites(L), values[(L + 1) ** 2:]))
     return config

@@ -1,7 +1,10 @@
 """Bipartite entanglement entropy, three ways.
 
 * `entropy_exact`: Schmidt weights of an explicitly built sparse state,
-  via per-sector Gram blocks.
+  via per-sector Gram blocks.  `schmidt_spectrum` decodes all keys in
+  one `codec.decode_keys` call, groups them by their bottom part, and
+  reads each sector label from the key bits of one key per distinct
+  bottom (`codec.pair_slots` replays the pairs below the cut).
 * `entropy_formula`: closed form S = <N_c> + S_uncolored in bits from a
   mid-cut surface distribution; each unmatched deposited pair below the
   cut contributes one bit, and pairs number A/2 for cut area A.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import decode_config, key_to_config, site_order, zigzag_profile
+from .codec import decode_keys, pair_slots, site_order
 from .errors import CapacityError, InvalidParameterError
 from .exact import SparseState
 from .params import ModelParams
@@ -243,6 +246,7 @@ def _bipartition(L, colored, cut, axis):
 
 
 def _site_value(config, site):
+    """The value of one `site_order` entry in a LatticeConfig."""
     kind, a, b = site
     return config.spins[(a, b)] if kind == "s" else config.colors[(a, b)]
 
@@ -253,7 +257,10 @@ def schmidt_spectrum(state: SparseState, cut_row: int, axis: str = "space",
 
     Space-axis sectors are labelled (zigzag profile at the cut, unmatched
     pair colors below it); time-axis cuts have no such closed structure
-    and fall into a single block labelled by index.
+    and fall into a single block labelled by index.  Every key is decoded
+    and validated once, and each label is read from the bits of one key
+    per distinct bottom part.  A block's Gram rows and columns are its
+    bottom and top parts in lexicographic order of their site values.
     """
     params = state.params
     L = params.L
@@ -263,33 +270,31 @@ def schmidt_spectrum(state: SparseState, cut_row: int, axis: str = "space",
     if axis == "space" and not 1 <= cut_row <= L - 1:
         raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row}")
     bottom_sites, top_sites = _bipartition(L, params.colored, cut_row, axis)
-
-    groups = {}  # label -> {bottom tuple -> {top tuple -> amp}}
-    bottom_label = {}
-    for key, amp in state.amplitudes.items():
-        config = key_to_config(key, params)
-        bot = tuple(_site_value(config, s) for s in bottom_sites)
-        top = tuple(_site_value(config, s) for s in top_sites)
-        if axis == "space":
-            label = _sector_label(config, params, cut_row)
-        else:
-            label = "time"
-        prev = bottom_label.get(bot)
-        if prev is None:
-            bottom_label[bot] = label
-        elif prev != label:
-            raise AssertionError("bottom part does not determine the sector label")
-        groups.setdefault(label, {}).setdefault(bot, {})[top] = amp
+    column = {s: n for n, s in enumerate(site_order(L, params.colored))}
+    decoded = decode_keys(list(state.amplitudes), params)
+    amps = np.fromiter(state.amplitudes.values(), dtype=float, count=len(state))
+    bottom_of = _row_ranks(decoded.values[:, [column[s] for s in bottom_sites]])
+    top_of = _row_ranks(decoded.values[:, [column[s] for s in top_sites]])
+    n_bottoms = bottom_of.max() + 1
+    if axis == "space":
+        one_key = np.empty(n_bottoms, dtype=np.intp)
+        one_key[bottom_of] = np.arange(len(state))  # a label depends on the bottom part only
+        labels = _sector_labels(decoded.take(one_key), cut_row)
+    else:
+        labels = ["time"] * n_bottoms
+    order = sorted(set(labels))
+    rank = {label: r for r, label in enumerate(order)}
+    sector_of = np.array([rank[label] for label in labels])[bottom_of]
+    keys_by_sector = np.argsort(sector_of, kind="stable")
+    bounds = np.searchsorted(sector_of[keys_by_sector], np.arange(len(order) + 1))
 
     spectrum = []
-    for label, block in sorted(groups.items()):
-        bottoms = sorted(block)
-        tops = sorted({t for row in block.values() for t in row})
-        top_index = {t: k for k, t in enumerate(tops)}
-        M = np.zeros((len(bottoms), len(tops)))
-        for r, b in enumerate(bottoms):
-            for t, a in block[b].items():
-                M[r, top_index[t]] = a
+    for label, lo, hi in zip(order, bounds[:-1], bounds[1:]):
+        block = keys_by_sector[lo:hi]
+        rows, row_of = np.unique(bottom_of[block], return_inverse=True)
+        cols, col_of = np.unique(top_of[block], return_inverse=True)
+        M = np.zeros((len(rows), len(cols)))
+        M[row_of, col_of] = amps[block]
         gram = M @ M.T
         for lam in np.linalg.eigvalsh(gram):
             if lam >= tol:
@@ -298,22 +303,22 @@ def schmidt_spectrum(state: SparseState, cut_row: int, axis: str = "space",
     return spectrum
 
 
-def _sector_label(config, params, cut_row):
-    """(profile, unmatched colors per site) at the cut, from the bottom half."""
-    traj = decode_config(config, params)
-    prof = tuple(int(h) for h in zigzag_profile(traj.heights, cut_row, L=params.L))
-    pending = {i: [] for i in range(1, params.L + 1)}
-    for t in range(1, cut_row + 1):
-        for i in range(1, params.L + 1):
-            if (i + t) % 2 != 1:
-                continue
-            kind, color = traj.events[(i, t)]
-            if kind == "deposit":
-                pending[i].append(color)
-            elif kind == "evaporate" and pending[i]:
-                pending[i].pop()
-    colors = tuple(tuple(pending[i]) for i in range(1, params.L + 1)) if params.colored else ()
-    return (prof, colors)
+def _row_ranks(rows):
+    """Rank of each uint8 row among the distinct rows, in lexicographic order."""
+    rows = np.ascontiguousarray(rows)
+    return np.unique(rows.view(f"V{rows.shape[1]}").ravel(), return_inverse=True)[1].ravel()
+
+
+def _sector_labels(decoded, cut_row):
+    """(profile, unmatched colors per site) at the cut of each decoded key."""
+    L = decoded.L
+    profiles = decoded.profiles[:, cut_row]
+    if not decoded.colored:
+        return [(tuple(prof), ()) for prof in profiles.tolist()]
+    slots, _ = pair_slots(decoded, cut_row)
+    pending = (profiles - np.arange(L + 2) % 2) // 2
+    return [(tuple(prof), tuple(tuple(row[i][:depth[i]]) for i in range(1, L + 1)))
+            for prof, row, depth in zip(profiles.tolist(), slots.tolist(), pending.tolist())]
 
 
 def entropy_exact(state: SparseState, cut_row: int, axis: str = "space") -> EntropyReport:

@@ -19,14 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import (
-    LatticeConfig,
     TrajectoryRecord,
-    canonical_key,
-    encode_trajectory,
+    decode_keys,
+    encode_trajectories,
+    key_bytes,
     key_length,
     key_to_config,
 )
-from .errors import CapacityError, InvalidParameterError
+from .codec import canonical_key, encode_trajectory  # noqa: F401  perfbench/traced.py wraps these
+from .errors import CapacityError, DecodeError, InvalidParameterError
 from .params import ModelParams
 from .surface import COLOR_NONE, horizon_profile, no_change_probability, site_branches
 
@@ -189,8 +190,8 @@ def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
     if total <= 0:
         raise InvalidParameterError("no bridge trajectory has positive weight")
     amplitudes = {}
-    for traj, w in trajs:
-        key = canonical_key(encode_trajectory(traj, params))
+    keys = encode_trajectories([traj for traj, _ in trajs], params)
+    for key, (_, w) in zip(keys, trajs):
         if key in amplitudes:
             raise AssertionError("distinct trajectories produced the same key")
         if w > 0:
@@ -221,7 +222,12 @@ def save_state(state: SparseState, path):
 
 
 def load_state(path) -> SparseState:
-    """Inverse of save_state; a short or overlong file raises InvalidParameterError."""
+    """Inverse of save_state; a damaged file raises InvalidParameterError.
+
+    The file must have exactly the length its header promises, every key
+    must decode (codec.decode_keys), the keys must ascend strictly as
+    save_state writes them, and every amplitude must be finite.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:len(_MAGIC)] != _MAGIC:
@@ -240,11 +246,18 @@ def load_state(path) -> SparseState:
         raise InvalidParameterError(
             f"state file holds {len(data) - body} body bytes, its header promises "
             f"{count} entries of {klen + 8}")
-    amplitudes = {}
-    for pos in range(body, len(data), klen + 8):
-        (amp,) = struct.unpack_from("<d", data, pos + klen)
-        amplitudes[data[pos:pos + klen]] = amp
-    return SparseState(amplitudes=amplitudes, params=params)
+    entries = np.frombuffer(data[body:], dtype=np.uint8).reshape(count, klen + 8)
+    try:
+        decode_keys(entries[:, :klen], params)
+    except DecodeError as err:
+        raise InvalidParameterError(f"state file holds an invalid key: {err}") from err
+    keys = key_bytes(entries[:, :klen])
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise InvalidParameterError("state file keys do not ascend strictly")
+    amps = entries[:, klen:].copy().view("<f8").ravel()
+    if not np.isfinite(amps).all():
+        raise InvalidParameterError("state file holds a non-finite amplitude")
+    return SparseState(amplitudes=dict(zip(keys, amps.tolist())), params=params)
 
 
 def export_state_text(state: SparseState) -> str:

@@ -38,11 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import (
-    TrajectoryRecord,
-    canonical_key,
-    encode_trajectory,
-    key_to_values,
+    heights_to_spins,
+    key_bytes,
+    pack_values,
     site_order,
+    unpack_keys,
     values_to_key,
     vertex_sites,
     vertex_spin_indices,
@@ -51,6 +51,9 @@ from .errors import CapacityError, InvalidParameterError, NoDeformationError, Un
 from .exact import SparseState, _history_to_heights, reaches_horizon
 from .params import ModelParams
 from .surface import branch_probability, horizon_profile
+
+DENSE_BYTES = 1 << 30  # budget of one dense float64 sector matrix
+DENSE_STATES = math.isqrt(DENSE_BYTES // 8)  # 11,585 states
 
 # 4-spin vertex patterns, in (ll, lu, rl, ru) order
 DEPOSIT_PATTERN = (1, 1, 1, 1)
@@ -328,7 +331,7 @@ def _term_entries(terms, keys, params: ModelParams):
     """
     L, colored = params.L, params.colored
     index_of = {s: n for n, s in enumerate(site_order(L, colored))}
-    decoded = [key_to_values(key, L, colored) for key in keys]
+    decoded = unpack_keys(keys, L, colored).tolist()
     for term in terms:
         idx = [index_of[s] for s in term.support]
         lookup = {s: r for r, s in enumerate(term.states)}
@@ -431,28 +434,36 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
         walk(0, list(prof))
 
     rec(list(horizon), 1, [horizon])
+    H = np.stack([_history_to_heights(L, hist) for hist in histories])
+    spins = heights_to_spins(H, L)
+    if not params.colored:
+        return sorted(key_bytes(pack_values(spins, L, False)))
+    vi, vt = np.array(vertex_sites(L)).T
+    change = H[:, vt + 1, vi] != H[:, vt - 1, vi]  # (histories, vertices)
+    total = int((1 << change.sum(axis=1)).sum())
+    if total > max_states:
+        raise CapacityError(f"sector exceeds {max_states} states (it holds {total})")
     keys = []
-    for hist in histories:
-        H = _history_to_heights(L, hist)
-        config = encode_trajectory(TrajectoryRecord(L, H, events={}), params)
-        if not params.colored:
-            keys.append(canonical_key(config))
-            continue
-        change_vertices = [(i, t) for (i, t) in vertex_sites(L) if H[t + 1][i] != H[t - 1][i]]
-        n_change = len(change_vertices)
-        if len(keys) + 2 ** n_change > max_states:
-            raise CapacityError(f"sector exceeds {max_states} states")
-        for assignment in np.ndindex(*([2] * n_change)):
-            for v, a in zip(change_vertices, assignment):
-                config.colors[v] = 1 + a
-            keys.append(canonical_key(config))
-    if len(keys) > max_states:
-        raise CapacityError(f"sector exceeds {max_states} states")
+    for spin_row, changed in zip(spins, change):  # every r/g assignment of the change vertices
+        where = np.flatnonzero(changed)
+        colors = np.zeros((1 << len(where), len(vi)), dtype=np.uint8)
+        colors[:, where] = 1 + ((np.arange(len(colors))[:, None] >> np.arange(len(where))) & 1)
+        values = np.hstack([np.broadcast_to(spin_row, (len(colors), len(spin_row))), colors])
+        keys += key_bytes(pack_values(values, L, True))
     return sorted(keys)
 
 
 def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
-    """Dense H restricted to the sector basis (closed under every term)."""
+    """Dense H restricted to the sector basis (closed under every term).
+
+    A matrix over more than DENSE_STATES keys (DENSE_BYTES of float64)
+    raises CapacityError before anything is allocated.
+    """
+    if len(keys) > DENSE_STATES:
+        raise CapacityError(
+            f"a dense matrix over {len(keys)} sector states needs "
+            f"{8 * len(keys) ** 2 / 2 ** 30:.1f} GiB, over the "
+            f"{DENSE_BYTES / 2 ** 30:g} GiB budget of {DENSE_STATES} states")
     key_index = {key: n for n, key in enumerate(keys)}
     H = np.zeros((len(keys), len(keys)))
     for entries in _term_entries(terms, keys, params):
@@ -472,9 +483,11 @@ def sector_spectrum(terms, params: ModelParams, k: int, return_vectors=False,
     (`np.linalg.eigvalsh`, or `eigh` when vectors are asked for).  That
     keeps degenerate levels with their multiplicity and gives the same
     floats on every call, which an iterative solver restarted from a
-    random vector (ARPACK, at p = 0 and p = 1) does not.
+    random vector (ARPACK, at p = 0 and p = 1) does not.  The state cap
+    is the lower of `max_states` and DENSE_STATES, so a sector too large
+    for dense storage raises CapacityError while its keys are counted.
     """
-    keys = sector_keys(params, max_states=max_states)
+    keys = sector_keys(params, max_states=min(max_states, DENSE_STATES))
     H = sector_matrix(terms, keys, params)
     if return_vectors:
         vals, vecs = np.linalg.eigh(H)

@@ -38,7 +38,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .codec import LatticeConfig, canonical_key, spin_sites, vertex_sites
+import numpy as np
+
+from .codec import key_bytes, pack_values, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import SparseState
 from .params import ModelParams
@@ -207,28 +209,25 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
         raise InvalidParameterError("post-selection removed every branch")
     scale = 1.0 / math.sqrt(success)
     amplitudes = {}
-    for rec, amp in kept.items():
-        key = canonical_key(_record_to_config(rec, params))
+    for key, amp in zip(_record_keys(list(kept), params), kept.values()):
         if key in amplitudes:
             raise AssertionError("two records mapped to one canonical key")
         amplitudes[key] = amp * scale
     return SparseState(amplitudes=amplitudes, params=params), success
 
 
-def _record_to_config(record, params: ModelParams) -> LatticeConfig:
-    """Emitted rows plus the fixed initial spin row, as a lattice config."""
+def _record_keys(records, params: ModelParams) -> list:
+    """Canonical keys of emitted records, with the fixed initial spin row prepended.
+
+    Round n emits spin row n and, in vertex order, the colors of vertex
+    row n, so the values of a record concatenate in `codec.site_order`.
+    """
     L = params.L
-    config = LatticeConfig(L=L, colored=params.colored)
-    for x in range(L + 1):
-        config.spins[(x, 0)] = 1
-    for n, (row, colors) in enumerate(record, start=1):
-        for x in range(L + 1):
-            config.spins[(x, n)] = row[x]
-        cols = [i for i in range(1, L + 1) if (i + n) % 2 == 1]
-        if params.colored:
-            for i, c in zip(cols, colors):
-                config.colors[(i, n)] = c
-    return config
+    values = np.ones((len(records), len(site_order(L, params.colored))), dtype=np.uint8)
+    for n, rec in enumerate(records):  # row by row: no list per record next to the joint state
+        values[n, L + 1:] = [b for row, _ in rec for b in row] + (
+            [c for _, colors in rec for c in colors] if params.colored else [])
+    return key_bytes(pack_values(values, L, params.colored))
 
 
 def fidelity(a: SparseState, b: SparseState) -> float:

@@ -4,17 +4,22 @@ from hypothesis import given, settings, strategies as st
 
 from depevap import ModelParams
 from depevap.codec import (
+    KINDS,
     LatticeConfig,
     canonical_key,
     colored_area,
     decode_config,
+    decode_keys,
+    encode_trajectories,
     encode_trajectory,
     gauss_residual,
     key_length,
     key_to_config,
     key_to_values,
+    pack_values,
     site_order,
     spin_sites,
+    unpack_keys,
     values_to_key,
     vertex_sites,
     zigzag_profile,
@@ -200,3 +205,37 @@ def test_random_spin_flip_never_decodes(seed):
     config.spins[site] ^= 1
     with pytest.raises(DecodeError):
         decode_config(config, params)
+
+
+@pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
+@pytest.mark.parametrize("colored", [True, False])
+def test_array_codec_matches_one_key_functions(mode, colored):
+    # the bulk calls agree key by key with the one-key wrappers and the bridges
+    params = ModelParams(L=5, p=0.6, boundary_mode=mode, colored=colored)
+    trajs = [traj for traj, _ in enumerate_bridge(params)]
+    keys = encode_trajectories(trajs, params)
+    values = unpack_keys(keys, params.L, colored)
+    assert values.shape == (len(keys), len(site_order(params.L, colored)))
+    assert pack_values(values, params.L, colored).tobytes() == b"".join(keys)
+    decoded = decode_keys(keys, params)
+    for n, (traj, key) in enumerate(zip(trajs, keys)):
+        assert values[n].tolist() == key_to_values(key, params.L, colored)
+        config = key_to_config(key, params)
+        assert canonical_key(config) == key
+        back = decode_config(config, params)
+        assert np.array_equal(back.heights, traj.heights)
+        assert [KINDS[k] for k in decoded.kinds[n].tolist()] == \
+            [traj.events[v][0] for v in vertex_sites(params.L)]
+        for cut in range(params.L + 1):
+            assert decoded.profiles[n, cut].tolist() == zigzag_profile(traj.heights, cut).tolist()
+
+
+def test_unpack_rejects_padding_bits():
+    # 36 spins leave 4 padding bits in the fifth byte at L = 5
+    params = ModelParams(L=5, p=0.5, colored=True)
+    key = encode_trajectories([enumerate_bridge(params)[0][0]], params)[0]
+    bad = bytearray(key)
+    bad[4] |= 0x80
+    with pytest.raises(DecodeError) as err:
+        key_to_config(bytes(bad), params)
+    assert err.value.kind == "key"

@@ -5,6 +5,14 @@ import pytest
 
 from conftest import dense_schmidt_weights, oracle_midcut_marginal
 from depevap import ModelParams
+from depevap.codec import (
+    decode_config,
+    key_to_config,
+    key_to_values,
+    site_order,
+    values_to_key,
+    zigzag_profile,
+)
 from depevap.entropy import (
     entropy_dp,
     entropy_exact,
@@ -16,8 +24,8 @@ from depevap.entropy import (
     schmidt_spectrum,
     TransferKernel,
 )
-from depevap.errors import CapacityError, InvalidParameterError
-from depevap.exact import build_state, slice_outcomes
+from depevap.errors import CapacityError, DecodeError, InvalidParameterError
+from depevap.exact import SparseState, build_state, slice_outcomes
 
 
 def test_midcut_examples():
@@ -280,3 +288,86 @@ def test_dp_matches_parent_values():
         assert len(dist.table) == count, (mode, L, p)
         assert entropy_formula(dist).S_uncolored == pytest.approx(S_unc, abs=1e-12), (mode, L, p)
         assert dist.mean_area == pytest.approx(mean_area, abs=1e-12), (mode, L, p)
+
+
+def reference_sector_label(traj, params, cut_row):
+    """(profile, unmatched colors per site) at the cut, from a trajectory record.
+
+    The slow reference for the labels `schmidt_spectrum` reads from key
+    bits: the Schmidt split used to decode every key with `decode_config`
+    and replay its events through per-site stacks, as here.
+    """
+    prof = tuple(int(h) for h in zigzag_profile(traj.heights, cut_row, L=params.L))
+    pending = {i: [] for i in range(1, params.L + 1)}
+    for t in range(1, cut_row + 1):
+        for i in range(1, params.L + 1):
+            if (i + t) % 2 != 1:
+                continue
+            kind, color = traj.events[(i, t)]
+            if kind == "deposit":
+                pending[i].append(color)
+            elif kind == "evaporate" and pending[i]:
+                pending[i].pop()
+    colors = tuple(tuple(pending[i]) for i in range(1, params.L + 1)) if params.colored else ()
+    return (prof, colors)
+
+
+@pytest.mark.parametrize("L", [5, 7])
+@pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
+def test_sector_labels_match_reference(L, mode):
+    # labels from key bits equal the stack replay of every bridge, at every cut;
+    # at L = 5 the records also go through decode_config, as the old split did
+    from depevap.codec import decode_keys, encode_trajectories
+    from depevap.entropy import _sector_labels
+    from depevap.exact import enumerate_bridge
+
+    params = ModelParams(L=L, p=0.5, boundary_mode=mode, colored=True)
+    trajs = [traj for traj, _ in enumerate_bridge(params)]
+    keys = encode_trajectories(trajs, params)
+    if L == 5:
+        trajs = [decode_config(key_to_config(key, params), params) for key in keys]
+    decoded = decode_keys(keys, params)
+    for cut in range(1, L):
+        got = _sector_labels(decoded, cut)
+        assert got == [reference_sector_label(traj, params, cut) for traj in trajs], cut
+
+
+def _corrupted_key(params, how):
+    """A support key of the L = 5 colored state, damaged in one way."""
+    state = build_state(params)
+    column = {s: n for n, s in enumerate(site_order(params.L, True))}
+    for key in sorted(state.amplitudes):
+        values = key_to_values(key, params.L, True)
+        events = decode_config(key_to_config(key, params), params).events
+        if how == "gauss":
+            values[column[("s", 2, 2)]] ^= 1
+        elif how == "boundary":
+            values[column[("s", 0, 0)]] ^= 1  # joins no vertex: only the pin sees it
+        elif how == "color code 3":
+            values[column[("c", 1, 2)]] = 3
+        elif how == "color on no change":
+            v = next(v for v, (kind, _) in events.items() if kind == "no_change")
+            values[column[("c",) + v]] = 1
+        else:
+            evaporations = [v for v, (kind, _) in events.items() if kind == "evaporate"]
+            if not evaporations:
+                continue
+            values[column[("c",) + evaporations[0]]] ^= 3  # r <-> g
+        return state, key, values_to_key(values, params.L, True)
+    raise AssertionError("no support key to corrupt")
+
+
+@pytest.mark.parametrize("how,kind", [
+    ("gauss", "gauss"), ("boundary", "boundary"), ("color code 3", "key"),
+    ("color on no change", "color"), ("evaporation color", "color")])
+def test_corrupted_keys_are_rejected(how, kind):
+    params = ModelParams(L=5, p=0.5, boundary_mode="reflecting", colored=True)
+    state, key, bad = _corrupted_key(params, how)
+    damaged = SparseState(amplitudes={bad if k == key else k: a
+                                      for k, a in state.amplitudes.items()}, params=params)
+    with pytest.raises(DecodeError) as err:
+        schmidt_spectrum(damaged, 2)
+    assert err.value.kind == kind
+    with pytest.raises(DecodeError) as err:
+        decode_config(key_to_config(bad, params), params)
+    assert err.value.kind == kind

@@ -1,12 +1,14 @@
 import math
+import struct
 
 import pytest
 
 from conftest import oracle_enumerate, oracle_success
 from depevap import ModelParams
-from depevap.codec import canonical_key, key_to_config, vertex_sites
+from depevap.codec import canonical_key, key_length, key_to_config
 from depevap.errors import CapacityError, InvalidParameterError
 from depevap.exact import (
+    SparseState,
     build_state,
     enumerate_bridge,
     export_state_text,
@@ -143,11 +145,14 @@ def test_persistence_round_trip(tmp_path):
     text = export_state_text(state)
     assert len(text.splitlines()) == len(state)
     assert text == export_state_text(loaded)
+    save_state(SparseState(amplitudes={}, params=params), path)
+    assert load_state(path).amplitudes == {}
 
 
 def test_load_state_rejects_damaged_files(tmp_path):
+    params = ModelParams(L=3, p=0.5, colored=True)
     path = tmp_path / "state.bin"
-    save_state(build_state(ModelParams(L=3, p=0.5, colored=True)), path)
+    save_state(build_state(params), path)
     data = path.read_bytes()
     damaged = tmp_path / "damaged.bin"
     for cut in range(len(data)):
@@ -158,3 +163,24 @@ def test_load_state_rejects_damaged_files(tmp_path):
         damaged.write_bytes(data + extra)
         with pytest.raises(InvalidParameterError):
             load_state(damaged)
+    # files of the right length with a damaged entry, each of which used to load
+    width = key_length(params) + 8
+    body = len(data) - 3 * width
+    entry = lambda n: data[body + n * width:body + (n + 1) * width]
+
+    def replace(n, new):
+        damaged.write_bytes(data[:body + n * width] + new + data[body + (n + 1) * width:])
+        return damaged
+
+    with pytest.raises(InvalidParameterError, match="ascend"):
+        load_state(replace(2, entry(1)))  # a duplicated entry
+    with pytest.raises(InvalidParameterError, match="ascend"):
+        load_state(replace(0, entry(2)))
+    key = bytearray(entry(1))
+    key[0] ^= 1 << 5  # spin (1, 1): Gauss's law fails
+    with pytest.raises(InvalidParameterError, match="invalid key"):
+        load_state(replace(1, bytes(key)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            load_state(replace(1, entry(1)[:-8] + struct.pack("<d", bad)))
+    assert load_state(replace(1, entry(1))).amplitudes == load_state(path).amplitudes

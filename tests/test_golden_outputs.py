@@ -14,13 +14,20 @@ DP moved from per-profile branch enumeration to the factorized transfer
 kernel: it multiplies and sums in another order, which moved 20 of the 108
 fields of the two files by at most 1.8e-15 (tests/test_entropy.py pins the
 earlier DP's values to 1e-12).  The other five hashes are unchanged.
+
+`GOLDEN_STATES` pins the canonical key bytes and amplitudes of built and
+generated states through `export_state_text`, and one `save_state` file,
+so that a change to the key codec has to keep the persisted layout.
 """
 
 import hashlib
 
 import pytest
 
+from depevap import ModelParams
 from depevap.cli import run_experiment
+from depevap.exact import build_state, export_state_text, save_state
+from depevap.seqgen import run_generation
 
 GOLDEN = [
     ({"experiment": "phase-sweep", "L": [5, 7, 9], "p": [0.25, 0.5, 0.8],
@@ -59,3 +66,30 @@ def test_golden_csv_bytes(tmp_path, manifest, hashes):
     by_name = {p.name: p for p in paths}
     for name, want in hashes.items():
         assert hashlib.sha256(by_name[name].read_bytes()).hexdigest() == want, name
+
+
+GOLDEN_STATES = [
+    ("build", ModelParams(L=5, p=0.5, boundary_mode="reflecting", colored=True), 57,
+     "711dd9b47935e42d3f3c7e0d0010032e96b76ba1b80c377f161f60592cabb07f"),
+    ("build", ModelParams(L=7, p=0.5, boundary_mode="absorbing", colored=False), 690,
+     "2d31557382349057fe40eec68ceb56c2b31741a61ff2083fba34dddb1a778a36"),
+    ("generate", ModelParams(L=5, p=0.8, boundary_mode="reflecting", colored=True), 57,
+     "7201cbcf40451ebf16cc39fbf65efcda6c905c3cc4f3dee8d00ba57585ceb83f"),
+]
+
+
+@pytest.mark.parametrize("how,params,count,want", GOLDEN_STATES, ids=[
+    f"{how}-L{p.L}-{p.boundary_mode}-{'colored' if p.colored else 'uncolored'}"
+    for how, p, _, _ in GOLDEN_STATES])
+def test_golden_state_text(how, params, count, want):
+    state = build_state(params) if how == "build" else run_generation(params)[0]
+    assert len(state) == count
+    assert hashlib.sha256(export_state_text(state).encode()).hexdigest() == want
+
+
+def test_golden_saved_state_bytes(tmp_path):
+    path = tmp_path / "state.bin"
+    save_state(build_state(ModelParams(L=5, p=0.5, boundary_mode="reflecting", colored=True)),
+               path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "6bdba87aecc3f6e51ad0c4fd8f118a8644afc594cc5bc693d6dc10b4382bdd63"

@@ -9,6 +9,8 @@ from depevap.codec import canonical_key, encode_trajectory
 from depevap.errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
 from depevap.exact import SparseState, build_state, enumerate_bridge
 from depevap.hamiltonian import (
+    DENSE_BYTES,
+    DENSE_STATES,
     apply_operator,
     assemble_hamiltonian,
     build_boundary_terms,
@@ -278,16 +280,29 @@ def test_sector_capacity_guard_trips_early(colored):
     assert time.perf_counter() - start < 5.0
 
 
+def test_sector_dense_guard_trips_early():
+    # the L=7 colored sector (175,969 states) would need about 230 GiB as a dense
+    # matrix; the dense budget caps the key count, so it fails while counting keys
+    assert 8 * DENSE_STATES ** 2 <= DENSE_BYTES < 8 * (DENSE_STATES + 1) ** 2
+    params = ModelParams(L=7, p=0.5, colored=True, **ABS)
+    terms = assemble_hamiltonian(params)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"exceeds {DENSE_STATES} states"):
+        sector_spectrum(terms, params, 4)
+    assert time.perf_counter() - start < 5.0
+    with pytest.raises(CapacityError, match="GiB"):
+        sector_matrix(terms, [b""] * (DENSE_STATES + 1), params)
+
+
 def test_dip_config_is_penalized():
     # hand-built dipping history at L=5: site 3 evaporates from 1 to -1 and refills
     params = ModelParams(L=5, p=0.5, colored=True, **ABS)
     terms = assemble_hamiltonian(params)
     keys = sector_keys(params)
-    from depevap.codec import key_to_config, integrate_heights
+    from depevap.codec import key_to_config, zigzag_profile
     dips = []
     for key in keys:
-        H = integrate_heights(key_to_config(key, params))
-        if H[3][3] == -1:
+        if zigzag_profile(key_to_config(key, params), 2)[3] == -1:  # h~_3(3)
             dips.append(key)
     assert dips, "sector enumeration lost the dipping histories"
     for key in dips[:4]:
