@@ -28,6 +28,13 @@ below-horizon histories and lets local terms pin h >= 0.
 All terms are built in the absorbing normalization; the reflecting state
 is not the kernel of any local term set (its Peak-at-1 rule is height
 dependent, hence nonlocal in the spins), and requesting it raises.
+
+Terms act on canonical keys in bulk.  Each term makes one array pass
+over the keys' (N, sites) value matrix and yields its nonzero entries,
+terms outer, then keys in the given order, then matrix rows.
+`apply_operator`, `term_residuals` and `sector_matrix` sum them in that
+order, so each float they return is the one a per-key loop over the same
+entries gives.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from .codec import (
     pack_values,
     site_order,
     unpack_keys,
-    values_to_key,
     vertex_sites,
     vertex_spin_indices,
 )
@@ -320,53 +326,76 @@ def assemble_hamiltonian(params: ModelParams):
 
 # ---------------------------------------------------------------------------
 # sparse application over canonical keys
+#
+# Every consumer reads the same entries (a, key2, h): term T maps key a
+# onto key2 with amplitude h = T.weight * T.matrix[r2, r].  They come
+# with terms outer, then keys in the given order, then matrix rows r2
+# ascending, and every sum runs in that order (`np.bincount`,
+# `np.add.at`), so a float is the same whichever consumer adds it.
+#
+# One array pass per term builds them over the (N, sites) value matrix
+# of the keys: the support columns read as one mixed-radix window code
+# per key (2 per spin, 3 per color), `searchsorted` in the term's sorted
+# state codes finds the matching row r, each hit expands into the
+# nonzeros of matrix column r, and the target windows term.states[r2]
+# are written into copies of the hit rows, which are packed in one call.
+# The update terms of a plaquette share their support, so its codes are
+# computed once for all of them.
 
 
-def _term_entries(terms, keys, params: ModelParams):
-    """Per term, the list of its nonzero entries (a, key2, weight * matrix entry).
+def _term_entries(terms, values, params: ModelParams):
+    """Per term, its nonzero entries as arrays (a, key2, h).
 
-    An entry says the term maps basis key keys[a] onto key2 with that
-    amplitude.  Every key is decoded once per call; entries come in key
-    order, and in matrix-row order within a key.
+    `values` (N, sites) are the keys' site values in `site_order`.  Entry
+    e maps key a[e] onto the packed key row key2[e] with amplitude h[e];
+    entries come in key order, and in matrix-row order within a key.
     """
     L, colored = params.L, params.colored
     index_of = {s: n for n, s in enumerate(site_order(L, colored))}
-    decoded = unpack_keys(keys, L, colored).tolist()
+    support = None
     for term in terms:
-        idx = [index_of[s] for s in term.support]
-        lookup = {s: r for r, s in enumerate(term.states)}
-        entries = []
-        for a, values in enumerate(decoded):
-            r = lookup.get(tuple(values[j] for j in idx))
-            if r is None:
-                continue
-            col = term.matrix[:, r]
-            for r2 in np.nonzero(col)[0]:
-                if r2 == r:
-                    key2 = keys[a]
-                else:
-                    new_values = list(values)
-                    for j, val in zip(idx, term.states[r2]):
-                        new_values[j] = val
-                    key2 = values_to_key(new_values, L, colored)
-                entries.append((a, key2, term.weight * col[r2]))
-        yield entries
+        if term.support != support:
+            support = term.support
+            idx = [index_of[s] for s in support]
+            radix = [2 if s[0] == "s" else 3 for s in support]
+            place = np.cumprod([1] + radix[:0:-1])[::-1]  # place[j] = prod(radix[j + 1:])
+            code = values[:, idx] @ place
+        states = np.array(term.states, dtype=np.uint8)
+        state_codes = states @ place
+        order = np.argsort(state_codes)
+        sorted_codes = state_codes[order]
+        pos = np.minimum(np.searchsorted(sorted_codes, code), len(order) - 1)
+        a = np.flatnonzero(sorted_codes[pos] == code)
+        cols = term.matrix[:, order[pos[a]]].T  # row n: matrix column r of hit a[n]
+        hit, r2 = np.nonzero(cols)
+        rows = values[a[hit]]
+        rows[:, idx] = states[r2]
+        yield a[hit], pack_values(rows, L, colored), term.weight * cols[hit, r2]
 
 
-def _accumulate(entries, amps, out):
-    for a, key2, h in entries:
-        out[key2] = out.get(key2, 0.0) + h * amps[a]
-    return out
+def _key_rows(keys):
+    """One fixed-width void per row of a key matrix; they sort like the bytes."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+
+
+def _state_arrays(state: SparseState):
+    params = state.params
+    values = unpack_keys(list(state.amplitudes), params.L, params.colored)
+    return values, np.fromiter(state.amplitudes.values(), dtype=float, count=len(values))
 
 
 def apply_operator(terms, state: SparseState):
-    """H |psi> as an unnormalized key -> coefficient map."""
-    keys = list(state.amplitudes)
-    amps = list(state.amplitudes.values())
-    out = {}
-    for entries in _term_entries(terms, keys, state.params):
-        _accumulate(entries, amps, out)
-    return out
+    """H |psi> as an unnormalized key -> coefficient map, keys in first-hit order."""
+    values, amps = _state_arrays(state)
+    parts = [(key2, h * amps[a]) for a, key2, h in _term_entries(terms, values, state.params)]
+    if not parts:
+        return {}
+    key2 = np.concatenate([key2 for key2, _ in parts])
+    _, first, group = np.unique(_key_rows(key2), return_index=True, return_inverse=True)
+    sums = np.bincount(group, weights=np.concatenate([w for _, w in parts]), minlength=len(first))
+    hit_order = np.argsort(first)
+    return dict(zip(key_bytes(key2[first[hit_order]]), sums[hit_order].tolist()))
 
 
 def expectation(terms, state: SparseState) -> float:
@@ -376,12 +405,12 @@ def expectation(terms, state: SparseState) -> float:
 
 def term_residuals(terms, state: SparseState):
     """||T_j |psi>|| per term."""
-    keys = list(state.amplitudes)
-    amps = list(state.amplitudes.values())
+    values, amps = _state_arrays(state)
     residuals = []
-    for entries in _term_entries(terms, keys, state.params):
-        out = _accumulate(entries, amps, {})
-        residuals.append(math.sqrt(math.fsum(v * v for v in out.values())))
+    for a, key2, h in _term_entries(terms, values, state.params):
+        _, group = np.unique(_key_rows(key2), return_inverse=True)
+        sums = np.bincount(group, weights=h * amps[a])
+        residuals.append(math.sqrt(math.fsum((sums * sums).tolist())))
     return residuals
 
 
@@ -454,24 +483,31 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
 
 
 def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
-    """Dense H restricted to the sector basis (closed under every term).
+    """Dense H over the sector basis `keys`, which every term must keep closed.
 
-    A matrix over more than DENSE_STATES keys (DENSE_BYTES of float64)
-    raises CapacityError before anything is allocated.
+    Row and column n belong to keys[n], in any order; a key listed twice
+    raises InvalidParameterError.  A matrix over more than DENSE_STATES
+    keys (DENSE_BYTES of float64) raises CapacityError before any key is
+    read.
     """
     if len(keys) > DENSE_STATES:
         raise CapacityError(
             f"a dense matrix over {len(keys)} sector states needs "
             f"{8 * len(keys) ** 2 / 2 ** 30:.1f} GiB, over the "
             f"{DENSE_BYTES / 2 ** 30:g} GiB budget of {DENSE_STATES} states")
-    key_index = {key: n for n, key in enumerate(keys)}
+    values = unpack_keys(keys, params.L, params.colored)
+    rows = _key_rows(pack_values(values, params.L, params.colored))
+    by_key = np.argsort(rows, kind="stable")
+    sorted_rows = rows[by_key]
+    if (sorted_rows[1:] == sorted_rows[:-1]).any():
+        raise InvalidParameterError("sector keys must be distinct")
     H = np.zeros((len(keys), len(keys)))
-    for entries in _term_entries(terms, keys, params):
-        for a, key2, h in entries:
-            b = key_index.get(key2)
-            if b is None:
-                raise AssertionError("sector basis is not closed under a term")
-            H[b, a] += h
+    for a, key2, h in _term_entries(terms, values, params):
+        targets = _key_rows(key2)
+        pos = np.minimum(np.searchsorted(sorted_rows, targets), len(keys) - 1)
+        if (sorted_rows[pos] != targets).any():  # searchsorted alone lands beside a missing key
+            raise AssertionError("sector basis is not closed under a term")
+        np.add.at(H, (by_key[pos], a), h)
     return H
 
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from depevap import ModelParams
-from depevap.codec import canonical_key, encode_trajectory
+from depevap.codec import canonical_key, encode_trajectory, site_order, unpack_keys, values_to_key
 from depevap.errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
 from depevap.exact import SparseState, build_state, enumerate_bridge
 from depevap.hamiltonian import (
     DENSE_BYTES,
     DENSE_STATES,
+    LocalTerm,
     apply_operator,
     assemble_hamiltonian,
     build_boundary_terms,
@@ -222,6 +223,106 @@ def test_expectation_nonnegative_on_sector():
             per_term = [math.sqrt(math.fsum(v * v for v in apply_operator([t], state).values()))
                         for t in terms]
             assert term_residuals(terms, state) == per_term
+
+
+def _reference_term_entries(terms, keys, params):
+    """Per term, the list of its nonzero entries (a, key2, weight * matrix entry).
+
+    The per-key loop the array pass replaced: every key is decoded once,
+    entries come in key order, and in matrix-row order within a key.
+    """
+    L, colored = params.L, params.colored
+    index_of = {s: n for n, s in enumerate(site_order(L, colored))}
+    decoded = unpack_keys(keys, L, colored).tolist()
+    for term in terms:
+        idx = [index_of[s] for s in term.support]
+        lookup = {s: r for r, s in enumerate(term.states)}
+        entries = []
+        for a, values in enumerate(decoded):
+            r = lookup.get(tuple(values[j] for j in idx))
+            if r is None:
+                continue
+            col = term.matrix[:, r]
+            for r2 in np.nonzero(col)[0]:
+                if r2 == r:
+                    key2 = keys[a]
+                else:
+                    new_values = list(values)
+                    for j, val in zip(idx, term.states[r2]):
+                        new_values[j] = val
+                    key2 = values_to_key(new_values, L, colored)
+                entries.append((a, key2, term.weight * col[r2]))
+        yield entries
+
+
+def _reference_sums(entries, amps, out):
+    for a, key2, h in entries:
+        out[key2] = out.get(key2, 0.0) + h * amps[a]
+    return out
+
+
+def _reference_matrix(terms, keys, params):
+    index_of = {key: n for n, key in enumerate(keys)}
+    H = np.zeros((len(keys), len(keys)))
+    for entries in _reference_term_entries(terms, keys, params):
+        for a, key2, h in entries:
+            H[index_of[key2], a] += h
+    return H
+
+
+@pytest.mark.parametrize("L,colored,p", [
+    *((L, colored, p) for L in (3, 5) for colored in (False, True) for p in (0.0, 0.3, 1.0)),
+    (7, False, 0.5),
+])
+def test_term_action_matches_reference(L, colored, p):
+    # same entries in the same order, so every float is bit for bit the per-key loop's
+    params = ModelParams(L=L, p=p, colored=colored, **ABS)
+    terms = assemble_hamiltonian(params)
+    keys = sector_keys(params)
+    rng = np.random.default_rng(L)
+    shuffled = [keys[n] for n in rng.permutation(len(keys))]
+    amps = rng.standard_normal(len(keys)).tolist()
+    state = SparseState(amplitudes=dict(zip(shuffled, amps)), params=params)
+    reference = list(_reference_term_entries(terms, shuffled, params))
+    per_term = [_reference_sums(entries, amps, {}) for entries in reference]
+    assert term_residuals(terms, state) == [
+        math.sqrt(math.fsum(v * v for v in out.values())) for out in per_term]
+    assert np.array_equal(sector_matrix(terms, keys, params), _reference_matrix(terms, keys, params))
+    applied = {}
+    for entries in reference:
+        _reference_sums(entries, amps, applied)
+    assert apply_operator(terms, state) == applied
+
+
+def test_term_action_edge_cases():
+    params = ModelParams(L=5, p=0.3, colored=True, **ABS)
+    terms = assemble_hamiltonian(params)
+    keys = sector_keys(params)
+    state = SparseState(amplitudes=dict.fromkeys(keys, 1.0), params=params)
+    # every sector key has its bottom spins up, so a down pin there matches none
+    unmatched = LocalTerm(kind="initial", support=(("s", 1, 0),), weight=1.0,
+                          states=((0,),), matrix=np.array([[1.0]]))
+    assert term_residuals([unmatched], state) == [0.0]
+    assert apply_operator([unmatched], state) == {}
+    empty = SparseState(amplitudes={}, params=params)
+    assert apply_operator(terms, empty) == {}
+    assert term_residuals(terms, empty) == [0.0] * len(terms)
+
+
+def test_sector_matrix_key_handling():
+    params = ModelParams(L=5, p=0.5, colored=True, **ABS)
+    terms = assemble_hamiltonian(params)
+    keys = sector_keys(params)
+    H = sector_matrix(terms, keys, params)
+    perm = np.random.default_rng(5).permutation(len(keys))
+    assert np.array_equal(sector_matrix(terms, [keys[n] for n in perm], params), H[np.ix_(perm, perm)])
+    with pytest.raises(InvalidParameterError, match="distinct"):
+        sector_matrix(terms, keys + [keys[7]], params)
+    # drop a key some term maps another key onto: the basis is no longer closed
+    target = next(key2 for entries in _reference_term_entries(terms, keys, params)
+                  for a, key2, _ in entries if key2 != keys[a])
+    with pytest.raises(AssertionError, match="not closed"):
+        sector_matrix(terms, [key for key in keys if key != target], params)
 
 
 def test_sector_spectrum_and_fidelity():
