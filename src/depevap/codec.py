@@ -48,8 +48,9 @@ as (N, sites) value matrices in `site_order`.  Spin row y holds the
 up/down steps of the zigzag profile after update slice y (the
 plaquettes of time rows y and y + 1, alternating along the row), so
 
-* `heights_to_spins` reads a stack of height histories as row diffs,
-  and `pack_values` packs values with `np.packbits(...,
+* `profiles_to_heights` scatters stacks of zigzag profiles into height
+  histories, `heights_to_spins` reads those as row diffs, and
+  `pack_values` packs values with `np.packbits(...,
   bitorder="little")` and 2-bit color codes;
 * `unpack_keys` inverts the packing, and `decode_keys` rebuilds every
   zigzag profile as a cumulative sum of signed spins along its row.  It
@@ -206,8 +207,7 @@ def decode_config(config: LatticeConfig, params: ModelParams) -> TrajectoryRecor
     L = params.L
     decoded = decode_keys([canonical_key(config)], params)
     lat = _lattice(L)
-    H = np.zeros((L + 2, L + 2), dtype=np.int64)  # non-plaquette entries stay 0
-    H[lat.zig_t, lat.zig_i] = decoded.profiles[0]
+    H = profiles_to_heights(decoded.profiles[:1], L)[0].astype(np.int64)
     kinds = decoded.kinds[0].tolist()
     if params.colored:
         colors = decoded.values[0, (L + 1) ** 2:].tolist()
@@ -217,6 +217,20 @@ def decode_config(config: LatticeConfig, params: ModelParams) -> TrajectoryRecor
     traj = TrajectoryRecord(L=L, heights=H, events=events, weight=1.0)
     traj.weight = trajectory_weight(traj, params)
     return traj
+
+
+def profiles_to_heights(profiles, L) -> np.ndarray:
+    """Height histories (N, L+2, L+2) of zigzag profile stacks (N, L+1, L+2).
+
+    profiles[:, y] is the profile after update slice y; entry (y, i)
+    settles plaquette (t, i) with t = y + (i + y) % 2.  Entries that are
+    not plaquettes stay 0.
+    """
+    profiles = np.asarray(profiles)
+    lat = _lattice(L)
+    H = np.zeros((len(profiles), L + 2, L + 2), dtype=profiles.dtype)
+    H[:, lat.zig_t, lat.zig_i] = profiles
+    return H
 
 
 def zigzag_profile(config_or_heights, cut_row, L=None) -> np.ndarray:

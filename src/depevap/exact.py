@@ -7,31 +7,52 @@ every branch that would touch h < 0 pruned eagerly (post-selection
 discards it anyway).  Frozen boundary sites contribute their no-change
 probability per slice: (1+p)/2 in absorbing mode whenever they sit at a
 Peak at h = 1, and 1 otherwise.
+
+The enumeration is an array frontier.  Every trajectory alive after
+slice t is one row: its zigzag profiles after slices 0..t, one color
+bit-stack per site (the pairs deposited there and not yet evaporated),
+the colors of its vertices so far and its weight.  Slice t + 1 expands
+all rows at once.  Each eligible site classifies every row into an
+event-table label (shape, reflecting floor) and keeps the branches of
+that label that stay at h >= 0 in absorbing mode and, for bridges, can
+still return to the horizon (the `reaches_horizon` bound, site by site);
+`expand_frontier` then repeats every row once per combination of kept
+branches.  Children come out parent-major with each site's branches in
+table order, so the rows are in the order of a depth-first recursion
+over slices and sites, and weights are multiplied in that recursion's
+order: w = ((1.0 p_first) ...) base with base the frozen sites'
+factor, then weight w.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import (
+    KINDS,
     TrajectoryRecord,
     decode_keys,
-    encode_trajectories,
+    heights_to_spins,
     key_bytes,
     key_length,
     key_to_config,
+    pack_values,
+    profiles_to_heights,
+    vertex_sites,
 )
 from .codec import canonical_key, encode_trajectory  # noqa: F401  perfbench/traced.py wraps these
 from .errors import CapacityError, DecodeError, InvalidParameterError
 from .params import ModelParams
-from .surface import COLOR_NONE, horizon_profile, no_change_probability, site_branches
+from .surface import event_table, horizon_profile
 
 MAX_NODES = 10_000_000
+_LABELS = (("valley", False), ("peak", False), ("peak", True), ("slope", False))  # label codes 0..3
 
 
 @dataclass
@@ -48,42 +69,61 @@ class SparseState:
         return len(self.amplitudes)
 
 
-def slice_outcomes(profile, t, params: ModelParams):
-    """All branch outcomes of update slice t from the zigzag profile before it.
+def expand_frontier(keeps, n_rows, cap, overflow):
+    """Children of `n_rows` parent rows under per-site branch masks.
 
-    Yields (new_profile_tuple, weight, events) with events a tuple of
-    (site, kind, color); evaporation colors are None (resolved by the
-    caller from its stacks).  Absorbing mode drops branches reaching
-    h < 0 and multiplies the frozen-site survival factors.
+    keeps[k] (n_rows, branches) marks the branches site k may take from
+    each parent.  A child takes one kept branch per site; children are
+    ordered by parent, then by site 0's branch, site 1's and so on, the
+    order of a depth-first recursion over the sites.  Their number is
+    checked against `cap` before any child is built (CapacityError with
+    message `overflow`).  Returns (parent row of each child, [branch
+    index of each child at site k]).
     """
-    L = params.L
-    base = 1.0
-    for i in (1, L):
-        if (i + t) % 2 == 1:
-            base *= no_change_probability(profile[i], profile[i - 1], profile[i + 1], params)
-    sites = [i for i in range(2, L) if (i + t) % 2 == 1]
-    per_site = []
-    for i in sites:
-        opts = []
-        for new_h, kind, color, prob in site_branches(profile[i], profile[i - 1], profile[i + 1], params):
-            if params.boundary_mode == "absorbing" and new_h < 0:
-                continue  # eager post-selection
-            if prob <= 0.0:
-                continue
-            opts.append((new_h, kind, color, prob))
-        per_site.append(opts)
+    counts = np.ones(n_rows, dtype=np.int64)
+    for keep in keeps:
+        counts *= keep.sum(axis=1)
+    if counts.sum() > cap:
+        raise CapacityError(overflow)
+    rows = np.arange(n_rows)
+    choices = []
+    for keep in keeps:
+        parent, branch = np.nonzero(keep[rows])
+        rows = rows[parent]
+        choices = [c[parent] for c in choices] + [branch]
+    return rows, choices
 
-    def rec(k, prof, w, ev):
-        if k == len(sites):
-            yield tuple(prof), w * base, tuple(ev)
-            return
-        i = sites[k]
-        for new_h, kind, color, prob in per_site[k]:
-            prof[i] = new_h
-            yield from rec(k + 1, prof, w * prob, ev + [(i, kind, color)])
-        prof[i] = profile[i]
 
-    yield from rec(0, list(profile), 1.0, [])
+def branch_table(branches, fields) -> np.ndarray:
+    """Per-label branch tuples as one (labels, width) structured array.
+
+    branches[label] lists the label's branches as tuples of `fields`
+    values; shorter lists are padded with zeros, and the added bool
+    field `valid` marks the real branches.
+    """
+    table = np.zeros((len(branches), max(map(len, branches))), dtype=fields + [("valid", bool)])
+    for label, row in enumerate(branches):
+        for b, branch in enumerate(row):
+            table[label, b] = tuple(branch) + (True,)
+    return table
+
+
+def _event_branches(params: ModelParams):
+    """(branch table over _LABELS with positive-probability branches, frozen-site factors)."""
+    tables = [event_table(shape, floor, params.p, params.colored) for shape, floor in _LABELS]
+    table = branch_table([[(delta, color or 0, prob) for delta, _, color, prob in rows if prob > 0.0]
+                          for rows in tables],
+                         [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
+    return table, np.array([rows[-1][3] for rows in tables])
+
+
+def _site_labels(prof, i, reflecting):
+    """Label code of site i in every profile row (see _LABELS)."""
+    h = prof[:, i]
+    valley = (prof[:, i - 1] > h) & (prof[:, i + 1] > h)
+    peak = (prof[:, i - 1] < h) & (prof[:, i + 1] < h)
+    floor = peak & (h <= 1) if reflecting else False
+    return np.where(valley, 0, np.where(peak, 1, 3)) + floor
 
 
 def _remaining_updates(L, i, t):
@@ -107,91 +147,134 @@ def reaches_horizon(prof, t, horizon) -> bool:
     return True
 
 
-def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES, bridge: bool = True):
+@dataclass
+class Bridges:
+    """Enumerated trajectories as arrays, in depth-first order.
+
+    `heights` (N, L+2, L+2) int8 are the height histories of
+    TrajectoryRecord, `colors` (N, vertices) uint8 the vertex colors in
+    `codec.vertex_sites` order (0 on no-change vertices; uncolored
+    changes carry r), `weights` (N,) float64.  Indexing or iterating
+    yields (TrajectoryRecord, weight) pairs, built on demand.
+    """
+
+    L: int
+    heights: np.ndarray
+    colors: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self):
+        return len(self.weights)
+
+    def __getitem__(self, n):
+        L = self.L
+        H = self.heights[n].astype(np.int64)
+        order, index = _event_order(L)
+        vi, vt = order.T
+        kinds = np.sign(H[vt + 1, vi] - H[vt - 1, vi]).tolist()
+        colors = self.colors[n, index].tolist()
+        events = {(i, t): (KINDS[kind], color)
+                  for (i, t), kind, color in zip(order.tolist(), kinds, colors)}
+        weight = float(self.weights[n])
+        return TrajectoryRecord(L=L, heights=H, events=events, weight=weight), weight
+
+    def __iter__(self):
+        return (self[n] for n in range(len(self)))
+
+
+@functools.lru_cache(maxsize=None)
+def _event_order(L):
+    """Vertices in the order a record lists its events, and their vertex_sites indices.
+
+    Per slice: the frozen sites 1 and L, then the eligible sites left to right.
+    """
+    order = [(i, t) for t in range(1, L + 1)
+             for i in [1, L] + list(range(2, L)) if (i + t) % 2 == 1]
+    index = {v: k for k, v in enumerate(vertex_sites(L))}
+    order, index = np.array(order), np.array([index[v] for v in order])
+    order.flags.writeable = index.flags.writeable = False  # cached and shared
+    return order, index
+
+
+def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES,
+                     bridge: bool = True) -> Bridges:
     """All bridge trajectories with their exact weights.
 
     With bridge=False the final horizon condition (and its lookahead
     pruning) is dropped; in reflecting mode the weights of that full set
-    sum to 1 exactly.
+    sum to 1 exactly.  `max_nodes` bounds the nodes of the trajectory
+    tree, the root and every trajectory alive after each slice; it is
+    checked before a slice is expanded.
     """
     params.require_odd_L()
     L = params.L
-    horizon = tuple(int(h) for h in horizon_profile(L))
-    results = []
-    visited = 0
-
-    def rec(prof, t, weight, events, stacks):
-        nonlocal visited
-        visited += 1
-        if visited > max_nodes:
-            raise CapacityError(f"bridge enumeration exceeded {max_nodes} nodes")
-        if t > L:
-            if not bridge or prof == horizon:
-                H = _history_to_heights(L, history)
-                results.append((TrajectoryRecord(L=L, heights=H, events=dict(events), weight=weight), weight))
-            return
-        for new_prof, w, ev in slice_outcomes(prof, t, params):
-            if bridge and not reaches_horizon(new_prof, t, horizon):
-                continue
-            resolved = [((i, t), ("no_change", COLOR_NONE))
-                        for i in (1, L) if (i + t) % 2 == 1]
-            pushed = []
-            for site, kind, color in ev:
-                if kind == "deposit":
-                    stacks[site].append(color)
-                    pushed.append(site)
-                elif kind == "evaporate":
-                    if stacks[site]:
-                        color = stacks[site].pop()
-                        pushed.append((site, color))
-                    else:
-                        color = COLOR_NONE  # sub-horizon evaporation, absorbing only
-                resolved.append(((site, t), (kind, color)))
-            history.append(new_prof)
-            rec(new_prof, t + 1, weight * w, events + resolved, stacks)
-            history.pop()
-            for item in reversed(pushed):
-                if isinstance(item, tuple):  # undo an evaporation pop
-                    site, color = item
-                    stacks[site].append(color)
-                else:  # undo a deposit push
-                    stacks[item].pop()
-
-    history = [horizon]
-    rec(horizon, 1, 1.0, [], {i: [] for i in range(1, L + 1)})
-    return results
-
-
-def _history_to_heights(L, history):
-    """Heights array from the zigzag profiles after slices 0..L."""
-    H = np.zeros((L + 2, L + 2), dtype=np.int64)
-    # rows 0 and 1 come from the initial zigzag; slice t settles row t+1
-    for i in range(L + 2):
-        H[0][i] = history[0][i] if i % 2 == 0 else 0
-        H[1][i] = history[0][i] if i % 2 == 1 else 0
+    reflecting = params.boundary_mode == "reflecting"
+    overflow = f"bridge enumeration exceeded {max_nodes} nodes"
+    horizon = horizon_profile(L)
+    table, no_change = _event_branches(params)
+    vertex = {v: k for k, v in enumerate(vertex_sites(L))}
+    profiles = np.zeros((1, L + 1, L + 2), dtype=np.int8)
+    profiles[0, 0] = horizon
+    stacks = np.zeros((1, L + 2), dtype=np.uint32)  # one bit per pair (g = 1), newest lowest
+    colors = np.zeros((1, len(vertex)), dtype=np.uint8)
+    weights = np.ones(1)
+    visited = 1
+    if visited > max_nodes:
+        raise CapacityError(overflow)
     for t in range(1, L + 1):
-        prof = history[t]
-        for i in range(L + 2):
-            if (i + t + 1) % 2 == 0:
-                H[t + 1][i] = prof[i]
-    return H
+        prof = profiles[:, t - 1]
+        sites = [i for i in range(2, L) if (i + t) % 2 == 1]
+        frozen = [i for i in (1, L) if (i + t) % 2 == 1]
+        labels = {i: _site_labels(prof, i, reflecting) for i in frozen + sites}
+        keeps = []
+        for i in sites:
+            new_h = prof[:, i, None] + table["delta"][labels[i]]
+            keep = table["valid"][labels[i]]
+            if not reflecting:
+                keep &= new_h >= 0  # eager post-selection
+            if bridge:
+                keep &= np.abs(new_h - horizon[i]) <= 2 * _remaining_updates(L, i, t)
+            keeps.append(keep)
+        rows, choices = expand_frontier(keeps, len(prof), max_nodes - visited, overflow)
+        visited += len(rows)
+        profiles, stacks, colors, weights = profiles[rows], stacks[rows], colors[rows], weights[rows]
+        profiles[:, t] = profiles[:, t - 1]
+        w = 1.0
+        for i, branch in zip(sites, choices):
+            chosen = table[labels[i][rows], branch]
+            w = w * chosen["prob"]
+            profiles[:, t, i] += chosen["delta"]
+            color = chosen["color"]
+            deposit, evaporate = chosen["delta"] > 0, chosen["delta"] < 0
+            stacks[deposit, i] = (stacks[deposit, i] << 1) | (color[deposit] - 1)
+            color[evaporate] = (stacks[evaporate, i] & 1) + 1  # a pair lies beneath: h >= 0
+            stacks[evaporate, i] >>= 1
+            colors[:, vertex[i, t]] = color
+        base = 1.0
+        for i in frozen:
+            base = base * no_change[labels[i][rows]]
+        weights = weights * (w * base)
+    # for bridges, the horizon bound after slice L leaves only rows at the horizon
+    return Bridges(L=L, heights=profiles_to_heights(profiles, L), colors=colors, weights=weights)
 
 
 def success_probability(params: ModelParams, max_nodes: int = MAX_NODES) -> float:
     """Total bridge weight before renormalization."""
-    trajs = enumerate_bridge(params, max_nodes=max_nodes)
-    return math.fsum(w for _, w in trajs)
+    return math.fsum(enumerate_bridge(params, max_nodes=max_nodes).weights.tolist())
 
 
 def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
     """The normalized superposition sqrt(w / W) over encoded bridges."""
-    trajs = enumerate_bridge(params, max_nodes=max_nodes)
-    total = math.fsum(w for _, w in trajs)
+    bridges = enumerate_bridge(params, max_nodes=max_nodes)
+    weights = bridges.weights.tolist()
+    total = math.fsum(weights)
     if total <= 0:
         raise InvalidParameterError("no bridge trajectory has positive weight")
+    values = heights_to_spins(bridges.heights, params.L)
+    if params.colored:
+        values = np.hstack([values, bridges.colors])
     amplitudes = {}
-    keys = encode_trajectories([traj for traj, _ in trajs], params)
-    for key, (_, w) in zip(keys, trajs):
+    for key, w in zip(key_bytes(pack_values(values, params.L, params.colored)), weights):
         if key in amplitudes:
             raise AssertionError("distinct trajectories produced the same key")
         if w > 0:

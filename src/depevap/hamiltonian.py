@@ -48,13 +48,14 @@ from .codec import (
     heights_to_spins,
     key_bytes,
     pack_values,
+    profiles_to_heights,
     site_order,
     unpack_keys,
     vertex_sites,
     vertex_spin_indices,
 )
 from .errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
-from .exact import SparseState, _history_to_heights, reaches_horizon
+from .exact import SparseState, reaches_horizon
 from .params import ModelParams
 from .surface import branch_probability, horizon_profile
 
@@ -463,7 +464,7 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
         walk(0, list(prof))
 
     rec(list(horizon), 1, [horizon])
-    H = np.stack([_history_to_heights(L, hist) for hist in histories])
+    H = profiles_to_heights(np.array(histories, dtype=np.int8), L)
     spins = heights_to_spins(H, L)
     if not params.colored:
         return sorted(key_bytes(pack_values(spins, L, False)))

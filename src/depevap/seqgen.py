@@ -30,6 +30,18 @@ The optional cooling phase reruns the later rounds (after ceil(L/2))
 with p = 0 and the deposition branches removed; no extra rounds or
 registers are introduced, and the post-selection success grows because
 every peak then drains with amplitude sqrt(1/2) per round.
+
+The joint state of emitter and record is a set of arrays with one row
+per branch (`JointState`): int8 marker heights, uint32 color
+bit-stacks, uint8 spin and color rows and a float64 amplitude.  A round
+labels every row at each of its sites (shape and top pair color),
+reads that label's branches off `channel_branches`, and expands all
+rows at once (`exact.expand_frontier`): children come out parent-major
+with each site's branches in table order, the order of a depth-first
+recursion over branches and sites, and amplitudes are multiplied in
+that order.  The record is emitted by the channels themselves, never
+rebuilt from heights through the codec, so comparing the generated
+state with `exact.build_state` stays an independent check.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ import numpy as np
 
 from .codec import key_bytes, pack_values, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import SparseState
+from .exact import SparseState, branch_table, expand_frontier
 from .params import ModelParams
 from .surface import event_table, local_shape
 
@@ -120,63 +132,99 @@ def cooling_start(L: int) -> int:
     return (L + 1) // 2
 
 
-def apply_round(joint, n, p, params: ModelParams, cooling_active=False,
-                max_branches=MAX_BRANCHES):
+@dataclass
+class JointState:
+    """The emitter and its emitted record, one row per branch, in branch order.
+
+    `heights` (N, L+2) int8 are the marker heights with the pinned walls
+    0 and L+1 at 0; `stacks` (N, L+2) uint32 hold the colors of the
+    pairs beneath each marker, one bit per pair (g = 1) with the most
+    recent in bit 0 (the pair count is (height - i % 2) / 2); `spins`
+    (N, n (L+1)) uint8 are the spin rows emitted by rounds 1..n, `colors`
+    uint8 the color rows of vertex rows 1..n in vertex order, and
+    `amplitudes` (N,) float64.
+    """
+
+    heights: np.ndarray
+    stacks: np.ndarray
+    spins: np.ndarray
+    colors: np.ndarray
+    amplitudes: np.ndarray
+
+    def __len__(self):
+        return len(self.amplitudes)
+
+
+def initial_joint(L: int) -> JointState:
+    """The reference emitter (`init_emitter`) with an empty record, amplitude 1."""
+    heights = np.array([[0] + [h for h, _ in init_emitter(L).stacks] + [0]], dtype=np.int8)
+    return JointState(heights, np.zeros(heights.shape, dtype=np.uint32),
+                      np.zeros((1, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8),
+                      np.ones(1))
+
+
+def _channel_table(p, colored, cooling) -> np.ndarray:
+    """channel_branches with nonzero amplitude per site label, as one branch table.
+
+    A site's label is 3 * (2 * (dh_left > 0) + (dh_right > 0)) + top,
+    with top 0 for a marker at the horizon and the top pair's color
+    otherwise.
+    """
+    return branch_table([[(delta, spins[0], spins[1], color, amp) for delta, _, spins, color, amp
+                          in channel_branches(dh_l, dh_r, top, p, colored, cooling) if amp != 0.0]
+                         for dh_l in (-1, 1) for dh_r in (-1, 1) for top in (None, 1, 2)],
+                        [("delta", np.int8), ("spin_l", np.uint8), ("spin_r", np.uint8),
+                         ("color", np.uint8), ("amp", np.float64)])
+
+
+def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=False,
+                max_branches=MAX_BRANCHES) -> JointState:
     """One round of local channels on every branch of the joint state.
 
-    Branch keys are (stacks, record) tuples; records grow by one
-    (spin row, color row) pair.  Norm is conserved exactly because the
-    channels are isometries on the reachable domain.
+    Each branch expands into one child per combination of the sites'
+    channel branches (`exact.expand_frontier`), parent-major with each
+    site's branches in table order, and its record grows by one spin row
+    and one color row.  The child count is checked against
+    `max_branches` before the round is built.  Norm is conserved exactly
+    because the channels are isometries on the reachable domain.
     """
     L = params.L
-    out = {}
-    for (stacks, record), amp in joint.items():
-        heights = [0] + [s[0] for s in stacks] + [0]
-        sites = _round_sites(L, n)
-        per_site = []
-        for i in sites:
-            dh_l = heights[i] - heights[i - 1]
-            dh_r = heights[i] - heights[i + 1]
-            blocks = stacks[i - 1][1]
-            top = blocks[-1] if blocks else None
-            per_site.append(channel_branches(dh_l, dh_r, top, p, params.colored,
-                                             cooling=cooling_active))
-        vertex_cols = [i for i in range(1, L + 1) if (i + n) % 2 == 1]
-
-        def emit(k, cur_stacks, row, colors, a):
-            if k == len(sites):
-                if n % 2 == 0:  # boundary emissions of the F rounds
-                    row[0] = 1
-                    row[L] = 1
-                    row[1] = 1 if heights[2] == 0 else 0
-                    row[L - 1] = 1 if heights[L - 1] == 0 else 0
-                key = (tuple(cur_stacks), record + ((tuple(row), tuple(colors)),))
-                if key in out:
-                    raise AssertionError("two distinct branches emitted the same record")
-                out[key] = a
-                return
-            i = sites[k]
-            h, blocks = cur_stacks[i - 1]
-            for delta, op, spins, color, branch_amp in per_site[k]:
-                if branch_amp == 0.0:
-                    continue
-                if op[0] == "push":
-                    new_stack = (h + 2, blocks + (op[1],))
-                elif op[0] == "pop":
-                    new_stack = (h - 2, blocks[:-1])
-                else:
-                    new_stack = (h, blocks)
-                if new_stack[0] > L + 2:
-                    raise CapacityError(f"stack {i} overflowed its L+2 depth cap")
-                cur_stacks[i - 1] = new_stack
-                row[i - 1], row[i] = spins
-                colors[vertex_cols.index(i)] = color
-                emit(k + 1, cur_stacks, row, colors, a * branch_amp)
-            cur_stacks[i - 1] = (h, blocks)
-
-        emit(0, list(stacks), [0] * (L + 1), [0] * len(vertex_cols), amp)
-        if len(out) > max_branches:
-            raise CapacityError(f"joint state exceeded {max_branches} branches")
+    table = _channel_table(p, params.colored, cooling_active)
+    sites = _round_sites(L, n)
+    h = joint.heights
+    labels = []
+    for i in sites:
+        top = np.where(h[:, i] == i % 2, 0, (joint.stacks[:, i] & 1) + 1)
+        labels.append(3 * (2 * (h[:, i] > h[:, i - 1]) + (h[:, i] > h[:, i + 1])) + top)
+    rows, choices = expand_frontier([table["valid"][label] for label in labels], len(joint),
+                                    max_branches, f"joint state exceeded {max_branches} branches")
+    heights, stacks, amps = h[rows], joint.stacks[rows], joint.amplitudes[rows]
+    row = np.zeros((len(rows), L + 1), dtype=np.uint8)
+    vertex_cols = [i for i in range(1, L + 1) if (i + n) % 2 == 1]
+    colors = np.zeros((len(rows), len(vertex_cols)), dtype=np.uint8)
+    for i, label, branch in zip(sites, labels, choices):
+        chosen = table[label[rows], branch]
+        amps = amps * chosen["amp"]
+        heights[:, i] += chosen["delta"]
+        if (heights[:, i] > L + 2).any():
+            raise CapacityError(f"stack {i} overflowed its L+2 depth cap")
+        push, pop = chosen["delta"] > 0, chosen["delta"] < 0
+        stacks[push, i] = (stacks[push, i] << 1) | (chosen["color"][push] - 1)
+        stacks[pop, i] >>= 1
+        row[:, i - 1], row[:, i] = chosen["spin_l"], chosen["spin_r"]
+        colors[:, vertex_cols.index(i)] = chosen["color"]
+    if n % 2 == 0:  # boundary emissions of the F rounds
+        row[:, 0] = row[:, L] = 1
+        row[:, 1] = heights[:, 2] == 0
+        row[:, L - 1] = heights[:, L - 1] == 0
+    out = JointState(heights, stacks, np.hstack([joint.spins[rows], row]),
+                     np.hstack([joint.colors[rows], colors]), amps)
+    # every branch as one byte string, record first: it tells branches apart soonest in the sort
+    whole = np.hstack([out.colors, out.spins, out.stacks.view(np.uint8), out.heights.view(np.uint8)])
+    branches = whole.view(np.dtype((np.void, whole.shape[1]))).ravel()
+    branches.sort()
+    if (branches[1:] == branches[:-1]).any():
+        raise AssertionError("two distinct branches emitted the same record")
     return out
 
 
@@ -193,41 +241,33 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
         raise UnsupportedModeError("generation targets the reflecting state; "
                                    "the absorbing one needs unbounded stacks")
     L = params.L
-    reference = init_emitter(L).stacks
-    joint = {(reference, ()): 1.0}
+    joint = initial_joint(L)
     start = cooling_start(L)
     for n in range(1, L + 1):
         active = cooling and n > start
         joint = apply_round(joint, n, params.p, params, cooling_active=active,
                             max_branches=max_branches)
-        norm = math.fsum(a * a for a in joint.values())
+        norm = math.fsum((joint.amplitudes * joint.amplitudes).tolist())
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"round {n} broke norm conservation: {norm!r}")
-    kept = {rec: amp for (stacks, rec), amp in joint.items() if stacks == reference}
-    success = math.fsum(a * a for a in kept.values())
+    # the reference emitter: every marker back at the horizon, so no pairs beneath
+    kept = (joint.heights == initial_joint(L).heights).all(axis=1)
+    amps = joint.amplitudes[kept]
+    success = math.fsum((amps * amps).tolist())
     if success <= 0:
         raise InvalidParameterError("post-selection removed every branch")
-    scale = 1.0 / math.sqrt(success)
+    # round n emits spin row n and, in vertex order, the colors of vertex row n,
+    # so the records concatenate in codec.site_order after the pinned bottom row
+    values = np.ones((len(amps), len(site_order(L, params.colored))), dtype=np.uint8)
+    values[:, L + 1:] = (np.hstack([joint.spins[kept], joint.colors[kept]]) if params.colored
+                         else joint.spins[kept])
     amplitudes = {}
-    for key, amp in zip(_record_keys(list(kept), params), kept.values()):
+    for key, amp in zip(key_bytes(pack_values(values, L, params.colored)),
+                        (amps * (1.0 / math.sqrt(success))).tolist()):
         if key in amplitudes:
             raise AssertionError("two records mapped to one canonical key")
-        amplitudes[key] = amp * scale
+        amplitudes[key] = amp
     return SparseState(amplitudes=amplitudes, params=params), success
-
-
-def _record_keys(records, params: ModelParams) -> list:
-    """Canonical keys of emitted records, with the fixed initial spin row prepended.
-
-    Round n emits spin row n and, in vertex order, the colors of vertex
-    row n, so the values of a record concatenate in `codec.site_order`.
-    """
-    L = params.L
-    values = np.ones((len(records), len(site_order(L, params.colored))), dtype=np.uint8)
-    for n, rec in enumerate(records):  # row by row: no list per record next to the joint state
-        values[n, L + 1:] = [b for row, _ in rec for b in row] + (
-            [c for _, colors in rec for c in colors] if params.colored else [])
-    return key_bytes(pack_values(values, L, params.colored))
 
 
 def fidelity(a: SparseState, b: SparseState) -> float:

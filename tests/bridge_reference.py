@@ -1,0 +1,121 @@
+"""Depth-first bridge enumeration: the reference for `exact.enumerate_bridge`.
+
+`slice_outcomes` yields every joint branch of one update slice, site by
+site in table order, and `enumerate_bridge` recurses over the slices,
+resolving each evaporation's color from per-site stacks.  The array
+frontier in `depevap.exact` must reproduce its records, weights (bit
+for bit), order and node count.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from depevap.codec import TrajectoryRecord
+from depevap.errors import CapacityError
+from depevap.exact import MAX_NODES, reaches_horizon
+from depevap.params import ModelParams
+from depevap.surface import COLOR_NONE, horizon_profile, no_change_probability, site_branches
+
+
+def slice_outcomes(profile, t, params: ModelParams):
+    """All branch outcomes of update slice t from the zigzag profile before it.
+
+    Yields (new_profile_tuple, weight, events) with events a tuple of
+    (site, kind, color); evaporation colors are None (resolved by the
+    caller from its stacks).  Absorbing mode drops branches reaching
+    h < 0 and multiplies the frozen-site survival factors.
+    """
+    L = params.L
+    base = 1.0
+    for i in (1, L):
+        if (i + t) % 2 == 1:
+            base *= no_change_probability(profile[i], profile[i - 1], profile[i + 1], params)
+    sites = [i for i in range(2, L) if (i + t) % 2 == 1]
+    per_site = []
+    for i in sites:
+        opts = []
+        for new_h, kind, color, prob in site_branches(profile[i], profile[i - 1], profile[i + 1], params):
+            if params.boundary_mode == "absorbing" and new_h < 0:
+                continue  # eager post-selection
+            if prob <= 0.0:
+                continue
+            opts.append((new_h, kind, color, prob))
+        per_site.append(opts)
+
+    def rec(k, prof, w, ev):
+        if k == len(sites):
+            yield tuple(prof), w * base, tuple(ev)
+            return
+        i = sites[k]
+        for new_h, kind, color, prob in per_site[k]:
+            prof[i] = new_h
+            yield from rec(k + 1, prof, w * prob, ev + [(i, kind, color)])
+        prof[i] = profile[i]
+
+    yield from rec(0, list(profile), 1.0, [])
+
+
+def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES, bridge: bool = True):
+    """([(TrajectoryRecord, weight)] of every bridge depth first, nodes visited)."""
+    params.require_odd_L()
+    L = params.L
+    horizon = tuple(int(h) for h in horizon_profile(L))
+    results = []
+    visited = 0
+
+    def rec(prof, t, weight, events, stacks):
+        nonlocal visited
+        visited += 1
+        if visited > max_nodes:
+            raise CapacityError(f"bridge enumeration exceeded {max_nodes} nodes")
+        if t > L:
+            if not bridge or prof == horizon:
+                H = history_to_heights(L, history)
+                results.append((TrajectoryRecord(L=L, heights=H, events=dict(events), weight=weight), weight))
+            return
+        for new_prof, w, ev in slice_outcomes(prof, t, params):
+            if bridge and not reaches_horizon(new_prof, t, horizon):
+                continue
+            resolved = [((i, t), ("no_change", COLOR_NONE))
+                        for i in (1, L) if (i + t) % 2 == 1]
+            pushed = []
+            for site, kind, color in ev:
+                if kind == "deposit":
+                    stacks[site].append(color)
+                    pushed.append(site)
+                elif kind == "evaporate":
+                    if stacks[site]:
+                        color = stacks[site].pop()
+                        pushed.append((site, color))
+                    else:
+                        color = COLOR_NONE  # sub-horizon evaporation, absorbing only
+                resolved.append(((site, t), (kind, color)))
+            history.append(new_prof)
+            rec(new_prof, t + 1, weight * w, events + resolved, stacks)
+            history.pop()
+            for item in reversed(pushed):
+                if isinstance(item, tuple):  # undo an evaporation pop
+                    site, color = item
+                    stacks[site].append(color)
+                else:  # undo a deposit push
+                    stacks[item].pop()
+
+    history = [horizon]
+    rec(horizon, 1, 1.0, [], {i: [] for i in range(1, L + 1)})
+    return results, visited
+
+
+def history_to_heights(L, history):
+    """Heights array from the zigzag profiles after slices 0..L."""
+    H = np.zeros((L + 2, L + 2), dtype=np.int64)
+    # rows 0 and 1 come from the initial zigzag; slice t settles row t+1
+    for i in range(L + 2):
+        H[0][i] = history[0][i] if i % 2 == 0 else 0
+        H[1][i] = history[0][i] if i % 2 == 1 else 0
+    for t in range(1, L + 1):
+        prof = history[t]
+        for i in range(L + 2):
+            if (i + t + 1) % 2 == 0:
+                H[t + 1][i] = prof[i]
+    return H

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bridge_reference import slice_outcomes
 from conftest import dense_schmidt_weights, oracle_midcut_marginal
 from depevap import ModelParams
 from depevap.codec import (
@@ -25,7 +26,7 @@ from depevap.entropy import (
     TransferKernel,
 )
 from depevap.errors import CapacityError, DecodeError, InvalidParameterError
-from depevap.exact import SparseState, build_state, slice_outcomes
+from depevap.exact import SparseState, build_state
 
 
 def test_midcut_examples():

@@ -1,8 +1,10 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 
+from bridge_reference import enumerate_bridge as reference_enumerate_bridge
 from conftest import oracle_enumerate, oracle_success
 from depevap import ModelParams
 from depevap.codec import canonical_key, key_length, key_to_config
@@ -119,6 +121,44 @@ def test_uncolored_marginal_consistency():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         enumerate_bridge(ModelParams(L=7, p=0.5, colored=True), max_nodes=10)
+
+
+def _assert_matches_recursion(params, bridge=True):
+    # same records, weights (bit for bit) and order as the depth-first
+    # recursion, and the same node count at the capacity guard
+    got = enumerate_bridge(params, bridge=bridge)
+    want, visited = reference_enumerate_bridge(params, bridge=bridge)
+    assert len(got) == len(want)
+    assert [w for _, w in got] == [w for _, w in want]
+    for (traj, w), (ref, _) in zip(got, want):
+        assert np.array_equal(traj.heights, ref.heights)
+        assert list(traj.events.items()) == list(ref.events.items())
+        assert traj.weight == ref.weight == w
+    assert len(enumerate_bridge(params, max_nodes=visited, bridge=bridge)) == len(want)
+    with pytest.raises(CapacityError):
+        enumerate_bridge(params, max_nodes=visited - 1, bridge=bridge)
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("colored", [True, False])
+@pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
+@pytest.mark.parametrize("L", [3, 5])
+def test_frontier_matches_recursion(L, mode, colored, p, bridge):
+    _assert_matches_recursion(ModelParams(L=L, p=p, boundary_mode=mode, colored=colored), bridge)
+
+
+@pytest.mark.parametrize("mode,colored", [("absorbing", False), ("reflecting", True)])
+def test_frontier_matches_recursion_L7(mode, colored):
+    _assert_matches_recursion(ModelParams(L=7, p=0.5, boundary_mode=mode, colored=colored))
+
+
+def test_capacity_guard_threshold():
+    # the root plus every trajectory alive after each slice: 27,848 nodes
+    params = ModelParams(L=7, p=0.5, colored=True)
+    assert len(enumerate_bridge(params, max_nodes=27_848)) == 8_481
+    with pytest.raises(CapacityError):
+        enumerate_bridge(params, max_nodes=27_847)
 
 
 def test_matches_independent_oracle():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -369,6 +370,25 @@ def test_mismatched_colors_are_gapped():
     config.colors[(2, 3)] = 2  # break the pair matching
     bad = _state_from_key(canonical_key(config), params)
     assert expectation(terms, bad) >= 1.0 - 1e-12
+
+
+# (L, colored, keys, sha256 of the sorted keys joined) recorded before the
+# histories went through codec.profiles_to_heights
+SECTOR_KEY_HASHES = [
+    (3, False, 2, "3821076e12eb16368a943b1606b2484a001db79c6c14cdc1b1ed966628775f85"),
+    (3, True, 5, "75ad06fa41bbad373948562dd5ffd670e9b144cef1b52bd8746c408d158201b8"),
+    (5, False, 18, "eebbb3b3d535e3ee6a7886eef039a9fec4a9dcc88518f33015d5a88e549fe932"),
+    (5, True, 237, "d5a1821bf2cd8f18d34fbfc0c5eac0b44f24cca6e055bdc1bbe7f4f0e9753ebc"),
+    (7, False, 868, "2febc7fcb003a6c1fdc8a2daf7532f2a6d79c62163e17e39d1efa0219e2f0a02"),
+    (7, True, 175969, "d18b89531c3fe59d5dd922443985e255ed7dde0ab8e9932ddc4db12063f91a86"),
+]
+
+
+@pytest.mark.parametrize("L,colored,count,digest", SECTOR_KEY_HASHES)
+def test_sector_keys_unchanged(L, colored, count, digest):
+    keys = sector_keys(ModelParams(L=L, p=0.5, colored=colored, **ABS))
+    assert len(keys) == count
+    assert hashlib.sha256(b"".join(keys)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("colored", [True, False])

@@ -1,20 +1,120 @@
 import math
 
+import numpy as np
 import pytest
 
 from depevap import ModelParams
-from depevap.codec import decode_config, key_to_config
-from depevap.errors import InvalidParameterError, UnsupportedModeError
+from depevap.codec import decode_config, key_bytes, key_to_config, pack_values, site_order
+from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from depevap.exact import build_state, success_probability
 from depevap.seqgen import (
+    MAX_BRANCHES,
+    JointState,
     apply_round,
     channel_branches,
     cooling_start,
     fidelity,
     init_emitter,
+    initial_joint,
     local_channel,
     run_generation,
 )
+
+
+def _reference_apply_round(joint, n, p, params, cooling_active=False,
+                           max_branches=MAX_BRANCHES):
+    """The dict-based round: {(stacks, record): amp}, expanded depth first per branch."""
+    L = params.L
+    out = {}
+    for (stacks, record), amp in joint.items():
+        heights = [0] + [s[0] for s in stacks] + [0]
+        sites = [i for i in range(2, L) if i % 2 == (0 if n % 2 == 1 else 1)]
+        per_site = []
+        for i in sites:
+            dh_l = heights[i] - heights[i - 1]
+            dh_r = heights[i] - heights[i + 1]
+            blocks = stacks[i - 1][1]
+            top = blocks[-1] if blocks else None
+            per_site.append(channel_branches(dh_l, dh_r, top, p, params.colored,
+                                             cooling=cooling_active))
+        vertex_cols = [i for i in range(1, L + 1) if (i + n) % 2 == 1]
+
+        def emit(k, cur_stacks, row, colors, a):
+            if k == len(sites):
+                if n % 2 == 0:  # boundary emissions of the F rounds
+                    row[0] = 1
+                    row[L] = 1
+                    row[1] = 1 if heights[2] == 0 else 0
+                    row[L - 1] = 1 if heights[L - 1] == 0 else 0
+                key = (tuple(cur_stacks), record + ((tuple(row), tuple(colors)),))
+                if key in out:
+                    raise AssertionError("two distinct branches emitted the same record")
+                out[key] = a
+                return
+            i = sites[k]
+            h, blocks = cur_stacks[i - 1]
+            for delta, op, spins, color, branch_amp in per_site[k]:
+                if branch_amp == 0.0:
+                    continue
+                if op[0] == "push":
+                    new_stack = (h + 2, blocks + (op[1],))
+                elif op[0] == "pop":
+                    new_stack = (h - 2, blocks[:-1])
+                else:
+                    new_stack = (h, blocks)
+                if new_stack[0] > L + 2:
+                    raise CapacityError(f"stack {i} overflowed its L+2 depth cap")
+                cur_stacks[i - 1] = new_stack
+                row[i - 1], row[i] = spins
+                colors[vertex_cols.index(i)] = color
+                emit(k + 1, cur_stacks, row, colors, a * branch_amp)
+            cur_stacks[i - 1] = (h, blocks)
+
+        emit(0, list(stacks), [0] * (L + 1), [0] * len(vertex_cols), amp)
+        if len(out) > max_branches:
+            raise CapacityError(f"joint state exceeded {max_branches} branches")
+    return out
+
+
+def _joint_dict(joint: JointState, L):
+    """The array joint state in the reference's {(stacks, record): amp} form."""
+    out = {}
+    widths = [len([i for i in range(1, L + 1) if (i + n) % 2 == 1])
+              for n in range(1, joint.spins.shape[1] // (L + 1) + 1)]
+    for heights, bits, spins, colors, amp in zip(
+            joint.heights.tolist(), joint.stacks.tolist(), joint.spins.tolist(),
+            joint.colors.tolist(), joint.amplitudes.tolist()):
+        stacks = []
+        for i in range(1, L + 1):
+            depth = (heights[i] - i % 2) // 2  # bottom pair in the highest bit
+            stacks.append((heights[i], tuple((bits[i] >> k & 1) + 1
+                                             for k in reversed(range(depth)))))
+        record, start = [], 0
+        for n, width in enumerate(widths):
+            record.append((tuple(spins[n * (L + 1):(n + 1) * (L + 1)]),
+                           tuple(colors[start:start + width])))
+            start += width
+        out[(tuple(stacks), tuple(record))] = amp
+    return out
+
+
+def _reference_generation(params, cooling=False):
+    """([(key, amplitude)], success) of the dict-based rounds, in branch order."""
+    L = params.L
+    reference = init_emitter(L).stacks
+    joint = {(reference, ()): 1.0}
+    for n in range(1, L + 1):
+        joint = _reference_apply_round(joint, n, params.p, params,
+                                       cooling_active=cooling and n > cooling_start(L))
+    kept = {rec: amp for (stacks, rec), amp in joint.items() if stacks == reference}
+    success = math.fsum(a * a for a in kept.values())
+    values = np.ones((len(kept), len(site_order(L, params.colored))), dtype=np.uint8)
+    for n, rec in enumerate(kept):
+        values[n, L + 1:] = [b for row, _ in rec for b in row] + (
+            [c for _, colors in rec for c in colors] if params.colored else [])
+    keys = key_bytes(pack_values(values, L, params.colored))
+    scale = 1.0 / math.sqrt(success)
+    return [(key, amp * scale) for key, amp in zip(keys, kept.values())], success
 
 
 def test_init_emitter_markers_and_roundtrip():
@@ -64,35 +164,76 @@ def test_boundary_channels():
     # even rounds emit the outermost spins up, and the spins next to them up
     # exactly when the adjacent interior site sits at height 0
     params = ModelParams(L=5, p=0.6, boundary_mode="reflecting", colored=True)
-    joint = {(init_emitter(5).stacks, ()): 1.0}
-    joint = apply_round(apply_round(joint, 1, 0.6, params), 2, 0.6, params)
-    for stacks, record in joint:
-        row, _ = record[-1]
-        h2, h4 = stacks[1][0], stacks[3][0]
-        assert (row[0], row[5]) == (1, 1)
-        assert (row[1], row[4]) == (int(h2 == 0), int(h4 == 0))
-    assert {stacks[1][0] for stacks, _ in joint} == {0, 2}
+    joint = apply_round(apply_round(initial_joint(5), 1, 0.6, params), 2, 0.6, params)
+    row = joint.spins[:, -6:]
+    h2, h4 = joint.heights[:, 2], joint.heights[:, 4]
+    assert (row[:, 0] == 1).all() and (row[:, 5] == 1).all()
+    assert (row[:, 1] == (h2 == 0)).all() and (row[:, 4] == (h4 == 0)).all()
+    assert set(h2.tolist()) == {0, 2}
 
 
 def test_apply_round_norm_and_branching():
     params = ModelParams(L=5, p=0.5, boundary_mode="reflecting", colored=True)
-    joint = {(init_emitter(5).stacks, ()): 1.0}
-    joint = apply_round(joint, 1, 0.5, params)
+    joint = apply_round(initial_joint(5), 1, 0.5, params)
     # two valley sites, three branches each
     assert len(joint) == 9
-    assert math.fsum(a * a for a in joint.values()) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum((joint.amplitudes ** 2).tolist()) == pytest.approx(1.0, abs=1e-12)
     joint = apply_round(joint, 2, 0.5, params)
-    assert math.fsum(a * a for a in joint.values()) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum((joint.amplitudes ** 2).tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_round_p0_single_branch():
     params = ModelParams(L=5, p=0.0, boundary_mode="reflecting", colored=True)
-    joint = {(init_emitter(5).stacks, ()): 1.0}
+    joint = initial_joint(5)
     for n in (1, 2, 3, 4, 5):
         joint = apply_round(joint, n, 0.0, params)
     assert len(joint) == 1
-    (stacks, record), amp = next(iter(joint.items()))
+    ((stacks, record), amp), = _joint_dict(joint, 5).items()
     assert stacks == init_emitter(5).stacks and amp == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("cooling", [False, True])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("colored", [True, False])
+@pytest.mark.parametrize("L", [3, 5])
+def test_rounds_match_reference(L, colored, p, cooling):
+    # every round: the same branches, order and amplitude bits as the dict rounds
+    params = ModelParams(L=L, p=p, boundary_mode="reflecting", colored=colored)
+    joint, ref = initial_joint(L), {(init_emitter(L).stacks, ()): 1.0}
+    for n in range(1, L + 1):
+        active = cooling and n > cooling_start(L)
+        joint = apply_round(joint, n, p, params, cooling_active=active)
+        ref = _reference_apply_round(ref, n, p, params, cooling_active=active)
+        assert list(_joint_dict(joint, L).items()) == list(ref.items()), n
+    state, success = run_generation(params, cooling=cooling)
+    assert (list(state.amplitudes.items()), success) == _reference_generation(params, cooling)
+
+
+def test_generation_matches_reference_L7():
+    params = ModelParams(L=7, p=0.5, boundary_mode="reflecting", colored=True)
+    state, success = run_generation(params, cooling=True)
+    assert (list(state.amplitudes.items()), success) == _reference_generation(params, True)
+
+
+def test_branch_cap_threshold():
+    # the last round of L = 7 holds 163,689 branches
+    params = ModelParams(L=7, p=0.5, boundary_mode="reflecting", colored=True)
+    assert len(run_generation(params, max_branches=163_689)[0]) == 8_481
+    with pytest.raises(CapacityError):
+        run_generation(params, max_branches=163_688)
+
+
+def test_round_guards():
+    params = ModelParams(L=3, p=0.5, boundary_mode="reflecting", colored=True)
+    twice = initial_joint(3)
+    twice = JointState(*(np.concatenate([a, a]) for a in (
+        twice.heights, twice.stacks, twice.spins, twice.colors, twice.amplitudes)))
+    with pytest.raises(AssertionError, match="same record"):
+        apply_round(twice, 1, 0.5, params)
+    deep = initial_joint(3)
+    deep.heights[0, 1:4] = (5, 4, 5)  # a valley whose deposit would pass the L+2 cap
+    with pytest.raises(CapacityError, match="overflowed"):
+        apply_round(deep, 1, 0.5, params)
 
 
 @pytest.mark.parametrize("L", [3, 5])

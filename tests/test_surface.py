@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bridge_reference import slice_outcomes
 from depevap import ModelParams
 from depevap.errors import InvalidParameterError
-from depevap.exact import enumerate_bridge, slice_outcomes
+from depevap.exact import enumerate_bridge
 from depevap.surface import (
     deposit_rule,
     evaporate_rule,
