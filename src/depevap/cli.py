@@ -3,10 +3,12 @@
 Every experiment is described by a manifest (a flat JSON object); flags
 override manifest entries.  Each run writes deterministic CSV data files
 plus run_metadata.json (manifest echo, seed, package version, wall
-time, peak resident memory).  Rerunning the same manifest reproduces the
-data files byte for byte; the metadata file carries the only
-nondeterministic content (timing and memory) and is excluded from that
-guarantee.
+time, peak resident memory of the process and of its largest child, and
+for scaling the trajectory ranges of each grid point).  Rerunning the
+same manifest reproduces the data files byte for byte; the metadata
+file carries the only nondeterministic content (timing, memory and the
+range count, which follows the CPUs available) and is excluded from
+that guarantee.
 
 Exit codes: 0 success, 2 capacity guard tripped on some grid points
 (partial results written), 1 hard error.
@@ -111,15 +113,17 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
         "seqgen-check": _run_seqgen_check,
         "phase-sweep": _run_phase_sweep,
     }[manifest["experiment"]]
-    paths, capacity_hit = runner(manifest, outdir)
+    meta = {"manifest": manifest, "seed": manifest["seed"]}
+    paths, capacity_hit = runner(manifest, outdir, meta)  # a runner may add entries
     try:
-        version = _im.version("depevap")
+        meta["version"] = _im.version("depevap")
     except _im.PackageNotFoundError:
-        version = "unknown"
-    wall = time.perf_counter() - started
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    meta = {"manifest": manifest, "seed": manifest["seed"], "version": version,
-            "wall_time_s": wall, "peak_rss_mb": peak_kib / 1024}
+        meta["version"] = "unknown"
+    meta["wall_time_s"] = time.perf_counter() - started
+    # ru_maxrss is in KiB on Linux; the children's figure is the largest peak
+    # of any waited-for child, such as the free-dynamics range workers
+    meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    meta["peak_rss_children_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     meta_path = outdir / "run_metadata.json"
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -127,11 +131,13 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     return paths + [meta_path], 2 if capacity_hit else 0
 
 
-def _run_scaling(manifest, outdir):
+def _run_scaling(manifest, outdir, meta):
     paths = []
     summary = []
+    meta["trajectory_ranges"] = []
     for params in _grid(manifest):
         series = ensemble(params, manifest["samples"], manifest["tmax"])
+        meta["trajectory_ranges"].append({"L": params.L, "p": params.p, "ranges": series.ranges})
         rows = [(int(t), w, ws, m, ms, f, series.n_samples)
                 for t, w, ws, m, ms, f in zip(series.times, series.W, series.W_stderr,
                                               series.mid_height, series.mid_stderr,
@@ -177,7 +183,7 @@ def _entropy_rows(manifest, methods):
     return rows, capacity
 
 
-def _run_exact_entropy(manifest, outdir):
+def _run_exact_entropy(manifest, outdir, meta):
     rows, capacity = _entropy_rows(manifest, ("svd", "dp"))
     path = outdir / "exact_entropy.csv"
     _write_csv(path, ["L", "p", "mode", "cut", "method",
@@ -185,7 +191,7 @@ def _run_exact_entropy(manifest, outdir):
     return [path], capacity
 
 
-def _run_dp_entropy(manifest, outdir):
+def _run_dp_entropy(manifest, outdir, meta):
     rows, capacity = _entropy_rows(manifest, ("dp",))
     path = outdir / "dp_entropy.csv"
     _write_csv(path, ["L", "p", "mode", "cut", "method",
@@ -193,7 +199,7 @@ def _run_dp_entropy(manifest, outdir):
     return [path], capacity
 
 
-def _run_hamiltonian_check(manifest, outdir):
+def _run_hamiltonian_check(manifest, outdir, meta):
     res_rows = []
     spec_rows = []
     capacity = False
@@ -217,7 +223,7 @@ def _run_hamiltonian_check(manifest, outdir):
     return [p1, p2], capacity
 
 
-def _run_seqgen_check(manifest, outdir):
+def _run_seqgen_check(manifest, outdir, meta):
     rows = []
     capacity = False
     for params in _grid(manifest):
@@ -238,7 +244,7 @@ def _run_seqgen_check(manifest, outdir):
     return [path], capacity
 
 
-def _run_phase_sweep(manifest, outdir):
+def _run_phase_sweep(manifest, outdir, meta):
     rows = []
     capacity = False
     by_p = {}

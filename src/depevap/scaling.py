@@ -32,11 +32,22 @@ trajectories (for W_fluct).  A slice refreshes only the sublattice it
 updates, so W = sqrt((L S2 - S1^2) / L^2) and the across-trajectory
 variance (n C2 - C1^2) / (n (n-1)) come from exact integer moments
 without a pass over the whole lattice.
+
+Trajectory ranges.  `ensemble` splits the trajectories into contiguous
+ranges, one per CPU in the process's affinity mask.  The calling process
+runs range 0; fork-started workers run the others and stream each slice
+block's per-trajectory W and integer partial moments through a queue.
+The caller puts the W columns back in trajectory order and adds the
+integer partials exactly, so the float reductions see the same (block,
+n_traj) operands, and every output is byte-identical, for any number of
+ranges.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +83,7 @@ class ObservableSeries:
     W_fluct: np.ndarray
     n_samples: int
     params: ModelParams
+    ranges: int = 1  # trajectory ranges the ensemble ran in; no output depends on it
 
 
 def roughness(profile) -> float:
@@ -90,9 +102,17 @@ def _spot_check(H, L):
         raise AssertionError("negative height in reflecting dynamics")
 
 
-def _trajectory_generators(params: ModelParams, n_traj):
+def _cpu_count():
+    """CPUs this process may run on: the number of trajectory ranges."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _trajectory_generators(params: ModelParams, lo, hi):
     return [np.random.Generator(np.random.Philox(key=(params.seed << 64) + k))
-            for k in range(n_traj)]
+            for k in range(lo, hi)]
 
 
 def _check_capacity(L, n_traj):
@@ -120,20 +140,22 @@ class _Sublattice:
         self.center_cols = slice(first - center.start, center.stop - center.start, 2)
 
 
-def ensemble(params: ModelParams, n_traj: int, t_max: int,
-             check_every: int = 4096) -> ObservableSeries:
-    """Trajectory-mean W(t) and midpoint height with standard errors."""
-    if n_traj < 1:
-        raise InvalidParameterError("need at least one trajectory")
-    if params.boundary_mode != "reflecting":
-        raise InvalidParameterError("free dynamics runs in reflecting mode")
+def _range_blocks(params: ModelParams, lo, hi, t_max, check_every):
+    """Run trajectories lo..hi-1 and yield one slice block at a time.
+
+    A block of b slices is (w, mid1, mid2, site1, site2): the (b, hi - lo)
+    spatial roughness of every trajectory, the (b,) integer sums of the
+    mid height and its square over the range, and the (b, n_center)
+    integer sums of h and h^2 per central site over the range.  Every
+    yielded array is new, so a queue may pickle it after the next block
+    has started.
+    """
     L = params.L
-    _check_capacity(L, n_traj)
-    n = n_traj
+    n = hi - lo
     mid = (L + 1) // 2
     deposit = branch_probability("valley", +2, params.p)
     stay = branch_probability("peak", 0, params.p)
-    gens = _trajectory_generators(params, n)
+    gens = _trajectory_generators(params, lo, hi)
     H = np.repeat(horizon_profile(L).astype(np.int16)[:, None], n, axis=1)
     center = slice(L // 3 + 1, 2 * L // 3 + 1)
     # slice t updates the sites 2, 4, ... when t is odd and 3, 5, ... when even
@@ -147,7 +169,7 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int,
     sq = np.empty((max_upd, n), dtype=np.int32)
 
     # integer moments, kept per sublattice and trajectory (S) and per
-    # central site (C); the per-slice rows of a block become floats at its end
+    # central site (C); the per-slice rows of a block leave at its end
     frozen = H[[1, L]].astype(np.int64)  # sites 1 and L never move
     fixed1, fixed2 = frozen.sum(axis=0), (frozen ** 2).sum(axis=0)
     S1 = np.stack([sub.h.sum(axis=0, dtype=np.int64) for sub in subs])
@@ -155,16 +177,14 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int,
     C1 = H[center].sum(axis=1, dtype=np.int64)
     C2 = (H[center].astype(np.int64) ** 2).sum(axis=1)
     traj1, traj2, mids = np.empty((3, _BLOCK_SLICES, n), dtype=np.int64)
-    site1, site2 = np.empty((2, _BLOCK_SLICES, len(C1)), dtype=np.int64)
-    W_sum, W_sq, mid_sum, mid_sq, W_fluct = np.zeros((5, t_max))
-    t = 0
-    while t < t_max:
+    for t in range(0, t_max, _BLOCK_SLICES):
         block = min(_BLOCK_SLICES, t_max - t)
         for k, g in enumerate(gens):
             g.random(out=u[:block])
             np.subtract(u[:block] < deposit, u[:block] >= stay, dtype=np.int8,
                         out=by_traj[k, :block])
         np.copyto(actions[:block], by_traj[:, :block].transpose(1, 2, 0))
+        site1, site2 = np.empty((2, block, len(C1)), dtype=np.int64)
         for j in range(block):
             step = t + j + 1
             par = step % 2
@@ -186,22 +206,112 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int,
             np.add(S1[0], S1[1], out=traj1[j])
             np.add(S2[0], S2[1], out=traj2[j])
             mids[j] = H[mid]
-            if n > 1:
-                h[sub.center_rows].sum(axis=1, dtype=np.int64, out=C1[sub.center_cols])
-                hh[sub.center_rows].sum(axis=1, dtype=np.int64, out=C2[sub.center_cols])
-                site1[j], site2[j] = C1, C2
+            h[sub.center_rows].sum(axis=1, dtype=np.int64, out=C1[sub.center_cols])
+            hh[sub.center_rows].sum(axis=1, dtype=np.int64, out=C2[sub.center_cols])
+            site1[j], site2[j] = C1, C2
             if step % check_every == 0:
                 _spot_check(H, L)
-        rows = slice(t, t + block)
+        if t + block == t_max:
+            _spot_check(H, L)
         b1, b2 = traj1[:block] + fixed1, traj2[:block] + fixed2
         w = np.sqrt((L * b2 - b1 * b1) / (L * L))
-        W_sum[rows], W_sq[rows] = w.sum(axis=1), (w * w).sum(axis=1)
-        mid_sum[rows], mid_sq[rows] = mids[:block].sum(axis=1), (mids[:block] ** 2).sum(axis=1)
-        if n > 1:
-            var = (n * site2[:block] - site1[:block] ** 2) / (n * (n - 1))
-            W_fluct[rows] = np.sqrt(var.mean(axis=1))
-        t += block
-    _spot_check(H, L)
+        m = mids[:block]
+        yield w, m.sum(axis=1), (m ** 2).sum(axis=1), site1, site2
+
+
+def _stream_range(q, params, lo, hi, t_max, check_every):
+    """Worker body: put every block of trajectories lo..hi-1 on the queue,
+    or the exception that stopped them."""
+    try:
+        for block in _range_blocks(params, lo, hi, t_max, check_every):
+            q.put(block)
+    except Exception as exc:  # the parent raises it
+        q.put(exc)
+
+
+def _received_blocks(q, proc):
+    """The blocks a worker puts on its queue; raises what the worker raised,
+    or RuntimeError if it exits before its last block."""
+    from queue import Empty
+
+    while True:
+        try:
+            item = q.get(timeout=1.0)
+        except Empty:
+            if proc.is_alive():
+                continue
+            try:  # an exited worker has flushed all it put
+                item = q.get_nowait()
+            except Empty:
+                raise RuntimeError(f"trajectory worker exited with code {proc.exitcode} "
+                                   "before its last slice block") from None
+        if isinstance(item, Exception):
+            raise item
+        yield item
+
+
+@contextmanager
+def _trajectory_ranges(params: ModelParams, n_traj, t_max, check_every):
+    """Block streams of contiguous trajectory ranges, in trajectory order.
+
+    There is one range per CPU in the affinity mask, at most `n_traj`.
+    The caller runs range 0 itself; each other range runs in a
+    fork-started worker that streams its blocks through a queue.  The
+    workers are joined on exit, and terminated first if the caller
+    raises.  One range, or no `fork` start method, runs inline.
+    """
+    ranges = min(_cpu_count(), n_traj)
+    if ranges > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            ranges = 1
+    bounds = [n_traj * r // ranges for r in range(ranges + 1)]
+    streams = [_range_blocks(params, 0, bounds[1], t_max, check_every)]
+    procs = []
+    try:
+        if ranges > 1:
+            ctx = multiprocessing.get_context("fork")
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                q = ctx.Queue()
+                proc = ctx.Process(target=_stream_range, daemon=True,
+                                   args=(q, params, lo, hi, t_max, check_every))
+                proc.start()
+                procs.append(proc)
+                streams.append(_received_blocks(q, proc))
+        yield streams
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+
+
+def ensemble(params: ModelParams, n_traj: int, t_max: int,
+             check_every: int = 4096) -> ObservableSeries:
+    """Trajectory-mean W(t) and midpoint height with standard errors."""
+    if n_traj < 1:
+        raise InvalidParameterError("need at least one trajectory")
+    if params.boundary_mode != "reflecting":
+        raise InvalidParameterError("free dynamics runs in reflecting mode")
+    _check_capacity(params.L, n_traj)
+    n = n_traj
+    W_sum, W_sq, mid_sum, mid_sq, W_fluct = np.zeros((5, t_max))
+    with _trajectory_ranges(params, n, t_max, check_every) as streams:
+        for t in range(0, t_max, _BLOCK_SLICES):
+            ws, mid1, mid2, site1, site2 = zip(*(next(stream) for stream in streams))
+            # columns in trajectory order, integer partials added exactly: the
+            # float reduction below sees the same (block, n) operands for any split
+            w = np.concatenate(ws, axis=1)
+            rows = slice(t, t + len(w))
+            W_sum[rows], W_sq[rows] = w.sum(axis=1), (w * w).sum(axis=1)
+            mid_sum[rows], mid_sq[rows] = sum(mid1), sum(mid2)
+            if n > 1:
+                var = (n * sum(site2) - sum(site1) ** 2) / (n * (n - 1))
+                W_fluct[rows] = np.sqrt(var.mean(axis=1))
+        ranges = len(streams)
     W_mean = W_sum / n
     mid_mean = mid_sum / n
 
@@ -214,7 +324,7 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int,
     return ObservableSeries(times=np.arange(1, t_max + 1),
                             W=W_mean, W_stderr=stderr(W_sq, W_mean),
                             mid_height=mid_mean, mid_stderr=stderr(mid_sq, mid_mean),
-                            W_fluct=W_fluct, n_samples=n, params=params)
+                            W_fluct=W_fluct, n_samples=n, params=params, ranges=ranges)
 
 
 def saturation_time(series: ObservableSeries, window: float = 10.0,
@@ -231,16 +341,24 @@ def saturation_time(series: ObservableSeries, window: float = 10.0,
         raise InvalidParameterError(f"observable must be one of {sorted(data)}")
     logt = np.log(times.astype(float))
     logw = np.log(np.maximum(data[observable], 1e-300))
-    for k in range(len(times)):
-        t_hi = times[k]
-        if t_hi < window * times[0] or t_hi < 20:
-            continue
-        lo = np.searchsorted(times, t_hi / window)
-        if k - lo < 4:
-            continue
+    ks = np.arange(len(times))
+    los = np.searchsorted(times, times / window)
+    fits = (times >= window * times[0]) & (times >= 20) & (ks - los >= 4)
+    # closed-form least-squares slope of every window [lo, k] from prefix
+    # sums; it is within about 1e-12 of polyfit, so a window whose slope
+    # clears the tolerance by 1e-9 cannot saturate and is skipped.  NaN
+    # never clears it, and polyfit decides every other window, in order.
+    prefix = np.zeros((4, len(times) + 1))
+    np.cumsum([logt, logw, logt * logt, logt * logw], axis=1, out=prefix[:, 1:])
+    sx, sy, sxx, sxy = prefix[:, ks + 1] - prefix[:, los]
+    m = ks - los + 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = (m * sxy - sx * sy) / (m * sxx - sx * sx)
+    for k in np.flatnonzero(fits & ~(slopes >= tolerance + 1e-9)):
+        lo = los[k]
         slope = np.polyfit(logt[lo:k + 1], logw[lo:k + 1], 1)[0]
         if slope < tolerance:
-            return int(t_hi)
+            return int(times[k])
     return None
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from depevap import scaling
 from depevap.cli import load_manifest, main, normalize_manifest, run_experiment, save_manifest
 from depevap.errors import InvalidParameterError
 
@@ -52,6 +53,10 @@ def test_scaling_experiment_and_determinism(tmp_path):
     assert any("scaling_summary" in p.name for p in csvs)
     header = [p for p in csvs if "summary" not in p.name][0].read_text().splitlines()[0]
     assert header == "t,W_mean,W_stderr,mid_mean,mid_stderr,W_fluct,n"
+    meta = json.loads((tmp_path / "a" / "run_metadata.json").read_text())
+    ranges = min(scaling._cpu_count(), 4)
+    assert meta["trajectory_ranges"] == [{"L": 32, "p": 0.5, "ranges": ranges}]
+    assert meta["peak_rss_children_mb"] >= 0
 
 
 def test_capacity_partial_exit(tmp_path):

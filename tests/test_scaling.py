@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -72,13 +74,19 @@ def _reference_ensemble(params, n, t_max):
 
 
 def _ensemble_with_profile(monkeypatch, params, n, t_max):
-    """`ensemble` plus its final site-major heights, as its last spot check saw them."""
+    """`ensemble` plus its final site-major heights, as its last spot check saw them.
+
+    It runs one trajectory range, so that one spot check sees every
+    trajectory in this process; `test_results_do_not_depend_on_partition`
+    covers the other range counts.
+    """
     seen = []
 
     def recording_check(H, L):
         seen.append(H.copy())
         _spot_check(H, L)
 
+    monkeypatch.setattr(scaling, "_cpu_count", lambda: 1)
     monkeypatch.setattr(scaling, "_spot_check", recording_check)
     series = ensemble(params, n, t_max)
     return series, seen[-1]
@@ -104,6 +112,58 @@ def test_kernel_matches_gather_reference(monkeypatch, L):
             # the 1e-12 relative bar applies to the variance on the scale W^2
             np.testing.assert_allclose(series.W_stderr ** 2, ref["W_stderr"] ** 2,
                                        rtol=1e-12, atol=1e-12 * ref["W"].max() ** 2)
+
+
+_SERIES_ARRAYS = ("times", "W", "W_stderr", "mid_height", "mid_stderr", "W_fluct")
+
+
+@pytest.mark.parametrize("L", [4, 5, 16, 33, 129])
+def test_results_do_not_depend_on_partition(monkeypatch, L):
+    # the grid of test_kernel_matches_gather_reference: n = 1 and 2 run
+    # fewer trajectories than 3 workers, and t_max = 260 crosses two RNG
+    # block boundaries
+    t_max = 260
+    for p in (0.0, 0.3, 0.5, 1.0):
+        for n in (1, 2, 7):
+            params = ModelParams(L=L, p=p, seed=L + 10 * n)
+            runs = {}
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(scaling, "_cpu_count", lambda: workers)
+                runs[workers] = ensemble(params, n, t_max)
+                assert runs[workers].ranges == min(workers, n)
+            for workers in (2, 3):
+                for name in _SERIES_ARRAYS:
+                    assert (getattr(runs[workers], name).tobytes()
+                            == getattr(runs[1], name).tobytes()), (L, p, n, workers, name)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
+    parent = os.getpid()
+    params = ModelParams(L=16, p=0.5, seed=1)
+    monkeypatch.setattr(scaling, "_cpu_count", lambda: 3)
+
+    def failing_in(where):
+        def check(H, L):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise AssertionError(f"spot check failed in the {where}")
+            _spot_check(H, L)
+        return check
+
+    for where in ("worker", "parent"):
+        monkeypatch.setattr(scaling, "_spot_check", failing_in(where))
+        with pytest.raises(AssertionError, match=f"spot check failed in the {where}"):
+            ensemble(params, 6, 300, check_every=64)
+        assert multiprocessing.active_children() == []
+
+    def exiting_worker(H, L):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    monkeypatch.setattr(scaling, "_spot_check", exiting_worker)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        ensemble(params, 6, 300, check_every=64)
+    assert multiprocessing.active_children() == []
 
 
 def test_roughness_examples():
@@ -185,6 +245,7 @@ def test_reflecting_soak_vectorized(monkeypatch):
         calls.append(int(H.min()))
         _spot_check(H, L)
 
+    monkeypatch.setattr(scaling, "_cpu_count", lambda: 1)  # every check in this process
     monkeypatch.setattr(scaling, "_spot_check", counting_check)
     ensemble(ModelParams(L=64, p=0.9, seed=99), 4, 100_000, check_every=1000)
     assert len(calls) == 101 and min(calls) >= 0
@@ -212,13 +273,46 @@ def test_capacity_guard_before_allocation(monkeypatch):
     def no_allocation(*args):
         raise AssertionError("the guard must trip before any allocation")
 
+    monkeypatch.setattr(scaling, "_cpu_count", lambda: 2)
     monkeypatch.setattr(scaling, "_trajectory_generators", no_allocation)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_allocation)
     with pytest.raises(InvalidParameterError, match="int16"):
         ensemble(ModelParams(L=65_534, p=0.5), 1, 1)  # h_max = 32768
     with pytest.raises(InvalidParameterError, match="int64"):
         ensemble(ModelParams(L=5, p=0.5), 2 ** 62, 1)
     with pytest.raises(AssertionError, match="guard"):
         ensemble(ModelParams(L=65_533, p=0.5), 1, 1)  # h_max = 32767 fits
+
+
+def _reference_saturation_time(series, window=10.0, tolerance=0.05, observable="W"):
+    """The per-window polyfit loop that `saturation_time` prefilters."""
+    times = series.times
+    data = {"W": series.W, "mid": series.mid_height, "W_fluct": series.W_fluct}
+    logt = np.log(times.astype(float))
+    logw = np.log(np.maximum(data[observable], 1e-300))
+    for k in range(len(times)):
+        t_hi = times[k]
+        if t_hi < window * times[0] or t_hi < 20:
+            continue
+        lo = np.searchsorted(times, t_hi / window)
+        if k - lo < 4:
+            continue
+        if np.polyfit(logt[lo:k + 1], logw[lo:k + 1], 1)[0] < tolerance:
+            return int(t_hi)
+    return None
+
+
+@pytest.mark.parametrize("L,p,n,t_max,saturates", [
+    (64, 0.2, 24, 2000, True), (32, 0.5, 16, 2000, True),
+    (256, 0.5, 16, 1000, False), (128, 0.9, 8, 1000, False)])
+def test_saturation_prefilter_matches_polyfit_loop(L, p, n, t_max, saturates):
+    series = ensemble(ModelParams(L=L, p=p, seed=5), n, t_max)
+    assert (saturation_time(series) is not None) == saturates
+    for observable in ("W", "mid", "W_fluct"):
+        for tolerance in (0.02, 0.05, 0.2):
+            assert (saturation_time(series, tolerance=tolerance, observable=observable)
+                    == _reference_saturation_time(series, tolerance=tolerance,
+                                                  observable=observable)), (observable, tolerance)
 
 
 def test_saturation_detection_confined():
