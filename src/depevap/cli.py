@@ -78,9 +78,16 @@ def normalize_manifest(data: dict) -> dict:
         out["p"] = [out["p"]]
     if not out["L"] or not out["p"]:
         raise InvalidParameterError("manifest grid must be non-empty")
+    for key in ("samples", "tmax", "max_nodes"):
+        if type(out[key]) is not int or out[key] < 1:
+            raise InvalidParameterError(f"{key} must be an integer >= 1, got {out[key]!r}")
+    cut = out["cut_row"]
     for L in out["L"]:
-        ModelParams(L=L, p=out["p"][0], boundary_mode=out["mode"],
-                    colored=out["colored"], seed=out["seed"])
+        for p in out["p"]:
+            ModelParams(L=L, p=p, boundary_mode=out["mode"],
+                        colored=out["colored"], seed=out["seed"])
+        if cut is not None and (type(cut) is not int or not 1 <= cut <= L - 1):
+            raise InvalidParameterError(f"cut_row must lie in 1..{L - 1} for L={L}, got {cut!r}")
     return out
 
 
@@ -167,7 +174,7 @@ def _entropy_rows(manifest, methods):
     rows = []
     capacity = False
     for params in _grid(manifest):
-        cut = manifest["cut_row"] or mid_cut_row(params.L)
+        cut = mid_cut_row(params.L) if manifest["cut_row"] is None else manifest["cut_row"]
         try:
             if "svd" in methods:
                 report = entropy_exact(build_state(params, max_nodes=manifest["max_nodes"]), cut)
@@ -249,7 +256,7 @@ def _run_phase_sweep(manifest, outdir, meta):
     capacity = False
     by_p = {}
     for params in _grid(manifest):
-        cut = manifest["cut_row"] or mid_cut_row(params.L)
+        cut = mid_cut_row(params.L) if manifest["cut_row"] is None else manifest["cut_row"]
         try:
             report = entropy_dp(params, cut, manifest["max_nodes"])
             rows.append((params.L, params.p, cut, report.S_uncolored,

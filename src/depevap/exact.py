@@ -15,7 +15,7 @@ the colors of its vertices so far and its weight.  Slice t + 1 expands
 all rows at once.  Each eligible site classifies every row into an
 event-table label (shape, reflecting floor) and keeps the branches of
 that label that stay at h >= 0 in absorbing mode and, for bridges, can
-still return to the horizon (the `reaches_horizon` bound, site by site);
+still return to the horizon (`within_reach`, site by site);
 `expand_frontier` then repeats every row once per combination of kept
 branches.  Children come out parent-major with each site's branches in
 table order, so the rows are in the order of a depth-first recursion
@@ -41,7 +41,6 @@ from .codec import (
     heights_to_spins,
     key_bytes,
     key_length,
-    key_to_config,
     pack_values,
     profiles_to_heights,
     vertex_sites,
@@ -49,7 +48,7 @@ from .codec import (
 from .codec import canonical_key, encode_trajectory  # noqa: F401  perfbench/traced.py wraps these
 from .errors import CapacityError, DecodeError, InvalidParameterError
 from .params import ModelParams
-from .surface import event_table, horizon_profile
+from .surface import event_table, horizon_profile, slice_sites
 
 MAX_NODES = 10_000_000
 _LABELS = (("valley", False), ("peak", False), ("peak", True), ("slope", False))  # label codes 0..3
@@ -126,25 +125,14 @@ def _site_labels(prof, i, reflecting):
     return np.where(valley, 0, np.where(peak, 1, 3)) + floor
 
 
-def _remaining_updates(L, i, t):
-    """Number of update slices for site i strictly after slice t."""
-    # slices t' in t+1..L with (i + t') odd
-    first = t + 1 if (i + t + 1) % 2 == 1 else t + 2
-    if first > L:
-        return 0
-    return (L - first) // 2 + 1
+def within_reach(heights, i, t, L):
+    """Whether site i at `heights` after slice t can still return to its horizon height i % 2.
 
-
-def reaches_horizon(prof, t, horizon) -> bool:
-    """Whether every eligible site can still return to the horizon after slice t.
-
-    Each remaining update moves a site by at most 2.
+    Each update slice left to the site (t' in t+1..L with i + t' odd)
+    moves it by at most 2.
     """
-    L = len(horizon) - 2
-    for i in range(2, L):
-        if abs(prof[i] - horizon[i]) > 2 * _remaining_updates(L, i, t):
-            return False
-    return True
+    remaining = (L - t + (i + t + 1) % 2) // 2
+    return np.abs(heights - i % 2) <= 2 * remaining
 
 
 @dataclass
@@ -223,7 +211,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES,
         raise CapacityError(overflow)
     for t in range(1, L + 1):
         prof = profiles[:, t - 1]
-        sites = [i for i in range(2, L) if (i + t) % 2 == 1]
+        sites = slice_sites(L, t)
         frozen = [i for i in (1, L) if (i + t) % 2 == 1]
         labels = {i: _site_labels(prof, i, reflecting) for i in frozen + sites}
         keeps = []
@@ -233,7 +221,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES,
             if not reflecting:
                 keep &= new_h >= 0  # eager post-selection
             if bridge:
-                keep &= np.abs(new_h - horizon[i]) <= 2 * _remaining_updates(L, i, t)
+                keep &= within_reach(new_h, i, t, L)
             keeps.append(keep)
         rows, choices = expand_frontier(keeps, len(prof), max_nodes - visited, overflow)
         visited += len(rows)
@@ -349,8 +337,3 @@ def export_state_text(state: SparseState) -> str:
     for key in sorted(state.amplitudes):
         buf.write(f"{key.hex()} {state.amplitudes[key]!r}\n")
     return buf.getvalue()
-
-
-def decode_support(state: SparseState):
-    """Decode every support key; raises if any is invalid."""
-    return [key_to_config(key, state.params) for key in sorted(state.amplitudes)]

@@ -55,9 +55,9 @@ from .codec import (
     vertex_spin_indices,
 )
 from .errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
-from .exact import SparseState, reaches_horizon
+from .exact import SparseState, _site_labels, branch_table, expand_frontier, within_reach
 from .params import ModelParams
-from .surface import branch_probability, horizon_profile
+from .surface import branch_probability, horizon_profile, slice_sites
 
 DENSE_BYTES = 1 << 30  # budget of one dense float64 sector matrix
 DENSE_STATES = math.isqrt(DENSE_BYTES // 8)  # 11,585 states
@@ -420,67 +420,57 @@ def term_residuals(terms, state: SparseState):
 
 
 def sector_keys(params: ModelParams, max_states: int = 200_000):
-    """Canonical keys of the Gauss + boundary + per-vertex-color-valid sector.
+    """Sorted canonical keys of the Gauss + boundary + per-vertex-color-valid sector.
 
-    Enumerates all bridge height histories (dips below the horizon
-    included; they are legal spin configurations) and, for colored
-    params, all independent color assignments on change vertices,
-    mismatched ones included.
+    Enumerates all bridge height histories, dips below the horizon
+    included (they are legal spin configurations), as one array frontier
+    (`exact.expand_frontier`): at each slice an eligible valley stays or
+    rises by 2, a peak stays or falls by 2 and a slope stays, as long as
+    the site can still return to the horizon (`exact.within_reach`).
+    Colored params then give every history each independent r/g
+    assignment of its change vertices, mismatched ones included.
+
+    `max_states` bounds the rows alive after each slice, checked before
+    the slice is expanded, and the colored keys.  The last slice's rows
+    are the histories, so a sector over the cap always raises
+    CapacityError; so may a smaller one, since a row counts until it can
+    no longer return (at L = 7 uncolored, 882 rows after slice 5 against
+    868 keys).
     """
     params.require_odd_L()
     L = params.L
-    horizon = tuple(int(h) for h in horizon_profile(L))
-    histories = []
-
-    def rec(prof, t, hist):
-        if t > L:
-            if tuple(prof) == horizon:
-                histories.append(list(hist))
-                if len(histories) > max_states:  # each history gives at least one key
-                    raise CapacityError(f"sector exceeds {max_states} states")
-            return
-        sites = [i for i in range(2, L) if (i + t) % 2 == 1]
-        moves = []
-        for i in sites:
-            lo = max(prof[i - 1], prof[i + 1]) - 1
-            hi = min(prof[i - 1], prof[i + 1]) + 1
-            moves.append(sorted({lo, hi, prof[i]} & {prof[i] - 2, prof[i], prof[i] + 2}))
-
-        def walk(k, acc):
-            if k == len(sites):
-                tup = tuple(acc)
-                if not reaches_horizon(tup, t, horizon):
-                    return
-                hist.append(tup)
-                rec(tup, t + 1, hist)
-                hist.pop()
-                return
-            i = sites[k]
-            for v in moves[k]:
-                acc[i] = v
-                walk(k + 1, acc)
-            acc[i] = prof[i]
-
-        walk(0, list(prof))
-
-    rec(list(horizon), 1, [horizon])
-    H = profiles_to_heights(np.array(histories, dtype=np.int8), L)
-    spins = heights_to_spins(H, L)
-    if not params.colored:
-        return sorted(key_bytes(pack_values(spins, L, False)))
-    vi, vt = np.array(vertex_sites(L)).T
-    change = H[:, vt + 1, vi] != H[:, vt - 1, vi]  # (histories, vertices)
-    total = int((1 << change.sum(axis=1)).sum())
-    if total > max_states:
-        raise CapacityError(f"sector exceeds {max_states} states (it holds {total})")
-    keys = []
-    for spin_row, changed in zip(spins, change):  # every r/g assignment of the change vertices
-        where = np.flatnonzero(changed)
-        colors = np.zeros((1 << len(where), len(vi)), dtype=np.uint8)
-        colors[:, where] = 1 + ((np.arange(len(colors))[:, None] >> np.arange(len(where))) & 1)
-        values = np.hstack([np.broadcast_to(spin_row, (len(colors), len(spin_row))), colors])
-        keys += key_bytes(pack_values(values, L, True))
-    return sorted(keys)
+    overflow = f"sector exceeds {max_states} states"
+    # over exact._LABELS; the reflecting floor (label 2) does not occur
+    table = branch_table([[(0,), (2,)], [(0,), (-2,)], [(0,)], [(0,)]], [("delta", np.int8)])
+    profiles = np.zeros((1, L + 1, L + 2), dtype=np.int8)
+    profiles[0, 0] = horizon_profile(L)
+    for t in range(1, L + 1):
+        prof = profiles[:, t - 1]
+        sites = slice_sites(L, t)
+        labels = [_site_labels(prof, i, reflecting=False) for i in sites]
+        keeps = [table["valid"][label]
+                 & within_reach(prof[:, i, None] + table["delta"][label], i, t, L)
+                 for i, label in zip(sites, labels)]
+        rows, choices = expand_frontier(keeps, len(prof), max_states, overflow)
+        profiles = profiles[rows]
+        profiles[:, t] = profiles[:, t - 1]
+        for i, label, branch in zip(sites, labels, choices):
+            profiles[:, t, i] += table["delta"][label[rows], branch]
+    H = profiles_to_heights(profiles, L)
+    values = heights_to_spins(H, L)
+    if params.colored:
+        vi, vt = np.array(vertex_sites(L)).T
+        change = H[:, vt + 1, vi] != H[:, vt - 1, vi]  # (histories, vertices)
+        counts = 1 << change.sum(axis=1)
+        total = int(counts.sum())
+        if total > max_states:
+            raise CapacityError(f"{overflow} (it holds {total})")
+        rows = np.repeat(np.arange(len(H)), counts)
+        assignment = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        bit = (np.cumsum(change, axis=1) - change)[rows]  # rank among the history's changes
+        colors = np.where(change[rows], 1 + ((assignment[:, None] >> bit) & 1), 0)
+        values = np.hstack([values[rows], colors.astype(np.uint8)])
+    return sorted(key_bytes(pack_values(values, L, params.colored)))
 
 
 def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:

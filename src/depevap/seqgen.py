@@ -56,7 +56,7 @@ from .codec import key_bytes, pack_values, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import SparseState, branch_table, expand_frontier
 from .params import ModelParams
-from .surface import event_table, local_shape
+from .surface import event_table, local_shape, slice_sites
 
 MAX_BRANCHES = 2_000_000
 
@@ -119,12 +119,6 @@ def local_channel(p, colored=True, cooling=False):
     return {label: [(op, spins, color, amp) for _, op, spins, color, amp
                     in channel_branches(dh_l, dh_r, tc, p, colored, cooling)]
             for label, (dh_l, dh_r, tc) in inputs.items()}
-
-
-def _round_sites(L, n):
-    """Interior sites updated in round n (even sites for odd n)."""
-    want = 0 if n % 2 == 1 else 1
-    return [i for i in range(2, L) if i % 2 == want]
 
 
 def cooling_start(L: int) -> int:
@@ -190,7 +184,7 @@ def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=Fal
     """
     L = params.L
     table = _channel_table(p, params.colored, cooling_active)
-    sites = _round_sites(L, n)
+    sites = slice_sites(L, n)
     h = joint.heights
     labels = []
     for i in sites:

@@ -122,17 +122,9 @@ def no_change_probability(h, hl, hr, params: ModelParams) -> float:
     return site_table(h, hl, hr, params)[-1][3]
 
 
-def updatable_sites(L: int, parity: str) -> list[int]:
-    """Eligible sites of one parity sublattice; 1 and L stay frozen."""
-    if parity not in ("even", "odd"):
-        raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
-    want = 0 if parity == "even" else 1
-    return [i for i in range(2, L) if i % 2 == want]
-
-
-def slice_parity(t: int) -> str:
-    """Site parity updated at slice t: vertex (i, t) exists for i + t odd."""
-    return "even" if t % 2 == 1 else "odd"
+def slice_sites(L: int, t: int) -> list[int]:
+    """Eligible sites updated at slice t: vertex (i, t) exists for i + t odd; 1 and L stay frozen."""
+    return [i for i in range(2, L) if (i + t) % 2 == 1]
 
 
 def validate_profile(profile, L, mode="reflecting"):

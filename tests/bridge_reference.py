@@ -13,9 +13,30 @@ import numpy as np
 
 from depevap.codec import TrajectoryRecord
 from depevap.errors import CapacityError
-from depevap.exact import MAX_NODES, reaches_horizon
+from depevap.exact import MAX_NODES
 from depevap.params import ModelParams
 from depevap.surface import COLOR_NONE, horizon_profile, no_change_probability, site_branches
+
+
+def _remaining_updates(L, i, t):
+    """Number of update slices for site i strictly after slice t."""
+    # slices t' in t+1..L with (i + t') odd
+    first = t + 1 if (i + t + 1) % 2 == 1 else t + 2
+    if first > L:
+        return 0
+    return (L - first) // 2 + 1
+
+
+def reaches_horizon(prof, t, horizon) -> bool:
+    """Whether every eligible site can still return to the horizon after slice t.
+
+    Each remaining update moves a site by at most 2.
+    """
+    L = len(horizon) - 2
+    for i in range(2, L):
+        if abs(prof[i] - horizon[i]) > 2 * _remaining_updates(L, i, t):
+            return False
+    return True
 
 
 def slice_outcomes(profile, t, params: ModelParams):

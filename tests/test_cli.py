@@ -80,6 +80,19 @@ def test_main_cli(tmp_path):
     assert main(["dp-entropy", "--L", "4", "--out", str(out)]) == 1  # even L rejected
 
 
+@pytest.mark.parametrize("args", [
+    ["dp-entropy", "--L", "7", "--p", "0.5", "--cut-row", "0"],
+    ["scaling", "--L", "16", "--p", "0.5", "--samples", "2", "--tmax", "0"],
+    ["dp-entropy", "--L", "5", "--p", "0.5", "--max-nodes", "-1"],
+    ["dp-entropy", "--L", "5", "--p", "0.5", "--p", "1.5"],
+])
+def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_phase_sweep(tmp_path):
     manifest = {"experiment": "phase-sweep", "L": [5, 7, 9], "p": [0.25, 0.8],
                 "out": str(tmp_path / "sweep")}

@@ -76,16 +76,15 @@ def test_success_examples():
 
 
 def test_state_normalized_and_support_valid():
-    from depevap.exact import decode_support
+    from depevap.codec import decode_config
 
     for mode in ("reflecting", "absorbing"):
         for colored in (True, False):
             params = ModelParams(L=5, p=0.7, boundary_mode=mode, colored=colored)
             state = build_state(params)
             assert state.norm() == pytest.approx(1.0, abs=1e-12)
-            from depevap.codec import decode_config
-            for config in decode_support(state):
-                decode_config(config, params)  # raises on any invalid key
+            for key in sorted(state.amplitudes):
+                decode_config(key_to_config(key, params), params)  # raises on any invalid key
 
 
 def test_color_swap_involution():

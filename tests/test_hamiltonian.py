@@ -372,8 +372,8 @@ def test_mismatched_colors_are_gapped():
     assert expectation(terms, bad) >= 1.0 - 1e-12
 
 
-# (L, colored, keys, sha256 of the sorted keys joined) recorded before the
-# histories went through codec.profiles_to_heights
+# (L, colored, keys, sha256 of the sorted keys joined) recorded from the recursive
+# enumeration, the first six before the histories went through codec.profiles_to_heights
 SECTOR_KEY_HASHES = [
     (3, False, 2, "3821076e12eb16368a943b1606b2484a001db79c6c14cdc1b1ed966628775f85"),
     (3, True, 5, "75ad06fa41bbad373948562dd5ffd670e9b144cef1b52bd8746c408d158201b8"),
@@ -381,14 +381,26 @@ SECTOR_KEY_HASHES = [
     (5, True, 237, "d5a1821bf2cd8f18d34fbfc0c5eac0b44f24cca6e055bdc1bbe7f4f0e9753ebc"),
     (7, False, 868, "2febc7fcb003a6c1fdc8a2daf7532f2a6d79c62163e17e39d1efa0219e2f0a02"),
     (7, True, 175969, "d18b89531c3fe59d5dd922443985e255ed7dde0ab8e9932ddc4db12063f91a86"),
+    (9, False, 230274, "586c30024e9aa92e730dbdd6b3592d45ce8eb6428c4e8a1110cdd13c87cc1732"),
 ]
 
 
 @pytest.mark.parametrize("L,colored,count,digest", SECTOR_KEY_HASHES)
 def test_sector_keys_unchanged(L, colored, count, digest):
-    keys = sector_keys(ModelParams(L=L, p=0.5, colored=colored, **ABS))
+    # L=9 holds more than the default 200,000 states; its frontier peaks at 240,585 rows
+    keys = sector_keys(ModelParams(L=L, p=0.5, colored=colored, **ABS), max_states=250_000)
     assert len(keys) == count
     assert hashlib.sha256(b"".join(keys)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("L,colored,peak,count", [(7, False, 882, 868), (5, True, 237, 237)])
+def test_sector_budget_threshold(L, colored, peak, count):
+    # the budget covers every frontier row: at L=7 uncolored 882 rows are alive after
+    # slice 5, 14 of them unable to return; colored, it covers the colored keys
+    params = ModelParams(L=L, p=0.5, colored=colored, **ABS)
+    with pytest.raises(CapacityError, match=f"sector exceeds {peak - 1} states"):
+        sector_keys(params, max_states=peak - 1)
+    assert len(sector_keys(params, max_states=peak)) == count
 
 
 @pytest.mark.parametrize("colored", [True, False])

@@ -15,8 +15,7 @@ from depevap.surface import (
     horizon_profile,
     local_shape,
     site_branches,
-    slice_parity,
-    updatable_sites,
+    slice_sites,
     validate_profile,
 )
 
@@ -24,7 +23,7 @@ from depevap.surface import (
 def _sample_slice(profile, t, rng, params):
     """One sampled slice: each eligible site draws a branch of its event table."""
     out = np.array(profile, dtype=np.int64, copy=True)
-    for i in updatable_sites(params.L, slice_parity(t)):
+    for i in slice_sites(params.L, t):
         u = rng.random()
         for new_h, _, _, prob in site_branches(profile[i], profile[i - 1], profile[i + 1], params):
             u -= prob
@@ -177,10 +176,10 @@ def test_advance_slice_stack_resolution():
         assert not any(stacks.values())
 
 
-def test_updatable_sites_freezes_boundary():
-    assert updatable_sites(5, "even") == [2, 4]
-    assert updatable_sites(5, "odd") == [3]
-    assert updatable_sites(3, "odd") == []
+def test_slice_sites_freezes_boundary():
+    assert slice_sites(5, 1) == [2, 4]
+    assert slice_sites(5, 2) == [3]
+    assert slice_sites(3, 2) == []
 
 
 def test_reflecting_soak_never_negative():
