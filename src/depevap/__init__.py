@@ -10,14 +10,8 @@ from .surface import (
 )
 from .codec import (
     LatticeConfig,
-    TrajectoryRecord,
-    canonical_key,
     colored_area,
-    decode_config,
-    encode_trajectory,
-    gauss_residual,
     key_to_config,
-    zigzag_profile,
 )
 from .exact import (
     SparseState,

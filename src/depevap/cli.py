@@ -25,13 +25,15 @@ import time
 from importlib import metadata as _im
 from pathlib import Path
 
+import numpy as np
+
 from .entropy import entropy_dp, entropy_exact, entropy_formula, fit_power_law, \
     mid_cut_row, midcut_distribution
 from .errors import CapacityError, InvalidParameterError
 from .exact import build_state
 from .hamiltonian import assemble_hamiltonian, sector_spectrum, term_residuals
 from .params import ModelParams
-from .scaling import ensemble, exponent_report
+from .scaling import DEFAULT_FIT_HI_MIN, DEFAULT_FIT_LO, ensemble, exponent_report, fit_mask
 from .seqgen import fidelity, run_generation
 
 EXPERIMENTS = ("scaling", "exact-entropy", "dp-entropy", "hamiltonian-check",
@@ -48,7 +50,7 @@ DEFAULTS = {
     "out": "out",
     "max_nodes": 10_000_000,
     "cut_row": None,
-    "fit_lo": 100,
+    "fit_lo": DEFAULT_FIT_LO,
     "fit_hi": None,
 }
 
@@ -81,6 +83,14 @@ def normalize_manifest(data: dict) -> dict:
     for key in ("samples", "tmax", "max_nodes"):
         if type(out[key]) is not int or out[key] < 1:
             raise InvalidParameterError(f"{key} must be an integer >= 1, got {out[key]!r}")
+    lo, hi = out["fit_lo"], out["fit_hi"]
+    if hi is None and lo != DEFAULT_FIT_LO:
+        raise InvalidParameterError(f"fit_lo takes effect only with fit_hi, got fit_lo={lo!r} alone")
+    if hi is not None and (type(lo) is not int or type(hi) is not int or lo >= hi):
+        raise InvalidParameterError(
+            f"fit_lo and fit_hi must be integers with fit_lo < fit_hi, got {lo!r} and {hi!r}")
+    if out["experiment"] == "scaling":  # the default window spans at least [100, 400]
+        fit_mask(np.arange(1, out["tmax"] + 1), (lo, DEFAULT_FIT_HI_MIN if hi is None else hi))
     cut = out["cut_row"]
     for L in out["L"]:
         for p in out["p"]:
@@ -154,7 +164,7 @@ def _run_scaling(manifest, outdir, meta):
                           "W_fluct", "n"], rows)
         paths.append(path)
         window = None
-        if manifest["fit_hi"]:
+        if manifest["fit_hi"] is not None:
             window = (manifest["fit_lo"], manifest["fit_hi"])
         rep = exponent_report(series, fit_window=window)
         summary.append((params.L, params.p,
@@ -303,16 +313,14 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    manifest = {"experiment": args.experiment}
-    if args.manifest:
-        manifest = load_manifest(args.manifest)
-        manifest["experiment"] = args.experiment
-    for key in ("L", "p", "mode", "colored", "seed", "samples", "tmax", "out",
-                "cut_row", "max_nodes"):
-        value = getattr(args, key)
-        if value is not None:
-            manifest[key] = value
     try:
+        manifest = load_manifest(args.manifest) if args.manifest else {}
+        manifest["experiment"] = args.experiment
+        for key in ("L", "p", "mode", "colored", "seed", "samples", "tmax", "out",
+                    "cut_row", "max_nodes"):
+            value = getattr(args, key)
+            if value is not None:
+                manifest[key] = value
         paths, code = run_experiment(manifest)
     except (InvalidParameterError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,11 +56,13 @@ plaquettes of time rows y and y + 1, alternating along the row), so
   zigzag profile as a cumulative sum of signed spins along its row.  It
   checks Gauss's law at every vertex, the pinned boundary spins and the
   colors: 0 exactly on no-change vertices, and every evaporation the
-  color of the pair it removes, replayed by `pair_slots`.
+  color of the pair it removes, replayed by `pair_slots`.  Under
+  reflecting rules no height may fall below 0.
 
+These arrays are the one configuration representation.  The one-key
 `canonical_key`, `key_to_config`, `encode_trajectory` and
-`decode_config` are one-key wrappers over these, so the layout and its
-checks are written once.
+`decode_config` convert a single `LatticeConfig` or `TrajectoryRecord`
+through them, so the layout and its checks are written once.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ import numpy as np
 
 from .errors import DecodeError, EncodeError, InvalidParameterError
 from .params import ModelParams
-from .surface import COLOR_NONE, no_change_probability, site_branches
+from .surface import COLOR_NONE
 
 UP = 1
 DOWN = 0
@@ -107,6 +109,7 @@ class _Lattice(NamedTuple):
 
     zig_t: np.ndarray      # (L+1, L+2): time row of zigzag entry (y, i), y + (i + y) % 2
     zig_i: np.ndarray      # (L+1, L+2): its column i
+    plaquettes: tuple      # (i, t) of each zigzag entry, row-major
     sign: np.ndarray       # (L+1, L+1): height step from column x to x+1 along row y per up spin
     corners: np.ndarray    # (4, vertices): spin indices ll, lu, rl, ru around each vertex
     vertex_i: np.ndarray   # (vertices,): site of each vertex
@@ -129,7 +132,9 @@ def _lattice(L) -> _Lattice:
     expected[0], expected[L] = UP, DOWN
     pinned = np.flatnonzero(expected.ravel() >= 0)
     sites = spin_sites(L)
-    lattice = _Lattice(zig_t=y + (i + y) % 2, zig_i=i,
+    zig_t = y + (i + y) % 2
+    lattice = _Lattice(zig_t=zig_t, zig_i=i,
+                       plaquettes=tuple(zip(i.ravel().tolist(), zig_t.ravel().tolist())),
                        sign=np.where((xs + ys) % 2 == 0, 1, -1).astype(np.int8),
                        corners=corners, vertex_i=vi,
                        row_start=np.searchsorted(vt, np.arange(L + 2)),
@@ -153,7 +158,6 @@ class TrajectoryRecord:
     L: int
     heights: np.ndarray            # (L+2, L+2), entries meaningful for i + t even
     events: dict                   # (i, t) -> (kind, color)
-    weight: float = 1.0
 
 
 @dataclass
@@ -186,37 +190,29 @@ class DecodedKeys:
 
 def encode_trajectory(traj: TrajectoryRecord, params: ModelParams) -> LatticeConfig:
     """Spins from height differences, colors from events; validates the bridge."""
-    return key_to_config(encode_trajectories([traj], params)[0], params)
-
-
-def gauss_residual(config: LatticeConfig, vertex) -> int:
-    """Left spin pair sum minus right pair sum, in integer units; 0 iff valid."""
-    ll, lu, rl, ru = vertex_spin_indices(*vertex)
-    s = config.spins
-    signed = lambda b: 2 * s[b] - 1
-    return (signed(ll) + signed(lu) - signed(rl) - signed(ru)) // 2
+    params.require_odd_L()
+    L = params.L
+    values = heights_to_spins(np.asarray(traj.heights)[None], L)
+    if params.colored:
+        colors = [COLOR_NONE if kind == "no_change" else color
+                  for kind, color in (traj.events.get(v, _NO_EVENT) for v in vertex_sites(L))]
+        values = np.hstack([values, np.array([colors], dtype=np.uint8)])
+    return key_to_config(pack_values(values, L, params.colored).tobytes(), params)
 
 
 def decode_config(config: LatticeConfig, params: ModelParams) -> TrajectoryRecord:
-    """Inverse of encode_trajectory; validates Gauss, boundary, colors, bridge.
-
-    The returned record's weight is recomputed from the event sequence
-    under `params` (including the absorbing-mode frozen-site factors).
-    """
+    """Inverse of encode_trajectory; the checks of `decode_keys`."""
     params.require_odd_L()
     L = params.L
     decoded = decode_keys([canonical_key(config)], params)
-    lat = _lattice(L)
-    H = profiles_to_heights(decoded.profiles[:1], L)[0].astype(np.int64)
+    H = profiles_to_heights(decoded.profiles, L)[0].astype(np.int64)
     kinds = decoded.kinds[0].tolist()
     if params.colored:
         colors = decoded.values[0, (L + 1) ** 2:].tolist()
     else:
         colors = [COLOR_NONE if kind == 0 else COLOR_R_DEFAULT for kind in kinds]
-    events = {v: (KINDS[kind], color) for v, kind, color in zip(lat.vertices, kinds, colors)}
-    traj = TrajectoryRecord(L=L, heights=H, events=events, weight=1.0)
-    traj.weight = trajectory_weight(traj, params)
-    return traj
+    events = {v: (KINDS[kind], color) for v, kind, color in zip(_lattice(L).vertices, kinds, colors)}
+    return TrajectoryRecord(L=L, heights=H, events=events)
 
 
 def profiles_to_heights(profiles, L) -> np.ndarray:
@@ -233,25 +229,6 @@ def profiles_to_heights(profiles, L) -> np.ndarray:
     return H
 
 
-def zigzag_profile(config_or_heights, cut_row, L=None) -> np.ndarray:
-    """Equal-time profile straddling the cut after update slice `cut_row`.
-
-    A configuration's spins must obey Gauss's law and the pinned boundary.
-    """
-    config = config_or_heights if isinstance(config_or_heights, LatticeConfig) else None
-    if config is not None:
-        L = config.L
-    elif L is None:
-        L = config_or_heights.shape[0] - 2
-    if not 0 <= cut_row <= L:
-        raise InvalidParameterError(f"cut_row must lie in 0..{L}, got {cut_row}")
-    if config is not None:
-        spins = np.array([[config.spins[s] for s in spin_sites(L)]], dtype=np.uint8)
-        return _spin_profiles(spins, L)[0][0, cut_row].astype(np.int64)
-    lat = _lattice(L)
-    return np.asarray(config_or_heights)[lat.zig_t[cut_row], lat.zig_i[cut_row]].astype(np.int64)
-
-
 def colored_area(profile) -> tuple[int, int]:
     """Blocks above the horizon under a profile, and the pair count A/2."""
     profile = np.asarray(profile)
@@ -261,35 +238,6 @@ def colored_area(profile) -> tuple[int, int]:
     if A < 0 or A % 2 != 0:
         raise InvalidParameterError(f"colored area must be even and nonnegative, got {A}")
     return A, A // 2
-
-
-def trajectory_weight(traj: TrajectoryRecord, params: ModelParams) -> float:
-    """Product of per-event probabilities along the trajectory.
-
-    Frozen boundary sites contribute their no-change probability: the
-    absorbing-mode survival factor (1+p)/2 whenever they sit at a Peak at
-    h = 1, and 1 otherwise.
-    """
-    L, H = traj.L, traj.heights
-    w = 1.0
-    for t in range(1, L + 1):
-        for i in range(1, L + 1):
-            if (i + t) % 2 != 1:
-                continue
-            h, hl, hr = int(H[t - 1][i]), int(H[t][i - 1]), int(H[t][i + 1])
-            new_h = int(H[t + 1][i])
-            kind = traj.events.get((i, t), _NO_EVENT)[0]
-            if i in (1, L):
-                w *= no_change_probability(h, hl, hr, params)
-                continue
-            branches = site_branches(h, hl, hr, params)
-            for bh, bkind, _, prob in branches:
-                if bh == new_h and bkind == kind:
-                    w *= prob  # colored deposits already carry p/4 per definite color
-                    break
-            else:
-                raise EncodeError(f"event at vertex {(i, t)} not reachable by the rules")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +280,6 @@ def heights_to_spins(heights, L) -> np.ndarray:
         n, y, x = bad[0].tolist()
         raise EncodeError(f"slope violation across spin {(x, y)}: dh = {int(dh[n, y, x])}")
     return (dh == 1).reshape(len(H), (L + 1) ** 2).astype(np.uint8)
-
-
-def encode_trajectories(trajs, params: ModelParams) -> list:
-    """Canonical keys of trajectory records, encoded in one pass."""
-    params.require_odd_L()
-    L = params.L
-    if not trajs:
-        return []
-    values = heights_to_spins(np.stack([traj.heights for traj in trajs]), L)
-    if params.colored:
-        vertices = vertex_sites(L)
-        colors = [[COLOR_NONE if kind == "no_change" else color
-                   for kind, color in (traj.events.get(v, _NO_EVENT) for v in vertices)]
-                  for traj in trajs]
-        values = np.hstack([values, np.array(colors, dtype=np.uint8)])
-    return key_bytes(pack_values(values, L, params.colored))
 
 
 def pack_values(values, L, colored) -> np.ndarray:
@@ -429,7 +361,10 @@ def _spin_profiles(spins, L):
 
 
 def decode_keys(keys, params: ModelParams) -> DecodedKeys:
-    """Unpack and validate keys: Gauss's law, the pinned spins, then the colors."""
+    """Unpack and validate keys: Gauss's law, the pinned spins, the colors, then the floor.
+
+    The floor holds under reflecting rules, where no height falls below 0.
+    """
     params.require_odd_L()
     L, colored = params.L, params.colored
     values = unpack_keys(keys, L, colored)
@@ -441,6 +376,9 @@ def decode_keys(keys, params: ModelParams) -> DecodedKeys:
                      vertices, "color 0 must mark exactly the no-change vertices")
         _raise_first(pair_slots(decoded, L)[1], "color", vertices,
                      "evaporation color does not match")
+    if params.boundary_mode == "reflecting":
+        _raise_first((decoded.profiles < 0).reshape(len(values), -1), "floor",
+                     _lattice(L).plaquettes, "height below 0 under reflecting rules")
     return decoded
 
 
@@ -474,27 +412,17 @@ def pair_slots(decoded: DecodedKeys, last_row: int):
     return slots, mismatch
 
 
-def key_to_values(key: bytes, L, colored) -> list:
-    """Flat site values of a key, one per entry of `site_order(L, colored)`."""
-    return unpack_keys([key], L, colored)[0].tolist()
-
-
-def values_to_key(values, L, colored) -> bytes:
-    """Inverse of `key_to_values`: spin bits 8 per byte, then color codes 4 per byte."""
-    return pack_values([values], L, colored).tobytes()
-
-
 def canonical_key(config: LatticeConfig) -> bytes:
     values = [config.spins[s] for s in spin_sites(config.L)]
     if config.colored:
         values += [config.colors[v] for v in vertex_sites(config.L)]
-    return values_to_key(values, config.L, config.colored)
+    return pack_values([values], config.L, config.colored).tobytes()
 
 
 def key_to_config(key: bytes, params: ModelParams) -> LatticeConfig:
     params.require_odd_L()
     L = params.L
-    values = key_to_values(key, L, params.colored)
+    values = unpack_keys([key], L, params.colored)[0].tolist()
     config = LatticeConfig(L=L, colored=params.colored, spins=dict(zip(spin_sites(L), values)))
     if params.colored:
         config.colors = dict(zip(vertex_sites(L), values[(L + 1) ** 2:]))

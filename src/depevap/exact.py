@@ -26,7 +26,6 @@ factor, then weight w.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 import struct
@@ -35,8 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (
-    KINDS,
-    TrajectoryRecord,
     decode_keys,
     heights_to_spins,
     key_bytes,
@@ -139,11 +136,10 @@ def within_reach(heights, i, t, L):
 class Bridges:
     """Enumerated trajectories as arrays, in depth-first order.
 
-    `heights` (N, L+2, L+2) int8 are the height histories of
-    TrajectoryRecord, `colors` (N, vertices) uint8 the vertex colors in
+    `heights` (N, L+2, L+2) int8 are the height histories (event kinds
+    follow from them), `colors` (N, vertices) uint8 the vertex colors in
     `codec.vertex_sites` order (0 on no-change vertices; uncolored
-    changes carry r), `weights` (N,) float64.  Indexing or iterating
-    yields (TrajectoryRecord, weight) pairs, built on demand.
+    changes carry r), `weights` (N,) float64.
     """
 
     L: int
@@ -153,35 +149,6 @@ class Bridges:
 
     def __len__(self):
         return len(self.weights)
-
-    def __getitem__(self, n):
-        L = self.L
-        H = self.heights[n].astype(np.int64)
-        order, index = _event_order(L)
-        vi, vt = order.T
-        kinds = np.sign(H[vt + 1, vi] - H[vt - 1, vi]).tolist()
-        colors = self.colors[n, index].tolist()
-        events = {(i, t): (KINDS[kind], color)
-                  for (i, t), kind, color in zip(order.tolist(), kinds, colors)}
-        weight = float(self.weights[n])
-        return TrajectoryRecord(L=L, heights=H, events=events, weight=weight), weight
-
-    def __iter__(self):
-        return (self[n] for n in range(len(self)))
-
-
-@functools.lru_cache(maxsize=None)
-def _event_order(L):
-    """Vertices in the order a record lists its events, and their vertex_sites indices.
-
-    Per slice: the frozen sites 1 and L, then the eligible sites left to right.
-    """
-    order = [(i, t) for t in range(1, L + 1)
-             for i in [1, L] + list(range(2, L)) if (i + t) % 2 == 1]
-    index = {v: k for k, v in enumerate(vertex_sites(L))}
-    order, index = np.array(order), np.array([index[v] for v in order])
-    order.flags.writeable = index.flags.writeable = False  # cached and shared
-    return order, index
 
 
 def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES,

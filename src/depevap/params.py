@@ -39,6 +39,8 @@ class ModelParams:
             raise InvalidParameterError(
                 f"boundary_mode must be one of {BOUNDARY_MODES}, got {self.boundary_mode!r}"
             )
+        if not isinstance(self.colored, bool):
+            raise InvalidParameterError(f"colored must be a bool, got {self.colored!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise InvalidParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
 

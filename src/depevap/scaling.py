@@ -362,6 +362,20 @@ def saturation_time(series: ObservableSeries, window: float = 10.0,
     return None
 
 
+DEFAULT_FIT_LO, DEFAULT_FIT_HI_MIN = 100, 400  # the default window [100, max(T_sat / 4, 400)]
+MIN_FIT_POINTS = 10
+
+
+def fit_mask(times, fit_window) -> np.ndarray:
+    """The slices of `times` inside the window; InvalidParameterError below MIN_FIT_POINTS."""
+    lo, hi = fit_window
+    mask = (times >= lo) & (times <= hi)
+    if mask.sum() < MIN_FIT_POINTS:
+        raise InvalidParameterError(
+            f"fit window {fit_window} holds fewer than {MIN_FIT_POINTS} points")
+    return mask
+
+
 def exponent_report(series: ObservableSeries, fit_window=None) -> dict:
     """Power-law exponents of W and the midpoint height before saturation.
 
@@ -378,13 +392,9 @@ def exponent_report(series: ObservableSeries, fit_window=None) -> dict:
         except InvalidParameterError:
             t_sat = None
         hi = t_sat / 4 if t_sat else times[-1]
-        fit_window = (100, max(hi, 400))
-    lo, hi = fit_window
-    if hi > times[-1]:
-        hi = times[-1]
-    mask = (times >= lo) & (times <= hi)
-    if mask.sum() < 10:
-        raise InvalidParameterError(f"fit window {fit_window} holds fewer than 10 points")
+        fit_window = (DEFAULT_FIT_LO, max(hi, DEFAULT_FIT_HI_MIN))
+    mask = fit_mask(times, fit_window)
+    lo, hi = fit_window[0], min(fit_window[1], times[-1])
     w_exp, w_amp, w_r2 = fit_power_law(times[mask], series.W[mask])
     m_exp, m_amp, m_r2 = fit_power_law(times[mask], series.mid_height[mask])
     report = {

@@ -85,9 +85,22 @@ def test_main_cli(tmp_path):
     ["scaling", "--L", "16", "--p", "0.5", "--samples", "2", "--tmax", "0"],
     ["dp-entropy", "--L", "5", "--p", "0.5", "--max-nodes", "-1"],
     ["dp-entropy", "--L", "5", "--p", "0.5", "--p", "1.5"],
+    ["scaling", "--L", "16", "--p", "0.5", "--samples", "2", "--tmax", "30"],  # default window
+    ["scaling", "--L", "16", "--p", "0.5", "--samples", "2", "--tmax", "108"],
+    # a trailing dict holds manifest-only entries, written to a manifest file
+    ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 300}],
+    ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 20, "fit_hi": "x"}],
+    ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 300, "fit_hi": 200}],
+    ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 20.0, "fit_hi": 200}],
+    ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 495, "fit_hi": 600}],
+    ["dp-entropy", {"L": 5, "colored": "no"}],
 ])
 def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
     out = tmp_path / "run"
+    if isinstance(args[-1], dict):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"experiment": args[0], **args[-1]}))
+        args = [args[0], "--manifest", str(path)]
     assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.rglob("*.csv"))

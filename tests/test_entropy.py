@@ -8,11 +8,14 @@ from conftest import dense_schmidt_weights, oracle_midcut_marginal
 from depevap import ModelParams
 from depevap.codec import (
     decode_config,
+    decode_keys,
+    heights_to_spins,
+    key_bytes,
     key_to_config,
-    key_to_values,
+    pack_values,
     site_order,
-    values_to_key,
-    zigzag_profile,
+    unpack_keys,
+    vertex_sites,
 )
 from depevap.entropy import (
     entropy_dp,
@@ -26,7 +29,7 @@ from depevap.entropy import (
     TransferKernel,
 )
 from depevap.errors import CapacityError, DecodeError, InvalidParameterError
-from depevap.exact import SparseState, build_state
+from depevap.exact import SparseState, build_state, enumerate_bridge
 
 
 def test_midcut_examples():
@@ -291,46 +294,50 @@ def test_dp_matches_parent_values():
         assert dist.mean_area == pytest.approx(mean_area, abs=1e-12), (mode, L, p)
 
 
-def reference_sector_label(traj, params, cut_row):
-    """(profile, unmatched colors per site) at the cut, from a trajectory record.
+def reference_sector_labels(H, colors, params):
+    """[(profile, unmatched colors per site)] at the cuts after slices 1..L-1, from one history.
 
-    The slow reference for the labels `schmidt_spectrum` reads from key
-    bits: the Schmidt split used to decode every key with `decode_config`
-    and replay its events through per-site stacks, as here.
+    H is the height history as nested lists, `colors` its vertex colors in
+    `vertex_sites` order.  The slow reference for the labels
+    `schmidt_spectrum` reads from key bits: the Schmidt split used to
+    decode every key and replay its events through per-site stacks, as here.
     """
-    prof = tuple(int(h) for h in zigzag_profile(traj.heights, cut_row, L=params.L))
-    pending = {i: [] for i in range(1, params.L + 1)}
-    for t in range(1, cut_row + 1):
-        for i in range(1, params.L + 1):
-            if (i + t) % 2 != 1:
-                continue
-            kind, color = traj.events[(i, t)]
-            if kind == "deposit":
+    L = params.L
+    rows = {}
+    for (i, t), color in zip(vertex_sites(L), colors):
+        rows.setdefault(t, []).append((i, color))
+    pending = {i: [] for i in range(1, L + 1)}
+    labels = []
+    for cut in range(1, L):
+        for i, color in rows[cut]:
+            if H[cut + 1][i] > H[cut - 1][i]:
                 pending[i].append(color)
-            elif kind == "evaporate" and pending[i]:
+            elif H[cut + 1][i] < H[cut - 1][i] and pending[i]:
                 pending[i].pop()
-    colors = tuple(tuple(pending[i]) for i in range(1, params.L + 1)) if params.colored else ()
-    return (prof, colors)
+        prof = tuple(H[cut + (i + cut) % 2][i] for i in range(L + 2))  # plaquettes at the cut
+        labels.append((prof, tuple(map(tuple, pending.values())) if params.colored else ()))
+    return labels
 
 
 @pytest.mark.parametrize("L", [5, 7])
 @pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
 def test_sector_labels_match_reference(L, mode):
     # labels from key bits equal the stack replay of every bridge, at every cut;
-    # at L = 5 the records also go through decode_config, as the old split did
-    from depevap.codec import decode_keys, encode_trajectories
+    # keys are packed from the bridge arrays as build_state packs them, and at
+    # L = 5 the histories also go through decode_config, as the old split did
     from depevap.entropy import _sector_labels
-    from depevap.exact import enumerate_bridge
 
     params = ModelParams(L=L, p=0.5, boundary_mode=mode, colored=True)
-    trajs = [traj for traj, _ in enumerate_bridge(params)]
-    keys = encode_trajectories(trajs, params)
+    bridges = enumerate_bridge(params)
+    keys = pack_values(np.hstack([heights_to_spins(bridges.heights, L), bridges.colors]), L, True)
+    histories = list(zip(bridges.heights.tolist(), bridges.colors.tolist()))
     if L == 5:
-        trajs = [decode_config(key_to_config(key, params), params) for key in keys]
+        records = (decode_config(key_to_config(key, params), params) for key in key_bytes(keys))
+        histories = [(r.heights.tolist(), [r.events[v][1] for v in vertex_sites(L)]) for r in records]
     decoded = decode_keys(keys, params)
+    want = [reference_sector_labels(H, colors, params) for H, colors in histories]
     for cut in range(1, L):
-        got = _sector_labels(decoded, cut)
-        assert got == [reference_sector_label(traj, params, cut) for traj in trajs], cut
+        assert _sector_labels(decoded, cut) == [labels[cut - 1] for labels in want], cut
 
 
 def _corrupted_key(params, how):
@@ -338,7 +345,7 @@ def _corrupted_key(params, how):
     state = build_state(params)
     column = {s: n for n, s in enumerate(site_order(params.L, True))}
     for key in sorted(state.amplitudes):
-        values = key_to_values(key, params.L, True)
+        values = unpack_keys([key], params.L, True)[0].tolist()
         events = decode_config(key_to_config(key, params), params).events
         if how == "gauss":
             values[column[("s", 2, 2)]] ^= 1
@@ -354,7 +361,7 @@ def _corrupted_key(params, how):
             if not evaporations:
                 continue
             values[column[("c",) + evaporations[0]]] ^= 3  # r <-> g
-        return state, key, values_to_key(values, params.L, True)
+        return state, key, pack_values([values], params.L, True).tobytes()
     raise AssertionError("no support key to corrupt")
 
 

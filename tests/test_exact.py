@@ -7,7 +7,7 @@ import pytest
 from bridge_reference import enumerate_bridge as reference_enumerate_bridge
 from conftest import oracle_enumerate, oracle_success
 from depevap import ModelParams
-from depevap.codec import canonical_key, key_length, key_to_config
+from depevap.codec import canonical_key, decode_keys, key_length, key_to_config, vertex_sites
 from depevap.errors import CapacityError, InvalidParameterError
 from depevap.exact import (
     SparseState,
@@ -23,7 +23,7 @@ from depevap.exact import (
 def test_l3_p0_single_trajectory():
     params = ModelParams(L=3, p=0.0, colored=True)
     trajs = enumerate_bridge(params)
-    assert len(trajs) == 1 and trajs[0][1] == 1.0
+    assert len(trajs) == 1 and trajs.weights.tolist() == [1.0]
     state = build_state(params)
     assert len(state) == 1 and list(state.amplitudes.values()) == [1.0]
 
@@ -32,18 +32,18 @@ def test_l3_colored_three_bridges():
     params = ModelParams(L=3, p=0.5, colored=True)
     trajs = enumerate_bridge(params)
     assert len(trajs) == 3
-    weights = sorted(w for _, w in trajs)
-    assert weights == pytest.approx([0.03125, 0.03125, 0.5625])
-    kinds = sorted(t.events[(2, 1)] for t, _ in trajs)
-    assert kinds == [("deposit", 1), ("deposit", 2), ("no_change", 0)]
+    assert sorted(trajs.weights) == pytest.approx([0.03125, 0.03125, 0.5625])
+    # vertex (2, 1): heights 0 -> 2 on the two deposits, colored r and g
+    assert sorted(zip(trajs.heights[:, 2, 2].tolist(), trajs.colors[:, 0].tolist())) == \
+        [(0, 0), (2, 1), (2, 2)]
     assert success_probability(params) == pytest.approx(0.625)
 
 
 def test_absorbing_same_support_different_weights():
     ref = ModelParams(L=3, p=0.5, boundary_mode="reflecting", colored=True)
     ab = ref.with_(boundary_mode="absorbing")
-    t_ref = {tuple(sorted(t.events.items())): (t, w) for t, w in enumerate_bridge(ref)}
-    t_ab = {tuple(sorted(t.events.items())): (t, w) for t, w in enumerate_bridge(ab)}
+    t_ref = {tuple(sorted(t.events.items())): (t, w) for t, w in reference_enumerate_bridge(ref)[0]}
+    t_ab = {tuple(sorted(t.events.items())): (t, w) for t, w in reference_enumerate_bridge(ab)[0]}
     assert set(t_ref) == set(t_ab)
     for ev in t_ref:
         traj, w_ref = t_ref[ev]
@@ -56,7 +56,7 @@ def test_absorbing_same_support_different_weights():
                 n_peak1 += 1
         # absorbing weights differ exactly by (1+p)/2 per Peak-at-1 vertex
         assert w_ab == pytest.approx(w_ref * 0.75 ** n_peak1, abs=1e-15)
-    flat = [w for t, w in enumerate_bridge(ab) if t.events[(2, 1)][0] == "no_change"][0]
+    flat = [w for t, w in t_ab.values() if t.events[(2, 1)][0] == "no_change"][0]
     assert flat == pytest.approx(0.5625 * 0.75 ** 2)  # two frozen Peak-at-1 slots on the flat bridge
 
 
@@ -64,7 +64,7 @@ def test_reflecting_completeness():
     for L in (3, 5):
         for p in (0.3, 0.8):
             params = ModelParams(L=L, p=p, boundary_mode="reflecting", colored=True)
-            total = math.fsum(w for _, w in enumerate_bridge(params, bridge=False))
+            total = math.fsum(enumerate_bridge(params, bridge=False).weights.tolist())
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -76,15 +76,12 @@ def test_success_examples():
 
 
 def test_state_normalized_and_support_valid():
-    from depevap.codec import decode_config
-
     for mode in ("reflecting", "absorbing"):
         for colored in (True, False):
             params = ModelParams(L=5, p=0.7, boundary_mode=mode, colored=colored)
             state = build_state(params)
             assert state.norm() == pytest.approx(1.0, abs=1e-12)
-            for key in sorted(state.amplitudes):
-                decode_config(key_to_config(key, params), params)  # raises on any invalid key
+            decode_keys(sorted(state.amplitudes), params)  # raises on any invalid key
 
 
 def test_color_swap_involution():
@@ -123,16 +120,16 @@ def test_capacity_guard():
 
 
 def _assert_matches_recursion(params, bridge=True):
-    # same records, weights (bit for bit) and order as the depth-first
-    # recursion, and the same node count at the capacity guard
+    # same heights, vertex colors, weights (bit for bit) and order as the
+    # depth-first recursion, and the same node count at the capacity guard;
+    # event kinds are a function of the heights
     got = enumerate_bridge(params, bridge=bridge)
     want, visited = reference_enumerate_bridge(params, bridge=bridge)
+    vertices = vertex_sites(params.L)
     assert len(got) == len(want)
-    assert [w for _, w in got] == [w for _, w in want]
-    for (traj, w), (ref, _) in zip(got, want):
-        assert np.array_equal(traj.heights, ref.heights)
-        assert list(traj.events.items()) == list(ref.events.items())
-        assert traj.weight == ref.weight == w
+    assert got.weights.tolist() == [w for _, w in want]
+    assert np.array_equal(got.heights, np.stack([ref.heights for ref, _ in want]))
+    assert got.colors.tolist() == [[ref.events[v][1] for v in vertices] for ref, _ in want]
     assert len(enumerate_bridge(params, max_nodes=visited, bridge=bridge)) == len(want)
     with pytest.raises(CapacityError):
         enumerate_bridge(params, max_nodes=visited - 1, bridge=bridge)
@@ -165,7 +162,7 @@ def test_matches_independent_oracle():
         for p in (0.3, 0.7):
             for mode in ("reflecting", "absorbing"):
                 params = ModelParams(L=L, p=p, boundary_mode=mode, colored=True)
-                got = sorted(w for _, w in enumerate_bridge(params))
+                got = sorted(enumerate_bridge(params).weights)
                 want = sorted(w for _, w in oracle_enumerate(L, p, mode, True))
                 assert len(got) == len(want)
                 assert got == pytest.approx(want, abs=1e-14)

@@ -5,10 +5,12 @@ import time
 import numpy as np
 import pytest
 
+from bridge_reference import bridge_records
 from depevap import ModelParams
-from depevap.codec import canonical_key, encode_trajectory, site_order, unpack_keys, values_to_key
+from depevap.codec import canonical_key, decode_keys, encode_trajectory, key_length
+from depevap.codec import pack_values, site_order, unpack_keys
 from depevap.errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
-from depevap.exact import SparseState, build_state, enumerate_bridge
+from depevap.exact import SparseState, build_state
 from depevap.hamiltonian import (
     DENSE_BYTES,
     DENSE_STATES,
@@ -118,7 +120,7 @@ def test_boundary_terms_annihilate_bridges():
 def test_boundary_terms_score_violations():
     params = ModelParams(L=3, p=0.5, colored=True, **ABS)
     terms = build_boundary_terms(params)
-    traj = enumerate_bridge(params)[0][0]
+    traj = bridge_records(params)[0][0]
     config = encode_trajectory(traj, params)
     config.spins[(1, 0)] = 0  # bottom-row spin flipped down
     bad = _state_from_key(canonical_key(config), params)
@@ -135,7 +137,7 @@ def test_gauss_term():
     assert len(terms) == 4
     state = build_state(params)
     assert max(term_residuals(terms, state)) == 0.0
-    traj = enumerate_bridge(params)[0][0]
+    traj = bridge_records(params)[0][0]
     config = encode_trajectory(traj, params)
     config.spins[(1, 1)] ^= 1  # interior spin flip hits both adjacent vertices
     bad = _state_from_key(canonical_key(config), params)
@@ -149,7 +151,7 @@ def test_color_term():
     terms = build_color_term(params)
     state = build_state(params)
     assert max(term_residuals(terms, state)) == 0.0
-    raised = [t for t, _ in enumerate_bridge(params) if t.events[(2, 1)] == ("deposit", 1)][0]
+    raised = [t for t, _ in bridge_records(params) if t.events[(2, 1)] == ("deposit", 1)][0]
     config = encode_trajectory(raised, params)
     config.colors[(2, 1)] = 0  # deposit vertex colored 0
     assert expectation(terms, _state_from_key(canonical_key(config), params)) == pytest.approx(1.0)
@@ -251,7 +253,7 @@ def _reference_term_entries(terms, keys, params):
                     new_values = list(values)
                     for j, val in zip(idx, term.states[r2]):
                         new_values[j] = val
-                    key2 = values_to_key(new_values, L, colored)
+                    key2 = pack_values([new_values], L, colored).tobytes()
                 entries.append((a, key2, term.weight * col[r2]))
         yield entries
 
@@ -365,7 +367,7 @@ def test_sector_spectrum_is_reproducible(colored, p):
 def test_mismatched_colors_are_gapped():
     params = ModelParams(L=3, p=0.5, colored=True, **ABS)
     terms = assemble_hamiltonian(params)
-    raised = [t for t, _ in enumerate_bridge(params) if t.events[(2, 1)] == ("deposit", 1)][0]
+    raised = [t for t, _ in bridge_records(params) if t.events[(2, 1)] == ("deposit", 1)][0]
     config = encode_trajectory(raised, params)
     config.colors[(2, 3)] = 2  # break the pair matching
     bad = _state_from_key(canonical_key(config), params)
@@ -432,11 +434,9 @@ def test_dip_config_is_penalized():
     params = ModelParams(L=5, p=0.5, colored=True, **ABS)
     terms = assemble_hamiltonian(params)
     keys = sector_keys(params)
-    from depevap.codec import key_to_config, zigzag_profile
-    dips = []
-    for key in keys:
-        if zigzag_profile(key_to_config(key, params), 2)[3] == -1:  # h~_3(3)
-            dips.append(key)
+    spins = params.with_(colored=False)  # the spin bytes lead each key; colors may mismatch
+    profiles = decode_keys([key[:key_length(spins)] for key in keys], spins).profiles
+    dips = [key for key, prof in zip(keys, profiles) if prof[2, 3] == -1]  # h~_3(3)
     assert dips, "sector enumeration lost the dipping histories"
     for key in dips[:4]:
         assert expectation(terms, _state_from_key(key, params)) > 1e-6

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bridge_reference import slice_outcomes
 from depevap import ModelParams
+from depevap.codec import vertex_sites
 from depevap.errors import InvalidParameterError
 from depevap.exact import enumerate_bridge
 from depevap.surface import (
@@ -166,13 +167,17 @@ def test_advance_slice_weight_covers_branches():
 def test_advance_slice_stack_resolution():
     # every evaporation takes the color of its site's most recent unmatched deposit
     params = ModelParams(L=5, p=0.6, colored=True)
-    for traj, _ in enumerate_bridge(params):
+    bridges = enumerate_bridge(params)
+    for H, colors in zip(bridges.heights.tolist(), bridges.colors.tolist()):
         stacks = {i: [] for i in range(1, 6)}
-        for (i, t), (kind, color) in sorted(traj.events.items(), key=lambda e: e[0][::-1]):
-            if kind == "deposit":
+        for (i, t), color in zip(vertex_sites(5), colors):  # slice by slice
+            kind = H[t + 1][i] - H[t - 1][i]
+            if kind > 0:
                 stacks[i].append(color)
-            elif kind == "evaporate":
+            elif kind < 0:
                 assert color == stacks[i].pop()
+            else:
+                assert color == 0
         assert not any(stacks.values())
 
 
