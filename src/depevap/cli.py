@@ -56,11 +56,12 @@ DEFAULTS = {
 
 
 def load_manifest(path) -> dict:
+    """A manifest file's entries, checked by run_experiment after any flag overrides."""
     with open(path) as fh:
         data = json.load(fh)
     if "experiment" not in data:
         raise InvalidParameterError("manifest lacks an 'experiment' entry")
-    return normalize_manifest(data)
+    return data
 
 
 def save_manifest(manifest: dict, path):
@@ -87,8 +88,7 @@ def normalize_manifest(data: dict) -> dict:
     if hi is None and lo != DEFAULT_FIT_LO:
         raise InvalidParameterError(f"fit_lo takes effect only with fit_hi, got fit_lo={lo!r} alone")
     if hi is not None and (type(lo) is not int or type(hi) is not int or lo >= hi):
-        raise InvalidParameterError(
-            f"fit_lo and fit_hi must be integers with fit_lo < fit_hi, got {lo!r} and {hi!r}")
+        raise InvalidParameterError(f"fit window needs integers fit_lo < fit_hi, got {lo!r}, {hi!r}")
     if out["experiment"] == "scaling":  # the default window spans at least [100, 400]
         fit_mask(np.arange(1, out["tmax"] + 1), (lo, DEFAULT_FIT_HI_MIN if hi is None else hi))
     cut = out["cut_row"]

@@ -366,13 +366,12 @@ DEFAULT_FIT_LO, DEFAULT_FIT_HI_MIN = 100, 400  # the default window [100, max(T_
 MIN_FIT_POINTS = 10
 
 
-def fit_mask(times, fit_window) -> np.ndarray:
+def fit_mask(times, window) -> np.ndarray:
     """The slices of `times` inside the window; InvalidParameterError below MIN_FIT_POINTS."""
-    lo, hi = fit_window
+    lo, hi = window
     mask = (times >= lo) & (times <= hi)
     if mask.sum() < MIN_FIT_POINTS:
-        raise InvalidParameterError(
-            f"fit window {fit_window} holds fewer than {MIN_FIT_POINTS} points")
+        raise InvalidParameterError(f"fit window {window} holds fewer than {MIN_FIT_POINTS} points")
     return mask
 
 

@@ -78,6 +78,8 @@ def test_main_cli(tmp_path):
     assert meta["manifest"]["L"] == [5, 7]
     assert meta["wall_time_s"] > 0 and meta["peak_rss_mb"] > 0
     assert main(["dp-entropy", "--L", "4", "--out", str(out)]) == 1  # even L rejected
+    save_manifest({"experiment": "dp-entropy", "L": [5], "p": [1.5]}, tmp_path / "m")  # --p replaces
+    assert main(["dp-entropy", "--manifest", str(tmp_path / "m"), "--p", "0.5", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("args", [

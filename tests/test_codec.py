@@ -202,7 +202,6 @@ def test_array_codec_matches_one_key_functions(mode, colored):
     # keys packed from the bridge arrays, as build_state packs them, agree key
     # by key with the one-key wrappers on the reference records
     params = ModelParams(L=5, p=0.6, boundary_mode=mode, colored=colored)
-    trajs = [traj for traj, _ in bridge_records(params)]
     bridges = enumerate_bridge(params)
     values = heights_to_spins(bridges.heights, params.L)
     if colored:
@@ -211,7 +210,7 @@ def test_array_codec_matches_one_key_functions(mode, colored):
     assert values.shape == (len(keys), len(site_order(params.L, colored)))
     assert unpack_keys(keys, params.L, colored).tolist() == values.tolist()
     decoded = decode_keys(keys, params)
-    for n, (traj, key) in enumerate(zip(trajs, keys)):
+    for n, ((traj, _), key) in enumerate(zip(bridge_records(params), keys)):
         assert canonical_key(encode_trajectory(traj, params)) == key
         config = key_to_config(key, params)
         assert canonical_key(config) == key
