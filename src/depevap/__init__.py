@@ -2,8 +2,6 @@
 
 from .params import ModelParams
 from .surface import (
-    deposit_rule,
-    evaporate_rule,
     event_table,
     horizon_profile,
     local_shape,
@@ -59,7 +57,6 @@ from .scaling import (
     ObservableSeries,
     ensemble,
     exponent_report,
-    roughness,
     saturation_time,
 )
 

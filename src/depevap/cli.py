@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import entropy_dp, entropy_exact, entropy_formula, fit_power_law, \
-    mid_cut_row, midcut_distribution
+from .entropy import entropy_dp, entropy_exact, fit_power_law, mid_cut_row
 from .errors import CapacityError, InvalidParameterError
 from .exact import build_state
 from .hamiltonian import assemble_hamiltonian, sector_spectrum, term_residuals
@@ -59,6 +58,8 @@ def load_manifest(path) -> dict:
     """A manifest file's entries, checked by run_experiment after any flag overrides."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"a manifest must be a JSON object, got {data!r}")
     if "experiment" not in data:
         raise InvalidParameterError("manifest lacks an 'experiment' entry")
     return data
@@ -73,6 +74,9 @@ def save_manifest(manifest: dict, path):
 def normalize_manifest(data: dict) -> dict:
     if data.get("experiment") not in EXPERIMENTS:
         raise InvalidParameterError(f"experiment must be one of {EXPERIMENTS}")
+    unknown = sorted(set(data) - set(DEFAULTS) - {"experiment"})
+    if unknown:
+        raise InvalidParameterError(f"unknown manifest entries {unknown}")
     out = dict(DEFAULTS)
     out.update(data)
     if not isinstance(out["L"], list):

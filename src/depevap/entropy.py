@@ -37,6 +37,7 @@ from .params import ModelParams
 from .surface import event_table, horizon_profile
 
 MAX_PROFILES = 3_000_000  # admits L = 27; the DP needs about 0.65 kB per profile
+SCHMIDT_TOL = 1e-14  # Schmidt weights below this are rounding noise and dropped
 
 
 @dataclass
@@ -55,7 +56,6 @@ class EntropyReport:
     S_total: float
     S_uncolored: float
     color_term: float
-    method: str               # "svd" | "formula" | "dp"
 
 
 def mid_cut_row(L: int) -> int:
@@ -216,18 +216,15 @@ def entropy_formula(dist: SurfaceDistribution) -> EntropyReport:
     """S in bits from the cut distribution; color term <N_c> when colored."""
     S_unc = _shannon_bits(list(dist.table.values()))
     color = dist.mean_color_units if dist.params.colored else 0.0
-    return EntropyReport(S_total=S_unc + color, S_uncolored=S_unc,
-                         color_term=color, method="formula")
+    return EntropyReport(S_total=S_unc + color, S_uncolored=S_unc, color_term=color)
 
 
 def entropy_dp(params: ModelParams, cut_row: int = None,
                max_profiles: int = MAX_PROFILES) -> EntropyReport:
-    """midcut_distribution + entropy_formula, tagged as the dp method."""
+    """entropy_formula of the DP's midcut_distribution."""
     if cut_row is None:
         cut_row = mid_cut_row(params.L)
-    report = entropy_formula(midcut_distribution(params, cut_row, max_profiles))
-    return EntropyReport(S_total=report.S_total, S_uncolored=report.S_uncolored,
-                         color_term=report.color_term, method="dp")
+    return entropy_formula(midcut_distribution(params, cut_row, max_profiles))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +248,7 @@ def _site_value(config, site):
     return config.spins[(a, b)] if kind == "s" else config.colors[(a, b)]
 
 
-def schmidt_spectrum(state: SparseState, cut_row: int, axis: str = "space",
-                     tol: float = 1e-14):
+def schmidt_spectrum(state: SparseState, cut_row: int, axis: str = "space"):
     """Schmidt weights with sector labels, grouped Gram-block by sector.
 
     Space-axis sectors are labelled (zigzag profile at the cut, unmatched
@@ -297,7 +293,7 @@ def schmidt_spectrum(state: SparseState, cut_row: int, axis: str = "space",
         M[row_of, col_of] = amps[block]
         gram = M @ M.T
         for lam in np.linalg.eigvalsh(gram):
-            if lam >= tol:
+            if lam >= SCHMIDT_TOL:
                 spectrum.append((label, float(lam)))
     spectrum.sort(key=lambda item: -item[1])
     return spectrum
@@ -322,7 +318,7 @@ def _sector_labels(decoded, cut_row):
 
 
 def entropy_exact(state: SparseState, cut_row: int, axis: str = "space") -> EntropyReport:
-    """-sum(lam log2 lam) over the Schmidt spectrum; method 'svd'."""
+    """-sum(lam log2 lam) over the Schmidt spectrum."""
     spectrum = schmidt_spectrum(state, cut_row, axis=axis)
     S_total = _shannon_bits([lam for _, lam in spectrum])
     by_profile = {}
@@ -330,8 +326,7 @@ def entropy_exact(state: SparseState, cut_row: int, axis: str = "space") -> Entr
         prof = label[0] if isinstance(label, tuple) else label
         by_profile[prof] = by_profile.get(prof, 0.0) + lam
     S_unc = _shannon_bits(list(by_profile.values()))
-    return EntropyReport(S_total=S_total, S_uncolored=S_unc,
-                         color_term=S_total - S_unc, method="svd")
+    return EntropyReport(S_total=S_total, S_uncolored=S_unc, color_term=S_total - S_unc)
 
 
 # ---------------------------------------------------------------------------

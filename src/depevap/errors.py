@@ -24,7 +24,3 @@ class DecodeError(ValueError):
 
 class UnsupportedModeError(ValueError):
     """The requested boundary mode is not supported by this construction."""
-
-
-class NoDeformationError(ValueError):
-    """No legal local deformation exists for the requested case."""

@@ -213,9 +213,9 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES,
     return Bridges(L=L, heights=profiles_to_heights(profiles, L), colors=colors, weights=weights)
 
 
-def success_probability(params: ModelParams, max_nodes: int = MAX_NODES) -> float:
+def success_probability(params: ModelParams) -> float:
     """Total bridge weight before renormalization."""
-    return math.fsum(enumerate_bridge(params, max_nodes=max_nodes).weights.tolist())
+    return math.fsum(enumerate_bridge(params).weights.tolist())
 
 
 def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:

@@ -54,7 +54,7 @@ from .codec import (
     vertex_sites,
     vertex_spin_indices,
 )
-from .errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
+from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import SparseState, _site_labels, branch_table, expand_frontier, within_reach
 from .params import ModelParams
 from .surface import branch_probability, horizon_profile, slice_sites
@@ -152,24 +152,16 @@ def _window_spin_bits(k, S, v):
     )
 
 
-def build_deformation_state(k, c, S, p, local_heights=None) -> DeformationState:
+def build_deformation_state(k, c, S, p) -> DeformationState:
     """The two-branch superposition for case k, color c and side pattern S.
 
-    `local_heights`, when given as the (h_before, h_after) endpoint pair
-    of the site's two-slice window, must match case k.  Weights follow
-    the product of the four adjacent vertex probabilities; for the
-    colored spike case (k=1) the upper branch carries the extra 1/2 of
-    its single free color choice.
+    Weights follow the product of the four adjacent vertex
+    probabilities; for the colored spike case (k=1) the upper branch
+    carries the extra 1/2 of its single free color choice.
     """
     if S[0] not in (-1, 1) or S[1] not in (-1, 1):
         raise InvalidParameterError(f"S must be a pair of +-1, got {S!r}")
     e_down, e_up = _endpoint_pattern(k)
-    if local_heights is not None:
-        h0, h1 = local_heights
-        if h1 - h0 != e_up - e_down:
-            raise NoDeformationError(f"case k={k} incompatible with endpoint heights {local_heights}")
-        if min(h0, h1) < 0:
-            raise NoDeformationError("deformation window sits below h = 0")
     w_hi = _branch_weight(+1, e_down, e_up, S[0], S[1], p)
     w_lo = _branch_weight(-1, e_down, e_up, S[0], S[1], p)
     hi_spins = _window_spin_bits(k, S, +1)
@@ -502,24 +494,19 @@ def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
     return H
 
 
-def sector_spectrum(terms, params: ModelParams, k: int, return_vectors=False,
-                    max_states: int = 200_000):
+def sector_spectrum(terms, params: ModelParams, k: int):
     """Lowest-k eigenvalues of H in the constrained sector, ascending.
 
     The sector matrix is dense, so LAPACK diagonalizes it in full
-    (`np.linalg.eigvalsh`, or `eigh` when vectors are asked for).  That
-    keeps degenerate levels with their multiplicity and gives the same
-    floats on every call, which an iterative solver restarted from a
-    random vector (ARPACK, at p = 0 and p = 1) does not.  The state cap
-    is the lower of `max_states` and DENSE_STATES, so a sector too large
-    for dense storage raises CapacityError while its keys are counted.
+    (`np.linalg.eigvalsh`).  That keeps degenerate levels with their
+    multiplicity and gives the same floats on every call, which an
+    iterative solver restarted from a random vector (ARPACK, at p = 0
+    and p = 1) does not.  The state cap is DENSE_STATES, so a sector too
+    large for dense storage raises CapacityError while its keys are
+    counted.
     """
-    keys = sector_keys(params, max_states=min(max_states, DENSE_STATES))
-    H = sector_matrix(terms, keys, params)
-    if return_vectors:
-        vals, vecs = np.linalg.eigh(H)
-        return list(map(float, vals[:k])), vecs[:, :k], keys
-    return list(map(float, np.linalg.eigvalsh(H)[:k]))
+    keys = sector_keys(params, max_states=DENSE_STATES)
+    return list(map(float, np.linalg.eigvalsh(sector_matrix(terms, keys, params))[:k]))
 
 
 # ---------------------------------------------------------------------------

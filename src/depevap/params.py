@@ -9,6 +9,10 @@ from .errors import InvalidParameterError
 BOUNDARY_MODES = ("reflecting", "absorbing")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the deposition-evaporation model.
@@ -31,17 +35,17 @@ class ModelParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.L, int) or self.L < 3:
+        if not _is_int(self.L) or self.L < 3:
             raise InvalidParameterError(f"L must be an integer >= 3, got {self.L!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidParameterError(f"p must lie in [0, 1], got {self.p!r}")
+        if not (_is_int(self.p) or isinstance(self.p, float)) or not 0.0 <= self.p <= 1.0:
+            raise InvalidParameterError(f"p must be a number in [0, 1], got {self.p!r}")
         if self.boundary_mode not in BOUNDARY_MODES:
             raise InvalidParameterError(
                 f"boundary_mode must be one of {BOUNDARY_MODES}, got {self.boundary_mode!r}"
             )
         if not isinstance(self.colored, bool):
             raise InvalidParameterError(f"colored must be a bool, got {self.colored!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise InvalidParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def require_odd_L(self):

@@ -86,12 +86,6 @@ class ObservableSeries:
     ranges: int = 1  # trajectory ranges the ensemble ran in; no output depends on it
 
 
-def roughness(profile) -> float:
-    """sqrt((1/L) sum_i (h_i - hbar)^2) over the L interior sites."""
-    h = np.asarray(profile, dtype=float)[1:-1]
-    return float(np.sqrt(np.mean((h - h.mean()) ** 2)))
-
-
 def _spot_check(H, L):
     """Slope, parity and non-negativity of site-major heights (L+2, n_traj)."""
     if (np.abs(np.diff(H, axis=0)) != 1).any():

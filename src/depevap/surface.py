@@ -45,20 +45,6 @@ def horizon_profile(L: int) -> np.ndarray:
     return np.array([i % 2 for i in range(L + 2)], dtype=np.int64)
 
 
-def deposit_rule(profile, i):
-    """h_i <- min(h_{i-1}, h_{i+1}) + 1; total rule, may be a no-op."""
-    out = np.array(profile, dtype=np.int64, copy=True)
-    out[i] = min(out[i - 1], out[i + 1]) + 1
-    return out
-
-
-def evaporate_rule(profile, i):
-    """h_i <- max(h_{i-1}, h_{i+1}) - 1; may go negative, caller decides legality."""
-    out = np.array(profile, dtype=np.int64, copy=True)
-    out[i] = max(out[i - 1], out[i + 1]) - 1
-    return out
-
-
 def local_shape(dl, dr) -> str:
     """"valley", "peak" or "slope" from the neighbour offsets h_{i-1} - h_i, h_{i+1} - h_i."""
     if dl == dr == 1:
@@ -102,43 +88,19 @@ def branch_probability(shape: str, delta: int, p: float) -> float:
     raise InvalidParameterError(f"a {shape} cannot move by {delta}")
 
 
-def site_table(h, hl, hr, params: ModelParams) -> tuple:
-    """The event table of a site at height h between neighbours hl and hr."""
-    floor = params.boundary_mode == "reflecting" and h <= 1
-    return event_table(local_shape(hl - h, hr - h), floor, params.p, params.colored)
-
-
 def site_branches(h, hl, hr, params: ModelParams):
-    """Trajectory branches (new_h, kind, color, prob) for one eligible site."""
-    return [(h + d, kind, color, prob) for d, kind, color, prob in site_table(h, hl, hr, params)]
+    """Trajectory branches (new_h, kind, color, prob) of a site at height h between hl and hr.
 
-
-def no_change_probability(h, hl, hr, params: ModelParams) -> float:
-    """Weight of a site that stays put, e.g. a frozen boundary site.
-
-    In absorbing mode a peak at h = 1 keeps (1+p)/2: its evaporation
-    branch would go below 0 and is post-selected away.
+    The no-change branch is last, so `[-1][3]` is the weight of a site
+    that stays put, e.g. a frozen boundary site.  In absorbing mode a
+    peak at h = 1 keeps (1+p)/2: its evaporation branch would go below 0
+    and is post-selected away.
     """
-    return site_table(h, hl, hr, params)[-1][3]
+    floor = params.boundary_mode == "reflecting" and h <= 1
+    table = event_table(local_shape(hl - h, hr - h), floor, params.p, params.colored)
+    return [(h + d, kind, color, prob) for d, kind, color, prob in table]
 
 
 def slice_sites(L: int, t: int) -> list[int]:
     """Eligible sites updated at slice t: vertex (i, t) exists for i + t odd; 1 and L stay frozen."""
     return [i for i in range(2, L) if (i + t) % 2 == 1]
-
-
-def validate_profile(profile, L, mode="reflecting"):
-    """Assert the HeightProfile invariants; raises InvalidParameterError."""
-    profile = np.asarray(profile)
-    if profile.shape != (L + 2,):
-        raise InvalidParameterError(f"profile must have length L+2={L + 2}")
-    if profile[0] != 0:
-        raise InvalidParameterError("h[0] must be 0")
-    if L % 2 == 1 and profile[L + 1] != 0:
-        raise InvalidParameterError("h[L+1] must be 0")
-    if (np.abs(np.diff(profile)) != 1).any():
-        raise InvalidParameterError("neighbour height steps must be exactly 1")
-    if ((profile - np.arange(L + 2)) % 2 != 0).any():
-        raise InvalidParameterError("height parity must match site parity")
-    if mode == "reflecting" and (profile < 0).any():
-        raise InvalidParameterError("reflecting profiles must be nonnegative")

@@ -16,7 +16,7 @@ from depevap.codec import TrajectoryRecord, vertex_sites
 from depevap.errors import CapacityError, EncodeError
 from depevap.exact import MAX_NODES
 from depevap.params import ModelParams
-from depevap.surface import COLOR_NONE, horizon_profile, no_change_probability, site_branches
+from depevap.surface import COLOR_NONE, horizon_profile, site_branches
 
 
 def _remaining_updates(L, i, t):
@@ -52,7 +52,7 @@ def slice_outcomes(profile, t, params: ModelParams):
     base = 1.0
     for i in (1, L):
         if (i + t) % 2 == 1:
-            base *= no_change_probability(profile[i], profile[i - 1], profile[i + 1], params)
+            base *= site_branches(profile[i], profile[i - 1], profile[i + 1], params)[-1][3]
     sites = [i for i in range(2, L) if (i + t) % 2 == 1]
     per_site = []
     for i in sites:
@@ -158,7 +158,7 @@ def trajectory_weight(traj: TrajectoryRecord, params: ModelParams) -> float:
     for i, t in vertex_sites(traj.L):
         h, hl, hr = int(H[t - 1][i]), int(H[t][i - 1]), int(H[t][i + 1])
         if i in (1, traj.L):
-            w *= no_change_probability(h, hl, hr, params)
+            w *= site_branches(h, hl, hr, params)[-1][3]
             continue
         probs = [prob for new_h, kind, _, prob in site_branches(h, hl, hr, params)
                  if new_h == H[t + 1][i] and kind == traj.events[(i, t)][0]]

@@ -89,19 +89,28 @@ def test_main_cli(tmp_path):
     ["dp-entropy", "--L", "5", "--p", "0.5", "--p", "1.5"],
     ["scaling", "--L", "16", "--p", "0.5", "--samples", "2", "--tmax", "30"],  # default window
     ["scaling", "--L", "16", "--p", "0.5", "--samples", "2", "--tmax", "108"],
-    # a trailing dict holds manifest-only entries, written to a manifest file
+    # a trailing non-string is written to a manifest file; a dict gets the experiment added
     ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 300}],
     ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 20, "fit_hi": "x"}],
     ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 300, "fit_hi": 200}],
     ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 20.0, "fit_hi": 200}],
     ["scaling", {"L": 16, "samples": 2, "tmax": 500, "fit_lo": 495, "fit_hi": 600}],
     ["dp-entropy", {"L": 5, "colored": "no"}],
+    ["dp-entropy", {"L": 5, "p": ["0.5"]}],
+    ["dp-entropy", {"L": 5, "p": [True]}],
+    ["dp-entropy", {"L": 5, "seed": True}],
+    ["scaling", {"L": 16, "sample": 10, "tmax": 500}],  # a misspelt key
+    ["dp-entropy", 5],  # a manifest file that is not a JSON object
+    ["dp-entropy", None],
 ])
 def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
     out = tmp_path / "run"
-    if isinstance(args[-1], dict):
+    if not isinstance(args[-1], str):
+        manifest = args[-1]
+        if isinstance(manifest, dict):
+            manifest = {"experiment": args[0], **manifest}
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"experiment": args[0], **args[-1]}))
+        path.write_text(json.dumps(manifest))
         args = [args[0], "--manifest", str(path)]
     assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")

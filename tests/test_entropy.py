@@ -107,7 +107,7 @@ def test_formula_matches_svd_grid():
 def test_formula_identity_and_dp_method():
     params = ModelParams(L=7, p=0.6, colored=True)
     report = entropy_dp(params)
-    assert report.method == "dp"
+    assert report == entropy_formula(midcut_distribution(params, mid_cut_row(7)))
     assert report.S_total == pytest.approx(report.color_term + report.S_uncolored, abs=1e-12)
 
 

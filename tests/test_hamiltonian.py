@@ -9,7 +9,7 @@ from bridge_reference import bridge_records
 from depevap import ModelParams
 from depevap.codec import canonical_key, decode_keys, encode_trajectory, key_length
 from depevap.codec import pack_values, site_order, unpack_keys
-from depevap.errors import CapacityError, InvalidParameterError, NoDeformationError, UnsupportedModeError
+from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from depevap.exact import SparseState, build_state
 from depevap.hamiltonian import (
     DENSE_BYTES,
@@ -61,13 +61,14 @@ def test_deformation_weights_frozen():
 
 
 def test_deformation_cases_and_errors():
-    for k, (h0, h1) in ((1, (3, 3)), (2, (1, 3)), (3, (3, 1))):
-        d = build_deformation_state(k, 2, (1, -1), 0.4, local_heights=(h0, h1))
-        assert d.k == k
-    with pytest.raises(NoDeformationError):
-        build_deformation_state(1, 1, (1, 1), 0.4, local_heights=(1, 3))
-    with pytest.raises(NoDeformationError):
-        build_deformation_state(3, 1, (1, 1), 0.4, local_heights=(1, -1))
+    for k in (1, 2, 3):
+        assert build_deformation_state(k, 2, (1, -1), 0.4).k == k
+    with pytest.raises(InvalidParameterError):
+        build_deformation_state(4, 1, (1, 1), 0.4)
+    with pytest.raises(InvalidParameterError):
+        build_deformation_state(1, 1, (1, 0), 0.4)
+    with pytest.raises(InvalidParameterError):
+        build_deformation_state(1, 3, (1, 1), 0.4)
     # p=0 kills the deposit branch of the spike case
     d0 = build_deformation_state(1, 1, (-1, -1), 0.0)
     assert d0.coeffs[0] == 0.0 and d0.coeffs[1] > 0
@@ -331,17 +332,17 @@ def test_sector_matrix_key_handling():
 def test_sector_spectrum_and_fidelity():
     params = ModelParams(L=3, p=0.5, colored=True, **ABS)
     terms = assemble_hamiltonian(params)
-    vals, vecs, keys = sector_spectrum(terms, params, 3, return_vectors=True)
+    vals = sector_spectrum(terms, params, 3)
     assert vals[0] < 1e-10
     assert vals[1] > 1e-6
     assert all(v >= -1e-10 for v in vals)
+    keys = sector_keys(params)
+    dense, vecs = np.linalg.eigh(sector_matrix(terms, keys, params))
     state = build_state(params)
     target = np.array([state.amplitudes.get(k, 0.0) for k in keys])
     assert abs(float(target @ vecs[:, 0])) ** 2 > 1 - 1e-9
-    # the eigenvalues agree with a direct eigvalsh of the sector matrix
-    H = sector_matrix(terms, keys, params)
-    dense = np.linalg.eigvalsh(H)[:3]
-    assert vals == pytest.approx(list(dense), abs=1e-10)
+    # the eigenvalues agree with a direct diagonalization of the sector matrix
+    assert vals == pytest.approx(list(dense[:3]), abs=1e-10)
     # L=5 colored has a doubly degenerate second level; the solver must keep both copies
     params = ModelParams(L=5, p=0.5, colored=True, **ABS)
     terms = assemble_hamiltonian(params)
@@ -360,8 +361,8 @@ def test_sector_spectrum_is_reproducible(colored, p):
     terms = assemble_hamiltonian(params)
     first = sector_spectrum(terms, params, 4)
     assert all(sector_spectrum(terms, params, 4) == first for _ in range(3))
-    vals, vecs, _ = sector_spectrum(terms, params, 4, return_vectors=True)
-    assert vals == pytest.approx(first, abs=1e-12) and vecs.shape[1] == 4
+    vals = np.linalg.eigh(sector_matrix(terms, sector_keys(params), params))[0][:4]
+    assert list(vals) == pytest.approx(first, abs=1e-12)
 
 
 def test_mismatched_colors_are_gapped():

@@ -10,7 +10,6 @@ from depevap.errors import InvalidParameterError
 from depevap.scaling import (
     ensemble,
     exponent_report,
-    roughness,
     saturation_time,
     _spot_check,
 )
@@ -164,14 +163,6 @@ def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
     with pytest.raises(RuntimeError, match="exited with code 3"):
         ensemble(params, 6, 300, check_every=64)
     assert multiprocessing.active_children() == []
-
-
-def test_roughness_examples():
-    assert roughness([0, 1, 0, 1, 0]) == pytest.approx(math.sqrt(2 / 9))
-    assert roughness([0, 2, 2, 2, 0]) == 0.0
-    h = np.array([1.0, 2.0, 1.0])
-    expected = math.sqrt(np.mean((h - h.mean()) ** 2))
-    assert roughness([0, 1, 2, 1, 0]) == pytest.approx(expected)
 
 
 def test_p0_series_constant():

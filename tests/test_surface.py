@@ -9,16 +9,8 @@ from depevap import ModelParams
 from depevap.codec import vertex_sites
 from depevap.errors import InvalidParameterError
 from depevap.exact import enumerate_bridge
-from depevap.surface import (
-    deposit_rule,
-    evaporate_rule,
-    event_table,
-    horizon_profile,
-    local_shape,
-    site_branches,
-    slice_sites,
-    validate_profile,
-)
+from depevap.scaling import _spot_check
+from depevap.surface import event_table, horizon_profile, local_shape, site_branches, slice_sites
 
 
 def _sample_slice(profile, t, rng, params):
@@ -42,18 +34,6 @@ def test_horizon_examples():
         horizon_profile(2)
     with pytest.raises(InvalidParameterError):
         horizon_profile(1)
-
-
-def test_deposit_rule_examples():
-    assert deposit_rule([0, 1, 0, 1, 0], 2).tolist() == [0, 1, 2, 1, 0]
-    assert deposit_rule([0, 1, 2, 1, 0], 2).tolist() == [0, 1, 2, 1, 0]
-    assert deposit_rule([0, 1, 2, 1, 0], 3)[3] == min(2, 0) + 1
-
-
-def test_evaporate_rule_examples():
-    assert evaporate_rule([0, 1, 2, 1, 0], 2).tolist() == [0, 1, 0, 1, 0]
-    assert evaporate_rule([0, 1, 0, 1, 0], 2).tolist() == [0, 1, 0, 1, 0]
-    assert evaporate_rule([0, 1, 0, 1, 0], 1)[1] == -1  # caller must reject
 
 
 def test_site_shape_examples():
@@ -150,7 +130,7 @@ def test_advance_slice_deterministic_and_valid():
         hist = []
         for t in range(1, 60):
             prof = _sample_slice(prof, t, rng, params)
-            validate_profile(prof, 9, "reflecting")
+            _spot_check(prof[:, None], 9)  # slope, parity and the reflecting floor
             hist.append(prof.tolist())
         runs.append(hist)
     assert runs[0] == runs[1]
