@@ -29,7 +29,7 @@ import numpy as np
 
 from .entropy import entropy_dp, entropy_exact, fit_power_law, mid_cut_row
 from .errors import CapacityError, InvalidParameterError
-from .exact import build_state
+from .exact import MAX_NODES, build_state
 from .hamiltonian import assemble_hamiltonian, sector_spectrum, term_residuals
 from .params import ModelParams
 from .scaling import DEFAULT_FIT_HI_MIN, DEFAULT_FIT_LO, ensemble, exponent_report, fit_mask
@@ -47,7 +47,7 @@ DEFAULTS = {
     "samples": 200,
     "tmax": 4000,
     "out": "out",
-    "max_nodes": 10_000_000,
+    "max_nodes": MAX_NODES,
     "cut_row": None,
     "fit_lo": DEFAULT_FIT_LO,
     "fit_hi": None,
@@ -102,6 +102,7 @@ def normalize_manifest(data: dict) -> dict:
                         colored=out["colored"], seed=out["seed"])
         if cut is not None and (type(cut) is not int or not 1 <= cut <= L - 1):
             raise InvalidParameterError(f"cut_row must lie in 1..{L - 1} for L={L}, got {cut!r}")
+    out["p"] = [float(p) for p in out["p"]]  # an integer p writes what --p writes: 1.0, not 1
     return out
 
 
@@ -128,8 +129,8 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     started = time.perf_counter()
     runner = {
         "scaling": _run_scaling,
-        "exact-entropy": _run_exact_entropy,
-        "dp-entropy": _run_dp_entropy,
+        "exact-entropy": _run_entropy,
+        "dp-entropy": _run_entropy,
         "hamiltonian-check": _run_hamiltonian_check,
         "seqgen-check": _run_seqgen_check,
         "phase-sweep": _run_phase_sweep,
@@ -174,7 +175,7 @@ def _run_scaling(manifest, outdir, meta):
         summary.append((params.L, params.p,
                         rep["W"]["exponent"], rep["W"]["r_squared"],
                         rep["mid"]["exponent"], rep["mid"]["r_squared"],
-                        rep.get("W_fluct", {}).get("exponent", float("nan")),
+                        rep["W_fluct"]["exponent"],
                         rep["fit_window"][0], rep["fit_window"][1],
                         rep["saturation_time"] if rep["saturation_time"] else -1))
     path = outdir / "scaling_summary.csv"
@@ -184,37 +185,32 @@ def _run_scaling(manifest, outdir, meta):
     return paths, False
 
 
-def _entropy_rows(manifest, methods):
+def _entropy_rows(manifest):
+    """(L, p, mode, cut, method, S_uncolored, color_term, S_total) rows of the DP grid.
+
+    exact-entropy puts an "svd" row before each "dp" row; a grid point over
+    a capacity guard gets one "capacity" row of nan.
+    """
     rows = []
     capacity = False
     for params in _grid(manifest):
         cut = mid_cut_row(params.L) if manifest["cut_row"] is None else manifest["cut_row"]
+        point = (params.L, params.p, params.boundary_mode, cut)
         try:
-            if "svd" in methods:
+            if manifest["experiment"] == "exact-entropy":
                 report = entropy_exact(build_state(params, max_nodes=manifest["max_nodes"]), cut)
-                rows.append((params.L, params.p, params.boundary_mode, cut, "svd",
-                             report.S_uncolored, report.color_term, report.S_total))
+                rows.append((*point, "svd", report.S_uncolored, report.color_term, report.S_total))
             report = entropy_dp(params, cut, manifest["max_nodes"])
-            rows.append((params.L, params.p, params.boundary_mode, cut, "dp",
-                         report.S_uncolored, report.color_term, report.S_total))
+            rows.append((*point, "dp", report.S_uncolored, report.color_term, report.S_total))
         except CapacityError:
-            rows.append((params.L, params.p, params.boundary_mode, cut, "capacity",
-                         float("nan"), float("nan"), float("nan")))
+            rows.append((*point, "capacity", float("nan"), float("nan"), float("nan")))
             capacity = True
     return rows, capacity
 
 
-def _run_exact_entropy(manifest, outdir, meta):
-    rows, capacity = _entropy_rows(manifest, ("svd", "dp"))
-    path = outdir / "exact_entropy.csv"
-    _write_csv(path, ["L", "p", "mode", "cut", "method",
-                      "S_uncolored", "color_term", "S_total"], rows)
-    return [path], capacity
-
-
-def _run_dp_entropy(manifest, outdir, meta):
-    rows, capacity = _entropy_rows(manifest, ("dp",))
-    path = outdir / "dp_entropy.csv"
+def _run_entropy(manifest, outdir, meta):
+    rows, capacity = _entropy_rows(manifest)
+    path = outdir / f"{manifest['experiment'].replace('-', '_')}.csv"
     _write_csv(path, ["L", "p", "mode", "cut", "method",
                       "S_uncolored", "color_term", "S_total"], rows)
     return [path], capacity
@@ -266,21 +262,14 @@ def _run_seqgen_check(manifest, outdir, meta):
 
 
 def _run_phase_sweep(manifest, outdir, meta):
-    rows = []
-    capacity = False
+    rows, capacity = _entropy_rows(manifest)
     by_p = {}
-    for params in _grid(manifest):
-        cut = mid_cut_row(params.L) if manifest["cut_row"] is None else manifest["cut_row"]
-        try:
-            report = entropy_dp(params, cut, manifest["max_nodes"])
-            rows.append((params.L, params.p, cut, report.S_uncolored,
-                         report.color_term, report.S_total))
-            by_p.setdefault(params.p, []).append((params.L, report.S_total))
-        except CapacityError:
-            rows.append((params.L, params.p, cut, float("nan"), float("nan"), float("nan")))
-            capacity = True
+    for L, p, _, _, method, _, _, S_total in rows:
+        if method == "dp":
+            by_p.setdefault(p, []).append((L, S_total))
     p1 = outdir / "phase_sweep.csv"
-    _write_csv(p1, ["L", "p", "cut", "S_uncolored", "color_term", "S_total"], rows)
+    _write_csv(p1, ["L", "p", "cut", "S_uncolored", "color_term", "S_total"],
+               [(L, p, cut, *values) for L, p, _, cut, _, *values in rows])
     fits = []
     for p, pts in sorted(by_p.items()):
         positive = sorted((L, S) for L, S in pts if S > 0)
@@ -319,12 +308,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         manifest = load_manifest(args.manifest) if args.manifest else {}
-        manifest["experiment"] = args.experiment
-        for key in ("L", "p", "mode", "colored", "seed", "samples", "tmax", "out",
-                    "cut_row", "max_nodes"):
-            value = getattr(args, key)
-            if value is not None:
-                manifest[key] = value
+        manifest.update((key, value) for key, value in vars(args).items()
+                        if value is not None and key != "manifest")
         paths, code = run_experiment(manifest)
     except (InvalidParameterError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from .exact import SparseState
 from .params import ModelParams
 from .surface import event_table, horizon_profile
 
-MAX_PROFILES = 3_000_000  # admits L = 27; the DP needs about 0.65 kB per profile
+MAX_PROFILES = 3_000_000  # admits L = 27; the DP needs about 0.3 kB per profile
 SCHMIDT_TOL = 1e-14  # Schmidt weights below this are rounding noise and dropped
 
 
@@ -44,11 +44,17 @@ SCHMIDT_TOL = 1e-14  # Schmidt weights below this are rounding noise and dropped
 class SurfaceDistribution:
     """Conditioned distribution of the zigzag profile at a cut."""
 
-    table: dict               # profile tuple -> probability
+    heights: np.ndarray       # (K, L + 2) int8 profiles of the support, in rank order
+    probs: np.ndarray         # (K,) their probabilities
     cut_row: int
     mean_area: float
     mean_color_units: float
     params: ModelParams
+
+    @property
+    def table(self) -> dict:
+        """{profile tuple: probability}, built from the arrays on each call."""
+        return dict(zip(map(tuple, self.heights.tolist()), self.probs.tolist()))
 
 
 @dataclass
@@ -70,11 +76,6 @@ def profile_count(L: int) -> int:
     """Zigzag profiles of odd size L: the Catalan number C_{(L+1)/2}."""
     n = (L + 1) // 2
     return math.comb(2 * n, n) // (n + 1)
-
-
-def _step_code(profile) -> int:
-    """Bit j - 1 set when step j, from h[j-1] to h[j], goes up."""
-    return sum(1 << (j - 1) for j in range(1, len(profile)) if profile[j] > profile[j - 1])
 
 
 def _dyck_codes(L):
@@ -153,12 +154,6 @@ class TransferKernel:
         return self._apply(b, t, *self._backward)
 
 
-def _as_tuples(heights, chunk=1 << 16):
-    """Rows of a height array as tuples of ints, converted a chunk at a time."""
-    for start in range(0, len(heights), chunk):
-        yield from map(tuple, heights[start:start + chunk].tolist())
-
-
 def midcut_distribution(params: ModelParams, cut_row: int,
                         max_profiles: int = MAX_PROFILES) -> SurfaceDistribution:
     """p(profile at the cut) from forward weights times backward bridge weights.
@@ -180,7 +175,7 @@ def midcut_distribution(params: ModelParams, cut_row: int,
         raise CapacityError(f"L={L} has {count} zigzag profiles, over the cap of {cap}")
     kernel = TransferKernel(params)
     start = np.zeros(count)
-    start[np.searchsorted(kernel.codes, _step_code(horizon_profile(L)))] = 1.0
+    start[(kernel.heights == horizon_profile(L)).all(axis=1)] = 1.0
 
     forward = start  # weights of profiles after slice t
     for t in range(1, cut_row + 1):
@@ -198,10 +193,9 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     support = np.flatnonzero(raw > 0)
     probs = raw[support] / total
     heights = kernel.heights[support]
-    table = dict(zip(_as_tuples(heights), probs.tolist()))
     area = heights[:, 1:L + 1].sum(axis=1, dtype=np.int64) - (L + 1) // 2  # above the horizon
     mean_area = math.fsum((probs * area).tolist())
-    return SurfaceDistribution(table=table, cut_row=cut_row,
+    return SurfaceDistribution(heights=heights, probs=probs, cut_row=cut_row,
                                mean_area=mean_area, mean_color_units=mean_area / 2,
                                params=params)
 
@@ -214,7 +208,7 @@ def _shannon_bits(probs) -> float:
 
 def entropy_formula(dist: SurfaceDistribution) -> EntropyReport:
     """S in bits from the cut distribution; color term <N_c> when colored."""
-    S_unc = _shannon_bits(list(dist.table.values()))
+    S_unc = _shannon_bits(dist.probs)
     color = dist.mean_color_units if dist.params.colored else 0.0
     return EntropyReport(S_total=S_unc + color, S_uncolored=S_unc, color_term=color)
 

@@ -370,10 +370,12 @@ def fit_mask(times, window) -> np.ndarray:
 
 
 def exponent_report(series: ObservableSeries, fit_window=None) -> dict:
-    """Power-law exponents of W and the midpoint height before saturation.
+    """Power-law exponents of W, the midpoint height and W_fluct before saturation.
 
     The default window is [100, T_sat / 4] (T_sat from saturation_time,
-    else the end of the series), the standard growth-regime choice.
+    else the end of the series), the standard growth-regime choice.  A fit
+    whose data in the window are not all positive is nan: the midpoint
+    pinned at height 0 (p = 0, even L), or W_fluct of one trajectory.
     """
     from .entropy import fit_power_law
 
@@ -388,15 +390,9 @@ def exponent_report(series: ObservableSeries, fit_window=None) -> dict:
         fit_window = (DEFAULT_FIT_LO, max(hi, DEFAULT_FIT_HI_MIN))
     mask = fit_mask(times, fit_window)
     lo, hi = fit_window[0], min(fit_window[1], times[-1])
-    w_exp, w_amp, w_r2 = fit_power_law(times[mask], series.W[mask])
-    m_exp, m_amp, m_r2 = fit_power_law(times[mask], series.mid_height[mask])
-    report = {
-        "fit_window": (int(lo), int(hi)),
-        "saturation_time": t_sat,
-        "W": {"exponent": w_exp, "amplitude": w_amp, "r_squared": w_r2},
-        "mid": {"exponent": m_exp, "amplitude": m_amp, "r_squared": m_r2},
-    }
-    if series.n_samples > 1 and (series.W_fluct[mask] > 0).all():
-        f_exp, f_amp, f_r2 = fit_power_law(times[mask], series.W_fluct[mask])
-        report["W_fluct"] = {"exponent": f_exp, "amplitude": f_amp, "r_squared": f_r2}
+    report = {"fit_window": (int(lo), int(hi)), "saturation_time": t_sat}
+    for name, ys in (("W", series.W), ("mid", series.mid_height), ("W_fluct", series.W_fluct)):
+        ys = ys[mask]
+        fit = fit_power_law(times[mask], ys) if (ys > 0).all() else (float("nan"),) * 3
+        report[name] = dict(zip(("exponent", "amplitude", "r_squared"), fit))
     return report

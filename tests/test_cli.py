@@ -80,6 +80,18 @@ def test_main_cli(tmp_path):
     assert main(["dp-entropy", "--L", "4", "--out", str(out)]) == 1  # even L rejected
     save_manifest({"experiment": "dp-entropy", "L": [5], "p": [1.5]}, tmp_path / "m")  # --p replaces
     assert main(["dp-entropy", "--manifest", str(tmp_path / "m"), "--p", "0.5", "--out", str(out)]) == 0
+    # an integer p in a manifest writes the same bytes as the float flag
+    save_manifest({"experiment": "dp-entropy", "L": [5], "p": [0, 1]}, tmp_path / "int_p")
+    assert main(["dp-entropy", "--manifest", str(tmp_path / "int_p"), "--out", str(tmp_path / "a")]) == 0
+    assert main(["dp-entropy", "--L", "5", "--p", "0", "--p", "1", "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "dp_entropy.csv").read_bytes()
+            == (tmp_path / "b" / "dp_entropy.csv").read_bytes())
+    # at p = 0 and even L the midpoint stays at 0: its fit is nan, not an error
+    assert main(["scaling", "--L", "16", "--p", "0", "--samples", "4", "--tmax", "200",
+                 "--out", str(tmp_path / "flat")]) == 0
+    header, row = (tmp_path / "flat" / "scaling_summary.csv").read_text().splitlines()
+    summary = dict(zip(header.split(","), row.split(",")))
+    assert (summary["L"], summary["p"], summary["mid_exponent"]) == ("16", "0.0", "nan")
 
 
 @pytest.mark.parametrize("args", [

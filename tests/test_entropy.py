@@ -18,6 +18,7 @@ from depevap.codec import (
     vertex_sites,
 )
 from depevap.entropy import (
+    _shannon_bits,
     entropy_dp,
     entropy_exact,
     entropy_formula,
@@ -289,8 +290,11 @@ def test_dp_matches_parent_values():
     for mode, L, p, S_unc, mean_area, count in PARENT_DP:
         params = ModelParams(L=L, p=p, boundary_mode=modes[mode], colored=True)
         dist = midcut_distribution(params, mid_cut_row(L))
-        assert len(dist.table) == count, (mode, L, p)
-        assert entropy_formula(dist).S_uncolored == pytest.approx(S_unc, abs=1e-12), (mode, L, p)
+        assert len(dist.table) == len(dist.probs) == count, (mode, L, p)
+        S_formula = entropy_formula(dist).S_uncolored
+        assert S_formula == pytest.approx(S_unc, abs=1e-12), (mode, L, p)
+        # the dict view holds the production floats in the production order
+        assert S_formula == _shannon_bits(list(dist.table.values())), (mode, L, p)
         assert dist.mean_area == pytest.approx(mean_area, abs=1e-12), (mode, L, p)
 
 
