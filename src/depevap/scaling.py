@@ -6,32 +6,40 @@ trajectory consumes its own counter-based random stream keyed by
 (master seed, trajectory index), so any re-partitioning of the same
 seed set across workers reproduces identical observables.
 
-Layout.  Heights live in one site-major int16 array of shape
-(L+2, n_traj): row i holds site i of every trajectory.  A slice of
-parity s updates the rows H[s:L:2] against their neighbour rows
-H[s-1:L-1:2] and H[s+1:L+1:2], all basic stride-2 views, so the update
-needs no index arrays and makes no copies.  int16 holds every reachable
-height, since 0 <= h_i <= (L+2) // 2; `ensemble` rejects larger L.
+Layout.  Heights live in two C-contiguous int16 parity planes of shape
+(n_traj, R), R = (L+3) // 2: row k of plane 0 holds the sites 0, 2, ...
+of trajectory k, row k of plane 1 its sites 1, 3, ... (padded with a 0
+for odd L).  Flattened, site 2r sits at k R + r and its neighbours at
+k R + r - 1 and k R + r of the other plane, and so on for odd sites, so
+a slice updates one contiguous run of a plane against two of the other.
+The run also covers the walls, the frozen sites 1 and L and the seams
+between trajectories, whose action is 0 (below).  int16 holds every
+reachable height, since 0 <= h_i <= h_max = (L+2) // 2; `ensemble`
+rejects larger L.
 
-Action table.  One uniform draw per eligible site per slice decides the
-event: a valley deposits when u is below its deposit probability, a
-peak at h >= 2 evaporates when u is at least its no-change probability,
-and everything else stays.  Both thresholds come from the event table
-(`branch_probability`); since p/2 <= (1+p)/2 they never overlap, so
-each trajectory's block of uniforms becomes one int8 action table with
-+1 (a valley here deposits), -1 (a peak here evaporates) or 0.  The
-half curvature (hl + hr)/2 - h is +1 at a valley, -1 at a peak and 0 on
-a slope; a site moves by twice its half curvature when that equals its
-action.  A peak at h = 1 then lands on -1, and taking the absolute value
-puts it back: that is the reflecting floor.  The color split is
-irrelevant to heights.
+Action table.  One uniform u per eligible site per slice decides the
+event: a valley deposits when u < d, its deposit probability, a peak at
+h >= 2 evaporates when u >= s, its no-change probability, and everything
+else stays (`branch_probability`; d = p/2 <= s = (1+p)/2).  As
+`Generator.random` sets u = (raw >> 11) 2^-53 from a raw Philox word,
+u < d exactly when raw < ceil(d 2^53) 2^11, and u >= s exactly when
+raw > ceil(s 2^53) 2^11 - 1, which at p = 1 is 2^64 - 1, above every
+word.  So the raw words of the same stream, in the same order, become
+one int16 table per slice block in the planes' layout: 2 (a valley here
+deposits), -2 (a peak here evaporates) or 0.  A site moves by its
+curvature hl + hr - 2h (2 at a valley, -2 at a peak, 0 on a slope) when
+that equals its action.  A peak at h = 1 then lands on -1, and taking
+the absolute value puts it back: that is the reflecting floor.  The
+color split is irrelevant to heights.
 
-Observables.  The sums of h and h^2 are kept as integers: per
-trajectory and per sublattice (for W), and per central site over the
-trajectories (for W_fluct).  A slice refreshes only the sublattice it
-updates, so W = sqrt((L S2 - S1^2) / L^2) and the across-trajectory
-variance (n C2 - C1^2) / (n (n-1)) come from exact integer moments
-without a pass over the whole lattice.
+Observables.  After each slice, the updated plane's sums of h and h^2
+are taken per trajectory (for W) and per central site over the range
+(for W_fluct and the mid height); the other plane's are the slice
+before's.  W = sqrt((L S2 - S1^2) / L^2) and the across-trajectory
+variance (n C2 - C1^2) / (n (n-1)) so come from exact integer moments.
+These sums are at most max(R, n) h_max^2, so they are exact in int32
+below 2^31 (L = 512, n = 100: 1.7e7) and otherwise in int64, where
+`_check_capacity` bounds n h_max^2.
 
 Trajectory ranges.  `ensemble` splits the trajectories into contiguous
 ranges, one per CPU in the process's affinity mask.  The calling process
@@ -53,10 +61,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .params import ModelParams
+from .params import ModelParams, _is_int
 from .surface import branch_probability, horizon_profile
 
-_BLOCK_SLICES = 128  # RNG is drawn in slice blocks of this size per trajectory
+_BLOCK_SLICES = 128  # RNG is drawn in slice blocks of this even size per trajectory
 _MAX_HEIGHT = int(np.iinfo(np.int16).max)
 _MAX_MOMENT_ROOT = math.isqrt(int(np.iinfo(np.int64).max))
 
@@ -105,8 +113,8 @@ def _cpu_count():
 
 
 def _trajectory_generators(params: ModelParams, lo, hi):
-    return [np.random.Generator(np.random.Philox(key=(params.seed << 64) + k))
-            for k in range(lo, hi)]
+    """The Philox bit generator of each trajectory k, keyed by (seed, k)."""
+    return [np.random.Philox(key=(params.seed << 64) + k) for k in range(lo, hi)]
 
 
 def _check_capacity(L, n_traj):
@@ -120,18 +128,20 @@ def _check_capacity(L, n_traj):
             f"{n_traj} trajectories at L={L} overflow the int64 height moments")
 
 
-class _Sublattice:
-    """The sites s, s+2, ... < L of one parity, as views of the heights.
+def _raw_bounds(p):
+    """(deposit, evaporate): a valley deposits when its raw word is below
+    deposit, a peak evaporates when its raw word is above evaporate."""
+    deposit = branch_probability("valley", +2, p)
+    stay = branch_probability("peak", 0, p)
+    return (np.uint64(math.ceil(deposit * 2.0 ** 53) << 11),
+            np.uint64((math.ceil(stay * 2.0 ** 53) << 11) - 1))
 
-    `center_rows` picks the rows of `h` inside the central sites
-    `center`, and `center_cols` their positions within `center`.
-    """
 
-    def __init__(self, H, s, L, center):
-        self.h, self.hl, self.hr = H[s:L:2], H[s - 1:L - 1:2], H[s + 1:L + 1:2]
-        first = center.start + (center.start - s) % 2
-        self.center_rows = slice((first - s) // 2, (center.stop - s + 1) // 2)
-        self.center_cols = slice(first - center.start, center.stop - center.start, 2)
+def _site_major(planes, L):
+    """The (L+2, n) heights of the (2, n, R) parity planes, site by site."""
+    H = np.empty((L + 2, planes.shape[1]), dtype=np.int16)
+    H[0::2], H[1::2] = planes[0].T, planes[1, :, :(L + 2) // 2].T
+    return H
 
 
 def _range_blocks(params: ModelParams, lo, hi, t_max, check_every):
@@ -146,71 +156,82 @@ def _range_blocks(params: ModelParams, lo, hi, t_max, check_every):
     """
     L = params.L
     n = hi - lo
-    mid = (L + 1) // 2
-    deposit = branch_probability("valley", +2, params.p)
-    stay = branch_probability("peak", 0, params.p)
+    R = (L + 3) // 2  # columns of a plane: the even sites 0, 2, ..., L + 1 - L % 2
+    draws = len(range(2, L, 2))  # uniforms per trajectory and slice
+    deposit, evaporate = _raw_bounds(params.p)
     gens = _trajectory_generators(params, lo, hi)
-    H = np.repeat(horizon_profile(L).astype(np.int16)[:, None], n, axis=1)
-    center = slice(L // 3 + 1, 2 * L // 3 + 1)
-    # slice t updates the sites 2, 4, ... when t is odd and 3, 5, ... when even
-    subs = (_Sublattice(H, 3, L, center), _Sublattice(H, 2, L, center))
-    max_upd = len(subs[1].h)
-    u = np.empty((_BLOCK_SLICES, max_upd))
-    by_traj = np.empty((n, _BLOCK_SLICES, max_upd), dtype=np.int8)
-    actions = np.empty((_BLOCK_SLICES, max_upd, n), dtype=np.int8)
-    half = np.empty((max_upd, n), dtype=np.int16)
-    moves = np.empty((max_upd, n), dtype=bool)
-    sq = np.empty((max_upd, n), dtype=np.int32)
+    h0 = horizon_profile(L)
+    planes = np.zeros((2, n, R), dtype=np.int16)
+    planes[0], planes[1, :, :(L + 2) // 2] = h0[0::2], h0[1::2]
+    table = np.zeros((_BLOCK_SLICES, n, R), dtype=np.int16)
+    even, odd, flat = *planes.reshape(2, -1), table.reshape(_BLOCK_SLICES, -1)
+    # (h, hl, hr, actions) of the even sites, updated by even slices j of a
+    # block (blocks start at even t), and of the odd sites
+    views = ((even[1:], odd[:-1], odd[1:], flat[:, 1:]),
+             (odd[:-1], even[:-1], even[1:], flat[:, :-1]))
+    curv = np.empty(n * R - 1, dtype=np.int16)
+    moves = np.empty(n * R - 1, dtype=bool)
 
-    # integer moments, kept per sublattice and trajectory (S) and per
-    # central site (C); the per-slice rows of a block leave at its end
-    frozen = H[[1, L]].astype(np.int64)  # sites 1 and L never move
-    fixed1, fixed2 = frozen.sum(axis=0), (frozen ** 2).sum(axis=0)
-    S1 = np.stack([sub.h.sum(axis=0, dtype=np.int64) for sub in subs])
-    S2 = np.stack([(sub.h.astype(np.int64) ** 2).sum(axis=0) for sub in subs])
-    C1 = H[center].sum(axis=1, dtype=np.int64)
-    C2 = (H[center].astype(np.int64) ** 2).sum(axis=1)
-    traj1, traj2, mids = np.empty((3, _BLOCK_SLICES, n), dtype=np.int64)
+    c0, c1 = L // 3 + 1, 2 * L // 3 + 1  # the central sites
+    mid = (L + 1) // 2 - c0  # the mid site is a central site
+    # per plane: the columns of its central sites, and their places among them
+    center_parts = [(slice((c0 + 1 - par) // 2, (c1 + 1 - par) // 2),
+                     slice((c0 - par) % 2, c1 - c0, 2)) for par in (0, 1)]
+    acc = np.int32 if max(R, n) * ((L + 2) // 2) ** 2 < 2 ** 31 else np.int64
+    hsq = np.empty((2, n, R), dtype=acc)
+    # row j + 1 holds the moments after slice j: per trajectory the sums of
+    # h and h^2 over the plane that slice updated, and per central site the
+    # sums over the range; row 0 carries the previous block's last row
+    sums = np.empty((_BLOCK_SLICES + 1, 2, n), dtype=acc)
+    site = [np.empty((_BLOCK_SLICES + 1, 2, len(range(c1 - c0)[pos])), dtype=acc)
+            for _, pos in center_parts]
+
+    def measure(par, row):
+        np.copyto(hsq[0], planes[par])
+        np.multiply(hsq[0], hsq[0], out=hsq[1])
+        hsq.sum(axis=2, out=sums[row])
+        cols, pos = center_parts[par]
+        hsq[:, :, cols].sum(axis=1, out=site[par][row])
+
+    measure(0, 0)
+    measure(1, 0)  # row 0 ends with the odd plane: slice 0 updates the even one
     for t in range(0, t_max, _BLOCK_SLICES):
         block = min(_BLOCK_SLICES, t_max - t)
         for k, g in enumerate(gens):
-            g.random(out=u[:block])
-            np.subtract(u[:block] < deposit, u[:block] >= stay, dtype=np.int8,
-                        out=by_traj[k, :block])
-        np.copyto(actions[:block], by_traj[:, :block].transpose(1, 2, 0))
-        site1, site2 = np.empty((2, block, len(C1)), dtype=np.int64)
+            raw = g.random_raw(block * draws).reshape(block, draws)
+            sign = np.subtract(raw < deposit, raw > evaporate, dtype=np.int16)
+            np.add(sign, sign, out=table[:block, k, 1:1 + draws])
+        if L % 2:  # an odd slice has one site fewer: its last uniform is unused
+            table[1:block:2, :, draws] = 0
         for j in range(block):
-            step = t + j + 1
-            par = step % 2
-            sub = subs[par]
-            m = len(sub.h)
-            h, q, mv, hh = sub.h, half[:m], moves[:m], sq[:m]
-            np.subtract(sub.hl, h, out=q)
-            np.add(q, sub.hr, out=q)
-            np.subtract(q, h, out=q)         # curvature; a partial sum may wrap
-            np.right_shift(q, 1, out=q)      # half curvature: +1 valley, -1 peak
-            np.equal(q, actions[j, :m], out=mv)
-            np.multiply(q, mv, out=q)
-            np.left_shift(q, 1, out=q)
-            np.add(h, q, out=h)
-            np.abs(h, out=h)                 # a peak at h = 1 falls to -1: reflect
-            np.multiply(h, h, out=hh, dtype=np.int32)
-            h.sum(axis=0, dtype=np.int32, out=S1[par])  # at most 32766 * 32767
-            hh.sum(axis=0, dtype=np.int64, out=S2[par])
-            np.add(S1[0], S1[1], out=traj1[j])
-            np.add(S2[0], S2[1], out=traj2[j])
-            mids[j] = H[mid]
-            h[sub.center_rows].sum(axis=1, dtype=np.int64, out=C1[sub.center_cols])
-            hh[sub.center_rows].sum(axis=1, dtype=np.int64, out=C2[sub.center_cols])
-            site1[j], site2[j] = C1, C2
-            if step % check_every == 0:
-                _spot_check(H, L)
+            h, hl, hr, actions = views[j % 2]
+            np.add(hl, hr, out=curv)
+            np.subtract(curv, h, out=curv)
+            np.subtract(curv, h, out=curv)  # curvature; a partial sum may wrap
+            np.equal(curv, actions[j], out=moves)
+            np.multiply(curv, moves, out=curv)
+            np.add(h, curv, out=h)
+            np.abs(h, out=h)  # a peak at h = 1 falls to -1: reflect
+            measure(j % 2, j + 1)
+            if (t + j + 1) % check_every == 0:
+                _spot_check(_site_major(planes, L), L)
         if t + block == t_max:
-            _spot_check(H, L)
-        b1, b2 = traj1[:block] + fixed1, traj2[:block] + fixed2
+            _spot_check(_site_major(planes, L), L)
+        rows = block + 1
+        b = sums[1:rows].astype(np.int64)
+        b += sums[:rows - 1]  # the other plane, as the slice before left it
+        b -= h0[-1]  # site L + 1, 0 or 1 like its square; site 0 is 0
+        b1, b2 = b.transpose(1, 0, 2)
         w = np.sqrt((L * b2 - b1 * b1) / (L * L))
-        m = mids[:block]
-        yield w, m.sum(axis=1), (m ** 2).sum(axis=1), site1, site2
+        moments = np.empty((2, block, c1 - c0), dtype=np.int64)
+        for par, (_, pos) in enumerate(center_parts):
+            # a slice of the other parity leaves this parity's row as it was
+            site[par][2 - par:rows:2] = site[par][1 - par:rows - 1:2]
+            moments[:, :, pos] = site[par][1:rows].transpose(1, 0, 2)
+            site[par][0] = site[par][block]
+        sums[0] = sums[block]
+        site1, site2 = moments
+        yield w, site1[:, mid], site2[:, mid], site1, site2
 
 
 def _stream_range(q, params, lo, hi, t_max, check_every):
@@ -286,8 +307,9 @@ def _trajectory_ranges(params: ModelParams, n_traj, t_max, check_every):
 def ensemble(params: ModelParams, n_traj: int, t_max: int,
              check_every: int = 4096) -> ObservableSeries:
     """Trajectory-mean W(t) and midpoint height with standard errors."""
-    if n_traj < 1:
-        raise InvalidParameterError("need at least one trajectory")
+    if not all(_is_int(v) and v >= 1 for v in (n_traj, t_max, check_every)):
+        raise InvalidParameterError("n_traj, t_max and check_every must be integers >= 1, "
+                                    f"got {n_traj!r}, {t_max!r} and {check_every!r}")
     if params.boundary_mode != "reflecting":
         raise InvalidParameterError("free dynamics runs in reflecting mode")
     _check_capacity(params.L, n_traj)

@@ -15,6 +15,11 @@ kernel: it multiplies and sums in another order, which moved 20 of the 108
 fields of the two files by at most 1.8e-15 (tests/test_entropy.py pins the
 earlier DP's values to 1e-12).  The other five hashes are unchanged.
 
+The scaling hashes at L = 512 and 511 (the benchmark's size, both
+parities of L, and 260 slices across two RNG block boundaries) were
+recorded with the stride-2 site-major kernel, before the parity-plane
+kernel replaced it.
+
 `GOLDEN_STATES` pins the canonical key bytes and amplitudes of built and
 generated states through `export_state_text`, and one `save_state` file,
 so that a change to the key codec has to keep the persisted layout.
@@ -54,12 +59,25 @@ GOLDEN = [
       "colored": True, "seed": 3, "samples": 8, "tmax": 400, "fit_lo": 20, "fit_hi": 300},
      {"scaling_L32_p0.5.csv": "4702f532d349b54a43c79b96519e68f386d7b34f271c987d20e303c06f87ba5c",
       "scaling_L32_p0.8.csv": "dd447ab729042500fb48b32596f8ebd0de2588f7b822605e85529926c7772311"}),
+    ({"experiment": "scaling", "L": [512, 511], "p": [0.5, 0.8], "mode": "reflecting",
+      "colored": True, "seed": 3, "samples": 8, "tmax": 260},
+     {"scaling_L512_p0.5.csv": "2d021010d58e5006ac22430a26ed1aeabeb0d54c7d102b5e2adb24f71b3944fc",
+      "scaling_L512_p0.8.csv": "1f961cbf6e36c37834e2af2826021ea204c6a0793d708d8173d3df7fc2498cc5",
+      "scaling_L511_p0.5.csv": "83bebdf5fc981c6748a487c415ffb8b370ac935c1575ebeb15c9e130f79aaa6e",
+      "scaling_L511_p0.8.csv": "7fde76e6ea65f82857709eb4e1a39cc9ce508123864f4d6f03be0ded31e98dac"}),
 ]
 
 
-@pytest.mark.parametrize("manifest,hashes", GOLDEN, ids=[
-    f"{m['experiment']}-{m['mode']}-{'colored' if m['colored'] else 'uncolored'}"
-    for m, _ in GOLDEN])
+def _golden_ids(cases):
+    """experiment-mode-colors, plus the sizes where that label repeats."""
+    ids = []
+    for m, _ in cases:
+        label = f"{m['experiment']}-{m['mode']}-{'colored' if m['colored'] else 'uncolored'}"
+        ids.append(label if label not in ids else f"{label}-L{'-'.join(map(str, m['L']))}")
+    return ids
+
+
+@pytest.mark.parametrize("manifest,hashes", GOLDEN, ids=_golden_ids(GOLDEN))
 def test_golden_csv_bytes(tmp_path, manifest, hashes):
     paths, code = run_experiment({**manifest, "out": str(tmp_path)})
     assert code == 0

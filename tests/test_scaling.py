@@ -273,6 +273,30 @@ def test_capacity_guard_before_allocation(monkeypatch):
         ensemble(ModelParams(L=5, p=0.5), 2 ** 62, 1)
     with pytest.raises(AssertionError, match="guard"):
         ensemble(ModelParams(L=65_533, p=0.5), 1, 1)  # h_max = 32767 fits
+    # sizes that are not integers >= 1 are refused before any work, too
+    for n_traj, t_max, check_every in ((4, -3, 1), (4, 0, 1), (0, 10, 1), (4.0, 10, 1),
+                                       (True, 10, 1), (4, 10.0, 1), (4, 10, 0)):
+        with pytest.raises(InvalidParameterError, match="integers >= 1"):
+            ensemble(ModelParams(L=5, p=0.5), n_traj, t_max, check_every=check_every)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.15, 0.3, 0.5, 1.0])
+def test_raw_bounds_decide_as_uniforms(p):
+    # Generator.random turns a raw Philox word into (raw >> 11) * 2**-53
+    g = np.random.Generator(np.random.Philox(key=7))
+    raw = np.random.Philox(key=7).random_raw(64)
+    assert g.random(64).tobytes() == ((raw >> np.uint64(11)) * 2.0 ** -53).tobytes()
+    # the kernel's integer bounds take the uniforms' decision on the words
+    # next to each bound (0 at p = 0; 2**64 at p = 1, one past uint64) and at
+    # both ends
+    deposit, evaporate = scaling._raw_bounds(p)
+    words = {0, 2 ** 64 - 1}
+    for bound in (int(deposit), int(evaporate) + 1):
+        words |= {bound - 1, bound, bound + 1}
+    raw = np.array(sorted(w for w in words if 0 <= w < 2 ** 64), dtype=np.uint64)
+    u = (raw >> np.uint64(11)) * 2.0 ** -53
+    assert np.array_equal(raw < deposit, u < branch_probability("valley", +2, p))
+    assert np.array_equal(raw > evaporate, u >= branch_probability("peak", 0, p))
 
 
 def _reference_saturation_time(series, window=10.0, tolerance=0.05, observable="W"):
