@@ -23,6 +23,11 @@ kernel replaced it.
 `GOLDEN_STATES` pins the canonical key bytes and amplitudes of built and
 generated states through `export_state_text`, and one `save_state` file,
 so that a change to the key codec has to keep the persisted layout.
+
+The L = 7 seqgen-check file and the L = 7 generated state are the
+benchmark's `exact-state` generation point (8,481 keys); both hashes were
+recorded before the emitter rounds started pruning branches that can no
+longer return to the horizon, so they pin that the pruning changes no bit.
 """
 
 import hashlib
@@ -47,6 +52,9 @@ GOLDEN = [
     ({"experiment": "seqgen-check", "L": [3, 5], "p": [0.3, 0.8],
       "mode": "reflecting", "colored": False},
      {"seqgen_fidelity.csv": "d7dadb98275279bbdadbde634cd990f069d298b94354fa5b798f328877cc9f89"}),
+    ({"experiment": "seqgen-check", "L": [7], "p": [0.25, 0.5, 0.8],
+      "mode": "reflecting", "colored": True},
+     {"seqgen_fidelity.csv": "bbe906486fdfba273c706af05cc24d3496cdf404d59347510769f23585a8987a"}),
     ({"experiment": "hamiltonian-check", "L": [3, 5], "p": [0.25, 0.8],
       "mode": "absorbing", "colored": True},
      {"hamiltonian_residuals.csv":
@@ -93,6 +101,8 @@ GOLDEN_STATES = [
      "2d31557382349057fe40eec68ceb56c2b31741a61ff2083fba34dddb1a778a36"),
     ("generate", ModelParams(L=5, p=0.8, boundary_mode="reflecting", colored=True), 57,
      "7201cbcf40451ebf16cc39fbf65efcda6c905c3cc4f3dee8d00ba57585ceb83f"),
+    ("generate", ModelParams(L=7, p=0.5, boundary_mode="reflecting", colored=True), 8_481,
+     "66c7815492f7ab9c1eb52fa9ce1f50dd8afc41cf52932b269bbf38f7e47aa566"),
 ]
 
 
