@@ -22,9 +22,13 @@ root of its probability as amplitude:
     slopes   no change    emits the height-difference pair, 0
 
 Every column of a channel restricted to its reachable domain has unit
-norm, so each round is an isometry and the joint state stays normalized
-until the final projection onto the reference emitter, whose squared
-weight is the post-selection success probability.
+norm, so each round is an isometry.  A round drops every child whose
+updated marker can no longer return to its horizon height by round L
+(`exact.within_reach`; markers a round leaves alone keep their bound)
+and carries the squared mass it dropped, so kept plus dropped mass stays
+1.  After round L only branches at the reference emitter are left: the
+final projection onto it is an assertion, and the kept squared weight
+is the post-selection success probability.
 
 The optional cooling phase reruns the later rounds (after ceil(L/2))
 with p = 0 and the deposition branches removed; no extra rounds or
@@ -54,7 +58,7 @@ import numpy as np
 
 from .codec import key_bytes, pack_values, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import SparseState, branch_table, expand_frontier
+from .exact import SparseState, branch_table, expand_frontier, within_reach
 from .params import ModelParams
 from .surface import event_table, local_shape, slice_sites
 
@@ -136,7 +140,8 @@ class JointState:
     recent in bit 0 (the pair count is (height - i % 2) / 2); `spins`
     (N, n (L+1)) uint8 are the spin rows emitted by rounds 1..n, `colors`
     uint8 the color rows of vertex rows 1..n in vertex order, and
-    `amplitudes` (N,) float64.
+    `amplitudes` (N,) float64.  `dropped` is the squared mass that the
+    round which built the state pruned away.
     """
 
     heights: np.ndarray
@@ -144,6 +149,7 @@ class JointState:
     spins: np.ndarray
     colors: np.ndarray
     amplitudes: np.ndarray
+    dropped: float = 0.0
 
     def __len__(self):
         return len(self.amplitudes)
@@ -178,20 +184,37 @@ def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=Fal
     Each branch expands into one child per combination of the sites'
     channel branches (`exact.expand_frontier`), parent-major with each
     site's branches in table order, and its record grows by one spin row
-    and one color row.  The child count is checked against
-    `max_branches` before the round is built.  Norm is conserved exactly
-    because the channels are isometries on the reachable domain.
+    and one color row.  A child whose updated marker can no longer
+    return to its horizon height (`exact.within_reach`) is dropped with
+    its whole subtree, so the surviving rows, their order and their
+    amplitude products are those of the unpruned round.  The dropped
+    squared mass, a^2 (prod_i T_i - prod_i K_i) per parent with T_i and
+    K_i the squared amplitude of site i's valid and kept branches, is
+    carried in `dropped`.  The L+2 depth guard sees every valid branch,
+    and the kept children are checked against `max_branches` before the
+    round is built.
     """
     L = params.L
     table = _channel_table(p, params.colored, cooling_active)
     sites = slice_sites(L, n)
     h = joint.heights
-    labels = []
+    labels, keeps = [], []
+    valid_mass = kept_mass = 1.0
     for i in sites:
         top = np.where(h[:, i] == i % 2, 0, (joint.stacks[:, i] & 1) + 1)
-        labels.append(3 * (2 * (h[:, i] > h[:, i - 1]) + (h[:, i] > h[:, i + 1])) + top)
-    rows, choices = expand_frontier([table["valid"][label] for label in labels], len(joint),
-                                    max_branches, f"joint state exceeded {max_branches} branches")
+        label = 3 * (2 * (h[:, i] > h[:, i - 1]) + (h[:, i] > h[:, i + 1])) + top
+        valid, new_h = table["valid"][label], h[:, i, None] + table["delta"][label]
+        if (new_h[valid] > L + 2).any():
+            raise CapacityError(f"stack {i} overflowed its L+2 depth cap")
+        keep = valid & within_reach(new_h, i, n, L)
+        weight = table["amp"][label] ** 2
+        valid_mass = valid_mass * np.where(valid, weight, 0.0).sum(axis=1)
+        kept_mass = kept_mass * np.where(keep, weight, 0.0).sum(axis=1)
+        labels.append(label)
+        keeps.append(keep)
+    dropped = math.fsum((joint.amplitudes ** 2 * (valid_mass - kept_mass)).tolist())
+    rows, choices = expand_frontier(keeps, len(joint), max_branches,
+                                    f"joint state exceeded {max_branches} branches")
     heights, stacks, amps = h[rows], joint.stacks[rows], joint.amplitudes[rows]
     row = np.zeros((len(rows), L + 1), dtype=np.uint8)
     vertex_cols = [i for i in range(1, L + 1) if (i + n) % 2 == 1]
@@ -200,8 +223,6 @@ def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=Fal
         chosen = table[label[rows], branch]
         amps = amps * chosen["amp"]
         heights[:, i] += chosen["delta"]
-        if (heights[:, i] > L + 2).any():
-            raise CapacityError(f"stack {i} overflowed its L+2 depth cap")
         push, pop = chosen["delta"] > 0, chosen["delta"] < 0
         stacks[push, i] = (stacks[push, i] << 1) | (chosen["color"][push] - 1)
         stacks[pop, i] >>= 1
@@ -212,7 +233,7 @@ def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=Fal
         row[:, 1] = heights[:, 2] == 0
         row[:, L - 1] = heights[:, L - 1] == 0
     out = JointState(heights, stacks, np.hstack([joint.spins[rows], row]),
-                     np.hstack([joint.colors[rows], colors]), amps)
+                     np.hstack([joint.colors[rows], colors]), amps, dropped)
     # every branch as one byte string, record first: it tells branches apart soonest in the sort
     whole = np.hstack([out.colors, out.spins, out.stacks.view(np.uint8), out.heights.view(np.uint8)])
     branches = whole.view(np.dtype((np.void, whole.shape[1]))).ravel()
@@ -223,8 +244,12 @@ def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=Fal
 
 
 def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES):
-    """Run L rounds, post-select the reference emitter, and re-key the record.
+    """Run L rounds, check the reference emitter, and re-key the record.
 
+    After every round the kept squared mass plus the mass dropped so far
+    must be 1 within 1e-12.  The pruned rounds leave only branches whose
+    emitter is back at the reference, so the post-selection is an
+    assertion and its success probability the kept squared mass.
     Returns (state, success_probability); the state lives on the same
     canonical keys as the exact construction, with the pinned bottom spin
     row prepended.  Only the reflecting target is generable with finite
@@ -237,24 +262,27 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
     L = params.L
     joint = initial_joint(L)
     start = cooling_start(L)
+    dropped = []
     for n in range(1, L + 1):
         active = cooling and n > start
         joint = apply_round(joint, n, params.p, params, cooling_active=active,
                             max_branches=max_branches)
-        norm = math.fsum((joint.amplitudes * joint.amplitudes).tolist())
+        dropped.append(joint.dropped)
+        norm = math.fsum((joint.amplitudes * joint.amplitudes).tolist() + dropped)
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"round {n} broke norm conservation: {norm!r}")
     # the reference emitter: every marker back at the horizon, so no pairs beneath
-    kept = (joint.heights == initial_joint(L).heights).all(axis=1)
-    amps = joint.amplitudes[kept]
+    if not (joint.heights == initial_joint(L).heights).all():
+        raise AssertionError("a branch away from the reference emitter survived round L")
+    amps = joint.amplitudes
     success = math.fsum((amps * amps).tolist())
     if success <= 0:
         raise InvalidParameterError("post-selection removed every branch")
     # round n emits spin row n and, in vertex order, the colors of vertex row n,
     # so the records concatenate in codec.site_order after the pinned bottom row
     values = np.ones((len(amps), len(site_order(L, params.colored))), dtype=np.uint8)
-    values[:, L + 1:] = (np.hstack([joint.spins[kept], joint.colors[kept]]) if params.colored
-                         else joint.spins[kept])
+    values[:, L + 1:] = (np.hstack([joint.spins, joint.colors]) if params.colored
+                         else joint.spins)
     amplitudes = {}
     for key, amp in zip(key_bytes(pack_values(values, L, params.colored)),
                         (amps * (1.0 / math.sqrt(success))).tolist()):

@@ -1,9 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import depevap
 from depevap import scaling
 from depevap.cli import load_manifest, main, normalize_manifest, run_experiment, save_manifest
 from depevap.errors import InvalidParameterError
@@ -92,6 +97,22 @@ def test_main_cli(tmp_path):
     header, row = (tmp_path / "flat" / "scaling_summary.csv").read_text().splitlines()
     summary = dict(zip(header.split(","), row.split(",")))
     assert (summary["L"], summary["p"], summary["mid_exponent"]) == ("16", "0.0", "nan")
+
+
+def test_seqgen_and_exact_entropy_reruns_are_byte_identical(tmp_path):
+    # two fresh interpreters per command, as a user reruns them from the shell
+    src = str(Path(depevap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    commands = {"seqgen_fidelity.csv": ["seqgen-check", "--L", "5", "--p", "0.0", "--p", "0.5",
+                                        "--p", "1.0"],
+                "exact_entropy.csv": ["exact-entropy", "--L", "5", "--p", "0.0", "--p", "1.0"]}
+    for csv, args in commands.items():
+        outs = [tmp_path / f"{args[0]}-{run}" for run in "ab"]
+        for out in outs:
+            subprocess.run([sys.executable, "-m", "depevap.cli", *args, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+        assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes(), csv
 
 
 @pytest.mark.parametrize("args", [

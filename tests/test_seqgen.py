@@ -5,8 +5,10 @@ import pytest
 
 from depevap import ModelParams
 from depevap.codec import decode_keys, key_bytes, pack_values, site_order
+from depevap.entropy import entropy_dp, entropy_exact, mid_cut_row
 from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from depevap.exact import build_state, success_probability
+from depevap import seqgen
+from depevap.exact import build_state, success_probability, within_reach
 from depevap.seqgen import (
     MAX_BRANCHES,
     JointState,
@@ -96,6 +98,18 @@ def _joint_dict(joint: JointState, L):
             start += width
         out[(tuple(stacks), tuple(record))] = amp
     return out
+
+
+def _split_returnable(joint, n, L):
+    """The reference rows whose markers can all still return to the horizon after round n,
+    and the squared mass of the others."""
+    keep, lost = {}, []
+    for (stacks, record), amp in joint.items():
+        if all(within_reach(h, i, n, L) for i, (h, _) in enumerate(stacks, start=1)):
+            keep[stacks, record] = amp
+        else:
+            lost.append(amp * amp)
+    return keep, math.fsum(lost)
 
 
 def _reference_generation(params, cooling=False):
@@ -197,14 +211,17 @@ def test_apply_round_p0_single_branch():
 @pytest.mark.parametrize("colored", [True, False])
 @pytest.mark.parametrize("L", [3, 5])
 def test_rounds_match_reference(L, colored, p, cooling):
-    # every round: the same branches, order and amplitude bits as the dict rounds
+    # every round: the reference round's rows that can still return, in the same order
+    # with the same amplitude bits, and the others' squared mass as the dropped mass
     params = ModelParams(L=L, p=p, boundary_mode="reflecting", colored=colored)
     joint, ref = initial_joint(L), {(init_emitter(L).stacks, ()): 1.0}
     for n in range(1, L + 1):
         active = cooling and n > cooling_start(L)
         joint = apply_round(joint, n, p, params, cooling_active=active)
-        ref = _reference_apply_round(ref, n, p, params, cooling_active=active)
+        ref, lost = _split_returnable(
+            _reference_apply_round(ref, n, p, params, cooling_active=active), n, L)
         assert list(_joint_dict(joint, L).items()) == list(ref.items()), n
+        assert joint.dropped == pytest.approx(lost, rel=1e-12, abs=1e-15), n
     state, success = run_generation(params, cooling=cooling)
     assert (list(state.amplitudes.items()), success) == _reference_generation(params, cooling)
 
@@ -216,11 +233,26 @@ def test_generation_matches_reference_L7():
 
 
 def test_branch_cap_threshold():
-    # the last round of L = 7 holds 163,689 branches
+    # once branches that cannot return are pruned, rounds 5-7 of L = 7 keep 8,481 each
     params = ModelParams(L=7, p=0.5, boundary_mode="reflecting", colored=True)
-    assert len(run_generation(params, max_branches=163_689)[0]) == 8_481
+    assert len(run_generation(params, max_branches=8_481)[0]) == 8_481
     with pytest.raises(CapacityError):
-        run_generation(params, max_branches=163_688)
+        run_generation(params, max_branches=8_480)
+
+
+def test_norm_check_sees_a_perturbed_channel(monkeypatch):
+    # the dropped mass comes from the branch amplitudes, not from 1 - kept, so a
+    # channel column whose norm is not 1 still breaks kept + dropped = 1
+    channel_table = seqgen._channel_table
+
+    def perturbed(p, colored, cooling):
+        table = channel_table(p, colored, cooling)
+        table["amp"][0, 0] *= 1 + 1e-6  # the first branch of a valley at the horizon
+        return table
+
+    monkeypatch.setattr(seqgen, "_channel_table", perturbed)
+    with pytest.raises(AssertionError, match="round 1 broke norm conservation"):
+        run_generation(ModelParams(L=5, p=0.5, boundary_mode="reflecting", colored=True))
 
 
 def test_round_guards():
@@ -245,6 +277,29 @@ def test_generation_matches_exact_state(L, p, colored):
     state = build_state(params)
     assert fidelity(gen, state) >= 1 - 1e-10
     assert success == pytest.approx(success_probability(params), abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def l9_states():
+    """The L = 9 uncolored p = 0.5 states (141,120 keys each), built once per mode."""
+    return {mode: build_state(ModelParams(L=9, p=0.5, boundary_mode=mode, colored=False))
+            for mode in ("reflecting", "absorbing")}
+
+
+@pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
+def test_entropy_L9_uncolored(l9_states, mode):
+    # the state that L = 9 generation is checked against, at criterion 4's bar
+    params = l9_states[mode].params
+    svd = entropy_exact(l9_states[mode], mid_cut_row(9)).S_total
+    assert abs(svd - entropy_dp(params, mid_cut_row(9)).S_total) < 1e-9
+
+
+def test_generation_L9_uncolored(l9_states):
+    # L = 9 generation fits the default branch cap only because rounds prune
+    state = l9_states["reflecting"]
+    gen, _ = run_generation(state.params)
+    assert len(gen) == len(state) == 141_120
+    assert fidelity(gen, state) >= 1 - 1e-10
 
 
 def test_generation_p0_product_state():
