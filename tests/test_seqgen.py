@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from depevap import ModelParams
+from depevap import ModelParams, seqgen
 from depevap.codec import decode_keys, key_bytes, pack_values, site_order
 from depevap.entropy import entropy_dp, entropy_exact, mid_cut_row
 from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from depevap import seqgen
 from depevap.exact import build_state, success_probability, within_reach
 from depevap.seqgen import (
     MAX_BRANCHES,
