@@ -28,6 +28,12 @@ The L = 7 seqgen-check file and the L = 7 generated state are the
 benchmark's `exact-state` generation point (8,481 keys); both hashes were
 recorded before the emitter rounds started pruning branches that can no
 longer return to the horizon, so they pin that the pruning changes no bit.
+
+The L = 7 uncolored hamiltonian-check file is the benchmark's `exact-state`
+Hamiltonian point (220 terms over the 690-key state); its hash was
+recorded before the term entries were built one pass per shared support
+and the sector spectrum split into connected blocks, so it pins that the
+residuals keep every bit.
 """
 
 import hashlib
@@ -63,6 +69,10 @@ GOLDEN = [
       "mode": "absorbing", "colored": False},
      {"hamiltonian_residuals.csv":
       "28525e27406e1c242bd3d2e809123d3b02741db422aa9ecb7109329b30291cb4"}),
+    ({"experiment": "hamiltonian-check", "L": [7], "p": [0.25, 0.5, 0.8],
+      "mode": "absorbing", "colored": False},
+     {"hamiltonian_residuals.csv":
+      "3534d3ef53e80e84b2a1b893ff4728bd53637f7b7ddeb92dc7071d0fe6aef148"}),
     ({"experiment": "scaling", "L": [32], "p": [0.5, 0.8], "mode": "reflecting",
       "colored": True, "seed": 3, "samples": 8, "tmax": 400, "fit_lo": 20, "fit_hi": 300},
      {"scaling_L32_p0.5.csv": "4702f532d349b54a43c79b96519e68f386d7b34f271c987d20e303c06f87ba5c",
