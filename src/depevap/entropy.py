@@ -174,8 +174,11 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     if count > cap:
         raise CapacityError(f"L={L} has {count} zigzag profiles, over the cap of {cap}")
     kernel = TransferKernel(params)
+    code = np.sum(1 << np.flatnonzero(np.diff(horizon_profile(L)) > 0))  # up step j sets bit j
+    horizon = np.searchsorted(kernel.codes, code)
+    assert code in kernel.codes[horizon:horizon + 1], "no profile has the horizon's step code"
     start = np.zeros(count)
-    start[(kernel.heights == horizon_profile(L)).all(axis=1)] = 1.0
+    start[horizon] = 1.0
 
     forward = start  # weights of profiles after slice t
     for t in range(1, cut_row + 1):

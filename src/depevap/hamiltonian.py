@@ -29,16 +29,15 @@ All terms are built in the absorbing normalization; the reflecting state
 is not the kernel of any local term set (its Peak-at-1 rule is height
 dependent, hence nonlocal in the spins), and requesting it raises.
 
-Terms act on canonical keys in bulk.  Each term makes one array pass
-over the keys' (N, sites) value matrix and yields its nonzero entries,
-terms outer, then keys in the given order, then matrix rows.
-`apply_operator`, `term_residuals` and `sector_matrix` sum them in that
-order, so each float they return is the one a per-key loop over the same
-entries gives.
+Terms act on canonical keys in bulk, one array pass per shared support,
+and give their nonzero entries by term, then key, then matrix row; every
+consumer sums them in that order, as a per-key loop would.  The sector
+spectrum comes from H's connected blocks, each diagonalized in full.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -323,47 +322,58 @@ def assemble_hamiltonian(params: ModelParams):
 # Every consumer reads the same entries (a, key2, h): term T maps key a
 # onto key2 with amplitude h = T.weight * T.matrix[r2, r].  They come
 # with terms outer, then keys in the given order, then matrix rows r2
-# ascending, and every sum runs in that order (`np.bincount`,
-# `np.add.at`), so a float is the same whichever consumer adds it.
+# ascending, and every sum runs in that order (`np.bincount`), so a float
+# is the same whichever consumer adds it.
 #
-# One array pass per term builds them over the (N, sites) value matrix
-# of the keys: the support columns read as one mixed-radix window code
-# per key (2 per spin, 3 per color), `searchsorted` in the term's sorted
-# state codes finds the matching row r, each hit expands into the
-# nonzeros of matrix column r, and the target windows term.states[r2]
-# are written into copies of the hit rows, which are packed in one call.
-# The update terms of a plaquette share their support, so its codes are
-# computed once for all of them.
+# Terms sharing a support (the 12 or 24 update terms of a plaquette) make
+# one pass over the keys' (N, sites) values: `searchsorted` finds each
+# key's mixed-radix window code (2 per spin, 3 per color) among all their
+# states, and a hit expands into column r of each term with that state r.
+# A target key is its source key XOR the packed difference of r and r2.
 
 
 def _term_entries(terms, values, params: ModelParams):
-    """Per term, its nonzero entries as arrays (a, key2, h).
+    """All terms' nonzero entries as arrays (a, key2, h), and term bounds.
 
     `values` (N, sites) are the keys' site values in `site_order`.  Entry
-    e maps key a[e] onto the packed key row key2[e] with amplitude h[e];
-    entries come in key order, and in matrix-row order within a key.
+    e maps key a[e] onto the packed key row key2[e] with amplitude h[e].
+    Term n owns entries bounds[n]:bounds[n + 1], by key, then matrix row.
     """
     L, colored = params.L, params.colored
     index_of = {s: n for n, s in enumerate(site_order(L, colored))}
-    support = None
-    for term in terms:
-        if term.support != support:
-            support = term.support
-            idx = [index_of[s] for s in support]
-            radix = [2 if s[0] == "s" else 3 for s in support]
-            place = np.cumprod([1] + radix[:0:-1])[::-1]  # place[j] = prod(radix[j + 1:])
-            code = values[:, idx] @ place
-        states = np.array(term.states, dtype=np.uint8)
-        state_codes = states @ place
-        order = np.argsort(state_codes)
-        sorted_codes = state_codes[order]
-        pos = np.minimum(np.searchsorted(sorted_codes, code), len(order) - 1)
-        a = np.flatnonzero(sorted_codes[pos] == code)
-        cols = term.matrix[:, order[pos[a]]].T  # row n: matrix column r of hit a[n]
-        hit, r2 = np.nonzero(cols)
-        rows = values[a[hit]]
-        rows[:, idx] = states[r2]
-        yield a[hit], pack_values(rows, L, colored), term.weight * cols[hit, r2]
+    sizes = np.array([len(term.states) for term in terms], dtype=np.intp)
+    table = np.zeros((sizes.sum(), values.shape[1]), dtype=np.uint8)  # states at their sites
+    window = np.empty(len(table), dtype=np.intp)  # one id per distinct window of a support
+    hits, row = [(np.zeros(0, dtype=np.intp),) * 2], 0
+    for support, group in itertools.groupby(terms, key=lambda term: term.support):
+        states = np.array([state for term in group for state in term.states], dtype=np.uint8)
+        idx = [index_of[s] for s in support]
+        radix = [2 if s[0] == "s" else 3 for s in support]
+        state_codes = np.ravel_multi_index(states.T, radix)
+        codes = np.sort(state_codes)
+        table[row:row + len(states), idx] = states
+        window[row:row + len(states)] = row + np.searchsorted(codes, state_codes)
+        code = np.ravel_multi_index(values[:, idx].T, radix)
+        pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        a = np.flatnonzero(codes[pos] == code)
+        hits.append((a, row + pos[a]))
+        row += len(states)
+    flat = np.concatenate([np.zeros(0)] + [term.matrix.T.ravel() for term in terms])
+    at = np.flatnonzero(flat)  # by term, then matrix column r, then row r2
+    owner = np.repeat(np.arange(len(terms)), sizes * sizes)[at]
+    r, r2 = np.divmod(at - (np.cumsum(sizes * sizes) - sizes * sizes)[owner], sizes[owner])
+    source, target = np.array([r, r2]) + (np.cumsum(sizes) - sizes)[owner]
+    h = np.array([term.weight for term in terms])[owner] * flat[at]
+    delta = pack_values(table[source] ^ table[target], L, colored)
+    by_window = np.argsort(window[source], kind="stable")
+    count = np.bincount(window[source], minlength=len(table))
+    a, hit = (np.concatenate(part) for part in zip(*hits))
+    n = count[hit]
+    entry = by_window[np.arange(n.sum()) + np.repeat(np.cumsum(count)[hit] - np.cumsum(n), n)]
+    by_term = np.argsort(owner[entry], kind="stable")
+    a, entry = np.repeat(a, n)[by_term], entry[by_term]
+    key2 = pack_values(values, L, colored)[a] ^ delta[entry]
+    return a, key2, h[entry], np.searchsorted(owner[entry], np.arange(len(terms) + 1))
 
 
 def _key_rows(keys):
@@ -381,12 +391,9 @@ def _state_arrays(state: SparseState):
 def apply_operator(terms, state: SparseState):
     """H |psi> as an unnormalized key -> coefficient map, keys in first-hit order."""
     values, amps = _state_arrays(state)
-    parts = [(key2, h * amps[a]) for a, key2, h in _term_entries(terms, values, state.params)]
-    if not parts:
-        return {}
-    key2 = np.concatenate([key2 for key2, _ in parts])
+    a, key2, h, _ = _term_entries(terms, values, state.params)
     _, first, group = np.unique(_key_rows(key2), return_index=True, return_inverse=True)
-    sums = np.bincount(group, weights=np.concatenate([w for _, w in parts]), minlength=len(first))
+    sums = np.bincount(group, weights=h * amps[a], minlength=len(first))
     hit_order = np.argsort(first)
     return dict(zip(key_bytes(key2[first[hit_order]]), sums[hit_order].tolist()))
 
@@ -399,12 +406,14 @@ def expectation(terms, state: SparseState) -> float:
 def term_residuals(terms, state: SparseState):
     """||T_j |psi>|| per term."""
     values, amps = _state_arrays(state)
-    residuals = []
-    for a, key2, h in _term_entries(terms, values, state.params):
-        _, group = np.unique(_key_rows(key2), return_inverse=True)
-        sums = np.bincount(group, weights=h * amps[a])
-        residuals.append(math.sqrt(math.fsum((sums * sums).tolist())))
-    return residuals
+    a, key2, h, bounds = _term_entries(terms, values, state.params)
+    _, key = np.unique(_key_rows(key2), return_inverse=True)
+    term = np.repeat(np.arange(len(terms)), np.diff(bounds)) * (len(key) + 1)
+    cells, group = np.unique(term + key, return_inverse=True)  # (term, key2) pairs
+    sums = np.bincount(group, weights=h * amps[a])
+    squares = (sums * sums).tolist()
+    ends = np.searchsorted(cells, np.arange(len(terms) + 1) * (len(key) + 1)).tolist()
+    return [math.sqrt(math.fsum(squares[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -465,48 +474,79 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
     return sorted(key_bytes(pack_values(values, L, params.colored)))
 
 
-def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
-    """Dense H over the sector basis `keys`, which every term must keep closed.
+def _sector_entries(terms, keys, params: ModelParams):
+    """H over the sector basis `keys` as distinct (row, col, value) triplets, row-major.
 
     Row and column n belong to keys[n], in any order; a key listed twice
-    raises InvalidParameterError.  A matrix over more than DENSE_STATES
-    keys (DENSE_BYTES of float64) raises CapacityError before any key is
-    read.
+    raises InvalidParameterError.  A value sums its entries in entry order.
     """
-    if len(keys) > DENSE_STATES:
-        raise CapacityError(
-            f"a dense matrix over {len(keys)} sector states needs "
-            f"{8 * len(keys) ** 2 / 2 ** 30:.1f} GiB, over the "
-            f"{DENSE_BYTES / 2 ** 30:g} GiB budget of {DENSE_STATES} states")
     values = unpack_keys(keys, params.L, params.colored)
     rows = _key_rows(pack_values(values, params.L, params.colored))
     by_key = np.argsort(rows, kind="stable")
     sorted_rows = rows[by_key]
     if (sorted_rows[1:] == sorted_rows[:-1]).any():
         raise InvalidParameterError("sector keys must be distinct")
+    a, key2, h, _ = _term_entries(terms, values, params)
+    targets = _key_rows(key2)
+    pos = np.minimum(np.searchsorted(sorted_rows, targets), len(keys) - 1)
+    if (sorted_rows[pos] != targets).any():  # searchsorted alone lands beside a missing key
+        raise AssertionError("sector basis is not closed under a term")
+    cells, group = np.unique(by_key[pos] * len(keys) + a, return_inverse=True)
+    return *np.divmod(cells, len(keys)), np.bincount(group, weights=h)
+
+
+def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
+    """Dense H over `keys` from `_sector_entries`; CapacityError over DENSE_STATES keys."""
+    if len(keys) > DENSE_STATES:
+        raise CapacityError(
+            f"a dense matrix over {len(keys)} sector states needs "
+            f"{8 * len(keys) ** 2 / 2 ** 30:.1f} GiB, over the "
+            f"{DENSE_BYTES / 2 ** 30:g} GiB budget of {DENSE_STATES} states")
+    row, col, value = _sector_entries(terms, keys, params)
     H = np.zeros((len(keys), len(keys)))
-    for a, key2, h in _term_entries(terms, values, params):
-        targets = _key_rows(key2)
-        pos = np.minimum(np.searchsorted(sorted_rows, targets), len(keys) - 1)
-        if (sorted_rows[pos] != targets).any():  # searchsorted alone lands beside a missing key
-            raise AssertionError("sector basis is not closed under a term")
-        np.add.at(H, (by_key[pos], a), h)
+    H[row, col] = value
     return H
+
+
+def _sector_blocks(row, col, value, n):
+    """H's connected blocks as (keys (B, s), matrices (B, s, s)), one pair per size s.
+
+    Every edge hooks the larger of its keys' roots onto the smaller, and
+    pointer jumping flattens the forest, until each key's root is the
+    first key of its block.  A block lists its keys ascending.
+    """
+    root = np.arange(n)
+    while (root[row] != root[col]).any():
+        np.minimum.at(root, np.maximum(root[row], root[col]), np.minimum(root[row], root[col]))
+        while (root[root] != root).any():
+            root = root[root]
+    size = np.bincount(root, minlength=n)  # a block's size, at its first key
+    start = np.cumsum(size) - size
+    members = np.argsort(root, kind="stable")
+    for s in np.unique(size[size > 0]):
+        blocks = members[start[size == s, None] + np.arange(s)]
+        cell = np.full(n, -1)
+        cell[blocks.ravel()] = np.arange(blocks.size)  # block rank * s + position in it
+        mine = cell[row] >= 0
+        stack = np.zeros((len(blocks), s, s))
+        stack[cell[row[mine]] // s, cell[row[mine]] % s, cell[col[mine]] % s] = value[mine]
+        yield blocks, stack
 
 
 def sector_spectrum(terms, params: ModelParams, k: int):
     """Lowest-k eigenvalues of H in the constrained sector, ascending.
 
-    The sector matrix is dense, so LAPACK diagonalizes it in full
-    (`np.linalg.eigvalsh`).  That keeps degenerate levels with their
-    multiplicity and gives the same floats on every call, which an
-    iterative solver restarted from a random vector (ARPACK, at p = 0
-    and p = 1) does not.  The state cap is DENSE_STATES, so a sector too
-    large for dense storage raises CapacityError while its keys are
-    counted.
+    LAPACK diagonalizes each connected block of H in full (at L = 7
+    uncolored, p = 0.5: 690, 72, 72, 33 and 1 keys, the 690 being the
+    ground state's support), equal sizes in one stacked `eigvalsh`.  That
+    keeps every multiplicity and the same floats on every call, which
+    ARPACK restarted from a random vector does not.  DENSE_STATES caps the
+    whole sector, so a larger one raises CapacityError while counted.
     """
     keys = sector_keys(params, max_states=DENSE_STATES)
-    return list(map(float, np.linalg.eigvalsh(sector_matrix(terms, keys, params))[:k]))
+    blocks = _sector_blocks(*_sector_entries(terms, keys, params), len(keys))
+    levels = np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in blocks])
+    return list(map(float, np.sort(levels)[:k]))
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,21 @@ def test_seqgen_and_exact_entropy_reruns_are_byte_identical(tmp_path):
         assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes(), csv
 
 
+def test_hamiltonian_reruns_are_byte_identical(tmp_path):
+    # the degenerate edge values p = 0 and 1 at L = 5 colored, and the L = 7 uncolored
+    # sector, whose spectrum comes from five connected blocks
+    manifests = [{"experiment": "hamiltonian-check", "L": [5], "p": [0.0, 1.0],
+                  "mode": "absorbing", "colored": True},
+                 {"experiment": "hamiltonian-check", "L": [7], "p": [0.5],
+                  "mode": "absorbing", "colored": False}]
+    for n, manifest in enumerate(manifests):
+        outs = [tmp_path / f"{n}-{run}" for run in "ab"]
+        for out in outs:
+            assert run_experiment({**manifest, "out": str(out)})[1] == 0
+        for csv in ("hamiltonian_residuals.csv", "hamiltonian_spectrum.csv"):
+            assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes(), csv
+
+
 @pytest.mark.parametrize("args", [
     ["dp-entropy", "--L", "7", "--p", "0.5", "--cut-row", "0"],
     ["scaling", "--L", "16", "--p", "0.5", "--samples", "2", "--tmax", "0"],

@@ -15,6 +15,8 @@ from depevap.hamiltonian import (
     DENSE_BYTES,
     DENSE_STATES,
     LocalTerm,
+    _sector_blocks,
+    _sector_entries,
     apply_operator,
     assemble_hamiltonian,
     build_boundary_terms,
@@ -363,6 +365,42 @@ def test_sector_spectrum_is_reproducible(colored, p):
     assert all(sector_spectrum(terms, params, 4) == first for _ in range(3))
     vals = np.linalg.eigh(sector_matrix(terms, sector_keys(params), params))[0][:4]
     assert list(vals) == pytest.approx(first, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("L,colored", [(3, False), (5, False), (7, False), (3, True), (5, True)])
+def test_block_spectrum_matches_dense(L, colored, p):
+    # every level of the block path against one eigvalsh of the whole sector matrix
+    params = ModelParams(L=L, p=p, colored=colored, **ABS)
+    terms = assemble_hamiltonian(params)
+    keys = sector_keys(params)
+    dense = np.linalg.eigvalsh(sector_matrix(terms, keys, params))
+    blocks = np.array(sector_spectrum(terms, params, len(keys)))
+    assert len(blocks) == len(keys)
+    assert np.max(np.abs(blocks - dense)) < 1e-12
+    # equal multiplicities: the levels fall into the same runs of degenerate copies
+    assert np.array_equal(np.diff(blocks) > 1e-9, np.diff(dense) > 1e-9)
+
+
+def test_sector_blocks_L7():
+    # H at L = 7 uncolored splits into five blocks; the largest is the ground state's support
+    params = ModelParams(L=7, p=0.5, colored=False, **ABS)
+    terms = assemble_hamiltonian(params)
+    keys = sector_keys(params)
+    H = sector_matrix(terms, keys, params)
+    members, label = [], np.full(len(keys), -1)
+    for stacked, matrices in _sector_blocks(*_sector_entries(terms, keys, params), len(keys)):
+        for block, matrix in zip(stacked, matrices):
+            assert (label[block] == -1).all() and list(block) == sorted(block)
+            label[block] = len(members)
+            members.append(block)
+            assert np.array_equal(matrix, H[np.ix_(block, block)])
+    assert sorted(map(len, members), reverse=True) == [690, 72, 72, 33, 1]
+    assert (label >= 0).all()
+    row, col = np.nonzero(H)
+    assert (label[row] == label[col]).all()  # no entry couples two blocks
+    support = {keys[n] for n in max(members, key=len)}
+    assert support == set(build_state(params).amplitudes)
 
 
 def test_mismatched_colors_are_gapped():
