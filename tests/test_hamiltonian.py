@@ -313,6 +313,7 @@ def test_term_action_edge_cases():
     empty = SparseState(amplitudes={}, params=params)
     assert apply_operator(terms, empty) == {}
     assert term_residuals(terms, empty) == [0.0] * len(terms)
+    assert apply_operator([], state) == {} and term_residuals([], state) == []
 
 
 def test_sector_matrix_key_handling():
