@@ -99,25 +99,39 @@ def test_main_cli(tmp_path):
     assert (summary["L"], summary["p"], summary["mid_exponent"]) == ("16", "0.0", "nan")
 
 
-def test_seqgen_and_exact_entropy_reruns_are_byte_identical(tmp_path):
-    # two fresh interpreters per command, as a user reruns them from the shell
+def _run_twice(tmp_path, args):
+    """Two output dirs of `args` run in two fresh interpreters, as a user reruns them."""
     src = str(Path(depevap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outs = [tmp_path / f"{args[0]}-{run}" for run in "ab"]
+    for out in outs:
+        subprocess.run([sys.executable, "-m", "depevap.cli", *args, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+    return outs
+
+
+def test_seqgen_and_exact_entropy_reruns_are_byte_identical(tmp_path):
     commands = {"seqgen_fidelity.csv": ["seqgen-check", "--L", "5", "--p", "0.0", "--p", "0.5",
                                         "--p", "1.0"],
                 "exact_entropy.csv": ["exact-entropy", "--L", "5", "--p", "0.0", "--p", "1.0"]}
     for csv, args in commands.items():
-        outs = [tmp_path / f"{args[0]}-{run}" for run in "ab"]
-        for out in outs:
-            subprocess.run([sys.executable, "-m", "depevap.cli", *args, "--out", str(out)],
-                           env=env, check=True, capture_output=True)
+        outs = _run_twice(tmp_path, args)
         assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes(), csv
+
+
+def test_phase_sweep_reruns_are_byte_identical(tmp_path):
+    # the DP to L = 19, with the edge values p = 0 and 1
+    outs = _run_twice(tmp_path, ["phase-sweep", "--L", "5", "--L", "7", "--L", "19",
+                                 "--p", "0.0", "--p", "0.5", "--p", "1.0"])
+    for csv in ("phase_sweep.csv", "phase_exponents.csv"):
+        assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes(), csv
+    assert len((outs[0] / "phase_sweep.csv").read_text().splitlines()) == 1 + 3 * 3
 
 
 def test_hamiltonian_reruns_are_byte_identical(tmp_path):
     # the degenerate edge values p = 0 and 1 at L = 5 colored, and the L = 7 uncolored
-    # sector, whose spectrum comes from five connected blocks
+    # sector, whose spectrum comes from four symmetry sectors split into connected blocks
     manifests = [{"experiment": "hamiltonian-check", "L": [5], "p": [0.0, 1.0],
                   "mode": "absorbing", "colored": True},
                  {"experiment": "hamiltonian-check", "L": [7], "p": [0.5],

@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import depevap
 from bridge_reference import bridge_records
 from depevap import ModelParams
 from depevap.codec import canonical_key, decode_keys, encode_trajectory, key_length
@@ -17,6 +22,8 @@ from depevap.hamiltonian import (
     LocalTerm,
     _sector_blocks,
     _sector_entries,
+    _symmetries,
+    _symmetry_sectors,
     apply_operator,
     assemble_hamiltonian,
     build_boundary_terms,
@@ -402,6 +409,70 @@ def test_sector_blocks_L7():
     assert (label[row] == label[col]).all()  # no entry couples two blocks
     support = {keys[n] for n in max(members, key=len)}
     assert support == set(build_state(params).amplitudes)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("L,colored", [(5, False), (7, False), (5, True)])
+def test_symmetry_check(L, colored, p):
+    # reflection and color swap commute with H at every p; time reversal only for
+    # 0 < p < 1, since at the edge values the projectors lose entries one way only
+    params = ModelParams(L=L, p=p, colored=colored, **ABS)
+    terms = assemble_hamiltonian(params)
+    keys = sector_keys(params)
+    kept = _symmetries(keys, *_sector_entries(terms, keys, params), params)
+    assert list(kept) == ["R"] + ["T"] * (0 < p < 1) + ["C"] * colored
+    H = sector_matrix(terms, keys, params)
+    for perm in kept.values():
+        assert sorted(perm) == list(range(len(keys))) and (perm[perm] == np.arange(len(keys))).all()
+        assert np.max(np.abs(H[np.ix_(perm, perm)] - H)) <= 1e-12 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("L,colored,p,sizes", [
+    (7, False, 0.5, [270, 206, 206, 186]),
+    (7, False, 0.0, [476, 392]),
+    (7, False, 1.0, [476, 392]),
+    (5, True, 0.5, [46, 23, 25, 25, 32, 27, 32, 27]),
+])
+def test_symmetry_sector_spectra(L, colored, p, sizes):
+    # the sector spectra, each from one dense eigvalsh, are together the whole spectrum
+    params = ModelParams(L=L, p=p, colored=colored, **ABS)
+    terms = assemble_hamiltonian(params)
+    keys = sector_keys(params)
+    entries = _sector_entries(terms, keys, params)
+    dims, (row, col, value) = _symmetry_sectors(
+        list(_symmetries(keys, *entries, params).values()), *entries, len(keys))
+    assert dims.tolist() == sizes
+    H = np.zeros((sum(sizes), sum(sizes)))
+    H[row, col] = value
+    ends = np.cumsum(sizes)
+    sector = np.searchsorted(ends, np.arange(sum(sizes)), side="right")
+    assert (sector[row] == sector[col]).all()  # no entry couples two sectors
+    levels = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(H[lo:hi, lo:hi]) for lo, hi in zip(ends - sizes, ends)]))
+    dense = np.linalg.eigvalsh(sector_matrix(terms, keys, params))
+    assert np.max(np.abs(levels - dense)) < 1e-12
+    assert np.array_equal(np.diff(levels) > 1e-9, np.diff(dense) > 1e-9)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0, True, "4", None])
+def test_sector_spectrum_rejects_bad_k(k):
+    params = ModelParams(L=3, p=0.5, colored=True, **ABS)
+    with pytest.raises(InvalidParameterError, match="k must be an integer"):
+        sector_spectrum(assemble_hamiltonian(params), params, k)
+
+
+def test_sector_spectrum_leaves_numpy_ma_unimported():
+    # numpy.ma loads lazily on a plain np.unique and costs about 18 ms per interpreter
+    src = str(Path(depevap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "from depevap import ModelParams\n"
+            "from depevap.hamiltonian import assemble_hamiltonian, sector_spectrum\n"
+            "params = ModelParams(L=5, p=0.5, colored=True, boundary_mode='absorbing')\n"
+            "assert len(sector_spectrum(assemble_hamiltonian(params), params, 4)) == 4\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_mismatched_colors_are_gapped():
