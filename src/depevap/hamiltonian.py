@@ -32,7 +32,8 @@ dependent, hence nonlocal in the spins), and requesting it raises.
 Terms act on canonical keys in bulk, one array pass per shared support,
 and give their nonzero entries by term, then key, then matrix row; every
 consumer sums them in that order, as a per-key loop would.  The sector
-spectrum comes from H's connected blocks, each diagonalized in full.
+spectrum comes from H's symmetry sectors under reflection, time reversal
+and color swap, each split into connected blocks diagonalized in full.
 """
 
 from __future__ import annotations
@@ -520,18 +521,19 @@ def _site_symmetries(L, colored):
     sites = site_order(L, colored)
     index = {s: n for n, s in enumerate(sites)}
     spin = np.array([s[0] == "s" for s in sites])[:, None]
-    keep, flip, swap = np.array([0, 1, 2]), np.array([1, 0, 2]), np.array([0, 2, 1])
+    same = np.tile([0, 1, 2], (len(sites), 1))
 
     def moved(spin_to, color_to):
         return np.array([index[("s", *spin_to(*s[1:]))] if s[0] == "s"
                          else index[("c", *color_to(*s[1:]))] for s in sites])
 
     symmetries = {
-        "R": (moved(lambda x, y: (L - x, y), lambda i, t: (L + 1 - i, t)), np.where(spin, keep, keep)),
-        "T": (moved(lambda x, y: (x, L - y), lambda i, t: (i, L + 1 - t)), np.where(spin, flip, keep)),
+        "R": (moved(lambda x, y: (L - x, y), lambda i, t: (L + 1 - i, t)), same),
+        "T": (moved(lambda x, y: (x, L - y), lambda i, t: (i, L + 1 - t)),
+              np.where(spin, [1, 0, 2], same)),
     }
     if colored:
-        symmetries["C"] = (np.arange(len(sites)), np.where(spin, keep, swap))
+        symmetries["C"] = (np.arange(len(sites)), np.where(spin, same, [0, 2, 1]))
     return symmetries
 
 
@@ -630,11 +632,11 @@ def sector_spectrum(terms, params: ModelParams, k: int):
     `_symmetry_sectors`), then LAPACK diagonalizes each connected block
     of every sector in full, equal sizes in one stacked `eigvalsh`.  At
     L = 7 uncolored, 0 < p < 1, R and T give sectors of 270, 206, 206
-    and 186 states whose largest blocks hold 219, 163, 163 and 145; the
-    whole ground-state block held 690.  That keeps every multiplicity and
-    the same floats on every call, which ARPACK restarted from a random
-    vector does not.  DENSE_STATES caps the whole sector, so a larger one
-    raises CapacityError while counted.
+    and 186 states whose largest blocks hold 219, 163, 163 and 145.
+    That keeps every multiplicity and the same floats on every call,
+    which ARPACK restarted from a random vector does not.  DENSE_STATES
+    caps the whole sector, so a larger one raises CapacityError while
+    counted.
     """
     if not _is_int(k) or k < 1:
         raise InvalidParameterError(f"k must be an integer >= 1, got {k!r}")
