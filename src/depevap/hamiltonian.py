@@ -583,7 +583,7 @@ def _symmetry_sectors(perms, row, col, value, n):
         j = (g & -g).bit_length() - 1
         images[g] = perms[j][images[g ^ (1 << j)]]
     least = images.min(axis=0)
-    g_of = np.argmax(images == least, axis=0)  # an involution, so it also takes least back
+    g_of = np.argmax(images == least, axis=0)  # takes the key to least, and least to the key
     fixed = images == np.arange(n)  # (elements, keys): each key's stabilizer
     orbit = elements / fixed.sum(axis=0)
     parity = np.array([[bin(s & g).count("1") & 1 for g in range(elements)]

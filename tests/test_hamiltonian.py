@@ -415,7 +415,7 @@ def test_sector_blocks_L7():
 @pytest.mark.parametrize("L,colored", [(5, False), (7, False), (5, True)])
 def test_symmetry_check(L, colored, p):
     # reflection and color swap commute with H at every p; time reversal only for
-    # 0 < p < 1, since at the edge values the projectors lose entries one way only
+    # 0 < p < 1 (at p = 0 and 1 it moves entries of H by 0.67 at L = 5, 2.0 at L = 7)
     params = ModelParams(L=L, p=p, colored=colored, **ABS)
     terms = assemble_hamiltonian(params)
     keys = sector_keys(params)
