@@ -22,11 +22,11 @@ import json
 import resource
 import sys
 import time
-from importlib import metadata as _im
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .entropy import entropy_dp, entropy_exact, fit_power_law, mid_cut_row
 from .errors import CapacityError, InvalidParameterError
 from .exact import MAX_NODES, build_state
@@ -137,10 +137,7 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     }[manifest["experiment"]]
     meta = {"manifest": manifest, "seed": manifest["seed"]}
     paths, capacity_hit = runner(manifest, outdir, meta)  # a runner may add entries
-    try:
-        meta["version"] = _im.version("depevap")
-    except _im.PackageNotFoundError:
-        meta["version"] = "unknown"
+    meta["version"] = __version__
     meta["wall_time_s"] = time.perf_counter() - started
     # ru_maxrss is in KiB on Linux; the children's figure is the largest peak
     # of any waited-for child, such as the free-dynamics range workers

@@ -25,12 +25,15 @@ else stays (`branch_probability`; d = p/2 <= s = (1+p)/2).  As
 u < d exactly when raw < ceil(d 2^53) 2^11, and u >= s exactly when
 raw > ceil(s 2^53) 2^11 - 1, which at p = 1 is 2^64 - 1, above every
 word.  So the raw words of the same stream, in the same order, become
-one int16 table per slice block in the planes' layout: 2 (a valley here
-deposits), -2 (a peak here evaporates) or 0.  A site moves by its
-curvature hl + hr - 2h (2 at a valley, -2 at a peak, 0 on a slope) when
-that equals its action.  A peak at h = 1 then lands on -1, and taking
-the absolute value puts it back: that is the reflecting floor.  The
-color split is irrelevant to heights.
+one int8 table per block of 64 slices in the planes' layout: 2 (a valley
+here deposits), -2 (a peak here evaporates) or 0.  At L = 512 and
+n = 100 trajectories a range's table is 64 x 100 x 257 bytes, 1.6 MB,
+under one core's 2 MB L2.  Every trajectory draws the same words in the
+same order for any block size, so no output depends on it.  A site moves
+by its curvature hl + hr - 2h (2 at a valley, -2 at a peak, 0 on a
+slope) when that equals its action.  A peak at h = 1 then lands on -1,
+and taking the absolute value puts it back: that is the reflecting
+floor.  The color split is irrelevant to heights.
 
 Observables.  After each slice, the updated plane's sums of h and h^2
 are taken per trajectory (for W) and per central site over the range
@@ -64,7 +67,7 @@ from .errors import InvalidParameterError
 from .params import ModelParams, _is_int
 from .surface import branch_probability, horizon_profile
 
-_BLOCK_SLICES = 128  # RNG is drawn in slice blocks of this even size per trajectory
+_BLOCK_SLICES = 64  # RNG is drawn in slice blocks of this even size per trajectory
 _MAX_HEIGHT = int(np.iinfo(np.int16).max)
 _MAX_MOMENT_ROOT = math.isqrt(int(np.iinfo(np.int64).max))
 
@@ -163,7 +166,7 @@ def _range_blocks(params: ModelParams, lo, hi, t_max, check_every):
     h0 = horizon_profile(L)
     planes = np.zeros((2, n, R), dtype=np.int16)
     planes[0], planes[1, :, :(L + 2) // 2] = h0[0::2], h0[1::2]
-    table = np.zeros((_BLOCK_SLICES, n, R), dtype=np.int16)
+    table = np.zeros((_BLOCK_SLICES, n, R), dtype=np.int8)
     even, odd, flat = *planes.reshape(2, -1), table.reshape(_BLOCK_SLICES, -1)
     # (h, hl, hr, actions) of the even sites, updated by even slices j of a
     # block (blocks start at even t), and of the odd sites
@@ -199,7 +202,7 @@ def _range_blocks(params: ModelParams, lo, hi, t_max, check_every):
         block = min(_BLOCK_SLICES, t_max - t)
         for k, g in enumerate(gens):
             raw = g.random_raw(block * draws).reshape(block, draws)
-            sign = np.subtract(raw < deposit, raw > evaporate, dtype=np.int16)
+            sign = np.subtract(raw < deposit, raw > evaporate, dtype=np.int8)
             np.add(sign, sign, out=table[:block, k, 1:1 + draws])
         if L % 2:  # an odd slice has one site fewer: its last uniform is unused
             table[1:block:2, :, draws] = 0

@@ -99,16 +99,51 @@ def test_main_cli(tmp_path):
     assert (summary["L"], summary["p"], summary["mid_exponent"]) == ("16", "0.0", "nan")
 
 
-def _run_twice(tmp_path, args):
-    """Two output dirs of `args` run in two fresh interpreters, as a user reruns them."""
+def _fresh_python(code):
+    """Run `code` in a fresh interpreter that imports this source tree."""
     src = str(Path(depevap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    outs = [tmp_path / f"{args[0]}-{run}" for run in "ab"]
-    for out in outs:
-        subprocess.run([sys.executable, "-m", "depevap.cli", *args, "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-    return outs
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _run_cli(args, out, cpu=None):
+    """`depevap.cli args --out out` in a fresh interpreter, pinned to `cpu` if given."""
+    pin = f"os.sched_setaffinity(0, {{{cpu}}}); " if cpu is not None else ""
+    _fresh_python(f"import os, runpy, sys; {pin}sys.argv = {['depevap', *args, '--out', str(out)]!r}; "
+                  "runpy.run_module('depevap.cli', run_name='__main__')")
+    return out
+
+
+def _run_twice(tmp_path, args):
+    """Two output dirs of `args` run in two fresh interpreters, as a user reruns them."""
+    return [_run_cli(args, tmp_path / f"{args[0]}-{run}") for run in "ab"]
+
+
+def test_version_comes_without_importlib_metadata():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    loaded = _fresh_python("import sys, depevap.cli; print('importlib.metadata' in sys.modules)")
+    assert loaded.strip() == "False"
+    pyproject = Path(depevap.__file__).resolve().parents[2] / "pyproject.toml"
+    assert depevap.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_scaling_csvs_do_not_depend_on_cpu_count(tmp_path):
+    # one trajectory range pinned to one CPU against one range per CPU, at the
+    # benchmark's L = 512, an odd L and a small one
+    sizes = [64, 512, 511]
+    args = ["scaling", *(a for L in sizes for a in ("--L", str(L))), "--p", "0.5", "--p", "0.8",
+            "--samples", "8", "--tmax", "300"]
+    one = _run_cli(args, tmp_path / "one", cpu=min(os.sched_getaffinity(0)))
+    every = _run_cli(args, tmp_path / "every")
+    for out, ranges in ((one, 1), (every, min(len(os.sched_getaffinity(0)), 8))):
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert [r["ranges"] for r in meta["trajectory_ranges"]] == [ranges] * 6, out.name
+    csvs = [f"scaling_L{L}_p{p}.csv" for L in sizes for p in (0.5, 0.8)] + ["scaling_summary.csv"]
+    for csv in csvs:
+        assert (one / csv).read_bytes() == (every / csv).read_bytes(), csv
 
 
 def test_seqgen_and_exact_entropy_reruns_are_byte_identical(tmp_path):

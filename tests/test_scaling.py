@@ -93,7 +93,7 @@ def _ensemble_with_profile(monkeypatch, params, n, t_max):
 
 @pytest.mark.parametrize("L", [4, 5, 16, 33, 129])
 def test_kernel_matches_gather_reference(monkeypatch, L):
-    # t_max = 260 crosses two RNG block boundaries (blocks of 128 slices)
+    # t_max = 260 crosses four RNG block boundaries (blocks of 64 slices)
     t_max = 260
     for p in (0.0, 0.3, 0.5, 1.0):
         for n in (1, 2, 7):
@@ -119,21 +119,24 @@ _SERIES_ARRAYS = ("times", "W", "W_stderr", "mid_height", "mid_stderr", "W_fluct
 @pytest.mark.parametrize("L", [4, 5, 16, 33, 129])
 def test_results_do_not_depend_on_partition(monkeypatch, L):
     # the grid of test_kernel_matches_gather_reference: n = 1 and 2 run
-    # fewer trajectories than 3 workers, and t_max = 260 crosses two RNG
-    # block boundaries
+    # fewer trajectories than 3 workers, and t_max = 260 is a multiple of
+    # neither RNG block size 64 nor 128, so the last block is short
     t_max = 260
     for p in (0.0, 0.3, 0.5, 1.0):
         for n in (1, 2, 7):
             params = ModelParams(L=L, p=p, seed=L + 10 * n)
             runs = {}
-            for workers in (1, 2, 3):
+            # the default block in one and three ranges, the smallest block
+            # inline and a block of 128 streamed from two ranges
+            for block, workers in ((64, 1), (64, 3), (2, 1), (128, 2)):
+                monkeypatch.setattr(scaling, "_BLOCK_SLICES", block)
                 monkeypatch.setattr(scaling, "_cpu_count", lambda: workers)
-                runs[workers] = ensemble(params, n, t_max)
-                assert runs[workers].ranges == min(workers, n)
-            for workers in (2, 3):
+                runs[block, workers] = ensemble(params, n, t_max)
+                assert runs[block, workers].ranges == min(workers, n)
+            for key, run in runs.items():
                 for name in _SERIES_ARRAYS:
-                    assert (getattr(runs[workers], name).tobytes()
-                            == getattr(runs[1], name).tobytes()), (L, p, n, workers, name)
+                    assert (getattr(run, name).tobytes()
+                            == getattr(runs[64, 1], name).tobytes()), (L, p, n, key, name)
     assert multiprocessing.active_children() == []
 
 
