@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import resource
 import sys
@@ -213,6 +214,12 @@ def _run_entropy(manifest, outdir, meta):
     return [path], capacity
 
 
+@functools.lru_cache(maxsize=4096)
+def _support_label(support) -> str:
+    """A term's support as the CSV writes it, built once per support: "s/1/0;s/2/0"."""
+    return ";".join("/".join(map(str, s)) for s in support)
+
+
 def _run_hamiltonian_check(manifest, outdir, meta):
     res_rows = []
     spec_rows = []
@@ -223,8 +230,7 @@ def _run_hamiltonian_check(manifest, outdir, meta):
             state = build_state(params, max_nodes=manifest["max_nodes"])
             terms = assemble_hamiltonian(params)
             for n, (term, r) in enumerate(zip(terms, term_residuals(terms, state))):
-                res_rows.append((params.L, params.p, n, term.kind,
-                                 ";".join("/".join(map(str, s)) for s in term.support), r))
+                res_rows.append((params.L, params.p, n, term.kind, _support_label(term.support), r))
             for n, val in enumerate(sector_spectrum(terms, params, k=4)):
                 spec_rows.append((params.L, params.p, n, val))
         except CapacityError:

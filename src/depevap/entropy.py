@@ -90,6 +90,51 @@ def _dyck_codes(L):
     return np.sort(codes)
 
 
+class _ProfileIndex:
+    """The p-independent part of the DP at one L: every profile and its site maps.
+
+    `codes` are the sorted step codes (`_dyck_codes`), `heights[k]` the
+    (L + 2) int8 heights of profile k; both are read-only, since every
+    kernel at this L shares them.  `site_map(i)` gives site i's valleys,
+    the peaks they deposit into and its peaks at h = 1, built on first use.
+    """
+
+    def __init__(self, L):
+        self.codes = _dyck_codes(L)
+        self.heights = np.zeros((self.codes.size, L + 2), dtype=np.int8)
+        for j in range(L + 1):
+            self.heights[:, j + 1] = self.heights[:, j] + 2 * ((self.codes >> j) & 1) - 1
+        self.codes.flags.writeable = self.heights.flags.writeable = False
+        self._site_maps = {}
+
+    def site_map(self, i):
+        """(valleys, the peaks they deposit into, peaks at h = 1) of site i, as indices."""
+        hit = self._site_maps.get(i)
+        if hit is None:
+            up_left = (self.codes >> (i - 1)) & 1
+            up_right = (self.codes >> i) & 1
+            valleys = np.flatnonzero((up_left == 0) & (up_right == 1))
+            raised = np.searchsorted(self.codes, self.codes[valleys] ^ (3 << (i - 1)))
+            floor = np.flatnonzero((up_left == 1) & (up_right == 0) & (self.heights[:, i] == 1))
+            hit = self._site_maps[i] = (valleys, raised, floor)
+        return hit
+
+
+_INDEX = []  # the one memo entry: [(L, _ProfileIndex)]
+
+
+def _profile_index(L) -> _ProfileIndex:
+    """The `_ProfileIndex` of L, kept until an index of another L is asked for.
+
+    The old index is dropped before the new one is built, so that two
+    sizes' profiles are never held at once.
+    """
+    if not _INDEX or _INDEX[0][0] != L:
+        _INDEX.clear()
+        _INDEX.append((L, _ProfileIndex(L)))
+    return _INDEX[0][1]
+
+
 class TransferKernel:
     """One DP slice as a product of single-site maps on vectors over all profiles.
 
@@ -105,39 +150,27 @@ class TransferKernel:
     absorbing survival factor otherwise, since its evaporation below 0 is
     post-selected away.  Sites 1 and L take part like any other site: they
     are never valleys, which leaves exactly their frozen-site factor.
+
+    Only the probabilities depend on p.  The profiles and site maps come
+    from the memo's `_ProfileIndex`, so a p grid at one L builds them once.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.codes = _dyck_codes(params.L)
-        self.heights = np.zeros((self.codes.size, params.L + 2), dtype=np.int8)
-        for j in range(params.L + 1):
-            self.heights[:, j + 1] = self.heights[:, j] + 2 * ((self.codes >> j) & 1) - 1
+        self._index = _profile_index(params.L)
+        self.codes, self.heights = self._index.codes, self._index.heights
         p = params.p
         (_, _, _, deposit), (_, _, _, valley_stay) = event_table("valley", False, p, False)
         (_, _, _, evaporate), (_, _, _, peak_stay) = event_table("peak", False, p, False)
         self._forward = (valley_stay, evaporate, deposit, peak_stay)
         self._backward = (valley_stay, deposit, evaporate, peak_stay)
         self._floor_stay = event_table("peak", params.boundary_mode == "reflecting", p, False)[-1][3]
-        self._site_maps = {}
-
-    def _site_map(self, i):
-        """(valleys, the peaks they deposit into, peaks at h = 1) of site i, as indices."""
-        hit = self._site_maps.get(i)
-        if hit is None:
-            up_left = (self.codes >> (i - 1)) & 1
-            up_right = (self.codes >> i) & 1
-            valleys = np.flatnonzero((up_left == 0) & (up_right == 1))
-            raised = np.searchsorted(self.codes, self.codes[valleys] ^ (3 << (i - 1)))
-            floor = np.flatnonzero((up_left == 1) & (up_right == 0) & (self.heights[:, i] == 1))
-            hit = self._site_maps[i] = (valleys, raised, floor)
-        return hit
 
     def _apply(self, v, t, a, b, c, d):
         """v <- per-site [[a, b], [c, d]] on (valley, raised) pairs, for the sites of slice t."""
         v = np.array(v, dtype=float)
         for i in range(1 + t % 2, self.params.L + 1, 2):  # i + t odd
-            valleys, raised, floor = self._site_map(i)
+            valleys, raised, floor = self._index.site_map(i)
             low, high = v[valleys], v[raised]
             v[valleys] = a * low + b * high
             v[raised] = c * low + d * high

@@ -34,10 +34,20 @@ and give their nonzero entries by term, then key, then matrix row; every
 consumer sums them in that order, as a per-key loop would.  The sector
 spectrum comes from H's symmetry sectors under reflection, time reversal
 and color swap, each split into connected blocks diagonalized in full.
+
+Only the matrix values depend on p.  Terms of one local pattern share a
+read-only (states, matrix), and everything else (the entries' layout
+over a key list, the sector keys and H's cells, the symmetries' key
+maps, the character basis and the block partition) is a p-independent
+layout.  The module keeps one, keyed by L, coloring, every term's
+(support, states) and the nonzero pattern of all term matrices
+(`_layout`), so a p grid at fixed L builds it once; p = 0 and 1 zero
+some matrix entries and so rebuild it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -185,17 +195,25 @@ def build_deformation_state(k, c, S, p) -> DeformationState:
                             norm_exact=norm_exact, norm_printed=w_hi + w_lo)
 
 
-def build_update_projector(i, t, k, c, S, p) -> LocalTerm:
-    """Pi = I_sub - |D><D| / <D|D> on the window of plaquette (i, t).
+def _read_only(matrix):
+    """`matrix`, made read-only so that every term built from it can share it."""
+    matrix.flags.writeable = False
+    return matrix
+
+
+_ONE = _read_only(np.array([[1.0]]))  # the matrix of every one-state term
+
+
+def _update_pattern(k, c, S, p):
+    """(states, matrix, meta) of Pi = I_sub - |D><D| / <D|D> for one (k, c, S).
 
     I_sub spans the per-vertex-valid window states of this (k, c, S)
     instance; for k=1 that includes the cross-color evaporation states
     (deposit c, evaporation c'), which is what gives mismatched colorings
     their energy.  With <D|D> = 0 (degenerate p) the projector is I_sub.
+    The matrix is read-only: every plaquette's term of this pattern shares it.
     """
     d = build_deformation_state(k, c, S, p)
-    spins, qutrits = _window_support(i, t)
-    support = spins + (qutrits if c is not None else ())
     states = list(d.states)
     coeffs = list(d.coeffs)
     if c is not None and k == 1:
@@ -209,15 +227,27 @@ def build_update_projector(i, t, k, c, S, p) -> LocalTerm:
         matrix = eye - np.outer(vec, vec) / d.norm_exact
     else:
         matrix = eye
-    return LocalTerm(kind="update", support=support, weight=1.0,
-                     states=tuple(states), matrix=matrix,
-                     meta={"i": i, "t": t, "k": k, "c": c, "S": tuple(S),
-                           "norm_exact": d.norm_exact, "norm_printed": d.norm_printed})
+    return tuple(states), _read_only(matrix), {
+        "k": k, "c": c, "S": tuple(S), "norm_exact": d.norm_exact, "norm_printed": d.norm_printed}
+
+
+def _update_term(i, t, pattern) -> LocalTerm:
+    """The update term of `pattern` (from `_update_pattern`) on the window of plaquette (i, t)."""
+    states, matrix, meta = pattern
+    spins, qutrits = _window_support(i, t)
+    support = spins + (qutrits if meta["c"] is not None else ())
+    return LocalTerm(kind="update", support=support, weight=1.0, states=states,
+                     matrix=matrix, meta={"i": i, "t": t, **meta})
+
+
+def build_update_projector(i, t, k, c, S, p) -> LocalTerm:
+    """The update projector of `_update_pattern(k, c, S, p)` on the window of plaquette (i, t)."""
+    return _update_term(i, t, _update_pattern(k, c, S, p))
 
 
 def _pin_term(kind, site, bad_value, weight):
     return LocalTerm(kind=kind, support=(site,), weight=weight,
-                     states=((bad_value,),), matrix=np.array([[1.0]]))
+                     states=((bad_value,),), matrix=_ONE)
 
 
 def build_boundary_terms(params: ModelParams):
@@ -238,14 +268,14 @@ def build_boundary_terms(params: ModelParams):
     for i in range(1, L + 1, 2):
         support = tuple(("s",) + s for s in vertex_spin_indices(i, 2))
         terms.append(LocalTerm(kind="initial", support=support, weight=w,
-                               states=(EVAPORATE_PATTERN,), matrix=np.array([[1.0]]),
+                               states=(EVAPORATE_PATTERN,), matrix=_ONE,
                                meta={"vertex": (i, 2)}))
     for x in range(L + 1):
         terms.append(_pin_term("final", ("s", x, L), 1, w))
     for i in range(1, L + 1, 2):
         support = tuple(("s",) + s for s in vertex_spin_indices(i, L - 1))
         terms.append(LocalTerm(kind="final", support=support, weight=w,
-                               states=(DEPOSIT_PATTERN,), matrix=np.array([[1.0]]),
+                               states=(DEPOSIT_PATTERN,), matrix=_ONE,
                                meta={"vertex": (i, L - 1)}))
     for y in range(L + 1):
         good = 1 if y % 2 == 0 else 0
@@ -255,41 +285,36 @@ def build_boundary_terms(params: ModelParams):
 
 
 def build_gauss_term(params: ModelParams):
-    """Diagonal penalty (left pair sum - right pair sum)^2 per vertex."""
+    """Diagonal penalty (left pair sum - right pair sum)^2 per vertex, one shared matrix."""
     params.require_odd_L()
-    terms = []
-    for v in vertex_sites(params.L):
-        support = tuple(("s",) + s for s in vertex_spin_indices(*v))
-        states = []
-        diag = []
-        for bits in np.ndindex(2, 2, 2, 2):
-            ll, lu, rl, ru = (int(b) for b in bits)
-            res = (2 * ll - 1) + (2 * lu - 1) - (2 * rl - 1) - (2 * ru - 1)
-            if res != 0:  # res is twice the spin-unit residual; penalty is its square
-                states.append((ll, lu, rl, ru))
-                diag.append(float(res * res) / 4)
-        terms.append(LocalTerm(kind="gauss", support=support, weight=1.0,
-                               states=tuple(states), matrix=np.diag(diag),
-                               meta={"vertex": v}))
-    return terms
+    states = []
+    diag = []
+    for bits in np.ndindex(2, 2, 2, 2):
+        ll, lu, rl, ru = (int(b) for b in bits)
+        res = (2 * ll - 1) + (2 * lu - 1) - (2 * rl - 1) - (2 * ru - 1)
+        if res != 0:  # res is twice the spin-unit residual; penalty is its square
+            states.append((ll, lu, rl, ru))
+            diag.append(float(res * res) / 4)
+    states, matrix = tuple(states), _read_only(np.diag(diag))
+    return [LocalTerm(kind="gauss", support=tuple(("s",) + s for s in vertex_spin_indices(*v)),
+                      weight=1.0, states=states, matrix=matrix, meta={"vertex": v})
+            for v in vertex_sites(params.L)]
 
 
 def build_color_term(params: ModelParams):
-    """Penalize change vertices colored 0 and no-change vertices colored r/g."""
+    """Penalize change vertices colored 0 and no-change vertices colored r/g, one shared matrix."""
     params.require_odd_L()
     if not params.colored:
         return []
-    terms = []
-    for v in vertex_sites(params.L):
-        support = tuple(("s",) + s for s in vertex_spin_indices(*v)) + (("c",) + v,)
-        states = [DEPOSIT_PATTERN + (0,), EVAPORATE_PATTERN + (0,)]
-        for pattern in NO_CHANGE_PATTERNS:
-            for c in (1, 2):
-                states.append(pattern + (c,))
-        terms.append(LocalTerm(kind="color", support=support, weight=1.0,
-                               states=tuple(states), matrix=np.eye(len(states)),
-                               meta={"vertex": v}))
-    return terms
+    states = [DEPOSIT_PATTERN + (0,), EVAPORATE_PATTERN + (0,)]
+    for pattern in NO_CHANGE_PATTERNS:
+        for c in (1, 2):
+            states.append(pattern + (c,))
+    states, matrix = tuple(states), _read_only(np.eye(len(states)))
+    return [LocalTerm(kind="color",
+                      support=tuple(("s",) + s for s in vertex_spin_indices(*v)) + (("c",) + v,),
+                      weight=1.0, states=states, matrix=matrix, meta={"vertex": v})
+            for v in vertex_sites(params.L)]
 
 
 def update_plaquettes(L):
@@ -308,12 +333,10 @@ def assemble_hamiltonian(params: ModelParams):
     terms += build_gauss_term(params)
     terms += build_color_term(params)
     colors = (1, 2) if params.colored else (None,)
+    patterns = [_update_pattern(k, c, S, params.p)
+                for k in (1, 2, 3) for S in itertools.product((-1, 1), repeat=2) for c in colors]
     for (i, t) in update_plaquettes(params.L):
-        for k in (1, 2, 3):
-            for s_left in (-1, 1):
-                for s_right in (-1, 1):
-                    for c in colors:
-                        terms.append(build_update_projector(i, t, k, c, (s_left, s_right), params.p))
+        terms += [_update_term(i, t, pattern) for pattern in patterns]
     return terms
 
 
@@ -331,50 +354,149 @@ def assemble_hamiltonian(params: ModelParams):
 # key's mixed-radix window code (2 per spin, 3 per color) among all their
 # states, and a hit expands into column r of each term with that state r.
 # A target key is its source key XOR the packed difference of r and r2.
+#
+# None of that depends on p.  A `_Layout` holds it for one term layout
+# (see the module docstring) and gives the entries over a key list as
+# (a, key2) plus each entry's term and matrix position; the amplitudes h
+# are gathered from the terms' weights and matrices on every call.
 
 
-def _term_entries(terms, values, params: ModelParams):
-    """All terms' nonzero entries as arrays (a, key2, h), and term bounds.
+@dataclass
+class _Entries:
+    """All terms' nonzero entries over one key list, without their values.
 
-    `values` (N, sites) are the keys' site values in `site_order`.  Entry
-    e maps key a[e] onto the packed key row key2[e] with amplitude h[e].
-    Term n owns entries bounds[n]:bounds[n + 1], by key, then matrix row.
+    Entry e maps key a[e] onto the packed key row key2[e] with amplitude
+    weights[term[e]] * flat[at[e]] (`h`).  Term n owns entries
+    bounds[n]:bounds[n + 1], by key, then matrix row.  `keys` and
+    `values` are the key list as packed rows and as (N, sites) site values.
     """
-    L, colored = params.L, params.colored
-    index_of = {s: n for n, s in enumerate(site_order(L, colored))}
-    sizes = np.array([len(term.states) for term in terms], dtype=np.intp)
-    table = np.zeros((sizes.sum(), values.shape[1]), dtype=np.uint8)  # states at their sites
-    window = np.empty(len(table), dtype=np.intp)  # one id per distinct window of a support
-    hits, row = [(np.zeros(0, dtype=np.intp),) * 2], 0
-    for support, group in itertools.groupby(terms, key=lambda term: term.support):
-        states = np.array([state for term in group for state in term.states], dtype=np.uint8)
-        idx = [index_of[s] for s in support]
-        radix = [2 if s[0] == "s" else 3 for s in support]
-        state_codes = np.ravel_multi_index(states.T, radix)
-        codes = np.sort(state_codes)
-        table[row:row + len(states), idx] = states
-        window[row:row + len(states)] = row + np.searchsorted(codes, state_codes)
-        code = np.ravel_multi_index(values[:, idx].T, radix)
-        pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-        a = np.flatnonzero(codes[pos] == code)
-        hits.append((a, row + pos[a]))
-        row += len(states)
+
+    keys: np.ndarray
+    values: np.ndarray
+    a: np.ndarray
+    key2: np.ndarray
+    term: np.ndarray
+    at: np.ndarray
+    bounds: np.ndarray
+
+    def h(self, weights, flat):
+        """Each entry's amplitude from the terms' weights and concatenated matrix columns."""
+        return weights[self.term] * flat[self.at]
+
+    @functools.cached_property
+    def residual_cells(self):
+        """(group, ends): each entry's (term, key2) cell, and each term's first cell."""
+        _, key = np.unique(_key_rows(self.key2), return_inverse=True)
+        term = self.term * (len(key) + 1)
+        cells, group = np.unique(term + key, return_inverse=True)  # (term, key2) pairs
+        ends = np.searchsorted(cells, np.arange(len(self.bounds)) * (len(key) + 1)).tolist()
+        return group, ends
+
+    @functools.cached_property
+    def sector_cells(self):
+        """(row, col, group): the distinct (key2, a) cells row-major, and each entry's cell.
+
+        Row and column n belong to key n.  A key listed twice raises
+        InvalidParameterError, and a key2 outside the list AssertionError.
+        """
+        n = len(self.keys)
+        rows = _key_rows(self.keys)
+        by_key = np.argsort(rows, kind="stable")
+        sorted_rows = rows[by_key]
+        if (sorted_rows[1:] == sorted_rows[:-1]).any():
+            raise InvalidParameterError("sector keys must be distinct")
+        targets = _key_rows(self.key2)
+        pos = np.minimum(np.searchsorted(sorted_rows, targets), n - 1)
+        if (sorted_rows[pos] != targets).any():  # searchsorted alone lands beside a missing key
+            raise AssertionError("sector basis is not closed under a term")
+        cells, group = np.unique(by_key[pos] * n + self.a, return_inverse=True)
+        return *np.divmod(cells, n), group
+
+
+class _Layout:
+    """The p-independent part of the terms' action (see the comment above).
+
+    It keeps the entries over the last key list asked of `entries`, and
+    `sector` holds the sector spectrum's layout once `sector_spectrum`
+    has asked for it.
+    """
+
+    def __init__(self, terms, nonzero, params: ModelParams):
+        L, colored = self.L, self.colored = params.L, params.colored
+        index_of = {s: n for n, s in enumerate(site_order(L, colored))}
+        sizes = np.array([len(term.states) for term in terms], dtype=np.intp)
+        table = np.zeros((sizes.sum(), len(index_of)), dtype=np.uint8)  # states at their sites
+        window = np.empty(len(table), dtype=np.intp)  # one id per distinct window of a support
+        self.groups, row = [], 0  # (site columns, radix, sorted window codes, first row)
+        for support, group in itertools.groupby(terms, key=lambda term: term.support):
+            states = np.array([state for term in group for state in term.states], dtype=np.uint8)
+            idx = [index_of[s] for s in support]
+            radix = [2 if s[0] == "s" else 3 for s in support]
+            state_codes = np.ravel_multi_index(states.T, radix)
+            codes = np.sort(state_codes)
+            table[row:row + len(states), idx] = states
+            window[row:row + len(states)] = row + np.searchsorted(codes, state_codes)
+            self.groups.append((idx, radix, codes, row))
+            row += len(states)
+        at = np.flatnonzero(nonzero)  # by term, then matrix column r, then row r2
+        owner = np.repeat(np.arange(len(terms)), sizes * sizes)[at]
+        r, r2 = np.divmod(at - (np.cumsum(sizes * sizes) - sizes * sizes)[owner], sizes[owner])
+        source, target = np.array([r, r2]) + (np.cumsum(sizes) - sizes)[owner]
+        self.at, self.owner, self.n_terms = at, owner, len(terms)
+        self.delta = pack_values(table[source] ^ table[target], L, colored)
+        self.by_window = np.argsort(window[source], kind="stable")
+        self.count = np.bincount(window[source], minlength=len(table))
+        self.window_ends = np.cumsum(self.count)
+        self._last = None  # (keys, entries) of the last `entries` call
+        self.sector = None
+
+    def entries(self, keys) -> _Entries:
+        """The entries over `keys` (bytes, in the given order); the last list's are kept."""
+        keys = tuple(keys)
+        if self._last is None or self._last[0] != keys:
+            self._last = None  # drop the old entries before building the next
+            self._last = keys, self.build_entries(keys)
+        return self._last[1]
+
+    def build_entries(self, keys) -> _Entries:
+        values = unpack_keys(keys, self.L, self.colored)
+        hits = [(np.zeros(0, dtype=np.intp),) * 2]
+        for idx, radix, codes, row in self.groups:
+            code = np.ravel_multi_index(values[:, idx].T, radix)
+            pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+            a = np.flatnonzero(codes[pos] == code)
+            hits.append((a, row + pos[a]))
+        a, hit = (np.concatenate(part) for part in zip(*hits))
+        n = self.count[hit]
+        first = self.window_ends[hit] - np.cumsum(n)
+        entry = self.by_window[np.arange(n.sum()) + np.repeat(first, n)]
+        by_term = np.argsort(self.owner[entry], kind="stable")
+        a, entry = np.repeat(a, n)[by_term], entry[by_term]
+        term = self.owner[entry]
+        packed = pack_values(values, self.L, self.colored)
+        return _Entries(keys=packed, values=values, a=a, key2=packed[a] ^ self.delta[entry],
+                        term=term, at=self.at[entry],
+                        bounds=np.searchsorted(term, np.arange(self.n_terms + 1)))
+
+
+_LAYOUT = []  # the one memo entry: [(key, _Layout)]
+
+
+def _layout(terms, params: ModelParams):
+    """(layout, weights, flat): the terms' `_Layout`, their weights and matrix columns.
+
+    `flat` concatenates every term's matrix column by column, the order
+    of `_Entries.at`.  The memo's key is (L, colored, every term's
+    (support, states), the nonzero pattern of `flat`); a hit compares it
+    in full, and a miss drops the old layout before building its own.
+    """
     flat = np.concatenate([np.zeros(0)] + [term.matrix.T.ravel() for term in terms])
-    at = np.flatnonzero(flat)  # by term, then matrix column r, then row r2
-    owner = np.repeat(np.arange(len(terms)), sizes * sizes)[at]
-    r, r2 = np.divmod(at - (np.cumsum(sizes * sizes) - sizes * sizes)[owner], sizes[owner])
-    source, target = np.array([r, r2]) + (np.cumsum(sizes) - sizes)[owner]
-    h = np.array([term.weight for term in terms])[owner] * flat[at]
-    delta = pack_values(table[source] ^ table[target], L, colored)
-    by_window = np.argsort(window[source], kind="stable")
-    count = np.bincount(window[source], minlength=len(table))
-    a, hit = (np.concatenate(part) for part in zip(*hits))
-    n = count[hit]
-    entry = by_window[np.arange(n.sum()) + np.repeat(np.cumsum(count)[hit] - np.cumsum(n), n)]
-    by_term = np.argsort(owner[entry], kind="stable")
-    a, entry = np.repeat(a, n)[by_term], entry[by_term]
-    key2 = pack_values(values, L, colored)[a] ^ delta[entry]
-    return a, key2, h[entry], np.searchsorted(owner[entry], np.arange(len(terms) + 1))
+    key = (params.L, params.colored, tuple((term.support, term.states) for term in terms),
+           (flat != 0).tobytes())
+    if not _LAYOUT or _LAYOUT[0][0] != key:
+        _LAYOUT.clear()
+        _LAYOUT.append((key, _Layout(terms, flat != 0, params)))
+    return _LAYOUT[0][1], np.array([term.weight for term in terms]), flat
 
 
 def _key_rows(keys):
@@ -383,20 +505,19 @@ def _key_rows(keys):
     return keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
 
 
-def _state_arrays(state: SparseState):
-    params = state.params
-    values = unpack_keys(list(state.amplitudes), params.L, params.colored)
-    return values, np.fromiter(state.amplitudes.values(), dtype=float, count=len(values))
+def _amplitudes(state: SparseState):
+    return np.fromiter(state.amplitudes.values(), dtype=float, count=len(state))
 
 
 def apply_operator(terms, state: SparseState):
     """H |psi> as an unnormalized key -> coefficient map, keys in first-hit order."""
-    values, amps = _state_arrays(state)
-    a, key2, h, _ = _term_entries(terms, values, state.params)
-    _, first, group = np.unique(_key_rows(key2), return_index=True, return_inverse=True)
-    sums = np.bincount(group, weights=h * amps[a], minlength=len(first))
+    layout, weights, flat = _layout(terms, state.params)
+    entries = layout.entries(state.amplitudes)
+    _, first, group = np.unique(_key_rows(entries.key2), return_index=True, return_inverse=True)
+    sums = np.bincount(group, weights=entries.h(weights, flat) * _amplitudes(state)[entries.a],
+                       minlength=len(first))
     hit_order = np.argsort(first)
-    return dict(zip(key_bytes(key2[first[hit_order]]), sums[hit_order].tolist()))
+    return dict(zip(key_bytes(entries.key2[first[hit_order]]), sums[hit_order].tolist()))
 
 
 def expectation(terms, state: SparseState) -> float:
@@ -406,14 +527,11 @@ def expectation(terms, state: SparseState) -> float:
 
 def term_residuals(terms, state: SparseState):
     """||T_j |psi>|| per term."""
-    values, amps = _state_arrays(state)
-    a, key2, h, bounds = _term_entries(terms, values, state.params)
-    _, key = np.unique(_key_rows(key2), return_inverse=True)
-    term = np.repeat(np.arange(len(terms)), np.diff(bounds)) * (len(key) + 1)
-    cells, group = np.unique(term + key, return_inverse=True)  # (term, key2) pairs
-    sums = np.bincount(group, weights=h * amps[a])
+    layout, weights, flat = _layout(terms, state.params)
+    entries = layout.entries(state.amplitudes)
+    group, ends = entries.residual_cells
+    sums = np.bincount(group, weights=entries.h(weights, flat) * _amplitudes(state)[entries.a])
     squares = (sums * sums).tolist()
-    ends = np.searchsorted(cells, np.arange(len(terms) + 1) * (len(key) + 1)).tolist()
     return [math.sqrt(math.fsum(squares[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
@@ -481,19 +599,10 @@ def _sector_entries(terms, keys, params: ModelParams):
     Row and column n belong to keys[n], in any order; a key listed twice
     raises InvalidParameterError.  A value sums its entries in entry order.
     """
-    values = unpack_keys(keys, params.L, params.colored)
-    rows = _key_rows(pack_values(values, params.L, params.colored))
-    by_key = np.argsort(rows, kind="stable")
-    sorted_rows = rows[by_key]
-    if (sorted_rows[1:] == sorted_rows[:-1]).any():
-        raise InvalidParameterError("sector keys must be distinct")
-    a, key2, h, _ = _term_entries(terms, values, params)
-    targets = _key_rows(key2)
-    pos = np.minimum(np.searchsorted(sorted_rows, targets), len(keys) - 1)
-    if (sorted_rows[pos] != targets).any():  # searchsorted alone lands beside a missing key
-        raise AssertionError("sector basis is not closed under a term")
-    cells, group = np.unique(by_key[pos] * len(keys) + a, return_inverse=True)
-    return *np.divmod(cells, len(keys)), np.bincount(group, weights=h)
+    layout, weights, flat = _layout(terms, params)
+    entries = layout.entries(keys)
+    row, col, group = entries.sector_cells
+    return row, col, np.bincount(group, weights=entries.h(weights, flat))
 
 
 def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
@@ -537,20 +646,17 @@ def _site_symmetries(L, colored):
     return symmetries
 
 
-def _symmetries(keys, row, col, value, params: ModelParams):
-    """The candidate symmetries that leave the sector and H invariant, as key permutations.
+def _symmetry_images(keys, values, row, col, params: ModelParams):
+    """The candidates that map the sector and H's cells onto themselves, as (name, to, order).
 
-    `keys` are sorted, as `sector_keys` gives them, and (row, col, value)
-    is H over them from `_sector_entries`.  A symmetry is kept when it maps
-    every key onto a key and every entry onto an entry whose value agrees
-    to within 1e-12 max|H|; T fails that at p = 0 and 1.
+    `keys` (sorted packed rows) and `values` are the sector's keys, and
+    (row, col) H's cells over them from `_Entries.sector_cells`.  Key n
+    maps onto key to[n], and cell order[e] onto cell e.
     """
     L, colored = params.L, params.colored
-    values = unpack_keys(keys, L, colored)
-    rows = _key_rows(pack_values(values, L, colored))
+    rows = _key_rows(keys)
     n = len(keys)
-    tol = 1e-12 * np.abs(value).max(initial=0.0)
-    kept = {}
+    images = []
     for name, (perm, table) in _site_symmetries(L, colored).items():
         image = _key_rows(pack_values(table[np.arange(len(perm)), values[:, perm]], L, colored))
         to = np.minimum(np.searchsorted(rows, image), n - 1)
@@ -558,71 +664,148 @@ def _symmetries(keys, row, col, value, params: ModelParams):
             continue
         cells = to[row] * n + to[col]
         order = np.argsort(cells)
-        if (np.array_equal(cells[order], row * n + col)
-                and (np.abs(value[order] - value) <= tol).all()):
-            kept[name] = to
-    return kept
+        if np.array_equal(cells[order], row * n + col):
+            images.append((name, to, order))
+    return images
 
 
-def _symmetry_sectors(perms, row, col, value, n):
-    """H in the symmetry sectors of commuting involutions `perms` of its n keys.
+def _commuting(images, value):
+    """{name: key permutation} of the `images` under which every value of H agrees.
+
+    Values agree to within 1e-12 max|H|; T fails that at p = 0 and 1.
+    """
+    tol = 1e-12 * np.abs(value).max(initial=0.0)
+    return {name: to for name, to, order in images if (np.abs(value[order] - value) <= tol).all()}
+
+
+def _symmetries(keys, row, col, value, params: ModelParams):
+    """The candidate symmetries that leave the sector and H invariant, as key permutations.
+
+    `keys` are sorted, as `sector_keys` gives them, and (row, col, value)
+    is H over them from `_sector_entries`.
+    """
+    values = unpack_keys(keys, params.L, params.colored)
+    packed = pack_values(values, params.L, params.colored)
+    return _commuting(_symmetry_images(packed, values, row, col, params), value)
+
+
+class _SymmetryReduction:
+    """H's cells in the symmetry sectors of commuting involutions `perms` of its n keys.
 
     The involutions generate a group of 2^m elements, element g applying
     perms[j] for each bit j set.  Character s is (-1)^popcount(s & g) on
     g.  A key's orbit is a basis state of every character that is 1 on
     the orbit's stabilizer, with coefficient chi(g) / sqrt(|orbit|) on
-    the member g takes the orbit's least key to.  Returns each
-    character's dimension and the distinct row-major (row, col, value)
-    triplets of H over the sectors' direct sum, characters in order and
-    orbits by least key; one `bincount` pass sums them all.
+    the member g takes the orbit's least key to.  `dims` holds each
+    character's dimension, and (row, col) the distinct row-major cells of
+    H over the sectors' direct sum, characters in order and orbits by
+    least key.  Called with H's values over (row, col) of the keys, it
+    returns the values of those cells, summed by one `bincount` pass.
     """
-    elements = 1 << len(perms)
-    images = np.empty((elements, n), dtype=np.intp)
-    images[0] = np.arange(n)
-    for g in range(1, elements):
-        j = (g & -g).bit_length() - 1
-        images[g] = perms[j][images[g ^ (1 << j)]]
-    least = images.min(axis=0)
-    g_of = np.argmax(images == least, axis=0)  # takes the key to least, and least to the key
-    fixed = images == np.arange(n)  # (elements, keys): each key's stabilizer
-    orbit = elements / fixed.sum(axis=0)
-    parity = np.array([[bin(s & g).count("1") & 1 for g in range(elements)]
-                       for s in range(elements)])
-    chi = 1 - 2 * parity
-    kept = parity @ fixed == 0  # (characters, keys)
-    basis = kept & (least == np.arange(n))
-    index = np.cumsum(basis.ravel()).reshape(basis.shape) - 1
-    on = kept[:, row] & kept[:, col]
-    weight = chi[:, g_of[row]] * chi[:, g_of[col]] * (value / np.sqrt(orbit[row] * orbit[col]))
-    size = int(basis.sum())
-    cells, group = np.unique(index[:, least[row]][on] * size + index[:, least[col]][on],
-                             return_inverse=True)
-    return basis.sum(axis=1), (*np.divmod(cells, size), np.bincount(group, weights=weight[on]))
+
+    def __init__(self, perms, row, col, n):
+        elements = 1 << len(perms)
+        images = np.empty((elements, n), dtype=np.intp)
+        images[0] = np.arange(n)
+        for g in range(1, elements):
+            j = (g & -g).bit_length() - 1
+            images[g] = perms[j][images[g ^ (1 << j)]]
+        least = images.min(axis=0)
+        g_of = np.argmax(images == least, axis=0)  # takes the key to least, and least to the key
+        fixed = images == np.arange(n)  # (elements, keys): each key's stabilizer
+        orbit = elements / fixed.sum(axis=0)
+        parity = np.array([[bin(s & g).count("1") & 1 for g in range(elements)]
+                           for s in range(elements)])
+        chi = 1 - 2 * parity
+        kept = parity @ fixed == 0  # (characters, keys)
+        basis = kept & (least == np.arange(n))
+        index = np.cumsum(basis.ravel()).reshape(basis.shape) - 1
+        char, self.entry = np.nonzero(kept[:, row] & kept[:, col])
+        r, c = row[self.entry], col[self.entry]
+        self.sign = chi[char, g_of[r]] * chi[char, g_of[c]]
+        self.scale = np.sqrt(orbit[r] * orbit[c])
+        size = int(basis.sum())
+        cells, self.group = np.unique(index[char, least[r]] * size + index[char, least[c]],
+                                      return_inverse=True)
+        self.dims = basis.sum(axis=1)
+        self.row, self.col = np.divmod(cells, size)
+
+    def __call__(self, value):
+        return np.bincount(self.group, weights=self.sign * (value[self.entry] / self.scale))
 
 
-def _sector_blocks(row, col, value, n):
-    """H's connected blocks as (keys (B, s), matrices (B, s, s)), one pair per size s.
+def _symmetry_sectors(perms, row, col, value, n):
+    """(dims, (row, col, value)): H in the symmetry sectors of `perms`, see `_SymmetryReduction`."""
+    reduction = _SymmetryReduction(perms, row, col, n)
+    return reduction.dims, (reduction.row, reduction.col, reduction(value))
+
+
+class _Blocks:
+    """The connected blocks of H's cells (row, col) over n keys, one group per block size s.
 
     Every edge hooks the larger of its keys' roots onto the smaller, and
     pointer jumping flattens the forest, until each key's root is the
     first key of its block.  A block lists its keys ascending.
     """
-    root = np.arange(n)
-    while (root[row] != root[col]).any():
-        np.minimum.at(root, np.maximum(root[row], root[col]), np.minimum(root[row], root[col]))
-        while (root[root] != root).any():
-            root = root[root]
-    size = np.bincount(root, minlength=n)  # a block's size, at its first key
-    start = np.cumsum(size) - size
-    members = np.argsort(root, kind="stable")
-    for s in np.flatnonzero(np.bincount(size)[1:]) + 1:
-        blocks = members[start[size == s, None] + np.arange(s)]
-        cell = np.full(n, -1)
-        cell[blocks.ravel()] = np.arange(blocks.size)  # block rank * s + position in it
-        mine = cell[row] >= 0
-        stack = np.zeros((len(blocks), s, s))
-        stack[cell[row[mine]] // s, cell[row[mine]] % s, cell[col[mine]] % s] = value[mine]
-        yield blocks, stack
+
+    def __init__(self, row, col, n):
+        root = np.arange(n)
+        while (root[row] != root[col]).any():
+            np.minimum.at(root, np.maximum(root[row], root[col]), np.minimum(root[row], root[col]))
+            while (root[root] != root).any():
+                root = root[root]
+        size = np.bincount(root, minlength=n)  # a block's size, at its first key
+        start = np.cumsum(size) - size
+        members = np.argsort(root, kind="stable")
+        self.groups = []  # (keys (B, s), where each owned cell goes in the (B, s, s) stack, cells)
+        for s in np.flatnonzero(np.bincount(size)[1:]) + 1:
+            blocks = members[start[size == s, None] + np.arange(s)]
+            cell = np.full(n, -1)
+            cell[blocks.ravel()] = np.arange(blocks.size)  # block rank * s + position in it
+            mine = np.flatnonzero(cell[row] >= 0)
+            at = (cell[row[mine]] // s, cell[row[mine]] % s, cell[col[mine]] % s)
+            self.groups.append((blocks, at, mine))
+
+    def stacks(self, value):
+        """(keys (B, s), matrices (B, s, s)) per block size s, the matrices holding `value`."""
+        for blocks, at, mine in self.groups:
+            stack = np.zeros((len(blocks), blocks.shape[1], blocks.shape[1]))
+            stack[at] = value[mine]
+            yield blocks, stack
+
+
+def _sector_blocks(row, col, value, n):
+    """H's connected blocks as (keys (B, s), matrices (B, s, s)), one pair per size s."""
+    return _Blocks(row, col, n).stacks(value)
+
+
+class _Sector:
+    """The p-independent part of `sector_spectrum` for one `_Layout`.
+
+    Holds the sector keys and H's cells over them, the candidate
+    symmetries' key and cell maps, and, for the last set of commuting
+    symmetries, the character basis and the block partition.
+    """
+
+    def __init__(self, layout: _Layout, params: ModelParams):
+        self.entries = layout.build_entries(sector_keys(params, max_states=DENSE_STATES))
+        row, col, _ = self.entries.sector_cells
+        self.images = _symmetry_images(self.entries.keys, self.entries.values, row, col, params)
+        self._reduced = None  # (commuting names, _SymmetryReduction, _Blocks)
+
+    def levels(self, weights, flat):
+        """Every level of H with these terms' values, unsorted."""
+        row, col, group = self.entries.sector_cells
+        value = np.bincount(group, weights=self.entries.h(weights, flat))
+        kept = _commuting(self.images, value)
+        if self._reduced is None or self._reduced[0] != tuple(kept):
+            self._reduced = None
+            reduction = _SymmetryReduction(list(kept.values()), row, col, len(self.entries.keys))
+            self._reduced = tuple(kept), reduction, _Blocks(reduction.row, reduction.col,
+                                                           int(reduction.dims.sum()))
+        _, reduction, blocks = self._reduced
+        return np.concatenate([np.linalg.eigvalsh(stack).ravel()
+                               for _, stack in blocks.stacks(reduction(value))])
 
 
 def sector_spectrum(terms, params: ModelParams, k: int):
@@ -637,16 +820,23 @@ def sector_spectrum(terms, params: ModelParams, k: int):
     which ARPACK restarted from a random vector does not.  DENSE_STATES
     caps the whole sector, so a larger one raises CapacityError while
     counted.
+
+    All but H's values is p-independent and kept with the memo's layout
+    (`_layout`, `_Sector`): the sector keys, H's cells, the symmetries'
+    key and cell maps, the character basis and the block partition.  The
+    memo's key is (L, coloring, every term's (support, states), the
+    nonzero pattern of the term matrices), compared in full, so the
+    points of a p grid at one L share it and p = 0 and 1 build their own.
+    A call on a kept layout sums H's values, checks which symmetries
+    commute with them and runs the stacked `eigvalsh`; the basis and
+    partition are rebuilt only when that set of symmetries changes.
     """
     if not _is_int(k) or k < 1:
         raise InvalidParameterError(f"k must be an integer >= 1, got {k!r}")
-    keys = sector_keys(params, max_states=DENSE_STATES)
-    entries = _sector_entries(terms, keys, params)
-    perms = list(_symmetries(keys, *entries, params).values())
-    sizes, reduced = _symmetry_sectors(perms, *entries, len(keys))
-    blocks = _sector_blocks(*reduced, int(sizes.sum()))
-    levels = np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in blocks])
-    return list(map(float, np.sort(levels)[:k]))
+    layout, weights, flat = _layout(terms, params)
+    if layout.sector is None:
+        layout.sector = _Sector(layout, params)
+    return list(map(float, np.sort(layout.sector.levels(weights, flat))[:k]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import depevap
-from depevap import scaling
+from depevap import entropy, hamiltonian, scaling
 from depevap.cli import load_manifest, main, normalize_manifest, run_experiment, save_manifest
 from depevap.errors import InvalidParameterError
 
@@ -177,6 +178,74 @@ def test_hamiltonian_reruns_are_byte_identical(tmp_path):
             assert run_experiment({**manifest, "out": str(out)})[1] == 0
         for csv in ("hamiltonian_residuals.csv", "hamiltonian_spectrum.csv"):
             assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes(), csv
+
+
+MIXED_GRID = [0.25, 0.0, 0.5, 1.0, 0.8]
+
+
+def _forget_layouts():
+    """Empty the memos that carry a p-independent layout from one call to the next."""
+    hamiltonian._LAYOUT.clear()
+    entropy._INDEX.clear()
+
+
+def _body(path):
+    return path.read_text().splitlines(keepends=True)[1:]
+
+
+@pytest.mark.parametrize("L,colored", [(5, True), (7, False)])
+def test_hamiltonian_mixed_grid_matches_single_points(tmp_path, L, colored):
+    # one layout serves the p grid; p = 0 and 1 change the nonzero pattern and the
+    # state's keys mid-grid, so the layout is rebuilt there and after them
+    base = {"experiment": "hamiltonian-check", "L": [L], "mode": "absorbing", "colored": colored}
+    grid = tmp_path / "grid"
+    assert run_experiment({**base, "p": MIXED_GRID, "out": str(grid)})[1] == 0
+    singles = []
+    for p in MIXED_GRID:
+        _forget_layouts()
+        singles.append(tmp_path / f"p{p}")
+        assert run_experiment({**base, "p": [p], "out": str(singles[-1])})[1] == 0
+    for csv in ("hamiltonian_residuals.csv", "hamiltonian_spectrum.csv"):
+        header = (grid / csv).read_text().splitlines(keepends=True)[0]
+        want = header + "".join(line for out in singles for line in _body(out / csv))
+        assert (grid / csv).read_text() == want, csv
+
+
+def test_phase_sweep_mixed_grid_matches_single_points(tmp_path):
+    # the DP's profile index is built once per L and kept across the p grid
+    base = {"experiment": "phase-sweep", "L": [5, 7, 9]}
+    grid = tmp_path / "grid"
+    assert run_experiment({**base, "p": MIXED_GRID, "out": str(grid)})[1] == 0
+    rows = _body(grid / "phase_sweep.csv")
+    fits = _body(grid / "phase_exponents.csv")
+    want_fits = {}
+    for p in MIXED_GRID:
+        _forget_layouts()
+        out = tmp_path / f"p{p}"
+        assert run_experiment({**base, "p": [p], "out": str(out)})[1] == 0
+        assert _body(out / "phase_sweep.csv") == [r for r in rows if r.split(",")[1] == repr(p)]
+        [want_fits[p]] = _body(out / "phase_exponents.csv")
+    assert fits == [want_fits[p] for p in sorted(MIXED_GRID)]
+
+
+def test_traced_spans_cover_the_cli_calls(tmp_path):
+    # perfbench/traced.py times the experiments through these cli names; a refactor
+    # that stops calling one of them through cli would lose its span
+    perfbench = Path(depevap.__file__).resolve().parents[2] / "perfbench"
+    manifests = [{"experiment": "hamiltonian-check", "L": [3], "p": [0.5], "mode": "absorbing",
+                  "out": str(tmp_path / "h")},
+                 {"experiment": "phase-sweep", "L": [3, 5, 7], "p": [0.5],
+                  "out": str(tmp_path / "d")}]
+    out = _fresh_python(f"import sys; sys.path.insert(0, {str(perfbench)!r})\n"
+                        "import traced\n"
+                        "from depevap.cli import run_experiment\n"
+                        "rec = traced.install()\n"
+                        f"for manifest in {manifests!r}:\n"
+                        "    assert run_experiment(manifest)[1] == 0\n"
+                        "print(sorted({name for name, _, _ in rec.spans()}))\n")
+    spans = set(ast.literal_eval(out.strip().splitlines()[-1]))
+    assert {"hamiltonian.assemble", "hamiltonian.residuals", "hamiltonian.spectrum",
+            "entropy.dp"} <= spans
 
 
 @pytest.mark.parametrize("args", [

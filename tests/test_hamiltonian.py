@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import depevap
+from depevap import hamiltonian
 from bridge_reference import bridge_records
 from depevap import ModelParams
 from depevap.codec import canonical_key, decode_keys, encode_trajectory, key_length
@@ -321,6 +322,56 @@ def test_term_action_edge_cases():
     assert apply_operator(terms, empty) == {}
     assert term_residuals(terms, empty) == [0.0] * len(terms)
     assert apply_operator([], state) == {} and term_residuals([], state) == []
+
+
+def test_layout_memo_serves_only_its_own_terms_and_keys():
+    # the memo keeps the layout of the last terms and keys; after a full-term call, a
+    # term subset, the reversed terms and two plaquettes' terms of one pattern traded
+    # (same matrices, other supports) must each get their own, over either key order
+    params = ModelParams(L=5, p=0.3, colored=True, **ABS)
+    terms = assemble_hamiltonian(params)
+    keys = sector_keys(params)
+    rng = np.random.default_rng(11)
+    shuffled = [keys[n] for n in rng.permutation(len(keys))]
+    update = [n for n, term in enumerate(terms) if term.kind == "update"]
+    traded = list(terms)
+    traded[update[0]], traded[update[-24]] = terms[update[-24]], terms[update[0]]
+    for some in (terms[::3], terms[::-1], traded):
+        term_residuals(terms, build_state(params))
+        sector_spectrum(terms, params, 4)
+        for order in (shuffled, keys):
+            amps = rng.standard_normal(len(keys)).tolist()
+            state = SparseState(amplitudes=dict(zip(order, amps)), params=params)
+            reference = list(_reference_term_entries(some, order, params))
+            assert term_residuals(some, state) == [
+                math.sqrt(math.fsum(v * v for v in _reference_sums(entries, amps, {}).values()))
+                for entries in reference]
+            applied = {}
+            for entries in reference:
+                _reference_sums(entries, amps, applied)
+            assert apply_operator(some, state) == applied
+            assert np.array_equal(sector_matrix(some, order, params),
+                                  _reference_matrix(some, order, params))
+        levels = sector_spectrum(some, params, len(keys))
+        hamiltonian._LAYOUT.clear()  # a fresh call builds its layout from nothing
+        assert sector_spectrum(some, params, len(keys)) == levels
+        dense = np.linalg.eigvalsh(_reference_matrix(some, keys, params))
+        assert np.max(np.abs(np.array(levels) - dense)) < 1e-12
+
+
+def test_shared_term_matrices_are_read_only():
+    # terms of one pattern share one matrix, so none of them may write into it
+    params = ModelParams(L=5, p=0.3, colored=True, **ABS)
+    terms = assemble_hamiltonian(params)
+    by_kind = {}
+    for term in terms:
+        by_kind.setdefault(term.kind, []).append(term)
+    assert set(by_kind) == {"initial", "final", "left", "right", "gauss", "color", "update"}
+    assert len({id(term.matrix) for term in by_kind["update"]}) == 3 * 4 * 2
+    for kind, group in by_kind.items():
+        with pytest.raises(ValueError, match="read-only"):
+            group[-1].matrix[0, 0] = 0.5
+        assert len({id(term.matrix) for term in group}) < len(group), kind
 
 
 def test_sector_matrix_key_handling():
