@@ -491,11 +491,12 @@ def _layout(terms, params: ModelParams):
     in full, and a miss drops the old layout before building its own.
     """
     flat = np.concatenate([np.zeros(0)] + [term.matrix.T.ravel() for term in terms])
+    nonzero = flat != 0
     key = (params.L, params.colored, tuple((term.support, term.states) for term in terms),
-           (flat != 0).tobytes())
+           nonzero.tobytes())
     if not _LAYOUT or _LAYOUT[0][0] != key:
         _LAYOUT.clear()
-        _LAYOUT.append((key, _Layout(terms, flat != 0, params)))
+        _LAYOUT.append((key, _Layout(terms, nonzero, params)))
     return _LAYOUT[0][1], np.array([term.weight for term in terms]), flat
 
 
