@@ -40,8 +40,6 @@ from .hamiltonian import (
     build_color_term,
     build_deformation_state,
     build_gauss_term,
-    build_update_projector,
-    expectation,
     export_terms_text,
     sector_spectrum,
     term_residuals,

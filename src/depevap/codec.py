@@ -230,7 +230,8 @@ def profiles_to_heights(profiles, L) -> np.ndarray:
 
 
 def colored_area(profile) -> tuple[int, int]:
-    """Blocks above the horizon under a profile, and the pair count A/2."""
+    """Blocks above the horizon under a profile, and the pair count A/2: the exported
+    one-profile form of the area that `entropy.midcut_distribution` sums in bulk."""
     profile = np.asarray(profile)
     L = len(profile) - 2
     horizon = np.arange(L + 2) % 2
@@ -330,6 +331,12 @@ def key_bytes(keys) -> list:
     keys = np.asarray(keys, dtype=np.uint8)
     flat, width = keys.tobytes(), keys.shape[1]
     return [flat[k:k + width] for k in range(0, len(flat), width)]
+
+
+def key_rows(keys) -> np.ndarray:
+    """One fixed-width void per row of a uint8 matrix; they sort like the rows' bytes."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
 
 
 def _raise_first(bad, kind, locations, what):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import decode_keys, pair_slots, site_order
+from .codec import decode_keys, key_rows, pair_slots, site_order
 from .errors import CapacityError, InvalidParameterError
 from .exact import SparseState
 from .params import ModelParams
@@ -273,7 +273,8 @@ def _bipartition(L, colored, cut, axis):
 
 
 def _site_value(config, site):
-    """The value of one `site_order` entry in a LatticeConfig."""
+    """The value of one `site_order` entry in a LatticeConfig.  No src module calls
+    it; the independent oracle in tests/conftest.py, kept fixed, reads configs with it."""
     kind, a, b = site
     return config.spins[(a, b)] if kind == "s" else config.colors[(a, b)]
 
@@ -331,8 +332,7 @@ def schmidt_spectrum(state: SparseState, cut_row: int, axis: str = "space"):
 
 def _row_ranks(rows):
     """Rank of each uint8 row among the distinct rows, in lexicographic order."""
-    rows = np.ascontiguousarray(rows)
-    return np.unique(rows.view(f"V{rows.shape[1]}").ravel(), return_inverse=True)[1].ravel()
+    return np.unique(key_rows(rows), return_inverse=True)[1].ravel()
 
 
 def _sector_labels(decoded, cut_row):

@@ -228,12 +228,10 @@ def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
     values = heights_to_spins(bridges.heights, params.L)
     if params.colored:
         values = np.hstack([values, bridges.colors])
-    amplitudes = {}
-    for key, w in zip(key_bytes(pack_values(values, params.L, params.colored)), weights):
-        if key in amplitudes:
-            raise AssertionError("distinct trajectories produced the same key")
-        if w > 0:
-            amplitudes[key] = math.sqrt(w / total)
+    keys = key_bytes(pack_values(values, params.L, params.colored))
+    amplitudes = {key: math.sqrt(w / total) for key, w in zip(keys, weights) if w > 0}
+    if len(amplitudes) != np.count_nonzero(bridges.weights > 0):
+        raise AssertionError("distinct trajectories produced the same key")
     return SparseState(amplitudes=amplitudes, params=params)
 
 

@@ -33,7 +33,8 @@ Terms act on canonical keys in bulk, one array pass per shared support,
 and give their nonzero entries by term, then key, then matrix row; every
 consumer sums them in that order, as a per-key loop would.  The sector
 spectrum comes from H's symmetry sectors under reflection, time reversal
-and color swap, each split into connected blocks diagonalized in full.
+and color swap (`_SymmetryReduction`), each split into connected blocks
+(`_Blocks`) diagonalized in full; `_Sector` runs those steps.
 
 Only the matrix values depend on p.  Terms of one local pattern share a
 read-only (states, matrix), and everything else (the entries' layout
@@ -57,6 +58,7 @@ import numpy as np
 from .codec import (
     heights_to_spins,
     key_bytes,
+    key_rows,
     pack_values,
     profiles_to_heights,
     site_order,
@@ -240,11 +242,6 @@ def _update_term(i, t, pattern) -> LocalTerm:
                      matrix=matrix, meta={"i": i, "t": t, **meta})
 
 
-def build_update_projector(i, t, k, c, S, p) -> LocalTerm:
-    """The update projector of `_update_pattern(k, c, S, p)` on the window of plaquette (i, t)."""
-    return _update_term(i, t, _update_pattern(k, c, S, p))
-
-
 def _pin_term(kind, site, bad_value, weight):
     return LocalTerm(kind=kind, support=(site,), weight=weight,
                      states=((bad_value,),), matrix=_ONE)
@@ -386,7 +383,7 @@ class _Entries:
     @functools.cached_property
     def residual_cells(self):
         """(group, ends): each entry's (term, key2) cell, and each term's first cell."""
-        _, key = np.unique(_key_rows(self.key2), return_inverse=True)
+        _, key = np.unique(key_rows(self.key2), return_inverse=True)
         term = self.term * (len(key) + 1)
         cells, group = np.unique(term + key, return_inverse=True)  # (term, key2) pairs
         ends = np.searchsorted(cells, np.arange(len(self.bounds)) * (len(key) + 1)).tolist()
@@ -400,12 +397,12 @@ class _Entries:
         InvalidParameterError, and a key2 outside the list AssertionError.
         """
         n = len(self.keys)
-        rows = _key_rows(self.keys)
+        rows = key_rows(self.keys)
         by_key = np.argsort(rows, kind="stable")
         sorted_rows = rows[by_key]
         if (sorted_rows[1:] == sorted_rows[:-1]).any():
             raise InvalidParameterError("sector keys must be distinct")
-        targets = _key_rows(self.key2)
+        targets = key_rows(self.key2)
         pos = np.minimum(np.searchsorted(sorted_rows, targets), n - 1)
         if (sorted_rows[pos] != targets).any():  # searchsorted alone lands beside a missing key
             raise AssertionError("sector basis is not closed under a term")
@@ -500,12 +497,6 @@ def _layout(terms, params: ModelParams):
     return _LAYOUT[0][1], np.array([term.weight for term in terms]), flat
 
 
-def _key_rows(keys):
-    """One fixed-width void per row of a key matrix; they sort like the bytes."""
-    keys = np.ascontiguousarray(keys)
-    return keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-
-
 def _amplitudes(state: SparseState):
     return np.fromiter(state.amplitudes.values(), dtype=float, count=len(state))
 
@@ -514,16 +505,11 @@ def apply_operator(terms, state: SparseState):
     """H |psi> as an unnormalized key -> coefficient map, keys in first-hit order."""
     layout, weights, flat = _layout(terms, state.params)
     entries = layout.entries(state.amplitudes)
-    _, first, group = np.unique(_key_rows(entries.key2), return_index=True, return_inverse=True)
+    _, first, group = np.unique(key_rows(entries.key2), return_index=True, return_inverse=True)
     sums = np.bincount(group, weights=entries.h(weights, flat) * _amplitudes(state)[entries.a],
                        minlength=len(first))
     hit_order = np.argsort(first)
     return dict(zip(key_bytes(entries.key2[first[hit_order]]), sums[hit_order].tolist()))
-
-
-def expectation(terms, state: SparseState) -> float:
-    out = apply_operator(terms, state)
-    return math.fsum(state.amplitudes.get(k, 0.0) * v for k, v in out.items())
 
 
 def term_residuals(terms, state: SparseState):
@@ -607,7 +593,8 @@ def _sector_entries(terms, keys, params: ModelParams):
 
 
 def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
-    """Dense H over `keys` from `_sector_entries`; CapacityError over DENSE_STATES keys."""
+    """Dense H over `keys` from `_sector_entries`; CapacityError over DENSE_STATES keys.
+    No experiment calls it: it is the tests' whole-sector reference, and gives eigenvectors."""
     if len(keys) > DENSE_STATES:
         raise CapacityError(
             f"a dense matrix over {len(keys)} sector states needs "
@@ -647,19 +634,20 @@ def _site_symmetries(L, colored):
     return symmetries
 
 
-def _symmetry_images(keys, values, row, col, params: ModelParams):
+def _symmetry_images(entries: _Entries, params: ModelParams):
     """The candidates that map the sector and H's cells onto themselves, as (name, to, order).
 
-    `keys` (sorted packed rows) and `values` are the sector's keys, and
-    (row, col) H's cells over them from `_Entries.sector_cells`.  Key n
-    maps onto key to[n], and cell order[e] onto cell e.
+    `entries` are the terms' entries over the sorted sector keys, and
+    (row, col) their `sector_cells`.  Key n maps onto key to[n], and cell
+    order[e] onto cell e.
     """
     L, colored = params.L, params.colored
-    rows = _key_rows(keys)
-    n = len(keys)
+    rows, values = key_rows(entries.keys), entries.values
+    row, col, _ = entries.sector_cells
+    n = len(rows)
     images = []
     for name, (perm, table) in _site_symmetries(L, colored).items():
-        image = _key_rows(pack_values(table[np.arange(len(perm)), values[:, perm]], L, colored))
+        image = key_rows(pack_values(table[np.arange(len(perm)), values[:, perm]], L, colored))
         to = np.minimum(np.searchsorted(rows, image), n - 1)
         if (rows[to] != image).any():
             continue
@@ -677,17 +665,6 @@ def _commuting(images, value):
     """
     tol = 1e-12 * np.abs(value).max(initial=0.0)
     return {name: to for name, to, order in images if (np.abs(value[order] - value) <= tol).all()}
-
-
-def _symmetries(keys, row, col, value, params: ModelParams):
-    """The candidate symmetries that leave the sector and H invariant, as key permutations.
-
-    `keys` are sorted, as `sector_keys` gives them, and (row, col, value)
-    is H over them from `_sector_entries`.
-    """
-    values = unpack_keys(keys, params.L, params.colored)
-    packed = pack_values(values, params.L, params.colored)
-    return _commuting(_symmetry_images(packed, values, row, col, params), value)
 
 
 class _SymmetryReduction:
@@ -735,12 +712,6 @@ class _SymmetryReduction:
         return np.bincount(self.group, weights=self.sign * (value[self.entry] / self.scale))
 
 
-def _symmetry_sectors(perms, row, col, value, n):
-    """(dims, (row, col, value)): H in the symmetry sectors of `perms`, see `_SymmetryReduction`."""
-    reduction = _SymmetryReduction(perms, row, col, n)
-    return reduction.dims, (reduction.row, reduction.col, reduction(value))
-
-
 class _Blocks:
     """The connected blocks of H's cells (row, col) over n keys, one group per block size s.
 
@@ -775,11 +746,6 @@ class _Blocks:
             yield blocks, stack
 
 
-def _sector_blocks(row, col, value, n):
-    """H's connected blocks as (keys (B, s), matrices (B, s, s)), one pair per size s."""
-    return _Blocks(row, col, n).stacks(value)
-
-
 class _Sector:
     """The p-independent part of `sector_spectrum` for one `_Layout`.
 
@@ -790,8 +756,7 @@ class _Sector:
 
     def __init__(self, layout: _Layout, params: ModelParams):
         self.entries = layout.build_entries(sector_keys(params, max_states=DENSE_STATES))
-        row, col, _ = self.entries.sector_cells
-        self.images = _symmetry_images(self.entries.keys, self.entries.values, row, col, params)
+        self.images = _symmetry_images(self.entries, params)
         self._reduced = None  # (commuting names, _SymmetryReduction, _Blocks)
 
     def levels(self, weights, flat):
@@ -812,15 +777,15 @@ class _Sector:
 def sector_spectrum(terms, params: ModelParams, k: int):
     """Lowest-k eigenvalues of H in the constrained sector, ascending.
 
-    H is first reduced to the sectors of its symmetries (`_symmetries`,
-    `_symmetry_sectors`), then LAPACK diagonalizes each connected block
-    of every sector in full, equal sizes in one stacked `eigvalsh`.  At
-    L = 7 uncolored, 0 < p < 1, R and T give sectors of 270, 206, 206
-    and 186 states whose largest blocks hold 219, 163, 163 and 145.
-    That keeps every multiplicity and the same floats on every call,
-    which ARPACK restarted from a random vector does not.  DENSE_STATES
-    caps the whole sector, so a larger one raises CapacityError while
-    counted.
+    H is first reduced to the sectors of its symmetries
+    (`_symmetry_images`, `_commuting`, `_SymmetryReduction`), then LAPACK
+    diagonalizes each connected block of every sector (`_Blocks`) in
+    full, equal sizes in one stacked `eigvalsh`.  At L = 7 uncolored,
+    0 < p < 1, R and T give sectors of 270, 206, 206 and 186 states whose
+    largest blocks hold 219, 163, 163 and 145.  That keeps every
+    multiplicity and the same floats on every call, which ARPACK
+    restarted from a random vector does not.  DENSE_STATES caps the
+    whole sector, so a larger one raises CapacityError while counted.
 
     All but H's values is p-independent and kept with the memo's layout
     (`_layout`, `_Sector`): the sector keys, H's cells, the symmetries'

@@ -68,6 +68,9 @@ from .params import ModelParams, _is_int
 from .surface import branch_probability, horizon_profile
 
 _BLOCK_SLICES = 64  # RNG is drawn in slice blocks of this even size per trajectory
+_CHECK_EVERY = 4096  # slices between spot checks of the heights (the last slice is checked too)
+_SATURATION_WINDOW = 10.0  # saturation_time fits log W against log t over [t / this, t]
+_SATURATION_TOLERANCE = 0.05  # W saturates at the first t where that slope is below this
 _MAX_HEIGHT = int(np.iinfo(np.int16).max)
 _MAX_MOMENT_ROOT = math.isqrt(int(np.iinfo(np.int64).max))
 
@@ -147,7 +150,7 @@ def _site_major(planes, L):
     return H
 
 
-def _range_blocks(params: ModelParams, lo, hi, t_max, check_every):
+def _range_blocks(params: ModelParams, lo, hi, t_max):
     """Run trajectories lo..hi-1 and yield one slice block at a time.
 
     A block of b slices is (w, mid1, mid2, site1, site2): the (b, hi - lo)
@@ -216,7 +219,7 @@ def _range_blocks(params: ModelParams, lo, hi, t_max, check_every):
             np.add(h, curv, out=h)
             np.abs(h, out=h)  # a peak at h = 1 falls to -1: reflect
             measure(j % 2, j + 1)
-            if (t + j + 1) % check_every == 0:
+            if (t + j + 1) % _CHECK_EVERY == 0:
                 _spot_check(_site_major(planes, L), L)
         if t + block == t_max:
             _spot_check(_site_major(planes, L), L)
@@ -237,11 +240,11 @@ def _range_blocks(params: ModelParams, lo, hi, t_max, check_every):
         yield w, site1[:, mid], site2[:, mid], site1, site2
 
 
-def _stream_range(q, params, lo, hi, t_max, check_every):
+def _stream_range(q, params, lo, hi, t_max):
     """Worker body: put every block of trajectories lo..hi-1 on the queue,
     or the exception that stopped them."""
     try:
-        for block in _range_blocks(params, lo, hi, t_max, check_every):
+        for block in _range_blocks(params, lo, hi, t_max):
             q.put(block)
     except Exception as exc:  # the parent raises it
         q.put(exc)
@@ -269,7 +272,7 @@ def _received_blocks(q, proc):
 
 
 @contextmanager
-def _trajectory_ranges(params: ModelParams, n_traj, t_max, check_every):
+def _trajectory_ranges(params: ModelParams, n_traj, t_max):
     """Block streams of contiguous trajectory ranges, in trajectory order.
 
     There is one range per CPU in the affinity mask, at most `n_traj`.
@@ -285,7 +288,7 @@ def _trajectory_ranges(params: ModelParams, n_traj, t_max, check_every):
         if "fork" not in multiprocessing.get_all_start_methods():
             ranges = 1
     bounds = [n_traj * r // ranges for r in range(ranges + 1)]
-    streams = [_range_blocks(params, 0, bounds[1], t_max, check_every)]
+    streams = [_range_blocks(params, 0, bounds[1], t_max)]
     procs = []
     try:
         if ranges > 1:
@@ -293,7 +296,7 @@ def _trajectory_ranges(params: ModelParams, n_traj, t_max, check_every):
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 q = ctx.Queue()
                 proc = ctx.Process(target=_stream_range, daemon=True,
-                                   args=(q, params, lo, hi, t_max, check_every))
+                                   args=(q, params, lo, hi, t_max))
                 proc.start()
                 procs.append(proc)
                 streams.append(_received_blocks(q, proc))
@@ -307,18 +310,17 @@ def _trajectory_ranges(params: ModelParams, n_traj, t_max, check_every):
             proc.join()
 
 
-def ensemble(params: ModelParams, n_traj: int, t_max: int,
-             check_every: int = 4096) -> ObservableSeries:
+def ensemble(params: ModelParams, n_traj: int, t_max: int) -> ObservableSeries:
     """Trajectory-mean W(t) and midpoint height with standard errors."""
-    if not all(_is_int(v) and v >= 1 for v in (n_traj, t_max, check_every)):
-        raise InvalidParameterError("n_traj, t_max and check_every must be integers >= 1, "
-                                    f"got {n_traj!r}, {t_max!r} and {check_every!r}")
+    if not all(_is_int(v) and v >= 1 for v in (n_traj, t_max)):
+        raise InvalidParameterError("n_traj and t_max must be integers >= 1, "
+                                    f"got {n_traj!r} and {t_max!r}")
     if params.boundary_mode != "reflecting":
         raise InvalidParameterError("free dynamics runs in reflecting mode")
     _check_capacity(params.L, n_traj)
     n = n_traj
     W_sum, W_sq, mid_sum, mid_sq, W_fluct = np.zeros((5, t_max))
-    with _trajectory_ranges(params, n, t_max, check_every) as streams:
+    with _trajectory_ranges(params, n, t_max) as streams:
         for t in range(0, t_max, _BLOCK_SLICES):
             ws, mid1, mid2, site1, site2 = zip(*(next(stream) for stream in streams))
             # columns in trajectory order, integer partials added exactly: the
@@ -346,20 +348,14 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int,
                             W_fluct=W_fluct, n_samples=n, params=params, ranges=ranges)
 
 
-def saturation_time(series: ObservableSeries, window: float = 10.0,
-                    tolerance: float = 0.05, observable: str = "W"):
-    """First t where the log-log slope of the observable over [t/window, t]
-    drops below tolerance; None when the series never saturates."""
-    times = series.times
-    if window <= 1:
-        raise InvalidParameterError("window must exceed 1")
+def saturation_time(series: ObservableSeries):
+    """First t where the log-log slope of W over [t / _SATURATION_WINDOW, t]
+    drops below _SATURATION_TOLERANCE; None when the series never saturates."""
+    times, window, tolerance = series.times, _SATURATION_WINDOW, _SATURATION_TOLERANCE
     if times[-1] < window * times[0]:
         raise InvalidParameterError("window is wider than the whole series")
-    data = {"W": series.W, "mid": series.mid_height, "W_fluct": series.W_fluct}
-    if observable not in data:
-        raise InvalidParameterError(f"observable must be one of {sorted(data)}")
     logt = np.log(times.astype(float))
-    logw = np.log(np.maximum(data[observable], 1e-300))
+    logw = np.log(np.maximum(series.W, 1e-300))
     ks = np.arange(len(times))
     los = np.searchsorted(times, times / window)
     fits = (times >= window * times[0]) & (times >= 20) & (ks - los >= 4)

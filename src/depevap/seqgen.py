@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import key_bytes, pack_values, site_order
+from .codec import key_bytes, key_rows, pack_values, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import SparseState, branch_table, expand_frontier, within_reach
 from .params import ModelParams
@@ -236,7 +236,7 @@ def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=Fal
                      np.hstack([joint.colors[rows], colors]), amps, dropped)
     # every branch as one byte string, record first: it tells branches apart soonest in the sort
     whole = np.hstack([out.colors, out.spins, out.stacks.view(np.uint8), out.heights.view(np.uint8)])
-    branches = whole.view(np.dtype((np.void, whole.shape[1]))).ravel()
+    branches = key_rows(whole)
     branches.sort()
     if (branches[1:] == branches[:-1]).any():
         raise AssertionError("two distinct branches emitted the same record")
@@ -283,12 +283,10 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
     values = np.ones((len(amps), len(site_order(L, params.colored))), dtype=np.uint8)
     values[:, L + 1:] = (np.hstack([joint.spins, joint.colors]) if params.colored
                          else joint.spins)
-    amplitudes = {}
-    for key, amp in zip(key_bytes(pack_values(values, L, params.colored)),
-                        (amps * (1.0 / math.sqrt(success))).tolist()):
-        if key in amplitudes:
-            raise AssertionError("two records mapped to one canonical key")
-        amplitudes[key] = amp
+    amplitudes = dict(zip(key_bytes(pack_values(values, L, params.colored)),
+                          (amps * (1.0 / math.sqrt(success))).tolist()))
+    if len(amplitudes) != len(amps):
+        raise AssertionError("two records mapped to one canonical key")
     return SparseState(amplitudes=amplitudes, params=params), success
 
 

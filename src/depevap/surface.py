@@ -94,7 +94,9 @@ def site_branches(h, hl, hr, params: ModelParams):
     The no-change branch is last, so `[-1][3]` is the weight of a site
     that stays put, e.g. a frozen boundary site.  In absorbing mode a
     peak at h = 1 keeps (1+p)/2: its evaporation branch would go below 0
-    and is post-selected away.
+    and is post-selected away.  src reads `event_table` by slice; this
+    view is kept for the independent bridge enumeration in
+    tests/bridge_reference.py.
     """
     floor = params.boundary_mode == "reflecting" and h <= 1
     table = event_table(local_shape(hl - h, hr - h), floor, params.p, params.colored)

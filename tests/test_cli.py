@@ -229,23 +229,32 @@ def test_phase_sweep_mixed_grid_matches_single_points(tmp_path):
 
 
 def test_traced_spans_cover_the_cli_calls(tmp_path):
-    # perfbench/traced.py times the experiments through these cli names; a refactor
-    # that stops calling one of them through cli would lose its span
+    # perfbench/traced.py times the experiments through these cli names, and its ensemble
+    # counter unpacks the positional (params, samples, tmax); a refactor that stops calling
+    # one of them through cli, or changes those arguments, would lose its span.  src
+    # imports no scipy, whose sparse.linalg alone takes about half a second to import
     perfbench = Path(depevap.__file__).resolve().parents[2] / "perfbench"
     manifests = [{"experiment": "hamiltonian-check", "L": [3], "p": [0.5], "mode": "absorbing",
                   "out": str(tmp_path / "h")},
                  {"experiment": "phase-sweep", "L": [3, 5, 7], "p": [0.5],
-                  "out": str(tmp_path / "d")}]
+                  "out": str(tmp_path / "d")},
+                 {"experiment": "scaling", "L": [16], "p": [0.5], "samples": 2, "tmax": 200,
+                  "out": str(tmp_path / "s")},
+                 {"experiment": "seqgen-check", "L": [3], "p": [0.5], "out": str(tmp_path / "g")},
+                 {"experiment": "exact-entropy", "L": [3], "p": [0.5], "out": str(tmp_path / "e")}]
     out = _fresh_python(f"import sys; sys.path.insert(0, {str(perfbench)!r})\n"
                         "import traced\n"
                         "from depevap.cli import run_experiment\n"
                         "rec = traced.install()\n"
                         f"for manifest in {manifests!r}:\n"
                         "    assert run_experiment(manifest)[1] == 0\n"
+                        "assert 'scipy' not in sys.modules\n"
                         "print(sorted({name for name, _, _ in rec.spans()}))\n")
     spans = set(ast.literal_eval(out.strip().splitlines()[-1]))
     assert {"hamiltonian.assemble", "hamiltonian.residuals", "hamiltonian.spectrum",
-            "entropy.dp"} <= spans
+            "entropy.dp", "scaling.ensemble", "scaling.exponent_report", "seqgen.generation",
+            "seqgen.cooling", "seqgen.fidelity", "entropy.schmidt", "entropy.fit",
+            "exact.enumerate"} <= spans
 
 
 @pytest.mark.parametrize("args", [

@@ -21,18 +21,20 @@ from depevap.hamiltonian import (
     DENSE_BYTES,
     DENSE_STATES,
     LocalTerm,
-    _sector_blocks,
+    _Blocks,
+    _SymmetryReduction,
+    _commuting,
+    _layout,
     _sector_entries,
-    _symmetries,
-    _symmetry_sectors,
+    _symmetry_images,
+    _update_pattern,
+    _update_term,
     apply_operator,
     assemble_hamiltonian,
     build_boundary_terms,
     build_color_term,
     build_deformation_state,
     build_gauss_term,
-    build_update_projector,
-    expectation,
     export_terms_text,
     sector_keys,
     sector_matrix,
@@ -88,7 +90,7 @@ def test_projector_properties():
     for k in (1, 2, 3):
         for S in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
             for c in (1, 2, None):
-                term = build_update_projector(4, 4, k, c, S, 0.37)
+                term = _update_term(4, 4, _update_pattern(k, c, S, 0.37))
                 M = term.matrix
                 assert np.array_equal(M, M.T)
                 assert np.allclose(M @ M, M, atol=1e-10)
@@ -110,15 +112,21 @@ def test_projector_properties():
 
 
 def test_update_projector_norm_metadata():
-    term = build_update_projector(2, 2, 1, 1, (-1, -1), 0.5)
+    term = _update_term(2, 2, _update_pattern(1, 1, (-1, -1), 0.5))
     assert term.meta["norm_exact"] == pytest.approx(0.0625 / 2 + 0.31640625)
     assert term.meta["norm_printed"] == pytest.approx(0.0625 + 0.31640625)
-    unc = build_update_projector(2, 2, 1, None, (-1, -1), 0.5)
+    unc = _update_term(2, 2, _update_pattern(1, None, (-1, -1), 0.5))
     assert unc.meta["norm_exact"] == pytest.approx(unc.meta["norm_printed"])
 
 
 def _state_from_key(key, params):
     return SparseState(amplitudes={key: 1.0}, params=params)
+
+
+def expectation(terms, state):
+    """<psi|H|psi> from `apply_operator`."""
+    out = apply_operator(terms, state)
+    return math.fsum(state.amplitudes.get(k, 0.0) * v for k, v in out.items())
 
 
 def test_boundary_terms_annihilate_bridges():
@@ -448,7 +456,8 @@ def test_sector_blocks_L7():
     keys = sector_keys(params)
     H = sector_matrix(terms, keys, params)
     members, label = [], np.full(len(keys), -1)
-    for stacked, matrices in _sector_blocks(*_sector_entries(terms, keys, params), len(keys)):
+    row, col, value = _sector_entries(terms, keys, params)
+    for stacked, matrices in _Blocks(row, col, len(keys)).stacks(value):
         for block, matrix in zip(stacked, matrices):
             assert (label[block] == -1).all() and list(block) == sorted(block)
             label[block] = len(members)
@@ -462,6 +471,12 @@ def test_sector_blocks_L7():
     assert support == set(build_state(params).amplitudes)
 
 
+def _symmetries(terms, keys, params):
+    """{name: key permutation} of the symmetries that commute with H over the sorted `keys`."""
+    _, _, value = _sector_entries(terms, keys, params)
+    return _commuting(_symmetry_images(_layout(terms, params)[0].entries(keys), params), value)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.8, 1.0])
 @pytest.mark.parametrize("L,colored", [(5, False), (7, False), (5, True)])
 def test_symmetry_check(L, colored, p):
@@ -470,7 +485,7 @@ def test_symmetry_check(L, colored, p):
     params = ModelParams(L=L, p=p, colored=colored, **ABS)
     terms = assemble_hamiltonian(params)
     keys = sector_keys(params)
-    kept = _symmetries(keys, *_sector_entries(terms, keys, params), params)
+    kept = _symmetries(terms, keys, params)
     assert list(kept) == ["R"] + ["T"] * (0 < p < 1) + ["C"] * colored
     H = sector_matrix(terms, keys, params)
     for perm in kept.values():
@@ -489,9 +504,10 @@ def test_symmetry_sector_spectra(L, colored, p, sizes):
     params = ModelParams(L=L, p=p, colored=colored, **ABS)
     terms = assemble_hamiltonian(params)
     keys = sector_keys(params)
-    entries = _sector_entries(terms, keys, params)
-    dims, (row, col, value) = _symmetry_sectors(
-        list(_symmetries(keys, *entries, params).values()), *entries, len(keys))
+    row, col, value = _sector_entries(terms, keys, params)
+    reduction = _SymmetryReduction(list(_symmetries(terms, keys, params).values()),
+                                   row, col, len(keys))
+    dims, row, col, value = reduction.dims, reduction.row, reduction.col, reduction(value)
     assert dims.tolist() == sizes
     H = np.zeros((sum(sizes), sum(sizes)))
     H[row, col] = value

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -144,6 +145,7 @@ def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
     parent = os.getpid()
     params = ModelParams(L=16, p=0.5, seed=1)
     monkeypatch.setattr(scaling, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(scaling, "_CHECK_EVERY", 64)
 
     def failing_in(where):
         def check(H, L):
@@ -155,7 +157,7 @@ def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
     for where in ("worker", "parent"):
         monkeypatch.setattr(scaling, "_spot_check", failing_in(where))
         with pytest.raises(AssertionError, match=f"spot check failed in the {where}"):
-            ensemble(params, 6, 300, check_every=64)
+            ensemble(params, 6, 300)
         assert multiprocessing.active_children() == []
 
     def exiting_worker(H, L):
@@ -164,7 +166,7 @@ def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
 
     monkeypatch.setattr(scaling, "_spot_check", exiting_worker)
     with pytest.raises(RuntimeError, match="exited with code 3"):
-        ensemble(params, 6, 300, check_every=64)
+        ensemble(params, 6, 300)
     assert multiprocessing.active_children() == []
 
 
@@ -241,7 +243,8 @@ def test_reflecting_soak_vectorized(monkeypatch):
 
     monkeypatch.setattr(scaling, "_cpu_count", lambda: 1)  # every check in this process
     monkeypatch.setattr(scaling, "_spot_check", counting_check)
-    ensemble(ModelParams(L=64, p=0.9, seed=99), 4, 100_000, check_every=1000)
+    monkeypatch.setattr(scaling, "_CHECK_EVERY", 1000)
+    ensemble(ModelParams(L=64, p=0.9, seed=99), 4, 100_000)
     assert len(calls) == 101 and min(calls) >= 0
 
 
@@ -277,10 +280,9 @@ def test_capacity_guard_before_allocation(monkeypatch):
     with pytest.raises(AssertionError, match="guard"):
         ensemble(ModelParams(L=65_533, p=0.5), 1, 1)  # h_max = 32767 fits
     # sizes that are not integers >= 1 are refused before any work, too
-    for n_traj, t_max, check_every in ((4, -3, 1), (4, 0, 1), (0, 10, 1), (4.0, 10, 1),
-                                       (True, 10, 1), (4, 10.0, 1), (4, 10, 0)):
+    for n_traj, t_max in ((4, -3), (4, 0), (0, 10), (4.0, 10), (True, 10), (4, 10.0)):
         with pytest.raises(InvalidParameterError, match="integers >= 1"):
-            ensemble(ModelParams(L=5, p=0.5), n_traj, t_max, check_every=check_every)
+            ensemble(ModelParams(L=5, p=0.5), n_traj, t_max)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.15, 0.3, 0.5, 1.0])
@@ -323,25 +325,26 @@ def _reference_saturation_time(series, window=10.0, tolerance=0.05, observable="
 @pytest.mark.parametrize("L,p,n,t_max,saturates", [
     (64, 0.2, 24, 2000, True), (32, 0.5, 16, 2000, True),
     (256, 0.5, 16, 1000, False), (128, 0.9, 8, 1000, False)])
-def test_saturation_prefilter_matches_polyfit_loop(L, p, n, t_max, saturates):
+def test_saturation_prefilter_matches_polyfit_loop(monkeypatch, L, p, n, t_max, saturates):
     series = ensemble(ModelParams(L=L, p=p, seed=5), n, t_max)
     assert (saturation_time(series) is not None) == saturates
-    for observable in ("W", "mid", "W_fluct"):
+    # saturation_time reads W; the other observables go in its place
+    for observable, ys in (("W", series.W), ("mid", series.mid_height), ("W_fluct", series.W_fluct)):
         for tolerance in (0.02, 0.05, 0.2):
-            assert (saturation_time(series, tolerance=tolerance, observable=observable)
+            monkeypatch.setattr(scaling, "_SATURATION_TOLERANCE", tolerance)
+            assert (saturation_time(dataclasses.replace(series, W=ys))
                     == _reference_saturation_time(series, tolerance=tolerance,
                                                   observable=observable)), (observable, tolerance)
 
 
-def test_saturation_detection_confined():
+def test_saturation_detection_confined(monkeypatch):
     params = ModelParams(L=64, p=0.2, seed=5)
     series = ensemble(params, 24, 2000)
     t_sat = saturation_time(series)
     assert t_sat is not None and t_sat < 2000
+    monkeypatch.setattr(scaling, "_SATURATION_WINDOW", 1e9)
     with pytest.raises(InvalidParameterError):
-        saturation_time(series, window=1e9)
-    with pytest.raises(InvalidParameterError):
-        saturation_time(series, observable="nonsense")
+        saturation_time(series)
 
 
 def test_exponent_report_window_errors():
