@@ -40,14 +40,11 @@ from .hamiltonian import (
     build_color_term,
     build_deformation_state,
     build_gauss_term,
-    export_terms_text,
     sector_spectrum,
     term_residuals,
 )
 from .seqgen import (
-    EmitterConfig,
     fidelity,
-    init_emitter,
     local_channel,
     run_generation,
 )

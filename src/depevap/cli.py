@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, entropy, hamiltonian
 from .entropy import entropy_dp, entropy_exact, fit_power_law, mid_cut_row
 from .errors import CapacityError, InvalidParameterError
 from .exact import MAX_NODES, build_state
@@ -64,12 +64,6 @@ def load_manifest(path) -> dict:
     if "experiment" not in data:
         raise InvalidParameterError("manifest lacks an 'experiment' entry")
     return data
-
-
-def save_manifest(manifest: dict, path):
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def normalize_manifest(data: dict) -> dict:
@@ -137,7 +131,11 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
         "phase-sweep": _run_phase_sweep,
     }[manifest["experiment"]]
     meta = {"manifest": manifest, "seed": manifest["seed"]}
-    paths, capacity_hit = runner(manifest, outdir, meta)  # a runner may add entries
+    try:
+        paths, capacity_hit = runner(manifest, outdir, meta)  # a runner may add entries
+    finally:  # the one-entry memos would keep the last L's DP index and term layout alive
+        entropy._INDEX.clear()
+        hamiltonian._LAYOUT.clear()
     meta["version"] = __version__
     meta["wall_time_s"] = time.perf_counter() - started
     # ru_maxrss is in KiB on Linux; the children's figure is the largest peak

@@ -59,10 +59,11 @@ plaquettes of time rows y and y + 1, alternating along the row), so
   color of the pair it removes, replayed by `pair_slots`.  Under
   reflecting rules no height may fall below 0.
 
-These arrays are the one configuration representation.  The one-key
-`canonical_key`, `key_to_config`, `encode_trajectory` and
-`decode_config` convert a single `LatticeConfig` or `TrajectoryRecord`
-through them, so the layout and its checks are written once.
+These arrays are the one configuration representation, of states too
+(a key matrix plus an amplitude vector).  The one-key `canonical_key`,
+`key_to_config`, `encode_trajectory` and `decode_config` convert a
+single `LatticeConfig` or `TrajectoryRecord` through them, so the
+layout and its checks are written once.
 """
 
 from __future__ import annotations
@@ -326,11 +327,12 @@ def _key_matrix(keys, length) -> np.ndarray:
     return np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), length)
 
 
-def key_bytes(keys) -> list:
-    """The rows of a key matrix as bytes."""
-    keys = np.asarray(keys, dtype=np.uint8)
-    flat, width = keys.tobytes(), keys.shape[1]
-    return [flat[k:k + width] for k in range(0, len(flat), width)]
+def key_order(keys):
+    """(order, repeat): the stable row order that sorts a uint8 key matrix as bytes,
+    and whether each sorted row but the first repeats the row before it."""
+    order = np.lexsort(keys.T[::-1])  # lexsort's last key is its primary one
+    ranked = keys[order]
+    return order, (ranked[1:] == ranked[:-1]).all(axis=1)
 
 
 def key_rows(keys) -> np.ndarray:

@@ -124,7 +124,8 @@ _INDEX = []  # the one memo entry: [(L, _ProfileIndex)]
 
 
 def _profile_index(L) -> _ProfileIndex:
-    """The `_ProfileIndex` of L, kept until an index of another L is asked for.
+    """The `_ProfileIndex` of L, kept until an index of another L is asked for
+    or `cli.run_experiment` returns.
 
     The old index is dropped before the new one is built, so that two
     sizes' profiles are never held at once.
@@ -298,8 +299,8 @@ def schmidt_spectrum(state: SparseState, cut_row: int, axis: str = "space"):
         raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row}")
     bottom_sites, top_sites = _bipartition(L, params.colored, cut_row, axis)
     column = {s: n for n, s in enumerate(site_order(L, params.colored))}
-    decoded = decode_keys(list(state.amplitudes), params)
-    amps = np.fromiter(state.amplitudes.values(), dtype=float, count=len(state))
+    decoded = decode_keys(state.keys, params)
+    amps = state.amps
     bottom_of = _row_ranks(decoded.values[:, [column[s] for s in bottom_sites]])
     top_of = _row_ranks(decoded.values[:, [column[s] for s in top_sites]])
     n_bottoms = bottom_of.max() + 1

@@ -26,7 +26,7 @@ factor, then weight w.
 
 from __future__ import annotations
 
-import io
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -36,8 +36,8 @@ import numpy as np
 from .codec import (
     decode_keys,
     heights_to_spins,
-    key_bytes,
     key_length,
+    key_order,
     pack_values,
     profiles_to_heights,
     vertex_sites,
@@ -51,18 +51,26 @@ MAX_NODES = 10_000_000
 _LABELS = (("valley", False), ("peak", False), ("peak", True), ("slope", False))  # label codes 0..3
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseState:
-    """Nonnegative real amplitudes over canonical keys; normalized on build."""
+    """Real amplitudes over distinct canonical keys: `keys` (N, key_length) uint8, one
+    key per row in build order, and `amps` (N,) float64.  Built states are normalized."""
 
-    amplitudes: dict[bytes, float]
+    keys: np.ndarray
+    amps: np.ndarray
     params: ModelParams
 
+    @functools.cached_property
+    def amplitudes(self) -> dict:
+        """{key bytes: amplitude} in build order, built on first read: the view of the fixed
+        oracle in tests/conftest.py and of perfbench/traced.py; no src module reads it."""
+        return dict(zip(map(bytes, self.keys), self.amps.tolist()))
+
     def norm(self) -> float:
-        return math.sqrt(math.fsum(a * a for a in self.amplitudes.values()))
+        return math.sqrt(math.fsum((self.amps * self.amps).tolist()))
 
     def __len__(self):
-        return len(self.amplitudes)
+        return len(self.amps)
 
 
 def expand_frontier(keeps, n_rows, cap, overflow):
@@ -221,18 +229,17 @@ def success_probability(params: ModelParams) -> float:
 def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
     """The normalized superposition sqrt(w / W) over encoded bridges."""
     bridges = enumerate_bridge(params, max_nodes=max_nodes)
-    weights = bridges.weights.tolist()
-    total = math.fsum(weights)
+    total = math.fsum(bridges.weights.tolist())
     if total <= 0:
         raise InvalidParameterError("no bridge trajectory has positive weight")
-    values = heights_to_spins(bridges.heights, params.L)
+    positive = bridges.weights > 0
+    values = heights_to_spins(bridges.heights[positive], params.L)
     if params.colored:
-        values = np.hstack([values, bridges.colors])
-    keys = key_bytes(pack_values(values, params.L, params.colored))
-    amplitudes = {key: math.sqrt(w / total) for key, w in zip(keys, weights) if w > 0}
-    if len(amplitudes) != np.count_nonzero(bridges.weights > 0):
+        values = np.hstack([values, bridges.colors[positive]])
+    keys = pack_values(values, params.L, params.colored)
+    if key_order(keys)[1].any():
         raise AssertionError("distinct trajectories produced the same key")
-    return SparseState(amplitudes=amplitudes, params=params)
+    return SparseState(keys, np.sqrt(bridges.weights[positive] / total), params)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +254,14 @@ def save_state(state: SparseState, path):
     """Binary format: header (magic, version, L, p, mode, colored, count),
     then (key, float64 amplitude) pairs sorted by key."""
     p = state.params
+    order = key_order(state.keys)[0]
+    amps = state.amps[order, None].astype("<f8").view(np.uint8)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(_VERSION, p.L, p.p,
                               0 if p.boundary_mode == "reflecting" else 1,
-                              1 if p.colored else 0, len(state.amplitudes)))
-        for key in sorted(state.amplitudes):
-            fh.write(key)
-            fh.write(struct.pack("<d", state.amplitudes[key]))
+                              1 if p.colored else 0, len(state)))
+        fh.write(np.hstack([state.keys[order], amps]).tobytes())
 
 
 def load_state(path) -> SparseState:
@@ -287,18 +294,18 @@ def load_state(path) -> SparseState:
         decode_keys(entries[:, :klen], params)
     except DecodeError as err:
         raise InvalidParameterError(f"state file holds an invalid key: {err}") from err
-    keys = key_bytes(entries[:, :klen])
-    if any(a >= b for a, b in zip(keys, keys[1:])):
+    keys = entries[:, :klen].copy()
+    order, repeat = key_order(keys)
+    if repeat.any() or (order != np.arange(count)).any():
         raise InvalidParameterError("state file keys do not ascend strictly")
     amps = entries[:, klen:].copy().view("<f8").ravel()
     if not np.isfinite(amps).all():
         raise InvalidParameterError("state file holds a non-finite amplitude")
-    return SparseState(amplitudes=dict(zip(keys, amps.tolist())), params=params)
+    return SparseState(keys, amps, params)
 
 
 def export_state_text(state: SparseState) -> str:
     """One `keyhex amplitude` line per entry, sorted by key, for diffing."""
-    buf = io.StringIO()
-    for key in sorted(state.amplitudes):
-        buf.write(f"{key.hex()} {state.amplitudes[key]!r}\n")
-    return buf.getvalue()
+    order = key_order(state.keys)[0]
+    return "".join(f"{key.tobytes().hex()} {amp!r}\n"
+                   for key, amp in zip(state.keys[order], state.amps[order].tolist()))

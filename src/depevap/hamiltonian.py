@@ -38,7 +38,7 @@ and color swap (`_SymmetryReduction`), each split into connected blocks
 
 Only the matrix values depend on p.  Terms of one local pattern share a
 read-only (states, matrix), and everything else (the entries' layout
-over a key list, the sector keys and H's cells, the symmetries' key
+over a key matrix, the sector keys and H's cells, the symmetries' key
 maps, the character basis and the block partition) is a p-independent
 layout.  The module keeps one, keyed by L, coloring, every term's
 (support, states) and the nonzero pattern of all term matrices
@@ -57,7 +57,7 @@ import numpy as np
 
 from .codec import (
     heights_to_spins,
-    key_bytes,
+    key_order,
     key_rows,
     pack_values,
     profiles_to_heights,
@@ -353,19 +353,19 @@ def assemble_hamiltonian(params: ModelParams):
 # A target key is its source key XOR the packed difference of r and r2.
 #
 # None of that depends on p.  A `_Layout` holds it for one term layout
-# (see the module docstring) and gives the entries over a key list as
+# (see the module docstring) and gives the entries over a key matrix as
 # (a, key2) plus each entry's term and matrix position; the amplitudes h
 # are gathered from the terms' weights and matrices on every call.
 
 
 @dataclass
 class _Entries:
-    """All terms' nonzero entries over one key list, without their values.
+    """All terms' nonzero entries over one key matrix, without their values.
 
     Entry e maps key a[e] onto the packed key row key2[e] with amplitude
     weights[term[e]] * flat[at[e]] (`h`).  Term n owns entries
-    bounds[n]:bounds[n + 1], by key, then matrix row.  `keys` and
-    `values` are the key list as packed rows and as (N, sites) site values.
+    bounds[n]:bounds[n + 1], by key, then matrix row.  `keys` is the
+    (N, key_length) key matrix and `values` its (N, sites) site values.
     """
 
     keys: np.ndarray
@@ -397,11 +397,10 @@ class _Entries:
         InvalidParameterError, and a key2 outside the list AssertionError.
         """
         n = len(self.keys)
-        rows = key_rows(self.keys)
-        by_key = np.argsort(rows, kind="stable")
-        sorted_rows = rows[by_key]
-        if (sorted_rows[1:] == sorted_rows[:-1]).any():
+        by_key, repeat = key_order(self.keys)
+        if repeat.any():
             raise InvalidParameterError("sector keys must be distinct")
+        sorted_rows = key_rows(self.keys[by_key])
         targets = key_rows(self.key2)
         pos = np.minimum(np.searchsorted(sorted_rows, targets), n - 1)
         if (sorted_rows[pos] != targets).any():  # searchsorted alone lands beside a missing key
@@ -413,7 +412,7 @@ class _Entries:
 class _Layout:
     """The p-independent part of the terms' action (see the comment above).
 
-    It keeps the entries over the last key list asked of `entries`, and
+    It keeps the entries over the last key matrix asked of `entries`, and
     `sector` holds the sector spectrum's layout once `sector_spectrum`
     has asked for it.
     """
@@ -444,16 +443,15 @@ class _Layout:
         self.by_window = np.argsort(window[source], kind="stable")
         self.count = np.bincount(window[source], minlength=len(table))
         self.window_ends = np.cumsum(self.count)
-        self._last = None  # (keys, entries) of the last `entries` call
+        self._last = None  # the entries of the last `entries` call, over a copy of its keys
         self.sector = None
 
     def entries(self, keys) -> _Entries:
-        """The entries over `keys` (bytes, in the given order); the last list's are kept."""
-        keys = tuple(keys)
-        if self._last is None or self._last[0] != keys:
+        """The entries over the key matrix `keys`, rows in order; the last matrix's are kept."""
+        if self._last is None or not np.array_equal(self._last.keys, keys):
             self._last = None  # drop the old entries before building the next
-            self._last = keys, self.build_entries(keys)
-        return self._last[1]
+            self._last = self.build_entries(np.array(keys, dtype=np.uint8))
+        return self._last
 
     def build_entries(self, keys) -> _Entries:
         values = unpack_keys(keys, self.L, self.colored)
@@ -470,8 +468,7 @@ class _Layout:
         by_term = np.argsort(self.owner[entry], kind="stable")
         a, entry = np.repeat(a, n)[by_term], entry[by_term]
         term = self.owner[entry]
-        packed = pack_values(values, self.L, self.colored)
-        return _Entries(keys=packed, values=values, a=a, key2=packed[a] ^ self.delta[entry],
+        return _Entries(keys=keys, values=values, a=a, key2=keys[a] ^ self.delta[entry],
                         term=term, at=self.at[entry],
                         bounds=np.searchsorted(term, np.arange(self.n_terms + 1)))
 
@@ -486,6 +483,7 @@ def _layout(terms, params: ModelParams):
     of `_Entries.at`.  The memo's key is (L, colored, every term's
     (support, states), the nonzero pattern of `flat`); a hit compares it
     in full, and a miss drops the old layout before building its own.
+    `cli.run_experiment` empties the memo when it returns.
     """
     flat = np.concatenate([np.zeros(0)] + [term.matrix.T.ravel() for term in terms])
     nonzero = flat != 0
@@ -497,27 +495,23 @@ def _layout(terms, params: ModelParams):
     return _LAYOUT[0][1], np.array([term.weight for term in terms]), flat
 
 
-def _amplitudes(state: SparseState):
-    return np.fromiter(state.amplitudes.values(), dtype=float, count=len(state))
-
-
-def apply_operator(terms, state: SparseState):
-    """H |psi> as an unnormalized key -> coefficient map, keys in first-hit order."""
+def apply_operator(terms, state: SparseState) -> SparseState:
+    """H |psi> as an unnormalized state, keys in first-hit order."""
     layout, weights, flat = _layout(terms, state.params)
-    entries = layout.entries(state.amplitudes)
+    entries = layout.entries(state.keys)
     _, first, group = np.unique(key_rows(entries.key2), return_index=True, return_inverse=True)
-    sums = np.bincount(group, weights=entries.h(weights, flat) * _amplitudes(state)[entries.a],
+    sums = np.bincount(group, weights=entries.h(weights, flat) * state.amps[entries.a],
                        minlength=len(first))
     hit_order = np.argsort(first)
-    return dict(zip(key_bytes(entries.key2[first[hit_order]]), sums[hit_order].tolist()))
+    return SparseState(entries.key2[first[hit_order]], sums[hit_order], state.params)
 
 
 def term_residuals(terms, state: SparseState):
     """||T_j |psi>|| per term."""
     layout, weights, flat = _layout(terms, state.params)
-    entries = layout.entries(state.amplitudes)
+    entries = layout.entries(state.keys)
     group, ends = entries.residual_cells
-    sums = np.bincount(group, weights=entries.h(weights, flat) * _amplitudes(state)[entries.a])
+    sums = np.bincount(group, weights=entries.h(weights, flat) * state.amps[entries.a])
     squares = (sums * sums).tolist()
     return [math.sqrt(math.fsum(squares[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
 
@@ -526,8 +520,9 @@ def term_residuals(terms, state: SparseState):
 # restricted-sector spectrum
 
 
-def sector_keys(params: ModelParams, max_states: int = 200_000):
-    """Sorted canonical keys of the Gauss + boundary + per-vertex-color-valid sector.
+def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
+    """The Gauss + boundary + per-vertex-color-valid sector as a (N, key_length)
+    uint8 key matrix, rows sorted as bytes.
 
     Enumerates all bridge height histories, dips below the horizon
     included (they are legal spin configurations), as one array frontier
@@ -577,14 +572,16 @@ def sector_keys(params: ModelParams, max_states: int = 200_000):
         bit = (np.cumsum(change, axis=1) - change)[rows]  # rank among the history's changes
         colors = np.where(change[rows], 1 + ((assignment[:, None] >> bit) & 1), 0)
         values = np.hstack([values[rows], colors.astype(np.uint8)])
-    return sorted(key_bytes(pack_values(values, L, params.colored)))
+    keys = pack_values(values, L, params.colored)
+    return keys[key_order(keys)[0]]
 
 
 def _sector_entries(terms, keys, params: ModelParams):
     """H over the sector basis `keys` as distinct (row, col, value) triplets, row-major.
 
-    Row and column n belong to keys[n], in any order; a key listed twice
-    raises InvalidParameterError.  A value sums its entries in entry order.
+    Row and column n belong to row n of the key matrix `keys`, in any
+    order; a key listed twice raises InvalidParameterError.  A value sums
+    its entries in entry order.
     """
     layout, weights, flat = _layout(terms, params)
     entries = layout.entries(keys)
@@ -593,8 +590,9 @@ def _sector_entries(terms, keys, params: ModelParams):
 
 
 def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
-    """Dense H over `keys` from `_sector_entries`; CapacityError over DENSE_STATES keys.
-    No experiment calls it: it is the tests' whole-sector reference, and gives eigenvectors."""
+    """Dense H over the key matrix `keys` from `_sector_entries`; CapacityError over
+    DENSE_STATES keys.  No experiment calls it: it is the tests' whole-sector
+    reference, and gives eigenvectors."""
     if len(keys) > DENSE_STATES:
         raise CapacityError(
             f"a dense matrix over {len(keys)} sector states needs "
@@ -803,19 +801,3 @@ def sector_spectrum(terms, params: ModelParams, k: int):
     if layout.sector is None:
         layout.sector = _Sector(layout, params)
     return list(map(float, np.sort(layout.sector.levels(weights, flat))[:k]))
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def export_terms_text(terms) -> str:
-    """Documented text dump: kind, weight, support, states, matrix rows, norms."""
-    lines = []
-    for n, term in enumerate(terms):
-        lines.append(f"term {n} kind={term.kind} weight={term.weight!r} meta={term.meta}")
-        lines.append("  support " + " ".join("/".join(map(str, s)) for s in term.support))
-        for state, row in zip(term.states, term.matrix):
-            entries = " ".join(repr(float(x)) for x in row)
-            lines.append("  state " + "".join(map(str, state)) + " row " + entries)
-    return "\n".join(lines) + "\n"

@@ -56,28 +56,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import key_bytes, key_rows, pack_values, site_order
+from .codec import key_order, key_rows, pack_values, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import SparseState, branch_table, expand_frontier, within_reach
 from .params import ModelParams
-from .surface import event_table, local_shape, slice_sites
+from .surface import event_table, horizon_profile, local_shape, slice_sites
 
 MAX_BRANCHES = 2_000_000
-
-
-@dataclass(frozen=True)
-class EmitterConfig:
-    """Stacks as a tuple over sites 1..L of (height, pair colors bottom-up)."""
-
-    L: int
-    stacks: tuple
-
-
-def init_emitter(L: int) -> EmitterConfig:
-    """Markers at horizon positions, no deposited pairs."""
-    if L % 2 == 0 or L < 3:
-        raise InvalidParameterError(f"the emitter needs odd L >= 3, got {L}")
-    return EmitterConfig(L=L, stacks=tuple((i % 2, ()) for i in range(1, L + 1)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,25 +124,25 @@ class JointState:
     pairs beneath each marker, one bit per pair (g = 1) with the most
     recent in bit 0 (the pair count is (height - i % 2) / 2); `spins`
     (N, n (L+1)) uint8 are the spin rows emitted by rounds 1..n, `colors`
-    uint8 the color rows of vertex rows 1..n in vertex order, and
-    `amplitudes` (N,) float64.  `dropped` is the squared mass that the
-    round which built the state pruned away.
+    uint8 the color rows of vertex rows 1..n in vertex order, and `amps`
+    (N,) float64.  `dropped` is the squared mass that the round which
+    built the state pruned away.
     """
 
     heights: np.ndarray
     stacks: np.ndarray
     spins: np.ndarray
     colors: np.ndarray
-    amplitudes: np.ndarray
+    amps: np.ndarray
     dropped: float = 0.0
 
     def __len__(self):
-        return len(self.amplitudes)
+        return len(self.amps)
 
 
 def initial_joint(L: int) -> JointState:
-    """The reference emitter (`init_emitter`) with an empty record, amplitude 1."""
-    heights = np.array([[0] + [h for h, _ in init_emitter(L).stacks] + [0]], dtype=np.int8)
+    """The reference emitter (markers at the horizon, no pairs), empty record, amplitude 1."""
+    heights = horizon_profile(L)[None].astype(np.int8)
     return JointState(heights, np.zeros(heights.shape, dtype=np.uint32),
                       np.zeros((1, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8),
                       np.ones(1))
@@ -212,10 +197,10 @@ def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=Fal
         kept_mass = kept_mass * np.where(keep, weight, 0.0).sum(axis=1)
         labels.append(label)
         keeps.append(keep)
-    dropped = math.fsum((joint.amplitudes ** 2 * (valid_mass - kept_mass)).tolist())
+    dropped = math.fsum((joint.amps ** 2 * (valid_mass - kept_mass)).tolist())
     rows, choices = expand_frontier(keeps, len(joint), max_branches,
                                     f"joint state exceeded {max_branches} branches")
-    heights, stacks, amps = h[rows], joint.stacks[rows], joint.amplitudes[rows]
+    heights, stacks, amps = h[rows], joint.stacks[rows], joint.amps[rows]
     row = np.zeros((len(rows), L + 1), dtype=np.uint8)
     vertex_cols = [i for i in range(1, L + 1) if (i + n) % 2 == 1]
     colors = np.zeros((len(rows), len(vertex_cols)), dtype=np.uint8)
@@ -268,13 +253,13 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
         joint = apply_round(joint, n, params.p, params, cooling_active=active,
                             max_branches=max_branches)
         dropped.append(joint.dropped)
-        norm = math.fsum((joint.amplitudes * joint.amplitudes).tolist() + dropped)
+        norm = math.fsum((joint.amps * joint.amps).tolist() + dropped)
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"round {n} broke norm conservation: {norm!r}")
     # the reference emitter: every marker back at the horizon, so no pairs beneath
     if not (joint.heights == initial_joint(L).heights).all():
         raise AssertionError("a branch away from the reference emitter survived round L")
-    amps = joint.amplitudes
+    amps = joint.amps
     success = math.fsum((amps * amps).tolist())
     if success <= 0:
         raise InvalidParameterError("post-selection removed every branch")
@@ -283,17 +268,18 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
     values = np.ones((len(amps), len(site_order(L, params.colored))), dtype=np.uint8)
     values[:, L + 1:] = (np.hstack([joint.spins, joint.colors]) if params.colored
                          else joint.spins)
-    amplitudes = dict(zip(key_bytes(pack_values(values, L, params.colored)),
-                          (amps * (1.0 / math.sqrt(success))).tolist()))
-    if len(amplitudes) != len(amps):
+    keys = pack_values(values, L, params.colored)
+    if key_order(keys)[1].any():
         raise AssertionError("two records mapped to one canonical key")
-    return SparseState(amplitudes=amplitudes, params=params), success
+    return SparseState(keys, amps * (1.0 / math.sqrt(success)), params), success
 
 
 def fidelity(a: SparseState, b: SparseState) -> float:
-    """(sum_k a_k b_k)^2 for normalized nonnegative states on one key space."""
+    """(sum_k a_k b_k)^2 for normalized nonnegative states on one key space; math.fsum adds
+    the products over the equal keys that sorting both key matrices together pairs up."""
     if a.params.L != b.params.L or a.params.colored != b.params.colored:
         raise InvalidParameterError("states live on different key spaces")
-    overlap = math.fsum(amp * b.amplitudes.get(key, 0.0)
-                        for key, amp in a.amplitudes.items())
+    order, repeat = key_order(np.vstack([a.keys, b.keys]))  # a's key, then b's equal one
+    amps = np.concatenate([a.amps, b.amps])
+    overlap = math.fsum((amps[order[:-1][repeat]] * amps[order[1:][repeat]]).tolist())
     return overlap * overlap

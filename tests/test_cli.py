@@ -11,7 +11,7 @@ import pytest
 
 import depevap
 from depevap import entropy, hamiltonian, scaling
-from depevap.cli import load_manifest, main, normalize_manifest, run_experiment, save_manifest
+from depevap.cli import load_manifest, main, normalize_manifest, run_experiment
 from depevap.errors import InvalidParameterError
 
 
@@ -27,7 +27,7 @@ def _hash_files(paths):
 def test_manifest_round_trip(tmp_path):
     manifest = normalize_manifest({"experiment": "dp-entropy", "L": [3, 5], "p": [0.5]})
     path = tmp_path / "m.json"
-    save_manifest(manifest, path)
+    path.write_text(json.dumps(manifest))
     assert load_manifest(path) == manifest
 
 
@@ -84,10 +84,11 @@ def test_main_cli(tmp_path):
     assert meta["manifest"]["L"] == [5, 7]
     assert meta["wall_time_s"] > 0 and meta["peak_rss_mb"] > 0
     assert main(["dp-entropy", "--L", "4", "--out", str(out)]) == 1  # even L rejected
-    save_manifest({"experiment": "dp-entropy", "L": [5], "p": [1.5]}, tmp_path / "m")  # --p replaces
+    # --p replaces the manifest's p
+    (tmp_path / "m").write_text(json.dumps({"experiment": "dp-entropy", "L": [5], "p": [1.5]}))
     assert main(["dp-entropy", "--manifest", str(tmp_path / "m"), "--p", "0.5", "--out", str(out)]) == 0
     # an integer p in a manifest writes the same bytes as the float flag
-    save_manifest({"experiment": "dp-entropy", "L": [5], "p": [0, 1]}, tmp_path / "int_p")
+    (tmp_path / "int_p").write_text(json.dumps({"experiment": "dp-entropy", "L": [5], "p": [0, 1]}))
     assert main(["dp-entropy", "--manifest", str(tmp_path / "int_p"), "--out", str(tmp_path / "a")]) == 0
     assert main(["dp-entropy", "--L", "5", "--p", "0", "--p", "1", "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "dp_entropy.csv").read_bytes()
@@ -183,12 +184,6 @@ def test_hamiltonian_reruns_are_byte_identical(tmp_path):
 MIXED_GRID = [0.25, 0.0, 0.5, 1.0, 0.8]
 
 
-def _forget_layouts():
-    """Empty the memos that carry a p-independent layout from one call to the next."""
-    hamiltonian._LAYOUT.clear()
-    entropy._INDEX.clear()
-
-
 def _body(path):
     return path.read_text().splitlines(keepends=True)[1:]
 
@@ -201,14 +196,23 @@ def test_hamiltonian_mixed_grid_matches_single_points(tmp_path, L, colored):
     grid = tmp_path / "grid"
     assert run_experiment({**base, "p": MIXED_GRID, "out": str(grid)})[1] == 0
     singles = []
-    for p in MIXED_GRID:
-        _forget_layouts()
+    for p in MIXED_GRID:  # each run starts from empty memos (test_memos_end_with_the_run)
         singles.append(tmp_path / f"p{p}")
         assert run_experiment({**base, "p": [p], "out": str(singles[-1])})[1] == 0
     for csv in ("hamiltonian_residuals.csv", "hamiltonian_spectrum.csv"):
         header = (grid / csv).read_text().splitlines(keepends=True)[0]
         want = header + "".join(line for out in singles for line in _body(out / csv))
         assert (grid / csv).read_text() == want, csv
+
+
+@pytest.mark.parametrize("manifest", [
+    {"experiment": "phase-sweep", "L": [5, 7], "p": [0.5]},
+    {"experiment": "hamiltonian-check", "L": [5], "p": [0.5], "mode": "absorbing"},
+])
+def test_memos_end_with_the_run(tmp_path, manifest):
+    # the DP's profile index and the terms' layout live only as long as one experiment
+    assert run_experiment({**manifest, "out": str(tmp_path)})[1] == 0
+    assert entropy._INDEX == [] and hamiltonian._LAYOUT == []
 
 
 def test_phase_sweep_mixed_grid_matches_single_points(tmp_path):
@@ -220,7 +224,6 @@ def test_phase_sweep_mixed_grid_matches_single_points(tmp_path):
     fits = _body(grid / "phase_exponents.csv")
     want_fits = {}
     for p in MIXED_GRID:
-        _forget_layouts()
         out = tmp_path / f"p{p}"
         assert run_experiment({**base, "p": [p], "out": str(out)})[1] == 0
         assert _body(out / "phase_sweep.csv") == [r for r in rows if r.split(",")[1] == repr(p)]

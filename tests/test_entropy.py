@@ -10,7 +10,6 @@ from depevap.codec import (
     decode_config,
     decode_keys,
     heights_to_spins,
-    key_bytes,
     key_to_config,
     pack_values,
     site_order,
@@ -150,9 +149,8 @@ def test_entropy_monotone_in_p_at_L9():
 
 def test_schmidt_rejects_unnormalized(l3_state_reflecting):
     from depevap.exact import SparseState
-    bad = SparseState(amplitudes={k: 0.5 * a for k, a in
-                                  l3_state_reflecting.amplitudes.items()},
-                      params=l3_state_reflecting.params)
+    bad = SparseState(l3_state_reflecting.keys, 0.5 * l3_state_reflecting.amps,
+                      l3_state_reflecting.params)
     with pytest.raises(InvalidParameterError):
         schmidt_spectrum(bad, 1)
 
@@ -336,7 +334,7 @@ def test_sector_labels_match_reference(L, mode):
     keys = pack_values(np.hstack([heights_to_spins(bridges.heights, L), bridges.colors]), L, True)
     histories = list(zip(bridges.heights.tolist(), bridges.colors.tolist()))
     if L == 5:
-        records = (decode_config(key_to_config(key, params), params) for key in key_bytes(keys))
+        records = (decode_config(key_to_config(key, params), params) for key in map(bytes, keys))
         histories = [(r.heights.tolist(), [r.events[v][1] for v in vertex_sites(L)]) for r in records]
     decoded = decode_keys(keys, params)
     want = [reference_sector_labels(H, colors, params) for H, colors in histories]
@@ -375,8 +373,9 @@ def _corrupted_key(params, how):
 def test_corrupted_keys_are_rejected(how, kind):
     params = ModelParams(L=5, p=0.5, boundary_mode="reflecting", colored=True)
     state, key, bad = _corrupted_key(params, how)
-    damaged = SparseState(amplitudes={bad if k == key else k: a
-                                      for k, a in state.amplitudes.items()}, params=params)
+    keys = state.keys.copy()
+    keys[list(state.amplitudes).index(key)] = np.frombuffer(bad, dtype=np.uint8)
+    damaged = SparseState(keys, state.amps, params)
     with pytest.raises(DecodeError) as err:
         schmidt_spectrum(damaged, 2)
     assert err.value.kind == kind

@@ -181,8 +181,35 @@ def test_persistence_round_trip(tmp_path):
     text = export_state_text(state)
     assert len(text.splitlines()) == len(state)
     assert text == export_state_text(loaded)
-    save_state(SparseState(amplitudes={}, params=params), path)
+    save_state(SparseState(np.zeros((0, key_length(params)), dtype=np.uint8), np.zeros(0),
+                           params), path)
     assert load_state(path).amplitudes == {}
+
+
+@pytest.mark.parametrize("params", [ModelParams(L=5, p=0.6, boundary_mode="absorbing"),
+                                    ModelParams(L=7, p=0.5, colored=False)])
+def test_persistence_keeps_keys_and_amplitudes_in_sorted_order(tmp_path, params):
+    state = build_state(params)
+    path = tmp_path / "state.bin"
+    save_state(state, path)
+    loaded = load_state(path)
+    order = sorted(range(len(state)), key=lambda n: state.keys[n].tobytes())
+    assert order != list(range(len(state)))  # build order is not sorted order
+    assert np.array_equal(loaded.keys, state.keys[order])
+    assert loaded.amps.tolist() == state.amps[order].tolist()
+
+
+def test_amplitudes_view_is_the_arrays_in_build_order():
+    from depevap.seqgen import run_generation
+
+    params = ModelParams(L=5, p=0.7, colored=True)
+    for state in (build_state(params), build_state(params.with_(boundary_mode="absorbing")),
+                  run_generation(params)[0]):
+        assert state.keys.shape == (len(state), key_length(state.params))
+        assert state.keys.dtype == np.uint8 and state.amps.dtype == np.float64
+        view = state.amplitudes
+        assert list(view.items()) == list(zip(map(bytes, state.keys), state.amps.tolist()))
+        assert state.amplitudes is view  # built once, on first read
 
 
 def test_load_state_rejects_damaged_files(tmp_path):

@@ -35,7 +35,6 @@ from depevap.hamiltonian import (
     build_color_term,
     build_deformation_state,
     build_gauss_term,
-    export_terms_text,
     sector_keys,
     sector_matrix,
     sector_spectrum,
@@ -120,13 +119,13 @@ def test_update_projector_norm_metadata():
 
 
 def _state_from_key(key, params):
-    return SparseState(amplitudes={key: 1.0}, params=params)
+    return SparseState(np.frombuffer(key, dtype=np.uint8)[None], np.ones(1), params)
 
 
 def expectation(terms, state):
     """<psi|H|psi> from `apply_operator`."""
     out = apply_operator(terms, state)
-    return math.fsum(state.amplitudes.get(k, 0.0) * v for k, v in out.items())
+    return math.fsum(state.amplitudes.get(k, 0.0) * v for k, v in out.amplitudes.items())
 
 
 def test_boundary_terms_annihilate_bridges():
@@ -222,7 +221,7 @@ def test_frustration_freeness_and_positivity():
             terms = assemble_hamiltonian(params)
             assert max(term_residuals(terms, state)) < 1e-10
             out = apply_operator(terms, state)
-            assert math.sqrt(math.fsum(v * v for v in out.values())) < 1e-10
+            assert math.sqrt(math.fsum(v * v for v in out.amps.tolist())) < 1e-10
 
 
 def test_expectation_nonnegative_on_sector():
@@ -235,14 +234,14 @@ def test_expectation_nonnegative_on_sector():
         for _ in range(5):
             vec = rng.random(len(keys))
             vec /= np.linalg.norm(vec)
-            state = SparseState(amplitudes=dict(zip(keys, vec)), params=params)
+            state = SparseState(keys, vec, params)
             assert expectation(terms, state) >= -1e-12
             # the three consumers of the term loop agree
-            out = apply_operator(terms, state)
-            assert set(out) <= set(keys)
-            applied = np.array([out.get(k, 0.0) for k in keys])
+            out = apply_operator(terms, state).amplitudes
+            assert set(out) <= set(map(bytes, keys))
+            applied = np.array([out.get(k, 0.0) for k in map(bytes, keys)])
             assert np.max(np.abs(H @ vec - applied)) < 1e-12
-            per_term = [math.sqrt(math.fsum(v * v for v in apply_operator([t], state).values()))
+            per_term = [math.sqrt(math.fsum((apply_operator([t], state).amps ** 2).tolist()))
                         for t in terms]
             assert term_residuals(terms, state) == per_term
 
@@ -254,6 +253,7 @@ def _reference_term_entries(terms, keys, params):
     entries come in key order, and in matrix-row order within a key.
     """
     L, colored = params.L, params.colored
+    keys = list(map(bytes, keys))
     index_of = {s: n for n, s in enumerate(site_order(L, colored))}
     decoded = unpack_keys(keys, L, colored).tolist()
     for term in terms:
@@ -284,7 +284,7 @@ def _reference_sums(entries, amps, out):
 
 
 def _reference_matrix(terms, keys, params):
-    index_of = {key: n for n, key in enumerate(keys)}
+    index_of = {key: n for n, key in enumerate(map(bytes, keys))}
     H = np.zeros((len(keys), len(keys)))
     for entries in _reference_term_entries(terms, keys, params):
         for a, key2, h in entries:
@@ -302,9 +302,9 @@ def test_term_action_matches_reference(L, colored, p):
     terms = assemble_hamiltonian(params)
     keys = sector_keys(params)
     rng = np.random.default_rng(L)
-    shuffled = [keys[n] for n in rng.permutation(len(keys))]
+    shuffled = keys[rng.permutation(len(keys))]
     amps = rng.standard_normal(len(keys)).tolist()
-    state = SparseState(amplitudes=dict(zip(shuffled, amps)), params=params)
+    state = SparseState(shuffled, np.array(amps), params)
     reference = list(_reference_term_entries(terms, shuffled, params))
     per_term = [_reference_sums(entries, amps, {}) for entries in reference]
     assert term_residuals(terms, state) == [
@@ -313,23 +313,23 @@ def test_term_action_matches_reference(L, colored, p):
     applied = {}
     for entries in reference:
         _reference_sums(entries, amps, applied)
-    assert apply_operator(terms, state) == applied
+    assert apply_operator(terms, state).amplitudes == applied
 
 
 def test_term_action_edge_cases():
     params = ModelParams(L=5, p=0.3, colored=True, **ABS)
     terms = assemble_hamiltonian(params)
     keys = sector_keys(params)
-    state = SparseState(amplitudes=dict.fromkeys(keys, 1.0), params=params)
+    state = SparseState(keys, np.ones(len(keys)), params)
     # every sector key has its bottom spins up, so a down pin there matches none
     unmatched = LocalTerm(kind="initial", support=(("s", 1, 0),), weight=1.0,
                           states=((0,),), matrix=np.array([[1.0]]))
     assert term_residuals([unmatched], state) == [0.0]
-    assert apply_operator([unmatched], state) == {}
-    empty = SparseState(amplitudes={}, params=params)
-    assert apply_operator(terms, empty) == {}
+    assert apply_operator([unmatched], state).amplitudes == {}
+    empty = SparseState(keys[:0], np.zeros(0), params)
+    assert apply_operator(terms, empty).amplitudes == {}
     assert term_residuals(terms, empty) == [0.0] * len(terms)
-    assert apply_operator([], state) == {} and term_residuals([], state) == []
+    assert apply_operator([], state).amplitudes == {} and term_residuals([], state) == []
 
 
 def test_layout_memo_serves_only_its_own_terms_and_keys():
@@ -340,7 +340,7 @@ def test_layout_memo_serves_only_its_own_terms_and_keys():
     terms = assemble_hamiltonian(params)
     keys = sector_keys(params)
     rng = np.random.default_rng(11)
-    shuffled = [keys[n] for n in rng.permutation(len(keys))]
+    shuffled = keys[rng.permutation(len(keys))]
     update = [n for n, term in enumerate(terms) if term.kind == "update"]
     traded = list(terms)
     traded[update[0]], traded[update[-24]] = terms[update[-24]], terms[update[0]]
@@ -349,7 +349,7 @@ def test_layout_memo_serves_only_its_own_terms_and_keys():
         sector_spectrum(terms, params, 4)
         for order in (shuffled, keys):
             amps = rng.standard_normal(len(keys)).tolist()
-            state = SparseState(amplitudes=dict(zip(order, amps)), params=params)
+            state = SparseState(order, np.array(amps), params)
             reference = list(_reference_term_entries(some, order, params))
             assert term_residuals(some, state) == [
                 math.sqrt(math.fsum(v * v for v in _reference_sums(entries, amps, {}).values()))
@@ -357,7 +357,7 @@ def test_layout_memo_serves_only_its_own_terms_and_keys():
             applied = {}
             for entries in reference:
                 _reference_sums(entries, amps, applied)
-            assert apply_operator(some, state) == applied
+            assert apply_operator(some, state).amplitudes == applied
             assert np.array_equal(sector_matrix(some, order, params),
                                   _reference_matrix(some, order, params))
         levels = sector_spectrum(some, params, len(keys))
@@ -388,14 +388,14 @@ def test_sector_matrix_key_handling():
     keys = sector_keys(params)
     H = sector_matrix(terms, keys, params)
     perm = np.random.default_rng(5).permutation(len(keys))
-    assert np.array_equal(sector_matrix(terms, [keys[n] for n in perm], params), H[np.ix_(perm, perm)])
+    assert np.array_equal(sector_matrix(terms, keys[perm], params), H[np.ix_(perm, perm)])
     with pytest.raises(InvalidParameterError, match="distinct"):
-        sector_matrix(terms, keys + [keys[7]], params)
+        sector_matrix(terms, np.vstack([keys, keys[7:8]]), params)
     # drop a key some term maps another key onto: the basis is no longer closed
     target = next(key2 for entries in _reference_term_entries(terms, keys, params)
-                  for a, key2, _ in entries if key2 != keys[a])
+                  for a, key2, _ in entries if key2 != bytes(keys[a]))
     with pytest.raises(AssertionError, match="not closed"):
-        sector_matrix(terms, [key for key in keys if key != target], params)
+        sector_matrix(terms, keys[[bytes(key) != target for key in keys]], params)
 
 
 def test_sector_spectrum_and_fidelity():
@@ -408,7 +408,7 @@ def test_sector_spectrum_and_fidelity():
     keys = sector_keys(params)
     dense, vecs = np.linalg.eigh(sector_matrix(terms, keys, params))
     state = build_state(params)
-    target = np.array([state.amplitudes.get(k, 0.0) for k in keys])
+    target = np.array([state.amplitudes.get(k, 0.0) for k in map(bytes, keys)])
     assert abs(float(target @ vecs[:, 0])) ** 2 > 1 - 1e-9
     # the eigenvalues agree with a direct diagonalization of the sector matrix
     assert vals == pytest.approx(list(dense[:3]), abs=1e-10)
@@ -467,7 +467,7 @@ def test_sector_blocks_L7():
     assert (label >= 0).all()
     row, col = np.nonzero(H)
     assert (label[row] == label[col]).all()  # no entry couples two blocks
-    support = {keys[n] for n in max(members, key=len)}
+    support = {bytes(keys[n]) for n in max(members, key=len)}
     assert support == set(build_state(params).amplitudes)
 
 
@@ -573,6 +573,16 @@ def test_sector_keys_unchanged(L, colored, count, digest):
     assert hashlib.sha256(b"".join(keys)).hexdigest() == digest
 
 
+@pytest.mark.parametrize("L,colored", [(5, True), (7, False)])
+def test_sector_keys_are_a_sorted_key_matrix(L, colored):
+    params = ModelParams(L=L, p=0.5, colored=colored, **ABS)
+    keys = sector_keys(params)
+    assert isinstance(keys, np.ndarray) and keys.dtype == np.uint8
+    assert keys.shape == (len(keys), key_length(params))
+    rows = list(map(bytes, keys))
+    assert all(a < b for a, b in zip(rows, rows[1:]))  # ascending as bytes, no repeats
+
+
 @pytest.mark.parametrize("L,colored,peak,count", [(7, False, 882, 868), (5, True, 237, 237)])
 def test_sector_budget_threshold(L, colored, peak, count):
     # the budget covers every frontier row: at L=7 uncolored 882 rows are alive after
@@ -624,9 +634,3 @@ def test_reflecting_mode_rejected():
     with pytest.raises(UnsupportedModeError):
         assemble_hamiltonian(ModelParams(L=3, p=0.5, boundary_mode="reflecting"))
 
-
-def test_export_terms_text():
-    params = ModelParams(L=3, p=0.5, colored=True, **ABS)
-    text = export_terms_text(assemble_hamiltonian(params))
-    assert "norm_exact" in text and "kind=update" in text
-    assert text.count("term ") == 52

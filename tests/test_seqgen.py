@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from depevap import ModelParams, seqgen
-from depevap.codec import decode_keys, key_bytes, pack_values, site_order
+from depevap.codec import decode_keys, pack_values, site_order
 from depevap.entropy import entropy_dp, entropy_exact, mid_cut_row
 from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from depevap.exact import build_state, success_probability, within_reach
@@ -15,7 +15,6 @@ from depevap.seqgen import (
     channel_branches,
     cooling_start,
     fidelity,
-    init_emitter,
     initial_joint,
     local_channel,
     run_generation,
@@ -84,7 +83,7 @@ def _joint_dict(joint: JointState, L):
               for n in range(1, joint.spins.shape[1] // (L + 1) + 1)]
     for heights, bits, spins, colors, amp in zip(
             joint.heights.tolist(), joint.stacks.tolist(), joint.spins.tolist(),
-            joint.colors.tolist(), joint.amplitudes.tolist()):
+            joint.colors.tolist(), joint.amps.tolist()):
         stacks = []
         for i in range(1, L + 1):
             depth = (heights[i] - i % 2) // 2  # bottom pair in the highest bit
@@ -114,7 +113,7 @@ def _split_returnable(joint, n, L):
 def _reference_generation(params, cooling=False):
     """([(key, amplitude)], success) of the dict-based rounds, in branch order."""
     L = params.L
-    reference = init_emitter(L).stacks
+    reference = tuple((i % 2, ()) for i in range(1, L + 1))
     joint = {(reference, ()): 1.0}
     for n in range(1, L + 1):
         joint = _reference_apply_round(joint, n, params.p, params,
@@ -125,16 +124,14 @@ def _reference_generation(params, cooling=False):
     for n, rec in enumerate(kept):
         values[n, L + 1:] = [b for row, _ in rec for b in row] + (
             [c for _, colors in rec for c in colors] if params.colored else [])
-    keys = key_bytes(pack_values(values, L, params.colored))
+    keys = list(map(bytes, pack_values(values, L, params.colored)))
     scale = 1.0 / math.sqrt(success)
     return [(key, amp * scale) for key, amp in zip(keys, kept.values())], success
 
 
-def test_init_emitter_markers_and_roundtrip():
-    em = init_emitter(3)
-    assert em.L == 3 and em.stacks == ((1, ()), (0, ()), (1, ()))
+def test_generation_rejects_even_L():
     with pytest.raises(InvalidParameterError):
-        init_emitter(4)
+        run_generation(ModelParams(L=4, p=0.5, boundary_mode="reflecting", colored=True))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -190,9 +187,9 @@ def test_apply_round_norm_and_branching():
     joint = apply_round(initial_joint(5), 1, 0.5, params)
     # two valley sites, three branches each
     assert len(joint) == 9
-    assert math.fsum((joint.amplitudes ** 2).tolist()) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum((joint.amps ** 2).tolist()) == pytest.approx(1.0, abs=1e-12)
     joint = apply_round(joint, 2, 0.5, params)
-    assert math.fsum((joint.amplitudes ** 2).tolist()) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum((joint.amps ** 2).tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_round_p0_single_branch():
@@ -202,7 +199,7 @@ def test_apply_round_p0_single_branch():
         joint = apply_round(joint, n, 0.0, params)
     assert len(joint) == 1
     ((stacks, record), amp), = _joint_dict(joint, 5).items()
-    assert stacks == init_emitter(5).stacks and amp == pytest.approx(1.0)
+    assert stacks == tuple((i % 2, ()) for i in range(1, 6)) and amp == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("cooling", [False, True])
@@ -213,7 +210,7 @@ def test_rounds_match_reference(L, colored, p, cooling):
     # every round: the reference round's rows that can still return, in the same order
     # with the same amplitude bits, and the others' squared mass as the dropped mass
     params = ModelParams(L=L, p=p, boundary_mode="reflecting", colored=colored)
-    joint, ref = initial_joint(L), {(init_emitter(L).stacks, ()): 1.0}
+    joint, ref = initial_joint(L), {(tuple((i % 2, ()) for i in range(1, L + 1)), ()): 1.0}
     for n in range(1, L + 1):
         active = cooling and n > cooling_start(L)
         joint = apply_round(joint, n, p, params, cooling_active=active)
@@ -258,7 +255,7 @@ def test_round_guards():
     params = ModelParams(L=3, p=0.5, boundary_mode="reflecting", colored=True)
     twice = initial_joint(3)
     twice = JointState(*(np.concatenate([a, a]) for a in (
-        twice.heights, twice.stacks, twice.spins, twice.colors, twice.amplitudes)))
+        twice.heights, twice.stacks, twice.spins, twice.colors, twice.amps)))
     with pytest.raises(AssertionError, match="same record"):
         apply_round(twice, 1, 0.5, params)
     deep = initial_joint(3)
@@ -337,8 +334,35 @@ def test_fidelity_properties():
         fidelity(state, build_state(ModelParams(L=5, p=0.5)))
     # orthogonal supports: the p=0 point state vs everything orthogonal to it
     point = build_state(params.with_(p=0.0))
-    rest = {k: v for k, v in state.amplitudes.items() if k not in point.amplitudes}
+    rest = np.array([key not in point.amplitudes for key in state.amplitudes])
     from depevap.exact import SparseState
-    norm = math.sqrt(math.fsum(v * v for v in rest.values()))
-    rest = SparseState(amplitudes={k: v / norm for k, v in rest.items()}, params=params)
+    norm = math.sqrt(math.fsum(v * v for v in state.amps[rest].tolist()))
+    rest = SparseState(state.keys[rest], state.amps[rest] / norm, params)
     assert fidelity(point, rest) == pytest.approx(0.0, abs=1e-15)
+
+
+def _dict_fidelity(a, b):
+    """The per-key dict formula that the sorted merge replaced."""
+    overlap = math.fsum(amp * b.amplitudes.get(key, 0.0) for key, amp in a.amplitudes.items())
+    return overlap * overlap
+
+
+def test_fidelity_merge_matches_dict_formula():
+    # the merge pairs equal keys however the rows are ordered, and adds the same products
+    from depevap.exact import SparseState
+    from depevap.hamiltonian import sector_keys
+
+    params = ModelParams(L=5, p=0.6, boundary_mode="reflecting", colored=True)
+    state, gen = build_state(params), run_generation(params)[0]
+    rng = np.random.default_rng(2)
+    perm = rng.permutation(len(state))
+    permuted = SparseState(state.keys[perm], state.amps[perm], params)
+    sector = sector_keys(params.with_(boundary_mode="absorbing"))
+    outside = sector[np.array([key not in state.amplitudes for key in map(bytes, sector)])]
+    partial = SparseState(np.vstack([outside[:20], state.keys[perm[:20]]]), rng.random(40), params)
+    disjoint = SparseState(outside, rng.random(len(outside)), params)
+    for a, b in ((gen, permuted), (permuted, gen), (state, partial), (partial, gen),
+                 (state, disjoint), (disjoint, state)):
+        assert fidelity(a, b) == _dict_fidelity(a, b)
+    assert 0.0 < fidelity(state, partial) < 1.0
+    assert fidelity(state, disjoint) == 0.0
