@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, entropy, hamiltonian
+from . import __version__, exact
 from .entropy import entropy_dp, entropy_exact, fit_power_law, mid_cut_row
 from .errors import CapacityError, InvalidParameterError
 from .exact import MAX_NODES, build_state
@@ -74,6 +74,8 @@ def normalize_manifest(data: dict) -> dict:
         raise InvalidParameterError(f"unknown manifest entries {unknown}")
     out = dict(DEFAULTS)
     out.update(data)
+    if not isinstance(out["out"], str) or not out["out"]:
+        raise InvalidParameterError(f"out must be a non-empty string, got {out['out']!r}")
     if not isinstance(out["L"], list):
         out["L"] = [out["L"]]
     if not isinstance(out["p"], list):
@@ -133,9 +135,8 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     meta = {"manifest": manifest, "seed": manifest["seed"]}
     try:
         paths, capacity_hit = runner(manifest, outdir, meta)  # a runner may add entries
-    finally:  # the one-entry memos would keep the last L's DP index and term layout alive
-        entropy._INDEX.clear()
-        hamiltonian._LAYOUT.clear()
+    finally:  # the kept layout would outlive the run (exact._kept)
+        exact._KEPT.clear()
     meta["version"] = __version__
     meta["wall_time_s"] = time.perf_counter() - started
     # ru_maxrss is in KiB on Linux; the children's figure is the largest peak

@@ -32,7 +32,7 @@ import numpy as np
 
 from .codec import decode_keys, key_rows, pair_slots, site_order
 from .errors import CapacityError, InvalidParameterError
-from .exact import SparseState
+from .exact import SparseState, _kept
 from .params import ModelParams
 from .surface import event_table, horizon_profile
 
@@ -46,7 +46,6 @@ class SurfaceDistribution:
 
     heights: np.ndarray       # (K, L + 2) int8 profiles of the support, in rank order
     probs: np.ndarray         # (K,) their probabilities
-    cut_row: int
     mean_area: float
     mean_color_units: float
     params: ModelParams
@@ -120,22 +119,6 @@ class _ProfileIndex:
         return hit
 
 
-_INDEX = []  # the one memo entry: [(L, _ProfileIndex)]
-
-
-def _profile_index(L) -> _ProfileIndex:
-    """The `_ProfileIndex` of L, kept until an index of another L is asked for
-    or `cli.run_experiment` returns.
-
-    The old index is dropped before the new one is built, so that two
-    sizes' profiles are never held at once.
-    """
-    if not _INDEX or _INDEX[0][0] != L:
-        _INDEX.clear()
-        _INDEX.append((L, _ProfileIndex(L)))
-    return _INDEX[0][1]
-
-
 class TransferKernel:
     """One DP slice as a product of single-site maps on vectors over all profiles.
 
@@ -153,12 +136,12 @@ class TransferKernel:
     are never valleys, which leaves exactly their frozen-site factor.
 
     Only the probabilities depend on p.  The profiles and site maps come
-    from the memo's `_ProfileIndex`, so a p grid at one L builds them once.
+    from the kept `_ProfileIndex` (`exact._kept`).
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self._index = _profile_index(params.L)
+        self._index = _kept(("profiles", params.L), lambda: _ProfileIndex(params.L))
         self.codes, self.heights = self._index.codes, self._index.heights
         p = params.p
         (_, _, _, deposit), (_, _, _, valley_stay) = event_table("valley", False, p, False)
@@ -232,9 +215,8 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     heights = kernel.heights[support]
     area = heights[:, 1:L + 1].sum(axis=1, dtype=np.int64) - (L + 1) // 2  # above the horizon
     mean_area = math.fsum((probs * area).tolist())
-    return SurfaceDistribution(heights=heights, probs=probs, cut_row=cut_row,
-                               mean_area=mean_area, mean_color_units=mean_area / 2,
-                               params=params)
+    return SurfaceDistribution(heights=heights, probs=probs, mean_area=mean_area,
+                               mean_color_units=mean_area / 2, params=params)
 
 
 def _shannon_bits(probs) -> float:
@@ -348,13 +330,12 @@ def _sector_labels(decoded, cut_row):
             for prof, row, depth in zip(profiles.tolist(), slots.tolist(), pending.tolist())]
 
 
-def entropy_exact(state: SparseState, cut_row: int, axis: str = "space") -> EntropyReport:
-    """-sum(lam log2 lam) over the Schmidt spectrum."""
-    spectrum = schmidt_spectrum(state, cut_row, axis=axis)
+def entropy_exact(state: SparseState, cut_row: int) -> EntropyReport:
+    """-sum(lam log2 lam) over the Schmidt spectrum of the space cut after slice cut_row."""
+    spectrum = schmidt_spectrum(state, cut_row)
     S_total = _shannon_bits([lam for _, lam in spectrum])
     by_profile = {}
-    for label, lam in spectrum:
-        prof = label[0] if isinstance(label, tuple) else label
+    for (prof, _), lam in spectrum:
         by_profile[prof] = by_profile.get(prof, 0.0) + lam
     S_unc = _shannon_bits(list(by_profile.values()))
     return EntropyReport(S_total=S_total, S_uncolored=S_unc, color_term=S_total - S_unc)

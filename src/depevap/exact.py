@@ -49,6 +49,24 @@ from .surface import event_table, horizon_profile, slice_sites
 
 MAX_NODES = 10_000_000
 _LABELS = (("valley", False), ("peak", False), ("peak", True), ("slope", False))  # label codes 0..3
+_KEPT = []  # the one kept layout: [(key, layout)]
+
+
+def _kept(key, build):
+    """The layout that `build()` makes for `key`, kept until another key is asked for.
+
+    The DP's profile index (key ("profiles", L)) and the parent
+    Hamiltonian's term layout (key ("terms", ...), see
+    `hamiltonian._layout`) do not depend on p, so a p grid at one L builds
+    its layout once.  One layout is kept at a time: a hit compares the key
+    in full, and a miss drops the kept layout before `build()` runs, so
+    two layouts are never held at once.  `cli.run_experiment` empties
+    `_KEPT` when it returns, so no layout outlives its run.
+    """
+    if not _KEPT or _KEPT[0][0] != key:
+        _KEPT.clear()
+        _KEPT.append((key, build()))
+    return _KEPT[0][1]
 
 
 @dataclass(eq=False)
@@ -150,7 +168,6 @@ class Bridges:
     changes carry r), `weights` (N,) float64.
     """
 
-    L: int
     heights: np.ndarray
     colors: np.ndarray
     weights: np.ndarray
@@ -218,7 +235,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES,
             base = base * no_change[labels[i][rows]]
         weights = weights * (w * base)
     # for bridges, the horizon bound after slice L leaves only rows at the horizon
-    return Bridges(L=L, heights=profiles_to_heights(profiles, L), colors=colors, weights=weights)
+    return Bridges(heights=profiles_to_heights(profiles, L), colors=colors, weights=weights)
 
 
 def success_probability(params: ModelParams) -> float:
@@ -267,9 +284,10 @@ def save_state(state: SparseState, path):
 def load_state(path) -> SparseState:
     """Inverse of save_state; a damaged file raises InvalidParameterError.
 
-    The file must have exactly the length its header promises, every key
-    must decode (codec.decode_keys), the keys must ascend strictly as
-    save_state writes them, and every amplitude must be finite.
+    The header's mode and colored flags must be 0 or 1, the file must
+    have exactly the length its header promises, every key must decode
+    (codec.decode_keys), the keys must ascend strictly as save_state
+    writes them, and every amplitude must be finite.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -281,6 +299,9 @@ def load_state(path) -> SparseState:
     version, L, p, mode, colored, count = _HEADER.unpack_from(data, len(_MAGIC))
     if version != _VERSION:
         raise InvalidParameterError(f"unsupported state file version {version}")
+    if mode not in (0, 1) or colored not in (0, 1):
+        raise InvalidParameterError(
+            f"state file flags must be 0 or 1, got mode {mode} and colored {colored}")
     params = ModelParams(L=L, p=p,
                          boundary_mode="reflecting" if mode == 0 else "absorbing",
                          colored=bool(colored))

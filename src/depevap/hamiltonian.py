@@ -40,10 +40,7 @@ Only the matrix values depend on p.  Terms of one local pattern share a
 read-only (states, matrix), and everything else (the entries' layout
 over a key matrix, the sector keys and H's cells, the symmetries' key
 maps, the character basis and the block partition) is a p-independent
-layout.  The module keeps one, keyed by L, coloring, every term's
-(support, states) and the nonzero pattern of all term matrices
-(`_layout`), so a p grid at fixed L builds it once; p = 0 and 1 zero
-some matrix entries and so rebuild it.
+layout, kept by `exact._kept` under the key that `_layout` gives it.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +64,7 @@ from .codec import (
     vertex_spin_indices,
 )
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import SparseState, _site_labels, branch_table, expand_frontier, within_reach
+from .exact import SparseState, _kept, _site_labels, branch_table, expand_frontier, within_reach
 from .params import ModelParams, _is_int
 from .surface import branch_probability, horizon_profile, slice_sites
 
@@ -87,7 +84,6 @@ class LocalTerm:
     weight: float
     states: tuple          # active local configurations, one per matrix index
     matrix: np.ndarray     # symmetric real, over `states`
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -207,7 +203,7 @@ _ONE = _read_only(np.array([[1.0]]))  # the matrix of every one-state term
 
 
 def _update_pattern(k, c, S, p):
-    """(states, matrix, meta) of Pi = I_sub - |D><D| / <D|D> for one (k, c, S).
+    """(states, matrix) of Pi = I_sub - |D><D| / <D|D> for one (k, c, S).
 
     I_sub spans the per-vertex-valid window states of this (k, c, S)
     instance; for k=1 that includes the cross-color evaporation states
@@ -229,17 +225,16 @@ def _update_pattern(k, c, S, p):
         matrix = eye - np.outer(vec, vec) / d.norm_exact
     else:
         matrix = eye
-    return tuple(states), _read_only(matrix), {
-        "k": k, "c": c, "S": tuple(S), "norm_exact": d.norm_exact, "norm_printed": d.norm_printed}
+    return tuple(states), _read_only(matrix)
 
 
 def _update_term(i, t, pattern) -> LocalTerm:
-    """The update term of `pattern` (from `_update_pattern`) on the window of plaquette (i, t)."""
-    states, matrix, meta = pattern
+    """The update term of `pattern` (from `_update_pattern`) on the window of plaquette (i, t);
+    colored states carry 14 values, the 12 spins' and the 2 qutrits'."""
+    states, matrix = pattern
     spins, qutrits = _window_support(i, t)
-    support = spins + (qutrits if meta["c"] is not None else ())
-    return LocalTerm(kind="update", support=support, weight=1.0, states=states,
-                     matrix=matrix, meta={"i": i, "t": t, **meta})
+    support = spins + (qutrits if len(states[0]) == 14 else ())
+    return LocalTerm(kind="update", support=support, weight=1.0, states=states, matrix=matrix)
 
 
 def _pin_term(kind, site, bad_value, weight):
@@ -260,20 +255,11 @@ def build_boundary_terms(params: ModelParams):
     L = params.L
     w = 1.0 / L
     terms = []
-    for x in range(L + 1):
-        terms.append(_pin_term("initial", ("s", x, 0), 0, w))
-    for i in range(1, L + 1, 2):
-        support = tuple(("s",) + s for s in vertex_spin_indices(i, 2))
-        terms.append(LocalTerm(kind="initial", support=support, weight=w,
-                               states=(EVAPORATE_PATTERN,), matrix=_ONE,
-                               meta={"vertex": (i, 2)}))
-    for x in range(L + 1):
-        terms.append(_pin_term("final", ("s", x, L), 1, w))
-    for i in range(1, L + 1, 2):
-        support = tuple(("s",) + s for s in vertex_spin_indices(i, L - 1))
-        terms.append(LocalTerm(kind="final", support=support, weight=w,
-                               states=(DEPOSIT_PATTERN,), matrix=_ONE,
-                               meta={"vertex": (i, L - 1)}))
+    for kind, y, bad, t, pattern in (("initial", 0, 0, 2, EVAPORATE_PATTERN),
+                                     ("final", L, 1, L - 1, DEPOSIT_PATTERN)):
+        terms += [_pin_term(kind, ("s", x, y), bad, w) for x in range(L + 1)]
+        terms += [LocalTerm(kind=kind, support=tuple(("s",) + s for s in vertex_spin_indices(i, t)),
+                            weight=w, states=(pattern,), matrix=_ONE) for i in range(1, L + 1, 2)]
     for y in range(L + 1):
         good = 1 if y % 2 == 0 else 0
         terms.append(_pin_term("left", ("s", 0, y), 1 - good, w))
@@ -294,7 +280,7 @@ def build_gauss_term(params: ModelParams):
             diag.append(float(res * res) / 4)
     states, matrix = tuple(states), _read_only(np.diag(diag))
     return [LocalTerm(kind="gauss", support=tuple(("s",) + s for s in vertex_spin_indices(*v)),
-                      weight=1.0, states=states, matrix=matrix, meta={"vertex": v})
+                      weight=1.0, states=states, matrix=matrix)
             for v in vertex_sites(params.L)]
 
 
@@ -310,7 +296,7 @@ def build_color_term(params: ModelParams):
     states, matrix = tuple(states), _read_only(np.eye(len(states)))
     return [LocalTerm(kind="color",
                       support=tuple(("s",) + s for s in vertex_spin_indices(*v)) + (("c",) + v,),
-                      weight=1.0, states=states, matrix=matrix, meta={"vertex": v})
+                      weight=1.0, states=states, matrix=matrix)
             for v in vertex_sites(params.L)]
 
 
@@ -353,7 +339,7 @@ def assemble_hamiltonian(params: ModelParams):
 # A target key is its source key XOR the packed difference of r and r2.
 #
 # None of that depends on p.  A `_Layout` holds it for one term layout
-# (see the module docstring) and gives the entries over a key matrix as
+# (`_layout`) and gives the entries over a key matrix as
 # (a, key2) plus each entry's term and matrix position; the amplitudes h
 # are gathered from the terms' weights and matrices on every call.
 
@@ -363,8 +349,8 @@ class _Entries:
     """All terms' nonzero entries over one key matrix, without their values.
 
     Entry e maps key a[e] onto the packed key row key2[e] with amplitude
-    weights[term[e]] * flat[at[e]] (`h`).  Term n owns entries
-    bounds[n]:bounds[n + 1], by key, then matrix row.  `keys` is the
+    weights[term[e]] * flat[at[e]] (`h`); entries come by term, then
+    key, then matrix row, over `n_terms` terms.  `keys` is the
     (N, key_length) key matrix and `values` its (N, sites) site values.
     """
 
@@ -374,7 +360,7 @@ class _Entries:
     key2: np.ndarray
     term: np.ndarray
     at: np.ndarray
-    bounds: np.ndarray
+    n_terms: int
 
     def h(self, weights, flat):
         """Each entry's amplitude from the terms' weights and concatenated matrix columns."""
@@ -386,7 +372,7 @@ class _Entries:
         _, key = np.unique(key_rows(self.key2), return_inverse=True)
         term = self.term * (len(key) + 1)
         cells, group = np.unique(term + key, return_inverse=True)  # (term, key2) pairs
-        ends = np.searchsorted(cells, np.arange(len(self.bounds)) * (len(key) + 1)).tolist()
+        ends = np.searchsorted(cells, np.arange(self.n_terms + 1) * (len(key) + 1)).tolist()
         return group, ends
 
     @functools.cached_property
@@ -469,30 +455,24 @@ class _Layout:
         a, entry = np.repeat(a, n)[by_term], entry[by_term]
         term = self.owner[entry]
         return _Entries(keys=keys, values=values, a=a, key2=keys[a] ^ self.delta[entry],
-                        term=term, at=self.at[entry],
-                        bounds=np.searchsorted(term, np.arange(self.n_terms + 1)))
-
-
-_LAYOUT = []  # the one memo entry: [(key, _Layout)]
+                        term=term, at=self.at[entry], n_terms=self.n_terms)
 
 
 def _layout(terms, params: ModelParams):
-    """(layout, weights, flat): the terms' `_Layout`, their weights and matrix columns.
+    """(layout, weights, flat): the terms' kept `_Layout`, their weights and matrix columns.
 
     `flat` concatenates every term's matrix column by column, the order
-    of `_Entries.at`.  The memo's key is (L, colored, every term's
-    (support, states), the nonzero pattern of `flat`); a hit compares it
-    in full, and a miss drops the old layout before building its own.
-    `cli.run_experiment` empties the memo when it returns.
+    of `_Entries.at`.  The layout is kept by `exact._kept` under the key
+    ("terms", L, colored, every term's (support, states), the nonzero
+    pattern of `flat`), so the points of a p grid at one L share it, and
+    p = 0 and 1, which zero some matrix entries, build their own.
     """
     flat = np.concatenate([np.zeros(0)] + [term.matrix.T.ravel() for term in terms])
     nonzero = flat != 0
-    key = (params.L, params.colored, tuple((term.support, term.states) for term in terms),
-           nonzero.tobytes())
-    if not _LAYOUT or _LAYOUT[0][0] != key:
-        _LAYOUT.clear()
-        _LAYOUT.append((key, _Layout(terms, nonzero, params)))
-    return _LAYOUT[0][1], np.array([term.weight for term in terms]), flat
+    key = ("terms", params.L, params.colored,
+           tuple((term.support, term.states) for term in terms), nonzero.tobytes())
+    layout = _kept(key, lambda: _Layout(terms, nonzero, params))
+    return layout, np.array([term.weight for term in terms]), flat
 
 
 def apply_operator(terms, state: SparseState) -> SparseState:
@@ -560,18 +540,12 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
             profiles[:, t, i] += table["delta"][label[rows], branch]
     H = profiles_to_heights(profiles, L)
     values = heights_to_spins(H, L)
-    if params.colored:
+    if params.colored:  # one branch per color: 0 on a no-change vertex, r or g on a change
         vi, vt = np.array(vertex_sites(L)).T
         change = H[:, vt + 1, vi] != H[:, vt - 1, vi]  # (histories, vertices)
-        counts = 1 << change.sum(axis=1)
-        total = int(counts.sum())
-        if total > max_states:
-            raise CapacityError(f"{overflow} (it holds {total})")
-        rows = np.repeat(np.arange(len(H)), counts)
-        assignment = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        bit = (np.cumsum(change, axis=1) - change)[rows]  # rank among the history's changes
-        colors = np.where(change[rows], 1 + ((assignment[:, None] >> bit) & 1), 0)
-        values = np.hstack([values[rows], colors.astype(np.uint8)])
+        rows, colors = expand_frontier([np.stack([~c, c, c], axis=1) for c in change.T],
+                                       len(H), max_states, overflow)
+        values = np.hstack([values[rows], np.array(colors, dtype=np.uint8).T])
     keys = pack_values(values, L, params.colored)
     return keys[key_order(keys)[0]]
 
@@ -785,12 +759,9 @@ def sector_spectrum(terms, params: ModelParams, k: int):
     restarted from a random vector does not.  DENSE_STATES caps the
     whole sector, so a larger one raises CapacityError while counted.
 
-    All but H's values is p-independent and kept with the memo's layout
+    All but H's values is p-independent and kept with the terms' layout
     (`_layout`, `_Sector`): the sector keys, H's cells, the symmetries'
-    key and cell maps, the character basis and the block partition.  The
-    memo's key is (L, coloring, every term's (support, states), the
-    nonzero pattern of the term matrices), compared in full, so the
-    points of a p grid at one L share it and p = 0 and 1 build their own.
+    key and cell maps, the character basis and the block partition.
     A call on a kept layout sums H's values, checks which symmetries
     commute with them and runs the stacked `eigvalsh`; the basis and
     partition are rebuilt only when that set of symmetries changes.

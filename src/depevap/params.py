@@ -45,8 +45,8 @@ class ModelParams:
             )
         if not isinstance(self.colored, bool):
             raise InvalidParameterError(f"colored must be a bool, got {self.colored!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise InvalidParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:  # one Philox key word
+            raise InvalidParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     def require_odd_L(self):
         if self.L % 2 == 0:

@@ -153,12 +153,10 @@ def _site_major(planes, L):
 def _range_blocks(params: ModelParams, lo, hi, t_max):
     """Run trajectories lo..hi-1 and yield one slice block at a time.
 
-    A block of b slices is (w, mid1, mid2, site1, site2): the (b, hi - lo)
-    spatial roughness of every trajectory, the (b,) integer sums of the
-    mid height and its square over the range, and the (b, n_center)
-    integer sums of h and h^2 per central site over the range.  Every
-    yielded array is new, so a queue may pickle it after the next block
-    has started.
+    A block of b slices is (w, site1, site2): the (b, hi - lo) spatial
+    roughness of every trajectory and the (b, n_center) integer sums of h
+    and h^2 per central site over the range.  Every yielded array is new,
+    so a queue may pickle it after the next block has started.
     """
     L = params.L
     n = hi - lo
@@ -179,7 +177,6 @@ def _range_blocks(params: ModelParams, lo, hi, t_max):
     moves = np.empty(n * R - 1, dtype=bool)
 
     c0, c1 = L // 3 + 1, 2 * L // 3 + 1  # the central sites
-    mid = (L + 1) // 2 - c0  # the mid site is a central site
     # per plane: the columns of its central sites, and their places among them
     center_parts = [(slice((c0 + 1 - par) // 2, (c1 + 1 - par) // 2),
                      slice((c0 - par) % 2, c1 - c0, 2)) for par in (0, 1)]
@@ -236,8 +233,7 @@ def _range_blocks(params: ModelParams, lo, hi, t_max):
             moments[:, :, pos] = site[par][1:rows].transpose(1, 0, 2)
             site[par][0] = site[par][block]
         sums[0] = sums[block]
-        site1, site2 = moments
-        yield w, site1[:, mid], site2[:, mid], site1, site2
+        yield w, *moments
 
 
 def _stream_range(q, params, lo, hi, t_max):
@@ -319,18 +315,20 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int) -> ObservableSeries:
         raise InvalidParameterError("free dynamics runs in reflecting mode")
     _check_capacity(params.L, n_traj)
     n = n_traj
+    mid = (params.L + 1) // 2 - (params.L // 3 + 1)  # the mid site among the central sites
     W_sum, W_sq, mid_sum, mid_sq, W_fluct = np.zeros((5, t_max))
     with _trajectory_ranges(params, n, t_max) as streams:
         for t in range(0, t_max, _BLOCK_SLICES):
-            ws, mid1, mid2, site1, site2 = zip(*(next(stream) for stream in streams))
+            ws, site1, site2 = zip(*(next(stream) for stream in streams))
             # columns in trajectory order, integer partials added exactly: the
             # float reduction below sees the same (block, n) operands for any split
             w = np.concatenate(ws, axis=1)
+            site1, site2 = sum(site1), sum(site2)
             rows = slice(t, t + len(w))
             W_sum[rows], W_sq[rows] = w.sum(axis=1), (w * w).sum(axis=1)
-            mid_sum[rows], mid_sq[rows] = sum(mid1), sum(mid2)
+            mid_sum[rows], mid_sq[rows] = site1[:, mid], site2[:, mid]
             if n > 1:
-                var = (n * sum(site2) - sum(site1) ** 2) / (n * (n - 1))
+                var = (n * site2 - site1 ** 2) / (n * (n - 1))
                 W_fluct[rows] = np.sqrt(var.mean(axis=1))
         ranges = len(streams)
     W_mean = W_sum / n

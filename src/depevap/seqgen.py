@@ -162,7 +162,7 @@ def _channel_table(p, colored, cooling) -> np.ndarray:
                          ("color", np.uint8), ("amp", np.float64)])
 
 
-def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=False,
+def apply_round(joint: JointState, n, params: ModelParams, cooling_active=False,
                 max_branches=MAX_BRANCHES) -> JointState:
     """One round of local channels on every branch of the joint state.
 
@@ -180,7 +180,7 @@ def apply_round(joint: JointState, n, p, params: ModelParams, cooling_active=Fal
     round is built.
     """
     L = params.L
-    table = _channel_table(p, params.colored, cooling_active)
+    table = _channel_table(params.p, params.colored, cooling_active)
     sites = slice_sites(L, n)
     h = joint.heights
     labels, keeps = [], []
@@ -250,8 +250,7 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
     dropped = []
     for n in range(1, L + 1):
         active = cooling and n > start
-        joint = apply_round(joint, n, params.p, params, cooling_active=active,
-                            max_branches=max_branches)
+        joint = apply_round(joint, n, params, cooling_active=active, max_branches=max_branches)
         dropped.append(joint.dropped)
         norm = math.fsum((joint.amps * joint.amps).tolist() + dropped)
         if abs(norm - 1.0) > 1e-12:

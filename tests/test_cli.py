@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import depevap
-from depevap import entropy, hamiltonian, scaling
-from depevap.cli import load_manifest, main, normalize_manifest, run_experiment
+from depevap import exact, scaling
+from depevap.cli import DEFAULTS, load_manifest, main, normalize_manifest, run_experiment
 from depevap.errors import InvalidParameterError
 
 
@@ -212,7 +212,7 @@ def test_hamiltonian_mixed_grid_matches_single_points(tmp_path, L, colored):
 def test_memos_end_with_the_run(tmp_path, manifest):
     # the DP's profile index and the terms' layout live only as long as one experiment
     assert run_experiment({**manifest, "out": str(tmp_path)})[1] == 0
-    assert entropy._INDEX == [] and hamiltonian._LAYOUT == []
+    assert exact._KEPT == []
 
 
 def test_phase_sweep_mixed_grid_matches_single_points(tmp_path):
@@ -280,6 +280,7 @@ def test_traced_spans_cover_the_cli_calls(tmp_path):
     ["scaling", {"L": 16, "sample": 10, "tmax": 500}],  # a misspelt key
     ["dp-entropy", 5],  # a manifest file that is not a JSON object
     ["dp-entropy", None],
+    ["scaling", {"L": 16, "samples": 2, "tmax": 500, "seed": 2 ** 64}],  # past a Philox key word
 ])
 def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
     out = tmp_path / "run"
@@ -291,6 +292,29 @@ def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
         path.write_text(json.dumps(manifest))
         args = [args[0], "--manifest", str(path)]
     assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+# one wrong-typed value per manifest entry; the subcommand sets `experiment` itself
+WRONG_TYPED = {"L": {"L": "5"}, "p": {"p": "0.5"}, "mode": {"mode": 1},
+               "colored": {"colored": "yes"}, "seed": {"seed": 1.0}, "samples": {"samples": "200"},
+               "tmax": {"tmax": 4000.0}, "out": {"out": 3}, "max_nodes": {"max_nodes": "many"},
+               "cut_row": {"cut_row": 2.0}, "fit_lo": {"fit_lo": "20", "fit_hi": 300},
+               "fit_hi": {"fit_hi": "300"}}
+
+
+@pytest.mark.parametrize("key", [None, *WRONG_TYPED])
+def test_wrong_typed_manifest_entry_is_an_error(tmp_path, capsys, key):
+    assert set(WRONG_TYPED) == set(DEFAULTS)
+    manifest = {"experiment": "dp-entropy", "L": 5, "p": 0.5, "out": str(tmp_path / "run"),
+                **WRONG_TYPED.get(key, {})}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    if key is None:  # the manifest the others damage runs
+        assert main(["dp-entropy", "--manifest", str(path)]) == 0
+        return
+    assert main(["dp-entropy", "--manifest", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.rglob("*.csv"))
 

@@ -6,7 +6,7 @@ import pytest
 
 from bridge_reference import enumerate_bridge as reference_enumerate_bridge
 from conftest import oracle_enumerate, oracle_success
-from depevap import ModelParams
+from depevap import ModelParams, exact
 from depevap.codec import canonical_key, decode_keys, key_length, key_to_config, vertex_sites
 from depevap.errors import CapacityError, InvalidParameterError
 from depevap.exact import (
@@ -226,6 +226,12 @@ def test_load_state_rejects_damaged_files(tmp_path):
         damaged.write_bytes(data + extra)
         with pytest.raises(InvalidParameterError):
             load_state(damaged)
+    # a mode byte of 7 or a colored byte of 9, each of which used to load as 1
+    flags = len(b"DEQS") + struct.calcsize("<HId")  # magic, version, L, p, then mode, colored
+    for at, bad in ((flags, 7), (flags + 1, 9)):
+        damaged.write_bytes(data[:at] + bytes([bad]) + data[at + 1:])
+        with pytest.raises(InvalidParameterError, match="flags"):
+            load_state(damaged)
     # files of the right length with a damaged entry, each of which used to load
     width = key_length(params) + 8
     body = len(data) - 3 * width
@@ -247,3 +253,21 @@ def test_load_state_rejects_damaged_files(tmp_path):
         with pytest.raises(InvalidParameterError, match="finite"):
             load_state(replace(1, entry(1)[:-8] + struct.pack("<d", bad)))
     assert load_state(replace(1, entry(1))).amplitudes == load_state(path).amplitudes
+
+
+def test_kept_layout_is_built_only_on_a_miss():
+    exact._KEPT.clear()
+    built = []
+
+    def build(layout):
+        def make():
+            assert exact._KEPT == []  # the kept layout is dropped before the next is built
+            built.append(layout)
+            return layout
+        return make
+
+    assert exact._kept(("profiles", 5), build("a")) == "a"
+    assert exact._kept(("profiles", 5), build("b")) == "a"  # a hit does not build
+    assert exact._kept(("profiles", 7), build("c")) == "c"
+    assert built == ["a", "c"] and exact._KEPT == [(("profiles", 7), "c")]
+    exact._KEPT.clear()

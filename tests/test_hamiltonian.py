@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import depevap
-from depevap import hamiltonian
+from depevap import entropy, exact, hamiltonian
 from bridge_reference import bridge_records
 from depevap import ModelParams
 from depevap.codec import canonical_key, decode_keys, encode_trajectory, key_length
@@ -111,11 +111,8 @@ def test_projector_properties():
 
 
 def test_update_projector_norm_metadata():
-    term = _update_term(2, 2, _update_pattern(1, 1, (-1, -1), 0.5))
-    assert term.meta["norm_exact"] == pytest.approx(0.0625 / 2 + 0.31640625)
-    assert term.meta["norm_printed"] == pytest.approx(0.0625 + 0.31640625)
-    unc = _update_term(2, 2, _update_pattern(1, None, (-1, -1), 0.5))
-    assert unc.meta["norm_exact"] == pytest.approx(unc.meta["norm_printed"])
+    unc = build_deformation_state(1, None, (-1, -1), 0.5)
+    assert unc.norm_exact == pytest.approx(unc.norm_printed)
 
 
 def _state_from_key(key, params):
@@ -361,7 +358,7 @@ def test_layout_memo_serves_only_its_own_terms_and_keys():
             assert np.array_equal(sector_matrix(some, order, params),
                                   _reference_matrix(some, order, params))
         levels = sector_spectrum(some, params, len(keys))
-        hamiltonian._LAYOUT.clear()  # a fresh call builds its layout from nothing
+        exact._KEPT.clear()  # a fresh call builds its layout from nothing
         assert sector_spectrum(some, params, len(keys)) == levels
         dense = np.linalg.eigvalsh(_reference_matrix(some, keys, params))
         assert np.max(np.abs(np.array(levels) - dense)) < 1e-12
@@ -634,3 +631,15 @@ def test_reflecting_mode_rejected():
     with pytest.raises(UnsupportedModeError):
         assemble_hamiltonian(ModelParams(L=3, p=0.5, boundary_mode="reflecting"))
 
+
+
+def test_hamiltonian_layout_drops_the_kept_dp_index():
+    exact._KEPT.clear()
+    params = ModelParams(L=5, p=0.5, colored=True, **ABS)
+    entropy.entropy_dp(params)
+    [(key, index)] = exact._KEPT
+    assert key == ("profiles", 5) and isinstance(index, entropy._ProfileIndex)
+    term_residuals(assemble_hamiltonian(params), build_state(params))
+    [(key, layout)] = exact._KEPT
+    assert key[:3] == ("terms", 5, True) and isinstance(layout, hamiltonian._Layout)
+    exact._KEPT.clear()

@@ -194,6 +194,14 @@ def test_ensemble_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.W, c.W)
 
 
+def test_seed_fits_one_philox_key_word():
+    # trajectory k's key is (seed << 64) + k, and Philox keys stay below 2**128
+    params = ModelParams(L=16, p=0.5, seed=2 ** 64 - 1)
+    assert ensemble(params, 2, 20).W.shape == (20,)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        params.with_(seed=2 ** 64)
+
+
 def test_trajectory_streams_are_keyed_by_index():
     # the ensemble mean must equal the mean of independently re-run
     # trajectories driven by their (seed, index)-keyed streams, i.e. any

@@ -174,7 +174,7 @@ def test_boundary_channels():
     # even rounds emit the outermost spins up, and the spins next to them up
     # exactly when the adjacent interior site sits at height 0
     params = ModelParams(L=5, p=0.6, boundary_mode="reflecting", colored=True)
-    joint = apply_round(apply_round(initial_joint(5), 1, 0.6, params), 2, 0.6, params)
+    joint = apply_round(apply_round(initial_joint(5), 1, params), 2, params)
     row = joint.spins[:, -6:]
     h2, h4 = joint.heights[:, 2], joint.heights[:, 4]
     assert (row[:, 0] == 1).all() and (row[:, 5] == 1).all()
@@ -184,11 +184,11 @@ def test_boundary_channels():
 
 def test_apply_round_norm_and_branching():
     params = ModelParams(L=5, p=0.5, boundary_mode="reflecting", colored=True)
-    joint = apply_round(initial_joint(5), 1, 0.5, params)
+    joint = apply_round(initial_joint(5), 1, params)
     # two valley sites, three branches each
     assert len(joint) == 9
     assert math.fsum((joint.amps ** 2).tolist()) == pytest.approx(1.0, abs=1e-12)
-    joint = apply_round(joint, 2, 0.5, params)
+    joint = apply_round(joint, 2, params)
     assert math.fsum((joint.amps ** 2).tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -196,7 +196,7 @@ def test_apply_round_p0_single_branch():
     params = ModelParams(L=5, p=0.0, boundary_mode="reflecting", colored=True)
     joint = initial_joint(5)
     for n in (1, 2, 3, 4, 5):
-        joint = apply_round(joint, n, 0.0, params)
+        joint = apply_round(joint, n, params)
     assert len(joint) == 1
     ((stacks, record), amp), = _joint_dict(joint, 5).items()
     assert stacks == tuple((i % 2, ()) for i in range(1, 6)) and amp == pytest.approx(1.0)
@@ -213,7 +213,7 @@ def test_rounds_match_reference(L, colored, p, cooling):
     joint, ref = initial_joint(L), {(tuple((i % 2, ()) for i in range(1, L + 1)), ()): 1.0}
     for n in range(1, L + 1):
         active = cooling and n > cooling_start(L)
-        joint = apply_round(joint, n, p, params, cooling_active=active)
+        joint = apply_round(joint, n, params, cooling_active=active)
         ref, lost = _split_returnable(
             _reference_apply_round(ref, n, p, params, cooling_active=active), n, L)
         assert list(_joint_dict(joint, L).items()) == list(ref.items()), n
@@ -257,11 +257,11 @@ def test_round_guards():
     twice = JointState(*(np.concatenate([a, a]) for a in (
         twice.heights, twice.stacks, twice.spins, twice.colors, twice.amps)))
     with pytest.raises(AssertionError, match="same record"):
-        apply_round(twice, 1, 0.5, params)
+        apply_round(twice, 1, params)
     deep = initial_joint(3)
     deep.heights[0, 1:4] = (5, 4, 5)  # a valley whose deposit would pass the L+2 cap
     with pytest.raises(CapacityError, match="overflowed"):
-        apply_round(deep, 1, 0.5, params)
+        apply_round(deep, 1, params)
 
 
 @pytest.mark.parametrize("L", [3, 5])
