@@ -154,27 +154,31 @@ def _run_scaling(manifest, outdir, meta):
     paths = []
     summary = []
     meta["trajectory_ranges"] = []
-    for params in _grid(manifest):
-        series = ensemble(params, manifest["samples"], manifest["tmax"])
-        meta["trajectory_ranges"].append({"L": params.L, "p": params.p, "ranges": series.ranges})
-        rows = [(int(t), w, ws, m, ms, f, series.n_samples)
-                for t, w, ws, m, ms, f in zip(series.times, series.W, series.W_stderr,
-                                              series.mid_height, series.mid_stderr,
-                                              series.W_fluct)]
-        path = outdir / f"scaling_L{params.L}_p{params.p}.csv"
-        _write_csv(path, ["t", "W_mean", "W_stderr", "mid_mean", "mid_stderr",
-                          "W_fluct", "n"], rows)
-        paths.append(path)
-        window = None
-        if manifest["fit_hi"] is not None:
-            window = (manifest["fit_lo"], manifest["fit_hi"])
-        rep = exponent_report(series, fit_window=window)
-        summary.append((params.L, params.p,
-                        rep["W"]["exponent"], rep["W"]["r_squared"],
-                        rep["mid"]["exponent"], rep["mid"]["r_squared"],
-                        rep["W_fluct"]["exponent"],
-                        rep["fit_window"][0], rep["fit_window"][1],
-                        rep["saturation_time"] if rep["saturation_time"] else -1))
+    window = None
+    if manifest["fit_hi"] is not None:
+        window = (manifest["fit_lo"], manifest["fit_hi"])
+    # _grid runs through every p of one L before the next L; one ensemble
+    # call serves every p of an L from the same draws
+    for first in list(_grid(manifest))[::len(manifest["p"])]:
+        for series in ensemble(first, manifest["samples"], manifest["tmax"], ps=manifest["p"]):
+            params = series.params
+            meta["trajectory_ranges"].append({"L": params.L, "p": params.p,
+                                              "ranges": series.ranges})
+            rows = [(int(t), w, ws, m, ms, f, series.n_samples)
+                    for t, w, ws, m, ms, f in zip(series.times, series.W, series.W_stderr,
+                                                  series.mid_height, series.mid_stderr,
+                                                  series.W_fluct)]
+            path = outdir / f"scaling_L{params.L}_p{params.p}.csv"
+            _write_csv(path, ["t", "W_mean", "W_stderr", "mid_mean", "mid_stderr",
+                              "W_fluct", "n"], rows)
+            paths.append(path)
+            rep = exponent_report(series, fit_window=window)
+            summary.append((params.L, params.p,
+                            rep["W"]["exponent"], rep["W"]["r_squared"],
+                            rep["mid"]["exponent"], rep["mid"]["r_squared"],
+                            rep["W_fluct"]["exponent"],
+                            rep["fit_window"][0], rep["fit_window"][1],
+                            rep["saturation_time"] if rep["saturation_time"] else -1))
     path = outdir / "scaling_summary.csv"
     _write_csv(path, ["L", "p", "W_exponent", "W_r2", "mid_exponent", "mid_r2",
                       "W_fluct_exponent", "fit_lo", "fit_hi", "saturation_t"], summary)

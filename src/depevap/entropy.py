@@ -245,7 +245,10 @@ def entropy_dp(params: ModelParams, cut_row: int = None,
 
 
 def _bipartition(L, colored, cut, axis):
-    """(bottom sites, top sites) as (kind, coordinate) lists in fixed order."""
+    """(bottom sites, top sites) as (kind, coordinate) lists in fixed order.
+
+    `schmidt_spectrum` cuts along space; the independent oracle in
+    tests/conftest.py, kept fixed, also cuts along time."""
     if axis not in ("space", "time"):
         raise InvalidParameterError(f"axis must be 'space' or 'time', got {axis!r}")
     coord = 2 if axis == "space" else 1
@@ -262,36 +265,32 @@ def _site_value(config, site):
     return config.spins[(a, b)] if kind == "s" else config.colors[(a, b)]
 
 
-def schmidt_spectrum(state: SparseState, cut_row: int, axis: str = "space"):
+def schmidt_spectrum(state: SparseState, cut_row: int):
     """Schmidt weights with sector labels, grouped Gram-block by sector.
 
-    Space-axis sectors are labelled (zigzag profile at the cut, unmatched
-    pair colors below it); time-axis cuts have no such closed structure
-    and fall into a single block labelled by index.  Every key is decoded
-    and validated once, and each label is read from the bits of one key
-    per distinct bottom part.  A block's Gram rows and columns are its
-    bottom and top parts in lexicographic order of their site values.
+    The space cut after slice `cut_row` splits the state into sectors
+    labelled (zigzag profile at the cut, unmatched pair colors below it).
+    Every key is decoded and validated once, and each label is read from
+    the bits of one key per distinct bottom part.  A block's Gram rows and
+    columns are its bottom and top parts in lexicographic order of their
+    site values.
     """
     params = state.params
     L = params.L
     norm = state.norm()
     if abs(norm - 1.0) > 1e-8:
         raise InvalidParameterError(f"state is not normalized: |norm - 1| = {abs(norm - 1):.2e}")
-    if axis == "space" and not 1 <= cut_row <= L - 1:
+    if not 1 <= cut_row <= L - 1:
         raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row}")
-    bottom_sites, top_sites = _bipartition(L, params.colored, cut_row, axis)
+    bottom_sites, top_sites = _bipartition(L, params.colored, cut_row, "space")
     column = {s: n for n, s in enumerate(site_order(L, params.colored))}
     decoded = decode_keys(state.keys, params)
     amps = state.amps
     bottom_of = _row_ranks(decoded.values[:, [column[s] for s in bottom_sites]])
     top_of = _row_ranks(decoded.values[:, [column[s] for s in top_sites]])
-    n_bottoms = bottom_of.max() + 1
-    if axis == "space":
-        one_key = np.empty(n_bottoms, dtype=np.intp)
-        one_key[bottom_of] = np.arange(len(state))  # a label depends on the bottom part only
-        labels = _sector_labels(decoded.take(one_key), cut_row)
-    else:
-        labels = ["time"] * n_bottoms
+    one_key = np.empty(bottom_of.max() + 1, dtype=np.intp)
+    one_key[bottom_of] = np.arange(len(state))  # a label depends on the bottom part only
+    labels = _sector_labels(decoded.take(one_key), cut_row)
     order = sorted(set(labels))
     rank = {label: r for r, label in enumerate(order)}
     sector_of = np.array([rank[label] for label in labels])[bottom_of]

@@ -52,6 +52,18 @@ The caller puts the W columns back in trajectory order and adds the
 integer partials exactly, so the float reductions see the same (block,
 n_traj) operands, and every output is byte-identical, for any number of
 ranges.
+
+Grid points.  A trajectory's stream is keyed by (seed, k), not by p, so
+`ensemble(params, n, t, ps=[...])` serves every p of one L from one pass
+over the streams: per block each trajectory's raw words are drawn once
+and turned into one action table per p, with that p's bounds, and each p
+advances its own planes and moments over the block as a single point
+would.  A range streams one block per p and the caller reduces each p as
+above, so every p's series is byte-identical to its own single-point run.
+A pass holds as many points as fit in `_PASS_BYTES` of tables and planes
+per range (at least one; at L = 512 and 100 trajectories a point takes
+1.7 MB, so two fit); a longer p list takes further passes, each drawing
+the same streams again from their start.
 """
 
 from __future__ import annotations
@@ -68,6 +80,7 @@ from .params import ModelParams, _is_int
 from .surface import branch_probability, horizon_profile
 
 _BLOCK_SLICES = 64  # RNG is drawn in slice blocks of this even size per trajectory
+_PASS_BYTES = 4 << 20  # action tables and planes of the points one pass over a range serves
 _CHECK_EVERY = 4096  # slices between spot checks of the heights (the last slice is checked too)
 _SATURATION_WINDOW = 10.0  # saturation_time fits log W against log t over [t / this, t]
 _SATURATION_TOLERANCE = 0.05  # W saturates at the first t where that slope is below this
@@ -150,43 +163,46 @@ def _site_major(planes, L):
     return H
 
 
-def _range_blocks(params: ModelParams, lo, hi, t_max):
-    """Run trajectories lo..hi-1 and yield one slice block at a time.
+def _passes(ps, L, n):
+    """`ps` in consecutive runs, each as many points as one pass over a range
+    of n trajectories holds within _PASS_BYTES (at least one point)."""
+    point = n * ((L + 3) // 2) * (_BLOCK_SLICES + 4)  # its int8 table and int16 planes
+    size = max(1, _PASS_BYTES // point)
+    return [ps[i:i + size] for i in range(0, len(ps), size)]
 
-    A block of b slices is (w, site1, site2): the (b, hi - lo) spatial
-    roughness of every trajectory and the (b, n_center) integer sums of h
-    and h^2 per central site over the range.  Every yielded array is new,
-    so a queue may pickle it after the next block has started.
+
+def _point_blocks(L, table, t_max, hsq, curv, moves):
+    """Advance one point's trajectories through its action table and yield
+    one slice block at a time.
+
+    The caller writes each block's actions into `table`, shape
+    (_BLOCK_SLICES, n, R), before resuming the generator.  `hsq` (2, n, R),
+    `curv` and `moves` (n R - 1) are scratch, which the points of a pass
+    share since they advance in turn.  A block of b slices is (w, site1,
+    site2): the (b, n) spatial roughness of every trajectory and the
+    (b, n_center) integer sums of h and h^2 per central site over the
+    range.  Every yielded array is new, so a queue may pickle it after the
+    next block has started.
     """
-    L = params.L
-    n = hi - lo
-    R = (L + 3) // 2  # columns of a plane: the even sites 0, 2, ..., L + 1 - L % 2
-    draws = len(range(2, L, 2))  # uniforms per trajectory and slice
-    deposit, evaporate = _raw_bounds(params.p)
-    gens = _trajectory_generators(params, lo, hi)
+    _, n, R = table.shape
     h0 = horizon_profile(L)
     planes = np.zeros((2, n, R), dtype=np.int16)
     planes[0], planes[1, :, :(L + 2) // 2] = h0[0::2], h0[1::2]
-    table = np.zeros((_BLOCK_SLICES, n, R), dtype=np.int8)
     even, odd, flat = *planes.reshape(2, -1), table.reshape(_BLOCK_SLICES, -1)
     # (h, hl, hr, actions) of the even sites, updated by even slices j of a
     # block (blocks start at even t), and of the odd sites
     views = ((even[1:], odd[:-1], odd[1:], flat[:, 1:]),
              (odd[:-1], even[:-1], even[1:], flat[:, :-1]))
-    curv = np.empty(n * R - 1, dtype=np.int16)
-    moves = np.empty(n * R - 1, dtype=bool)
 
     c0, c1 = L // 3 + 1, 2 * L // 3 + 1  # the central sites
     # per plane: the columns of its central sites, and their places among them
     center_parts = [(slice((c0 + 1 - par) // 2, (c1 + 1 - par) // 2),
                      slice((c0 - par) % 2, c1 - c0, 2)) for par in (0, 1)]
-    acc = np.int32 if max(R, n) * ((L + 2) // 2) ** 2 < 2 ** 31 else np.int64
-    hsq = np.empty((2, n, R), dtype=acc)
     # row j + 1 holds the moments after slice j: per trajectory the sums of
     # h and h^2 over the plane that slice updated, and per central site the
     # sums over the range; row 0 carries the previous block's last row
-    sums = np.empty((_BLOCK_SLICES + 1, 2, n), dtype=acc)
-    site = [np.empty((_BLOCK_SLICES + 1, 2, len(range(c1 - c0)[pos])), dtype=acc)
+    sums = np.empty((_BLOCK_SLICES + 1, 2, n), dtype=hsq.dtype)
+    site = [np.empty((_BLOCK_SLICES + 1, 2, len(range(c1 - c0)[pos])), dtype=hsq.dtype)
             for _, pos in center_parts]
 
     def measure(par, row):
@@ -200,12 +216,6 @@ def _range_blocks(params: ModelParams, lo, hi, t_max):
     measure(1, 0)  # row 0 ends with the odd plane: slice 0 updates the even one
     for t in range(0, t_max, _BLOCK_SLICES):
         block = min(_BLOCK_SLICES, t_max - t)
-        for k, g in enumerate(gens):
-            raw = g.random_raw(block * draws).reshape(block, draws)
-            sign = np.subtract(raw < deposit, raw > evaporate, dtype=np.int8)
-            np.add(sign, sign, out=table[:block, k, 1:1 + draws])
-        if L % 2:  # an odd slice has one site fewer: its last uniform is unused
-            table[1:block:2, :, draws] = 0
         for j in range(block):
             h, hl, hr, actions = views[j % 2]
             np.add(hl, hr, out=curv)
@@ -236,11 +246,43 @@ def _range_blocks(params: ModelParams, lo, hi, t_max):
         yield w, *moments
 
 
-def _stream_range(q, params, lo, hi, t_max):
+def _range_blocks(params: ModelParams, passes, lo, hi, t_max):
+    """Run trajectories lo..hi-1 at every p of `passes`, pass by pass, and
+    yield one slice block at a time: a list of one `_point_blocks` block
+    per p of the pass.
+
+    Each pass draws every trajectory's raw words once per block and turns
+    them into one action table per p of the pass.
+    """
+    L, n = params.L, hi - lo
+    R = (L + 3) // 2  # columns of a plane: the even sites 0, 2, ..., L + 1 - L % 2
+    draws = len(range(2, L, 2))  # uniforms per trajectory and slice
+    hsq = np.empty((2, n, R), dtype=np.int32 if max(R, n) * ((L + 2) // 2) ** 2 < 2 ** 31
+                   else np.int64)
+    curv = np.empty(n * R - 1, dtype=np.int16)
+    moves = np.empty(n * R - 1, dtype=bool)
+    for ps in passes:  # every pass draws the same streams from their start
+        gens = _trajectory_generators(params, lo, hi)
+        tables = np.zeros((len(ps), _BLOCK_SLICES, n, R), dtype=np.int8)
+        points = [_point_blocks(L, table, t_max, hsq, curv, moves) for table in tables]
+        decisions = [(table, *_raw_bounds(p)) for table, p in zip(tables, ps)]
+        for t in range(0, t_max, _BLOCK_SLICES):
+            block = min(_BLOCK_SLICES, t_max - t)
+            for k, g in enumerate(gens):
+                raw = g.random_raw(block * draws).reshape(block, draws)
+                for table, deposit, evaporate in decisions:
+                    sign = np.subtract(raw < deposit, raw > evaporate, dtype=np.int8)
+                    np.add(sign, sign, out=table[:block, k, 1:1 + draws])
+            if L % 2:  # an odd slice has one site fewer: its last uniform is unused
+                tables[:, 1:block:2, :, draws] = 0
+            yield [next(point) for point in points]
+
+
+def _stream_range(q, params, passes, lo, hi, t_max):
     """Worker body: put every block of trajectories lo..hi-1 on the queue,
     or the exception that stopped them."""
     try:
-        for block in _range_blocks(params, lo, hi, t_max):
+        for block in _range_blocks(params, passes, lo, hi, t_max):
             q.put(block)
     except Exception as exc:  # the parent raises it
         q.put(exc)
@@ -268,14 +310,16 @@ def _received_blocks(q, proc):
 
 
 @contextmanager
-def _trajectory_ranges(params: ModelParams, n_traj, t_max):
-    """Block streams of contiguous trajectory ranges, in trajectory order.
+def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
+    """(block streams of contiguous trajectory ranges in trajectory order,
+    the passes over `ps` that each stream makes).
 
     There is one range per CPU in the affinity mask, at most `n_traj`.
     The caller runs range 0 itself; each other range runs in a
     fork-started worker that streams its blocks through a queue.  The
     workers are joined on exit, and terminated first if the caller
-    raises.  One range, or no `fork` start method, runs inline.
+    raises.  One range, or no `fork` start method, runs inline.  The
+    passes are sized for the largest range.
     """
     ranges = min(_cpu_count(), n_traj)
     if ranges > 1:
@@ -284,7 +328,8 @@ def _trajectory_ranges(params: ModelParams, n_traj, t_max):
         if "fork" not in multiprocessing.get_all_start_methods():
             ranges = 1
     bounds = [n_traj * r // ranges for r in range(ranges + 1)]
-    streams = [_range_blocks(params, 0, bounds[1], t_max)]
+    passes = _passes(ps, params.L, -(-n_traj // ranges))
+    streams = [_range_blocks(params, passes, 0, bounds[1], t_max)]
     procs = []
     try:
         if ranges > 1:
@@ -292,11 +337,11 @@ def _trajectory_ranges(params: ModelParams, n_traj, t_max):
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 q = ctx.Queue()
                 proc = ctx.Process(target=_stream_range, daemon=True,
-                                   args=(q, params, lo, hi, t_max))
+                                   args=(q, params, passes, lo, hi, t_max))
                 proc.start()
                 procs.append(proc)
                 streams.append(_received_blocks(q, proc))
-        yield streams
+        yield streams, passes
     except BaseException:
         for proc in procs:
             proc.terminate()
@@ -306,33 +351,43 @@ def _trajectory_ranges(params: ModelParams, n_traj, t_max):
             proc.join()
 
 
-def ensemble(params: ModelParams, n_traj: int, t_max: int) -> ObservableSeries:
-    """Trajectory-mean W(t) and midpoint height with standard errors."""
+def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
+    """Trajectory-mean W(t) and midpoint height with standard errors.
+
+    With `ps`, a list of p values, it returns a list of one series per p,
+    each that of `params.with_(p=p)`, from shared draws ("Grid points" in
+    the module docstring); `params.p` is then not read.
+    """
     if not all(_is_int(v) and v >= 1 for v in (n_traj, t_max)):
         raise InvalidParameterError("n_traj and t_max must be integers >= 1, "
                                     f"got {n_traj!r} and {t_max!r}")
     if params.boundary_mode != "reflecting":
         raise InvalidParameterError("free dynamics runs in reflecting mode")
+    points = [params] if ps is None else [params.with_(p=p) for p in ps]
     _check_capacity(params.L, n_traj)
     n = n_traj
     mid = (params.L + 1) // 2 - (params.L // 3 + 1)  # the mid site among the central sites
-    W_sum, W_sq, mid_sum, mid_sq, W_fluct = np.zeros((5, t_max))
-    with _trajectory_ranges(params, n, t_max) as streams:
-        for t in range(0, t_max, _BLOCK_SLICES):
-            ws, site1, site2 = zip(*(next(stream) for stream in streams))
-            # columns in trajectory order, integer partials added exactly: the
-            # float reduction below sees the same (block, n) operands for any split
-            w = np.concatenate(ws, axis=1)
-            site1, site2 = sum(site1), sum(site2)
-            rows = slice(t, t + len(w))
-            W_sum[rows], W_sq[rows] = w.sum(axis=1), (w * w).sum(axis=1)
-            mid_sum[rows], mid_sq[rows] = site1[:, mid], site2[:, mid]
-            if n > 1:
-                var = (n * site2 - site1 ** 2) / (n * (n - 1))
-                W_fluct[rows] = np.sqrt(var.mean(axis=1))
+    totals = np.zeros((len(points), 5, t_max))  # per point: W_sum, W_sq, mid_sum, mid_sq, W_fluct
+    with _trajectory_ranges(params, [q.p for q in points], n, t_max) as (streams, passes):
+        done = 0
+        for pass_ps in passes:
+            for t in range(0, t_max, _BLOCK_SLICES):
+                # per point of the pass: its block from every range
+                blocks = zip(*(next(stream) for stream in streams))
+                for (W_sum, W_sq, mid_sum, mid_sq, W_fluct), point in zip(totals[done:], blocks):
+                    ws, site1, site2 = zip(*point)
+                    # columns in trajectory order, integer partials added exactly: the
+                    # float reduction below sees the same (block, n) operands for any split
+                    w = np.concatenate(ws, axis=1)
+                    site1, site2 = sum(site1), sum(site2)
+                    rows = slice(t, t + len(w))
+                    W_sum[rows], W_sq[rows] = w.sum(axis=1), (w * w).sum(axis=1)
+                    mid_sum[rows], mid_sq[rows] = site1[:, mid], site2[:, mid]
+                    if n > 1:
+                        var = (n * site2 - site1 ** 2) / (n * (n - 1))
+                        W_fluct[rows] = np.sqrt(var.mean(axis=1))
+            done += len(pass_ps)
         ranges = len(streams)
-    W_mean = W_sum / n
-    mid_mean = mid_sum / n
 
     def stderr(sq, mean):
         if n < 2:
@@ -340,10 +395,15 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int) -> ObservableSeries:
         var = np.maximum(sq / n - mean ** 2, 0.0) * n / (n - 1)
         return np.sqrt(var / n)
 
-    return ObservableSeries(times=np.arange(1, t_max + 1),
-                            W=W_mean, W_stderr=stderr(W_sq, W_mean),
-                            mid_height=mid_mean, mid_stderr=stderr(mid_sq, mid_mean),
-                            W_fluct=W_fluct, n_samples=n, params=params, ranges=ranges)
+    series = []
+    for point, (W_sum, W_sq, mid_sum, mid_sq, W_fluct) in zip(points, totals):
+        W_mean = W_sum / n
+        mid_mean = mid_sum / n
+        series.append(ObservableSeries(
+            times=np.arange(1, t_max + 1), W=W_mean, W_stderr=stderr(W_sq, W_mean),
+            mid_height=mid_mean, mid_stderr=stderr(mid_sq, mid_mean),
+            W_fluct=W_fluct, n_samples=n, params=point, ranges=ranges))
+    return series[0] if ps is None else series
 
 
 def saturation_time(series: ObservableSeries):

@@ -148,6 +148,26 @@ def test_scaling_csvs_do_not_depend_on_cpu_count(tmp_path):
         assert (one / csv).read_bytes() == (every / csv).read_bytes(), csv
 
 
+def test_scaling_grid_matches_single_point_runs(tmp_path):
+    # one ensemble call serves every p of an L; each CSV and summary row must
+    # be what the point writes when it runs alone
+    manifest = {"experiment": "scaling", "L": [17, 16], "p": [0.0, 0.6, 1.0], "seed": 3,
+                "samples": 5, "tmax": 300}
+    grid_paths, code = run_experiment({**manifest, "out": str(tmp_path / "grid")})
+    assert code == 0
+    summary = []
+    for L in manifest["L"]:
+        for p in manifest["p"]:
+            out = tmp_path / f"L{L}_p{p}"
+            assert run_experiment({**manifest, "L": [L], "p": [p], "out": str(out)})[1] == 0
+            csv = f"scaling_L{L}_p{p}.csv"
+            assert (tmp_path / "grid" / csv).read_bytes() == (out / csv).read_bytes(), csv
+            summary += (out / "scaling_summary.csv").read_text().splitlines()[1:]
+    grid_summary = (tmp_path / "grid" / "scaling_summary.csv").read_text().splitlines()
+    assert grid_summary[1:] == summary
+    assert len([p for p in grid_paths if p.suffix == ".csv"]) == 7
+
+
 def test_seqgen_and_exact_entropy_reruns_are_byte_identical(tmp_path):
     commands = {"seqgen_fidelity.csv": ["seqgen-check", "--L", "5", "--p", "0.0", "--p", "0.5",
                                         "--p", "1.0"],

@@ -124,8 +124,7 @@ def test_time_cut_entropy_is_lower():
     params = ModelParams(L=5, p=0.5, boundary_mode="reflecting", colored=True)
     state = build_state(params)
     space = entropy_exact(state, 2).S_total
-    spec_time = schmidt_spectrum(state, 2, axis="time")
-    lams = np.array([lam for _, lam in spec_time])
+    lams = np.array(dense_schmidt_weights(state, 2, axis="time"))
     time_S = float(-(lams * np.log2(lams)).sum())
     assert math.fsum(lams) == pytest.approx(1.0, abs=1e-10)
     assert time_S <= space + 1e-12

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from depevap import ModelParams, scaling
+from depevap import ModelParams, exact, scaling
+from depevap.entropy import TransferKernel
 from depevap.errors import InvalidParameterError
 from depevap.scaling import (
     ensemble,
@@ -141,6 +142,53 @@ def test_results_do_not_depend_on_partition(monkeypatch, L):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("L", [16, 33])
+def test_grouped_pass_matches_single_points(monkeypatch, L):
+    # every p of one L from one pass over the streams, against one ensemble
+    # call per p; t_max = 260 ends on a short block
+    ps, n, t_max = [0.0, 0.3, 0.5, 0.8, 1.0], 7, 260
+    params = ModelParams(L=L, p=0.5, seed=L)
+    singles = [ensemble(params.with_(p=p), n, t_max) for p in ps]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(scaling, "_cpu_count", lambda: workers)
+        grouped = ensemble(params, n, t_max, ps=ps)
+        assert [s.params for s in grouped] == [params.with_(p=p) for p in ps]
+        assert [s.ranges for s in grouped] == [workers] * len(ps)
+        for p, run, single in zip(ps, grouped, singles):
+            for name in _SERIES_ARRAYS:
+                assert getattr(run, name).tobytes() == getattr(single, name).tobytes(), \
+                    (L, p, workers, name)
+    assert multiprocessing.active_children() == []
+
+
+def test_pass_budget_bounds_the_working_set(monkeypatch):
+    # a pass holds as many points as fit the budget, and a run that takes
+    # several passes draws the streams once per pass with the same results
+    L, n = 33, 6
+    point = n * ((L + 3) // 2) * (scaling._BLOCK_SLICES + 4)
+    for count in range(1, 12):
+        ps = [k / 10 for k in range(count)]
+        passes = scaling._passes(ps, L, n)
+        assert sum(passes, []) == ps
+        assert all(len(run) * point <= scaling._PASS_BYTES for run in passes)
+    assert scaling._passes([0.5], L, 10 ** 6) == [[0.5]]  # one point always runs
+
+    ps = [0.1, 0.3, 0.5, 0.7, 0.9]
+    params = ModelParams(L=L, p=0.5, seed=2)
+    singles = [ensemble(params.with_(p=p), n, 150) for p in ps]
+    drawn = []
+    generators = scaling._trajectory_generators
+    monkeypatch.setattr(scaling, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(scaling, "_trajectory_generators",
+                        lambda *args: drawn.append(args) or generators(*args))
+    monkeypatch.setattr(scaling, "_PASS_BYTES", 2 * point)
+    grouped = ensemble(params, n, 150, ps=ps)
+    assert len(drawn) == 3  # passes of 2, 2 and 1 points
+    for run, single in zip(grouped, singles):
+        for name in _SERIES_ARRAYS:
+            assert getattr(run, name).tobytes() == getattr(single, name).tobytes(), name
+
+
 def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
     parent = os.getpid()
     params = ModelParams(L=16, p=0.5, seed=1)
@@ -154,11 +202,13 @@ def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
             _spot_check(H, L)
         return check
 
-    for where in ("worker", "parent"):
-        monkeypatch.setattr(scaling, "_spot_check", failing_in(where))
-        with pytest.raises(AssertionError, match=f"spot check failed in the {where}"):
-            ensemble(params, 6, 300)
-        assert multiprocessing.active_children() == []
+    # a single point, and a grouped run over three p values
+    for ps in (None, [0.2, 0.5, 0.9]):
+        for where in ("worker", "parent"):
+            monkeypatch.setattr(scaling, "_spot_check", failing_in(where))
+            with pytest.raises(AssertionError, match=f"spot check failed in the {where}"):
+                ensemble(params, 6, 300, ps=ps)
+            assert multiprocessing.active_children() == []
 
     def exiting_worker(H, L):
         if os.getpid() != parent:
@@ -168,6 +218,56 @@ def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
     with pytest.raises(RuntimeError, match="exited with code 3"):
         ensemble(params, 6, 300)
     assert multiprocessing.active_children() == []
+
+
+def _exact_means(params, t_max):
+    """Exact E[W] over sites 1..L and E[h_mid] after DP slices 1..t_max from the horizon.
+
+    `TransferKernel.forward` evolves the exact profile law of the free
+    dynamics; in reflecting mode it keeps the total probability.
+    """
+    L = params.L
+    kernel = TransferKernel(params)
+    heights = kernel.heights.astype(np.int64)
+    body = heights[:, 1:L + 1]
+    s1, s2 = body.sum(axis=1), (body * body).sum(axis=1)
+    W = np.sqrt((L * s2 - s1 * s1) / (L * L))  # as the ensemble computes it
+    mid = heights[:, (L + 1) // 2].astype(float)
+    law = (heights == horizon_profile(L)).all(axis=1).astype(float)
+    assert law.sum() == 1
+    means = np.empty((2, t_max))
+    for t in range(1, t_max + 1):
+        law = kernel.forward(law, t)
+        means[:, t - 1] = law @ W, law @ mid
+    return means
+
+
+@pytest.mark.parametrize("L", [9, 13])
+def test_ensemble_samples_the_dp_law(monkeypatch, L):
+    # the DP's TransferKernel and the ensemble's action table are two
+    # implementations of one process.  Scaling's slice j (from 0) is the DP's
+    # slice j + 1.  The bound |z| <= 5 per slice was fixed before the first run
+    monkeypatch.setattr(exact, "_KEPT", [])  # keep no profile index past the test
+    ps, n, t_max = [0.0, 0.25, 0.5, 0.8], 4000, 80
+    params = ModelParams(L=L, p=0.5, boundary_mode="reflecting", colored=False, seed=L)
+    for series in ensemble(params, n, t_max, ps=ps):
+        W, mid = _exact_means(series.params, t_max)
+        if series.params.p == 0:  # the law stays on the horizon
+            # W_stderr is rounding noise of sq/n - mean^2 here, not a sample spread
+            assert (series.mid_stderr == 0).all() and np.array_equal(series.mid_height, mid)
+            # n equal per-trajectory values, reduced as the ensemble reduces them
+            assert np.array_equal(series.W, np.full((t_max, n), W[0]).sum(axis=1) / n)
+            assert np.array_equal(W, np.full(t_max, W[0]))
+            continue
+        # the first slice updates the even sites, and the mid site is odd: its
+        # height is 1 in every trajectory and in the law
+        assert series.mid_height[0] == mid[0] == 1 and series.mid_stderr[0] == 0
+        for name, sample, stderr, exact_mean in (
+                ("W", series.W, series.W_stderr, W),
+                ("mid", series.mid_height[1:], series.mid_stderr[1:], mid[1:])):
+            assert (stderr > 0).all(), (L, series.params.p, name)
+            z = (sample - exact_mean) / stderr
+            assert np.abs(z).max() <= 5, (L, series.params.p, name, np.abs(z).max())
 
 
 def test_p0_series_constant():
