@@ -7,11 +7,12 @@ trajectory consumes its own counter-based random stream keyed by
 seed set across workers reproduces identical observables.
 
 Layout.  Heights live in two C-contiguous int16 parity planes of shape
-(n_traj, R), R = (L+3) // 2: row k of plane 0 holds the sites 0, 2, ...
-of trajectory k, row k of plane 1 its sites 1, 3, ... (padded with a 0
-for odd L).  Flattened, site 2r sits at k R + r and its neighbours at
-k R + r - 1 and k R + r of the other plane, and so on for odd sites, so
-a slice updates one contiguous run of a plane against two of the other.
+(n_traj, R) per grid point, R = (L+3) // 2: row k of plane 0 holds the
+sites 0, 2, ... of trajectory k, row k of plane 1 its sites 1, 3, ...
+(padded with a 0 for odd L).  Flattened, site 2r sits at k R + r and
+its neighbours at k R + r - 1 and k R + r of the other plane, and so on
+for odd sites, so a slice updates one contiguous run of a plane against
+two of the other.
 The run also covers the walls, the frozen sites 1 and L and the seams
 between trajectories, whose action is 0 (below).  int16 holds every
 reachable height, since 0 <= h_i <= h_max = (L+2) // 2; `ensemble`
@@ -27,13 +28,13 @@ raw > ceil(s 2^53) 2^11 - 1, which at p = 1 is 2^64 - 1, above every
 word.  So the raw words of the same stream, in the same order, become
 one int8 table per block of 64 slices in the planes' layout: 2 (a valley
 here deposits), -2 (a peak here evaporates) or 0.  At L = 512 and
-n = 100 trajectories a range's table is 64 x 100 x 257 bytes, 1.6 MB,
-under one core's 2 MB L2.  Every trajectory draws the same words in the
-same order for any block size, so no output depends on it.  A site moves
-by its curvature hl + hr - 2h (2 at a valley, -2 at a peak, 0 on a
-slope) when that equals its action.  A peak at h = 1 then lands on -1,
-and taking the absolute value puts it back: that is the reflecting
-floor.  The color split is irrelevant to heights.
+n = 100 trajectories a range's table is 64 x 100 x 257 bytes per grid
+point, 1.6 MB, so one point's fits one core's 2 MB L2.  Every trajectory
+draws the same words in the same order for any block size, so no output
+depends on it.  A site moves by its curvature hl + hr - 2h (2 at a
+valley, -2 at a peak, 0 on a slope) when that equals its action.  A peak
+at h = 1 then lands on -1, and taking the absolute value puts it back:
+that is the reflecting floor.  The color split is irrelevant to heights.
 
 Observables.  After each slice, the updated plane's sums of h and h^2
 are taken per trajectory (for W) and per central site over the range
@@ -54,16 +55,15 @@ n_traj) operands, and every output is byte-identical, for any number of
 ranges.
 
 Grid points.  A trajectory's stream is keyed by (seed, k), not by p, so
-`ensemble(params, n, t, ps=[...])` serves every p of one L from one pass
-over the streams: per block each trajectory's raw words are drawn once
-and turned into one action table per p, with that p's bounds, and each p
-advances its own planes and moments over the block as a single point
-would.  A range streams one block per p and the caller reduces each p as
-above, so every p's series is byte-identical to its own single-point run.
-A pass holds as many points as fit in `_PASS_BYTES` of tables and planes
-per range (at least one; at L = 512 and 100 trajectories a point takes
-1.7 MB, so two fit); a longer p list takes further passes, each drawing
-the same streams again from their start.
+`ensemble(params, n, t, ps=[...])` serves every p of one L from one
+slice loop: the planes and the table stack the P points as P n
+point-major rows, so a p grid is just more trajectories, separated by
+the same zero-action seams.  Per block each trajectory's raw words are
+drawn once and compared with every p's bounds at once.  A range streams
+one block per p and the caller reduces each p as above, so every p's
+series is byte-identical to its own single-point run.  A range's table,
+planes and scratch grow with P (2.0 MB per point at L = 512 and 100
+trajectories).
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ from .params import ModelParams, _is_int
 from .surface import branch_probability, horizon_profile
 
 _BLOCK_SLICES = 64  # RNG is drawn in slice blocks of this even size per trajectory
-_PASS_BYTES = 4 << 20  # action tables and planes of the points one pass over a range serves
 _CHECK_EVERY = 4096  # slices between spot checks of the heights (the last slice is checked too)
 _SATURATION_WINDOW = 10.0  # saturation_time fits log W against log t over [t / this, t]
 _SATURATION_TOLERANCE = 0.05  # W saturates at the first t where that slope is below this
@@ -157,37 +156,40 @@ def _raw_bounds(p):
 
 
 def _site_major(planes, L):
-    """The (L+2, n) heights of the (2, n, R) parity planes, site by site."""
-    H = np.empty((L + 2, planes.shape[1]), dtype=np.int16)
-    H[0::2], H[1::2] = planes[0].T, planes[1, :, :(L + 2) // 2].T
+    """The (L+2, rows) heights of the (2, ..., R) parity planes, site by site."""
+    even, odd = planes.reshape(2, -1, planes.shape[-1])
+    H = np.empty((L + 2, len(even)), dtype=np.int16)
+    H[0::2], H[1::2] = even.T, odd[:, :(L + 2) // 2].T
     return H
 
 
-def _passes(ps, L, n):
-    """`ps` in consecutive runs, each as many points as one pass over a range
-    of n trajectories holds within _PASS_BYTES (at least one point)."""
-    point = n * ((L + 3) // 2) * (_BLOCK_SLICES + 4)  # its int8 table and int16 planes
-    size = max(1, _PASS_BYTES // point)
-    return [ps[i:i + size] for i in range(0, len(ps), size)]
+def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
+    """Run trajectories lo..hi-1 at every p of `ps` and yield one slice
+    block at a time: a list of one (w, site1, site2) block per p.
 
-
-def _point_blocks(L, table, t_max, hsq, curv, moves):
-    """Advance one point's trajectories through its action table and yield
-    one slice block at a time.
-
-    The caller writes each block's actions into `table`, shape
-    (_BLOCK_SLICES, n, R), before resuming the generator.  `hsq` (2, n, R),
-    `curv` and `moves` (n R - 1) are scratch, which the points of a pass
-    share since they advance in turn.  A block of b slices is (w, site1,
+    The P points are P n point-major rows of the (2, P, n, R) planes and
+    of one (_BLOCK_SLICES, P, n, R) int8 action table ("Grid points" in
+    the module docstring).  A block of b slices of one p is (w, site1,
     site2): the (b, n) spatial roughness of every trajectory and the
     (b, n_center) integer sums of h and h^2 per central site over the
-    range.  Every yielded array is new, so a queue may pickle it after the
-    next block has started.
+    range.  Every yielded array belongs to its block alone, so a queue may
+    pickle it after the next block has started.
     """
-    _, n, R = table.shape
+    L, P, n = params.L, len(ps), hi - lo
+    R = (L + 3) // 2  # columns of a plane: the even sites 0, 2, ..., L + 1 - L % 2
+    draws = len(range(2, L, 2))  # uniforms per trajectory and slice
+    deposit, evaporate = np.array([_raw_bounds(p) for p in ps], dtype=np.uint64).T[:, :, None, None]
     h0 = horizon_profile(L)
-    planes = np.zeros((2, n, R), dtype=np.int16)
-    planes[0], planes[1, :, :(L + 2) // 2] = h0[0::2], h0[1::2]
+    planes = np.zeros((2, P, n, R), dtype=np.int16)
+    planes[0], planes[1, ..., :(L + 2) // 2] = h0[0::2], h0[1::2]
+    table = np.zeros((_BLOCK_SLICES, P, n, R), dtype=np.int8)
+    # the table's draw columns, p first: a trajectory's words meet every p's
+    # bounds in (P, block, draws) compares that run over contiguous words
+    decided = table[..., 1:1 + draws].transpose(1, 0, 2, 3)
+    hsq = np.empty((2, P, n, R), dtype=np.int32 if max(R, n) * ((L + 2) // 2) ** 2 < 2 ** 31
+                   else np.int64)
+    curv = np.empty(P * n * R - 1, dtype=np.int16)
+    moves = np.empty(P * n * R - 1, dtype=bool)
     even, odd, flat = *planes.reshape(2, -1), table.reshape(_BLOCK_SLICES, -1)
     # (h, hl, hr, actions) of the even sites, updated by even slices j of a
     # block (blocks start at even t), and of the odd sites
@@ -199,23 +201,30 @@ def _point_blocks(L, table, t_max, hsq, curv, moves):
     center_parts = [(slice((c0 + 1 - par) // 2, (c1 + 1 - par) // 2),
                      slice((c0 - par) % 2, c1 - c0, 2)) for par in (0, 1)]
     # row j + 1 holds the moments after slice j: per trajectory the sums of
-    # h and h^2 over the plane that slice updated, and per central site the
-    # sums over the range; row 0 carries the previous block's last row
-    sums = np.empty((_BLOCK_SLICES + 1, 2, n), dtype=hsq.dtype)
-    site = [np.empty((_BLOCK_SLICES + 1, 2, len(range(c1 - c0)[pos])), dtype=hsq.dtype)
+    # h and h^2 over the plane that slice updated, and per point and central
+    # site the sums over the range; row 0 carries the previous block's last row
+    sums = np.empty((_BLOCK_SLICES + 1, 2, P, n), dtype=hsq.dtype)
+    site = [np.empty((_BLOCK_SLICES + 1, 2, P, len(range(c1 - c0)[pos])), dtype=hsq.dtype)
             for _, pos in center_parts]
 
     def measure(par, row):
         np.copyto(hsq[0], planes[par])
         np.multiply(hsq[0], hsq[0], out=hsq[1])
-        hsq.sum(axis=2, out=sums[row])
-        cols, pos = center_parts[par]
-        hsq[:, :, cols].sum(axis=1, out=site[par][row])
+        hsq.sum(axis=3, out=sums[row])
+        cols, _ = center_parts[par]
+        hsq[..., cols].sum(axis=2, out=site[par][row])
 
+    gens = _trajectory_generators(params, lo, hi)
     measure(0, 0)
     measure(1, 0)  # row 0 ends with the odd plane: slice 0 updates the even one
     for t in range(0, t_max, _BLOCK_SLICES):
         block = min(_BLOCK_SLICES, t_max - t)
+        for k, g in enumerate(gens):
+            raw = g.random_raw(block * draws).reshape(block, draws)
+            sign = np.subtract(raw < deposit, raw > evaporate, dtype=np.int8)
+            np.add(sign, sign, out=decided[:, :block, k])
+        if L % 2:  # an odd slice has one site fewer: its last uniform is unused
+            table[1:block:2, ..., draws] = 0
         for j in range(block):
             h, hl, hr, actions = views[j % 2]
             np.add(hl, hr, out=curv)
@@ -234,55 +243,23 @@ def _point_blocks(L, table, t_max, hsq, curv, moves):
         b = sums[1:rows].astype(np.int64)
         b += sums[:rows - 1]  # the other plane, as the slice before left it
         b -= h0[-1]  # site L + 1, 0 or 1 like its square; site 0 is 0
-        b1, b2 = b.transpose(1, 0, 2)
+        b1, b2 = b.transpose(1, 0, 2, 3)
         w = np.sqrt((L * b2 - b1 * b1) / (L * L))
-        moments = np.empty((2, block, c1 - c0), dtype=np.int64)
+        moments = np.empty((P, 2, block, c1 - c0), dtype=np.int64)
         for par, (_, pos) in enumerate(center_parts):
             # a slice of the other parity leaves this parity's row as it was
             site[par][2 - par:rows:2] = site[par][1 - par:rows - 1:2]
-            moments[:, :, pos] = site[par][1:rows].transpose(1, 0, 2)
+            moments[..., pos] = site[par][1:rows].transpose(2, 1, 0, 3)
             site[par][0] = site[par][block]
         sums[0] = sums[block]
-        yield w, *moments
+        yield [(w[:, i], *moments[i]) for i in range(P)]
 
 
-def _range_blocks(params: ModelParams, passes, lo, hi, t_max):
-    """Run trajectories lo..hi-1 at every p of `passes`, pass by pass, and
-    yield one slice block at a time: a list of one `_point_blocks` block
-    per p of the pass.
-
-    Each pass draws every trajectory's raw words once per block and turns
-    them into one action table per p of the pass.
-    """
-    L, n = params.L, hi - lo
-    R = (L + 3) // 2  # columns of a plane: the even sites 0, 2, ..., L + 1 - L % 2
-    draws = len(range(2, L, 2))  # uniforms per trajectory and slice
-    hsq = np.empty((2, n, R), dtype=np.int32 if max(R, n) * ((L + 2) // 2) ** 2 < 2 ** 31
-                   else np.int64)
-    curv = np.empty(n * R - 1, dtype=np.int16)
-    moves = np.empty(n * R - 1, dtype=bool)
-    for ps in passes:  # every pass draws the same streams from their start
-        gens = _trajectory_generators(params, lo, hi)
-        tables = np.zeros((len(ps), _BLOCK_SLICES, n, R), dtype=np.int8)
-        points = [_point_blocks(L, table, t_max, hsq, curv, moves) for table in tables]
-        decisions = [(table, *_raw_bounds(p)) for table, p in zip(tables, ps)]
-        for t in range(0, t_max, _BLOCK_SLICES):
-            block = min(_BLOCK_SLICES, t_max - t)
-            for k, g in enumerate(gens):
-                raw = g.random_raw(block * draws).reshape(block, draws)
-                for table, deposit, evaporate in decisions:
-                    sign = np.subtract(raw < deposit, raw > evaporate, dtype=np.int8)
-                    np.add(sign, sign, out=table[:block, k, 1:1 + draws])
-            if L % 2:  # an odd slice has one site fewer: its last uniform is unused
-                tables[:, 1:block:2, :, draws] = 0
-            yield [next(point) for point in points]
-
-
-def _stream_range(q, params, passes, lo, hi, t_max):
+def _stream_range(q, params, ps, lo, hi, t_max):
     """Worker body: put every block of trajectories lo..hi-1 on the queue,
     or the exception that stopped them."""
     try:
-        for block in _range_blocks(params, passes, lo, hi, t_max):
+        for block in _range_blocks(params, ps, lo, hi, t_max):
             q.put(block)
     except Exception as exc:  # the parent raises it
         q.put(exc)
@@ -291,19 +268,15 @@ def _stream_range(q, params, passes, lo, hi, t_max):
 def _received_blocks(q, proc):
     """The blocks a worker puts on its queue; raises what the worker raised,
     or RuntimeError if it exits before its last block."""
-    from queue import Empty
+    from multiprocessing.connection import wait
 
     while True:
-        try:
-            item = q.get(timeout=1.0)
-        except Empty:
-            if proc.is_alive():
-                continue
-            try:  # an exited worker has flushed all it put
-                item = q.get_nowait()
-            except Empty:
-                raise RuntimeError(f"trajectory worker exited with code {proc.exitcode} "
-                                   "before its last slice block") from None
+        wait([q._reader, proc.sentinel])  # an item, or the worker's exit
+        if not q._reader.poll():  # an exited worker has flushed all it put
+            proc.join()
+            raise RuntimeError(f"trajectory worker exited with code {proc.exitcode} "
+                               "before its last slice block")
+        item = q.get()
         if isinstance(item, Exception):
             raise item
         yield item
@@ -311,15 +284,14 @@ def _received_blocks(q, proc):
 
 @contextmanager
 def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
-    """(block streams of contiguous trajectory ranges in trajectory order,
-    the passes over `ps` that each stream makes).
+    """Block streams of contiguous trajectory ranges in trajectory order,
+    each over every p of `ps`.
 
     There is one range per CPU in the affinity mask, at most `n_traj`.
     The caller runs range 0 itself; each other range runs in a
     fork-started worker that streams its blocks through a queue.  The
     workers are joined on exit, and terminated first if the caller
-    raises.  One range, or no `fork` start method, runs inline.  The
-    passes are sized for the largest range.
+    raises.  One range, or no `fork` start method, runs inline.
     """
     ranges = min(_cpu_count(), n_traj)
     if ranges > 1:
@@ -328,8 +300,7 @@ def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
         if "fork" not in multiprocessing.get_all_start_methods():
             ranges = 1
     bounds = [n_traj * r // ranges for r in range(ranges + 1)]
-    passes = _passes(ps, params.L, -(-n_traj // ranges))
-    streams = [_range_blocks(params, passes, 0, bounds[1], t_max)]
+    streams = [_range_blocks(params, ps, 0, bounds[1], t_max)]
     procs = []
     try:
         if ranges > 1:
@@ -337,11 +308,11 @@ def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 q = ctx.Queue()
                 proc = ctx.Process(target=_stream_range, daemon=True,
-                                   args=(q, params, passes, lo, hi, t_max))
+                                   args=(q, params, ps, lo, hi, t_max))
                 proc.start()
                 procs.append(proc)
                 streams.append(_received_blocks(q, proc))
-        yield streams, passes
+        yield streams
     except BaseException:
         for proc in procs:
             proc.terminate()
@@ -354,9 +325,9 @@ def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
 def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
     """Trajectory-mean W(t) and midpoint height with standard errors.
 
-    With `ps`, a list of p values, it returns a list of one series per p,
-    each that of `params.with_(p=p)`, from shared draws ("Grid points" in
-    the module docstring); `params.p` is then not read.
+    With `ps`, a non-empty list of p values, it returns a list of one
+    series per p, each that of `params.with_(p=p)`, from shared draws
+    ("Grid points" in the module docstring); `params.p` is then not read.
     """
     if not all(_is_int(v) and v >= 1 for v in (n_traj, t_max)):
         raise InvalidParameterError("n_traj and t_max must be integers >= 1, "
@@ -364,29 +335,28 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
     if params.boundary_mode != "reflecting":
         raise InvalidParameterError("free dynamics runs in reflecting mode")
     points = [params] if ps is None else [params.with_(p=p) for p in ps]
+    if not points:
+        raise InvalidParameterError("ps must hold at least one p value")
     _check_capacity(params.L, n_traj)
     n = n_traj
     mid = (params.L + 1) // 2 - (params.L // 3 + 1)  # the mid site among the central sites
     totals = np.zeros((len(points), 5, t_max))  # per point: W_sum, W_sq, mid_sum, mid_sq, W_fluct
-    with _trajectory_ranges(params, [q.p for q in points], n, t_max) as (streams, passes):
-        done = 0
-        for pass_ps in passes:
-            for t in range(0, t_max, _BLOCK_SLICES):
-                # per point of the pass: its block from every range
-                blocks = zip(*(next(stream) for stream in streams))
-                for (W_sum, W_sq, mid_sum, mid_sq, W_fluct), point in zip(totals[done:], blocks):
-                    ws, site1, site2 = zip(*point)
-                    # columns in trajectory order, integer partials added exactly: the
-                    # float reduction below sees the same (block, n) operands for any split
-                    w = np.concatenate(ws, axis=1)
-                    site1, site2 = sum(site1), sum(site2)
-                    rows = slice(t, t + len(w))
-                    W_sum[rows], W_sq[rows] = w.sum(axis=1), (w * w).sum(axis=1)
-                    mid_sum[rows], mid_sq[rows] = site1[:, mid], site2[:, mid]
-                    if n > 1:
-                        var = (n * site2 - site1 ** 2) / (n * (n - 1))
-                        W_fluct[rows] = np.sqrt(var.mean(axis=1))
-            done += len(pass_ps)
+    with _trajectory_ranges(params, [q.p for q in points], n, t_max) as streams:
+        for t in range(0, t_max, _BLOCK_SLICES):
+            # per point: its block from every range
+            blocks = zip(*(next(stream) for stream in streams))
+            for (W_sum, W_sq, mid_sum, mid_sq, W_fluct), point in zip(totals, blocks):
+                ws, site1, site2 = zip(*point)
+                # columns in trajectory order, integer partials added exactly: the
+                # float reduction below sees the same (block, n) operands for any split
+                w = np.concatenate(ws, axis=1)
+                site1, site2 = sum(site1), sum(site2)
+                rows = slice(t, t + len(w))
+                W_sum[rows], W_sq[rows] = w.sum(axis=1), (w * w).sum(axis=1)
+                mid_sum[rows], mid_sq[rows] = site1[:, mid], site2[:, mid]
+                if n > 1:
+                    var = (n * site2 - site1 ** 2) / (n * (n - 1))
+                    W_fluct[rows] = np.sqrt(var.mean(axis=1))
         ranges = len(streams)
 
     def stderr(sq, mean):

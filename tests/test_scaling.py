@@ -161,32 +161,33 @@ def test_grouped_pass_matches_single_points(monkeypatch, L):
     assert multiprocessing.active_children() == []
 
 
-def test_pass_budget_bounds_the_working_set(monkeypatch):
-    # a pass holds as many points as fit the budget, and a run that takes
-    # several passes draws the streams once per pass with the same results
-    L, n = 33, 6
-    point = n * ((L + 3) // 2) * (scaling._BLOCK_SLICES + 4)
-    for count in range(1, 12):
-        ps = [k / 10 for k in range(count)]
-        passes = scaling._passes(ps, L, n)
-        assert sum(passes, []) == ps
-        assert all(len(run) * point <= scaling._PASS_BYTES for run in passes)
-    assert scaling._passes([0.5], L, 10 ** 6) == [[0.5]]  # one point always runs
-
+def test_grid_draws_each_stream_once_per_range(monkeypatch):
+    # five p values run as extra rows of one slice loop: each range builds
+    # its trajectories' generators once, however many p, with the bytes of
+    # the single-point runs
+    L, n, t_max = 33, 6, 150
     ps = [0.1, 0.3, 0.5, 0.7, 0.9]
     params = ModelParams(L=L, p=0.5, seed=2)
-    singles = [ensemble(params.with_(p=p), n, 150) for p in ps]
-    drawn = []
+    singles = [ensemble(params.with_(p=p), n, t_max) for p in ps]
     generators = scaling._trajectory_generators
-    monkeypatch.setattr(scaling, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(scaling, "_trajectory_generators",
-                        lambda *args: drawn.append(args) or generators(*args))
-    monkeypatch.setattr(scaling, "_PASS_BYTES", 2 * point)
-    grouped = ensemble(params, n, 150, ps=ps)
-    assert len(drawn) == 3  # passes of 2, 2 and 1 points
-    for run, single in zip(grouped, singles):
-        for name in _SERIES_ARRAYS:
-            assert getattr(run, name).tobytes() == getattr(single, name).tobytes(), name
+    drawn = multiprocessing.get_context("fork").Value("i", 0)  # shared with the workers
+
+    def counting(*args):
+        with drawn.get_lock():
+            drawn.value += 1
+        return generators(*args)
+
+    monkeypatch.setattr(scaling, "_trajectory_generators", counting)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(scaling, "_cpu_count", lambda: workers)
+        drawn.value = 0
+        grouped = ensemble(params, n, t_max, ps=ps)
+        assert drawn.value == workers
+        for run, single in zip(grouped, singles):
+            for name in _SERIES_ARRAYS:
+                assert getattr(run, name).tobytes() == getattr(single, name).tobytes(), \
+                    (workers, run.params.p, name)
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
@@ -215,9 +216,10 @@ def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
             os._exit(3)
 
     monkeypatch.setattr(scaling, "_spot_check", exiting_worker)
-    with pytest.raises(RuntimeError, match="exited with code 3"):
-        ensemble(params, 6, 300)
-    assert multiprocessing.active_children() == []
+    for ps in (None, [0.2, 0.5, 0.9]):
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            ensemble(params, 6, 300, ps=ps)
+        assert multiprocessing.active_children() == []
 
 
 def _exact_means(params, t_max):
@@ -391,6 +393,8 @@ def test_capacity_guard_before_allocation(monkeypatch):
     for n_traj, t_max in ((4, -3), (4, 0), (0, 10), (4.0, 10), (True, 10), (4, 10.0)):
         with pytest.raises(InvalidParameterError, match="integers >= 1"):
             ensemble(ModelParams(L=5, p=0.5), n_traj, t_max)
+    with pytest.raises(InvalidParameterError, match="at least one p"):
+        ensemble(ModelParams(L=5, p=0.5), 4, 10, ps=[])
 
 
 @pytest.mark.parametrize("p", [0.0, 0.15, 0.3, 0.5, 1.0])
