@@ -8,7 +8,6 @@ from .surface import (
 )
 from .codec import (
     LatticeConfig,
-    colored_area,
     key_to_config,
 )
 from .exact import (

@@ -164,10 +164,9 @@ def _run_scaling(manifest, outdir, meta):
             params = series.params
             meta["trajectory_ranges"].append({"L": params.L, "p": params.p,
                                               "ranges": series.ranges})
-            rows = [(int(t), w, ws, m, ms, f, series.n_samples)
-                    for t, w, ws, m, ms, f in zip(series.times, series.W, series.W_stderr,
-                                                  series.mid_height, series.mid_stderr,
-                                                  series.W_fluct)]
+            columns = (series.times, series.W, series.W_stderr, series.mid_height,
+                       series.mid_stderr, series.W_fluct)
+            rows = [(*row, series.n_samples) for row in zip(*(c.tolist() for c in columns))]
             path = outdir / f"scaling_L{params.L}_p{params.p}.csv"
             _write_csv(path, ["t", "W_mean", "W_stderr", "mid_mean", "mid_stderr",
                               "W_fluct", "n"], rows)
@@ -314,6 +313,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         manifest = load_manifest(args.manifest) if args.manifest else {}
+        if manifest.get("experiment", args.experiment) != args.experiment:
+            raise InvalidParameterError(f"manifest {args.manifest} is for experiment "
+                                        f"{manifest['experiment']!r}, not {args.experiment!r}")
         manifest.update((key, value) for key, value in vars(args).items()
                         if value is not None and key != "manifest")
         paths, code = run_experiment(manifest)

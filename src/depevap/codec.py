@@ -74,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecodeError, EncodeError, InvalidParameterError
+from .errors import DecodeError, EncodeError
 from .params import ModelParams
 from .surface import COLOR_NONE
 
@@ -228,18 +228,6 @@ def profiles_to_heights(profiles, L) -> np.ndarray:
     H = np.zeros((len(profiles), L + 2, L + 2), dtype=profiles.dtype)
     H[:, lat.zig_t, lat.zig_i] = profiles
     return H
-
-
-def colored_area(profile) -> tuple[int, int]:
-    """Blocks above the horizon under a profile, and the pair count A/2: the exported
-    one-profile form of the area that `entropy.midcut_distribution` sums in bulk."""
-    profile = np.asarray(profile)
-    L = len(profile) - 2
-    horizon = np.arange(L + 2) % 2
-    A = int(np.sum(profile[1:L + 1] - horizon[1:L + 1]))
-    if A < 0 or A % 2 != 0:
-        raise InvalidParameterError(f"colored area must be even and nonnegative, got {A}")
-    return A, A // 2
 
 
 # ---------------------------------------------------------------------------

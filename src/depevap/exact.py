@@ -14,8 +14,8 @@ bit-stack per site (the pairs deposited there and not yet evaporated),
 the colors of its vertices so far and its weight.  Slice t + 1 expands
 all rows at once.  Each eligible site classifies every row into an
 event-table label (shape, reflecting floor) and keeps the branches of
-that label that stay at h >= 0 in absorbing mode and, for bridges, can
-still return to the horizon (`within_reach`, site by site);
+that label that stay at h >= 0 in absorbing mode and can still return
+to the horizon (`within_reach`, site by site);
 `expand_frontier` then repeats every row once per combination of kept
 branches.  Children come out parent-major with each site's branches in
 table order, so the rows are in the order of a depth-first recursion
@@ -176,15 +176,12 @@ class Bridges:
         return len(self.weights)
 
 
-def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES,
-                     bridge: bool = True) -> Bridges:
+def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges:
     """All bridge trajectories with their exact weights.
 
-    With bridge=False the final horizon condition (and its lookahead
-    pruning) is dropped; in reflecting mode the weights of that full set
-    sum to 1 exactly.  `max_nodes` bounds the nodes of the trajectory
-    tree, the root and every trajectory alive after each slice; it is
-    checked before a slice is expanded.
+    `max_nodes` bounds the nodes of the trajectory tree, the root and
+    every trajectory alive after each slice; it is checked before a
+    slice is expanded.
     """
     params.require_odd_L()
     L = params.L
@@ -212,9 +209,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES,
             keep = table["valid"][labels[i]]
             if not reflecting:
                 keep &= new_h >= 0  # eager post-selection
-            if bridge:
-                keep &= within_reach(new_h, i, t, L)
-            keeps.append(keep)
+            keeps.append(keep & within_reach(new_h, i, t, L))
         rows, choices = expand_frontier(keeps, len(prof), max_nodes - visited, overflow)
         visited += len(rows)
         profiles, stacks, colors, weights = profiles[rows], stacks[rows], colors[rows], weights[rows]
@@ -234,7 +229,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES,
         for i in frozen:
             base = base * no_change[labels[i][rows]]
         weights = weights * (w * base)
-    # for bridges, the horizon bound after slice L leaves only rows at the horizon
+    # the horizon bound after slice L leaves only rows at the horizon
     return Bridges(heights=profiles_to_heights(profiles, L), colors=colors, weights=weights)
 
 

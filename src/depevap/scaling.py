@@ -60,8 +60,9 @@ slice loop: the planes and the table stack the P points as P n
 point-major rows, so a p grid is just more trajectories, separated by
 the same zero-action seams.  Per block each trajectory's raw words are
 drawn once and compared with every p's bounds at once.  A range streams
-one block per p and the caller reduces each p as above, so every p's
-series is byte-identical to its own single-point run.  A range's table,
+each block with a leading p axis and the caller reduces every p as
+above in one pass over the last axis, so every p's series is
+byte-identical to its own single-point run.  A range's table,
 planes and scratch grow with P (2.0 MB per point at L = 512 and 100
 trajectories).
 """
@@ -165,15 +166,15 @@ def _site_major(planes, L):
 
 def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
     """Run trajectories lo..hi-1 at every p of `ps` and yield one slice
-    block at a time: a list of one (w, site1, site2) block per p.
+    block at a time as (w, site1, site2).
 
     The P points are P n point-major rows of the (2, P, n, R) planes and
     of one (_BLOCK_SLICES, P, n, R) int8 action table ("Grid points" in
-    the module docstring).  A block of b slices of one p is (w, site1,
-    site2): the (b, n) spatial roughness of every trajectory and the
-    (b, n_center) integer sums of h and h^2 per central site over the
-    range.  Every yielded array belongs to its block alone, so a queue may
-    pickle it after the next block has started.
+    the module docstring).  A block of b slices is the (P, b, n) spatial
+    roughness of every trajectory and the (P, b, n_center) integer sums of
+    h and h^2 per central site over the range.  Every yielded array
+    belongs to its block alone, so a queue may pickle it after the next
+    block has started.
     """
     L, P, n = params.L, len(ps), hi - lo
     R = (L + 3) // 2  # columns of a plane: the even sites 0, 2, ..., L + 1 - L % 2
@@ -240,19 +241,19 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
         if t + block == t_max:
             _spot_check(_site_major(planes, L), L)
         rows = block + 1
-        b = sums[1:rows].astype(np.int64)
-        b += sums[:rows - 1]  # the other plane, as the slice before left it
+        b = sums[1:rows].transpose(1, 2, 0, 3).astype(np.int64, order="C")
+        b += sums[:rows - 1].transpose(1, 2, 0, 3)  # the other plane, as the slice before left it
         b -= h0[-1]  # site L + 1, 0 or 1 like its square; site 0 is 0
-        b1, b2 = b.transpose(1, 0, 2, 3)
+        b1, b2 = b
         w = np.sqrt((L * b2 - b1 * b1) / (L * L))
-        moments = np.empty((P, 2, block, c1 - c0), dtype=np.int64)
+        moments = np.empty((2, P, block, c1 - c0), dtype=np.int64)
         for par, (_, pos) in enumerate(center_parts):
             # a slice of the other parity leaves this parity's row as it was
             site[par][2 - par:rows:2] = site[par][1 - par:rows - 1:2]
-            moments[..., pos] = site[par][1:rows].transpose(2, 1, 0, 3)
+            moments[..., pos] = site[par][1:rows].transpose(1, 2, 0, 3)
             site[par][0] = site[par][block]
         sums[0] = sums[block]
-        yield [(w[:, i], *moments[i]) for i in range(P)]
+        yield (w, *moments)
 
 
 def _stream_range(q, params, ps, lo, hi, t_max):
@@ -340,39 +341,35 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
     _check_capacity(params.L, n_traj)
     n = n_traj
     mid = (params.L + 1) // 2 - (params.L // 3 + 1)  # the mid site among the central sites
-    totals = np.zeros((len(points), 5, t_max))  # per point: W_sum, W_sq, mid_sum, mid_sq, W_fluct
+    # per point (rows) and slice (columns)
+    W_sum, W_sq, mid_sum, mid_sq, W_fluct = np.zeros((5, len(points), t_max))
     with _trajectory_ranges(params, [q.p for q in points], n, t_max) as streams:
         for t in range(0, t_max, _BLOCK_SLICES):
-            # per point: its block from every range
-            blocks = zip(*(next(stream) for stream in streams))
-            for (W_sum, W_sq, mid_sum, mid_sq, W_fluct), point in zip(totals, blocks):
-                ws, site1, site2 = zip(*point)
-                # columns in trajectory order, integer partials added exactly: the
-                # float reduction below sees the same (block, n) operands for any split
-                w = np.concatenate(ws, axis=1)
-                site1, site2 = sum(site1), sum(site2)
-                rows = slice(t, t + len(w))
-                W_sum[rows], W_sq[rows] = w.sum(axis=1), (w * w).sum(axis=1)
-                mid_sum[rows], mid_sq[rows] = site1[:, mid], site2[:, mid]
-                if n > 1:
-                    var = (n * site2 - site1 ** 2) / (n * (n - 1))
-                    W_fluct[rows] = np.sqrt(var.mean(axis=1))
+            ws, site1, site2 = zip(*(next(stream) for stream in streams))
+            # trajectories in order, integer partials added exactly: every float
+            # reduction over the last axis sees the same (block, n) rows for any split
+            w = np.concatenate(ws, axis=2)
+            site1, site2 = sum(site1), sum(site2)
+            rows = slice(t, t + w.shape[1])
+            W_sum[:, rows], W_sq[:, rows] = w.sum(axis=2), (w * w).sum(axis=2)
+            mid_sum[:, rows], mid_sq[:, rows] = site1[..., mid], site2[..., mid]
+            if n > 1:
+                var = (n * site2 - site1 ** 2) / (n * (n - 1))
+                W_fluct[:, rows] = np.sqrt(var.mean(axis=2))
         ranges = len(streams)
 
     def stderr(sq, mean):
         if n < 2:
-            return np.zeros(t_max)
+            return np.zeros_like(mean)
         var = np.maximum(sq / n - mean ** 2, 0.0) * n / (n - 1)
         return np.sqrt(var / n)
 
-    series = []
-    for point, (W_sum, W_sq, mid_sum, mid_sq, W_fluct) in zip(points, totals):
-        W_mean = W_sum / n
-        mid_mean = mid_sum / n
-        series.append(ObservableSeries(
-            times=np.arange(1, t_max + 1), W=W_mean, W_stderr=stderr(W_sq, W_mean),
-            mid_height=mid_mean, mid_stderr=stderr(mid_sq, mid_mean),
-            W_fluct=W_fluct, n_samples=n, params=point, ranges=ranges))
+    W, mid = W_sum / n, mid_sum / n
+    W_err, mid_err = stderr(W_sq, W), stderr(mid_sq, mid)
+    series = [ObservableSeries(times=np.arange(1, t_max + 1), W=W[k], W_stderr=W_err[k],
+                               mid_height=mid[k], mid_stderr=mid_err[k], W_fluct=W_fluct[k],
+                               n_samples=n, params=point, ranges=ranges)
+              for k, point in enumerate(points)]
     return series[0] if ps is None else series
 
 

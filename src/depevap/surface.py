@@ -27,7 +27,6 @@ import functools
 import numpy as np
 
 from .errors import InvalidParameterError
-from .params import ModelParams
 
 COLOR_NONE = 0
 COLOR_R = 1
@@ -86,21 +85,6 @@ def branch_probability(shape: str, delta: int, p: float) -> float:
         if d == delta:
             return prob
     raise InvalidParameterError(f"a {shape} cannot move by {delta}")
-
-
-def site_branches(h, hl, hr, params: ModelParams):
-    """Trajectory branches (new_h, kind, color, prob) of a site at height h between hl and hr.
-
-    The no-change branch is last, so `[-1][3]` is the weight of a site
-    that stays put, e.g. a frozen boundary site.  In absorbing mode a
-    peak at h = 1 keeps (1+p)/2: its evaporation branch would go below 0
-    and is post-selected away.  src reads `event_table` by slice; this
-    view is kept for the independent bridge enumeration in
-    tests/bridge_reference.py.
-    """
-    floor = params.boundary_mode == "reflecting" and h <= 1
-    table = event_table(local_shape(hl - h, hr - h), floor, params.p, params.colored)
-    return [(h + d, kind, color, prob) for d, kind, color, prob in table]
 
 
 def slice_sites(L: int, t: int) -> list[int]:

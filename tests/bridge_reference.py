@@ -1,11 +1,14 @@
 """Depth-first bridge enumeration: the reference for `exact.enumerate_bridge`.
 
+`site_branches` lists one site's branches from `surface.event_table`.
 `slice_outcomes` yields every joint branch of one update slice, site by
 site in table order, and `enumerate_bridge` recurses over the slices,
 resolving each evaporation's color from per-site stacks.  The array
 frontier in `depevap.exact` must reproduce its heights, colors, weights
-(bit for bit), order and node count.  `trajectory_weight` recomputes a
-record's weight from its events.
+(bit for bit), order and node count.  With bridge=False the recursion
+keeps every trajectory, not only those back at the horizon; in
+reflecting mode their weights sum to 1.  `trajectory_weight` recomputes
+a record's weight from its events.
 """
 
 from __future__ import annotations
@@ -16,7 +19,22 @@ from depevap.codec import TrajectoryRecord, vertex_sites
 from depevap.errors import CapacityError, EncodeError
 from depevap.exact import MAX_NODES
 from depevap.params import ModelParams
-from depevap.surface import COLOR_NONE, horizon_profile, site_branches
+from depevap.surface import COLOR_NONE, event_table, horizon_profile, local_shape
+
+
+def site_branches(h, hl, hr, params: ModelParams):
+    """Trajectory branches (new_h, kind, color, prob) of a site at height h between hl and hr.
+
+    The no-change branch is last, so `[-1][3]` is the weight of a site
+    that stays put, e.g. a frozen boundary site.  In absorbing mode a
+    peak at h = 1 keeps (1+p)/2: its evaporation branch would go below 0
+    and is post-selected away.  src reads `event_table` by slice; this
+    view is kept for the independent bridge enumeration in
+    tests/bridge_reference.py.
+    """
+    floor = params.boundary_mode == "reflecting" and h <= 1
+    table = event_table(local_shape(hl - h, hr - h), floor, params.p, params.colored)
+    return [(h + d, kind, color, prob) for d, kind, color, prob in table]
 
 
 def _remaining_updates(L, i, t):

@@ -74,6 +74,15 @@ def test_capacity_partial_exit(tmp_path):
     assert "nan" in table  # the L=7 point is reported, not fatal
 
 
+def test_hamiltonian_capacity_exit(tmp_path):
+    out = tmp_path / "run"
+    assert main(["hamiltonian-check", "--L", "5", "--p", "0.5", "--uncolored",
+                 "--max-nodes", "5", "--out", str(out)]) == 2
+    assert (out / "hamiltonian_residuals.csv").read_text().splitlines()[1:] == [
+        "5,0.5,-1,capacity,,nan"]
+    assert (out / "hamiltonian_spectrum.csv").read_text() == "L,p,index,eigenvalue\n"
+
+
 def test_main_cli(tmp_path):
     out = tmp_path / "run"
     code = main(["dp-entropy", "--L", "5", "--L", "7", "--p", "0.5",
@@ -301,6 +310,9 @@ def test_traced_spans_cover_the_cli_calls(tmp_path):
     ["dp-entropy", 5],  # a manifest file that is not a JSON object
     ["dp-entropy", None],
     ["scaling", {"L": 16, "samples": 2, "tmax": 500, "seed": 2 ** 64}],  # past a Philox key word
+    ["dp-entropy", {"experiment": "phase-sweep", "L": [5], "p": [0.5]}],  # another experiment
+    ["scaling", "--L", "16", "--p", "0.5", "--samples", "2", "--tmax", "500",
+     "--mode", "absorbing"],
 ])
 def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
     out = tmp_path / "run"
@@ -313,6 +325,15 @@ def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
         args = [args[0], "--manifest", str(path)]
     assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_manifest_without_experiment_is_an_error(tmp_path, capsys):
+    # the harness above adds the experiment to every manifest it writes
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"L": [5], "p": [0.5]}))
+    assert main(["dp-entropy", "--manifest", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: manifest lacks an 'experiment' entry\n"
     assert not list(tmp_path.rglob("*.csv"))
 
 

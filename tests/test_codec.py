@@ -8,7 +8,6 @@ from depevap.codec import (
     KINDS,
     LatticeConfig,
     canonical_key,
-    colored_area,
     decode_config,
     decode_keys,
     encode_trajectory,
@@ -145,30 +144,6 @@ def test_zigzag_profiles():
         assert prof[0].tolist() == horizon_profile(3).tolist()
         raised = traj.events[(2, 1)][0] == "deposit"
         assert prof[1].tolist() == ([0, 1, 2, 1, 0] if raised else [0, 1, 0, 1, 0])
-
-
-def test_colored_area_examples():
-    assert colored_area([0, 1, 0, 1, 0]) == (0, 0)
-    assert colored_area([0, 1, 2, 1, 0]) == (2, 1)
-    assert colored_area([0, 1, 2, 3, 2, 1, 0]) == (6, 3)
-
-
-def test_colored_area_matches_stack_replay():
-    # area parity and equality with the pending-pair count from replaying events
-    params = ModelParams(L=5, p=0.7, colored=True)
-    trajs = [traj for traj, _ in bridge_records(params)]
-    decoded = decode_keys([canonical_key(encode_trajectory(t, params)) for t in trajs], params)
-    for traj, profiles in zip(trajs, decoded.profiles):
-        for cut, prof in enumerate(profiles):
-            A, n_pairs = colored_area(prof)
-            assert A % 2 == 0
-            pending = 0
-            for t in range(1, cut + 1):
-                for i in range(1, 6):
-                    if (i + t) % 2 == 1:
-                        kind = traj.events[(i, t)][0]
-                        pending += {"deposit": 1, "evaporate": -1}.get(kind, 0)
-            assert n_pairs == pending
 
 
 def test_key_errors():

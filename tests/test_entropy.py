@@ -154,6 +154,17 @@ def test_schmidt_rejects_unnormalized(l3_state_reflecting):
         schmidt_spectrum(bad, 1)
 
 
+def test_cut_row_outside_the_lattice_is_rejected():
+    # the CLI rejects these cuts before either function is called
+    params = ModelParams(L=5, p=0.5)
+    state = build_state(params)
+    for cut in (0, 5):
+        with pytest.raises(InvalidParameterError, match=r"cut_row must lie in 1\.\.4"):
+            midcut_distribution(params, cut)
+        with pytest.raises(InvalidParameterError, match=r"cut_row must lie in 1\.\.4"):
+            schmidt_spectrum(state, cut)
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError, match="L=9 has 42 .* cap of 2"):
         midcut_distribution(ModelParams(L=9, p=0.5), 4, max_profiles=2)

@@ -18,6 +18,7 @@ from depevap.exact import (
     save_state,
     success_probability,
 )
+from depevap.surface import horizon_profile
 
 
 def test_l3_p0_single_trajectory():
@@ -64,7 +65,7 @@ def test_reflecting_completeness():
     for L in (3, 5):
         for p in (0.3, 0.8):
             params = ModelParams(L=L, p=p, boundary_mode="reflecting", colored=True)
-            total = math.fsum(enumerate_bridge(params, bridge=False).weights.tolist())
+            total = math.fsum(w for _, w in reference_enumerate_bridge(params, bridge=False)[0])
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -121,18 +122,25 @@ def test_capacity_guard():
 
 def _assert_matches_recursion(params, bridge=True):
     # same heights, vertex colors, weights (bit for bit) and order as the
-    # depth-first recursion, and the same node count at the capacity guard;
-    # event kinds are a function of the heights
-    got = enumerate_bridge(params, bridge=bridge)
+    # depth-first recursion, and with its pruning the same node count at the
+    # capacity guard; event kinds are a function of the heights.  Without
+    # pruning the recursion's trajectories back at the horizon must be the
+    # same bridges: the lookahead loses none and reorders none.
+    got = enumerate_bridge(params)
     want, visited = reference_enumerate_bridge(params, bridge=bridge)
-    vertices = vertex_sites(params.L)
+    L = params.L
+    # rows L and L + 1 of a history hold complementary sites of the last profile
+    want = [(ref, w) for ref, w in want
+            if (ref.heights[L] + ref.heights[L + 1]).tolist() == horizon_profile(L).tolist()]
+    vertices = vertex_sites(L)
     assert len(got) == len(want)
     assert got.weights.tolist() == [w for _, w in want]
     assert np.array_equal(got.heights, np.stack([ref.heights for ref, _ in want]))
     assert got.colors.tolist() == [[ref.events[v][1] for v in vertices] for ref, _ in want]
-    assert len(enumerate_bridge(params, max_nodes=visited, bridge=bridge)) == len(want)
-    with pytest.raises(CapacityError):
-        enumerate_bridge(params, max_nodes=visited - 1, bridge=bridge)
+    if bridge:
+        assert len(enumerate_bridge(params, max_nodes=visited)) == len(want)
+        with pytest.raises(CapacityError):
+            enumerate_bridge(params, max_nodes=visited - 1)
 
 
 @pytest.mark.parametrize("bridge", [True, False])
