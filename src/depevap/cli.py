@@ -100,6 +100,9 @@ def normalize_manifest(data: dict) -> dict:
         if cut is not None and (type(cut) is not int or not 1 <= cut <= L - 1):
             raise InvalidParameterError(f"cut_row must lie in 1..{L - 1} for L={L}, got {cut!r}")
     out["p"] = [float(p) for p in out["p"]]  # an integer p writes what --p writes: 1.0, not 1
+    for key in ("L", "p"):  # a repeated point would run, and be fitted, twice
+        if len(set(out[key])) < len(out[key]):
+            raise InvalidParameterError(f"{key} repeats a value: {out[key]!r}")
     return out
 
 

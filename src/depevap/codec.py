@@ -48,10 +48,10 @@ as (N, sites) value matrices in `site_order`.  Spin row y holds the
 up/down steps of the zigzag profile after update slice y (the
 plaquettes of time rows y and y + 1, alternating along the row), so
 
-* `profiles_to_heights` scatters stacks of zigzag profiles into height
-  histories, `heights_to_spins` reads those as row diffs, and
-  `pack_values` packs values with `np.packbits(...,
-  bitorder="little")` and 2-bit color codes;
+* `profiles_to_spins` reads stacks of zigzag profiles, the history
+  shape of every bulk builder, as row diffs, and `pack_values` packs
+  values with `np.packbits(..., bitorder="little")` and 2-bit color
+  codes;
 * `unpack_keys` inverts the packing, and `decode_keys` rebuilds every
   zigzag profile as a cumulative sum of signed spins along its row.  It
   checks Gauss's law at every vertex, the pinned boundary spins and the
@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import DecodeError, EncodeError
 from .params import ModelParams
-from .surface import COLOR_NONE
+from .surface import COLOR_NONE, horizon_profile
 
 UP = 1
 DOWN = 0
@@ -193,7 +193,8 @@ def encode_trajectory(traj: TrajectoryRecord, params: ModelParams) -> LatticeCon
     """Spins from height differences, colors from events; validates the bridge."""
     params.require_odd_L()
     L = params.L
-    values = heights_to_spins(np.asarray(traj.heights)[None], L)
+    lat = _lattice(L)
+    values = profiles_to_spins(np.asarray(traj.heights)[lat.zig_t, lat.zig_i][None], L)
     if params.colored:
         colors = [COLOR_NONE if kind == "no_change" else color
                   for kind, color in (traj.events.get(v, _NO_EVENT) for v in vertex_sites(L))]
@@ -253,23 +254,21 @@ def site_order(L, colored):
     return sites
 
 
-def heights_to_spins(heights, L) -> np.ndarray:
-    """Spin values (N, (L+1)**2) uint8 of height histories (N, L+2, L+2).
+def profiles_to_spins(profiles, L) -> np.ndarray:
+    """Spin values (N, (L+1)**2) uint8 of zigzag profile stacks (N, L+1, L+2).
 
-    Raises EncodeError unless every history starts and ends at the
-    horizon and every spin joins plaquettes one unit apart.
+    Raises EncodeError unless every stack starts and ends at the horizon
+    (rows 0 and L) and every spin joins plaquettes one unit apart.
     """
-    H = np.asarray(heights)
-    if ((H[:, 0, 0::2] != 0).any() or (H[:, L + 1, 0::2] != 0).any()
-            or (H[:, 1, 1::2] != 1).any() or (H[:, L, 1::2] != 1).any()):
+    profiles = np.asarray(profiles)
+    if (profiles[:, [0, L]] != horizon_profile(L)).any():
         raise EncodeError("trajectory does not start and end at the horizon")
-    lat = _lattice(L)
-    dh = np.diff(H[:, lat.zig_t, lat.zig_i], axis=2) * lat.sign  # later minus earlier plaquette
+    dh = np.diff(profiles, axis=2) * _lattice(L).sign  # later minus earlier plaquette
     bad = np.argwhere((dh != 1) & (dh != -1))
     if bad.size:
         n, y, x = bad[0].tolist()
         raise EncodeError(f"slope violation across spin {(x, y)}: dh = {int(dh[n, y, x])}")
-    return (dh == 1).reshape(len(H), (L + 1) ** 2).astype(np.uint8)
+    return (dh == 1).reshape(len(profiles), (L + 1) ** 2).astype(np.uint8)
 
 
 def pack_values(values, L, colored) -> np.ndarray:

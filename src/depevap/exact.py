@@ -1,21 +1,20 @@
 """Exact bridge enumeration and sparse state assembly at small L.
 
 A bridge is a trajectory over update slices t = 1..L that starts and
-ends at the horizon.  Reflecting weights multiply the reflecting event
-probabilities; absorbing weights multiply the unconstrained ones with
-every branch that would touch h < 0 pruned eagerly (post-selection
-discards it anyway).  Frozen boundary sites contribute their no-change
-probability per slice: (1+p)/2 in absorbing mode whenever they sit at a
-Peak at h = 1, and 1 otherwise.
+ends at the horizon.  Its weight multiplies the event probabilities of
+its mode.  The modes differ only at the floor, a peak at h = 1: it
+keeps just its no-change branch, of probability 1 under reflecting
+rules and (1+p)/2 under absorbing ones (post-selection discards the
+fall below 0).  Frozen boundary sites contribute that factor per slice
+whenever they sit at the floor, and 1 otherwise.
 
 The enumeration is an array frontier.  Every trajectory alive after
 slice t is one row: its zigzag profiles after slices 0..t, one color
 bit-stack per site (the pairs deposited there and not yet evaporated),
 the colors of its vertices so far and its weight.  Slice t + 1 expands
 all rows at once.  Each eligible site classifies every row into an
-event-table label (shape, reflecting floor) and keeps the branches of
-that label that stay at h >= 0 in absorbing mode and can still return
-to the horizon (`within_reach`, site by site);
+event-table label (shape, floor) and keeps the branches of that label
+that can still return to the horizon (`within_reach`, site by site);
 `expand_frontier` then repeats every row once per combination of kept
 branches.  Children come out parent-major with each site's branches in
 table order, so the rows are in the order of a depth-first recursion
@@ -35,11 +34,10 @@ import numpy as np
 
 from .codec import (
     decode_keys,
-    heights_to_spins,
     key_length,
     key_order,
     pack_values,
-    profiles_to_heights,
+    profiles_to_spins,
     vertex_sites,
 )
 from .codec import canonical_key, encode_trajectory  # noqa: F401  perfbench/traced.py wraps these
@@ -48,7 +46,7 @@ from .params import ModelParams
 from .surface import event_table, horizon_profile, slice_sites
 
 MAX_NODES = 10_000_000
-_LABELS = (("valley", False), ("peak", False), ("peak", True), ("slope", False))  # label codes 0..3
+_LABELS = ("valley", "peak", "floor", "slope")  # codes 0..3 of _site_labels; floor: peak at h <= 1
 _KEPT = []  # the one kept layout: [(key, layout)]
 
 
@@ -131,21 +129,23 @@ def branch_table(branches, fields) -> np.ndarray:
 
 
 def _event_branches(params: ModelParams):
-    """(branch table over _LABELS with positive-probability branches, frozen-site factors)."""
-    tables = [event_table(shape, floor, params.p, params.colored) for shape, floor in _LABELS]
+    """(branch table over _LABELS with positive-probability branches, frozen-site factors);
+    the floor keeps a peak's no-change row alone, as in `entropy.TransferKernel`."""
+    reflecting = params.boundary_mode == "reflecting"
+    tables = [event_table("peak", reflecting, params.p, params.colored)[-1:] if shape == "floor"
+              else event_table(shape, False, params.p, params.colored) for shape in _LABELS]
     table = branch_table([[(delta, color or 0, prob) for delta, _, color, prob in rows if prob > 0.0]
                           for rows in tables],
                          [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
     return table, np.array([rows[-1][3] for rows in tables])
 
 
-def _site_labels(prof, i, reflecting):
+def _site_labels(prof, i):
     """Label code of site i in every profile row (see _LABELS)."""
     h = prof[:, i]
     valley = (prof[:, i - 1] > h) & (prof[:, i + 1] > h)
     peak = (prof[:, i - 1] < h) & (prof[:, i + 1] < h)
-    floor = peak & (h <= 1) if reflecting else False
-    return np.where(valley, 0, np.where(peak, 1, 3)) + floor
+    return np.where(valley, 0, np.where(peak, 1, 3)) + (peak & (h <= 1))
 
 
 def within_reach(heights, i, t, L):
@@ -162,13 +162,14 @@ def within_reach(heights, i, t, L):
 class Bridges:
     """Enumerated trajectories as arrays, in depth-first order.
 
-    `heights` (N, L+2, L+2) int8 are the height histories (event kinds
+    `profiles` (N, L+1, L+2) int8 are the zigzag profile stacks, row c
+    the profile after slice c as in `codec.DecodedKeys` (event kinds
     follow from them), `colors` (N, vertices) uint8 the vertex colors in
     `codec.vertex_sites` order (0 on no-change vertices; uncolored
     changes carry r), `weights` (N,) float64.
     """
 
-    heights: np.ndarray
+    profiles: np.ndarray
     colors: np.ndarray
     weights: np.ndarray
 
@@ -185,7 +186,6 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
     """
     params.require_odd_L()
     L = params.L
-    reflecting = params.boundary_mode == "reflecting"
     overflow = f"bridge enumeration exceeded {max_nodes} nodes"
     horizon = horizon_profile(L)
     table, no_change = _event_branches(params)
@@ -202,14 +202,10 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
         prof = profiles[:, t - 1]
         sites = slice_sites(L, t)
         frozen = [i for i in (1, L) if (i + t) % 2 == 1]
-        labels = {i: _site_labels(prof, i, reflecting) for i in frozen + sites}
-        keeps = []
-        for i in sites:
-            new_h = prof[:, i, None] + table["delta"][labels[i]]
-            keep = table["valid"][labels[i]]
-            if not reflecting:
-                keep &= new_h >= 0  # eager post-selection
-            keeps.append(keep & within_reach(new_h, i, t, L))
+        labels = {i: _site_labels(prof, i) for i in frozen + sites}
+        keeps = [table["valid"][labels[i]]
+                 & within_reach(prof[:, i, None] + table["delta"][labels[i]], i, t, L)
+                 for i in sites]
         rows, choices = expand_frontier(keeps, len(prof), max_nodes - visited, overflow)
         visited += len(rows)
         profiles, stacks, colors, weights = profiles[rows], stacks[rows], colors[rows], weights[rows]
@@ -230,7 +226,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
             base = base * no_change[labels[i][rows]]
         weights = weights * (w * base)
     # the horizon bound after slice L leaves only rows at the horizon
-    return Bridges(heights=profiles_to_heights(profiles, L), colors=colors, weights=weights)
+    return Bridges(profiles=profiles, colors=colors, weights=weights)
 
 
 def success_probability(params: ModelParams) -> float:
@@ -245,7 +241,7 @@ def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
     if total <= 0:
         raise InvalidParameterError("no bridge trajectory has positive weight")
     positive = bridges.weights > 0
-    values = heights_to_spins(bridges.heights[positive], params.L)
+    values = profiles_to_spins(bridges.profiles[positive], params.L)
     if params.colored:
         values = np.hstack([values, bridges.colors[positive]])
     keys = pack_values(values, params.L, params.colored)

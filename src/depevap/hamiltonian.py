@@ -53,11 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (
-    heights_to_spins,
     key_order,
     key_rows,
     pack_values,
-    profiles_to_heights,
+    profiles_to_spins,
     site_order,
     unpack_keys,
     vertex_sites,
@@ -504,7 +503,7 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
     """The Gauss + boundary + per-vertex-color-valid sector as a (N, key_length)
     uint8 key matrix, rows sorted as bytes.
 
-    Enumerates all bridge height histories, dips below the horizon
+    Enumerates all bridge profile stacks, dips below the horizon
     included (they are legal spin configurations), as one array frontier
     (`exact.expand_frontier`): at each slice an eligible valley stays or
     rises by 2, a peak stays or falls by 2 and a slope stays, as long as
@@ -522,14 +521,14 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
     params.require_odd_L()
     L = params.L
     overflow = f"sector exceeds {max_states} states"
-    # over exact._LABELS; the reflecting floor (label 2) does not occur
-    table = branch_table([[(0,), (2,)], [(0,), (-2,)], [(0,)], [(0,)]], [("delta", np.int8)])
+    # over exact._LABELS; the floor falls like any peak, since dips are legal
+    table = branch_table([[(0,), (2,)], [(0,), (-2,)], [(0,), (-2,)], [(0,)]], [("delta", np.int8)])
     profiles = np.zeros((1, L + 1, L + 2), dtype=np.int8)
     profiles[0, 0] = horizon_profile(L)
     for t in range(1, L + 1):
         prof = profiles[:, t - 1]
         sites = slice_sites(L, t)
-        labels = [_site_labels(prof, i, reflecting=False) for i in sites]
+        labels = [_site_labels(prof, i) for i in sites]
         keeps = [table["valid"][label]
                  & within_reach(prof[:, i, None] + table["delta"][label], i, t, L)
                  for i, label in zip(sites, labels)]
@@ -538,13 +537,12 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
         profiles[:, t] = profiles[:, t - 1]
         for i, label, branch in zip(sites, labels, choices):
             profiles[:, t, i] += table["delta"][label[rows], branch]
-    H = profiles_to_heights(profiles, L)
-    values = heights_to_spins(H, L)
+    values = profiles_to_spins(profiles, L)
     if params.colored:  # one branch per color: 0 on a no-change vertex, r or g on a change
         vi, vt = np.array(vertex_sites(L)).T
-        change = H[:, vt + 1, vi] != H[:, vt - 1, vi]  # (histories, vertices)
+        change = profiles[:, vt, vi] != profiles[:, vt - 1, vi]  # (histories, vertices)
         rows, colors = expand_frontier([np.stack([~c, c, c], axis=1) for c in change.T],
-                                       len(H), max_states, overflow)
+                                       len(profiles), max_states, overflow)
         values = np.hstack([values[rows], np.array(colors, dtype=np.uint8).T])
     keys = pack_values(values, L, params.colored)
     return keys[key_order(keys)[0]]

@@ -384,22 +384,15 @@ def saturation_time(series: ObservableSeries):
     ks = np.arange(len(times))
     los = np.searchsorted(times, times / window)
     fits = (times >= window * times[0]) & (times >= 20) & (ks - los >= 4)
-    # closed-form least-squares slope of every window [lo, k] from prefix
-    # sums; it is within about 1e-12 of polyfit, so a window whose slope
-    # clears the tolerance by 1e-9 cannot saturate and is skipped.  NaN
-    # never clears it, and polyfit decides every other window, in order.
+    # closed-form least-squares slope of every window [lo, k] from prefix sums
     prefix = np.zeros((4, len(times) + 1))
     np.cumsum([logt, logw, logt * logt, logt * logw], axis=1, out=prefix[:, 1:])
     sx, sy, sxx, sxy = prefix[:, ks + 1] - prefix[:, los]
     m = ks - los + 1
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = (m * sxy - sx * sy) / (m * sxx - sx * sx)
-    for k in np.flatnonzero(fits & ~(slopes >= tolerance + 1e-9)):
-        lo = los[k]
-        slope = np.polyfit(logt[lo:k + 1], logw[lo:k + 1], 1)[0]
-        if slope < tolerance:
-            return int(times[k])
-    return None
+    hits = np.flatnonzero(fits & (slopes < tolerance))
+    return int(times[hits[0]]) if hits.size else None
 
 
 DEFAULT_FIT_LO, DEFAULT_FIT_HI_MIN = 100, 400  # the default window [100, max(T_sat / 4, 400)]

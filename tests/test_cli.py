@@ -313,6 +313,9 @@ def test_traced_spans_cover_the_cli_calls(tmp_path):
     ["dp-entropy", {"experiment": "phase-sweep", "L": [5], "p": [0.5]}],  # another experiment
     ["scaling", "--L", "16", "--p", "0.5", "--samples", "2", "--tmax", "500",
      "--mode", "absorbing"],
+    ["phase-sweep", "--L", "5", "--L", "5", "--L", "7", "--L", "9", "--p", "0.5"],  # a repeated point
+    ["scaling", {"L": [16, 16], "samples": 2, "tmax": 500}],
+    ["dp-entropy", {"L": 5, "p": [1, 1.0]}],  # the same p once converted to float
 ])
 def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
     out = tmp_path / "run"

@@ -11,11 +11,11 @@ from depevap.codec import (
     decode_config,
     decode_keys,
     encode_trajectory,
-    heights_to_spins,
     key_length,
     key_to_config,
     pack_values,
     profiles_to_heights,
+    profiles_to_spins,
     site_order,
     spin_sites,
     unpack_keys,
@@ -57,10 +57,10 @@ def test_round_trip_randomized(L):
     bridges = enumerate_bridge(params)
     rng = np.random.default_rng(L)
     picks = rng.choice(len(bridges), size=min(60, len(bridges)), replace=False)
-    values = np.hstack([heights_to_spins(bridges.heights[picks], L), bridges.colors[picks]])
+    values = np.hstack([profiles_to_spins(bridges.profiles[picks], L), bridges.colors[picks]])
     for n, key in zip(picks, map(bytes, pack_values(values, L, True))):
         back = decode_config(key_to_config(key, params), params)
-        assert np.array_equal(back.heights, bridges.heights[n])
+        assert np.array_equal(back.heights, profiles_to_heights(bridges.profiles, L)[n])
         assert [back.events[v][1] for v in vertex_sites(L)] == bridges.colors[n].tolist()
         assert canonical_key(encode_trajectory(back, params)) == key
 
@@ -136,6 +136,19 @@ def test_encode_rejects_non_bridge():
         encode_trajectory(bad, params)
 
 
+@pytest.mark.parametrize("t, h, message", [
+    (0, 2, "does not start and end at the horizon"),
+    (2, 4, r"slope violation across spin \(1, 1\): dh = 3"),  # 3 above its neighbours
+], ids=["starts-off-horizon", "slope-violation"])
+def test_encode_rejects_broken_history(t, h, message):
+    # site 2 of the flat L = 3 bridge moved to height h at time t
+    params = ModelParams(L=3, p=0.5, colored=True)
+    flat = [r for r, _ in bridge_records(params) if r.events[(2, 1)][0] == "no_change"][0]
+    flat.heights[t][2] = h
+    with pytest.raises(EncodeError, match=message):
+        encode_trajectory(flat, params)
+
+
 def test_zigzag_profiles():
     # the decoded profile after slice 0 is the horizon; slice 1 may raise site 2
     params = ModelParams(L=3, p=0.5, colored=True)
@@ -177,7 +190,7 @@ def test_array_codec_matches_one_key_functions(mode, colored):
     # by key with the one-key wrappers on the reference records
     params = ModelParams(L=5, p=0.6, boundary_mode=mode, colored=colored)
     bridges = enumerate_bridge(params)
-    values = heights_to_spins(bridges.heights, params.L)
+    values = profiles_to_spins(bridges.profiles, params.L)
     if colored:
         values = np.hstack([values, bridges.colors])
     keys = list(map(bytes, pack_values(values, params.L, colored)))

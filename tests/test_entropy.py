@@ -9,9 +9,10 @@ from depevap import ModelParams
 from depevap.codec import (
     decode_config,
     decode_keys,
-    heights_to_spins,
     key_to_config,
     pack_values,
+    profiles_to_heights,
+    profiles_to_spins,
     site_order,
     unpack_keys,
     vertex_sites,
@@ -341,8 +342,8 @@ def test_sector_labels_match_reference(L, mode):
 
     params = ModelParams(L=L, p=0.5, boundary_mode=mode, colored=True)
     bridges = enumerate_bridge(params)
-    keys = pack_values(np.hstack([heights_to_spins(bridges.heights, L), bridges.colors]), L, True)
-    histories = list(zip(bridges.heights.tolist(), bridges.colors.tolist()))
+    keys = pack_values(np.hstack([profiles_to_spins(bridges.profiles, L), bridges.colors]), L, True)
+    histories = list(zip(profiles_to_heights(bridges.profiles, L).tolist(), bridges.colors.tolist()))
     if L == 5:
         records = (decode_config(key_to_config(key, params), params) for key in map(bytes, keys))
         histories = [(r.heights.tolist(), [r.events[v][1] for v in vertex_sites(L)]) for r in records]

@@ -7,7 +7,14 @@ import pytest
 from bridge_reference import enumerate_bridge as reference_enumerate_bridge
 from conftest import oracle_enumerate, oracle_success
 from depevap import ModelParams, exact
-from depevap.codec import canonical_key, decode_keys, key_length, key_to_config, vertex_sites
+from depevap.codec import (
+    canonical_key,
+    decode_keys,
+    key_length,
+    key_to_config,
+    profiles_to_heights,
+    vertex_sites,
+)
 from depevap.errors import CapacityError, InvalidParameterError
 from depevap.exact import (
     SparseState,
@@ -35,7 +42,8 @@ def test_l3_colored_three_bridges():
     assert len(trajs) == 3
     assert sorted(trajs.weights) == pytest.approx([0.03125, 0.03125, 0.5625])
     # vertex (2, 1): heights 0 -> 2 on the two deposits, colored r and g
-    assert sorted(zip(trajs.heights[:, 2, 2].tolist(), trajs.colors[:, 0].tolist())) == \
+    heights = profiles_to_heights(trajs.profiles, 3)
+    assert sorted(zip(heights[:, 2, 2].tolist(), trajs.colors[:, 0].tolist())) == \
         [(0, 0), (2, 1), (2, 2)]
     assert success_probability(params) == pytest.approx(0.625)
 
@@ -135,7 +143,8 @@ def _assert_matches_recursion(params, bridge=True):
     vertices = vertex_sites(L)
     assert len(got) == len(want)
     assert got.weights.tolist() == [w for _, w in want]
-    assert np.array_equal(got.heights, np.stack([ref.heights for ref, _ in want]))
+    assert np.array_equal(profiles_to_heights(got.profiles, L),
+                          np.stack([ref.heights for ref, _ in want]))
     assert got.colors.tolist() == [[ref.events[v][1] for v in vertices] for ref, _ in want]
     if bridge:
         assert len(enumerate_bridge(params, max_nodes=visited)) == len(want)

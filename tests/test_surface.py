@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bridge_reference import site_branches, slice_outcomes
 from depevap import ModelParams
-from depevap.codec import vertex_sites
+from depevap.codec import profiles_to_heights, vertex_sites
 from depevap.errors import InvalidParameterError
 from depevap.exact import enumerate_bridge
 from depevap.scaling import _spot_check
@@ -148,7 +148,7 @@ def test_advance_slice_stack_resolution():
     # every evaporation takes the color of its site's most recent unmatched deposit
     params = ModelParams(L=5, p=0.6, colored=True)
     bridges = enumerate_bridge(params)
-    for H, colors in zip(bridges.heights.tolist(), bridges.colors.tolist()):
+    for H, colors in zip(profiles_to_heights(bridges.profiles, 5).tolist(), bridges.colors.tolist()):
         stacks = {i: [] for i in range(1, 6)}
         for (i, t), color in zip(vertex_sites(5), colors):  # slice by slice
             kind = H[t + 1][i] - H[t - 1][i]
