@@ -23,18 +23,26 @@ event: a valley deposits when u < d, its deposit probability, a peak at
 h >= 2 evaporates when u >= s, its no-change probability, and everything
 else stays (`branch_probability`; d = p/2 <= s = (1+p)/2).  As
 `Generator.random` sets u = (raw >> 11) 2^-53 from a raw Philox word,
-u < d exactly when raw < ceil(d 2^53) 2^11, and u >= s exactly when
-raw > ceil(s 2^53) 2^11 - 1, which at p = 1 is 2^64 - 1, above every
-word.  So the raw words of the same stream, in the same order, become
-one int8 table per block of 64 slices in the planes' layout: 2 (a valley
-here deposits), -2 (a peak here evaporates) or 0.  At L = 512 and
-n = 100 trajectories a range's table is 64 x 100 x 257 bytes per grid
-point, 1.6 MB, so one point's fits one core's 2 MB L2.  Every trajectory
-draws the same words in the same order for any block size, so no output
-depends on it.  A site moves by its curvature hl + hr - 2h (2 at a
-valley, -2 at a peak, 0 on a slope) when that equals its action.  A peak
-at h = 1 then lands on -1, and taking the absolute value puts it back:
-that is the reflecting floor.  The color split is irrelevant to heights.
+u < d exactly when raw < D = ceil(d 2^53) 2^11, and u >= s exactly when
+raw > E = ceil(s 2^53) 2^11 - 1, which at p = 1 is 2^64 - 1, above every
+word.  D <= 2^63 <= E + 1 for every p, so a word deposits at some points
+or evaporates at some, never both.  The raw words of the same stream, in
+the same order, so become one code per word for all P grid points: the
+number of points it deposits at less the number it evaporates at, in
+one (64, n, R) table per block of 64 slices in the planes' layout (int8
+up to P = 127, int16 above).  Point k deposits where the code is at
+least #{j : D_j >= D_k} and evaporates where it is at most
+-#{j : E_j <= E_k}, for any order of the grid, repeated values, p = 0
+and p = 1 (`_code_rule`).  Each slice decodes its row into one reused
+(P, n R) int8 action row: 2 (a valley here deposits), -2 (a peak here
+evaporates) or 0.  At L = 512 and n = 100 trajectories a range's table
+is 64 x 100 x 257 bytes, 1.6 MB for any P, so it fits one core's 2 MB
+L2.  Every trajectory draws the same words in the same order for any
+block size, so no output depends on it.  A site moves by its curvature
+hl + hr - 2h (2 at a valley, -2 at a peak, 0 on a slope) when that
+equals its action.  A peak at h = 1 then lands on -1, and taking the
+absolute value puts it back: that is the reflecting floor.  The color
+split is irrelevant to heights.
 
 Observables.  After each slice, the updated plane's sums of h and h^2
 are taken per trajectory (for W) and per central site over the range
@@ -48,23 +56,24 @@ below 2^31 (L = 512, n = 100: 1.7e7) and otherwise in int64, where
 Trajectory ranges.  `ensemble` splits the trajectories into contiguous
 ranges, one per CPU in the process's affinity mask.  The calling process
 runs range 0; fork-started workers run the others and stream each slice
-block's per-trajectory W and integer partial moments through a queue.
-The caller puts the W columns back in trajectory order and adds the
-integer partials exactly, so the float reductions see the same (block,
-n_traj) operands, and every output is byte-identical, for any number of
-ranges.
+block's per-trajectory W and integer partial moments, in the range's
+moment dtype, through a queue.  The caller puts the W columns back in
+trajectory order and adds the integer partials exactly in int64, so the
+float reductions see the same (block, n_traj) operands, and every output
+is byte-identical, for any number of ranges.
 
 Grid points.  A trajectory's stream is keyed by (seed, k), not by p, so
 `ensemble(params, n, t, ps=[...])` serves every p of one L from one
-slice loop: the planes and the table stack the P points as P n
+slice loop: the planes and the action row stack the P points as P n
 point-major rows, so a p grid is just more trajectories, separated by
 the same zero-action seams.  Per block each trajectory's raw words are
 drawn once and compared with every p's bounds at once.  A range streams
 each block with a leading p axis and the caller reduces every p as
 above in one pass over the last axis, so every p's series is
-byte-identical to its own single-point run.  A range's table,
-planes and scratch grow with P (2.0 MB per point at L = 512 and 100
-trajectories).
+byte-identical to its own single-point run.  A range's planes, action
+row and moments grow with P (about 1.2 MB of traced peak per point at
+L = 512 and 100 trajectories, the yielded blocks included); its code
+table does not.
 """
 
 from __future__ import annotations
@@ -117,7 +126,8 @@ def _spot_check(H, L):
     """Slope, parity and non-negativity of site-major heights (L+2, n_traj)."""
     if (np.abs(np.diff(H, axis=0)) != 1).any():
         raise AssertionError("slope constraint broken during free dynamics")
-    if ((H - np.arange(L + 2)[:, None]) % 2 != 0).any():
+    # in H's dtype: arange wraps past int16 at large L, which keeps every parity
+    if ((H - np.arange(L + 2, dtype=H.dtype)[:, None]) % 2 != 0).any():
         raise AssertionError("height parity broken during free dynamics")
     if (H < 0).any():
         raise AssertionError("negative height in reflecting dynamics")
@@ -156,6 +166,24 @@ def _raw_bounds(p):
             np.uint64((math.ceil(stay * 2.0 ** 53) << 11) - 1))
 
 
+def _code_rule(ps):
+    """(deposit, evaporate, deposit_at, evaporate_at) of the points `ps`.
+
+    A raw word's code is the number of points whose deposit bound it is
+    below less the number whose evaporate bound it is above ("Action
+    table" in the module docstring).  Point k deposits where the code is
+    at least deposit_at[k], the number of points whose deposit bound is at
+    least its own, and evaporates where the code is at most
+    evaporate_at[k], minus the number whose evaporate bound is at most its
+    own.  The thresholds' dtype, int8 up to 127 points, holds every code.
+    """
+    deposit, evaporate = np.array([_raw_bounds(p) for p in ps], dtype=np.uint64).T
+    dtype = np.min_scalar_type(-len(ps) - 1)  # -P..P
+    deposit_at = (deposit >= deposit[:, None]).sum(axis=1, dtype=dtype)
+    evaporate_at = -(evaporate <= evaporate[:, None]).sum(axis=1, dtype=dtype)
+    return deposit, evaporate, deposit_at, evaporate_at
+
+
 def _site_major(planes, L):
     """The (L+2, rows) heights of the (2, ..., R) parity planes, site by site."""
     even, odd = planes.reshape(2, -1, planes.shape[-1])
@@ -168,34 +196,37 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
     """Run trajectories lo..hi-1 at every p of `ps` and yield one slice
     block at a time as (w, site1, site2).
 
-    The P points are P n point-major rows of the (2, P, n, R) planes and
-    of one (_BLOCK_SLICES, P, n, R) int8 action table ("Grid points" in
-    the module docstring).  A block of b slices is the (P, b, n) spatial
-    roughness of every trajectory and the (P, b, n_center) integer sums of
-    h and h^2 per central site over the range.  Every yielded array
-    belongs to its block alone, so a queue may pickle it after the next
-    block has started.
+    The P points are P n point-major rows of the (2, P, n, R) planes.  One
+    (_BLOCK_SLICES, n, R) code table serves them all, and each slice
+    decodes its row into a (P, n R) action row ("Action table" and "Grid
+    points" in the module docstring).  A block of b slices is the (P, b, n)
+    spatial roughness of every trajectory and the (P, b, n_center) integer
+    sums of h and h^2 per central site over the range, in the dtype of the
+    range's moments.  Every yielded array belongs to its block alone, so a
+    queue may pickle it after the next block has started.
     """
     L, P, n = params.L, len(ps), hi - lo
     R = (L + 3) // 2  # columns of a plane: the even sites 0, 2, ..., L + 1 - L % 2
     draws = len(range(2, L, 2))  # uniforms per trajectory and slice
-    deposit, evaporate = np.array([_raw_bounds(p) for p in ps], dtype=np.uint64).T[:, :, None, None]
+    deposit, evaporate, deposit_at, evaporate_at = _code_rule(ps)
+    codes = np.zeros((_BLOCK_SLICES, n, R), dtype=deposit_at.dtype)
+    deposit, evaporate = deposit[:, None, None], evaporate[:, None, None]
+    deposit_at, evaporate_at = deposit_at[:, None], evaporate_at[:, None]
     h0 = horizon_profile(L)
     planes = np.zeros((2, P, n, R), dtype=np.int16)
     planes[0], planes[1, ..., :(L + 2) // 2] = h0[0::2], h0[1::2]
-    table = np.zeros((_BLOCK_SLICES, P, n, R), dtype=np.int8)
-    # the table's draw columns, p first: a trajectory's words meet every p's
-    # bounds in (P, block, draws) compares that run over contiguous words
-    decided = table[..., 1:1 + draws].transpose(1, 0, 2, 3)
     hsq = np.empty((2, P, n, R), dtype=np.int32 if max(R, n) * ((L + 2) // 2) ** 2 < 2 ** 31
                    else np.int64)
     curv = np.empty(P * n * R - 1, dtype=np.int16)
     moves = np.empty(P * n * R - 1, dtype=bool)
-    even, odd, flat = *planes.reshape(2, -1), table.reshape(_BLOCK_SLICES, -1)
-    # (h, hl, hr, actions) of the even sites, updated by even slices j of a
+    actions = np.empty((P, n * R), dtype=np.int8)  # the slice's row, decoded for every point
+    decided = np.empty((2, P, n * R), dtype=bool)  # where each point deposits, evaporates
+    deposits, evaporates = decided.view(np.int8)
+    even, odd, flat = *planes.reshape(2, -1), actions.reshape(-1)
+    # (h, hl, hr, action) of the even sites, updated by even slices j of a
     # block (blocks start at even t), and of the odd sites
-    views = ((even[1:], odd[:-1], odd[1:], flat[:, 1:]),
-             (odd[:-1], even[:-1], even[1:], flat[:, :-1]))
+    views = ((even[1:], odd[:-1], odd[1:], flat[1:]),
+             (odd[:-1], even[:-1], even[1:], flat[:-1]))
 
     c0, c1 = L // 3 + 1, 2 * L // 3 + 1  # the central sites
     # per plane: the columns of its central sites, and their places among them
@@ -222,16 +253,23 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
         block = min(_BLOCK_SLICES, t_max - t)
         for k, g in enumerate(gens):
             raw = g.random_raw(block * draws).reshape(block, draws)
-            sign = np.subtract(raw < deposit, raw > evaporate, dtype=np.int8)
-            np.add(sign, sign, out=decided[:, :block, k])
+            # every point's bounds meet the words in (P, block, draws) compares
+            # that run over contiguous words
+            np.subtract(raw < deposit, raw > evaporate, dtype=codes.dtype).sum(
+                axis=0, dtype=codes.dtype, out=codes[:block, k, 1:1 + draws])
         if L % 2:  # an odd slice has one site fewer: its last uniform is unused
-            table[1:block:2, ..., draws] = 0
+            codes[1:block:2, :, draws] = 0
         for j in range(block):
-            h, hl, hr, actions = views[j % 2]
+            h, hl, hr, action = views[j % 2]
+            row = codes[j].reshape(-1)
+            np.greater_equal(row, deposit_at, out=decided[0])
+            np.less_equal(row, evaporate_at, out=decided[1])
+            np.subtract(deposits, evaporates, out=actions)
+            np.add(actions, actions, out=actions)
             np.add(hl, hr, out=curv)
             np.subtract(curv, h, out=curv)
             np.subtract(curv, h, out=curv)  # curvature; a partial sum may wrap
-            np.equal(curv, actions[j], out=moves)
+            np.equal(curv, action, out=moves)
             np.multiply(curv, moves, out=curv)
             np.add(h, curv, out=h)
             np.abs(h, out=h)  # a peak at h = 1 falls to -1: reflect
@@ -246,7 +284,7 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
         b -= h0[-1]  # site L + 1, 0 or 1 like its square; site 0 is 0
         b1, b2 = b
         w = np.sqrt((L * b2 - b1 * b1) / (L * L))
-        moments = np.empty((2, P, block, c1 - c0), dtype=np.int64)
+        moments = np.empty((2, P, block, c1 - c0), dtype=hsq.dtype)
         for par, (_, pos) in enumerate(center_parts):
             # a slice of the other parity leaves this parity's row as it was
             site[par][2 - par:rows:2] = site[par][1 - par:rows - 1:2]
@@ -349,7 +387,8 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
             # trajectories in order, integer partials added exactly: every float
             # reduction over the last axis sees the same (block, n) rows for any split
             w = np.concatenate(ws, axis=2)
-            site1, site2 = sum(site1), sum(site2)
+            # widened first: each range's sums fit its dtype, their total need not
+            site1, site2 = (np.sum(part, axis=0, dtype=np.int64) for part in (site1, site2))
             rows = slice(t, t + w.shape[1])
             W_sum[:, rows], W_sq[:, rows] = w.sum(axis=2), (w * w).sum(axis=2)
             mid_sum[:, rows], mid_sq[:, rows] = site1[..., mid], site2[..., mid]

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,6 +416,70 @@ def test_raw_bounds_decide_as_uniforms(p):
     u = (raw >> np.uint64(11)) * 2.0 ** -53
     assert np.array_equal(raw < deposit, u < branch_probability("valley", +2, p))
     assert np.array_equal(raw > evaporate, u >= branch_probability("peak", 0, p))
+
+
+def test_codes_decode_to_every_points_action():
+    # one code per word serves an unsorted grid with a repeated value and both
+    # edges: decoded at each point's thresholds, it is that point's own action
+    # on the words next to every bound and at both ends
+    ps = [0.8, 0.0, 0.5, 1.0, 0.25, 0.5]
+    deposit, evaporate, deposit_at, evaporate_at = scaling._code_rule(ps)
+    assert deposit_at.dtype == evaporate_at.dtype == np.int8
+    words = {0, 2 ** 64 - 1}
+    for bound in map(int, (*deposit, *evaporate)):
+        words |= {bound - 1, bound, bound + 1}
+    raw = np.array(sorted(w for w in words if 0 <= w < 2 ** 64), dtype=np.uint64)
+    # the points a word deposits at less those it evaporates at
+    code = (raw < deposit[:, None]).sum(axis=0) - (raw > evaporate[:, None]).sum(axis=0)
+    for k, p in enumerate(ps):
+        decoded = 2 * (code >= deposit_at[k]) - 2 * (code <= evaporate_at[k])
+        assert np.array_equal(decoded, 2 * (raw < deposit[k]) - 2 * (raw > evaporate[k])), p
+
+
+def test_wide_grid_matches_single_points():
+    # 130 points, unsorted, take int16 codes; one trajectory runs inline, and
+    # t_max = 70 crosses a block boundary
+    ps = [(37 * k % 130) / 129 for k in range(130)]
+    assert scaling._code_rule(ps)[2].dtype == np.int16
+    params = ModelParams(L=9, p=0.5, seed=6)
+    for run in ensemble(params, 1, 70, ps=ps):
+        single = ensemble(run.params, 1, 70)
+        for name in _SERIES_ARRAYS:
+            assert getattr(run, name).tobytes() == getattr(single, name).tobytes(), \
+                (run.params.p, name)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_range_code_table_is_shared_by_every_point():
+    # one growth range (L = 512, n = 100): each point past the first costs
+    # less traced peak than one (64, n, R) table, since the points share one
+    # code table; a table per point would cost more than that alone
+    L, n = 512, 100
+    table = scaling._BLOCK_SLICES * n * ((L + 3) // 2)
+    params = ModelParams(L=L, p=0.5, seed=1)
+
+    def one_pass(ps):
+        return lambda: collections.deque(scaling._range_blocks(params, ps, 0, n, 70), maxlen=0)
+
+    _traced_peak(one_pass([0.5]))  # first-call allocations stay out of the comparison
+    one, four = _traced_peak(one_pass([0.5])), _traced_peak(one_pass([0.1, 0.5, 0.8, 0.9]))
+    assert four - one < 3 * table, (one, four, table)
+
+
+def test_spot_check_stays_in_the_heights_dtype():
+    # no int64 copy of the int16 heights: under four times their bytes
+    H = np.repeat(horizon_profile(512).astype(np.int16)[:, None], 400, axis=1)
+    assert H.shape == (514, 400)
+    peak = _traced_peak(lambda: _spot_check(H, 512))
+    assert peak < 4 * H.nbytes, (peak, H.nbytes)
 
 
 def _reference_saturation_time(series, window=10.0, tolerance=0.05, observable="W"):
