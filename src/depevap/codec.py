@@ -48,10 +48,11 @@ as (N, sites) value matrices in `site_order`.  Spin row y holds the
 up/down steps of the zigzag profile after update slice y (the
 plaquettes of time rows y and y + 1, alternating along the row), so
 
-* `profiles_to_spins` reads stacks of zigzag profiles, the history
-  shape of every bulk builder, as row diffs, and `pack_values` packs
-  values with `np.packbits(..., bitorder="little")` and 2-bit color
-  codes;
+* `profile_spins` reads spin rows off zigzag profiles as row diffs,
+  each profile with its slice: the bulk builders call it once on the
+  child profiles of every slice's edges, and `profiles_to_spins` on
+  whole stacks.  `pack_values` packs values with
+  `np.packbits(..., bitorder="little")` and 2-bit color codes;
 * `unpack_keys` inverts the packing, and `decode_keys` rebuilds every
   zigzag profile as a cumulative sum of signed spins along its row.  It
   checks Gauss's law at every vertex, the pinned boundary spins and the
@@ -254,21 +255,31 @@ def site_order(L, colored):
     return sites
 
 
-def profiles_to_spins(profiles, L) -> np.ndarray:
-    """Spin values (N, (L+1)**2) uint8 of zigzag profile stacks (N, L+1, L+2).
+def profile_spins(profiles, y, L) -> np.ndarray:
+    """Spin rows (N, L+1) uint8 of zigzag profiles (N, L+2): row n is spin row
+    y[n], read off profiles[n], the profile after slice y[n].
 
-    Raises EncodeError unless every stack starts and ends at the horizon
-    (rows 0 and L) and every spin joins plaquettes one unit apart.
+    Raises EncodeError unless every profile of slice 0 or L is the horizon
+    and every spin joins plaquettes one unit apart.
     """
     profiles = np.asarray(profiles)
-    if (profiles[:, [0, L]] != horizon_profile(L)).any():
+    if (profiles[(y == 0) | (y == L)] != horizon_profile(L)).any():
         raise EncodeError("trajectory does not start and end at the horizon")
-    dh = np.diff(profiles, axis=2) * _lattice(L).sign  # later minus earlier plaquette
-    bad = np.argwhere((dh != 1) & (dh != -1))
-    if bad.size:
-        n, y, x = bad[0].tolist()
-        raise EncodeError(f"slope violation across spin {(x, y)}: dh = {int(dh[n, y, x])}")
-    return (dh == 1).reshape(len(profiles), (L + 1) ** 2).astype(np.uint8)
+    dh = (profiles[:, 1:] - profiles[:, :-1]) * _lattice(L).sign[y]  # later minus earlier
+    up = dh == 1
+    if not (up | (dh == -1)).all():
+        n, x = np.argwhere(~up & (dh != -1))[0].tolist()
+        raise EncodeError(f"slope violation across spin {(x, int(y[n]))}: dh = {int(dh[n, x])}")
+    return up.view(np.uint8)
+
+
+def profiles_to_spins(profiles, L) -> np.ndarray:
+    """Spin values (N, (L+1)**2) uint8 of zigzag profile stacks (N, L+1, L+2),
+    spin row y from profile y (`profile_spins`, with its checks)."""
+    profiles = np.asarray(profiles)
+    rows = profiles.reshape(len(profiles) * (L + 1), L + 2)
+    return profile_spins(rows, np.tile(np.arange(L + 1), len(profiles)), L).reshape(
+        len(profiles), (L + 1) ** 2)
 
 
 def pack_values(values, L, colored) -> np.ndarray:

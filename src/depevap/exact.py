@@ -8,19 +8,23 @@ rules and (1+p)/2 under absorbing ones (post-selection discards the
 fall below 0).  Frozen boundary sites contribute that factor per slice
 whenever they sit at the floor, and 1 otherwise.
 
-The enumeration is an array frontier.  Every trajectory alive after
-slice t is one row: its zigzag profiles after slices 0..t, one color
-bit-stack per site (the pairs deposited there and not yet evaporated),
-the colors of its vertices so far and its weight.  Slice t + 1 expands
-all rows at once.  Each eligible site classifies every row into an
-event-table label (shape, floor) and keeps the branches of that label
-that can still return to the horizon (`within_reach`, site by site);
-`expand_frontier` then repeats every row once per combination of kept
-branches.  Children come out parent-major with each site's branches in
-table order, so the rows are in the order of a depth-first recursion
-over slices and sites, and weights are multiplied in that recursion's
-order: w = ((1.0 p_first) ...) base with base the frozen sites'
-factor, then weight w.
+The enumeration runs over distinct states (`Frontier`).  A state is a
+zigzag profile with one color bit-stack per site (the pairs deposited
+there and not yet evaporated); a slice holds few of them (at most 14
+profiles at L = 7 and 42 at L = 9, 171 states with their stacks at
+L = 7 colored) against thousands of trajectories.
+Slice t + 1 labels every distinct state of slice t once per eligible
+site with an event-table label (shape, floor), keeps the branches of
+that label that can still return to the horizon (`within_reach`) and
+builds one child per combination of kept branches: an edge, with its
+child state, its vertex colors and its weight factor
+w = ((1.0 p_first) ...) base, base the frozen sites' factor.  Equal
+child states merge into the next slice's states.  Each trajectory alive
+takes every edge of its state, in order, so the trajectories come out
+in the order of a depth-first recursion over slices and sites.  Only
+after slice L are the histories built, once: profile stacks, spins and
+vertex colors gathered from the edges, and each weight the product of
+its edges' factors in slice order, as the recursion multiplies them.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from .codec import (
     decode_keys,
     key_length,
     key_order,
+    key_rows,
     pack_values,
-    profiles_to_spins,
-    vertex_sites,
+    profile_spins,
 )
 from .codec import canonical_key, encode_trajectory  # noqa: F401  perfbench/traced.py wraps these
 from .errors import CapacityError, DecodeError, InvalidParameterError
@@ -89,29 +93,92 @@ class SparseState:
         return len(self.amps)
 
 
-def expand_frontier(keeps, n_rows, cap, overflow):
-    """Children of `n_rows` parent rows under per-site branch masks.
+class Frontier:
+    """Paths through the distinct states of successive slices, in depth-first order.
 
-    keeps[k] (n_rows, branches) marks the branches site k may take from
-    each parent.  A child takes one kept branch per site; children are
-    ordered by parent, then by site 0's branch, site 1's and so on, the
-    order of a depth-first recursion over the sites.  Their number is
-    checked against `cap` before any child is built (CapacityError with
-    message `overflow`).  Returns (parent row of each child, [branch
-    index of each child at site k]).
+    A state is whatever decides a path's branches from here on (a
+    profile, stacks, an emitter); each slice keeps every distinct state
+    once, and `node` (N,) gives the state of every path alive, an index
+    into the caller's table of them.  `expand` finds each state's edges,
+    one per combination of its kept branches, and the children of every
+    path; the caller builds one child state per edge, and `merge` folds
+    equal child states into the next table.  `paths` traces the paths
+    alive back through every slice.
     """
-    counts = np.ones(n_rows, dtype=np.int64)
-    for keep in keeps:
-        counts *= keep.sum(axis=1)
-    if counts.sum() > cap:
-        raise CapacityError(overflow)
-    rows = np.arange(n_rows)
-    choices = []
-    for keep in keeps:
-        parent, branch = np.nonzero(keep[rows])
-        rows = rows[parent]
-        choices = [c[parent] for c in choices] + [branch]
-    return rows, choices
+
+    def __init__(self, node, states):
+        self.node = self.first = node
+        self.sizes = [states]  # the states before the first slice, then each slice's edges
+        self.steps = []  # per slice: (parent path, edge) of every child path
+
+    def expand(self, keeps, cap, overflow):
+        """Edges of the states under per-site branch masks, and the children of the paths.
+
+        keeps (states, sites, branches) marks the branches each site may
+        take from each state.  An edge takes one kept branch per site; a
+        state's edges form one contiguous range, ordered by the first
+        site's branch, then the second's and so on.  Each path takes every
+        edge of its state, paths in order, so the children come out in the
+        order of a depth-first recursion over slices and sites.  Their
+        number is checked against `cap` before any is built
+        (CapacityError with message `overflow`).  Returns (state of each
+        edge, (edges, sites) branch index of each edge at each site).
+        """
+        counts = keeps.sum(axis=2).prod(axis=1)
+        children = counts[self.node]
+        if children.sum() > cap:
+            raise CapacityError(overflow)
+        parent = np.arange(len(keeps))
+        choice = np.zeros((len(keeps), 0), dtype=np.intp)
+        for k in range(keeps.shape[1]):
+            state, branch = np.nonzero(keeps[parent, k])
+            parent = parent[state]
+            choice = np.hstack([choice[state], branch[:, None]])
+        # a child's edge: its state's first edge plus its rank among its path's children
+        rank = np.repeat((np.cumsum(counts) - counts)[self.node] + children - np.cumsum(children),
+                         children)
+        self.steps.append((np.repeat(np.arange(len(self.node)), children),
+                           rank + np.arange(len(rank))))
+        self.sizes.append(len(parent))
+        self.node = None
+        return parent, choice
+
+    def merge(self, children):
+        """Fold equal child states, one (edges, bytes) uint8 row per edge, into a table.
+
+        The new states are the distinct rows, sorted as bytes; sets `node`
+        to each child path's state and returns the first edge of every
+        state.
+        """
+        _, first, state = np.unique(key_rows(children), return_index=True, return_inverse=True)
+        self.node = state[self.steps[-1][1]]
+        return first
+
+    def paths(self):
+        """(paths alive, 1 + slices) intp: the state each path started from, then its edge
+        at each slice, as rows of those states and the slices' edges concatenated in order."""
+        starts = np.cumsum(self.sizes)
+        index = np.empty((len(self.node), len(starts)), dtype=np.intp)
+        path = np.arange(len(self.node))
+        for t in reversed(range(len(self.steps))):
+            rows, edge = self.steps[t]
+            index[:, t + 1] = edge[path] + starts[t]
+            path = rows[path]
+        index[:, 0] = self.first[path]
+        return index
+
+
+def path_rows(table, index):
+    """The rows of `table` at `index` (paths, k), laid side by side as (paths, k * width)."""
+    return np.take(key_rows(table.view(np.uint8)), index).view(table.dtype)
+
+
+def vertex_columns(L):
+    """Where the vertices of `codec.vertex_sites` sit in L slice rows of (L + 1) // 2 columns,
+    laid side by side, with vertex (i, t) at column (i - 1) // 2 of row t; the rows of odd
+    slices, one vertex short, leave their last column as padding."""
+    width = (L + 1) // 2
+    return np.flatnonzero(np.arange(L * width) % (2 * width) != width - 1)
 
 
 def branch_table(branches, fields) -> np.ndarray:
@@ -141,7 +208,7 @@ def _event_branches(params: ModelParams):
 
 
 def _site_labels(prof, i):
-    """Label code of site i in every profile row (see _LABELS)."""
+    """Label codes (rows, sites) of the sites `i` in every profile row (see _LABELS)."""
     h = prof[:, i]
     valley = (prof[:, i - 1] > h) & (prof[:, i + 1] > h)
     peak = (prof[:, i - 1] < h) & (prof[:, i + 1] < h)
@@ -149,7 +216,8 @@ def _site_labels(prof, i):
 
 
 def within_reach(heights, i, t, L):
-    """Whether site i at `heights` after slice t can still return to its horizon height i % 2.
+    """Whether site i at `heights` after slice t can still return to its horizon height i % 2
+    (`i` an int or an array that broadcasts against `heights`).
 
     Each update slice left to the site (t' in t+1..L with i + t' odd)
     moves it by at most 2.
@@ -164,12 +232,14 @@ class Bridges:
 
     `profiles` (N, L+1, L+2) int8 are the zigzag profile stacks, row c
     the profile after slice c as in `codec.DecodedKeys` (event kinds
-    follow from them), `colors` (N, vertices) uint8 the vertex colors in
-    `codec.vertex_sites` order (0 on no-change vertices; uncolored
-    changes carry r), `weights` (N,) float64.
+    follow from them), `spins` (N, (L+1)**2) uint8 their spin values as
+    `codec.profiles_to_spins` gives them, `colors` (N, vertices) uint8
+    the vertex colors in `codec.vertex_sites` order (0 on no-change
+    vertices; uncolored changes carry r), `weights` (N,) float64.
     """
 
     profiles: np.ndarray
+    spins: np.ndarray
     colors: np.ndarray
     weights: np.ndarray
 
@@ -187,46 +257,54 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
     params.require_odd_L()
     L = params.L
     overflow = f"bridge enumeration exceeded {max_nodes} nodes"
-    horizon = horizon_profile(L)
     table, no_change = _event_branches(params)
-    vertex = {v: k for k, v in enumerate(vertex_sites(L))}
-    profiles = np.zeros((1, L + 1, L + 2), dtype=np.int8)
-    profiles[0, 0] = horizon
+    prof = horizon_profile(L)[None].astype(np.int8)  # the distinct states after slice t - 1
     stacks = np.zeros((1, L + 2), dtype=np.uint32)  # one bit per pair (g = 1), newest lowest
-    colors = np.zeros((1, len(vertex)), dtype=np.uint8)
-    weights = np.ones(1)
+    frontier = Frontier(np.zeros(1, dtype=np.intp), 1)
     visited = 1
     if visited > max_nodes:
         raise CapacityError(overflow)
+    width = (L + 1) // 2  # the vertices of a slice row, see vertex_columns
+    edges = [(prof, np.zeros((1, width), dtype=np.uint8), np.ones(1))]  # the root
     for t in range(1, L + 1):
-        prof = profiles[:, t - 1]
-        sites = slice_sites(L, t)
-        frozen = [i for i in (1, L) if (i + t) % 2 == 1]
-        labels = {i: _site_labels(prof, i) for i in frozen + sites}
-        keeps = [table["valid"][labels[i]]
-                 & within_reach(prof[:, i, None] + table["delta"][labels[i]], i, t, L)
-                 for i in sites]
-        rows, choices = expand_frontier(keeps, len(prof), max_nodes - visited, overflow)
-        visited += len(rows)
-        profiles, stacks, colors, weights = profiles[rows], stacks[rows], colors[rows], weights[rows]
-        profiles[:, t] = profiles[:, t - 1]
-        w = 1.0
-        for i, branch in zip(sites, choices):
-            chosen = table[labels[i][rows], branch]
-            w = w * chosen["prob"]
-            profiles[:, t, i] += chosen["delta"]
-            color = chosen["color"]
-            deposit, evaporate = chosen["delta"] > 0, chosen["delta"] < 0
-            stacks[deposit, i] = (stacks[deposit, i] << 1) | (color[deposit] - 1)
-            color[evaporate] = (stacks[evaporate, i] & 1) + 1  # a pair lies beneath: h >= 0
-            stacks[evaporate, i] >>= 1
-            colors[:, vertex[i, t]] = color
+        sites = np.array(slice_sites(L, t), dtype=np.intp)
+        frozen = np.array([i for i in (1, L) if (i + t) % 2 == 1], dtype=np.intp)
+        labels = _site_labels(prof, np.concatenate([sites, frozen]))
+        branches = table[labels[:, :len(sites)]]  # (states, sites, branches)
+        keeps = branches["valid"] & within_reach(prof[:, sites, None] + branches["delta"],
+                                                 sites[:, None], t, L)
+        parent, choice = frontier.expand(keeps, max_nodes - visited, overflow)
+        chosen = branches[parent[:, None], np.arange(len(sites)), choice]  # (edges, sites)
         base = 1.0
-        for i in frozen:
-            base = base * no_change[labels[i][rows]]
-        weights = weights * (w * base)
-    # the horizon bound after slice L leaves only rows at the horizon
-    return Bridges(profiles=profiles, colors=colors, weights=weights)
+        for label in labels[parent, len(sites):].T:
+            base = base * no_change[label]
+        prof, stacks = prof[parent], stacks[parent]  # one child state per edge
+        w = np.ones(len(parent))
+        for k in range(len(sites)):
+            w = w * chosen["prob"][:, k]
+        delta, below = chosen["delta"], stacks[:, sites]
+        prof[:, sites] += delta
+        # an evaporation takes the color of the pair beneath (h >= 0 keeps one there)
+        color = np.where(delta < 0, (below & 1) + 1, chosen["color"])
+        stacks[:, sites] = np.where(delta > 0, (below << 1) | (color == 2),
+                                    np.where(delta < 0, below >> 1, below))
+        colors = np.zeros((len(parent), width), dtype=np.uint8)
+        colors[:, (sites - 1) // 2] = color  # vertex (i, t) in codec.vertex_sites order
+        edges.append((prof, colors, w * base))
+        first = frontier.merge(np.hstack([prof.view(np.uint8), stacks.view(np.uint8)]))
+        visited += len(frontier.node)
+        prof, stacks = prof[first], stacks[first]
+    # the horizon bound after slice L leaves only paths at the horizon
+    n = len(frontier.node)
+    index = frontier.paths()
+    profs, colors, factors = (np.concatenate(column) for column in zip(*edges))
+    spins = profile_spins(profs, np.repeat(np.arange(L + 1), frontier.sizes), L)
+    weights = np.ones(n)
+    for t in range(1, L + 1):  # the weight product in slice order
+        weights = weights * factors[index[:, t]]
+    return Bridges(profiles=path_rows(profs, index).reshape(n, L + 1, L + 2),
+                   spins=path_rows(spins, index), weights=weights,
+                   colors=path_rows(colors, index[:, 1:])[:, vertex_columns(L)])
 
 
 def success_probability(params: ModelParams) -> float:
@@ -241,7 +319,7 @@ def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
     if total <= 0:
         raise InvalidParameterError("no bridge trajectory has positive weight")
     positive = bridges.weights > 0
-    values = profiles_to_spins(bridges.profiles[positive], params.L)
+    values = bridges.spins[positive]
     if params.colored:
         values = np.hstack([values, bridges.colors[positive]])
     keys = pack_values(values, params.L, params.colored)

@@ -56,14 +56,23 @@ from .codec import (
     key_order,
     key_rows,
     pack_values,
-    profiles_to_spins,
+    profile_spins,
     site_order,
     unpack_keys,
     vertex_sites,
     vertex_spin_indices,
 )
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import SparseState, _kept, _site_labels, branch_table, expand_frontier, within_reach
+from .exact import (
+    Frontier,
+    SparseState,
+    _kept,
+    _site_labels,
+    branch_table,
+    path_rows,
+    vertex_columns,
+    within_reach,
+)
 from .params import ModelParams, _is_int
 from .surface import branch_probability, horizon_profile, slice_sites
 
@@ -504,46 +513,60 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
     uint8 key matrix, rows sorted as bytes.
 
     Enumerates all bridge profile stacks, dips below the horizon
-    included (they are legal spin configurations), as one array frontier
-    (`exact.expand_frontier`): at each slice an eligible valley stays or
-    rises by 2, a peak stays or falls by 2 and a slope stays, as long as
-    the site can still return to the horizon (`exact.within_reach`).
-    Colored params then give every history each independent r/g
-    assignment of its change vertices, mismatched ones included.
+    included (they are legal spin configurations), over the distinct
+    profiles of each slice (`exact.Frontier`): at each slice an eligible
+    valley stays or rises by 2, a peak stays or falls by 2 and a slope
+    stays, as long as the site can still return to the horizon
+    (`exact.within_reach`).  Each edge between two profiles gives its
+    spin row and which of its vertices change, and each history gathers
+    them once.  Colored params then give every history each independent
+    r/g assignment of its change vertices, mismatched ones included.
 
-    `max_states` bounds the rows alive after each slice, checked before
-    the slice is expanded, and the colored keys.  The last slice's rows
-    are the histories, so a sector over the cap always raises
-    CapacityError; so may a smaller one, since a row counts until it can
-    no longer return (at L = 7 uncolored, 882 rows after slice 5 against
-    868 keys).
+    `max_states` bounds the histories alive after each slice, checked
+    before the slice is expanded, and the colored keys.  The last
+    slice's histories are the sector's, so a sector over the cap always
+    raises CapacityError; so may a smaller one, since a history counts
+    until it can no longer return (at L = 7 uncolored, 882 alive after
+    slice 5 against 868 keys).
     """
     params.require_odd_L()
     L = params.L
     overflow = f"sector exceeds {max_states} states"
     # over exact._LABELS; the floor falls like any peak, since dips are legal
     table = branch_table([[(0,), (2,)], [(0,), (-2,)], [(0,), (-2,)], [(0,)]], [("delta", np.int8)])
-    profiles = np.zeros((1, L + 1, L + 2), dtype=np.int8)
-    profiles[0, 0] = horizon_profile(L)
+    prof = horizon_profile(L)[None].astype(np.int8)  # the distinct profiles after slice t - 1
+    frontier = Frontier(np.zeros(1, dtype=np.intp), 1)
+    edges = [(prof, np.zeros((1, (L + 1) // 2), dtype=bool))]  # the root
     for t in range(1, L + 1):
-        prof = profiles[:, t - 1]
-        sites = slice_sites(L, t)
-        labels = [_site_labels(prof, i) for i in sites]
-        keeps = [table["valid"][label]
-                 & within_reach(prof[:, i, None] + table["delta"][label], i, t, L)
-                 for i, label in zip(sites, labels)]
-        rows, choices = expand_frontier(keeps, len(prof), max_states, overflow)
-        profiles = profiles[rows]
-        profiles[:, t] = profiles[:, t - 1]
-        for i, label, branch in zip(sites, labels, choices):
-            profiles[:, t, i] += table["delta"][label[rows], branch]
-    values = profiles_to_spins(profiles, L)
-    if params.colored:  # one branch per color: 0 on a no-change vertex, r or g on a change
-        vi, vt = np.array(vertex_sites(L)).T
-        change = profiles[:, vt, vi] != profiles[:, vt - 1, vi]  # (histories, vertices)
-        rows, colors = expand_frontier([np.stack([~c, c, c], axis=1) for c in change.T],
-                                       len(profiles), max_states, overflow)
-        values = np.hstack([values[rows], np.array(colors, dtype=np.uint8).T])
+        sites = np.array(slice_sites(L, t), dtype=np.intp)
+        branches = table[_site_labels(prof, sites)]  # (profiles, sites, branches)
+        keeps = branches["valid"] & within_reach(prof[:, sites, None] + branches["delta"],
+                                                 sites[:, None], t, L)
+        parent, choice = frontier.expand(keeps, max_states, overflow)
+        delta = branches["delta"][parent[:, None], np.arange(len(sites)), choice]
+        child = prof[parent]
+        child[:, sites] += delta
+        # vertex (i, t) at column (i - 1) // 2 (see exact.vertex_columns)
+        change = np.zeros((len(parent), (L + 1) // 2), dtype=bool)
+        change[:, (sites - 1) // 2] = delta != 0
+        edges.append((child, change))
+        prof = child[frontier.merge(child.view(np.uint8))]
+    n = len(frontier.node)
+    index = frontier.paths()
+    profs, changes = (np.concatenate(column) for column in zip(*edges))
+    spins = profile_spins(profs, np.repeat(np.arange(L + 1), frontier.sizes), L)
+    values = path_rows(spins, index)
+    if params.colored:  # one key per color: 0 on a no-change vertex, r or g on a change
+        change = path_rows(changes, index[:, 1:])[:, vertex_columns(L)]
+        counts = np.left_shift(1, change.sum(axis=1))
+        if counts.sum() > max_states:
+            raise CapacityError(overflow)
+        rows = np.repeat(np.arange(n), counts)
+        pick = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        # a history's keys count pick = 0, 1, ...: bit k of pick colors its k-th change
+        bit = np.maximum(np.cumsum(change, axis=1) - 1, 0)[rows]
+        colors = np.where(change[rows], 1 + ((pick[:, None] >> bit) & 1), 0).astype(np.uint8)
+        values = np.hstack([values[rows], colors])
     keys = pack_values(values, L, params.colored)
     return keys[key_order(keys)[0]]
 

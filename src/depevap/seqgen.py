@@ -35,17 +35,22 @@ with p = 0 and the deposition branches removed; no extra rounds or
 registers are introduced, and the post-selection success grows because
 every peak then drains with amplitude sqrt(1/2) per round.
 
-The joint state of emitter and record is a set of arrays with one row
-per branch (`JointState`): int8 marker heights, uint32 color
-bit-stacks, uint8 spin and color rows and a float64 amplitude.  A round
-labels every row at each of its sites (shape and top pair color),
-reads that label's branches off `channel_branches`, and expands all
-rows at once (`exact.expand_frontier`): children come out parent-major
-with each site's branches in table order, the order of a depth-first
-recursion over branches and sites, and amplitudes are multiplied in
-that order.  The record is emitted by the channels themselves, never
-rebuilt from heights through the codec, so comparing the generated
-state with `exact.build_state` stays an independent check.
+The joint state of emitter and record is a set of arrays (`JointState`).
+The emitter is the bond of the sequential (MPS) construction: its
+distinct states, int8 marker heights and uint32 color bit-stacks, are
+kept once each, and each branch points at one of them and carries its
+uint8 spin and color rows and a float64 amplitude.  A round labels every
+distinct emitter state at each of its sites (shape and top pair color)
+and reads that label's branches off `channel_branches`; each
+combination of kept branches is an edge with a child state, an emitted
+spin row and color row and its sites' amplitudes (`exact.Frontier`).
+Every branch then takes every edge of its state: children come out
+parent-major with each site's branches in table order, the order of a
+depth-first recursion over branches and sites, and amplitudes are
+multiplied in that order.  The record is emitted by the channels
+themselves, never rebuilt from heights through the codec, so comparing
+the generated state with `exact.build_state` stays an independent
+check.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import numpy as np
 
 from .codec import key_order, key_rows, pack_values, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import SparseState, branch_table, expand_frontier, within_reach
+from .exact import Frontier, SparseState, branch_table, within_reach
 from .params import ModelParams
 from .surface import event_table, horizon_profile, local_shape, slice_sites
 
@@ -119,10 +124,11 @@ def cooling_start(L: int) -> int:
 class JointState:
     """The emitter and its emitted record, one row per branch, in branch order.
 
-    `heights` (N, L+2) int8 are the marker heights with the pinned walls
-    0 and L+1 at 0; `stacks` (N, L+2) uint32 hold the colors of the
-    pairs beneath each marker, one bit per pair (g = 1) with the most
-    recent in bit 0 (the pair count is (height - i % 2) / 2); `spins`
+    The emitter states are kept once each: `heights` (M, L+2) int8 are
+    the marker heights with the pinned walls 0 and L+1 at 0; `stacks`
+    (M, L+2) uint32 hold the colors of the pairs beneath each marker, one
+    bit per pair (g = 1) with the most recent in bit 0 (the pair count is
+    (height - i % 2) / 2).  `emitter` (N,) is each branch's state, `spins`
     (N, n (L+1)) uint8 are the spin rows emitted by rounds 1..n, `colors`
     uint8 the color rows of vertex rows 1..n in vertex order, and `amps`
     (N,) float64.  `dropped` is the squared mass that the round which
@@ -131,6 +137,7 @@ class JointState:
 
     heights: np.ndarray
     stacks: np.ndarray
+    emitter: np.ndarray
     spins: np.ndarray
     colors: np.ndarray
     amps: np.ndarray
@@ -143,7 +150,7 @@ class JointState:
 def initial_joint(L: int) -> JointState:
     """The reference emitter (markers at the horizon, no pairs), empty record, amplitude 1."""
     heights = horizon_profile(L)[None].astype(np.int8)
-    return JointState(heights, np.zeros(heights.shape, dtype=np.uint32),
+    return JointState(heights, np.zeros(heights.shape, dtype=np.uint32), np.zeros(1, dtype=np.intp),
                       np.zeros((1, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8),
                       np.ones(1))
 
@@ -166,64 +173,75 @@ def apply_round(joint: JointState, n, params: ModelParams, cooling_active=False,
                 max_branches=MAX_BRANCHES) -> JointState:
     """One round of local channels on every branch of the joint state.
 
-    Each branch expands into one child per combination of the sites'
-    channel branches (`exact.expand_frontier`), parent-major with each
-    site's branches in table order, and its record grows by one spin row
-    and one color row.  A child whose updated marker can no longer
-    return to its horizon height (`exact.within_reach`) is dropped with
-    its whole subtree, so the surviving rows, their order and their
-    amplitude products are those of the unpruned round.  The dropped
-    squared mass, a^2 (prod_i T_i - prod_i K_i) per parent with T_i and
-    K_i the squared amplitude of site i's valid and kept branches, is
-    carried in `dropped`.  The L+2 depth guard sees every valid branch,
-    and the kept children are checked against `max_branches` before the
-    round is built.
+    The channels act on the distinct emitter states (`exact.Frontier`):
+    each state has one edge per combination of its sites' channel
+    branches, in table order, with its child state, its emitted rows and
+    its sites' amplitudes.  Each branch takes every edge of its state,
+    branches in order, the order of a depth-first recursion over branches
+    and sites; its amplitude is multiplied by the sites' amplitudes in
+    site order, and its record grows by the edge's spin row and color
+    row.  An edge whose updated marker can no longer return to its
+    horizon height (`exact.within_reach`) is dropped with its whole
+    subtree, so the surviving rows, their order and their amplitude
+    products are those of the unpruned round.  The dropped squared mass,
+    a^2 (prod_i T_i - prod_i K_i) per branch with T_i and K_i the squared
+    amplitude of site i's valid and kept branches, is carried in
+    `dropped`.  The L+2 depth guard sees every valid branch of every
+    state, and the kept children are checked against `max_branches`
+    before the round is built.
     """
     L = params.L
     table = _channel_table(params.p, params.colored, cooling_active)
-    sites = slice_sites(L, n)
+    sites = np.array(slice_sites(L, n), dtype=np.intp)
     h = joint.heights
-    labels, keeps = [], []
-    valid_mass = kept_mass = 1.0
-    for i in sites:
-        top = np.where(h[:, i] == i % 2, 0, (joint.stacks[:, i] & 1) + 1)
-        label = 3 * (2 * (h[:, i] > h[:, i - 1]) + (h[:, i] > h[:, i + 1])) + top
-        valid, new_h = table["valid"][label], h[:, i, None] + table["delta"][label]
-        if (new_h[valid] > L + 2).any():
-            raise CapacityError(f"stack {i} overflowed its L+2 depth cap")
-        keep = valid & within_reach(new_h, i, n, L)
-        weight = table["amp"][label] ** 2
-        valid_mass = valid_mass * np.where(valid, weight, 0.0).sum(axis=1)
-        kept_mass = kept_mass * np.where(keep, weight, 0.0).sum(axis=1)
-        labels.append(label)
-        keeps.append(keep)
-    dropped = math.fsum((joint.amps ** 2 * (valid_mass - kept_mass)).tolist())
-    rows, choices = expand_frontier(keeps, len(joint), max_branches,
-                                    f"joint state exceeded {max_branches} branches")
-    heights, stacks, amps = h[rows], joint.stacks[rows], joint.amps[rows]
-    row = np.zeros((len(rows), L + 1), dtype=np.uint8)
-    vertex_cols = [i for i in range(1, L + 1) if (i + n) % 2 == 1]
-    colors = np.zeros((len(rows), len(vertex_cols)), dtype=np.uint8)
-    for i, label, branch in zip(sites, labels, choices):
-        chosen = table[label[rows], branch]
-        amps = amps * chosen["amp"]
-        heights[:, i] += chosen["delta"]
-        push, pop = chosen["delta"] > 0, chosen["delta"] < 0
-        stacks[push, i] = (stacks[push, i] << 1) | (chosen["color"][push] - 1)
-        stacks[pop, i] >>= 1
-        row[:, i - 1], row[:, i] = chosen["spin_l"], chosen["spin_r"]
-        colors[:, vertex_cols.index(i)] = chosen["color"]
+    below = joint.stacks[:, sites]
+    top = np.where(h[:, sites] == sites % 2, 0, (below & 1) + 1)
+    branches = table[3 * (2 * (h[:, sites] > h[:, sites - 1]) + (h[:, sites] > h[:, sites + 1]))
+                     + top]  # (states, sites, branches)
+    valid, new_h = branches["valid"], h[:, sites, None] + branches["delta"]
+    deep = (valid & (new_h > L + 2)).any(axis=(0, 2))
+    if deep.any():
+        raise CapacityError(f"stack {sites[deep.argmax()]} overflowed its L+2 depth cap")
+    keeps = valid & within_reach(new_h, sites[:, None], n, L)
+    weight = branches["amp"] ** 2
+    valid_sums = np.where(valid, weight, 0.0).sum(axis=2)
+    kept_sums = np.where(keeps, weight, 0.0).sum(axis=2)
+    valid_mass, kept_mass = np.ones(len(h)), np.ones(len(h))
+    for k in range(len(sites)):
+        valid_mass = valid_mass * valid_sums[:, k]
+        kept_mass = kept_mass * kept_sums[:, k]
+    dropped = math.fsum((joint.amps ** 2 * (valid_mass - kept_mass)[joint.emitter]).tolist())
+    frontier = Frontier(joint.emitter, len(h))
+    parent, choice = frontier.expand(keeps, max_branches,
+                                     f"joint state exceeded {max_branches} branches")
+    [(rows, edge)] = frontier.steps
+    chosen = branches[parent[:, None], np.arange(len(sites)), choice]  # (edges, sites)
+    amps = joint.amps[rows]
+    for k in range(len(sites)):
+        amps = amps * chosen["amp"][edge, k]
+    heights, stacks = h[parent], joint.stacks[parent]  # one child state per edge
+    delta, below = chosen["delta"], below[parent]
+    heights[:, sites] += delta
+    stacks[:, sites] = np.where(delta > 0, (below << 1) | (chosen["color"] == 2),
+                                np.where(delta < 0, below >> 1, below))
+    row = np.zeros((len(parent), L + 1), dtype=np.uint8)
+    row[:, sites - 1], row[:, sites] = chosen["spin_l"], chosen["spin_r"]
+    colors = np.zeros((len(parent), (L + 1) // 2 - n % 2), dtype=np.uint8)
+    colors[:, (sites - 1) // 2] = chosen["color"]  # vertex (i, n) in vertex order
     if n % 2 == 0:  # boundary emissions of the F rounds
         row[:, 0] = row[:, L] = 1
         row[:, 1] = heights[:, 2] == 0
         row[:, L - 1] = heights[:, L - 1] == 0
-    out = JointState(heights, stacks, np.hstack([joint.spins[rows], row]),
-                     np.hstack([joint.colors[rows], colors]), amps, dropped)
-    # every branch as one byte string, record first: it tells branches apart soonest in the sort
-    whole = np.hstack([out.colors, out.spins, out.stacks.view(np.uint8), out.heights.view(np.uint8)])
-    branches = key_rows(whole)
-    branches.sort()
-    if (branches[1:] == branches[:-1]).any():
+    first = frontier.merge(np.hstack([heights.view(np.uint8), stacks.view(np.uint8)]))
+    out = JointState(heights[first], stacks[first], frontier.node,
+                     np.hstack([joint.spins[rows], row[edge]]),
+                     np.hstack([joint.colors[rows], colors[edge]]), amps, dropped)
+    # every branch as one byte string, record first: it tells branches apart soonest in the
+    # sort; equal emitter states share one index
+    emitter = out.emitter.astype(np.int32)[:, None].view(np.uint8)
+    whole = key_rows(np.hstack([out.colors, out.spins, emitter]))
+    whole.sort()
+    if (whole[1:] == whole[:-1]).any():
         raise AssertionError("two distinct branches emitted the same record")
     return out
 
@@ -256,7 +274,7 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"round {n} broke norm conservation: {norm!r}")
     # the reference emitter: every marker back at the horizon, so no pairs beneath
-    if not (joint.heights == initial_joint(L).heights).all():
+    if not (joint.heights[joint.emitter] == initial_joint(L).heights).all():
         raise AssertionError("a branch away from the reference emitter survived round L")
     amps = joint.amps
     success = math.fsum((amps * amps).tolist())

@@ -140,6 +140,21 @@ def test_version_comes_without_importlib_metadata():
     assert depevap.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
 
 
+def test_exact_experiments_leave_lazy_imports_unloaded(tmp_path):
+    # numpy.ma (about 20 ms) and scipy load lazily, so a stray call would land in the
+    # benchmark's timings of every fresh worker; the exact-state experiments must not load them
+    manifests = [{"experiment": experiment, "L": [5], "p": [0.5], "mode": mode,
+                  "out": str(tmp_path / experiment)}
+                 for experiment, mode in (("exact-entropy", "reflecting"),
+                                          ("seqgen-check", "reflecting"),
+                                          ("hamiltonian-check", "absorbing"))]
+    loaded = _fresh_python("import sys\nfrom depevap import cli\n"
+                           f"for manifest in {manifests!r}:\n"
+                           "    assert cli.run_experiment(manifest)[1] == 0\n"
+                           "print(sorted({'numpy.ma', 'scipy'} & set(sys.modules)))")
+    assert loaded.strip() == "[]"
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_scaling_csvs_do_not_depend_on_cpu_count(tmp_path):
     # one trajectory range pinned to one CPU against one range per CPU, at the

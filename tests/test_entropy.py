@@ -141,6 +141,32 @@ def test_cut_location_symmetry():
                 assert a.table == pytest.approx(b.table, abs=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
+@pytest.mark.parametrize("p", [0.25, 0.8])
+@pytest.mark.parametrize("L", [9, 13])
+def test_backward_is_forward_conjugated_by_pi(L, p, mode):
+    # every site map is reversible with respect to pi(x) ~ (p / (1 - p))^(A(x) / 2), A the
+    # area sum_i h_i, and the floor and frozen-site factors are diagonal, so one slice of
+    # backward is forward conjugated by pi
+    kernel = TransferKernel(ModelParams(L=L, p=p, boundary_mode=mode))
+    pi = (p / (1 - p)) ** (kernel.heights[:, 1:L + 1].sum(axis=1) / 2)
+    rng = np.random.default_rng(12)
+    for t in (1, 2):
+        b = rng.random(len(pi)) + 0.5
+        want = kernel.forward(pi * b, t) / pi
+        assert np.max(np.abs(kernel.backward(b, t) - want) / want) <= 1e-13, t
+
+
+@pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
+def test_schmidt_entropy_is_symmetric_in_the_cut(mode):
+    # the same symmetry on the built state: the cut after slice c and after slice L - c
+    state = build_state(ModelParams(L=7, p=0.8, boundary_mode=mode, colored=False))
+    S = {c: entropy_exact(state, c).S_total for c in range(1, 7)}
+    assert all(abs(S[c] - S[7 - c]) <= 1e-12 for c in range(1, 4)), S
+    colored = build_state(ModelParams(L=7, p=0.8, boundary_mode=mode, colored=True))
+    assert abs(entropy_exact(colored, 3).S_total - entropy_exact(colored, 4).S_total) <= 1e-12
+
+
 def test_entropy_monotone_in_p_at_L9():
     values = [entropy_dp(ModelParams(L=9, p=p, colored=True)).S_total
               for p in (0.25, 0.5, 0.8)]

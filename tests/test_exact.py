@@ -174,6 +174,17 @@ def test_capacity_guard_threshold():
         enumerate_bridge(params, max_nodes=27_847)
 
 
+@pytest.mark.parametrize("L,colored", [(7, False), (5, True)])
+def test_bridge_set_does_not_depend_on_p(L, colored):
+    # for 0 < p < 1 every branch has positive probability, so only the weights move with p
+    runs = [enumerate_bridge(ModelParams(L=L, p=p, boundary_mode="absorbing", colored=colored))
+            for p in (0.25, 0.5, 0.8)]
+    for bridges in runs[1:]:
+        assert np.array_equal(bridges.profiles, runs[0].profiles)
+        assert np.array_equal(bridges.colors, runs[0].colors)
+        assert not np.array_equal(bridges.weights, runs[0].weights)
+
+
 def test_matches_independent_oracle():
     for L in (3, 5):
         for p in (0.3, 0.7):

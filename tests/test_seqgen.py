@@ -82,8 +82,8 @@ def _joint_dict(joint: JointState, L):
     widths = [len([i for i in range(1, L + 1) if (i + n) % 2 == 1])
               for n in range(1, joint.spins.shape[1] // (L + 1) + 1)]
     for heights, bits, spins, colors, amp in zip(
-            joint.heights.tolist(), joint.stacks.tolist(), joint.spins.tolist(),
-            joint.colors.tolist(), joint.amps.tolist()):
+            joint.heights[joint.emitter].tolist(), joint.stacks[joint.emitter].tolist(),
+            joint.spins.tolist(), joint.colors.tolist(), joint.amps.tolist()):
         stacks = []
         for i in range(1, L + 1):
             depth = (heights[i] - i % 2) // 2  # bottom pair in the highest bit
@@ -176,7 +176,7 @@ def test_boundary_channels():
     params = ModelParams(L=5, p=0.6, boundary_mode="reflecting", colored=True)
     joint = apply_round(apply_round(initial_joint(5), 1, params), 2, params)
     row = joint.spins[:, -6:]
-    h2, h4 = joint.heights[:, 2], joint.heights[:, 4]
+    h2, h4 = joint.heights[joint.emitter, 2], joint.heights[joint.emitter, 4]
     assert (row[:, 0] == 1).all() and (row[:, 5] == 1).all()
     assert (row[:, 1] == (h2 == 0)).all() and (row[:, 4] == (h4 == 0)).all()
     assert set(h2.tolist()) == {0, 2}
@@ -254,8 +254,8 @@ def test_norm_check_sees_a_perturbed_channel(monkeypatch):
 def test_round_guards():
     params = ModelParams(L=3, p=0.5, boundary_mode="reflecting", colored=True)
     twice = initial_joint(3)
-    twice = JointState(*(np.concatenate([a, a]) for a in (
-        twice.heights, twice.stacks, twice.spins, twice.colors, twice.amps)))
+    twice = JointState(twice.heights, twice.stacks, *(np.concatenate([a, a]) for a in (
+        twice.emitter, twice.spins, twice.colors, twice.amps)))
     with pytest.raises(AssertionError, match="same record"):
         apply_round(twice, 1, params)
     deep = initial_joint(3)
@@ -303,6 +303,14 @@ def test_generation_p0_product_state():
     gen, success = run_generation(params)
     assert success == pytest.approx(1.0)
     assert len(gen) == 1
+
+
+def test_generated_records_do_not_depend_on_p():
+    # for 0 < p < 1 every channel branch has nonzero amplitude, so the records keep their keys
+    # and their order
+    states = [run_generation(ModelParams(L=5, p=p, colored=True))[0] for p in (0.25, 0.5, 0.8)]
+    for state in states[1:]:
+        assert np.array_equal(state.keys, states[0].keys)
 
 
 def test_generated_records_decode():
