@@ -384,7 +384,7 @@ def decode_keys(keys, params: ModelParams) -> DecodedKeys:
         _raise_first(pair_slots(decoded, L)[1], "color", vertices,
                      "evaporation color does not match")
     if params.boundary_mode == "reflecting":
-        _raise_first((decoded.profiles < 0).reshape(len(values), -1), "floor",
+        _raise_first((decoded.profiles < 0).reshape(len(values), (L + 1) * (L + 2)), "floor",
                      _lattice(L).plaquettes, "height below 0 under reflecting rules")
     return decoded
 

@@ -8,23 +8,23 @@ rules and (1+p)/2 under absorbing ones (post-selection discards the
 fall below 0).  Frozen boundary sites contribute that factor per slice
 whenever they sit at the floor, and 1 otherwise.
 
-The enumeration runs over distinct states (`Frontier`).  A state is a
-zigzag profile with one color bit-stack per site (the pairs deposited
-there and not yet evaporated); a slice holds few of them (at most 14
-profiles at L = 7 and 42 at L = 9, 171 states with their stacks at
-L = 7 colored) against thousands of trajectories.
-Slice t + 1 labels every distinct state of slice t once per eligible
-site with an event-table label (shape, floor), keeps the branches of
-that label that can still return to the horizon (`within_reach`) and
-builds one child per combination of kept branches: an edge, with its
-child state, its vertex colors and its weight factor
+One walk (`walk`) enumerates histories over distinct states
+(`Frontier`), under a branch table per site label (shape, floor):
+the bridges' event table, or the parent Hamiltonian's p-independent
+sector table (`hamiltonian.sector_keys`).  A state is a zigzag profile
+with one color bit-stack per site (the pairs deposited there and not
+yet evaporated); a slice holds few of them (at most 14 profiles at
+L = 7 and 42 at L = 9, 171 states with their stacks at L = 7 colored)
+against thousands of histories.  Slice t + 1 labels every state of
+slice t once per site, keeps the branches that can still return to the
+horizon (`within_reach`) and builds one edge per combination of kept
+branches: a child state, its vertex colors and its weight factor
 w = ((1.0 p_first) ...) base, base the frozen sites' factor.  Equal
-child states merge into the next slice's states.  Each trajectory alive
-takes every edge of its state, in order, so the trajectories come out
-in the order of a depth-first recursion over slices and sites.  Only
-after slice L are the histories built, once: profile stacks, spins and
-vertex colors gathered from the edges, and each weight the product of
-its edges' factors in slice order, as the recursion multiplies them.
+children merge into the next slice's states.  Each history takes every
+edge of its state, in order, so the histories come out in the order of
+a depth-first recursion over slices and sites.  After slice L each
+caller gathers from the edges only what it reads; a bridge's weight is
+its edges' factors multiplied in slice order, as the recursion does.
 """
 
 from __future__ import annotations
@@ -196,15 +196,13 @@ def branch_table(branches, fields) -> np.ndarray:
 
 
 def _event_branches(params: ModelParams):
-    """(branch table over _LABELS with positive-probability branches, frozen-site factors);
-    the floor keeps a peak's no-change row alone, as in `entropy.TransferKernel`."""
+    """(the positive-probability branches over _LABELS, the frozen-site factors); the floor
+    keeps a peak's no-change row alone, as in `entropy.TransferKernel`."""
     reflecting = params.boundary_mode == "reflecting"
     tables = [event_table("peak", reflecting, params.p, params.colored)[-1:] if shape == "floor"
               else event_table(shape, False, params.p, params.colored) for shape in _LABELS]
-    table = branch_table([[(delta, color or 0, prob) for delta, _, color, prob in rows if prob > 0.0]
-                          for rows in tables],
-                         [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
-    return table, np.array([rows[-1][3] for rows in tables])
+    return ([[(delta, color or 0, prob) for delta, _, color, prob in rows if prob > 0.0]
+             for rows in tables], np.array([rows[-1][3] for rows in tables]))
 
 
 def _site_labels(prof, i):
@@ -247,19 +245,24 @@ class Bridges:
         return len(self.weights)
 
 
-def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges:
-    """All bridge trajectories with their exact weights.
+def walk(L, by_label, frozen, max_nodes, overflow):
+    """Every history from the horizon back to it, over distinct states.
 
-    `max_nodes` bounds the nodes of the trajectory tree, the root and
-    every trajectory alive after each slice; it is checked before a
-    slice is expanded.
+    by_label[label] lists the (delta, color, prob) branches of each label
+    of _LABELS, and frozen[label] is the factor of a frozen site.
+    `max_nodes` bounds the nodes of the history tree, the root and every
+    history alive after each slice, checked before a slice is expanded
+    (CapacityError `overflow`).  Without a g branch every stack stays 0,
+    and states merge on their profiles alone.  Returns (index, (profiles,
+    spins, colors, factors)): index (histories, 1 + L) holds each
+    history's root, then its edge at each slice, as rows of the edge
+    tables for `path_rows` to gather; an edge's colors fill a slice row
+    of `vertex_columns`.
     """
-    params.require_odd_L()
-    L = params.L
-    overflow = f"bridge enumeration exceeded {max_nodes} nodes"
-    table, no_change = _event_branches(params)
+    table = branch_table(by_label, [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
     prof = horizon_profile(L)[None].astype(np.int8)  # the distinct states after slice t - 1
     stacks = np.zeros((1, L + 2), dtype=np.uint32)  # one bit per pair (g = 1), newest lowest
+    colored = (table["color"] == 2).any()
     frontier = Frontier(np.zeros(1, dtype=np.intp), 1)
     visited = 1
     if visited > max_nodes:
@@ -268,8 +271,8 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
     edges = [(prof, np.zeros((1, width), dtype=np.uint8), np.ones(1))]  # the root
     for t in range(1, L + 1):
         sites = np.array(slice_sites(L, t), dtype=np.intp)
-        frozen = np.array([i for i in (1, L) if (i + t) % 2 == 1], dtype=np.intp)
-        labels = _site_labels(prof, np.concatenate([sites, frozen]))
+        frozen_sites = np.array([i for i in (1, L) if (i + t) % 2 == 1], dtype=np.intp)
+        labels = _site_labels(prof, np.concatenate([sites, frozen_sites]))
         branches = table[labels[:, :len(sites)]]  # (states, sites, branches)
         keeps = branches["valid"] & within_reach(prof[:, sites, None] + branches["delta"],
                                                  sites[:, None], t, L)
@@ -277,7 +280,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
         chosen = branches[parent[:, None], np.arange(len(sites)), choice]  # (edges, sites)
         base = 1.0
         for label in labels[parent, len(sites):].T:
-            base = base * no_change[label]
+            base = base * frozen[label]
         prof, stacks = prof[parent], stacks[parent]  # one child state per edge
         w = np.ones(len(parent))
         for k in range(len(sites)):
@@ -291,14 +294,24 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
         colors = np.zeros((len(parent), width), dtype=np.uint8)
         colors[:, (sites - 1) // 2] = color  # vertex (i, t) in codec.vertex_sites order
         edges.append((prof, colors, w * base))
-        first = frontier.merge(np.hstack([prof.view(np.uint8), stacks.view(np.uint8)]))
+        state = np.hstack([prof.view(np.uint8), stacks.view(np.uint8)]) if colored else prof
+        first = frontier.merge(state.view(np.uint8))
         visited += len(frontier.node)
         prof, stacks = prof[first], stacks[first]
-    # the horizon bound after slice L leaves only paths at the horizon
-    n = len(frontier.node)
-    index = frontier.paths()
+    # the horizon bound after slice L leaves only histories at the horizon
     profs, colors, factors = (np.concatenate(column) for column in zip(*edges))
     spins = profile_spins(profs, np.repeat(np.arange(L + 1), frontier.sizes), L)
+    return frontier.paths(), (profs, spins, colors, factors)
+
+
+def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges:
+    """All bridge trajectories with their exact weights, the `walk` of the event table
+    over at most `max_nodes` tree nodes."""
+    params.require_odd_L()
+    L = params.L
+    index, (profs, spins, colors, factors) = walk(
+        L, *_event_branches(params), max_nodes, f"bridge enumeration exceeded {max_nodes} nodes")
+    n = len(index)
     weights = np.ones(n)
     for t in range(1, L + 1):  # the weight product in slice order
         weights = weights * factors[index[:, t]]
@@ -374,20 +387,22 @@ def load_state(path) -> SparseState:
     params = ModelParams(L=L, p=p,
                          boundary_mode="reflecting" if mode == 0 else "absorbing",
                          colored=bool(colored))
+    params.require_odd_L()
     klen = key_length(params)
     if len(data) != body + count * (klen + 8):
         raise InvalidParameterError(
             f"state file holds {len(data) - body} body bytes, its header promises "
             f"{count} entries of {klen + 8}")
     entries = np.frombuffer(data[body:], dtype=np.uint8).reshape(count, klen + 8)
-    try:
-        decode_keys(entries[:, :klen], params)
-    except DecodeError as err:
-        raise InvalidParameterError(f"state file holds an invalid key: {err}") from err
     keys = entries[:, :klen].copy()
-    order, repeat = key_order(keys)
-    if repeat.any() or (order != np.arange(count)).any():
-        raise InvalidParameterError("state file keys do not ascend strictly")
+    if count:  # without keys there is nothing to check, so a huge L builds no codec lattice
+        try:
+            decode_keys(keys, params)
+        except DecodeError as err:
+            raise InvalidParameterError(f"state file holds an invalid key: {err}") from err
+        order, repeat = key_order(keys)
+        if repeat.any() or (order != np.arange(count)).any():
+            raise InvalidParameterError("state file keys do not ascend strictly")
     amps = entries[:, klen:].copy().view("<f8").ravel()
     if not np.isfinite(amps).all():
         raise InvalidParameterError("state file holds a non-finite amplitude")

@@ -31,7 +31,9 @@ dependent, hence nonlocal in the spins), and requesting it raises.
 
 Terms act on canonical keys in bulk, one array pass per shared support,
 and give their nonzero entries by term, then key, then matrix row; every
-consumer sums them in that order, as a per-key loop would.  The sector
+consumer sums them in that order, as a per-key loop would.  The
+constrained sector is the bridges' `exact.walk` with the floor rule
+removed and every branch allowed at any p (`sector_keys`).  Its
 spectrum comes from H's symmetry sectors under reflection, time reversal
 and color swap (`_SymmetryReduction`), each split into connected blocks
 (`_Blocks`) diagonalized in full; `_Sector` runs those steps.
@@ -56,25 +58,15 @@ from .codec import (
     key_order,
     key_rows,
     pack_values,
-    profile_spins,
     site_order,
     unpack_keys,
     vertex_sites,
     vertex_spin_indices,
 )
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import (
-    Frontier,
-    SparseState,
-    _kept,
-    _site_labels,
-    branch_table,
-    path_rows,
-    vertex_columns,
-    within_reach,
-)
+from .exact import SparseState, _kept, path_rows, vertex_columns, walk
 from .params import ModelParams, _is_int
-from .surface import branch_probability, horizon_profile, slice_sites
+from .surface import branch_probability
 
 DENSE_BYTES = 1 << 30  # budget of one dense float64 sector matrix
 DENSE_STATES = math.isqrt(DENSE_BYTES // 8)  # 11,585 states
@@ -508,56 +500,32 @@ def term_residuals(terms, state: SparseState):
 # restricted-sector spectrum
 
 
+# exact.walk's branches over exact._LABELS: every valley may rise and every peak and floor
+# fall (dips are legal), slopes stay, all at weight 1; changes carry r
+_SECTOR_BRANCHES = [[(0, 0, 1.0), (2, 1, 1.0)], [(0, 0, 1.0), (-2, 0, 1.0)],
+                    [(0, 0, 1.0), (-2, 0, 1.0)], [(0, 0, 1.0)]]
+
+
 def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
     """The Gauss + boundary + per-vertex-color-valid sector as a (N, key_length)
     uint8 key matrix, rows sorted as bytes.
 
-    Enumerates all bridge profile stacks, dips below the horizon
-    included (they are legal spin configurations), over the distinct
-    profiles of each slice (`exact.Frontier`): at each slice an eligible
-    valley stays or rises by 2, a peak stays or falls by 2 and a slope
-    stays, as long as the site can still return to the horizon
-    (`exact.within_reach`).  Each edge between two profiles gives its
-    spin row and which of its vertices change, and each history gathers
-    them once.  Colored params then give every history each independent
-    r/g assignment of its change vertices, mismatched ones included.
-
-    `max_states` bounds the histories alive after each slice, checked
-    before the slice is expanded, and the colored keys.  The last
-    slice's histories are the sector's, so a sector over the cap always
-    raises CapacityError; so may a smaller one, since a history counts
-    until it can no longer return (at L = 7 uncolored, 882 alive after
-    slice 5 against 868 keys).
+    The histories are the bridges' `exact.walk` without the floor rule
+    and at every p (`_SECTOR_BRANCHES`); their change vertices are those
+    with a color.  Colored params then give every history each
+    independent r/g assignment of its change vertices, mismatched ones
+    included.  `max_states` bounds the nodes of the history tree, as
+    `max_nodes` does the bridges' (2,931 at L = 7 uncolored for 868
+    keys), and the colored keys.
     """
     params.require_odd_L()
     L = params.L
     overflow = f"sector exceeds {max_states} states"
-    # over exact._LABELS; the floor falls like any peak, since dips are legal
-    table = branch_table([[(0,), (2,)], [(0,), (-2,)], [(0,), (-2,)], [(0,)]], [("delta", np.int8)])
-    prof = horizon_profile(L)[None].astype(np.int8)  # the distinct profiles after slice t - 1
-    frontier = Frontier(np.zeros(1, dtype=np.intp), 1)
-    edges = [(prof, np.zeros((1, (L + 1) // 2), dtype=bool))]  # the root
-    for t in range(1, L + 1):
-        sites = np.array(slice_sites(L, t), dtype=np.intp)
-        branches = table[_site_labels(prof, sites)]  # (profiles, sites, branches)
-        keeps = branches["valid"] & within_reach(prof[:, sites, None] + branches["delta"],
-                                                 sites[:, None], t, L)
-        parent, choice = frontier.expand(keeps, max_states, overflow)
-        delta = branches["delta"][parent[:, None], np.arange(len(sites)), choice]
-        child = prof[parent]
-        child[:, sites] += delta
-        # vertex (i, t) at column (i - 1) // 2 (see exact.vertex_columns)
-        change = np.zeros((len(parent), (L + 1) // 2), dtype=bool)
-        change[:, (sites - 1) // 2] = delta != 0
-        edges.append((child, change))
-        prof = child[frontier.merge(child.view(np.uint8))]
-    n = len(frontier.node)
-    index = frontier.paths()
-    profs, changes = (np.concatenate(column) for column in zip(*edges))
-    spins = profile_spins(profs, np.repeat(np.arange(L + 1), frontier.sizes), L)
+    index, (_, spins, colors, _) = walk(L, _SECTOR_BRANCHES, np.ones(4), max_states, overflow)
+    n = len(index)
     values = path_rows(spins, index)
     if params.colored:  # one key per color: 0 on a no-change vertex, r or g on a change
-        change = path_rows(changes, index[:, 1:])[:, vertex_columns(L)]
+        change = path_rows(colors, index[:, 1:])[:, vertex_columns(L)] != 0
         counts = np.left_shift(1, change.sum(axis=1))
         if counts.sum() > max_states:
             raise CapacityError(overflow)

@@ -1,5 +1,6 @@
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -209,9 +210,23 @@ def test_persistence_round_trip(tmp_path):
     text = export_state_text(state)
     assert len(text.splitlines()) == len(state)
     assert text == export_state_text(loaded)
-    save_state(SparseState(np.zeros((0, key_length(params)), dtype=np.uint8), np.zeros(0),
-                           params), path)
-    assert load_state(path).amplitudes == {}
+    for mode in ("absorbing", "reflecting"):  # the empty state of either mode
+        empty = params.with_(boundary_mode=mode)
+        save_state(SparseState(np.zeros((0, key_length(empty)), dtype=np.uint8), np.zeros(0),
+                               empty), path)
+        assert load_state(path).amplitudes == {}
+        assert load_state(path).params == empty
+
+
+def test_header_only_state_file_loads_without_building_the_lattice(tmp_path):
+    # a count-0 header (version 1, reflecting, colored) holds no key to check, so its
+    # L = 2001 costs nothing
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"DEQS" + struct.pack("<HIdBBQ", 1, 2001, 0.5, 0, 1, 0))
+    start = time.perf_counter()
+    loaded = load_state(path)
+    assert time.perf_counter() - start < 1.0
+    assert len(loaded) == 0 and loaded.params == ModelParams(L=2001, p=0.5, colored=True)
 
 
 @pytest.mark.parametrize("params", [ModelParams(L=5, p=0.6, boundary_mode="absorbing"),

@@ -564,8 +564,8 @@ SECTOR_KEY_HASHES = [
 
 @pytest.mark.parametrize("L,colored,count,digest", SECTOR_KEY_HASHES)
 def test_sector_keys_unchanged(L, colored, count, digest):
-    # L=9 holds more than the default 200,000 states; its frontier peaks at 240,585 rows
-    keys = sector_keys(ModelParams(L=L, p=0.5, colored=colored, **ABS), max_states=250_000)
+    # L=9 needs more than the default 200,000: its history tree has 750,352 nodes
+    keys = sector_keys(ModelParams(L=L, p=0.5, colored=colored, **ABS), max_states=750_352)
     assert len(keys) == count
     assert hashlib.sha256(b"".join(keys)).hexdigest() == digest
 
@@ -580,10 +580,10 @@ def test_sector_keys_are_a_sorted_key_matrix(L, colored):
     assert all(a < b for a, b in zip(rows, rows[1:]))  # ascending as bytes, no repeats
 
 
-@pytest.mark.parametrize("L,colored,peak,count", [(7, False, 882, 868), (5, True, 237, 237)])
+@pytest.mark.parametrize("L,colored,peak,count", [(7, False, 2931, 868), (5, True, 237, 237)])
 def test_sector_budget_threshold(L, colored, peak, count):
-    # the budget covers every frontier row: at L=7 uncolored 882 rows are alive after
-    # slice 5, 14 of them unable to return; colored, it covers the colored keys
+    # the budget covers every node of the history tree: 2,931 at L=7 uncolored, the
+    # root and every history alive after each slice; colored, it covers the colored keys
     params = ModelParams(L=L, p=0.5, colored=colored, **ABS)
     with pytest.raises(CapacityError, match=f"sector exceeds {peak - 1} states"):
         sector_keys(params, max_states=peak - 1)
