@@ -328,6 +328,8 @@ def _key_matrix(keys, length) -> np.ndarray:
 def key_order(keys):
     """(order, repeat): the stable row order that sorts a uint8 key matrix as bytes,
     and whether each sorted row but the first repeats the row before it."""
+    if not len(keys):  # lexsort would take one empty key per byte column
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
     order = np.lexsort(keys.T[::-1])  # lexsort's last key is its primary one
     ranked = keys[order]
     return order, (ranked[1:] == ranked[:-1]).all(axis=1)

@@ -9,18 +9,19 @@ fall below 0).  Frozen boundary sites contribute that factor per slice
 whenever they sit at the floor, and 1 otherwise.
 
 One walk (`walk`) enumerates histories over distinct states
-(`Frontier`), under a branch table per site label (shape, floor):
-the bridges' event table, or the parent Hamiltonian's p-independent
-sector table (`hamiltonian.sector_keys`).  A state is a zigzag profile
-with one color bit-stack per site (the pairs deposited there and not
-yet evaporated); a slice holds few of them (at most 14 profiles at
-L = 7 and 42 at L = 9, 171 states with their stacks at L = 7 colored)
-against thousands of histories.  Slice t + 1 labels every state of
-slice t once per site, keeps the branches that can still return to the
-horizon (`within_reach`) and builds one edge per combination of kept
-branches: a child state, its vertex colors and its weight factor
-w = ((1.0 p_first) ...) base, base the frozen sites' factor.  Equal
-children merge into the next slice's states.  Each history takes every
+(`Frontier`), under branches per site label name (`_LABELS`): the
+bridges' event table, or the parent Hamiltonian's p-independent sector
+table (`hamiltonian.sector_keys`).  A state is a zigzag profile with
+one color bit-stack per site (the pairs deposited there and not yet
+evaporated); a slice holds few of them (at most 14 profiles at L = 7
+and 42 at L = 9, 171 states with their stacks at L = 7 colored) against
+thousands of histories.  Slice t + 1 labels every state of slice t once
+per site, keeps the branches that can still return to the horizon
+(`within_reach`) and builds one edge per combination of kept branches:
+a child state, its vertex colors and its weight factor
+w = ((1.0 p_first) ...) base, base the frozen sites' factor, each the
+probability of its label's no-change branch.  Equal children merge
+into the next slice's states.  Each history takes every
 edge of its state, in order, so the histories come out in the order of
 a depth-first recursion over slices and sites.  After slice L each
 caller gathers from the edges only what it reads; a bridge's weight is
@@ -196,13 +197,14 @@ def branch_table(branches, fields) -> np.ndarray:
 
 
 def _event_branches(params: ModelParams):
-    """(the positive-probability branches over _LABELS, the frozen-site factors); the floor
-    keeps a peak's no-change row alone, as in `entropy.TransferKernel`."""
+    """{label: its positive-probability (delta, color, prob) branches} over _LABELS; the
+    floor keeps a peak's no-change row alone, as in `entropy.TransferKernel`."""
     reflecting = params.boundary_mode == "reflecting"
-    tables = [event_table("peak", reflecting, params.p, params.colored)[-1:] if shape == "floor"
-              else event_table(shape, False, params.p, params.colored) for shape in _LABELS]
-    return ([[(delta, color or 0, prob) for delta, _, color, prob in rows if prob > 0.0]
-             for rows in tables], np.array([rows[-1][3] for rows in tables]))
+    tables = {shape: event_table("peak", reflecting, params.p, params.colored)[-1:]
+              if shape == "floor" else event_table(shape, False, params.p, params.colored)
+              for shape in _LABELS}
+    return {shape: [(delta, color or 0, prob) for delta, _, color, prob in rows if prob > 0.0]
+            for shape, rows in tables.items()}
 
 
 def _site_labels(prof, i):
@@ -245,11 +247,12 @@ class Bridges:
         return len(self.weights)
 
 
-def walk(L, by_label, frozen, max_nodes, overflow):
+def walk(L, by_label, max_nodes, overflow):
     """Every history from the horizon back to it, over distinct states.
 
-    by_label[label] lists the (delta, color, prob) branches of each label
-    of _LABELS, and frozen[label] is the factor of a frozen site.
+    by_label[name] lists the (delta, color, prob) branches of each label
+    name of _LABELS; a frozen site's factor is the probability of its
+    label's delta-0 branch.
     `max_nodes` bounds the nodes of the history tree, the root and every
     history alive after each slice, checked before a slice is expanded
     (CapacityError `overflow`).  Without a g branch every stack stays 0,
@@ -259,7 +262,9 @@ def walk(L, by_label, frozen, max_nodes, overflow):
     tables for `path_rows` to gather; an edge's colors fill a slice row
     of `vertex_columns`.
     """
-    table = branch_table(by_label, [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
+    rows = [by_label[name] for name in _LABELS]
+    table = branch_table(rows, [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
+    frozen = np.array([next(prob for delta, _, prob in row if delta == 0) for row in rows])
     prof = horizon_profile(L)[None].astype(np.int8)  # the distinct states after slice t - 1
     stacks = np.zeros((1, L + 2), dtype=np.uint32)  # one bit per pair (g = 1), newest lowest
     colored = (table["color"] == 2).any()
@@ -310,7 +315,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
     params.require_odd_L()
     L = params.L
     index, (profs, spins, colors, factors) = walk(
-        L, *_event_branches(params), max_nodes, f"bridge enumeration exceeded {max_nodes} nodes")
+        L, _event_branches(params), max_nodes, f"bridge enumeration exceeded {max_nodes} nodes")
     n = len(index)
     weights = np.ones(n)
     for t in range(1, L + 1):  # the weight product in slice order

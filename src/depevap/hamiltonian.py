@@ -36,7 +36,7 @@ constrained sector is the bridges' `exact.walk` with the floor rule
 removed and every branch allowed at any p (`sector_keys`).  Its
 spectrum comes from H's symmetry sectors under reflection, time reversal
 and color swap (`_SymmetryReduction`), each split into connected blocks
-(`_Blocks`) diagonalized in full; `_Sector` runs those steps.
+(`_Blocks`) diagonalized in full; `_Layout.levels` runs those steps.
 
 Only the matrix values depend on p.  Terms of one local pattern share a
 read-only (states, matrix), and everything else (the entries' layout
@@ -398,13 +398,14 @@ class _Entries:
 class _Layout:
     """The p-independent part of the terms' action (see the comment above).
 
-    It keeps the entries over the last key matrix asked of `entries`, and
-    `sector` holds the sector spectrum's layout once `sector_spectrum`
-    has asked for it.
+    It keeps the entries over the last key matrix asked of `entries`;
+    `sector` and `levels` hold and use the sector spectrum's part.  Of
+    `params` a layout reads only L and colored.
     """
 
     def __init__(self, terms, nonzero, params: ModelParams):
-        L, colored = self.L, self.colored = params.L, params.colored
+        self.params = params
+        L, colored = params.L, params.colored
         index_of = {s: n for n, s in enumerate(site_order(L, colored))}
         sizes = np.array([len(term.states) for term in terms], dtype=np.intp)
         table = np.zeros((sizes.sum(), len(index_of)), dtype=np.uint8)  # states at their sites
@@ -430,7 +431,7 @@ class _Layout:
         self.count = np.bincount(window[source], minlength=len(table))
         self.window_ends = np.cumsum(self.count)
         self._last = None  # the entries of the last `entries` call, over a copy of its keys
-        self.sector = None
+        self._reduced = None  # (commuting names, _SymmetryReduction, _Blocks) of `levels`
 
     def entries(self, keys) -> _Entries:
         """The entries over the key matrix `keys`, rows in order; the last matrix's are kept."""
@@ -440,7 +441,7 @@ class _Layout:
         return self._last
 
     def build_entries(self, keys) -> _Entries:
-        values = unpack_keys(keys, self.L, self.colored)
+        values = unpack_keys(keys, self.params.L, self.params.colored)
         hits = [(np.zeros(0, dtype=np.intp),) * 2]
         for idx, radix, codes, row in self.groups:
             code = np.ravel_multi_index(values[:, idx].T, radix)
@@ -456,6 +457,30 @@ class _Layout:
         term = self.owner[entry]
         return _Entries(keys=keys, values=values, a=a, key2=keys[a] ^ self.delta[entry],
                         term=term, at=self.at[entry], n_terms=self.n_terms)
+
+    @functools.cached_property
+    def sector(self):
+        """(entries, images): the entries over the sorted sector keys (`sector_keys`, capped
+        at DENSE_STATES) and the candidate symmetries that map them onto themselves."""
+        entries = self.build_entries(sector_keys(self.params, max_states=DENSE_STATES))
+        return entries, _symmetry_images(entries, self.params)
+
+    def levels(self, weights, flat):
+        """Every level of H over the sector with these terms' values, unsorted; the
+        character basis and block partition are rebuilt only when the set of commuting
+        symmetries changes."""
+        entries, images = self.sector
+        row, col, group = entries.sector_cells
+        value = np.bincount(group, weights=entries.h(weights, flat))
+        kept = _commuting(images, value)
+        if self._reduced is None or self._reduced[0] != tuple(kept):
+            self._reduced = None
+            reduction = _SymmetryReduction(list(kept.values()), row, col, len(entries.keys))
+            self._reduced = tuple(kept), reduction, _Blocks(reduction.row, reduction.col,
+                                                           int(reduction.dims.sum()))
+        _, reduction, blocks = self._reduced
+        return np.concatenate([np.linalg.eigvalsh(stack).ravel()
+                               for _, stack in blocks.stacks(reduction(value))])
 
 
 def _layout(terms, params: ModelParams):
@@ -500,10 +525,10 @@ def term_residuals(terms, state: SparseState):
 # restricted-sector spectrum
 
 
-# exact.walk's branches over exact._LABELS: every valley may rise and every peak and floor
-# fall (dips are legal), slopes stay, all at weight 1; changes carry r
-_SECTOR_BRANCHES = [[(0, 0, 1.0), (2, 1, 1.0)], [(0, 0, 1.0), (-2, 0, 1.0)],
-                    [(0, 0, 1.0), (-2, 0, 1.0)], [(0, 0, 1.0)]]
+# exact.walk's branches per label: every valley may rise and every peak and floor fall
+# (dips are legal), slopes stay, all at weight 1; changes carry r
+_SECTOR_BRANCHES = {"valley": [(0, 0, 1.0), (2, 1, 1.0)], "peak": [(0, 0, 1.0), (-2, 0, 1.0)],
+                    "floor": [(0, 0, 1.0), (-2, 0, 1.0)], "slope": [(0, 0, 1.0)]}
 
 
 def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
@@ -521,7 +546,7 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
     params.require_odd_L()
     L = params.L
     overflow = f"sector exceeds {max_states} states"
-    index, (_, spins, colors, _) = walk(L, _SECTOR_BRANCHES, np.ones(4), max_states, overflow)
+    index, (_, spins, colors, _) = walk(L, _SECTOR_BRANCHES, max_states, overflow)
     n = len(index)
     values = path_rows(spins, index)
     if params.colored:  # one key per color: 0 on a no-change vertex, r or g on a change
@@ -707,34 +732,6 @@ class _Blocks:
             yield blocks, stack
 
 
-class _Sector:
-    """The p-independent part of `sector_spectrum` for one `_Layout`.
-
-    Holds the sector keys and H's cells over them, the candidate
-    symmetries' key and cell maps, and, for the last set of commuting
-    symmetries, the character basis and the block partition.
-    """
-
-    def __init__(self, layout: _Layout, params: ModelParams):
-        self.entries = layout.build_entries(sector_keys(params, max_states=DENSE_STATES))
-        self.images = _symmetry_images(self.entries, params)
-        self._reduced = None  # (commuting names, _SymmetryReduction, _Blocks)
-
-    def levels(self, weights, flat):
-        """Every level of H with these terms' values, unsorted."""
-        row, col, group = self.entries.sector_cells
-        value = np.bincount(group, weights=self.entries.h(weights, flat))
-        kept = _commuting(self.images, value)
-        if self._reduced is None or self._reduced[0] != tuple(kept):
-            self._reduced = None
-            reduction = _SymmetryReduction(list(kept.values()), row, col, len(self.entries.keys))
-            self._reduced = tuple(kept), reduction, _Blocks(reduction.row, reduction.col,
-                                                           int(reduction.dims.sum()))
-        _, reduction, blocks = self._reduced
-        return np.concatenate([np.linalg.eigvalsh(stack).ravel()
-                               for _, stack in blocks.stacks(reduction(value))])
-
-
 def sector_spectrum(terms, params: ModelParams, k: int):
     """Lowest-k eigenvalues of H in the constrained sector, ascending.
 
@@ -749,15 +746,14 @@ def sector_spectrum(terms, params: ModelParams, k: int):
     whole sector, so a larger one raises CapacityError while counted.
 
     All but H's values is p-independent and kept with the terms' layout
-    (`_layout`, `_Sector`): the sector keys, H's cells, the symmetries'
-    key and cell maps, the character basis and the block partition.
-    A call on a kept layout sums H's values, checks which symmetries
-    commute with them and runs the stacked `eigvalsh`; the basis and
-    partition are rebuilt only when that set of symmetries changes.
+    (`_layout`, `_Layout.sector`): the sector keys, H's cells, the
+    symmetries' key and cell maps, the character basis and the block
+    partition.  A call on a kept layout sums H's values, checks which
+    symmetries commute with them and runs the stacked `eigvalsh`
+    (`_Layout.levels`); the basis and partition are rebuilt only when
+    that set of symmetries changes.
     """
     if not _is_int(k) or k < 1:
         raise InvalidParameterError(f"k must be an integer >= 1, got {k!r}")
     layout, weights, flat = _layout(terms, params)
-    if layout.sector is None:
-        layout.sector = _Sector(layout, params)
-    return list(map(float, np.sort(layout.sector.levels(weights, flat))[:k]))
+    return list(map(float, np.sort(layout.levels(weights, flat))[:k]))

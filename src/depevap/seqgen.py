@@ -30,10 +30,11 @@ and carries the squared mass it dropped, so kept plus dropped mass stays
 final projection onto it is an assertion, and the kept squared weight
 is the post-selection success probability.
 
-The optional cooling phase reruns the later rounds (after ceil(L/2))
-with p = 0 and the deposition branches removed; no extra rounds or
-registers are introduced, and the post-selection success grows because
-every peak then drains with amplitude sqrt(1/2) per round.
+The optional cooling phase runs the later rounds (after ceil(L/2)) at
+p = 0, where every deposition branch has amplitude 0 and so leaves the
+round's channel table; no extra rounds or registers are introduced, and
+the post-selection success grows because every peak then drains with
+amplitude sqrt(1/2) per round.
 
 The joint state of emitter and record is a set of arrays (`JointState`).
 The emitter is the bond of the sequential (MPS) construction: its
@@ -155,7 +156,7 @@ def initial_joint(L: int) -> JointState:
                       np.ones(1))
 
 
-def _channel_table(p, colored, cooling) -> np.ndarray:
+def _channel_table(p, colored) -> np.ndarray:
     """channel_branches with nonzero amplitude per site label, as one branch table.
 
     A site's label is 3 * (2 * (dh_left > 0) + (dh_right > 0)) + top,
@@ -163,14 +164,13 @@ def _channel_table(p, colored, cooling) -> np.ndarray:
     otherwise.
     """
     return branch_table([[(delta, spins[0], spins[1], color, amp) for delta, _, spins, color, amp
-                          in channel_branches(dh_l, dh_r, top, p, colored, cooling) if amp != 0.0]
+                          in channel_branches(dh_l, dh_r, top, p, colored) if amp != 0.0]
                          for dh_l in (-1, 1) for dh_r in (-1, 1) for top in (None, 1, 2)],
                         [("delta", np.int8), ("spin_l", np.uint8), ("spin_r", np.uint8),
                          ("color", np.uint8), ("amp", np.float64)])
 
 
-def apply_round(joint: JointState, n, params: ModelParams, cooling_active=False,
-                max_branches=MAX_BRANCHES) -> JointState:
+def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRANCHES) -> JointState:
     """One round of local channels on every branch of the joint state.
 
     The channels act on the distinct emitter states (`exact.Frontier`):
@@ -191,7 +191,7 @@ def apply_round(joint: JointState, n, params: ModelParams, cooling_active=False,
     before the round is built.
     """
     L = params.L
-    table = _channel_table(params.p, params.colored, cooling_active)
+    table = _channel_table(params.p, params.colored)
     sites = np.array(slice_sites(L, n), dtype=np.intp)
     h = joint.heights
     below = joint.stacks[:, sites]
@@ -266,9 +266,9 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
     joint = initial_joint(L)
     start = cooling_start(L)
     dropped = []
-    for n in range(1, L + 1):
-        active = cooling and n > start
-        joint = apply_round(joint, n, params, cooling_active=active, max_branches=max_branches)
+    for n in range(1, L + 1):  # cooling rounds run at p = 0, where no deposit is left
+        round_params = params.with_(p=0.0) if cooling and n > start else params
+        joint = apply_round(joint, n, round_params, max_branches=max_branches)
         dropped.append(joint.dropped)
         norm = math.fsum((joint.amps * joint.amps).tolist() + dropped)
         if abs(norm - 1.0) > 1e-12:

@@ -1,6 +1,7 @@
 import math
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ def test_persistence_round_trip(tmp_path):
                                empty), path)
         assert load_state(path).amplitudes == {}
         assert load_state(path).params == empty
+
+
+def test_empty_state_saves_and_exports_in_little_memory(tmp_path):
+    # an empty L = 2001 colored state has 1,001,501 key columns and no row to sort
+    params = ModelParams(L=2001, p=0.5, colored=True)
+    state = SparseState(np.zeros((0, key_length(params)), dtype=np.uint8), np.zeros(0), params)
+    tracemalloc.start()
+    try:
+        save_state(state, tmp_path / "empty.bin")
+        assert export_state_text(state) == ""
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_header_only_state_file_loads_without_building_the_lattice(tmp_path):

@@ -364,6 +364,28 @@ def test_layout_memo_serves_only_its_own_terms_and_keys():
         assert np.max(np.abs(np.array(levels) - dense)) < 1e-12
 
 
+def test_p_grid_builds_the_sector_once(monkeypatch):
+    # the sector keys and the character basis do not depend on p, so a p grid at one L
+    # builds each of them once with the kept layout
+    calls = {"sector_keys": 0, "_SymmetryReduction": 0}
+
+    def counted(name):
+        real = getattr(hamiltonian, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hamiltonian, name, counted(name))
+    exact._KEPT.clear()
+    for p in (0.25, 0.5, 0.8):
+        params = ModelParams(L=5, p=p, colored=True, **ABS)
+        assert len(sector_spectrum(assemble_hamiltonian(params), params, 4)) == 4
+    assert calls == {"sector_keys": 1, "_SymmetryReduction": 1}
+
+
 def test_shared_term_matrices_are_read_only():
     # terms of one pattern share one matrix, so none of them may write into it
     params = ModelParams(L=5, p=0.3, colored=True, **ABS)

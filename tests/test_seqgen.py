@@ -213,7 +213,7 @@ def test_rounds_match_reference(L, colored, p, cooling):
     joint, ref = initial_joint(L), {(tuple((i % 2, ()) for i in range(1, L + 1)), ()): 1.0}
     for n in range(1, L + 1):
         active = cooling and n > cooling_start(L)
-        joint = apply_round(joint, n, params, cooling_active=active)
+        joint = apply_round(joint, n, params.with_(p=0.0) if active else params)
         ref, lost = _split_returnable(
             _reference_apply_round(ref, n, p, params, cooling_active=active), n, L)
         assert list(_joint_dict(joint, L).items()) == list(ref.items()), n
@@ -241,8 +241,8 @@ def test_norm_check_sees_a_perturbed_channel(monkeypatch):
     # channel column whose norm is not 1 still breaks kept + dropped = 1
     channel_table = seqgen._channel_table
 
-    def perturbed(p, colored, cooling):
-        table = channel_table(p, colored, cooling)
+    def perturbed(p, colored):
+        table = channel_table(p, colored)
         table["amp"][0, 0] *= 1 + 1e-6  # the first branch of a valley at the horizon
         return table
 
