@@ -16,12 +16,13 @@ one color bit-stack per site (the pairs deposited there and not yet
 evaporated); a slice holds few of them (at most 14 profiles at L = 7
 and 42 at L = 9, 171 states with their stacks at L = 7 colored) against
 thousands of histories.  Slice t + 1 labels every state of slice t once
-per site, keeps the branches that can still return to the horizon
-(`within_reach`) and builds one edge per combination of kept branches:
-a child state, its vertex colors and its weight factor
+per site and keeps the branches that can still return to the horizon
+(`within_reach`); `Frontier.step`, which `seqgen.apply_round` takes on
+the emitter's states too, builds one edge per combination of kept
+branches with its child state and vertex colors and merges equal
+children.  The walk reads each edge's weight factor
 w = ((1.0 p_first) ...) base, base the frozen sites' factor, each the
-probability of its label's no-change branch.  Equal children merge
-into the next slice's states.  Each history takes every
+probability of its label's no-change branch.  Each history takes every
 edge of its state, in order, so the histories come out in the order of
 a depth-first recursion over slices and sites.  After slice L each
 caller gathers from the edges only what it reads; a bridge's weight is
@@ -97,33 +98,34 @@ class SparseState:
 class Frontier:
     """Paths through the distinct states of successive slices, in depth-first order.
 
-    A state is whatever decides a path's branches from here on (a
-    profile, stacks, an emitter); each slice keeps every distinct state
-    once, and `node` (N,) gives the state of every path alive, an index
-    into the caller's table of them.  `expand` finds each state's edges,
-    one per combination of its kept branches, and the children of every
-    path; the caller builds one child state per edge, and `merge` folds
-    equal child states into the next table.  `paths` traces the paths
-    alive back through every slice.
+    A state is a zigzag profile with one color bit-stack per site (the
+    pairs deposited there and not yet evaporated, one bit per pair, g = 1,
+    newest lowest): `heights` (M, L+2) int8 and `stacks` (M, L+2) uint32
+    hold each distinct state of a slice once, and `node` (N,) is the state
+    of every path alive.  `paths` traces them back through every slice.
     """
 
-    def __init__(self, node, states):
+    def __init__(self, node, heights, stacks):
         self.node = self.first = node
-        self.sizes = [states]  # the states before the first slice, then each slice's edges
+        self.heights, self.stacks = heights, stacks
+        self.sizes = [len(heights)]  # the states before the first slice, then each slice's edges
         self.steps = []  # per slice: (parent path, edge) of every child path
 
-    def expand(self, keeps, cap, overflow):
-        """Edges of the states under per-site branch masks, and the children of the paths.
+    def step(self, branches, keeps, sites, cap, overflow):
+        """Move every path one slice on; equal children become the next states.
 
-        keeps (states, sites, branches) marks the branches each site may
-        take from each state.  An edge takes one kept branch per site; a
-        state's edges form one contiguous range, ordered by the first
-        site's branch, then the second's and so on.  Each path takes every
-        edge of its state, paths in order, so the children come out in the
-        order of a depth-first recursion over slices and sites.  Their
-        number is checked against `cap` before any is built
-        (CapacityError with message `overflow`).  Returns (state of each
-        edge, (edges, sites) branch index of each edge at each site).
+        branches (states, sites, branches) have fields `delta` and `color`,
+        and keeps marks those each site may take from each state.  An edge
+        takes one kept branch per site; a state's edges form one contiguous
+        range, ordered by the first site's branch, then the second's and so
+        on.  Each path takes every edge of its state, paths in order, so the
+        children come out in the order of a depth-first recursion over
+        slices and sites; their number is checked against `cap` before any
+        is built (CapacityError `overflow`).  A child adds each site's delta;
+        a deposit pushes its color, an evaporation pops and takes the color
+        of the pair it removes.  Children merge on their profile and stack
+        bytes, the next states sorted as those bytes.  Returns per edge its
+        state, its (edges, sites) branches, vertex colors and child profile.
         """
         counts = keeps.sum(axis=2).prod(axis=1)
         children = counts[self.node]
@@ -131,29 +133,28 @@ class Frontier:
             raise CapacityError(overflow)
         parent = np.arange(len(keeps))
         choice = np.zeros((len(keeps), 0), dtype=np.intp)
-        for k in range(keeps.shape[1]):
+        for k in range(len(sites)):
             state, branch = np.nonzero(keeps[parent, k])
             parent = parent[state]
             choice = np.hstack([choice[state], branch[:, None]])
         # a child's edge: its state's first edge plus its rank among its path's children
-        rank = np.repeat((np.cumsum(counts) - counts)[self.node] + children - np.cumsum(children),
-                         children)
-        self.steps.append((np.repeat(np.arange(len(self.node)), children),
-                           rank + np.arange(len(rank))))
+        edge = np.repeat((np.cumsum(counts) - counts)[self.node] + children - np.cumsum(children),
+                         children) + np.arange(children.sum())
+        self.steps.append((np.repeat(np.arange(len(self.node)), children), edge))
         self.sizes.append(len(parent))
-        self.node = None
-        return parent, choice
-
-    def merge(self, children):
-        """Fold equal child states, one (edges, bytes) uint8 row per edge, into a table.
-
-        The new states are the distinct rows, sorted as bytes; sets `node`
-        to each child path's state and returns the first edge of every
-        state.
-        """
-        _, first, state = np.unique(key_rows(children), return_index=True, return_inverse=True)
-        self.node = state[self.steps[-1][1]]
-        return first
+        chosen = branches[parent[:, None], np.arange(len(sites)), choice]  # (edges, sites)
+        heights, stacks = self.heights[parent], self.stacks[parent]  # one child per edge
+        delta, below = chosen["delta"], stacks[:, sites]
+        heights[:, sites] += delta
+        # an evaporation takes the color of the pair beneath (h >= 0 keeps one there)
+        color = np.where(delta < 0, (below & 1) + 1, chosen["color"])
+        stacks[:, sites] = np.where(delta > 0, (below << 1) | (color == 2),
+                                    np.where(delta < 0, below >> 1, below))
+        state = key_rows(np.hstack([heights.view(np.uint8), stacks.view(np.uint8)]))
+        _, first, state = np.unique(state, return_index=True, return_inverse=True)
+        self.node = state[edge]
+        self.heights, self.stacks = heights[first], stacks[first]
+        return parent, chosen, color, heights
 
     def paths(self):
         """(paths alive, 1 + slices) intp: the state each path started from, then its edge
@@ -252,11 +253,11 @@ def walk(L, by_label, max_nodes, overflow):
 
     by_label[name] lists the (delta, color, prob) branches of each label
     name of _LABELS; a frozen site's factor is the probability of its
-    label's delta-0 branch.
-    `max_nodes` bounds the nodes of the history tree, the root and every
-    history alive after each slice, checked before a slice is expanded
-    (CapacityError `overflow`).  Without a g branch every stack stays 0,
-    and states merge on their profiles alone.  Returns (index, (profiles,
+    label's delta-0 branch.  `Frontier.step` builds each slice's edges
+    from the kept branches, and the walk reads their colors and weight
+    factors.  `max_nodes` bounds the nodes of the history tree, the root
+    and every history alive after each slice, checked before a slice is
+    expanded (CapacityError `overflow`).  Returns (index, (profiles,
     spins, colors, factors)): index (histories, 1 + L) holds each
     history's root, then its edge at each slice, as rows of the edge
     tables for `path_rows` to gather; an edge's colors fill a slice row
@@ -265,10 +266,8 @@ def walk(L, by_label, max_nodes, overflow):
     rows = [by_label[name] for name in _LABELS]
     table = branch_table(rows, [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
     frozen = np.array([next(prob for delta, _, prob in row if delta == 0) for row in rows])
-    prof = horizon_profile(L)[None].astype(np.int8)  # the distinct states after slice t - 1
-    stacks = np.zeros((1, L + 2), dtype=np.uint32)  # one bit per pair (g = 1), newest lowest
-    colored = (table["color"] == 2).any()
-    frontier = Frontier(np.zeros(1, dtype=np.intp), 1)
+    prof = horizon_profile(L)[None].astype(np.int8)
+    frontier = Frontier(np.zeros(1, dtype=np.intp), prof, np.zeros(prof.shape, dtype=np.uint32))
     visited = 1
     if visited > max_nodes:
         raise CapacityError(overflow)
@@ -277,32 +276,23 @@ def walk(L, by_label, max_nodes, overflow):
     for t in range(1, L + 1):
         sites = np.array(slice_sites(L, t), dtype=np.intp)
         frozen_sites = np.array([i for i in (1, L) if (i + t) % 2 == 1], dtype=np.intp)
+        prof = frontier.heights  # the distinct states after slice t - 1
         labels = _site_labels(prof, np.concatenate([sites, frozen_sites]))
         branches = table[labels[:, :len(sites)]]  # (states, sites, branches)
         keeps = branches["valid"] & within_reach(prof[:, sites, None] + branches["delta"],
                                                  sites[:, None], t, L)
-        parent, choice = frontier.expand(keeps, max_nodes - visited, overflow)
-        chosen = branches[parent[:, None], np.arange(len(sites)), choice]  # (edges, sites)
+        parent, chosen, color, heights = frontier.step(branches, keeps, sites,
+                                                       max_nodes - visited, overflow)
+        visited += len(frontier.node)
         base = 1.0
         for label in labels[parent, len(sites):].T:
             base = base * frozen[label]
-        prof, stacks = prof[parent], stacks[parent]  # one child state per edge
         w = np.ones(len(parent))
         for k in range(len(sites)):
             w = w * chosen["prob"][:, k]
-        delta, below = chosen["delta"], stacks[:, sites]
-        prof[:, sites] += delta
-        # an evaporation takes the color of the pair beneath (h >= 0 keeps one there)
-        color = np.where(delta < 0, (below & 1) + 1, chosen["color"])
-        stacks[:, sites] = np.where(delta > 0, (below << 1) | (color == 2),
-                                    np.where(delta < 0, below >> 1, below))
         colors = np.zeros((len(parent), width), dtype=np.uint8)
         colors[:, (sites - 1) // 2] = color  # vertex (i, t) in codec.vertex_sites order
-        edges.append((prof, colors, w * base))
-        state = np.hstack([prof.view(np.uint8), stacks.view(np.uint8)]) if colored else prof
-        first = frontier.merge(state.view(np.uint8))
-        visited += len(frontier.node)
-        prof, stacks = prof[first], stacks[first]
+        edges.append((heights, colors, w * base))
     # the horizon bound after slice L leaves only histories at the horizon
     profs, colors, factors = (np.concatenate(column) for column in zip(*edges))
     spins = profile_spins(profs, np.repeat(np.arange(L + 1), frontier.sizes), L)
@@ -323,11 +313,6 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
     return Bridges(profiles=path_rows(profs, index).reshape(n, L + 1, L + 2),
                    spins=path_rows(spins, index), weights=weights,
                    colors=path_rows(colors, index[:, 1:])[:, vertex_columns(L)])
-
-
-def success_probability(params: ModelParams) -> float:
-    """Total bridge weight before renormalization."""
-    return math.fsum(enumerate_bridge(params).weights.tolist())
 
 
 def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:

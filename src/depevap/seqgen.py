@@ -41,17 +41,17 @@ The emitter is the bond of the sequential (MPS) construction: its
 distinct states, int8 marker heights and uint32 color bit-stacks, are
 kept once each, and each branch points at one of them and carries its
 uint8 spin and color rows and a float64 amplitude.  A round labels every
-distinct emitter state at each of its sites (shape and top pair color)
-and reads that label's branches off `channel_branches`; each
-combination of kept branches is an edge with a child state, an emitted
-spin row and color row and its sites' amplitudes (`exact.Frontier`).
-Every branch then takes every edge of its state: children come out
-parent-major with each site's branches in table order, the order of a
-depth-first recursion over branches and sites, and amplitudes are
-multiplied in that order.  The record is emitted by the channels
-themselves, never rebuilt from heights through the codec, so comparing
-the generated state with `exact.build_state` stays an independent
-check.
+distinct emitter state at each of its sites (shape and top pair color),
+reads that label's branches off `channel_branches` and marks the kept
+ones; `exact.Frontier.step`, the bridge walk's step, builds one edge
+per combination of them with its child state and merges equal
+children, so the emitter's states are the walk's.  Every branch takes
+every edge of its state, parent-major with each site's branches in
+table order (a depth-first recursion over branches and sites), and
+multiplies its amplitude by the edge's in that order.  The record is
+emitted by the channels themselves (the table's spin and color fields),
+never rebuilt from heights through the codec, so comparing the
+generated state with `exact.build_state` stays an independent check.
 """
 
 from __future__ import annotations
@@ -125,11 +125,10 @@ def cooling_start(L: int) -> int:
 class JointState:
     """The emitter and its emitted record, one row per branch, in branch order.
 
-    The emitter states are kept once each: `heights` (M, L+2) int8 are
-    the marker heights with the pinned walls 0 and L+1 at 0; `stacks`
-    (M, L+2) uint32 hold the colors of the pairs beneath each marker, one
-    bit per pair (g = 1) with the most recent in bit 0 (the pair count is
-    (height - i % 2) / 2).  `emitter` (N,) is each branch's state, `spins`
+    The emitter states are kept once each, as `exact.Frontier` holds
+    them: `heights` (M, L+2) int8 are the marker heights with the pinned
+    walls 0 and L+1 at 0, `stacks` the color bit-stacks of the pairs
+    beneath each marker.  `emitter` (N,) is each branch's state, `spins`
     (N, n (L+1)) uint8 are the spin rows emitted by rounds 1..n, `colors`
     uint8 the color rows of vertex rows 1..n in vertex order, and `amps`
     (N,) float64.  `dropped` is the squared mass that the round which
@@ -173,9 +172,10 @@ def _channel_table(p, colored) -> np.ndarray:
 def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRANCHES) -> JointState:
     """One round of local channels on every branch of the joint state.
 
-    The channels act on the distinct emitter states (`exact.Frontier`):
-    each state has one edge per combination of its sites' channel
-    branches, in table order, with its child state, its emitted rows and
+    The round labels the distinct emitter states and marks their kept
+    channel branches; `exact.Frontier.step` builds one edge per
+    combination of them, in table order, with its child state, and
+    merges equal children.  The round reads each edge's emitted rows and
     its sites' amplitudes.  Each branch takes every edge of its state,
     branches in order, the order of a depth-first recursion over branches
     and sites; its amplitude is multiplied by the sites' amplitudes in
@@ -194,8 +194,7 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     table = _channel_table(params.p, params.colored)
     sites = np.array(slice_sites(L, n), dtype=np.intp)
     h = joint.heights
-    below = joint.stacks[:, sites]
-    top = np.where(h[:, sites] == sites % 2, 0, (below & 1) + 1)
+    top = np.where(h[:, sites] == sites % 2, 0, (joint.stacks[:, sites] & 1) + 1)
     branches = table[3 * (2 * (h[:, sites] > h[:, sites - 1]) + (h[:, sites] > h[:, sites + 1]))
                      + top]  # (states, sites, branches)
     valid, new_h = branches["valid"], h[:, sites, None] + branches["delta"]
@@ -211,29 +210,22 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
         valid_mass = valid_mass * valid_sums[:, k]
         kept_mass = kept_mass * kept_sums[:, k]
     dropped = math.fsum((joint.amps ** 2 * (valid_mass - kept_mass)[joint.emitter]).tolist())
-    frontier = Frontier(joint.emitter, len(h))
-    parent, choice = frontier.expand(keeps, max_branches,
-                                     f"joint state exceeded {max_branches} branches")
+    frontier = Frontier(joint.emitter, h, joint.stacks)
+    _, chosen, _, heights = frontier.step(branches, keeps, sites, max_branches,
+                                          f"joint state exceeded {max_branches} branches")
     [(rows, edge)] = frontier.steps
-    chosen = branches[parent[:, None], np.arange(len(sites)), choice]  # (edges, sites)
     amps = joint.amps[rows]
     for k in range(len(sites)):
         amps = amps * chosen["amp"][edge, k]
-    heights, stacks = h[parent], joint.stacks[parent]  # one child state per edge
-    delta, below = chosen["delta"], below[parent]
-    heights[:, sites] += delta
-    stacks[:, sites] = np.where(delta > 0, (below << 1) | (chosen["color"] == 2),
-                                np.where(delta < 0, below >> 1, below))
-    row = np.zeros((len(parent), L + 1), dtype=np.uint8)
+    row = np.zeros((len(chosen), L + 1), dtype=np.uint8)
     row[:, sites - 1], row[:, sites] = chosen["spin_l"], chosen["spin_r"]
-    colors = np.zeros((len(parent), (L + 1) // 2 - n % 2), dtype=np.uint8)
+    colors = np.zeros((len(chosen), (L + 1) // 2 - n % 2), dtype=np.uint8)
     colors[:, (sites - 1) // 2] = chosen["color"]  # vertex (i, n) in vertex order
     if n % 2 == 0:  # boundary emissions of the F rounds
         row[:, 0] = row[:, L] = 1
         row[:, 1] = heights[:, 2] == 0
         row[:, L - 1] = heights[:, L - 1] == 0
-    first = frontier.merge(np.hstack([heights.view(np.uint8), stacks.view(np.uint8)]))
-    out = JointState(heights[first], stacks[first], frontier.node,
+    out = JointState(frontier.heights, frontier.stacks, frontier.node,
                      np.hstack([joint.spins[rows], row[edge]]),
                      np.hstack([joint.colors[rows], colors[edge]]), amps, dropped)
     # every branch as one byte string, record first: it tells branches apart soonest in the

@@ -8,13 +8,17 @@ frontier in `depevap.exact` must reproduce its heights, colors, weights
 (bit for bit), order and node count.  With bridge=False the recursion
 keeps every trajectory, not only those back at the horizon; in
 reflecting mode their weights sum to 1.  `trajectory_weight` recomputes
-a record's weight from its events.
+a record's weight from its events.  `success_probability` sums the
+weights of `depevap.exact.enumerate_bridge`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from depevap import exact
 from depevap.codec import TrajectoryRecord, vertex_sites
 from depevap.errors import CapacityError, EncodeError
 from depevap.exact import MAX_NODES
@@ -185,3 +189,7 @@ def trajectory_weight(traj: TrajectoryRecord, params: ModelParams) -> float:
         w *= probs[0]  # colored deposits already carry p/4 per definite color
     return w
 
+
+def success_probability(params: ModelParams) -> float:
+    """Total bridge weight of `exact.enumerate_bridge` before renormalization."""
+    return math.fsum(exact.enumerate_bridge(params).weights.tolist())

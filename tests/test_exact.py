@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bridge_reference import enumerate_bridge as reference_enumerate_bridge
+from bridge_reference import success_probability
 from conftest import oracle_enumerate, oracle_success
 from depevap import ModelParams, exact
 from depevap.codec import (
@@ -25,7 +26,6 @@ from depevap.exact import (
     export_state_text,
     load_state,
     save_state,
-    success_probability,
 )
 from depevap.surface import horizon_profile
 

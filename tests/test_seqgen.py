@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from depevap import ModelParams, seqgen
+from bridge_reference import success_probability
+from depevap import ModelParams, exact, seqgen
 from depevap.codec import decode_keys, pack_values, site_order
 from depevap.entropy import entropy_dp, entropy_exact, mid_cut_row
 from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from depevap.exact import build_state, success_probability, within_reach
+from depevap.exact import build_state, within_reach
 from depevap.seqgen import (
     MAX_BRANCHES,
     JointState,
@@ -273,6 +274,31 @@ def test_generation_matches_exact_state(L, p, colored):
     state = build_state(params)
     assert fidelity(gen, state) >= 1 - 1e-10
     assert success == pytest.approx(success_probability(params), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("colored", [True, False])
+@pytest.mark.parametrize("L", [5, 7])
+def test_emitter_states_are_the_walk_states(L, colored, p):
+    # the emitter is the bond of the sequential construction: after round n its distinct
+    # states are the reflecting bridge walk's after slice n, in the same order
+    params = ModelParams(L=L, p=p, boundary_mode="reflecting", colored=colored)
+    step, walked = exact.Frontier.step, []
+
+    def recording_step(self, *args):
+        edges = step(self, *args)
+        walked.append((self.heights.copy(), self.stacks.copy()))
+        return edges
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact.Frontier, "step", recording_step)
+        exact.enumerate_bridge(params)
+    assert len(walked) == L
+    joint = initial_joint(L)
+    for n, (heights, stacks) in enumerate(walked, start=1):
+        joint = apply_round(joint, n, params)
+        assert np.array_equal(joint.heights, heights), n
+        assert np.array_equal(joint.stacks, stacks), n
 
 
 @pytest.fixture(scope="module")
