@@ -33,7 +33,7 @@ import numpy as np
 from .codec import decode_keys, key_rows, pair_slots, site_order
 from .errors import CapacityError, InvalidParameterError
 from .exact import SparseState, _kept
-from .params import ModelParams
+from .params import ModelParams, _is_int
 from .surface import event_table, horizon_profile
 
 MAX_PROFILES = 3_000_000  # admits L = 27; the DP needs about 0.3 kB per profile
@@ -184,8 +184,8 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     """
     params.require_odd_L()
     L = params.L
-    if not 1 <= cut_row <= L - 1:
-        raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row}")
+    if not _is_int(cut_row) or not 1 <= cut_row <= L - 1:
+        raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row!r}")
     count = profile_count(L)
     cap = min(max_profiles, MAX_PROFILES)
     if count > cap:
@@ -280,8 +280,8 @@ def schmidt_spectrum(state: SparseState, cut_row: int):
     norm = state.norm()
     if abs(norm - 1.0) > 1e-8:
         raise InvalidParameterError(f"state is not normalized: |norm - 1| = {abs(norm - 1):.2e}")
-    if not 1 <= cut_row <= L - 1:
-        raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row}")
+    if not _is_int(cut_row) or not 1 <= cut_row <= L - 1:
+        raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row!r}")
     bottom_sites, top_sites = _bipartition(L, params.colored, cut_row, "space")
     column = {s: n for n, s in enumerate(site_order(L, params.colored))}
     decoded = decode_keys(state.keys, params)

@@ -30,8 +30,9 @@ is not the kernel of any local term set (its Peak-at-1 rule is height
 dependent, hence nonlocal in the spins), and requesting it raises.
 
 Terms act on canonical keys in bulk, one array pass per shared support,
-and give their nonzero entries by term, then key, then matrix row; every
-consumer sums them in that order, as a per-key loop would.  The
+and give their nonzero entries by term, then key, then matrix row;
+`term_residuals` and the sector spectrum sum them in that order, as the
+tests' per-key loop does (tests/hamiltonian_reference.py).  The
 constrained sector is the bridges' `exact.walk` with the floor rule
 removed and every branch allowed at any p (`sector_keys`).  Its
 spectrum comes from H's symmetry sectors under reflection, time reversal
@@ -88,15 +89,11 @@ class LocalTerm:
 
 @dataclass(frozen=True)
 class DeformationState:
-    """Two-branch local superposition pinned by the update rules."""
+    """Two-branch local superposition |D> of one (k, c, S), as `_update_pattern` reads it."""
 
-    k: int
-    c: int | None          # 1/2, or None for the uncolored variant
-    S: tuple               # (left, right) outer-neighbour directions, each +-1
     states: tuple          # window configurations of the branches
     coeffs: tuple          # branch amplitudes (unnormalized)
     norm_exact: float      # <D|D>
-    norm_printed: float    # w_hi + w_lo, the textbook normalizer
 
 
 def _endpoint_pattern(k):
@@ -188,9 +185,8 @@ def build_deformation_state(k, c, S, p) -> DeformationState:
         states = (hi_spins + (qd_hi, qu_hi), lo_spins + (qd_lo, qu_lo))
         color_split = 0.5 if k == 1 else 1.0
         coeffs = (math.sqrt(w_hi * color_split), math.sqrt(w_lo))
-    norm_exact = coeffs[0] ** 2 + coeffs[1] ** 2
-    return DeformationState(k=k, c=c, S=tuple(S), states=states, coeffs=coeffs,
-                            norm_exact=norm_exact, norm_printed=w_hi + w_lo)
+    return DeformationState(states=states, coeffs=coeffs,
+                            norm_exact=coeffs[0] ** 2 + coeffs[1] ** 2)
 
 
 def _read_only(matrix):
@@ -500,17 +496,6 @@ def _layout(terms, params: ModelParams):
     return layout, np.array([term.weight for term in terms]), flat
 
 
-def apply_operator(terms, state: SparseState) -> SparseState:
-    """H |psi> as an unnormalized state, keys in first-hit order."""
-    layout, weights, flat = _layout(terms, state.params)
-    entries = layout.entries(state.keys)
-    _, first, group = np.unique(key_rows(entries.key2), return_index=True, return_inverse=True)
-    sums = np.bincount(group, weights=entries.h(weights, flat) * state.amps[entries.a],
-                       minlength=len(first))
-    hit_order = np.argsort(first)
-    return SparseState(entries.key2[first[hit_order]], sums[hit_order], state.params)
-
-
 def term_residuals(terms, state: SparseState):
     """||T_j |psi>|| per term."""
     layout, weights, flat = _layout(terms, state.params)
@@ -562,34 +547,6 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
         values = np.hstack([values[rows], colors])
     keys = pack_values(values, L, params.colored)
     return keys[key_order(keys)[0]]
-
-
-def _sector_entries(terms, keys, params: ModelParams):
-    """H over the sector basis `keys` as distinct (row, col, value) triplets, row-major.
-
-    Row and column n belong to row n of the key matrix `keys`, in any
-    order; a key listed twice raises InvalidParameterError.  A value sums
-    its entries in entry order.
-    """
-    layout, weights, flat = _layout(terms, params)
-    entries = layout.entries(keys)
-    row, col, group = entries.sector_cells
-    return row, col, np.bincount(group, weights=entries.h(weights, flat))
-
-
-def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
-    """Dense H over the key matrix `keys` from `_sector_entries`; CapacityError over
-    DENSE_STATES keys.  No experiment calls it: it is the tests' whole-sector
-    reference, and gives eigenvectors."""
-    if len(keys) > DENSE_STATES:
-        raise CapacityError(
-            f"a dense matrix over {len(keys)} sector states needs "
-            f"{8 * len(keys) ** 2 / 2 ** 30:.1f} GiB, over the "
-            f"{DENSE_BYTES / 2 ** 30:g} GiB budget of {DENSE_STATES} states")
-    row, col, value = _sector_entries(terms, keys, params)
-    H = np.zeros((len(keys), len(keys)))
-    H[row, col] = value
-    return H
 
 
 def _site_symmetries(L, colored):

@@ -192,6 +192,16 @@ def test_cut_row_outside_the_lattice_is_rejected():
             schmidt_spectrum(state, cut)
 
 
+@pytest.mark.parametrize("cut", [True, 2.0, 1.5, "2", None])
+def test_cut_row_must_be_an_integer(cut):
+    # True would run the DP at cut 1, and the rest failed with IndexError or TypeError
+    params = ModelParams(L=5, p=0.5)
+    with pytest.raises(InvalidParameterError, match=r"cut_row must lie in 1\.\.4"):
+        midcut_distribution(params, cut)
+    with pytest.raises(InvalidParameterError, match=r"cut_row must lie in 1\.\.4"):
+        entropy_exact(build_state(params), cut)
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError, match="L=9 has 42 .* cap of 2"):
         midcut_distribution(ModelParams(L=9, p=0.5), 4, max_profiles=2)

@@ -12,9 +12,15 @@ import pytest
 import depevap
 from depevap import entropy, exact, hamiltonian
 from bridge_reference import bridge_records
+from hamiltonian_reference import (
+    _reference_apply,
+    _reference_matrix,
+    _reference_sums,
+    _reference_term_entries,
+    sector_matrix,
+)
 from depevap import ModelParams
 from depevap.codec import canonical_key, decode_keys, encode_trajectory, key_length
-from depevap.codec import pack_values, site_order, unpack_keys
 from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from depevap.exact import SparseState, build_state
 from depevap.hamiltonian import (
@@ -25,18 +31,15 @@ from depevap.hamiltonian import (
     _SymmetryReduction,
     _commuting,
     _layout,
-    _sector_entries,
     _symmetry_images,
     _update_pattern,
     _update_term,
-    apply_operator,
     assemble_hamiltonian,
     build_boundary_terms,
     build_color_term,
     build_deformation_state,
     build_gauss_term,
     sector_keys,
-    sector_matrix,
     sector_spectrum,
     term_residuals,
     update_plaquettes,
@@ -67,13 +70,10 @@ def test_deformation_weights_frozen():
     assert d.coeffs[0] ** 2 == pytest.approx(0.0625 / 2)
     assert d.coeffs[1] ** 2 == pytest.approx(0.31640625)
     assert d.norm_exact == pytest.approx(0.0625 / 2 + 0.31640625)
-    assert d.norm_printed == pytest.approx(0.0625 + 0.31640625)
     assert len(d.states) == 2 and all(len(s) == 14 for s in d.states)
 
 
 def test_deformation_cases_and_errors():
-    for k in (1, 2, 3):
-        assert build_deformation_state(k, 2, (1, -1), 0.4).k == k
     with pytest.raises(InvalidParameterError):
         build_deformation_state(4, 1, (1, 1), 0.4)
     with pytest.raises(InvalidParameterError):
@@ -110,19 +110,14 @@ def test_projector_properties():
                 assert np.allclose(M @ orth, orth, atol=1e-12)
 
 
-def test_update_projector_norm_metadata():
-    unc = build_deformation_state(1, None, (-1, -1), 0.5)
-    assert unc.norm_exact == pytest.approx(unc.norm_printed)
-
-
 def _state_from_key(key, params):
     return SparseState(np.frombuffer(key, dtype=np.uint8)[None], np.ones(1), params)
 
 
 def expectation(terms, state):
-    """<psi|H|psi> from `apply_operator`."""
-    out = apply_operator(terms, state)
-    return math.fsum(state.amplitudes.get(k, 0.0) * v for k, v in out.amplitudes.items())
+    """<psi|H|psi> from the per-key reference loop."""
+    out = _reference_apply(terms, state)
+    return math.fsum(state.amplitudes.get(k, 0.0) * v for k, v in out.items())
 
 
 def test_boundary_terms_annihilate_bridges():
@@ -217,8 +212,8 @@ def test_frustration_freeness_and_positivity():
             state = build_state(params)
             terms = assemble_hamiltonian(params)
             assert max(term_residuals(terms, state)) < 1e-10
-            out = apply_operator(terms, state)
-            assert math.sqrt(math.fsum(v * v for v in out.amps.tolist())) < 1e-10
+            out = _reference_apply(terms, state)
+            assert math.sqrt(math.fsum(v * v for v in out.values())) < 1e-10
 
 
 def test_expectation_nonnegative_on_sector():
@@ -227,66 +222,23 @@ def test_expectation_nonnegative_on_sector():
         terms = assemble_hamiltonian(params)
         keys = sector_keys(params)
         H = sector_matrix(terms, keys, params)
+        reference = list(_reference_term_entries(terms, keys, params))
         rng = np.random.default_rng(0)
         for _ in range(5):
             vec = rng.random(len(keys))
             vec /= np.linalg.norm(vec)
             state = SparseState(keys, vec, params)
             assert expectation(terms, state) >= -1e-12
-            # the three consumers of the term loop agree
-            out = apply_operator(terms, state).amplitudes
+            # both consumers of the term loop agree with the per-key loop
+            per_term = [_reference_sums(entries, vec, {}) for entries in reference]
+            out = {}
+            for entries in reference:
+                _reference_sums(entries, vec, out)
             assert set(out) <= set(map(bytes, keys))
             applied = np.array([out.get(k, 0.0) for k in map(bytes, keys)])
             assert np.max(np.abs(H @ vec - applied)) < 1e-12
-            per_term = [math.sqrt(math.fsum((apply_operator([t], state).amps ** 2).tolist()))
-                        for t in terms]
-            assert term_residuals(terms, state) == per_term
-
-
-def _reference_term_entries(terms, keys, params):
-    """Per term, the list of its nonzero entries (a, key2, weight * matrix entry).
-
-    The per-key loop the array pass replaced: every key is decoded once,
-    entries come in key order, and in matrix-row order within a key.
-    """
-    L, colored = params.L, params.colored
-    keys = list(map(bytes, keys))
-    index_of = {s: n for n, s in enumerate(site_order(L, colored))}
-    decoded = unpack_keys(keys, L, colored).tolist()
-    for term in terms:
-        idx = [index_of[s] for s in term.support]
-        lookup = {s: r for r, s in enumerate(term.states)}
-        entries = []
-        for a, values in enumerate(decoded):
-            r = lookup.get(tuple(values[j] for j in idx))
-            if r is None:
-                continue
-            col = term.matrix[:, r]
-            for r2 in np.nonzero(col)[0]:
-                if r2 == r:
-                    key2 = keys[a]
-                else:
-                    new_values = list(values)
-                    for j, val in zip(idx, term.states[r2]):
-                        new_values[j] = val
-                    key2 = pack_values([new_values], L, colored).tobytes()
-                entries.append((a, key2, term.weight * col[r2]))
-        yield entries
-
-
-def _reference_sums(entries, amps, out):
-    for a, key2, h in entries:
-        out[key2] = out.get(key2, 0.0) + h * amps[a]
-    return out
-
-
-def _reference_matrix(terms, keys, params):
-    index_of = {key: n for n, key in enumerate(map(bytes, keys))}
-    H = np.zeros((len(keys), len(keys)))
-    for entries in _reference_term_entries(terms, keys, params):
-        for a, key2, h in entries:
-            H[index_of[key2], a] += h
-    return H
+            assert term_residuals(terms, state) == [
+                math.sqrt(math.fsum(v * v for v in sums.values())) for sums in per_term]
 
 
 @pytest.mark.parametrize("L,colored,p", [
@@ -307,10 +259,6 @@ def test_term_action_matches_reference(L, colored, p):
     assert term_residuals(terms, state) == [
         math.sqrt(math.fsum(v * v for v in out.values())) for out in per_term]
     assert np.array_equal(sector_matrix(terms, keys, params), _reference_matrix(terms, keys, params))
-    applied = {}
-    for entries in reference:
-        _reference_sums(entries, amps, applied)
-    assert apply_operator(terms, state).amplitudes == applied
 
 
 def test_term_action_edge_cases():
@@ -322,11 +270,9 @@ def test_term_action_edge_cases():
     unmatched = LocalTerm(kind="initial", support=(("s", 1, 0),), weight=1.0,
                           states=((0,),), matrix=np.array([[1.0]]))
     assert term_residuals([unmatched], state) == [0.0]
-    assert apply_operator([unmatched], state).amplitudes == {}
     empty = SparseState(keys[:0], np.zeros(0), params)
-    assert apply_operator(terms, empty).amplitudes == {}
     assert term_residuals(terms, empty) == [0.0] * len(terms)
-    assert apply_operator([], state).amplitudes == {} and term_residuals([], state) == []
+    assert term_residuals([], state) == []
 
 
 def test_layout_memo_serves_only_its_own_terms_and_keys():
@@ -351,10 +297,6 @@ def test_layout_memo_serves_only_its_own_terms_and_keys():
             assert term_residuals(some, state) == [
                 math.sqrt(math.fsum(v * v for v in _reference_sums(entries, amps, {}).values()))
                 for entries in reference]
-            applied = {}
-            for entries in reference:
-                _reference_sums(entries, amps, applied)
-            assert apply_operator(some, state).amplitudes == applied
             assert np.array_equal(sector_matrix(some, order, params),
                                   _reference_matrix(some, order, params))
         levels = sector_spectrum(some, params, len(keys))
@@ -475,7 +417,7 @@ def test_sector_blocks_L7():
     keys = sector_keys(params)
     H = sector_matrix(terms, keys, params)
     members, label = [], np.full(len(keys), -1)
-    row, col, value = _sector_entries(terms, keys, params)
+    row, col, value = _cells(H)
     for stacked, matrices in _Blocks(row, col, len(keys)).stacks(value):
         for block, matrix in zip(stacked, matrices):
             assert (label[block] == -1).all() and list(block) == sorted(block)
@@ -490,9 +432,70 @@ def test_sector_blocks_L7():
     assert support == set(build_state(params).amplitudes)
 
 
+def _cells(H):
+    """H's nonzero cells (row, col, value), row-major: the layout's `sector_cells` and
+    their values, since no cell's entries sum to 0."""
+    row, col = np.nonzero(H)
+    return row, col, H[row, col]
+
+
+@pytest.mark.parametrize("L,colored,bridges,sector,p,gap", [
+    (L, colored, bridges, sector, p, gap)
+    for L, colored, bridges, sector, gaps in [(5, False, 17, 18, (0.432, 0.460, 0.420)),
+                                              (7, False, 690, 868, (0.239, 0.264, 0.227)),
+                                              (5, True, 57, 237, (0.354, 0.357, 0.352))]
+    for p, gap in zip((0.25, 0.5, 0.8), gaps)])
+def test_ground_block_is_a_heat_bath_chain(L, colored, bridges, sector, p, gap):
+    # In the sector basis H is stoquastic and the block holding psi is the bridge set.
+    # Since H psi = 0 there, every linked pair x, y of bridges has
+    # -H_xy psi_x psi_y = pi_x pi_y / (pi_x + pi_y) with pi = psi^2: the ground block is
+    # the generator of a reversible heat-bath chain on the bridges, up to a similarity
+    # transform (the stochastic matrix form of Castelnovo, Chamon, Mudry & Pujol 2005).
+    # So for any function g of a history the Dirichlet identity
+    #     <(g - E g) psi|H|(g - E g) psi> = 1/2 sum_{x != y} (-H_xy) psi_x psi_y (g_x - g_y)^2
+    # holds, and over Var_pi(g) it bounds the ground-block gap from above.  For g the
+    # area after slice (L - 1) / 2 at p = 0.5 the bound is 0.852 and 0.642 at L = 5 and 7
+    # uncolored and 0.893 at L = 5 colored, against second levels 0.460, 0.264 and 0.357.
+    params = ModelParams(L=L, p=p, colored=colored, **ABS)
+    terms = assemble_hamiltonian(params)
+    keys = sector_keys(params)
+    H = sector_matrix(terms, keys, params)
+    x, y = np.nonzero(H - np.diag(np.diag(H)))
+    assert (H[x, y] < 0).all()  # no off-diagonal entry is positive
+    state = build_state(params)
+    at = {key: n for n, key in enumerate(map(bytes, keys))}
+    on = np.array([at[bytes(key)] for key in state.keys])
+    psi = np.zeros(len(keys))
+    psi[on] = state.amps
+    row, col = np.nonzero(H)
+    [ground] = [block for blocks, _, _ in _Blocks(row, col, len(keys)).groups
+                for block in blocks if on[0] in block]
+    assert (len(ground), len(keys)) == (bridges, sector)
+    assert np.array_equal(ground, np.sort(on))
+    levels, vecs = np.linalg.eigh(H[np.ix_(ground, ground)])
+    assert abs(levels[0]) < 1e-12 and levels[1] == pytest.approx(gap, abs=1e-3)
+    assert np.max(np.abs(vecs[:, 0] ** 2 - psi[ground] ** 2)) < 1e-12
+    pi = psi ** 2
+    linked = psi[x] != 0  # pairs inside the ground block
+    rate = -H[x, y][linked] * psi[x[linked]] * psi[y[linked]]
+    heat_bath = pi[x[linked]] * pi[y[linked]] / (pi[x[linked]] + pi[y[linked]])
+    assert (np.abs(rate - heat_bath) <= 1e-12 * heat_bath).all()
+    # left side: each term but the Gauss one is weight * projector, so
+    # <phi|T_j|phi> = r_j^2 / weight for residual r_j; Gauss terms vanish on the bridges
+    area = decode_keys(state.keys, params).profiles[:, (L - 1) // 2, 1:L + 1].sum(axis=1)
+    g = np.zeros(len(keys))
+    g[on] = area - math.fsum((state.amps ** 2 * area).tolist())
+    residuals = term_residuals(terms, SparseState(state.keys, g[on] * state.amps, params))
+    assert all(r == 0 for r, term in zip(residuals, terms) if term.kind == "gauss")
+    form = math.fsum(r * r / term.weight for r, term in zip(residuals, terms))
+    dirichlet = 0.5 * math.fsum((-H[x, y] * psi[x] * psi[y] * (g[x] - g[y]) ** 2).tolist())
+    assert form == pytest.approx(dirichlet, rel=1e-12, abs=0)
+    assert form / math.fsum((pi * g * g).tolist()) >= levels[1]
+
+
 def _symmetries(terms, keys, params):
     """{name: key permutation} of the symmetries that commute with H over the sorted `keys`."""
-    _, _, value = _sector_entries(terms, keys, params)
+    _, _, value = _cells(sector_matrix(terms, keys, params))
     return _commuting(_symmetry_images(_layout(terms, params)[0].entries(keys), params), value)
 
 
@@ -523,7 +526,7 @@ def test_symmetry_sector_spectra(L, colored, p, sizes):
     params = ModelParams(L=L, p=p, colored=colored, **ABS)
     terms = assemble_hamiltonian(params)
     keys = sector_keys(params)
-    row, col, value = _sector_entries(terms, keys, params)
+    row, col, value = _cells(sector_matrix(terms, keys, params))
     reduction = _SymmetryReduction(list(_symmetries(terms, keys, params).values()),
                                    row, col, len(keys))
     dims, row, col, value = reduction.dims, reduction.row, reduction.col, reduction(value)
