@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .codec import decode_keys, key_rows, pair_slots, site_order
 from .errors import CapacityError, InvalidParameterError
 from .exact import SparseState, _kept
-from .params import ModelParams, _is_int
+from .params import ModelParams, _is_int, _require_cap
 from .surface import event_table, horizon_profile
 
 MAX_PROFILES = 3_000_000  # admits L = 27; the DP needs about 0.3 kB per profile
@@ -178,7 +179,10 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     Color choices cancel from profile marginals, so one DP serves colored
     and uncolored states alike; only the entropy formula differs.  Both
     passes are rescaled to unit sum after every slice, so their overall
-    scale cannot underflow however long the DP runs.  More profiles than
+    scale cannot underflow however long the DP runs.  At p = 1/2 the
+    kernel's forward and backward tuples are equal, and one forward pass
+    serves both, bit for bit.  Other p keep two passes: the one-pass law
+    f_c f_{L-c} / pi moves last bits there.  More profiles than
     `max_profiles` or the hard ceiling `MAX_PROFILES`, whichever is lower,
     raise CapacityError before anything is allocated.
     """
@@ -186,6 +190,7 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     L = params.L
     if not _is_int(cut_row) or not 1 <= cut_row <= L - 1:
         raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row!r}")
+    _require_cap("max_profiles", max_profiles)
     count = profile_count(L)
     cap = min(max_profiles, MAX_PROFILES)
     if count > cap:
@@ -197,26 +202,46 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     start = np.zeros(count)
     start[horizon] = 1.0
 
+    # Equal coefficient tuples (p = 1/2) make the backward pass the forward one: L is
+    # odd, so the backward pass's k-th slice, L + 1 - k, has the parity of slice k.
+    # Its vector at the cut is then the forward vector after slice L - cut_row.
+    one_pass = kernel._forward == kernel._backward
+    needed = {cut_row, L - cut_row} if one_pass else {cut_row}
+    after = {}  # the forward vectors after the needed slices
     forward = start  # weights of profiles after slice t
-    for t in range(1, cut_row + 1):
-        forward = kernel.forward(forward, t)
+    for t in range(1, max(needed) + 1):
+        forward = kernel.forward(forward, t)  # a new vector, so a kept one stays as it is
         forward /= forward.sum()
-    backward = start  # bridge weights given the profile after slice t
-    for t in range(L, cut_row, -1):
-        backward = kernel.backward(backward, t)
-        backward /= backward.sum()
+        if t in needed:
+            after[t] = forward
+    forward = after[cut_row]
+    if one_pass:
+        backward = after[L - cut_row]
+    else:
+        backward = start  # bridge weights given the profile after slice t
+        for t in range(L, cut_row, -1):
+            backward = kernel.backward(backward, t)
+            backward /= backward.sum()
 
     raw = forward * backward
-    total = math.fsum(raw.tolist())
+    total = _fsum(raw)
     if total <= 0:
         raise InvalidParameterError("no bridge passes through the requested cut")
     support = np.flatnonzero(raw > 0)
     probs = raw[support] / total
     heights = kernel.heights[support]
     area = heights[:, 1:L + 1].sum(axis=1, dtype=np.int64) - (L + 1) // 2  # above the horizon
-    mean_area = math.fsum((probs * area).tolist())
+    mean_area = _fsum(probs * area)
     return SurfaceDistribution(heights=heights, probs=probs, mean_area=mean_area,
                                mean_color_units=mean_area / 2, params=params)
+
+
+def _fsum(values) -> float:
+    """math.fsum of a float vector, fed one slice's list at a time: exact, as one list
+    would be, without a Python float for every entry held at once."""
+    step = 1 << 16
+    return math.fsum(chain.from_iterable(values[i:i + step].tolist()
+                                         for i in range(0, values.size, step)))
 
 
 def _shannon_bits(probs) -> float:
@@ -345,7 +370,10 @@ def entropy_exact(state: SparseState, cut_row: int) -> EntropyReport:
 
 
 def fit_power_law(xs, ys):
-    """Least-squares fit of log y on log x: (exponent, amplitude, r_squared)."""
+    """Least-squares fit of log y on log x: (exponent, amplitude, r_squared).
+
+    slope = sum(dx dy) / sum(dx^2) over the deviations of log x and log y from
+    their means, intercept = mean(log y) - slope mean(log x)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3 or xs.size != ys.size:
@@ -353,9 +381,15 @@ def fit_power_law(xs, ys):
     if (xs <= 0).any() or (ys <= 0).any():
         raise InvalidParameterError("power-law fitting needs positive data")
     lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
+    if (lx == lx[0]).all():
+        raise InvalidParameterError("power-law fitting needs at least two distinct x values")
+    # centred closed-form least squares: no LAPACK call, so no BLAS-dependent last digits
+    mx, my = lx.mean(), ly.mean()
+    dx, dy = lx - mx, ly - my
+    slope = (dx * dy).sum() / (dx * dx).sum()
+    intercept = my - slope * mx
     pred = slope * lx + intercept
     ss_res = float(((ly - pred) ** 2).sum())
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+    ss_tot = float((dy ** 2).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return float(slope), float(np.exp(intercept)), r2

@@ -48,7 +48,7 @@ from .codec import (
 )
 from .codec import canonical_key, encode_trajectory  # noqa: F401  perfbench/traced.py wraps these
 from .errors import CapacityError, DecodeError, InvalidParameterError
-from .params import ModelParams
+from .params import ModelParams, _require_cap
 from .surface import event_table, horizon_profile, slice_sites
 
 MAX_NODES = 10_000_000
@@ -303,6 +303,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
     """All bridge trajectories with their exact weights, the `walk` of the event table
     over at most `max_nodes` tree nodes."""
     params.require_odd_L()
+    _require_cap("max_nodes", max_nodes)
     L = params.L
     index, (profs, spins, colors, factors) = walk(
         L, _event_branches(params), max_nodes, f"bridge enumeration exceeded {max_nodes} nodes")

@@ -66,7 +66,7 @@ from .codec import (
 )
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import SparseState, _kept, path_rows, vertex_columns, walk
-from .params import ModelParams, _is_int
+from .params import ModelParams, _is_int, _require_cap
 from .surface import branch_probability
 
 DENSE_BYTES = 1 << 30  # budget of one dense float64 sector matrix
@@ -529,6 +529,7 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
     keys), and the colored keys.
     """
     params.require_odd_L()
+    _require_cap("max_states", max_states)
     L = params.L
     overflow = f"sector exceeds {max_states} states"
     index, (_, spins, colors, _) = walk(L, _SECTOR_BRANCHES, max_states, overflow)

@@ -13,6 +13,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_cap(name, value):
+    """InvalidParameterError naming `name` unless the count cap `value` is an integer >= 1."""
+    if not _is_int(value) or value < 1:
+        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the deposition-evaporation model.

@@ -65,7 +65,7 @@ import numpy as np
 from .codec import key_order, key_rows, pack_values, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import Frontier, SparseState, branch_table, within_reach
-from .params import ModelParams
+from .params import ModelParams, _require_cap
 from .surface import event_table, horizon_profile, local_shape, slice_sites
 
 MAX_BRANCHES = 2_000_000
@@ -190,6 +190,7 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     state, and the kept children are checked against `max_branches`
     before the round is built.
     """
+    _require_cap("max_branches", max_branches)
     L = params.L
     table = _channel_table(params.p, params.colored)
     sites = np.array(slice_sites(L, n), dtype=np.intp)

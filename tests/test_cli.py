@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import depevap
@@ -386,6 +387,21 @@ def test_phase_sweep(tmp_path):
     fits = [p for p in paths if p.name == "phase_exponents.csv"][0].read_text().splitlines()
     assert fits[0] == "p,exponent,amplitude,r_squared"
     assert len(fits) == 3
+
+
+def test_power_law_fits_call_no_lapack(tmp_path, monkeypatch):
+    # the fits are closed-form sums, so their last digits do not depend on the BLAS build
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power-law fit reached LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for manifest in ({"experiment": "phase-sweep", "L": [5, 7, 9], "p": [0.5]},
+                     {"experiment": "scaling", "L": [32], "p": [0.5], "samples": 2, "tmax": 400,
+                      "fit_lo": 20, "fit_hi": 300}):
+        paths, code = run_experiment({**manifest, "out": str(tmp_path / manifest["experiment"])})
+        summary = [p for p in paths if p.name in ("phase_exponents.csv", "scaling_summary.csv")]
+        assert code == 0 and "nan" not in summary[0].read_text()
 
 
 def test_phase_sweep_area_law_at_p0(tmp_path):

@@ -31,6 +31,7 @@ from depevap.entropy import (
 )
 from depevap.errors import CapacityError, DecodeError, InvalidParameterError
 from depevap.exact import SparseState, build_state, enumerate_bridge
+from depevap.surface import horizon_profile
 
 
 def test_midcut_examples():
@@ -157,6 +158,52 @@ def test_backward_is_forward_conjugated_by_pi(L, p, mode):
         assert np.max(np.abs(kernel.backward(b, t) - want) / want) <= 1e-13, t
 
 
+def _two_pass_probs(params, cut):
+    """The DP's support probabilities from a forward pass to `cut` and a backward pass
+    from L down to it, each rescaled to unit sum after every slice."""
+    kernel, L = TransferKernel(params), params.L
+    start = (kernel.heights == horizon_profile(L)).all(axis=1).astype(float)
+    forward = backward = start
+    for t in range(1, cut + 1):
+        forward = kernel.forward(forward, t)
+        forward /= forward.sum()
+    for t in range(L, cut, -1):
+        backward = kernel.backward(backward, t)
+        backward /= backward.sum()
+    raw = forward * backward
+    return raw[raw > 0] / math.fsum(raw.tolist())
+
+
+@pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
+@pytest.mark.parametrize("L", range(3, 18, 2))
+def test_one_pass_at_half_is_the_two_pass_dp(L, mode):
+    # at p = 1/2 the backward pass is the forward one, so carrying the forward vector on
+    # to slice L - cut must give the two-pass probabilities bit for bit, on either side
+    # of the middle
+    params = ModelParams(L=L, p=0.5, boundary_mode=mode)
+    cuts = range(1, L) if L <= 9 else (1, mid_cut_row(L), L - 1)
+    for cut in cuts:
+        got = midcut_distribution(params, cut).probs
+        assert np.array_equal(got, _two_pass_probs(params, cut)), cut
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.8, 1.0])
+def test_backward_pass_runs_unless_the_tuples_are_equal(monkeypatch, p):
+    calls = []
+    backward = TransferKernel.backward
+
+    def counted(self, b, t):
+        calls.append(t)
+        return backward(self, b, t)
+
+    monkeypatch.setattr(TransferKernel, "backward", counted)
+    for mode in ("reflecting", "absorbing"):
+        for cut in (3, 6):
+            calls.clear()
+            midcut_distribution(ModelParams(L=9, p=p, boundary_mode=mode), cut)
+            assert calls == ([] if p == 0.5 else list(range(9, cut, -1))), (mode, cut)
+
+
 @pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
 def test_schmidt_entropy_is_symmetric_in_the_cut(mode):
     # the same symmetry on the built state: the cut after slice c and after slice L - c
@@ -228,6 +275,16 @@ def test_fit_power_law_examples():
         fit_power_law([1, 2, 3], [1, -1, 2])
     with pytest.raises(InvalidParameterError):
         fit_power_law([1, 2], [1, 2])
+    with pytest.raises(InvalidParameterError, match="two distinct x values"):
+        fit_power_law([4, 4, 4], [1, 2, 3])
+    # the closed form agrees with numpy's least-squares polynomial fit
+    for n in (3, 7, 40, 301):
+        xs = np.sort(rng.uniform(1, 1e4, n))
+        ys = rng.uniform(0.01, 100, n) * xs ** rng.uniform(-2, 2)
+        slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
+        exp, amp, _ = fit_power_law(xs, ys)
+        assert exp == pytest.approx(slope, rel=1e-11, abs=1e-11), n
+        assert amp == pytest.approx(np.exp(intercept), rel=1e-11), n
 
 
 def test_kernel_slice_matches_slice_outcomes():

@@ -27,6 +27,9 @@ from depevap.exact import (
     load_state,
     save_state,
 )
+from depevap.entropy import midcut_distribution
+from depevap.hamiltonian import sector_keys
+from depevap.seqgen import run_generation
 from depevap.surface import horizon_profile
 
 
@@ -128,6 +131,23 @@ def test_uncolored_marginal_consistency():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         enumerate_bridge(ModelParams(L=7, p=0.5, colored=True), max_nodes=10)
+
+
+CAPPED_ENTRIES = {
+    "max_profiles": lambda params, cap: midcut_distribution(params, 2, max_profiles=cap),
+    "max_nodes": lambda params, cap: build_state(params, max_nodes=cap),
+    "max_branches": lambda params, cap: run_generation(params, max_branches=cap),
+    "max_states": lambda params, cap: sector_keys(params, max_states=cap),
+}
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, 0, -3, "9", None])
+@pytest.mark.parametrize("name", CAPPED_ENTRIES)
+def test_count_caps_must_be_positive_integers(name, cap):
+    # each of these used to run or fail late: True capped at 1, 2.5 compared as a float,
+    # 0 and -3 raised CapacityError, and "9" and None raised TypeError
+    with pytest.raises(InvalidParameterError, match=f"{name} must be an integer >= 1"):
+        CAPPED_ENTRIES[name](ModelParams(L=5, p=0.5), cap)
 
 
 def _assert_matches_recursion(params, bridge=True):
