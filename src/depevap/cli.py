@@ -74,6 +74,13 @@ def normalize_manifest(data: dict) -> dict:
         raise InvalidParameterError(f"unknown manifest entries {unknown}")
     out = dict(DEFAULTS)
     out.update(data)
+    own = {"scaling": "reflecting", "hamiltonian-check": "absorbing",
+           "seqgen-check": "reflecting"}.get(out["experiment"])
+    if own is not None:  # these experiments run in one mode; an omitted mode takes it
+        if data.get("mode", own) != own:
+            raise InvalidParameterError(
+                f"{out['experiment']} runs in {own} mode, got mode {data['mode']!r}")
+        out["mode"] = own
     if not isinstance(out["out"], str) or not out["out"]:
         raise InvalidParameterError(f"out must be a non-empty string, got {out['out']!r}")
     if not isinstance(out["L"], list):
@@ -95,8 +102,10 @@ def normalize_manifest(data: dict) -> dict:
     cut = out["cut_row"]
     for L in out["L"]:
         for p in out["p"]:
-            ModelParams(L=L, p=p, boundary_mode=out["mode"],
-                        colored=out["colored"], seed=out["seed"])
+            params = ModelParams(L=L, p=p, boundary_mode=out["mode"],
+                                 colored=out["colored"], seed=out["seed"])
+            if out["experiment"] != "scaling":  # the free dynamics alone takes even L
+                params.require_odd_L()
         if cut is not None and (type(cut) is not int or not 1 <= cut <= L - 1):
             raise InvalidParameterError(f"cut_row must lie in 1..{L - 1} for L={L}, got {cut!r}")
     out["p"] = [float(p) for p in out["p"]]  # an integer p writes what --p writes: 1.0, not 1
@@ -230,7 +239,6 @@ def _run_hamiltonian_check(manifest, outdir, meta):
     spec_rows = []
     capacity = False
     for params in _grid(manifest):
-        params = params.with_(boundary_mode="absorbing")
         try:
             state = build_state(params, max_nodes=manifest["max_nodes"])
             terms = assemble_hamiltonian(params)
@@ -252,7 +260,6 @@ def _run_seqgen_check(manifest, outdir, meta):
     rows = []
     capacity = False
     for params in _grid(manifest):
-        params = params.with_(boundary_mode="reflecting")
         try:
             gen, success = run_generation(params, max_branches=manifest["max_nodes"])
             state = build_state(params, max_nodes=manifest["max_nodes"])

@@ -175,8 +175,9 @@ class DecodedKeys:
     """Validated keys as arrays.
 
     `values` (N, sites) follow `site_order`; `profiles[:, c]` (N, L+1, L+2)
-    is the zigzag profile after update slice c; `kinds` (N, vertices) code
-    each vertex as in `KINDS`.
+    is the zigzag profile after update slice c, in the narrowest signed
+    dtype that holds +-(L + 1) (int8 up to L = 125, int16 above); `kinds`
+    (N, vertices) code each vertex as in `KINDS`.
     """
 
     L: int
@@ -358,15 +359,20 @@ def _spin_profiles(spins, L):
     0 the zigzag profile of the heights.
     """
     lat = _lattice(L)
-    ll, lu, rl, ru = (spins[:, c].astype(np.int8) for c in lat.corners)
-    left = ll + lu
-    _raise_first(left != rl + ru, "gauss", lat.vertices, "Gauss's law fails")
+    ll, lu, rl, ru = lat.corners
+    left = spins[:, ll] + spins[:, lu]  # up spins of each vertex's left pair
+    _raise_first(left != spins[:, rl] + spins[:, ru], "gauss", lat.vertices, "Gauss's law fails")
     _raise_first(spins[:, lat.pinned] != lat.pinned_values, "boundary", lat.pinned_sites,
                  "pinned spin flipped")
-    steps = (2 * spins.astype(np.int16) - 1).reshape(len(spins), L + 1, L + 1) * lat.sign
-    profiles = np.zeros((len(spins), L + 1, L + 2), dtype=np.int16)
-    np.cumsum(steps, axis=2, out=profiles[:, :, 1:])
-    return profiles, (left == 2).astype(np.int8) - (left == 0)
+    kinds = (left == 2).astype(np.int8) - (left == 0)
+    dtype = np.min_scalar_type(-(L + 2))  # |heights| <= L + 1: int8 up to L = 125
+    steps = spins.astype(dtype).reshape(len(spins), L + 1, L + 1)
+    steps *= 2
+    steps -= 1
+    steps *= lat.sign
+    profiles = np.zeros((len(spins), L + 1, L + 2), dtype=dtype)
+    np.cumsum(steps, axis=2, dtype=dtype, out=profiles[:, :, 1:])
+    return profiles, kinds
 
 
 def decode_keys(keys, params: ModelParams) -> DecodedKeys:

@@ -309,13 +309,13 @@ def schmidt_spectrum(state: SparseState, cut_row: int):
         raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row!r}")
     bottom_sites, top_sites = _bipartition(L, params.colored, cut_row, "space")
     column = {s: n for n, s in enumerate(site_order(L, params.colored))}
-    decoded = decode_keys(state.keys, params)
+    values = decode_keys(state.keys, params).values  # every key validated
     amps = state.amps
-    bottom_of = _row_ranks(decoded.values[:, [column[s] for s in bottom_sites]])
-    top_of = _row_ranks(decoded.values[:, [column[s] for s in top_sites]])
+    bottom_of = _row_ranks(values[:, [column[s] for s in bottom_sites]])
+    top_of = _row_ranks(values[:, [column[s] for s in top_sites]])
     one_key = np.empty(bottom_of.max() + 1, dtype=np.intp)
     one_key[bottom_of] = np.arange(len(state))  # a label depends on the bottom part only
-    labels = _sector_labels(decoded.take(one_key), cut_row)
+    labels = _sector_labels(decode_keys(state.keys[one_key], params), cut_row)
     order = sorted(set(labels))
     rank = {label: r for r, label in enumerate(order)}
     sector_of = np.array([rank[label] for label in labels])[bottom_of]

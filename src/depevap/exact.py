@@ -175,12 +175,26 @@ def path_rows(table, index):
     return np.take(key_rows(table.view(np.uint8)), index).view(table.dtype)
 
 
-def vertex_columns(L):
-    """Where the vertices of `codec.vertex_sites` sit in L slice rows of (L + 1) // 2 columns,
-    laid side by side, with vertex (i, t) at column (i - 1) // 2 of row t; the rows of odd
-    slices, one vertex short, leave their last column as padding."""
-    width = (L + 1) // 2
-    return np.flatnonzero(np.arange(L * width) % (2 * width) != width - 1)
+def site_values(index, spins, colors, rows, colored):
+    """Site values (rows, sites) in `codec.site_order` of the histories `rows` of a walk,
+    colors only if `colored`, gathered one slice at a time into one matrix.
+
+    `index`, `spins` and `colors` are as `walk` returns them.  A colors
+    row holds vertex (i, t) at column (i - 1) // 2, so slice t's vertices
+    lead it: all (L + 1) // 2 columns when t is even, one fewer when odd.
+    """
+    L = index.shape[1] - 1
+    n_spins = (L + 1) ** 2
+    values = np.empty((len(rows), n_spins + colored * (L * L - 1) // 2), dtype=np.uint8)
+    start = n_spins
+    for t in range(L + 1):
+        edge = index[:, t][rows, None]
+        values[:, t * (L + 1):(t + 1) * (L + 1)] = path_rows(spins, edge)
+        if colored and t:
+            count = (L + 1) // 2 - t % 2
+            values[:, start:start + count] = path_rows(colors, edge)[:, :count]
+            start += count
+    return values
 
 
 def branch_table(branches, fields) -> np.ndarray:
@@ -229,23 +243,40 @@ def within_reach(heights, i, t, L):
 
 @dataclass
 class Bridges:
-    """Enumerated trajectories as arrays, in depth-first order.
+    """Enumerated trajectories, in depth-first order, as `walk` gives them.
 
-    `profiles` (N, L+1, L+2) int8 are the zigzag profile stacks, row c
-    the profile after slice c as in `codec.DecodedKeys` (event kinds
-    follow from them), `spins` (N, (L+1)**2) uint8 their spin values as
-    `codec.profiles_to_spins` gives them, `colors` (N, vertices) uint8
-    the vertex colors in `codec.vertex_sites` order (0 on no-change
-    vertices; uncolored changes carry r), `weights` (N,) float64.
+    `index` (N, 1 + L) holds each trajectory's root, then its edge at each
+    slice, as rows of the walk's edge tables `edges` (profiles, spins,
+    colors); `weights` (N,) float64.  The per-trajectory fields are
+    gathered from those tables when they are read: `profiles`
+    (N, L+1, L+2) int8 the zigzag profile stacks, row c the profile after
+    slice c as in `codec.DecodedKeys` (event kinds follow from them),
+    `spins` (N, (L+1)**2) uint8 their spin values as
+    `codec.profiles_to_spins` gives them, `colors` (N, vertices) uint8 the
+    vertex colors in `codec.vertex_sites` order (0 on no-change vertices;
+    uncolored changes carry r).
     """
 
-    profiles: np.ndarray
-    spins: np.ndarray
-    colors: np.ndarray
+    index: np.ndarray
+    edges: tuple
     weights: np.ndarray
 
     def __len__(self):
         return len(self.weights)
+
+    @property
+    def profiles(self):
+        L = self.index.shape[1] - 1
+        return path_rows(self.edges[0], self.index).reshape(len(self), L + 1, L + 2)
+
+    @property
+    def spins(self):
+        return path_rows(self.edges[1], self.index)
+
+    @property
+    def colors(self):
+        values = site_values(self.index, *self.edges[1:], np.arange(len(self)), True)
+        return values[:, self.index.shape[1] ** 2:]
 
 
 def walk(L, by_label, max_nodes, overflow):
@@ -260,8 +291,7 @@ def walk(L, by_label, max_nodes, overflow):
     expanded (CapacityError `overflow`).  Returns (index, (profiles,
     spins, colors, factors)): index (histories, 1 + L) holds each
     history's root, then its edge at each slice, as rows of the edge
-    tables for `path_rows` to gather; an edge's colors fill a slice row
-    of `vertex_columns`.
+    tables for `path_rows` and `site_values` to gather.
     """
     rows = [by_label[name] for name in _LABELS]
     table = branch_table(rows, [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
@@ -271,7 +301,7 @@ def walk(L, by_label, max_nodes, overflow):
     visited = 1
     if visited > max_nodes:
         raise CapacityError(overflow)
-    width = (L + 1) // 2  # the vertices of a slice row, see vertex_columns
+    width = (L + 1) // 2  # the vertices of a slice row, see site_values
     edges = [(prof, np.zeros((1, width), dtype=np.uint8), np.ones(1))]  # the root
     for t in range(1, L + 1):
         sites = np.array(slice_sites(L, t), dtype=np.intp)
@@ -307,13 +337,10 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
     L = params.L
     index, (profs, spins, colors, factors) = walk(
         L, _event_branches(params), max_nodes, f"bridge enumeration exceeded {max_nodes} nodes")
-    n = len(index)
-    weights = np.ones(n)
+    weights = np.ones(len(index))
     for t in range(1, L + 1):  # the weight product in slice order
         weights = weights * factors[index[:, t]]
-    return Bridges(profiles=path_rows(profs, index).reshape(n, L + 1, L + 2),
-                   spins=path_rows(spins, index), weights=weights,
-                   colors=path_rows(colors, index[:, 1:])[:, vertex_columns(L)])
+    return Bridges(index, (profs, spins, colors), weights)
 
 
 def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
@@ -322,10 +349,8 @@ def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
     total = math.fsum(bridges.weights.tolist())
     if total <= 0:
         raise InvalidParameterError("no bridge trajectory has positive weight")
-    positive = bridges.weights > 0
-    values = bridges.spins[positive]
-    if params.colored:
-        values = np.hstack([values, bridges.colors[positive]])
+    positive = np.flatnonzero(bridges.weights > 0)
+    values = site_values(bridges.index, *bridges.edges[1:], positive, params.colored)
     keys = pack_values(values, params.L, params.colored)
     if key_order(keys)[1].any():
         raise AssertionError("distinct trajectories produced the same key")

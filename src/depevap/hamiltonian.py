@@ -41,9 +41,10 @@ and color swap (`_SymmetryReduction`), each split into connected blocks
 
 Only the matrix values depend on p.  Terms of one local pattern share a
 read-only (states, matrix), and everything else (the entries' layout
-over a key matrix, the sector keys and H's cells, the symmetries' key
-maps, the character basis and the block partition) is a p-independent
-layout, kept by `exact._kept` under the key that `_layout` gives it.
+over a key matrix, the sector entries' terms and H's cells, the
+symmetries' key maps, the character basis and the block partition) is a
+p-independent layout, kept by `exact._kept` under the key that `_layout`
+gives it.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .codec import (
     vertex_spin_indices,
 )
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import SparseState, _kept, path_rows, vertex_columns, walk
+from .exact import SparseState, _kept, site_values, walk
 from .params import ModelParams, _is_int, _require_cap
 from .surface import branch_probability
 
@@ -456,27 +457,30 @@ class _Layout:
 
     @functools.cached_property
     def sector(self):
-        """(entries, images): the entries over the sorted sector keys (`sector_keys`, capped
-        at DENSE_STATES) and the candidate symmetries that map them onto themselves."""
+        """(n, term, at, cells, images) of the n sorted sector keys (`sector_keys`, capped at
+        DENSE_STATES): their entries' terms and matrix positions, the entries'
+        `sector_cells` and the candidate symmetries that map them onto themselves.  Of the
+        entries nothing else is kept: their keys and targets are dropped once read."""
         entries = self.build_entries(sector_keys(self.params, max_states=DENSE_STATES))
-        return entries, _symmetry_images(entries, self.params)
+        return (len(entries.keys), entries.term, entries.at, entries.sector_cells,
+                _symmetry_images(entries, self.params))
 
     def levels(self, weights, flat):
         """Every level of H over the sector with these terms' values, unsorted; the
         character basis and block partition are rebuilt only when the set of commuting
         symmetries changes."""
-        entries, images = self.sector
-        row, col, group = entries.sector_cells
-        value = np.bincount(group, weights=entries.h(weights, flat))
+        n, term, at, (row, col, group), images = self.sector
+        value = np.bincount(group, weights=weights[term] * flat[at])  # as `_Entries.h`
         kept = _commuting(images, value)
         if self._reduced is None or self._reduced[0] != tuple(kept):
             self._reduced = None
-            reduction = _SymmetryReduction(list(kept.values()), row, col, len(entries.keys))
+            reduction = _SymmetryReduction(list(kept.values()), row, col, n)
             self._reduced = tuple(kept), reduction, _Blocks(reduction.row, reduction.col,
                                                            int(reduction.dims.sum()))
         _, reduction, blocks = self._reduced
-        return np.concatenate([np.linalg.eigvalsh(stack).ravel()
-                               for _, stack in blocks.stacks(reduction(value))])
+        # map drops each stack once its levels are in, before the next stack is built
+        return np.concatenate(list(map(lambda block: np.linalg.eigvalsh(block[1]).ravel(),
+                                       blocks.stacks(reduction(value)))))
 
 
 def _layout(terms, params: ModelParams):
@@ -534,9 +538,9 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
     overflow = f"sector exceeds {max_states} states"
     index, (_, spins, colors, _) = walk(L, _SECTOR_BRANCHES, max_states, overflow)
     n = len(index)
-    values = path_rows(spins, index)
+    values = site_values(index, spins, colors, np.arange(n), params.colored)
     if params.colored:  # one key per color: 0 on a no-change vertex, r or g on a change
-        change = path_rows(colors, index[:, 1:])[:, vertex_columns(L)] != 0
+        change = values[:, (L + 1) ** 2:] != 0
         counts = np.left_shift(1, change.sum(axis=1))
         if counts.sum() > max_states:
             raise CapacityError(overflow)
@@ -544,8 +548,8 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
         pick = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         # a history's keys count pick = 0, 1, ...: bit k of pick colors its k-th change
         bit = np.maximum(np.cumsum(change, axis=1) - 1, 0)[rows]
-        colors = np.where(change[rows], 1 + ((pick[:, None] >> bit) & 1), 0).astype(np.uint8)
-        values = np.hstack([values[rows], colors])
+        values = values[rows]
+        values[:, (L + 1) ** 2:] = np.where(change[rows], 1 + ((pick[:, None] >> bit) & 1), 0)
     keys = pack_values(values, L, params.colored)
     return keys[key_order(keys)[0]]
 
@@ -621,8 +625,11 @@ class _SymmetryReduction:
     the member g takes the orbit's least key to.  `dims` holds each
     character's dimension, and (row, col) the distinct row-major cells of
     H over the sectors' direct sum, characters in order and orbits by
-    least key.  Called with H's values over (row, col) of the keys, it
-    returns the values of those cells, summed by one `bincount` pass.
+    least key.  The cells are found one character at a time, each
+    character's after the earlier ones', so no array spans every
+    character's pairs but the kept `entry`, `sign`, `scale` and `group`.
+    Called with H's values over (row, col) of the keys, it returns the
+    values of those cells, summed by one `bincount` pass.
     """
 
     def __init__(self, perms, row, col, n):
@@ -642,18 +649,32 @@ class _SymmetryReduction:
         kept = parity @ fixed == 0  # (characters, keys)
         basis = kept & (least == np.arange(n))
         index = np.cumsum(basis.ravel()).reshape(basis.shape) - 1
-        char, self.entry = np.nonzero(kept[:, row] & kept[:, col])
-        r, c = row[self.entry], col[self.entry]
-        self.sign = chi[char, g_of[r]] * chi[char, g_of[c]]
-        self.scale = np.sqrt(orbit[r] * orbit[c])
         size = int(basis.sum())
-        cells, self.group = np.unique(index[char, least[r]] * size + index[char, least[c]],
-                                      return_inverse=True)
+        pair = kept[:, row] & kept[:, col]  # (characters, cells)
+        self.entry = np.flatnonzero(pair)  # character-major, as np.nonzero gives them
+        self.entry %= len(row)
+        ends = np.cumsum(pair.sum(axis=1))
+        self.sign = np.empty(len(self.entry), dtype=np.int8)  # +-1, exact in any product
+        self.scale = np.empty(len(self.entry))
+        self.group = np.empty(len(self.entry), dtype=np.intp)
+        cells, done = [], 0  # one character at a time; its cells follow the earlier ones'
+        for s, lo, hi in zip(range(elements), ends - pair.sum(axis=1), ends):
+            r, c = row[self.entry[lo:hi]], col[self.entry[lo:hi]]
+            self.sign[lo:hi] = chi[s, g_of[r]] * chi[s, g_of[c]]
+            self.scale[lo:hi] = np.sqrt(orbit[r] * orbit[c])
+            part, self.group[lo:hi] = np.unique(index[s, least[r]] * size + index[s, least[c]],
+                                                return_inverse=True)
+            self.group[lo:hi] += done
+            cells.append(part)
+            done += len(part)
+        cells = np.concatenate(cells)
         self.dims = basis.sum(axis=1)
         self.row, self.col = np.divmod(cells, size)
 
     def __call__(self, value):
-        return np.bincount(self.group, weights=self.sign * (value[self.entry] / self.scale))
+        weights = value[self.entry] / self.scale
+        weights *= self.sign
+        return np.bincount(self.group, weights=weights)
 
 
 class _Blocks:
@@ -683,11 +704,16 @@ class _Blocks:
             self.groups.append((blocks, at, mine))
 
     def stacks(self, value):
-        """(keys (B, s), matrices (B, s, s)) per block size s, the matrices holding `value`."""
+        """(keys (B, s), matrices (B, s, s)) per block size s, the matrices holding `value`.
+
+        A yielded stack is the caller's alone: one that drops it before
+        asking for the next never holds two.
+        """
         for blocks, at, mine in self.groups:
             stack = np.zeros((len(blocks), blocks.shape[1], blocks.shape[1]))
             stack[at] = value[mine]
             yield blocks, stack
+            del stack
 
 
 def sector_spectrum(terms, params: ModelParams, k: int):
@@ -704,12 +730,12 @@ def sector_spectrum(terms, params: ModelParams, k: int):
     whole sector, so a larger one raises CapacityError while counted.
 
     All but H's values is p-independent and kept with the terms' layout
-    (`_layout`, `_Layout.sector`): the sector keys, H's cells, the
-    symmetries' key and cell maps, the character basis and the block
-    partition.  A call on a kept layout sums H's values, checks which
-    symmetries commute with them and runs the stacked `eigvalsh`
-    (`_Layout.levels`); the basis and partition are rebuilt only when
-    that set of symmetries changes.
+    (`_layout`, `_Layout.sector`): the sector entries' terms and matrix
+    positions, H's cells, the symmetries' key and cell maps, the
+    character basis and the block partition.  A call on a kept layout
+    sums H's values, checks which symmetries commute with them and runs
+    the stacked `eigvalsh` (`_Layout.levels`); the basis and partition
+    are rebuilt only when that set of symmetries changes.
     """
     if not _is_int(k) or k < 1:
         raise InvalidParameterError(f"k must be an integer >= 1, got {k!r}")

@@ -7,6 +7,10 @@ entry order (`_reference_sums`, `_reference_apply`, `_reference_matrix`)
 are bit for bit the package's.  `sector_matrix` is the dense H over a
 key matrix, built from the package's own entries over those keys; it is
 the whole-sector reference for `sector_spectrum` and gives eigenvectors.
+`AllCharactersReduction` is the symmetry reduction that
+`depevap.hamiltonian._SymmetryReduction` replaced: it finds the cells of
+every character in one pass, and the package's gives the same arrays one
+character at a time.
 """
 
 from __future__ import annotations
@@ -91,3 +95,39 @@ def sector_matrix(terms, keys, params: ModelParams) -> np.ndarray:
     H = np.zeros((len(keys), len(keys)))
     H[row, col] = np.bincount(group, weights=entries.h(weights, flat))
     return H
+
+
+class AllCharactersReduction:
+    """H's cells in the symmetry sectors of commuting involutions `perms` of its n keys,
+    every character's (character, cell) pairs found at once; the attributes and the call
+    of `depevap.hamiltonian._SymmetryReduction`, whose docstring states the basis."""
+
+    def __init__(self, perms, row, col, n):
+        elements = 1 << len(perms)
+        images = np.empty((elements, n), dtype=np.intp)
+        images[0] = np.arange(n)
+        for g in range(1, elements):
+            j = (g & -g).bit_length() - 1
+            images[g] = perms[j][images[g ^ (1 << j)]]
+        least = images.min(axis=0)
+        g_of = np.argmax(images == least, axis=0)  # takes the key to least, and least to the key
+        fixed = images == np.arange(n)  # (elements, keys): each key's stabilizer
+        orbit = elements / fixed.sum(axis=0)
+        parity = np.array([[bin(s & g).count("1") & 1 for g in range(elements)]
+                           for s in range(elements)])
+        chi = 1 - 2 * parity
+        kept = parity @ fixed == 0  # (characters, keys)
+        basis = kept & (least == np.arange(n))
+        index = np.cumsum(basis.ravel()).reshape(basis.shape) - 1
+        char, self.entry = np.nonzero(kept[:, row] & kept[:, col])
+        r, c = row[self.entry], col[self.entry]
+        self.sign = chi[char, g_of[r]] * chi[char, g_of[c]]
+        self.scale = np.sqrt(orbit[r] * orbit[c])
+        size = int(basis.sum())
+        cells, self.group = np.unique(index[char, least[r]] * size + index[char, least[c]],
+                                      return_inverse=True)
+        self.dims = basis.sum(axis=1)
+        self.row, self.col = np.divmod(cells, size)
+
+    def __call__(self, value):
+        return np.bincount(self.group, weights=self.sign * (value[self.entry] / self.scale))

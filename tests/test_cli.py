@@ -84,6 +84,32 @@ def test_hamiltonian_capacity_exit(tmp_path):
     assert (out / "hamiltonian_spectrum.csv").read_text() == "L,p,index,eigenvalue\n"
 
 
+@pytest.mark.parametrize("experiment,own,other", [("hamiltonian-check", "absorbing", "reflecting"),
+                                                  ("seqgen-check", "reflecting", "absorbing")])
+def test_one_mode_experiments_record_the_mode_they_run(tmp_path, capsys, experiment, own, other):
+    # an omitted mode takes the experiment's own, so the metadata records what ran;
+    # the other mode is refused before the output directory exists
+    out = tmp_path / "run"
+    assert main([experiment, "--L", "3", "--p", "0.5", "--mode", other, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {experiment} runs in {own} mode, got mode {other!r}\n"
+    assert not out.exists()
+    for mode in ([], ["--mode", own]):
+        assert main([experiment, "--L", "3", "--p", "0.5", *mode, "--out", str(out)]) == 0
+        assert json.loads((out / "run_metadata.json").read_text())["manifest"]["mode"] == own
+    with pytest.raises(InvalidParameterError, match=f"runs in {own} mode"):
+        normalize_manifest({"experiment": experiment, "mode": other})
+
+
+def test_even_L_rejected_before_any_point(tmp_path, capsys):
+    # every experiment but scaling needs odd L, so an even L anywhere in the grid is
+    # refused before any point runs or the output directory exists
+    out = tmp_path / "run"
+    assert main(["phase-sweep", "--L", "5", "--L", "6", "--p", "0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: lattice encoding requires odd L, got L=6\n"
+    assert not out.exists()
+    assert normalize_manifest({"experiment": "scaling", "L": [16]})["L"] == [16]
+
+
 def test_main_cli(tmp_path):
     out = tmp_path / "run"
     code = main(["dp-entropy", "--L", "5", "--L", "7", "--p", "0.5",

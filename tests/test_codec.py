@@ -209,6 +209,44 @@ def test_array_codec_matches_one_key_functions(mode, colored):
                               traj.heights)
 
 
+def _cumsum_profiles(keys, L, colored):
+    """Zigzag profiles (N, L+1, L+2) int64 of keys: each spin row's +-1 steps, signed by
+    its plaquette pairs' orientation, summed from the pinned column 0."""
+    spins = unpack_keys(keys, L, colored)[:, :(L + 1) ** 2].reshape(-1, L + 1, L + 1)
+    y, x = np.indices((L + 1, L + 1))
+    steps = (2 * spins.astype(np.int64) - 1) * np.where((x + y) % 2 == 0, 1, -1)
+    return np.concatenate([np.zeros((len(spins), L + 1, 1), dtype=np.int64),
+                           np.cumsum(steps, axis=2)], axis=2)
+
+
+@pytest.mark.parametrize("L", [3, 5, 7])
+@pytest.mark.parametrize("colored", [True, False])
+def test_decoded_profiles_are_int8(L, colored):
+    # heights lie within +-(L + 1), so decoding keeps them in the narrowest signed dtype
+    # that holds that: int8 up to L = 125; the sector keys add dips below the horizon
+    params = ModelParams(L=L, p=0.5, boundary_mode="absorbing", colored=colored)
+    keys = build_state(params).keys
+    if not colored:
+        keys = np.vstack([keys, sector_keys(params)])
+    decoded = decode_keys(keys, params)
+    assert decoded.profiles.dtype == np.int8
+    assert np.array_equal(decoded.profiles, _cumsum_profiles(keys, L, colored))
+    assert colored or L == 3 or decoded.profiles.min() < 0  # L = 3 has no room for a dip
+
+
+def test_decoded_profiles_widen_past_int8():
+    # at L = 127 a height may reach +-128, one past int8: the horizon-only history decodes
+    # to int16
+    L = 127
+    params = ModelParams(L=L, p=0.5, colored=False)
+    stack = np.tile(horizon_profile(L), (1, L + 1, 1))
+    keys = pack_values(profiles_to_spins(stack, L), L, False)
+    decoded = decode_keys(keys, params)
+    assert decoded.profiles.dtype == np.int16
+    assert np.array_equal(decoded.profiles, stack)
+    assert np.array_equal(decoded.profiles, _cumsum_profiles(keys, L, False))
+
+
 def test_unpack_rejects_padding_bits():
     # 36 spins leave 4 padding bits in the fifth byte at L = 5
     params = ModelParams(L=5, p=0.5, colored=True)

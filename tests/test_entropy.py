@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,29 @@ def test_entropy_monotone_in_p_at_L9():
     values = [entropy_dp(ModelParams(L=9, p=p, colored=True)).S_total
               for p in (0.25, 0.5, 0.8)]
     assert values[0] < values[1] < values[2]
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_entropy_bytes_per_key():
+    # building the L = 7 colored state and splitting it at the middle cut: decoded profiles
+    # in int8, key columns gathered once and only the site values held while the parts are
+    # ranked.  The traced peak read 359 bytes per key (576 before); the ceiling is 15 % above
+    params = ModelParams(L=7, p=0.5, colored=True)
+    n = len(build_state(params))
+
+    def call():
+        entropy_exact(build_state(params), mid_cut_row(params.L))
+
+    _traced_peak(call)  # first-call allocations stay out of the measurement
+    assert _traced_peak(call) <= 1.15 * 359 * n, n
 
 
 def test_schmidt_rejects_unnormalized(l3_state_reflecting):
