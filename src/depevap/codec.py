@@ -57,8 +57,11 @@ plaquettes of time rows y and y + 1, alternating along the row), so
   zigzag profile as a cumulative sum of signed spins along its row.  It
   checks Gauss's law at every vertex, the pinned boundary spins and the
   colors: 0 exactly on no-change vertices, and every evaporation the
-  color of the pair it removes, replayed by `pair_slots`.  Under
-  reflecting rules no height may fall below 0.
+  color of the pair it removes.  Under reflecting rules no height may
+  fall below 0.
+* `push_pop` is the one pending-pair rule, on stacks from `empty_stacks`:
+  the bridge walk, the emitter rounds, the color check and the Schmidt
+  labels (`pending_pairs`, `pending_colors`) all take it.
 
 These arrays are the one configuration representation, of states too
 (a key matrix plus an amplitude vector).  The one-key `canonical_key`,
@@ -185,10 +188,6 @@ class DecodedKeys:
     values: np.ndarray
     profiles: np.ndarray
     kinds: np.ndarray
-
-    def take(self, rows) -> "DecodedKeys":
-        return DecodedKeys(self.L, self.colored, self.values[rows], self.profiles[rows],
-                           self.kinds[rows])
 
 
 def encode_trajectory(traj: TrajectoryRecord, params: ModelParams) -> LatticeConfig:
@@ -389,7 +388,7 @@ def decode_keys(keys, params: ModelParams) -> DecodedKeys:
         vertices = _lattice(L).vertices
         _raise_first((values[:, n_spins:] == COLOR_NONE) != (decoded.kinds == 0), "color",
                      vertices, "color 0 must mark exactly the no-change vertices")
-        _raise_first(pair_slots(decoded, L)[1], "color", vertices,
+        _raise_first(pending_pairs(decoded, L)[1].T, "color", vertices,
                      "evaporation color does not match")
     if params.boundary_mode == "reflecting":
         _raise_first((decoded.profiles < 0).reshape(len(values), (L + 1) * (L + 2)), "floor",
@@ -397,34 +396,43 @@ def decode_keys(keys, params: ModelParams) -> DecodedKeys:
     return decoded
 
 
-def pair_slots(decoded: DecodedKeys, last_row: int):
-    """Replay the deposited pairs of vertex rows 1..last_row, every key at once.
+def empty_stacks(L, shape) -> np.ndarray:
+    """Stacks of `shape` without pairs, in the narrowest unsigned dtype for (L + 1) // 4 pairs."""
+    return np.zeros(shape, dtype=np.min_scalar_type((1 << (L + 1) // 4) - 1))
 
-    Returns (slots, mismatch).  slots[n, i, k] is the color of the pair
-    at level k above site i's horizon (the pair a deposit from height
-    i % 2 + 2k put there); levels below (profiles[n, last_row, i] -
-    i % 2) // 2 are still pending after row last_row.  mismatch[n, v]
-    flags an evaporation at vertex v that finds no pair, or one of
-    another color.  Only a key with such a flag can reach a level below
-    its horizon; the negative index then lands in a slot of that key no
-    valid key uses.
-    """
-    L = decoded.L
+
+def push_pop(stacks, kinds, colors):
+    """(stacks after, vertex colors) of one update per stack, a bit per pair (g = 1, newest
+    lowest): a deposit (kinds > 0) pushes its color, an evaporation pops the pair's (r if none)."""
+    pop, push = kinds < 0, kinds > 0
+    colors = np.where(pop, (stacks & 1) + 1, colors)
+    return (stacks >> pop << push) | (push & (colors == 2)), colors
+
+
+def pending_pairs(decoded: DecodedKeys, last_row: int):
+    """(stacks (L+2, N), mismatch (vertices, N)): every key's vertex rows 1..last_row through
+    `push_pop`, site-major, and its evaporations that find no pair beneath (h - i % 2 < 2
+    before their row) or one of another color."""
+    L, n = decoded.L, len(decoded.kinds)
     lat = _lattice(L)
-    codes = decoded.values[:, (L + 1) ** 2:]
-    slots = np.zeros((len(codes), L + 2, L // 2 + 1), dtype=np.uint8)  # |h_i| <= (L+1)/2
-    mismatch = np.zeros(decoded.kinds.shape, dtype=bool)
+    kinds, codes = decoded.kinds.T.copy(), decoded.values[:, (L + 1) ** 2:].T.copy()
+    stacks, mismatch = empty_stacks(L, (L + 2, n)), np.zeros(kinds.shape, dtype=bool)
     for t in range(1, last_row + 1):  # the vertices of one row update distinct sites
-        first, last = lat.row_start[t], lat.row_start[t + 1]
-        sites = lat.vertex_i[first:last]
-        level = (decoded.profiles[:, t - 1, sites] - sites % 2) // 2  # pairs below, before
-        kinds, colors = decoded.kinds[:, first:last], codes[:, first:last]
-        n, j = np.nonzero(kinds == 1)
-        slots[n, sites[j], level[n, j]] = colors[n, j]
-        n, j = np.nonzero(kinds == -1)
-        below = level[n, j] - 1
-        mismatch[n, first + j] = (below < 0) | (slots[n, sites[j], below] != colors[n, j])
-    return slots, mismatch
+        row = slice(lat.row_start[t], lat.row_start[t + 1])
+        sites = lat.vertex_i[row]
+        stacks[sites], colors = push_pop(stacks[sites], kinds[row], codes[row])
+        empty = decoded.profiles[:, t - 1, sites].T < (sites % 2 + 2)[:, None]
+        mismatch[row] = (colors != codes[row]) | (empty & (kinds[row] < 0))
+    return stacks, mismatch
+
+
+def pending_colors(decoded: DecodedKeys, last_row: int) -> list:
+    """Per key, the colors pending at sites 1..L after vertex rows 1..last_row, oldest first."""
+    depths = (decoded.profiles[:, last_row, 1:-1] - np.arange(1, decoded.L + 1) % 2) // 2
+    stacks = pending_pairs(decoded, last_row)[0][1:-1].T[..., None]
+    bits = stacks >> np.arange(depths.max(initial=0) - 1, -1, -1).astype(stacks.dtype)
+    return [tuple(tuple(c[len(c) - d:]) for c, d in zip(*row))
+            for row in zip(((bits & 1) + 1).tolist(), depths.tolist())]
 
 
 def canonical_key(config: LatticeConfig) -> bytes:

@@ -3,8 +3,8 @@
 * `entropy_exact`: Schmidt weights of an explicitly built sparse state,
   via per-sector Gram blocks.  `schmidt_spectrum` decodes all keys in
   one `codec.decode_keys` call, groups them by their bottom part, and
-  reads each sector label from the key bits of one key per distinct
-  bottom (`codec.pair_slots` replays the pairs below the cut).
+  reads each sector label off one key per distinct bottom, its colors by
+  `codec.pending_colors` (`push_pop` on `empty_stacks`).
 * `entropy_formula`: closed form S = <N_c> + S_uncolored in bits from a
   mid-cut surface distribution; each unmatched deposited pair below the
   cut contributes one bit, and pairs number A/2 for cut area A.
@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .codec import decode_keys, key_rows, pair_slots, site_order
+from .codec import decode_keys, key_rows, pending_colors, site_order
 from .errors import CapacityError, InvalidParameterError
 from .exact import SparseState, _kept
 from .params import ModelParams, _is_int, _require_cap
@@ -344,14 +344,10 @@ def _row_ranks(rows):
 
 def _sector_labels(decoded, cut_row):
     """(profile, unmatched colors per site) at the cut of each decoded key."""
-    L = decoded.L
-    profiles = decoded.profiles[:, cut_row]
+    profiles = decoded.profiles[:, cut_row].tolist()
     if not decoded.colored:
-        return [(tuple(prof), ()) for prof in profiles.tolist()]
-    slots, _ = pair_slots(decoded, cut_row)
-    pending = (profiles - np.arange(L + 2) % 2) // 2
-    return [(tuple(prof), tuple(tuple(row[i][:depth[i]]) for i in range(1, L + 1)))
-            for prof, row, depth in zip(profiles.tolist(), slots.tolist(), pending.tolist())]
+        return [(tuple(prof), ()) for prof in profiles]
+    return list(zip(map(tuple, profiles), pending_colors(decoded, cut_row)))
 
 
 def entropy_exact(state: SparseState, cut_row: int) -> EntropyReport:

@@ -12,15 +12,15 @@ One walk (`walk`) enumerates histories over distinct states
 (`Frontier`), under branches per site label name (`_LABELS`): the
 bridges' event table, or the parent Hamiltonian's p-independent sector
 table (`hamiltonian.sector_keys`).  A state is a zigzag profile with
-one color bit-stack per site (the pairs deposited there and not yet
-evaporated); a slice holds few of them (at most 14 profiles at L = 7
-and 42 at L = 9, 171 states with their stacks at L = 7 colored) against
-thousands of histories.  Slice t + 1 labels every state of slice t once
-per site and keeps the branches that can still return to the horizon
-(`within_reach`); `Frontier.step`, which `seqgen.apply_round` takes on
-the emitter's states too, builds one edge per combination of kept
-branches with its child state and vertex colors and merges equal
-children.  The walk reads each edge's weight factor
+one stack of pending pairs per site (`codec.push_pop`, dtype from
+`codec.empty_stacks`); a slice holds few of them (at most 14 profiles
+at L = 7 and 42 at L = 9, 171 states with their stacks at L = 7
+colored) against thousands of histories.  Slice t + 1 labels every
+state of slice t once per site and keeps the branches that can still
+return to the horizon (`within_reach`); `Frontier.step`, which
+`seqgen.apply_round` takes on the emitter's states too, builds one edge
+per combination of kept branches with its child state and vertex colors
+and merges equal children.  The walk reads each edge's weight factor
 w = ((1.0 p_first) ...) base, base the frozen sites' factor, each the
 probability of its label's no-change branch.  Each history takes every
 edge of its state, in order, so the histories come out in the order of
@@ -40,11 +40,13 @@ import numpy as np
 
 from .codec import (
     decode_keys,
+    empty_stacks,
     key_length,
     key_order,
     key_rows,
     pack_values,
     profile_spins,
+    push_pop,
 )
 from .codec import canonical_key, encode_trajectory  # noqa: F401  perfbench/traced.py wraps these
 from .errors import CapacityError, DecodeError, InvalidParameterError
@@ -98,11 +100,9 @@ class SparseState:
 class Frontier:
     """Paths through the distinct states of successive slices, in depth-first order.
 
-    A state is a zigzag profile with one color bit-stack per site (the
-    pairs deposited there and not yet evaporated, one bit per pair, g = 1,
-    newest lowest): `heights` (M, L+2) int8 and `stacks` (M, L+2) uint32
-    hold each distinct state of a slice once, and `node` (N,) is the state
-    of every path alive.  `paths` traces them back through every slice.
+    `heights` (M, L+2) int8 and `stacks` (M, L+2) hold each distinct
+    state of a slice once, and `node` (N,) is the state of every path
+    alive.  `paths` traces them back through every slice.
     """
 
     def __init__(self, node, heights, stacks):
@@ -121,11 +121,11 @@ class Frontier:
         on.  Each path takes every edge of its state, paths in order, so the
         children come out in the order of a depth-first recursion over
         slices and sites; their number is checked against `cap` before any
-        is built (CapacityError `overflow`).  A child adds each site's delta;
-        a deposit pushes its color, an evaporation pops and takes the color
-        of the pair it removes.  Children merge on their profile and stack
-        bytes, the next states sorted as those bytes.  Returns per edge its
-        state, its (edges, sites) branches, vertex colors and child profile.
+        is built (CapacityError `overflow`).  A child adds each site's delta
+        and takes `codec.push_pop` on its stacks.  Children merge on their
+        profile and stack bytes, the next states sorted as those bytes.
+        Returns per edge its state, its (edges, sites) branches, vertex
+        colors and child profile.
         """
         counts = keeps.sum(axis=2).prod(axis=1)
         children = counts[self.node]
@@ -144,12 +144,8 @@ class Frontier:
         self.sizes.append(len(parent))
         chosen = branches[parent[:, None], np.arange(len(sites)), choice]  # (edges, sites)
         heights, stacks = self.heights[parent], self.stacks[parent]  # one child per edge
-        delta, below = chosen["delta"], stacks[:, sites]
-        heights[:, sites] += delta
-        # an evaporation takes the color of the pair beneath (h >= 0 keeps one there)
-        color = np.where(delta < 0, (below & 1) + 1, chosen["color"])
-        stacks[:, sites] = np.where(delta > 0, (below << 1) | (color == 2),
-                                    np.where(delta < 0, below >> 1, below))
+        heights[:, sites] += chosen["delta"]
+        stacks[:, sites], color = push_pop(stacks[:, sites], chosen["delta"], chosen["color"])
         state = key_rows(np.hstack([heights.view(np.uint8), stacks.view(np.uint8)]))
         _, first, state = np.unique(state, return_index=True, return_inverse=True)
         self.node = state[edge]
@@ -297,7 +293,7 @@ def walk(L, by_label, max_nodes, overflow):
     table = branch_table(rows, [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
     frozen = np.array([next(prob for delta, _, prob in row if delta == 0) for row in rows])
     prof = horizon_profile(L)[None].astype(np.int8)
-    frontier = Frontier(np.zeros(1, dtype=np.intp), prof, np.zeros(prof.shape, dtype=np.uint32))
+    frontier = Frontier(np.zeros(1, dtype=np.intp), prof, empty_stacks(L, prof.shape))
     visited = 1
     if visited > max_nodes:
         raise CapacityError(overflow)

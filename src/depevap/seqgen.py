@@ -38,20 +38,21 @@ amplitude sqrt(1/2) per round.
 
 The joint state of emitter and record is a set of arrays (`JointState`).
 The emitter is the bond of the sequential (MPS) construction: its
-distinct states, int8 marker heights and uint32 color bit-stacks, are
-kept once each, and each branch points at one of them and carries its
-uint8 spin and color rows and a float64 amplitude.  A round labels every
-distinct emitter state at each of its sites (shape and top pair color),
-reads that label's branches off `channel_branches` and marks the kept
-ones; `exact.Frontier.step`, the bridge walk's step, builds one edge
-per combination of them with its child state and merges equal
-children, so the emitter's states are the walk's.  Every branch takes
-every edge of its state, parent-major with each site's branches in
-table order (a depth-first recursion over branches and sites), and
-multiplies its amplitude by the edge's in that order.  The record is
-emitted by the channels themselves (the table's spin and color fields),
-never rebuilt from heights through the codec, so comparing the
-generated state with `exact.build_state` stays an independent check.
+distinct states (int8 marker heights, `codec.empty_stacks` stacks that
+only `codec.push_pop` reads and changes) are kept once each, and each
+branch points at one of them and carries its uint8 spin and color rows
+and a float64 amplitude.  A round labels every distinct emitter state
+at each of its sites (shape and top pair color), reads that label's
+branches off `channel_branches` and marks the kept ones;
+`exact.Frontier.step`, the bridge walk's step, builds one edge per
+combination of them with its child state and merges equal children, so
+the emitter's states are the walk's.  Every branch takes every edge of
+its state, parent-major with each site's branches in table order (a
+depth-first recursion over branches and sites), and multiplies its
+amplitude by the edge's in that order.  The record is emitted by the
+channels themselves (the table's spin and color fields), never rebuilt
+from heights through the codec, so comparing the generated state with
+`exact.build_state` stays an independent check.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import key_order, key_rows, pack_values, site_order
+from .codec import empty_stacks, key_order, key_rows, pack_values, push_pop, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import Frontier, SparseState, branch_table, within_reach
 from .params import ModelParams, _require_cap
@@ -126,10 +127,9 @@ class JointState:
     """The emitter and its emitted record, one row per branch, in branch order.
 
     The emitter states are kept once each, as `exact.Frontier` holds
-    them: `heights` (M, L+2) int8 are the marker heights with the pinned
-    walls 0 and L+1 at 0, `stacks` the color bit-stacks of the pairs
-    beneath each marker.  `emitter` (N,) is each branch's state, `spins`
-    (N, n (L+1)) uint8 are the spin rows emitted by rounds 1..n, `colors`
+    them: `heights` (M, L+2) int8 marker heights (walls 0 and L+1 at 0)
+    and `stacks`.  `emitter` (N,) is each branch's state, `spins`
+    (N, n (L+1)) uint8 the spin rows emitted by rounds 1..n, `colors`
     uint8 the color rows of vertex rows 1..n in vertex order, and `amps`
     (N,) float64.  `dropped` is the squared mass that the round which
     built the state pruned away.
@@ -150,7 +150,7 @@ class JointState:
 def initial_joint(L: int) -> JointState:
     """The reference emitter (markers at the horizon, no pairs), empty record, amplitude 1."""
     heights = horizon_profile(L)[None].astype(np.int8)
-    return JointState(heights, np.zeros(heights.shape, dtype=np.uint32), np.zeros(1, dtype=np.intp),
+    return JointState(heights, empty_stacks(L, heights.shape), np.zeros(1, dtype=np.intp),
                       np.zeros((1, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8),
                       np.ones(1))
 
@@ -195,7 +195,7 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     table = _channel_table(params.p, params.colored)
     sites = np.array(slice_sites(L, n), dtype=np.intp)
     h = joint.heights
-    top = np.where(h[:, sites] == sites % 2, 0, (joint.stacks[:, sites] & 1) + 1)
+    top = np.where(h[:, sites] == sites % 2, 0, push_pop(joint.stacks[:, sites], -1, 0)[1])
     branches = table[3 * (2 * (h[:, sites] > h[:, sites - 1]) + (h[:, sites] > h[:, sites + 1]))
                      + top]  # (states, sites, branches)
     valid, new_h = branches["valid"], h[:, sites, None] + branches["delta"]

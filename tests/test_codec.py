@@ -6,7 +6,10 @@ from bridge_reference import bridge_records, trajectory_weight
 from depevap import ModelParams
 from depevap.codec import (
     KINDS,
+    DecodedKeys,
     LatticeConfig,
+    TrajectoryRecord,
+    _spin_profiles,
     canonical_key,
     decode_config,
     decode_keys,
@@ -14,6 +17,8 @@ from depevap.codec import (
     key_length,
     key_to_config,
     pack_values,
+    pending_colors,
+    pending_pairs,
     profiles_to_heights,
     profiles_to_spins,
     site_order,
@@ -21,11 +26,12 @@ from depevap.codec import (
     unpack_keys,
     vertex_sites,
 )
-from depevap.entropy import schmidt_spectrum
+from depevap.entropy import _sector_labels, schmidt_spectrum
 from depevap.errors import DecodeError, EncodeError, InvalidParameterError
 from depevap.exact import SparseState, build_state, enumerate_bridge, load_state, save_state
 from depevap.hamiltonian import sector_keys
 from depevap.surface import horizon_profile
+from pair_reference import pair_slots, slot_labels
 
 
 def test_round_trip_exhaustive_L3():
@@ -306,3 +312,103 @@ def test_decode_rejects_the_pinned_sector_keys(L, colored, count, reflecting, ab
             decode_keys(sorted(support), params)
             assert count - len(support) == rejected
             assert all((key in kinds) != (key in support) for key in map(bytes, keys[::stride]))
+
+
+# ---------------------------------------------------------------------------
+# the pending-pair replay against the per-level slot reference
+
+
+def _history_key(L, heights, recolor=None):
+    """The colored key of a height history (heights[t][i], i + t even), and its vertices.
+
+    A deposit pushes g onto a site's empty pile and r onto the others,
+    and an evaporation takes the color of the pair it removes (r off an
+    empty pile); the vertex `recolor` gets the other color.  Returns
+    (key, {vertex: (kind, color)}).
+    """
+    heights = np.asarray(heights)
+    piles = {i: [] for i in range(1, L + 1)}
+    events = {}
+    for i, t in vertex_sites(L):  # row-major: each site's vertices in time order
+        step = heights[t + 1][i] - heights[t - 1][i]
+        if step > 0:
+            events[i, t] = ("deposit", 1 if piles[i] else 2)
+            piles[i].append(events[i, t][1])
+        elif step < 0:
+            events[i, t] = ("evaporate", piles[i].pop() if piles[i] else 1)
+    if recolor is not None:
+        kind, color = events[recolor]
+        events[recolor] = (kind, 3 - color)
+    params = ModelParams(L=L, p=0.5, colored=True)
+    key = canonical_key(encode_trajectory(TrajectoryRecord(L, heights, events), params))
+    return key, events
+
+
+def _tent(L):
+    """The highest bridge, min(i, L + 1 - i, t, L + 1 - t): site (L + 1) // 2 piles up
+    (L + 1) // 4 pairs."""
+    t, i = np.indices((L + 2, L + 2))
+    return np.minimum(np.minimum(i, L + 1 - i), np.minimum(t, L + 1 - t))
+
+
+def _undecoded(keys, L):
+    """DecodedKeys of colored keys without the color and floor checks."""
+    values = unpack_keys(keys, L, True)
+    return DecodedKeys(L, True, values, *_spin_profiles(values[:, :(L + 1) ** 2], L))
+
+
+def _first_flags(mismatch):
+    """Per key, the first flagged vertex, or -1."""
+    return np.where(mismatch.any(axis=1), mismatch.argmax(axis=1), -1).tolist()
+
+
+@pytest.mark.parametrize("mode", ["reflecting", "absorbing"])
+@pytest.mark.parametrize("L", [3, 5, 7])
+def test_pending_pairs_match_the_slot_reference(L, mode):
+    # valid keys: nothing is flagged, every stack holds exactly the pairs its profile
+    # leaves pending, and the labels at every cut are the slots'
+    params = ModelParams(L=L, p=0.5, boundary_mode=mode, colored=True)
+    decoded = decode_keys(build_state(params).keys, params)
+    for cut in range(1, L):
+        stacks, mismatch = pending_pairs(decoded, cut)
+        assert not mismatch.any()
+        depth = (decoded.profiles[:, cut] - np.arange(L + 2) % 2) // 2
+        assert not (stacks.T >> depth).any()
+        assert _sector_labels(decoded, cut) == slot_labels(decoded, cut), cut
+    assert not pending_pairs(decoded, L)[1].any()
+
+
+def test_pending_pairs_flag_the_slot_reference_vertex():
+    # damaged keys: the sector keys' dips and recolorings, one recolored evaporation
+    # and one evaporation with no pair beneath are flagged at the reference's first vertex
+    L = 5
+    params = ModelParams(L=L, p=0.5, boundary_mode="absorbing", colored=True)
+    dip = np.tile(np.arange(L + 2) % 2, (L + 2, 1))  # the flat bridge: i % 2 at every t
+    dip[3, 3] = -1  # site 3 evaporates from h = 1 at vertex (3, 2) and comes back at (3, 4)
+    recolored, events = _history_key(L, _tent(L), recolor=(3, 4))
+    assert events[3, 4][0] == "evaporate"
+    keys = [recolored, _history_key(L, dip)[0]] + list(map(bytes, sector_keys(params)))
+    want = _first_flags(pair_slots(_undecoded(keys, L), L)[1])
+    assert _first_flags(pending_pairs(_undecoded(keys, L), L)[1].T) == want
+    vertices = vertex_sites(L)
+    assert [vertices[v] for v in want[:2]] == [(3, 4), (3, 2)]
+    assert sum(v >= 0 for v in want) > 100
+
+
+@pytest.mark.parametrize("L,dtype", [(35, np.uint16), (131, np.uint64), (261, object)])
+def test_deep_piles_decode(L, dtype):
+    # the tent piles (L + 1) // 4 pairs on its middle site, the oldest g: its stack takes the
+    # narrowest unsigned dtype that holds them (a fixed uint32 loses that pair at L = 131),
+    # and recoloring the evaporation that removes the oldest pair is flagged at that vertex
+    params = ModelParams(L=L, p=0.5, colored=True)
+    middle = (L + 1) // 2
+    key, events = _history_key(L, _tent(L))
+    decoded = decode_keys([key], params)
+    assert pending_pairs(decoded, middle - 1)[0].dtype == dtype
+    # the pile is whole after slice middle - 1: its oldest pair g, the others r
+    assert pending_colors(decoded, middle - 1)[0][middle - 1] == (2,) + (1,) * ((L + 1) // 4 - 1)
+    last = max(t for (i, t), (kind, _) in events.items() if i == middle and kind == "evaporate")
+    bad, _ = _history_key(L, _tent(L), recolor=(middle, last))
+    with pytest.raises(DecodeError) as err:
+        decode_keys([bad], params)
+    assert (err.value.kind, err.value.location) == ("color", (middle, last))
