@@ -9,10 +9,11 @@ fall below 0).  Frozen boundary sites contribute that factor per slice
 whenever they sit at the floor, and 1 otherwise.
 
 One walk (`walk`) enumerates histories over distinct states
-(`Frontier`), under branches per site label name (`_LABELS`): the
-bridges' event table, or the parent Hamiltonian's p-independent sector
-table (`hamiltonian.sector_keys`).  A state is a zigzag profile with
-one stack of pending pairs per site (`codec.push_pop`, dtype from
+(`Frontier`), under branches per site label (`site_labels`): the
+bridges' event table (`event_branches`, which `seqgen`'s rounds read
+with the same labels), or the parent Hamiltonian's p-independent
+sector table (`hamiltonian.sector_keys`).  A state is a zigzag profile
+with one stack of pending pairs per site (`codec.push_pop`, dtype from
 `codec.empty_stacks`); a slice holds few of them (at most 14 profiles
 at L = 7 and 42 at L = 9, 171 states with their stacks at L = 7
 colored) against thousands of histories.  Slice t + 1 labels every
@@ -54,7 +55,7 @@ from .params import ModelParams, _require_cap
 from .surface import event_table, horizon_profile, slice_sites
 
 MAX_NODES = 10_000_000
-_LABELS = ("valley", "peak", "floor", "slope")  # codes 0..3 of _site_labels; floor: peak at h <= 1
+LABELS = ("valley", "peak", "floor", "slope_up", "slope_down")  # the codes of site_labels
 _KEPT = []  # the one kept layout: [(key, layout)]
 
 
@@ -127,10 +128,11 @@ class Frontier:
         Returns per edge its state, its (edges, sites) branches, vertex
         colors and child profile.
         """
-        counts = keeps.sum(axis=2).prod(axis=1)
-        children = counts[self.node]
-        if children.sum() > cap:
+        counts = keeps.sum(axis=2).prod(axis=1, dtype=np.float64)  # an int64 product can wrap
+        if counts[self.node].sum() > cap:
             raise CapacityError(overflow)
+        counts = counts.astype(np.intp)
+        children = counts[self.node]
         parent = np.arange(len(keeps))
         choice = np.zeros((len(keeps), 0), dtype=np.intp)
         for k in range(len(sites)):
@@ -207,23 +209,23 @@ def branch_table(branches, fields) -> np.ndarray:
     return table
 
 
-def _event_branches(params: ModelParams):
-    """{label: its positive-probability (delta, color, prob) branches} over _LABELS; the
-    floor keeps a peak's no-change row alone, as in `entropy.TransferKernel`."""
-    reflecting = params.boundary_mode == "reflecting"
-    tables = {shape: event_table("peak", reflecting, params.p, params.colored)[-1:]
-              if shape == "floor" else event_table(shape, False, params.p, params.colored)
-              for shape in _LABELS}
-    return {shape: [(delta, color or 0, prob) for delta, _, color, prob in rows if prob > 0.0]
-            for shape, rows in tables.items()}
+def event_branches(p, reflecting, colored):
+    """{label: its positive-probability (delta, color, prob) branches} over LABELS, from
+    `surface.event_table`; the floor keeps a peak's no-change row alone, as in
+    `entropy.TransferKernel`, and both slope labels take the slope's rows."""
+    tables = {name: event_table("peak", reflecting, p, colored)[-1:] if name == "floor"
+              else event_table(name.partition("_")[0], False, p, colored) for name in LABELS}
+    return {name: [(delta, color or 0, prob) for delta, _, color, prob in rows if prob > 0.0]
+            for name, rows in tables.items()}
 
 
-def _site_labels(prof, i):
-    """Label codes (rows, sites) of the sites `i` in every profile row (see _LABELS)."""
+def site_labels(prof, i):
+    """Label codes (rows, sites) of the sites `i` in every profile row: LABELS[code] names a
+    valley, a peak, the floor (a peak at h <= 1), or a slope standing above its left
+    (slope_up) or its right (slope_down) neighbour."""
     h = prof[:, i]
-    valley = (prof[:, i - 1] > h) & (prof[:, i + 1] > h)
-    peak = (prof[:, i - 1] < h) & (prof[:, i + 1] < h)
-    return np.where(valley, 0, np.where(peak, 1, 3)) + (peak & (h <= 1))
+    above_l, above_r = h > prof[:, i - 1], h > prof[:, i + 1]
+    return np.where(above_l & above_r, 1 + (h <= 1), 3 * above_l + 4 * above_r)
 
 
 def within_reach(heights, i, t, L):
@@ -279,7 +281,7 @@ def walk(L, by_label, max_nodes, overflow):
     """Every history from the horizon back to it, over distinct states.
 
     by_label[name] lists the (delta, color, prob) branches of each label
-    name of _LABELS; a frozen site's factor is the probability of its
+    name of LABELS; a frozen site's factor is the probability of its
     label's delta-0 branch.  `Frontier.step` builds each slice's edges
     from the kept branches, and the walk reads their colors and weight
     factors.  `max_nodes` bounds the nodes of the history tree, the root
@@ -289,21 +291,19 @@ def walk(L, by_label, max_nodes, overflow):
     history's root, then its edge at each slice, as rows of the edge
     tables for `path_rows` and `site_values` to gather.
     """
-    rows = [by_label[name] for name in _LABELS]
+    rows = [by_label[name] for name in LABELS]
     table = branch_table(rows, [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
     frozen = np.array([next(prob for delta, _, prob in row if delta == 0) for row in rows])
     prof = horizon_profile(L)[None].astype(np.int8)
     frontier = Frontier(np.zeros(1, dtype=np.intp), prof, empty_stacks(L, prof.shape))
     visited = 1
-    if visited > max_nodes:
-        raise CapacityError(overflow)
     width = (L + 1) // 2  # the vertices of a slice row, see site_values
     edges = [(prof, np.zeros((1, width), dtype=np.uint8), np.ones(1))]  # the root
     for t in range(1, L + 1):
         sites = np.array(slice_sites(L, t), dtype=np.intp)
         frozen_sites = np.array([i for i in (1, L) if (i + t) % 2 == 1], dtype=np.intp)
         prof = frontier.heights  # the distinct states after slice t - 1
-        labels = _site_labels(prof, np.concatenate([sites, frozen_sites]))
+        labels = site_labels(prof, np.concatenate([sites, frozen_sites]))
         branches = table[labels[:, :len(sites)]]  # (states, sites, branches)
         keeps = branches["valid"] & within_reach(prof[:, sites, None] + branches["delta"],
                                                  sites[:, None], t, L)
@@ -332,7 +332,8 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
     _require_cap("max_nodes", max_nodes)
     L = params.L
     index, (profs, spins, colors, factors) = walk(
-        L, _event_branches(params), max_nodes, f"bridge enumeration exceeded {max_nodes} nodes")
+        L, event_branches(params.p, params.boundary_mode == "reflecting", params.colored),
+        max_nodes, f"bridge enumeration exceeded {max_nodes} nodes")
     weights = np.ones(len(index))
     for t in range(1, L + 1):  # the weight product in slice order
         weights = weights * factors[index[:, t]]

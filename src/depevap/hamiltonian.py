@@ -517,7 +517,8 @@ def term_residuals(terms, state: SparseState):
 # exact.walk's branches per label: every valley may rise and every peak and floor fall
 # (dips are legal), slopes stay, all at weight 1; changes carry r
 _SECTOR_BRANCHES = {"valley": [(0, 0, 1.0), (2, 1, 1.0)], "peak": [(0, 0, 1.0), (-2, 0, 1.0)],
-                    "floor": [(0, 0, 1.0), (-2, 0, 1.0)], "slope": [(0, 0, 1.0)]}
+                    "floor": [(0, 0, 1.0), (-2, 0, 1.0)], "slope_up": [(0, 0, 1.0)],
+                    "slope_down": [(0, 0, 1.0)]}
 
 
 def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:

@@ -9,16 +9,16 @@ Odd rounds update the E stacks (even sites), even rounds the F stacks
 radiates the L+1 spin qubits of lattice spin row n and the color
 qutrits of vertex row n.
 
-Per eligible site the channel branches are the branches of the
-classical event table (`surface.event_table`), each with the square
-root of its probability as amplitude:
+Per eligible site the channel branches are the reflecting bridge walk's
+(`exact.event_branches` over the site labels of `exact.site_labels`),
+each with the square root of its probability as amplitude:
 
     valley   deposit(c)   emits up,up    c
              no change    emits dn,dn    0
     peak     evaporate    emits dn,dn    pair color
              no change    emits up,up    0
-    peak with no pairs beneath (surface at the horizon): the reflecting
-             floor, a certain no change, emits up,up and color 0
+    floor    (a peak with no pairs beneath, at the horizon) a certain
+             no change, emits up,up and color 0
     slopes   no change    emits the height-difference pair, 0
 
 Every column of a channel restricted to its reachable domain has unit
@@ -42,16 +42,17 @@ distinct states (int8 marker heights, `codec.empty_stacks` stacks that
 only `codec.push_pop` reads and changes) are kept once each, and each
 branch points at one of them and carries its uint8 spin and color rows
 and a float64 amplitude.  A round labels every distinct emitter state
-at each of its sites (shape and top pair color), reads that label's
-branches off `channel_branches` and marks the kept ones;
+at each of its sites, as the walk labels its profiles, reads that
+label's branches off one cached channel table and marks the kept ones;
 `exact.Frontier.step`, the bridge walk's step, builds one edge per
 combination of them with its child state and merges equal children, so
 the emitter's states are the walk's.  Every branch takes every edge of
 its state, parent-major with each site's branches in table order (a
 depth-first recursion over branches and sites), and multiplies its
 amplitude by the edge's in that order.  The record is emitted by the
-channels themselves (the table's spin and color fields), never rebuilt
-from heights through the codec, so comparing the generated state with
+channels themselves (the table's spin fields, and the vertex colors
+that `Frontier.step` pushes and pops), never rebuilt from heights
+through the codec, so comparing the generated state with
 `exact.build_state` stays an independent check.
 """
 
@@ -63,58 +64,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import empty_stacks, key_order, key_rows, pack_values, push_pop, site_order
+from .codec import empty_stacks, key_order, key_rows, pack_values, site_order
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import Frontier, SparseState, branch_table, within_reach
+from .exact import (LABELS, Frontier, SparseState, branch_table, event_branches, site_labels,
+                    within_reach)
 from .params import ModelParams, _require_cap
-from .surface import event_table, horizon_profile, local_shape, slice_sites
+from .surface import horizon_profile, slice_sites
 
 MAX_BRANCHES = 2_000_000
+_SIDES = ((-1, -1), (1, 1), (1, 1), (1, -1), (-1, 1))  # (h - h_left, h - h_right) per LABELS code
 
 
 @functools.lru_cache(maxsize=None)
-def channel_branches(dh_left, dh_right, top_color, p, colored, cooling=False):
-    """Branches of one local channel: (height delta, stack op, spins, color, amp).
+def _channel_table(p, colored) -> np.ndarray:
+    """The reflecting walk's branches (`exact.event_branches`) per `exact.LABELS` code, as
+    one read-only branch table.
 
-    `top_color` is the color of the most recent pair beneath the marker,
-    or None when the marker rests at the horizon, where a peak cannot
-    fall.  Spins are the emitted (left, right) qubits of the site's
-    vertex: up where the site ends above that neighbour.  Cooling runs
-    the table at p = 0 with its deposition branches removed.
+    A branch's amplitude is the square root of its probability, and its
+    emitted (left, right) spins are up where the site ends above that
+    neighbour.  An evaporation's color is 0 here: `Frontier.step` pops it
+    off the site's stack.
     """
-    if cooling:
-        p = 0.0
-    branches = []
-    for delta, kind, color, prob in event_table(local_shape(-dh_left, -dh_right),
-                                                top_color is None, p, colored):
-        if kind == "deposit":
-            if cooling:
-                continue
-            op = ("push", color)
-        elif kind == "evaporate":
-            op, color = ("pop",), top_color
-        else:
-            op = ("none",)
-        spins = (int(dh_left + delta > 0), int(dh_right + delta > 0))
-        branches.append((delta, op, spins, color, math.sqrt(prob)))
-    return tuple(branches)
+    by_label = event_branches(p, True, colored)
+    table = branch_table([[(delta, dl + delta > 0, dr + delta > 0, color, math.sqrt(prob))
+                           for delta, color, prob in by_label[name]]
+                          for name, (dl, dr) in zip(LABELS, _SIDES)],
+                         [("delta", np.int8), ("spin_l", np.uint8), ("spin_r", np.uint8),
+                          ("color", np.uint8), ("amp", np.float64)])
+    table.flags.writeable = False
+    return table
 
 
 def local_channel(p, colored=True, cooling=False):
-    """Matrix elements of one stack-update isometry over its reachable domain.
+    """Matrix elements of one stack-update isometry over its reachable domain, read off the
+    rounds' `_channel_table` (at p = 0 when `cooling`).
 
     Returned as {in_label: [(stack op, emitted spins, emitted color, amplitude)]}
     with in_label one of ("valley",), ("peak", pair color or None),
-    ("slope_up",), ("slope_down",).  The elements are the same for every
-    stack, so one table serves the E and F markers alike.
+    ("slope_up",), ("slope_down",); a peak with no pair beneath is the
+    floor.  The elements are the same for every stack, so one table serves
+    the E and F markers alike.
     """
-    inputs = {("peak", tc): (1, 1, tc) for tc in ((1, 2, None) if colored else (1, None))}
-    inputs[("valley",)] = (-1, -1, None)
-    inputs[("slope_up",)] = (1, -1, None)
-    inputs[("slope_down",)] = (-1, 1, None)
-    return {label: [(op, spins, color, amp) for _, op, spins, color, amp
-                    in channel_branches(dh_l, dh_r, tc, p, colored, cooling)]
-            for label, (dh_l, dh_r, tc) in inputs.items()}
+    table = _channel_table(0.0 if cooling else p, colored).tolist()
+    names = {("valley",): "valley", ("peak", None): "floor", ("slope_up",): "slope_up",
+             ("slope_down",): "slope_down"}
+    names.update({("peak", c): "peak" for c in ((1, 2) if colored else (1,))})
+    return {label: [(("push", color) if delta > 0 else ("pop",) if delta < 0 else ("none",),
+                     (spin_l, spin_r), label[-1] if delta < 0 else color, amp)
+                    for delta, spin_l, spin_r, color, amp, valid in table[LABELS.index(name)]
+                    if valid]
+            for label, name in names.items()}
 
 
 def cooling_start(L: int) -> int:
@@ -155,20 +154,6 @@ def initial_joint(L: int) -> JointState:
                       np.ones(1))
 
 
-def _channel_table(p, colored) -> np.ndarray:
-    """channel_branches with nonzero amplitude per site label, as one branch table.
-
-    A site's label is 3 * (2 * (dh_left > 0) + (dh_right > 0)) + top,
-    with top 0 for a marker at the horizon and the top pair's color
-    otherwise.
-    """
-    return branch_table([[(delta, spins[0], spins[1], color, amp) for delta, _, spins, color, amp
-                          in channel_branches(dh_l, dh_r, top, p, colored) if amp != 0.0]
-                         for dh_l in (-1, 1) for dh_r in (-1, 1) for top in (None, 1, 2)],
-                        [("delta", np.int8), ("spin_l", np.uint8), ("spin_r", np.uint8),
-                         ("color", np.uint8), ("amp", np.float64)])
-
-
 def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRANCHES) -> JointState:
     """One round of local channels on every branch of the joint state.
 
@@ -192,12 +177,10 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     """
     _require_cap("max_branches", max_branches)
     L = params.L
-    table = _channel_table(params.p, params.colored)
     sites = np.array(slice_sites(L, n), dtype=np.intp)
     h = joint.heights
-    top = np.where(h[:, sites] == sites % 2, 0, push_pop(joint.stacks[:, sites], -1, 0)[1])
-    branches = table[3 * (2 * (h[:, sites] > h[:, sites - 1]) + (h[:, sites] > h[:, sites + 1]))
-                     + top]  # (states, sites, branches)
+    table = _channel_table(params.p, params.colored)
+    branches = table[site_labels(h, sites)]  # (states, sites, branches)
     valid, new_h = branches["valid"], h[:, sites, None] + branches["delta"]
     deep = (valid & (new_h > L + 2)).any(axis=(0, 2))
     if deep.any():
@@ -212,7 +195,7 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
         kept_mass = kept_mass * kept_sums[:, k]
     dropped = math.fsum((joint.amps ** 2 * (valid_mass - kept_mass)[joint.emitter]).tolist())
     frontier = Frontier(joint.emitter, h, joint.stacks)
-    _, chosen, _, heights = frontier.step(branches, keeps, sites, max_branches,
+    _, chosen, color, heights = frontier.step(branches, keeps, sites, max_branches,
                                           f"joint state exceeded {max_branches} branches")
     [(rows, edge)] = frontier.steps
     amps = joint.amps[rows]
@@ -221,7 +204,7 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     row = np.zeros((len(chosen), L + 1), dtype=np.uint8)
     row[:, sites - 1], row[:, sites] = chosen["spin_l"], chosen["spin_r"]
     colors = np.zeros((len(chosen), (L + 1) // 2 - n % 2), dtype=np.uint8)
-    colors[:, (sites - 1) // 2] = chosen["color"]  # vertex (i, n) in vertex order
+    colors[:, (sites - 1) // 2] = color  # vertex (i, n) in vertex order
     if n % 2 == 0:  # boundary emissions of the F rounds
         row[:, 0] = row[:, L] = 1
         row[:, 1] = heights[:, 2] == 0

@@ -18,6 +18,10 @@ only case where this bites is a Peak at h=1, which becomes a certain
 no-change (no-event 1/2 plus forced height-neutral deposition 1/2).
 Absorbing mode applies the unconstrained rules; trajectories that touch
 h < 0 are discarded by the caller's post-selection.
+
+`event_table` is the one per-vertex rule.  The bridge walk and the
+emitter read it as `exact.event_branches`; the DP, the free dynamics
+and the parent Hamiltonian read its probabilities.
 """
 
 from __future__ import annotations
@@ -42,17 +46,6 @@ def horizon_profile(L: int) -> np.ndarray:
     if not isinstance(L, int) or L < 3:
         raise InvalidParameterError(f"L must be an integer >= 3, got {L!r}")
     return np.array([i % 2 for i in range(L + 2)], dtype=np.int64)
-
-
-def local_shape(dl, dr) -> str:
-    """"valley", "peak" or "slope" from the neighbour offsets h_{i-1} - h_i, h_{i+1} - h_i."""
-    if dl == dr == 1:
-        return "valley"
-    if dl == dr == -1:
-        return "peak"
-    if dl == -dr and abs(dl) == 1:
-        return "slope"
-    raise InvalidParameterError(f"neighbour offsets ({dl}, {dr}) violate |dh| = 1")
 
 
 @functools.lru_cache(maxsize=None)

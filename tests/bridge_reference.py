@@ -1,6 +1,7 @@
 """Depth-first bridge enumeration: the reference for `exact.enumerate_bridge`.
 
-`site_branches` lists one site's branches from `surface.event_table`.
+`local_shape` names a site's shape from its neighbour offsets, and
+`site_branches` lists its branches from `surface.event_table`.
 `slice_outcomes` yields every joint branch of one update slice, site by
 site in table order, and `enumerate_bridge` recurses over the slices,
 resolving each evaporation's color from per-site stacks.  The array
@@ -20,10 +21,21 @@ import numpy as np
 
 from depevap import exact
 from depevap.codec import TrajectoryRecord, vertex_sites
-from depevap.errors import CapacityError, EncodeError
+from depevap.errors import CapacityError, EncodeError, InvalidParameterError
 from depevap.exact import MAX_NODES
 from depevap.params import ModelParams
-from depevap.surface import COLOR_NONE, event_table, horizon_profile, local_shape
+from depevap.surface import COLOR_NONE, event_table, horizon_profile
+
+
+def local_shape(dl, dr) -> str:
+    """"valley", "peak" or "slope" from the neighbour offsets h_{i-1} - h_i, h_{i+1} - h_i."""
+    if dl == dr == 1:
+        return "valley"
+    if dl == dr == -1:
+        return "peak"
+    if dl == -dr and abs(dl) == 1:
+        return "slope"
+    raise InvalidParameterError(f"neighbour offsets ({dl}, {dr}) violate |dh| = 1")
 
 
 def site_branches(h, hl, hr, params: ModelParams):

@@ -84,6 +84,17 @@ def test_hamiltonian_capacity_exit(tmp_path):
     assert (out / "hamiltonian_spectrum.csv").read_text() == "L,p,index,eigenvalue\n"
 
 
+@pytest.mark.parametrize("experiment,name,row", [
+    ("exact-entropy", "exact_entropy.csv", "81,0.5,reflecting,40,capacity,nan,nan,nan"),
+    ("seqgen-check", "seqgen_fidelity.csv", "81,0.5,True,nan,nan,nan")])
+def test_capacity_row_past_int64_children(tmp_path, experiment, name, row):
+    # the first slice of colored L = 81 has 3**40 children, past int64: the guard counts
+    # them without wrapping and writes the capacity row
+    out = tmp_path / "run"
+    assert main([experiment, "--L", "81", "--out", str(out)]) == 2
+    assert (out / name).read_text().splitlines()[1:] == [row]
+
+
 @pytest.mark.parametrize("experiment,own,other", [("hamiltonian-check", "absorbing", "reflecting"),
                                                   ("seqgen-check", "reflecting", "absorbing")])
 def test_one_mode_experiments_record_the_mode_they_run(tmp_path, capsys, experiment, own, other):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bridge_reference import enumerate_bridge as reference_enumerate_bridge
+from bridge_reference import local_shape
 from bridge_reference import success_probability
 from conftest import oracle_enumerate, oracle_success
 from depevap import ModelParams, exact
@@ -194,6 +195,42 @@ def test_capacity_guard_threshold():
     assert len(enumerate_bridge(params, max_nodes=27_848)) == 8_481
     with pytest.raises(CapacityError):
         enumerate_bridge(params, max_nodes=27_847)
+
+
+def test_step_checks_a_child_count_past_int64():
+    # 40 sites of 3 kept branches give 3**40 children, which wraps an int64 product negative;
+    # the cap still trips, before the step builds anything
+    frontier = exact.Frontier(np.zeros(1, dtype=np.intp), np.zeros((1, 42), dtype=np.int8),
+                              np.zeros((1, 42), dtype=np.uint8))
+    branches = np.zeros((1, 40, 3), dtype=[("delta", np.int8), ("color", np.uint8)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="too many children"):
+            frontier.step(branches, np.ones((1, 40, 3), dtype=bool), np.arange(1, 41), 1_000,
+                          "too many children")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert frontier.sizes == [1] and frontier.steps == []
+
+
+def test_site_labels_match_the_reference_shapes():
+    # every profile of the L = 7 walk: the shape of bridge_reference.local_shape, a peak at
+    # h <= 1 as the floor, and a slope named by the neighbour it stands above
+    L = 7
+    profiles = np.unique(enumerate_bridge(ModelParams(L=L, p=0.5)).edges[0], axis=0)
+    sites = np.arange(1, L + 1)
+    codes = exact.site_labels(profiles, sites)
+    for prof, row in zip(profiles.tolist(), codes.tolist()):
+        for i, code in zip(sites.tolist(), row):
+            shape = local_shape(prof[i - 1] - prof[i], prof[i + 1] - prof[i])
+            if shape == "peak" and prof[i] <= 1:
+                shape = "floor"
+            elif shape == "slope":
+                shape = "slope_up" if prof[i] > prof[i - 1] else "slope_down"
+            assert exact.LABELS[code] == shape, (prof, i)
+    assert len(profiles) == 14 and set(codes.ravel().tolist()) == set(range(len(exact.LABELS)))
 
 
 @pytest.mark.parametrize("L,colored", [(7, False), (5, True)])

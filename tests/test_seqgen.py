@@ -13,7 +13,6 @@ from depevap.seqgen import (
     MAX_BRANCHES,
     JointState,
     apply_round,
-    channel_branches,
     cooling_start,
     fidelity,
     initial_joint,
@@ -27,6 +26,7 @@ def _reference_apply_round(joint, n, p, params, cooling_active=False,
     """The dict-based round: {(stacks, record): amp}, expanded depth first per branch."""
     L = params.L
     out = {}
+    channel = local_channel(p, params.colored, cooling=cooling_active)
     for (stacks, record), amp in joint.items():
         heights = [0] + [s[0] for s in stacks] + [0]
         sites = [i for i in range(2, L) if i % 2 == (0 if n % 2 == 1 else 1)]
@@ -35,9 +35,11 @@ def _reference_apply_round(joint, n, p, params, cooling_active=False,
             dh_l = heights[i] - heights[i - 1]
             dh_r = heights[i] - heights[i + 1]
             blocks = stacks[i - 1][1]
-            top = blocks[-1] if blocks else None
-            per_site.append(channel_branches(dh_l, dh_r, top, p, params.colored,
-                                             cooling=cooling_active))
+            if dh_l == dh_r:
+                label = ("valley",) if dh_l < 0 else ("peak", blocks[-1] if blocks else None)
+            else:
+                label = ("slope_up",) if dh_l > 0 else ("slope_down",)
+            per_site.append(channel[label])
         vertex_cols = [i for i in range(1, L + 1) if (i + n) % 2 == 1]
 
         def emit(k, cur_stacks, row, colors, a):
@@ -54,7 +56,7 @@ def _reference_apply_round(joint, n, p, params, cooling_active=False,
                 return
             i = sites[k]
             h, blocks = cur_stacks[i - 1]
-            for delta, op, spins, color, branch_amp in per_site[k]:
+            for op, spins, color, branch_amp in per_site[k]:
                 if branch_amp == 0.0:
                     continue
                 if op[0] == "push":
@@ -243,7 +245,7 @@ def test_norm_check_sees_a_perturbed_channel(monkeypatch):
     channel_table = seqgen._channel_table
 
     def perturbed(p, colored):
-        table = channel_table(p, colored)
+        table = channel_table(p, colored).copy()  # the rounds' table is read-only
         table["amp"][0, 0] *= 1 + 1e-6  # the first branch of a valley at the horizon
         return table
 

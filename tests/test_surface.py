@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridge_reference import site_branches, slice_outcomes
+from bridge_reference import local_shape, site_branches, slice_outcomes
 from depevap import ModelParams
 from depevap.codec import profiles_to_heights, vertex_sites
 from depevap.errors import InvalidParameterError
 from depevap.exact import enumerate_bridge
 from depevap.scaling import _spot_check
-from depevap.surface import event_table, horizon_profile, local_shape, slice_sites
+from depevap.surface import event_table, horizon_profile, slice_sites
 
 
 def _sample_slice(profile, t, rng, params):
