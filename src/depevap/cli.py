@@ -11,7 +11,7 @@ range count, which follows the CPUs available) and is excluded from
 that guarantee.
 
 Exit codes: 0 success, 2 capacity guard tripped on some grid points
-(partial results written), 1 hard error.
+(partial results written), 1 hard error or usage error.
 """
 
 from __future__ import annotations
@@ -36,23 +36,8 @@ from .params import ModelParams
 from .scaling import DEFAULT_FIT_HI_MIN, DEFAULT_FIT_LO, ensemble, exponent_report, fit_mask
 from .seqgen import fidelity, run_generation
 
-EXPERIMENTS = ("scaling", "exact-entropy", "dp-entropy", "hamiltonian-check",
-               "seqgen-check", "phase-sweep")
-
-DEFAULTS = {
-    "L": [3],
-    "p": [0.5],
-    "mode": "reflecting",
-    "colored": True,
-    "seed": 0,
-    "samples": 200,
-    "tmax": 4000,
-    "out": "out",
-    "max_nodes": MAX_NODES,
-    "cut_row": None,
-    "fit_lo": DEFAULT_FIT_LO,
-    "fit_hi": None,
-}
+# the entries every experiment takes; each row of EXPERIMENTS adds the ones its runner reads
+COMMON = {"L": [3], "p": [0.5], "mode": "reflecting", "colored": True, "seed": 0, "out": "out"}
 
 
 def load_manifest(path) -> dict:
@@ -68,14 +53,12 @@ def load_manifest(path) -> dict:
 
 def normalize_manifest(data: dict) -> dict:
     if data.get("experiment") not in EXPERIMENTS:
-        raise InvalidParameterError(f"experiment must be one of {EXPERIMENTS}")
-    unknown = sorted(set(data) - set(DEFAULTS) - {"experiment"})
-    if unknown:
-        raise InvalidParameterError(f"unknown manifest entries {unknown}")
-    out = dict(DEFAULTS)
-    out.update(data)
-    own = {"scaling": "reflecting", "hamiltonian-check": "absorbing",
-           "seqgen-check": "reflecting"}.get(out["experiment"])
+        raise InvalidParameterError(f"experiment must be one of {tuple(EXPERIMENTS)}")
+    _, own, reads = EXPERIMENTS[data["experiment"]]
+    unread = sorted(set(data) - set(COMMON) - set(reads) - {"experiment"})
+    if unread:
+        raise InvalidParameterError(f"{data['experiment']} does not read manifest entries {unread}")
+    out = {**COMMON, **reads, **data}
     if own is not None:  # these experiments run in one mode; an omitted mode takes it
         if data.get("mode", own) != own:
             raise InvalidParameterError(
@@ -83,23 +66,22 @@ def normalize_manifest(data: dict) -> dict:
         out["mode"] = own
     if not isinstance(out["out"], str) or not out["out"]:
         raise InvalidParameterError(f"out must be a non-empty string, got {out['out']!r}")
-    if not isinstance(out["L"], list):
-        out["L"] = [out["L"]]
-    if not isinstance(out["p"], list):
-        out["p"] = [out["p"]]
+    for key in ("L", "p"):  # a single value is a one-point grid
+        if not isinstance(out[key], list):
+            out[key] = [out[key]]
     if not out["L"] or not out["p"]:
         raise InvalidParameterError("manifest grid must be non-empty")
-    for key in ("samples", "tmax", "max_nodes"):
-        if type(out[key]) is not int or out[key] < 1:
+    for key in ("samples", "tmax", "max_nodes"):  # a fixed order, so the first error is too
+        if key in out and (type(out[key]) is not int or out[key] < 1):
             raise InvalidParameterError(f"{key} must be an integer >= 1, got {out[key]!r}")
-    lo, hi = out["fit_lo"], out["fit_hi"]
-    if hi is None and lo != DEFAULT_FIT_LO:
-        raise InvalidParameterError(f"fit_lo takes effect only with fit_hi, got fit_lo={lo!r} alone")
-    if hi is not None and (type(lo) is not int or type(hi) is not int or lo >= hi):
-        raise InvalidParameterError(f"fit window needs integers fit_lo < fit_hi, got {lo!r}, {hi!r}")
-    if out["experiment"] == "scaling":  # the default window spans at least [100, 400]
+    if out["experiment"] == "scaling":  # the default fit window spans at least [100, 400]
+        lo, hi = out["fit_lo"], out["fit_hi"]
+        if hi is None and lo != DEFAULT_FIT_LO:
+            raise InvalidParameterError(f"fit_lo takes effect only with fit_hi, got fit_lo={lo!r} alone")
+        if hi is not None and (type(lo) is not int or type(hi) is not int or lo >= hi):
+            raise InvalidParameterError(f"fit window needs integers fit_lo < fit_hi, got {lo!r}, {hi!r}")
         fit_mask(np.arange(1, out["tmax"] + 1), (lo, DEFAULT_FIT_HI_MIN if hi is None else hi))
-    cut = out["cut_row"]
+    cut = out.get("cut_row")
     for L in out["L"]:
         for p in out["p"]:
             params = ModelParams(L=L, p=p, boundary_mode=out["mode"],
@@ -136,14 +118,7 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     outdir = Path(manifest["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    runner = {
-        "scaling": _run_scaling,
-        "exact-entropy": _run_entropy,
-        "dp-entropy": _run_entropy,
-        "hamiltonian-check": _run_hamiltonian_check,
-        "seqgen-check": _run_seqgen_check,
-        "phase-sweep": _run_phase_sweep,
-    }[manifest["experiment"]]
+    runner = EXPERIMENTS[manifest["experiment"]][0]
     meta = {"manifest": manifest, "seed": manifest["seed"]}
     try:
         paths, capacity_hit = runner(manifest, outdir, meta)  # a runner may add entries
@@ -297,11 +272,26 @@ def _run_phase_sweep(manifest, outdir, meta):
     return [p1, p2], capacity
 
 
+_ENTROPY_READS = {"max_nodes": MAX_NODES, "cut_row": None}
+
+# experiment: (runner, the one mode it runs in or None, the entries it reads beyond
+# COMMON with their defaults); a manifest entry outside these is refused
+EXPERIMENTS = {
+    "scaling": (_run_scaling, "reflecting",
+                {"samples": 200, "tmax": 4000, "fit_lo": DEFAULT_FIT_LO, "fit_hi": None}),
+    "exact-entropy": (_run_entropy, None, _ENTROPY_READS),
+    "dp-entropy": (_run_entropy, None, _ENTROPY_READS),
+    "hamiltonian-check": (_run_hamiltonian_check, "absorbing", {"max_nodes": MAX_NODES}),
+    "seqgen-check": (_run_seqgen_check, "reflecting", {"max_nodes": MAX_NODES}),
+    "phase-sweep": (_run_phase_sweep, None, _ENTROPY_READS),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="depevap",
                                      description="deposition-evaporation lattice-state experiments")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, (_, _, reads) in EXPERIMENTS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--manifest", type=str, default=None)
         sp.add_argument("--L", type=int, action="append", default=None)
@@ -311,16 +301,18 @@ def build_parser():
         colored.add_argument("--colored", dest="colored", action="store_true", default=None)
         colored.add_argument("--uncolored", dest="colored", action="store_false")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--tmax", type=int, default=None)
+        for key in reads:
+            if key not in ("fit_lo", "fit_hi"):  # the fit window is a manifest entry only
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, type=int, default=None)
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--cut-row", dest="cut_row", type=int, default=None)
-        sp.add_argument("--max-nodes", dest="max_nodes", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the capacity code here
+        return 1 if exc.code else 0
     try:
         manifest = load_manifest(args.manifest) if args.manifest else {}
         if manifest.get("experiment", args.experiment) != args.experiment:

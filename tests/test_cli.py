@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import depevap
 from depevap import exact, scaling
-from depevap.cli import DEFAULTS, load_manifest, main, normalize_manifest, run_experiment
+from depevap.cli import COMMON, EXPERIMENTS, load_manifest, main, normalize_manifest, run_experiment
 from depevap.errors import InvalidParameterError
 
 
@@ -399,21 +400,97 @@ WRONG_TYPED = {"L": {"L": "5"}, "p": {"p": "0.5"}, "mode": {"mode": 1},
                "tmax": {"tmax": 4000.0}, "out": {"out": 3}, "max_nodes": {"max_nodes": "many"},
                "cut_row": {"cut_row": 2.0}, "fit_lo": {"fit_lo": "20", "fit_hi": 300},
                "fit_hi": {"fit_hi": "300"}}
+# each entry goes to an experiment that reads it, so its type, not its presence, is refused
+READER = {"samples": "scaling", "tmax": "scaling", "fit_lo": "scaling", "fit_hi": "scaling"}
+BASE = {"dp-entropy": {"L": 5, "p": 0.5}, "scaling": {"L": 16, "p": 0.5, "samples": 2, "tmax": 400}}
 
 
 @pytest.mark.parametrize("key", [None, *WRONG_TYPED])
 def test_wrong_typed_manifest_entry_is_an_error(tmp_path, capsys, key):
-    assert set(WRONG_TYPED) == set(DEFAULTS)
-    manifest = {"experiment": "dp-entropy", "L": 5, "p": 0.5, "out": str(tmp_path / "run"),
-                **WRONG_TYPED.get(key, {})}
+    assert set(WRONG_TYPED) == set(COMMON).union(*(reads for _, _, reads in EXPERIMENTS.values()))
+    for experiment in [READER.get(key, "dp-entropy")] if key else BASE:
+        manifest = {"experiment": experiment, **BASE[experiment], "out": str(tmp_path / "run"),
+                    **WRONG_TYPED.get(key, {})}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        if key is None:  # the manifests the others damage run
+            assert main([experiment, "--manifest", str(path)]) == 0
+            continue
+        assert main([experiment, "--manifest", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.rglob("*.csv"))
+
+
+# the entries no runner of the experiment reads; each has a valid value
+UNREAD = {"samples": 2, "tmax": 200, "fit_lo": 20, "fit_hi": 200, "max_nodes": 1000, "cut_row": 1}
+REFUSED = ([("scaling", key) for key in ("max_nodes", "cut_row")]
+           + [(experiment, key) for experiment in ("exact-entropy", "dp-entropy", "phase-sweep")
+              for key in ("samples", "tmax", "fit_lo", "fit_hi")]
+           + [(experiment, key) for experiment in ("hamiltonian-check", "seqgen-check")
+              for key in ("samples", "tmax", "fit_lo", "fit_hi", "cut_row")])
+
+
+@pytest.mark.parametrize("experiment,key", REFUSED)
+def test_unread_entry_is_refused(tmp_path, capsys, experiment, key):
+    # an entry the experiment does not read would be echoed into run_metadata.json as if applied
+    out = tmp_path / "run"
+    L = "16" if experiment == "scaling" else "3"
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
-    if key is None:  # the manifest the others damage runs
-        assert main(["dp-entropy", "--manifest", str(path)]) == 0
-        return
-    assert main(["dp-entropy", "--manifest", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not list(tmp_path.rglob("*.csv"))
+    path.write_text(json.dumps({"experiment": experiment, "L": int(L), key: UNREAD[key]}))
+    assert main([experiment, "--manifest", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {experiment} does not read manifest entries {[key]!r}\n")
+    if not key.startswith("fit_"):  # the fit window has no flag anywhere
+        flag = "--" + key.replace("_", "-")
+        assert main([experiment, "--L", L, flag, str(UNREAD[key]), "--out", str(out)]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv")) and not out.exists()
+
+
+def test_old_metadata_echo_is_refused_by_name(tmp_path, capsys):
+    # run_metadata.json used to echo all twelve entries; fed back, the unread ones are named
+    echo = {"experiment": "phase-sweep", "L": [5], "p": [0.5], "mode": "reflecting",
+            "colored": True, "seed": 0, "out": str(tmp_path / "run"), "samples": 200,
+            "tmax": 4000, "max_nodes": exact.MAX_NODES, "cut_row": None, "fit_lo": 20,
+            "fit_hi": None}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(echo))
+    assert main(["phase-sweep", "--manifest", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: phase-sweep does not read manifest entries ['fit_hi', 'fit_lo', 'samples', 'tmax']\n")
+    assert not (tmp_path / "run").exists()
+
+
+ROW_FLAGS = {"scaling": {"--samples", "--tmax"}, "exact-entropy": {"--max-nodes", "--cut-row"},
+             "dp-entropy": {"--max-nodes", "--cut-row"}, "phase-sweep": {"--max-nodes", "--cut-row"},
+             "hamiltonian-check": {"--max-nodes"}, "seqgen-check": {"--max-nodes"}}
+
+
+@pytest.mark.parametrize("experiment", ROW_FLAGS)
+def test_help_lists_the_row_flags(capsys, experiment):
+    assert main([experiment, "--help"]) == 0
+    flags = set(re.findall(r"--[A-Za-z][a-z-]*", capsys.readouterr().out))
+    assert flags == ROW_FLAGS[experiment] | {"--help", "--manifest", "--L", "--p", "--mode",
+                                             "--colored", "--uncolored", "--seed", "--out"}
+
+
+@pytest.mark.parametrize("args", [["dp-entropy", "--L", "x"], ["dp-entropy", "--bogus", "1"], []])
+def test_usage_errors_exit_1(capsys, args):
+    # 2 means a capacity guard wrote partial results, so a usage error must not return it
+    assert main(args) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_workload_manifests_normalize_to_a_fixed_point(tmp_path):
+    sys.path.insert(0, str(Path(depevap.__file__).resolve().parents[2] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for name in workloads.WORKLOADS:
+        for manifest in workloads.manifests(name, 1, tmp_path):
+            once = normalize_manifest(manifest)
+            assert normalize_manifest(once) == once, name
 
 
 def test_phase_sweep(tmp_path):
