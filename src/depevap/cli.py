@@ -291,12 +291,14 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="depevap",
                                      description="deposition-evaporation lattice-state experiments")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (_, _, reads) in EXPERIMENTS.items():
+    for name, (_, own, reads) in EXPERIMENTS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--manifest", type=str, default=None)
         sp.add_argument("--L", type=int, action="append", default=None)
         sp.add_argument("--p", type=float, action="append", default=None)
-        sp.add_argument("--mode", choices=("reflecting", "absorbing"), default=None)
+        # a one-mode row shows its mode alone; normalize_manifest refuses the other
+        sp.add_argument("--mode", default=None, **({"metavar": f"{{{own}}}"} if own else
+                                                   {"choices": ("reflecting", "absorbing")}))
         colored = sp.add_mutually_exclusive_group()
         colored.add_argument("--colored", dest="colored", action="store_true", default=None)
         colored.add_argument("--uncolored", dest="colored", action="store_false")

@@ -125,8 +125,9 @@ class Frontier:
         is built (CapacityError `overflow`).  A child adds each site's delta
         and takes `codec.push_pop` on its stacks.  Children merge on their
         profile and stack bytes, the next states sorted as those bytes.
-        Returns per edge its state, its (edges, sites) branches, vertex
-        colors and child profile.
+        Returns per edge its state, its (edges, sites) branches, its vertex
+        color row in the layout `site_values` reads (vertex (i, t) at column
+        (i - 1) // 2) and its child profile.
         """
         counts = keeps.sum(axis=2).prod(axis=1, dtype=np.float64)  # an int64 product can wrap
         if counts[self.node].sum() > cap:
@@ -147,12 +148,14 @@ class Frontier:
         chosen = branches[parent[:, None], np.arange(len(sites)), choice]  # (edges, sites)
         heights, stacks = self.heights[parent], self.stacks[parent]  # one child per edge
         heights[:, sites] += chosen["delta"]
-        stacks[:, sites], color = push_pop(stacks[:, sites], chosen["delta"], chosen["color"])
+        colors = np.zeros((len(parent), (heights.shape[1] - 1) // 2), dtype=np.uint8)
+        stacks[:, sites], colors[:, (sites - 1) // 2] = push_pop(stacks[:, sites], chosen["delta"],
+                                                                 chosen["color"])
         state = key_rows(np.hstack([heights.view(np.uint8), stacks.view(np.uint8)]))
         _, first, state = np.unique(state, return_index=True, return_inverse=True)
         self.node = state[edge]
         self.heights, self.stacks = heights[first], stacks[first]
-        return parent, chosen, color, heights
+        return parent, chosen, colors, heights
 
     def paths(self):
         """(paths alive, 1 + slices) intp: the state each path started from, then its edge
@@ -297,8 +300,7 @@ def walk(L, by_label, max_nodes, overflow):
     prof = horizon_profile(L)[None].astype(np.int8)
     frontier = Frontier(np.zeros(1, dtype=np.intp), prof, empty_stacks(L, prof.shape))
     visited = 1
-    width = (L + 1) // 2  # the vertices of a slice row, see site_values
-    edges = [(prof, np.zeros((1, width), dtype=np.uint8), np.ones(1))]  # the root
+    edges = [(prof, np.zeros((1, (L + 1) // 2), dtype=np.uint8), np.ones(1))]  # the root
     for t in range(1, L + 1):
         sites = np.array(slice_sites(L, t), dtype=np.intp)
         frozen_sites = np.array([i for i in (1, L) if (i + t) % 2 == 1], dtype=np.intp)
@@ -307,8 +309,8 @@ def walk(L, by_label, max_nodes, overflow):
         branches = table[labels[:, :len(sites)]]  # (states, sites, branches)
         keeps = branches["valid"] & within_reach(prof[:, sites, None] + branches["delta"],
                                                  sites[:, None], t, L)
-        parent, chosen, color, heights = frontier.step(branches, keeps, sites,
-                                                       max_nodes - visited, overflow)
+        parent, chosen, colors, heights = frontier.step(branches, keeps, sites,
+                                                        max_nodes - visited, overflow)
         visited += len(frontier.node)
         base = 1.0
         for label in labels[parent, len(sites):].T:
@@ -316,8 +318,6 @@ def walk(L, by_label, max_nodes, overflow):
         w = np.ones(len(parent))
         for k in range(len(sites)):
             w = w * chosen["prob"][:, k]
-        colors = np.zeros((len(parent), width), dtype=np.uint8)
-        colors[:, (sites - 1) // 2] = color  # vertex (i, t) in codec.vertex_sites order
         edges.append((heights, colors, w * base))
     # the horizon bound after slice L leaves only histories at the horizon
     profs, colors, factors = (np.concatenate(column) for column in zip(*edges))

@@ -37,37 +37,36 @@ the post-selection success grows because every peak then drains with
 amplitude sqrt(1/2) per round.
 
 The joint state of emitter and record is a set of arrays (`JointState`).
-The emitter is the bond of the sequential (MPS) construction: its
-distinct states (int8 marker heights, `codec.empty_stacks` stacks that
-only `codec.push_pop` reads and changes) are kept once each, and each
-branch points at one of them and carries its uint8 spin and color rows
-and a float64 amplitude.  A round labels every distinct emitter state
-at each of its sites, as the walk labels its profiles, reads that
-label's branches off one cached channel table and marks the kept ones;
-`exact.Frontier.step`, the bridge walk's step, builds one edge per
-combination of them with its child state and merges equal children, so
-the emitter's states are the walk's.  Every branch takes every edge of
-its state, parent-major with each site's branches in table order (a
-depth-first recursion over branches and sites), and multiplies its
-amplitude by the edge's in that order.  The record is emitted by the
-channels themselves (the table's spin fields, and the vertex colors
-that `Frontier.step` pushes and pops), never rebuilt from heights
-through the codec, so comparing the generated state with
-`exact.build_state` stays an independent check.
+The emitter is the bond of the sequential (MPS) construction: one
+`exact.Frontier` holds its distinct states (int8 marker heights,
+`codec.empty_stacks` stacks that only `codec.push_pop` reads and
+changes) once each, and each branch is one of its paths.  A round labels
+every distinct emitter state at each of its sites, as the walk labels
+its profiles, reads that label's branches off one cached channel table
+and marks the kept ones; `Frontier.step`, the bridge walk's step, builds
+one edge per combination of them with its child state and color row and
+merges equal children, so the emitter's states and paths are the walk's.
+Every branch takes every edge of its state in table order (a depth-first
+recursion over branches and sites) and multiplies its amplitude by the
+edge's.  An edge's spin row comes from the table's spin fields and its
+colors from `Frontier.step`'s pushes and pops, never from heights through
+the codec, so comparing the generated state with `exact.build_state`
+stays an independent check.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import empty_stacks, key_order, key_rows, pack_values, site_order
+from .codec import empty_stacks, key_order, key_rows, pack_values
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import (LABELS, Frontier, SparseState, branch_table, event_branches, site_labels,
-                    within_reach)
+                    site_values, within_reach)
 from .params import ModelParams, _require_cap
 from .surface import horizon_profile, slice_sites
 
@@ -123,22 +122,23 @@ def cooling_start(L: int) -> int:
 
 @dataclass
 class JointState:
-    """The emitter and its emitted record, one row per branch, in branch order.
+    """The emitter and its emitted record, one branch per path of `frontier`, in branch order.
 
-    The emitter states are kept once each, as `exact.Frontier` holds
-    them: `heights` (M, L+2) int8 marker heights (walls 0 and L+1 at 0)
-    and `stacks`.  `emitter` (N,) is each branch's state, `spins`
-    (N, n (L+1)) uint8 the spin rows emitted by rounds 1..n, `colors`
-    uint8 the color rows of vertex rows 1..n in vertex order, and `amps`
-    (N,) float64.  `dropped` is the squared mass that the round which
-    built the state pruned away.
+    `frontier` (`exact.Frontier`) holds the emitter's distinct states
+    (`heights` (M, L+2) int8 marker heights, walls 0 and L+1 at 0, and
+    `stacks`), each branch's state `node` and every round's (parent, edge)
+    table.  `spins` and `colors` list edge tables in the walk's layout
+    (`exact.site_values`): the pinned all-up bottom spin row (no colors),
+    then each round's emitted spin rows (edges, L+1) uint8 and color rows.
+    `record` (N,) intp ranks the branches' records (their rows along their
+    paths), `amps` (N,) float64.  `dropped` is the squared mass that the
+    round which built the state pruned away.
     """
 
-    heights: np.ndarray
-    stacks: np.ndarray
-    emitter: np.ndarray
-    spins: np.ndarray
-    colors: np.ndarray
+    frontier: Frontier
+    spins: list
+    colors: list
+    record: np.ndarray
     amps: np.ndarray
     dropped: float = 0.0
 
@@ -147,10 +147,11 @@ class JointState:
 
 
 def initial_joint(L: int) -> JointState:
-    """The reference emitter (markers at the horizon, no pairs), empty record, amplitude 1."""
+    """The reference emitter (markers at the horizon, no pairs) and record row, amplitude 1."""
     heights = horizon_profile(L)[None].astype(np.int8)
-    return JointState(heights, empty_stacks(L, heights.shape), np.zeros(1, dtype=np.intp),
-                      np.zeros((1, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8),
+    frontier = Frontier(np.zeros(1, dtype=np.intp), heights, empty_stacks(L, heights.shape))
+    return JointState(frontier, [np.ones((1, L + 1), dtype=np.uint8)],
+                      [np.zeros((1, (L + 1) // 2), dtype=np.uint8)], np.zeros(1, dtype=np.intp),
                       np.ones(1))
 
 
@@ -158,14 +159,15 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     """One round of local channels on every branch of the joint state.
 
     The round labels the distinct emitter states and marks their kept
-    channel branches; `exact.Frontier.step` builds one edge per
-    combination of them, in table order, with its child state, and
-    merges equal children.  The round reads each edge's emitted rows and
-    its sites' amplitudes.  Each branch takes every edge of its state,
-    branches in order, the order of a depth-first recursion over branches
-    and sites; its amplitude is multiplied by the sites' amplitudes in
-    site order, and its record grows by the edge's spin row and color
-    row.  An edge whose updated marker can no longer return to its
+    channel branches; a copy of the joint's frontier takes one
+    `exact.Frontier.step`, which builds one edge per combination of them,
+    in table order, with its child state and color row, and merges equal
+    children.  The round emits each edge's spin row.  Each branch takes
+    every edge of its state, branches in order (a depth-first recursion
+    over branches and sites), and multiplies its amplitude by the sites'
+    in site order.  A child's record rank is the rank of (its parent's
+    rank, its edge's rows); two branches of one rank and emitter state
+    raise.  An edge whose updated marker can no longer return to its
     horizon height (`exact.within_reach`) is dropped with its whole
     subtree, so the surviving rows, their order and their amplitude
     products are those of the unpruned round.  The dropped squared mass,
@@ -178,7 +180,9 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     _require_cap("max_branches", max_branches)
     L = params.L
     sites = np.array(slice_sites(L, n), dtype=np.intp)
-    h = joint.heights
+    frontier = copy.copy(joint.frontier)  # extended below; `joint` keeps its own
+    frontier.sizes, frontier.steps = [*frontier.sizes], [*frontier.steps]
+    h = frontier.heights
     table = _channel_table(params.p, params.colored)
     branches = table[site_labels(h, sites)]  # (states, sites, branches)
     valid, new_h = branches["valid"], h[:, sites, None] + branches["delta"]
@@ -193,37 +197,30 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     for k in range(len(sites)):
         valid_mass = valid_mass * valid_sums[:, k]
         kept_mass = kept_mass * kept_sums[:, k]
-    dropped = math.fsum((joint.amps ** 2 * (valid_mass - kept_mass)[joint.emitter]).tolist())
-    frontier = Frontier(joint.emitter, h, joint.stacks)
-    _, chosen, color, heights = frontier.step(branches, keeps, sites, max_branches,
-                                          f"joint state exceeded {max_branches} branches")
-    [(rows, edge)] = frontier.steps
+    dropped = math.fsum((joint.amps ** 2 * (valid_mass - kept_mass)[frontier.node]).tolist())
+    _, chosen, colors, heights = frontier.step(branches, keeps, sites, max_branches,
+                                               f"joint state exceeded {max_branches} branches")
+    rows, edge = frontier.steps[-1]
     amps = joint.amps[rows]
     for k in range(len(sites)):
         amps = amps * chosen["amp"][edge, k]
     row = np.zeros((len(chosen), L + 1), dtype=np.uint8)
     row[:, sites - 1], row[:, sites] = chosen["spin_l"], chosen["spin_r"]
-    colors = np.zeros((len(chosen), (L + 1) // 2 - n % 2), dtype=np.uint8)
-    colors[:, (sites - 1) // 2] = color  # vertex (i, n) in vertex order
     if n % 2 == 0:  # boundary emissions of the F rounds
         row[:, 0] = row[:, L] = 1
         row[:, 1] = heights[:, 2] == 0
         row[:, L - 1] = heights[:, L - 1] == 0
-    out = JointState(frontier.heights, frontier.stacks, frontier.node,
-                     np.hstack([joint.spins[rows], row[edge]]),
-                     np.hstack([joint.colors[rows], colors[edge]]), amps, dropped)
-    # every branch as one byte string, record first: it tells branches apart soonest in the
-    # sort; equal emitter states share one index
-    emitter = out.emitter.astype(np.int32)[:, None].view(np.uint8)
-    whole = key_rows(np.hstack([out.colors, out.spins, emitter]))
-    whole.sort()
-    if (whole[1:] == whole[:-1]).any():
+    # the records share one length, so (parent rank, edge rank) orders them as their bytes
+    _, edge_rank = np.unique(key_rows(np.hstack([row, colors])), return_inverse=True)
+    _, record = np.unique(joint.record[rows] * len(row) + edge_rank[edge], return_inverse=True)
+    pairs = np.sort(record * len(frontier.heights) + frontier.node)
+    if (pairs[1:] == pairs[:-1]).any():
         raise AssertionError("two distinct branches emitted the same record")
-    return out
+    return JointState(frontier, [*joint.spins, row], [*joint.colors, colors], record, amps, dropped)
 
 
 def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES):
-    """Run L rounds, check the reference emitter, and re-key the record.
+    """Run L rounds, check the reference emitter, and key the records.
 
     After every round the kept squared mass plus the mass dropped so far
     must be 1 within 1e-12.  The pruned rounds leave only branches whose
@@ -249,18 +246,18 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
         norm = math.fsum((joint.amps * joint.amps).tolist() + dropped)
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"round {n} broke norm conservation: {norm!r}")
+    frontier = joint.frontier
     # the reference emitter: every marker back at the horizon, so no pairs beneath
-    if not (joint.heights[joint.emitter] == initial_joint(L).heights).all():
+    if not (frontier.heights[frontier.node] == horizon_profile(L)).all():
         raise AssertionError("a branch away from the reference emitter survived round L")
     amps = joint.amps
     success = math.fsum((amps * amps).tolist())
     if success <= 0:
         raise InvalidParameterError("post-selection removed every branch")
-    # round n emits spin row n and, in vertex order, the colors of vertex row n,
-    # so the records concatenate in codec.site_order after the pinned bottom row
-    values = np.ones((len(amps), len(site_order(L, params.colored))), dtype=np.uint8)
-    values[:, L + 1:] = (np.hstack([joint.spins, joint.colors]) if params.colored
-                         else joint.spins)
+    # round n emits spin row n and the colors of vertex row n, so a branch's rows along its
+    # path, the pinned bottom row first, are its site values, as the walk's are a bridge's
+    values = site_values(frontier.paths(), np.concatenate(joint.spins),
+                         np.concatenate(joint.colors), np.arange(len(amps)), params.colored)
     keys = pack_values(values, L, params.colored)
     if key_order(keys)[1].any():
         raise AssertionError("two records mapped to one canonical key")

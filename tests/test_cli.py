@@ -466,12 +466,20 @@ ROW_FLAGS = {"scaling": {"--samples", "--tmax"}, "exact-entropy": {"--max-nodes"
              "hamiltonian-check": {"--max-nodes"}, "seqgen-check": {"--max-nodes"}}
 
 
+ROW_MODES = {"scaling": "{reflecting}", "hamiltonian-check": "{absorbing}",
+             "seqgen-check": "{reflecting}"}
+
+
 @pytest.mark.parametrize("experiment", ROW_FLAGS)
 def test_help_lists_the_row_flags(capsys, experiment):
     assert main([experiment, "--help"]) == 0
-    flags = set(re.findall(r"--[A-Za-z][a-z-]*", capsys.readouterr().out))
+    out = capsys.readouterr().out
+    flags = set(re.findall(r"--[A-Za-z][a-z-]*", out))
     assert flags == ROW_FLAGS[experiment] | {"--help", "--manifest", "--L", "--p", "--mode",
                                              "--colored", "--uncolored", "--seed", "--out"}
+    # a one-mode experiment shows only the mode it runs in
+    assert set(re.findall(r"--mode (\{[a-z,]+\})", out)) == {
+        ROW_MODES.get(experiment, "{reflecting,absorbing}")}
 
 
 @pytest.mark.parametrize("args", [["dp-entropy", "--L", "x"], ["dp-entropy", "--bogus", "1"], []])

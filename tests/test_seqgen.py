@@ -5,7 +5,7 @@ import pytest
 
 from bridge_reference import success_probability
 from depevap import ModelParams, exact, seqgen
-from depevap.codec import decode_keys, pack_values, site_order
+from depevap.codec import decode_keys, key_rows, pack_values, site_order
 from depevap.entropy import entropy_dp, entropy_exact, mid_cut_row
 from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from depevap.exact import build_state, within_reach
@@ -82,21 +82,24 @@ def _reference_apply_round(joint, n, p, params, cooling_active=False,
 def _joint_dict(joint: JointState, L):
     """The array joint state in the reference's {(stacks, record): amp} form."""
     out = {}
+    frontier = joint.frontier
+    index = frontier.paths()[:, 1:]  # each branch's edge per round, past the reference row
+    half = (L + 1) // 2  # the color columns of a round's edge row
     widths = [len([i for i in range(1, L + 1) if (i + n) % 2 == 1])
-              for n in range(1, joint.spins.shape[1] // (L + 1) + 1)]
+              for n in range(1, index.shape[1] + 1)]
     for heights, bits, spins, colors, amp in zip(
-            joint.heights[joint.emitter].tolist(), joint.stacks[joint.emitter].tolist(),
-            joint.spins.tolist(), joint.colors.tolist(), joint.amps.tolist()):
+            frontier.heights[frontier.node].tolist(), frontier.stacks[frontier.node].tolist(),
+            exact.path_rows(np.concatenate(joint.spins), index).tolist(),
+            exact.path_rows(np.concatenate(joint.colors), index).tolist(), joint.amps.tolist()):
         stacks = []
         for i in range(1, L + 1):
             depth = (heights[i] - i % 2) // 2  # bottom pair in the highest bit
             stacks.append((heights[i], tuple((bits[i] >> k & 1) + 1
                                              for k in reversed(range(depth)))))
-        record, start = [], 0
+        record = []
         for n, width in enumerate(widths):
             record.append((tuple(spins[n * (L + 1):(n + 1) * (L + 1)]),
-                           tuple(colors[start:start + width])))
-            start += width
+                           tuple(colors[n * half:n * half + width])))
         out[(tuple(stacks), tuple(record))] = amp
     return out
 
@@ -178,8 +181,9 @@ def test_boundary_channels():
     # exactly when the adjacent interior site sits at height 0
     params = ModelParams(L=5, p=0.6, boundary_mode="reflecting", colored=True)
     joint = apply_round(apply_round(initial_joint(5), 1, params), 2, params)
-    row = joint.spins[:, -6:]
-    h2, h4 = joint.heights[joint.emitter, 2], joint.heights[joint.emitter, 4]
+    frontier = joint.frontier
+    row = joint.spins[-1][frontier.steps[-1][1]]  # each branch's edge of round 2
+    h2, h4 = frontier.heights[frontier.node, 2], frontier.heights[frontier.node, 4]
     assert (row[:, 0] == 1).all() and (row[:, 5] == 1).all()
     assert (row[:, 1] == (h2 == 0)).all() and (row[:, 4] == (h4 == 0)).all()
     assert set(h2.tolist()) == {0, 2}
@@ -254,17 +258,30 @@ def test_norm_check_sees_a_perturbed_channel(monkeypatch):
         run_generation(ModelParams(L=5, p=0.5, boundary_mode="reflecting", colored=True))
 
 
-def test_round_guards():
+def test_round_guards(monkeypatch):
     params = ModelParams(L=3, p=0.5, boundary_mode="reflecting", colored=True)
-    twice = initial_joint(3)
-    twice = JointState(twice.heights, twice.stacks, *(np.concatenate([a, a]) for a in (
-        twice.emitter, twice.spins, twice.colors, twice.amps)))
+    one = initial_joint(3)
+    twice = JointState(exact.Frontier(np.zeros(2, dtype=np.intp), one.frontier.heights,
+                                      one.frontier.stacks),
+                       one.spins, one.colors, np.zeros(2, dtype=np.intp), np.ones(2))
     with pytest.raises(AssertionError, match="same record"):
         apply_round(twice, 1, params)
     deep = initial_joint(3)
-    deep.heights[0, 1:4] = (5, 4, 5)  # a valley whose deposit would pass the L+2 cap
+    deep.frontier.heights[0, 1:4] = (5, 4, 5)  # a valley whose deposit would pass the L+2 cap
     with pytest.raises(CapacityError, match="overflowed"):
         apply_round(deep, 1, params)
+    channel_table = seqgen._channel_table
+
+    def doubled(p, colored):  # a valley lists its first branch twice
+        table = channel_table(p, colored)
+        extra = np.zeros_like(table[:, :1])
+        extra[exact.LABELS.index("valley")] = table[exact.LABELS.index("valley"), 0]
+        return np.concatenate([table, extra], axis=1)
+
+    # two edges of the one state emit the same rows onto the same child
+    monkeypatch.setattr(seqgen, "_channel_table", doubled)
+    with pytest.raises(AssertionError, match="same record"):
+        apply_round(initial_joint(3), 1, params)
 
 
 @pytest.mark.parametrize("L", [3, 5])
@@ -283,13 +300,14 @@ def test_generation_matches_exact_state(L, p, colored):
 @pytest.mark.parametrize("L", [5, 7])
 def test_emitter_states_are_the_walk_states(L, colored, p):
     # the emitter is the bond of the sequential construction: after round n its distinct
-    # states are the reflecting bridge walk's after slice n, in the same order
+    # states, its (parent, edge) table and its sizes are the reflecting bridge walk's after
+    # slice n, in the same order, and each branch's record rank is its whole record's rank
     params = ModelParams(L=L, p=p, boundary_mode="reflecting", colored=colored)
     step, walked = exact.Frontier.step, []
 
     def recording_step(self, *args):
         edges = step(self, *args)
-        walked.append((self.heights.copy(), self.stacks.copy()))
+        walked.append((self.heights.copy(), self.stacks.copy(), self.steps[-1], [*self.sizes]))
         return edges
 
     with pytest.MonkeyPatch.context() as patch:
@@ -297,10 +315,18 @@ def test_emitter_states_are_the_walk_states(L, colored, p):
         exact.enumerate_bridge(params)
     assert len(walked) == L
     joint = initial_joint(L)
-    for n, (heights, stacks) in enumerate(walked, start=1):
-        joint = apply_round(joint, n, params)
-        assert np.array_equal(joint.heights, heights), n
-        assert np.array_equal(joint.stacks, stacks), n
+    for n, (heights, stacks, (rows, edge), sizes) in enumerate(walked, start=1):
+        before, joint = joint, apply_round(joint, n, params)
+        assert len(before.frontier.steps) == n - 1, n  # the round extends a copy
+        frontier = joint.frontier
+        assert np.array_equal(frontier.heights, heights), n
+        assert np.array_equal(frontier.stacks, stacks), n
+        assert np.array_equal(frontier.steps[-1][0], rows), n
+        assert np.array_equal(frontier.steps[-1][1], edge), n
+        assert frontier.sizes == sizes, n
+        table = np.hstack([np.concatenate(joint.spins), np.concatenate(joint.colors)])
+        whole = exact.path_rows(table, frontier.paths())
+        assert np.array_equal(np.unique(key_rows(whole), return_inverse=True)[1], joint.record), n
 
 
 @pytest.fixture(scope="module")
