@@ -101,8 +101,7 @@ def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
+        writer.writerows(rows)
 
 
 def _grid(manifest):

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .codec import decode_keys, key_rows, pending_colors, site_order
 from .errors import CapacityError, InvalidParameterError
-from .exact import SparseState, _kept
+from .exact import SparseState, _fsum, _kept
 from .params import ModelParams, _is_int, _require_cap
 from .surface import event_table, horizon_profile
 
@@ -234,14 +233,6 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     mean_area = _fsum(probs * area)
     return SurfaceDistribution(heights=heights, probs=probs, mean_area=mean_area,
                                mean_color_units=mean_area / 2, params=params)
-
-
-def _fsum(values) -> float:
-    """math.fsum of a float vector, fed one slice's list at a time: exact, as one list
-    would be, without a Python float for every entry held at once."""
-    step = 1 << 16
-    return math.fsum(chain.from_iterable(values[i:i + step].tolist()
-                                         for i in range(0, values.size, step)))
 
 
 def _shannon_bits(probs) -> float:

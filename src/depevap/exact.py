@@ -36,6 +36,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -76,6 +77,14 @@ def _kept(key, build):
     return _KEPT[0][1]
 
 
+def _fsum(values) -> float:
+    """The package's one exact sum over an array: math.fsum fed one slice's list at a time,
+    exact as one list would be, without a Python float for every entry held at once."""
+    step = 1 << 16
+    return math.fsum(chain.from_iterable(values[i:i + step].tolist()
+                                         for i in range(0, values.size, step)))
+
+
 @dataclass(eq=False)
 class SparseState:
     """Real amplitudes over distinct canonical keys: `keys` (N, key_length) uint8, one
@@ -92,7 +101,7 @@ class SparseState:
         return dict(zip(map(bytes, self.keys), self.amps.tolist()))
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum((self.amps * self.amps).tolist()))
+        return math.sqrt(_fsum(self.amps * self.amps))
 
     def __len__(self):
         return len(self.amps)
@@ -343,7 +352,7 @@ def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES) -> Bridges
 def build_state(params: ModelParams, max_nodes: int = MAX_NODES) -> SparseState:
     """The normalized superposition sqrt(w / W) over encoded bridges."""
     bridges = enumerate_bridge(params, max_nodes=max_nodes)
-    total = math.fsum(bridges.weights.tolist())
+    total = _fsum(bridges.weights)
     if total <= 0:
         raise InvalidParameterError("no bridge trajectory has positive weight")
     positive = np.flatnonzero(bridges.weights > 0)

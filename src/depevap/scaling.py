@@ -215,7 +215,7 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
     h0 = horizon_profile(L)
     planes = np.zeros((2, P, n, R), dtype=np.int16)
     planes[0], planes[1, ..., :(L + 2) // 2] = h0[0::2], h0[1::2]
-    hsq = np.empty((2, P, n, R), dtype=np.int32 if max(R, n) * ((L + 2) // 2) ** 2 < 2 ** 31
+    hsq = np.empty((P, n, R), dtype=np.int32 if max(R, n) * ((L + 2) // 2) ** 2 < 2 ** 31
                    else np.int64)
     curv = np.empty(P * n * R - 1, dtype=np.int16)
     moves = np.empty(P * n * R - 1, dtype=bool)
@@ -239,12 +239,13 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
     site = [np.empty((_BLOCK_SLICES + 1, 2, P, len(range(c1 - c0)[pos])), dtype=hsq.dtype)
             for _, pos in center_parts]
 
-    def measure(par, row):
-        np.copyto(hsq[0], planes[par])
-        np.multiply(hsq[0], hsq[0], out=hsq[1])
-        hsq.sum(axis=3, out=sums[row])
-        cols, _ = center_parts[par]
-        hsq[..., cols].sum(axis=2, out=site[par][row])
+    def measure(par, row):  # the sums of h, then of h^2 squared in place
+        np.copyto(hsq, planes[par])
+        hsq.sum(axis=2, out=sums[row, 0])
+        hsq[..., center_parts[par][0]].sum(axis=1, out=site[par][row, 0])
+        np.multiply(hsq, hsq, out=hsq)
+        hsq.sum(axis=2, out=sums[row, 1])
+        hsq[..., center_parts[par][0]].sum(axis=1, out=site[par][row, 1])
 
     gens = _trajectory_generators(params, lo, hi)
     measure(0, 0)

@@ -65,8 +65,8 @@ import numpy as np
 
 from .codec import empty_stacks, key_order, key_rows, pack_values
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import (LABELS, Frontier, SparseState, branch_table, event_branches, site_labels,
-                    site_values, within_reach)
+from .exact import (LABELS, Frontier, SparseState, _fsum, branch_table, event_branches,
+                    site_labels, site_values, within_reach)
 from .params import ModelParams, _require_cap
 from .surface import horizon_profile, slice_sites
 
@@ -197,7 +197,7 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     for k in range(len(sites)):
         valid_mass = valid_mass * valid_sums[:, k]
         kept_mass = kept_mass * kept_sums[:, k]
-    dropped = math.fsum((joint.amps ** 2 * (valid_mass - kept_mass)[frontier.node]).tolist())
+    dropped = _fsum(joint.amps ** 2 * (valid_mass - kept_mass)[frontier.node])
     _, chosen, colors, heights = frontier.step(branches, keeps, sites, max_branches,
                                                f"joint state exceeded {max_branches} branches")
     rows, edge = frontier.steps[-1]
@@ -222,10 +222,10 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
 def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES):
     """Run L rounds, check the reference emitter, and key the records.
 
-    After every round the kept squared mass plus the mass dropped so far
-    must be 1 within 1e-12.  The pruned rounds leave only branches whose
-    emitter is back at the reference, so the post-selection is an
-    assertion and its success probability the kept squared mass.
+    After every round the kept squared mass plus the mass dropped so far,
+    one `exact._fsum`, must be 1 within 1e-12.  The pruned rounds leave
+    only branches whose emitter is back at the reference, so post-selection
+    is an assertion and its success probability the kept squared mass.
     Returns (state, success_probability); the state lives on the same
     canonical keys as the exact construction, with the pinned bottom spin
     row prepended.  Only the reflecting target is generable with finite
@@ -243,7 +243,7 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
         round_params = params.with_(p=0.0) if cooling and n > start else params
         joint = apply_round(joint, n, round_params, max_branches=max_branches)
         dropped.append(joint.dropped)
-        norm = math.fsum((joint.amps * joint.amps).tolist() + dropped)
+        norm = _fsum(np.concatenate([joint.amps * joint.amps, dropped]))
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"round {n} broke norm conservation: {norm!r}")
     frontier = joint.frontier
@@ -251,7 +251,7 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
     if not (frontier.heights[frontier.node] == horizon_profile(L)).all():
         raise AssertionError("a branch away from the reference emitter survived round L")
     amps = joint.amps
-    success = math.fsum((amps * amps).tolist())
+    success = _fsum(amps * amps)
     if success <= 0:
         raise InvalidParameterError("post-selection removed every branch")
     # round n emits spin row n and the colors of vertex row n, so a branch's rows along its
@@ -265,11 +265,11 @@ def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES
 
 
 def fidelity(a: SparseState, b: SparseState) -> float:
-    """(sum_k a_k b_k)^2 for normalized nonnegative states on one key space; math.fsum adds
-    the products over the equal keys that sorting both key matrices together pairs up."""
+    """(sum_k a_k b_k)^2 for normalized nonnegative states on one key space; `exact._fsum`
+    adds the products over the equal keys that sorting both key matrices together pairs up."""
     if a.params.L != b.params.L or a.params.colored != b.params.colored:
         raise InvalidParameterError("states live on different key spaces")
     order, repeat = key_order(np.vstack([a.keys, b.keys]))  # a's key, then b's equal one
     amps = np.concatenate([a.amps, b.amps])
-    overlap = math.fsum((amps[order[:-1][repeat]] * amps[order[1:][repeat]]).tolist())
+    overlap = _fsum(amps[order[:-1][repeat]] * amps[order[1:][repeat]])
     return overlap * overlap
