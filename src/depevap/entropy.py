@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import decode_keys, key_rows, pending_colors, site_order
+from .codec import DecodedKeys, decode_keys, key_rows, pending_colors, site_order
 from .errors import CapacityError, InvalidParameterError
 from .exact import SparseState, _fsum, _kept
 from .params import ModelParams, _is_int, _require_cap
@@ -287,9 +287,9 @@ def schmidt_spectrum(state: SparseState, cut_row: int):
     The space cut after slice `cut_row` splits the state into sectors
     labelled (zigzag profile at the cut, unmatched pair colors below it).
     Every key is decoded and validated once, and each label is read from
-    the bits of one key per distinct bottom part.  A block's Gram rows and
-    columns are its bottom and top parts in lexicographic order of their
-    site values.
+    the decoded rows of one key per distinct bottom part.  A block's Gram
+    rows and columns are its bottom and top parts in lexicographic order
+    of their site values.
     """
     params = state.params
     L = params.L
@@ -300,13 +300,16 @@ def schmidt_spectrum(state: SparseState, cut_row: int):
         raise InvalidParameterError(f"cut_row must lie in 1..{L - 1}, got {cut_row!r}")
     bottom_sites, top_sites = _bipartition(L, params.colored, cut_row, "space")
     column = {s: n for n, s in enumerate(site_order(L, params.colored))}
-    values = decode_keys(state.keys, params).values  # every key validated
-    amps = state.amps
+    decoded = decode_keys(state.keys, params)  # every key validated
+    amps, values = state.amps, decoded.values
     bottom_of = _row_ranks(values[:, [column[s] for s in bottom_sites]])
-    top_of = _row_ranks(values[:, [column[s] for s in top_sites]])
     one_key = np.empty(bottom_of.max() + 1, dtype=np.intp)
     one_key[bottom_of] = np.arange(len(state))  # a label depends on the bottom part only
-    labels = _sector_labels(decode_keys(state.keys[one_key], params), cut_row)
+    # the label keys' rows; the other keys' profiles are freed before the top ranks
+    decoded = DecodedKeys(L, params.colored, values[one_key], decoded.profiles[one_key],
+                          decoded.kinds[one_key])
+    top_of = _row_ranks(values[:, [column[s] for s in top_sites]])
+    labels = _sector_labels(decoded, cut_row)
     order = sorted(set(labels))
     rank = {label: r for r, label in enumerate(order)}
     sector_of = np.array([rank[label] for label in labels])[bottom_of]

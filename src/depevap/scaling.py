@@ -55,12 +55,16 @@ below 2^31 (L = 512, n = 100: 1.7e7) and otherwise in int64, where
 
 Trajectory ranges.  `ensemble` splits the trajectories into contiguous
 ranges, one per CPU in the process's affinity mask.  The calling process
-runs range 0; fork-started workers run the others and stream each slice
+runs range 0; a worker forked for each other range pickles each slice
 block's per-trajectory W and integer partial moments, in the range's
-moment dtype, through a queue.  The caller puts the W columns back in
-trajectory order and adds the integer partials exactly in int64, so the
-float reductions see the same (block, n_traj) operands, and every output
-is byte-identical, for any number of ranges.
+moment dtype, onto a pipe of its own.  On Linux the pipe is enlarged to
+1 MiB (F_SETPIPE_SZ), a few blocks at L = 512, so that a worker runs
+ahead of the caller's reads.  A worker leaves through os._exit, never
+through the caller's frames.  The caller closes every pipe and then
+reaps every worker, after sending each SIGTERM if it raises.  It puts
+the W columns back in trajectory order and adds the integer partials
+exactly in int64, so the float reductions see the same (block, n_traj)
+operands, and every output is byte-identical, for any number of ranges.
 
 Grid points.  A trajectory's stream is keyed by (seed, k), not by p, so
 `ensemble(params, n, t, ps=[...])` serves every p of one L from one
@@ -80,7 +84,8 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
+import pickle
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +100,7 @@ _SATURATION_WINDOW = 10.0  # saturation_time fits log W against log t over [t / 
 _SATURATION_TOLERANCE = 0.05  # W saturates at the first t where that slope is below this
 _MAX_HEIGHT = int(np.iinfo(np.int16).max)
 _MAX_MOMENT_ROOT = math.isqrt(int(np.iinfo(np.int64).max))
+_PIPE_BYTES = 1 << 20  # a range's pipe holds a few blocks (about 190 KB each at L = 512)
 
 
 @dataclass
@@ -202,8 +208,8 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
     points" in the module docstring).  A block of b slices is the (P, b, n)
     spatial roughness of every trajectory and the (P, b, n_center) integer
     sums of h and h^2 per central site over the range, in the dtype of the
-    range's moments.  Every yielded array belongs to its block alone, so a
-    queue may pickle it after the next block has started.
+    range's moments.  Every yielded array belongs to its block alone, so it
+    stays valid while later blocks run.
     """
     L, P, n = params.L, len(ps), hi - lo
     R = (L + 3) // 2  # columns of a plane: the even sites 0, 2, ..., L + 1 - L % 2
@@ -295,28 +301,29 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
         yield (w, *moments)
 
 
-def _stream_range(q, params, ps, lo, hi, t_max):
-    """Worker body: put every block of trajectories lo..hi-1 on the queue,
-    or the exception that stopped them."""
-    try:
-        for block in _range_blocks(params, ps, lo, hi, t_max):
-            q.put(block)
-    except Exception as exc:  # the parent raises it
-        q.put(exc)
+def _stream_range(fd, params, ps, lo, hi, t_max):
+    """Worker body: pickle every block of trajectories lo..hi-1 onto the
+    pipe's write end `fd`, or the exception that stopped them."""
+    with open(fd, "wb") as out:
+        try:
+            for block in _range_blocks(params, ps, lo, hi, t_max):
+                pickle.dump(block, out, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # the parent raises it
+            pickle.dump(exc, out, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _received_blocks(q, proc):
-    """The blocks a worker puts on its queue; raises what the worker raised,
-    or RuntimeError if it exits before its last block."""
-    from multiprocessing.connection import wait
-
+def _received_blocks(reader, pid, running):
+    """The blocks a worker pickles onto its pipe; raises what the worker
+    raised, or RuntimeError if it exits before its last block.  On EOF the
+    worker is reaped and its pid leaves `running`."""
     while True:
-        wait([q._reader, proc.sentinel])  # an item, or the worker's exit
-        if not q._reader.poll():  # an exited worker has flushed all it put
-            proc.join()
-            raise RuntimeError(f"trajectory worker exited with code {proc.exitcode} "
-                               "before its last slice block")
-        item = q.get()
+        try:
+            item = pickle.load(reader)
+        except EOFError:  # every write end is closed: the worker has exited
+            running.remove(pid)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise RuntimeError(f"trajectory worker exited with code {code} "
+                               "before its last slice block") from None
         if isinstance(item, Exception):
             raise item
         yield item
@@ -328,38 +335,51 @@ def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
     each over every p of `ps`.
 
     There is one range per CPU in the affinity mask, at most `n_traj`.
-    The caller runs range 0 itself; each other range runs in a
-    fork-started worker that streams its blocks through a queue.  The
-    workers are joined on exit, and terminated first if the caller
-    raises.  One range, or no `fork` start method, runs inline.
+    The caller runs range 0 itself; each other range runs in a forked
+    worker that pickles its blocks onto a pipe of its own ("Trajectory
+    ranges" in the module docstring).  Every worker is sent SIGTERM if the
+    caller raises; the pipes are closed and then every worker is reaped
+    on exit.  One range, or no `os.fork`, runs inline.
     """
-    ranges = min(_cpu_count(), n_traj)
-    if ranges > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            ranges = 1
+    ranges = min(_cpu_count(), n_traj) if hasattr(os, "fork") else 1
     bounds = [n_traj * r // ranges for r in range(ranges + 1)]
     streams = [_range_blocks(params, ps, 0, bounds[1], t_max)]
-    procs = []
+    readers, running = [], set()  # running: the pids not reaped yet
     try:
-        if ranges > 1:
-            ctx = multiprocessing.get_context("fork")
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                q = ctx.Queue()
-                proc = ctx.Process(target=_stream_range, daemon=True,
-                                   args=(q, params, ps, lo, hi, t_max))
-                proc.start()
-                procs.append(proc)
-                streams.append(_received_blocks(q, proc))
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            try:
+                reader = open(r, "rb")
+                readers.append(reader)
+                with suppress(ImportError, AttributeError, OSError):  # Linux, to pipe-max-size
+                    import fcntl
+
+                    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                pid = os.fork()
+                if pid == 0:  # the worker never returns into the caller's frames
+                    code = 1
+                    try:
+                        reader.close()
+                        _stream_range(w, params, ps, lo, hi, t_max)
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(w)  # the worker's end is then its only one: EOF means it exited
+            running.add(pid)
+            streams.append(_received_blocks(reader, pid, running))
         yield streams
     except BaseException:
-        for proc in procs:
-            proc.terminate()
+        import signal  # about 1 ms, so not at import
+
+        for pid in running:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for proc in procs:
-            proc.join()
+        for reader in readers:
+            reader.close()
+        for pid in running:
+            os.waitpid(pid, 0)
 
 
 def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):

@@ -194,6 +194,22 @@ def test_exact_experiments_leave_lazy_imports_unloaded(tmp_path):
     assert loaded.strip() == "[]"
 
 
+def test_scaling_ranges_leave_multiprocessing_unloaded(tmp_path):
+    # two trajectory ranges fork and pipe without multiprocessing (about 1 MB of modules in
+    # the benchmark's parent); the reaped workers still count in the children's peak
+    out = tmp_path / "scaling"
+    manifest = {"experiment": "scaling", "L": [32], "p": [0.5, 0.8], "samples": 4,
+                "tmax": 200, "out": str(out)}
+    loaded = _fresh_python("import sys\nfrom depevap import cli, scaling\n"
+                           "scaling._cpu_count = lambda: 2\n"
+                           f"assert cli.run_experiment({manifest!r})[1] == 0\n"
+                           "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    assert loaded.strip() == "[]"
+    meta = json.loads((out / "run_metadata.json").read_text())
+    assert meta["trajectory_ranges"] == [{"L": 32, "p": p, "ranges": 2} for p in (0.5, 0.8)]
+    assert meta["peak_rss_children_mb"] > 0
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_scaling_csvs_do_not_depend_on_cpu_count(tmp_path):
     # one trajectory range pinned to one CPU against one range per CPU, at the

@@ -117,6 +117,12 @@ def test_kernel_matches_gather_reference(monkeypatch, L):
                                        rtol=1e-12, atol=1e-12 * ref["W"].max() ** 2)
 
 
+def _assert_no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 _SERIES_ARRAYS = ("times", "W", "W_stderr", "mid_height", "mid_stderr", "W_fluct")
 
 
@@ -141,7 +147,7 @@ def test_results_do_not_depend_on_partition(monkeypatch, L):
                 for name in _SERIES_ARRAYS:
                     assert (getattr(run, name).tobytes()
                             == getattr(runs[64, 1], name).tobytes()), (L, p, n, key, name)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("L", [16, 33])
@@ -160,7 +166,7 @@ def test_grouped_pass_matches_single_points(monkeypatch, L):
             for name in _SERIES_ARRAYS:
                 assert getattr(run, name).tobytes() == getattr(single, name).tobytes(), \
                     (L, p, workers, name)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_grid_draws_each_stream_once_per_range(monkeypatch):
@@ -189,7 +195,7 @@ def test_grid_draws_each_stream_once_per_range(monkeypatch):
             for name in _SERIES_ARRAYS:
                 assert getattr(run, name).tobytes() == getattr(single, name).tobytes(), \
                     (workers, run.params.p, name)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
@@ -211,7 +217,7 @@ def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
             monkeypatch.setattr(scaling, "_spot_check", failing_in(where))
             with pytest.raises(AssertionError, match=f"spot check failed in the {where}"):
                 ensemble(params, 6, 300, ps=ps)
-            assert multiprocessing.active_children() == []
+            _assert_no_child_left()
 
     def exiting_worker(H, L):
         if os.getpid() != parent:
@@ -221,7 +227,43 @@ def test_worker_failure_reaches_caller_and_workers_are_reaped(monkeypatch):
     for ps in (None, [0.2, 0.5, 0.9]):
         with pytest.raises(RuntimeError, match="exited with code 3"):
             ensemble(params, 6, 300, ps=ps)
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
+
+
+def _open_descriptors():
+    """How many descriptors this process holds open; None without /proc/self/fd."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def test_ranges_close_their_pipes_and_reap_their_workers(monkeypatch):
+    # three ranges: after a run, a worker's early exit and a failure in the parent, every
+    # pipe end is closed and every worker reaped, even while the caller holds the exception
+    parent = os.getpid()
+    params = ModelParams(L=16, p=0.5, seed=1)
+    monkeypatch.setattr(scaling, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(scaling, "_CHECK_EVERY", 64)
+    before = _open_descriptors()
+    assert ensemble(params, 6, 300).ranges == 3
+    assert _open_descriptors() == before
+    _assert_no_child_left()
+
+    def exiting_worker(H, L):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    def failing_parent(H, L):
+        if os.getpid() == parent:
+            raise AssertionError("spot check failed in the parent")
+        _spot_check(H, L)
+
+    for check, error, match in ((exiting_worker, RuntimeError, "exited with code 3"),
+                                (failing_parent, AssertionError, "failed in the parent")):
+        monkeypatch.setattr(scaling, "_spot_check", check)
+        with pytest.raises(error, match=match) as failure:
+            ensemble(params, 6, 300)
+        assert failure.traceback  # held, with ensemble's frames, through the checks below
+        assert _open_descriptors() == before, match
+        _assert_no_child_left()
 
 
 def _exact_means(params, t_max):
@@ -384,7 +426,7 @@ def test_capacity_guard_before_allocation(monkeypatch):
 
     monkeypatch.setattr(scaling, "_cpu_count", lambda: 2)
     monkeypatch.setattr(scaling, "_trajectory_generators", no_allocation)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_allocation)
+    monkeypatch.setattr(os, "fork", no_allocation)
     with pytest.raises(InvalidParameterError, match="int16"):
         ensemble(ModelParams(L=65_534, p=0.5), 1, 1)  # h_max = 32768
     with pytest.raises(InvalidParameterError, match="int64"):

@@ -6,7 +6,8 @@ import pytest
 from bridge_reference import success_probability
 from depevap import ModelParams, exact, seqgen
 from depevap.codec import decode_keys, key_rows, pack_values, site_order
-from depevap.entropy import entropy_dp, entropy_exact, mid_cut_row
+from depevap.entropy import (entropy_dp, entropy_exact, mid_cut_row, midcut_distribution,
+                             schmidt_spectrum)
 from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from depevap.exact import build_state, within_reach
 from depevap.seqgen import (
@@ -327,6 +328,37 @@ def test_emitter_states_are_the_walk_states(L, colored, p):
         table = np.hstack([np.concatenate(joint.spins), np.concatenate(joint.colors)])
         whole = exact.path_rows(table, frontier.paths())
         assert np.array_equal(np.unique(key_rows(whole), return_inverse=True)[1], joint.record), n
+
+
+def _dp_emitter_count(params, cut):
+    """The DP's support at `cut`, each profile counted once per color stacks when colored:
+    2^(A/2) for its area A above the horizon, one stack bit per unmatched pair."""
+    dist = midcut_distribution(params, cut)
+    if not params.colored:
+        return len(dist.probs)
+    L = params.L
+    area = dist.heights[:, 1:L + 1].sum(axis=1, dtype=np.int64) - (L + 1) // 2
+    assert (area % 2 == 0).all()
+    return sum(2 ** (a // 2) for a in area.tolist())
+
+
+@pytest.mark.parametrize("L, colored", [(3, False), (3, True), (5, False), (5, True),
+                                        (7, False), (7, True), (9, False)])
+def test_emitter_size_is_the_dp_count_and_the_schmidt_rank(L, colored):
+    # after round c the emitter holds one state per (profile, color stacks) with a bridge
+    # continuation: the DP's count at cut c, and the Schmidt rank there, one weight per
+    # sector label (L = 9 colored stops at MAX_NODES in build_state, so L = 9 is uncolored
+    # and checks the emitter only)
+    for p in (0.25, 0.5, 0.8):
+        params = ModelParams(L=L, p=p, boundary_mode="reflecting", colored=colored)
+        state = build_state(params) if L < 9 else None
+        joint = initial_joint(L)
+        for c in range(1, L):
+            joint = apply_round(joint, c, params)
+            count = _dp_emitter_count(params, c)
+            assert len(joint.frontier.heights) == count, (p, c)
+            if state is not None:
+                assert len(schmidt_spectrum(state, c)) == count, (p, c)
 
 
 @pytest.fixture(scope="module")
