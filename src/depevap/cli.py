@@ -3,8 +3,11 @@
 Every experiment is described by a manifest (a flat JSON object); flags
 override manifest entries.  Each run writes deterministic CSV data files
 plus run_metadata.json (manifest echo, seed, package version, wall
-time, peak resident memory of the process and of its largest child, and
-for scaling the trajectory ranges of each grid point).  Rerunning the
+time, peak resident memory of the process and the largest peak of the
+children it waited for, and for scaling the trajectory ranges of each
+grid point).  The children's figure is `RUSAGE_CHILDREN`, which also
+counts children that the launcher reaped before it exec'd the process,
+so it is not zero on a run that forks nothing.  Rerunning the
 same manifest reproduces the data files byte for byte; the metadata
 file carries the only nondeterministic content (timing, memory and the
 range count, which follows the CPUs available) and is excluded from
@@ -125,8 +128,9 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
         exact._KEPT.clear()
     meta["version"] = __version__
     meta["wall_time_s"] = time.perf_counter() - started
-    # ru_maxrss is in KiB on Linux; the children's figure is the largest peak
-    # of any waited-for child, such as the free-dynamics range workers
+    # ru_maxrss is in KiB on Linux; the children's figure is the largest peak of any
+    # waited-for child, such as the free-dynamics range workers, and counts the children
+    # a launcher reaped before exec too (about 3 MB through a pyenv shim, 0 exec'd directly)
     meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     meta["peak_rss_children_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     meta_path = outdir / "run_metadata.json"

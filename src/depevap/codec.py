@@ -80,7 +80,7 @@ import numpy as np
 
 from .errors import DecodeError, EncodeError
 from .params import ModelParams
-from .surface import COLOR_NONE, horizon_profile
+from .surface import COLOR_NONE, horizon_profile, slice_sites
 
 UP = 1
 DOWN = 0
@@ -100,8 +100,8 @@ def spin_sites(L):
 
 
 def vertex_sites(L):
-    """Update vertices (i, t), row-major bottom-to-top."""
-    return [(i, t) for t in range(1, L + 1) for i in range(1, L + 1) if (i + t) % 2 == 1]
+    """Update vertices (i, t), row-major bottom-to-top: row t holds `slice_sites(L, t)`."""
+    return [(i, t) for t in range(1, L + 1) for i in slice_sites(L, t)]
 
 
 def vertex_spin_indices(i, t):

@@ -34,7 +34,7 @@ from .codec import DecodedKeys, decode_keys, key_rows, pending_colors, site_orde
 from .errors import CapacityError, InvalidParameterError
 from .exact import SparseState, _fsum, _kept
 from .params import ModelParams, _is_int, _require_cap
-from .surface import event_table, horizon_profile
+from .surface import event_table, horizon_profile, slice_sites
 
 MAX_PROFILES = 3_000_000  # admits L = 27; the DP needs about 0.3 kB per profile
 SCHMIDT_TOL = 1e-14  # Schmidt weights below this are rounding noise and dropped
@@ -123,9 +123,9 @@ class TransferKernel:
     """One DP slice as a product of single-site maps on vectors over all profiles.
 
     Entry k of a vector belongs to the profile `heights[k]`, ranked by its
-    sorted step code.  Within slice t the sites with i + t odd update
-    independently given the frozen other sublattice, so the slice is
-    applied one site at a time.  At site i every valley is paired with the
+    sorted step code.  Within slice t the sites of `surface.slice_sites`
+    update independently given the frozen other sublattice, so the slice
+    is applied one site at a time.  At site i every valley is paired with the
     peak two units higher that a deposit makes of it, `code ^ (3 << (i-1))`;
     the pair mixes under the 2x2 matrix of stay, deposit and evaporation
     probabilities from `surface.event_table` (uncolored: colors cancel from
@@ -133,7 +133,7 @@ class TransferKernel:
     no-change probability, which is 1 on the reflecting floor and the
     absorbing survival factor otherwise, since its evaporation below 0 is
     post-selected away.  Sites 1 and L take part like any other site: they
-    are never valleys, which leaves exactly their frozen-site factor.
+    are never valleys, which leaves exactly their pinned-wall factor.
 
     Only the probabilities depend on p.  The profiles and site maps come
     from the kept `_ProfileIndex` (`exact._kept`).
@@ -153,7 +153,7 @@ class TransferKernel:
     def _apply(self, v, t, a, b, c, d):
         """v <- per-site [[a, b], [c, d]] on (valley, raised) pairs, for the sites of slice t."""
         v = np.array(v, dtype=float)
-        for i in range(1 + t % 2, self.params.L + 1, 2):  # i + t odd
+        for i in slice_sites(self.params.L, t):
             valleys, raised, floor = self._index.site_map(i)
             low, high = v[valleys], v[raised]
             v[valleys] = a * low + b * high
@@ -197,7 +197,8 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     kernel = TransferKernel(params)
     code = np.sum(1 << np.flatnonzero(np.diff(horizon_profile(L)) > 0))  # up step j sets bit j
     horizon = np.searchsorted(kernel.codes, code)
-    assert code in kernel.codes[horizon:horizon + 1], "no profile has the horizon's step code"
+    if code not in kernel.codes[horizon:horizon + 1]:
+        raise AssertionError("no profile has the horizon's step code")
     start = np.zeros(count)
     start[horizon] = 1.0
 

@@ -5,8 +5,10 @@ ends at the horizon.  Its weight multiplies the event probabilities of
 its mode.  The modes differ only at the floor, a peak at h = 1: it
 keeps just its no-change branch, of probability 1 under reflecting
 rules and (1+p)/2 under absorbing ones (post-selection discards the
-fall below 0).  Frozen boundary sites contribute that factor per slice
-whenever they sit at the floor, and 1 otherwise.
+fall below 0).  Sites 1 and L are ordinary sites of their slices
+(`surface.slice_sites`) under the pinned-wall rule: they take their
+no-change branch alone, which contributes that factor whenever they sit
+at the floor, and 1 otherwise.
 
 One walk (`walk`) enumerates histories over distinct states
 (`Frontier`), under branches per site label (`site_labels`): the
@@ -16,18 +18,20 @@ sector table (`hamiltonian.sector_keys`).  A state is a zigzag profile
 with one stack of pending pairs per site (`codec.push_pop`, dtype from
 `codec.empty_stacks`); a slice holds few of them (at most 14 profiles
 at L = 7 and 42 at L = 9, 171 states with their stacks at L = 7
-colored) against thousands of histories.  Slice t + 1 labels every
-state of slice t once per site and keeps the branches that can still
-return to the horizon (`within_reach`); `Frontier.step`, which
-`seqgen.apply_round` takes on the emitter's states too, builds one edge
+colored) against thousands of histories.  `Frontier.branches` labels
+every state of slice t once per site of slice t + 1 and keeps the
+branches that can still return to the horizon (`within_reach`), the
+delta-0 branch alone at sites 1 and L; `Frontier.step` builds one edge
 per combination of kept branches with its child state and vertex colors
-and merges equal children.  The walk reads each edge's weight factor
-w = ((1.0 p_first) ...) base, base the frozen sites' factor, each the
-probability of its label's no-change branch.  Each history takes every
-edge of its state, in order, so the histories come out in the order of
-a depth-first recursion over slices and sites.  After slice L each
-caller gathers from the edges only what it reads; a bridge's weight is
-its edges' factors multiplied in slice order, as the recursion does.
+and merges equal children.  `seqgen.apply_round` takes both on the
+emitter's states too.  The walk reads each edge's weight factor
+w = ((1.0 p_first) ...) (p_1 p_L): its other sites' probabilities in
+site order, then the pinned sites' as one product.  Each history takes
+every edge of its state, in order, so the histories come out in the
+order of a depth-first recursion over slices and sites.  After slice L
+each caller gathers from the edges only what it reads; a bridge's
+weight is its edges' factors multiplied in slice order, as the
+recursion does.
 """
 
 from __future__ import annotations
@@ -121,6 +125,25 @@ class Frontier:
         self.sizes = [len(heights)]  # the states before the first slice, then each slice's edges
         self.steps = []  # per slice: (parent path, edge) of every child path
 
+    def branches(self, table, t):
+        """(sites, branches, keeps) of slice t from the distinct states.
+
+        `sites` are `surface.slice_sites`; `branches` (states, sites,
+        branches) are the rows of `table` (`branch_table`, in LABELS order)
+        at each site's label (`site_labels`), and `keeps` marks the valid
+        ones that can still return to the horizon (`within_reach`).  Sites 1
+        and L keep only their delta-0 branch (the pinned-wall rule), since
+        a table may let the floor dip.
+        """
+        L = self.heights.shape[1] - 2
+        sites = np.array(slice_sites(L, t), dtype=np.intp)
+        branches = table[site_labels(self.heights, sites)]
+        delta = branches["delta"]
+        keeps = branches["valid"] & within_reach(self.heights[:, sites, None] + delta,
+                                                 sites[:, None], t, L)
+        keeps &= (delta == 0) | ((sites > 1) & (sites < L))[:, None]
+        return sites, branches, keeps
+
     def step(self, branches, keeps, sites, cap, overflow):
         """Move every path one slice on; equal children become the next states.
 
@@ -134,8 +157,8 @@ class Frontier:
         is built (CapacityError `overflow`).  A child adds each site's delta
         and takes `codec.push_pop` on its stacks.  Children merge on their
         profile and stack bytes, the next states sorted as those bytes.
-        Returns per edge its state, its (edges, sites) branches, its vertex
-        color row in the layout `site_values` reads (vertex (i, t) at column
+        Returns per edge its (edges, sites) branches, its vertex color row
+        in the layout `site_values` reads (vertex (i, t) at column
         (i - 1) // 2) and its child profile.
         """
         counts = keeps.sum(axis=2).prod(axis=1, dtype=np.float64)  # an int64 product can wrap
@@ -164,7 +187,7 @@ class Frontier:
         _, first, state = np.unique(state, return_index=True, return_inverse=True)
         self.node = state[edge]
         self.heights, self.stacks = heights[first], stacks[first]
-        return parent, chosen, colors, heights
+        return chosen, colors, heights
 
     def paths(self):
         """(paths alive, 1 + slices) intp: the state each path started from, then its edge
@@ -257,14 +280,8 @@ class Bridges:
 
     `index` (N, 1 + L) holds each trajectory's root, then its edge at each
     slice, as rows of the walk's edge tables `edges` (profiles, spins,
-    colors); `weights` (N,) float64.  The per-trajectory fields are
-    gathered from those tables when they are read: `profiles`
-    (N, L+1, L+2) int8 the zigzag profile stacks, row c the profile after
-    slice c as in `codec.DecodedKeys` (event kinds follow from them),
-    `spins` (N, (L+1)**2) uint8 their spin values as
-    `codec.profiles_to_spins` gives them, `colors` (N, vertices) uint8 the
-    vertex colors in `codec.vertex_sites` order (0 on no-change vertices;
-    uncolored changes carry r).
+    colors), from which `path_rows` and `site_values` gather a
+    trajectory's fields; `weights` (N,) float64.
     """
 
     index: np.ndarray
@@ -274,60 +291,38 @@ class Bridges:
     def __len__(self):
         return len(self.weights)
 
-    @property
-    def profiles(self):
-        L = self.index.shape[1] - 1
-        return path_rows(self.edges[0], self.index).reshape(len(self), L + 1, L + 2)
-
-    @property
-    def spins(self):
-        return path_rows(self.edges[1], self.index)
-
-    @property
-    def colors(self):
-        values = site_values(self.index, *self.edges[1:], np.arange(len(self)), True)
-        return values[:, self.index.shape[1] ** 2:]
-
 
 def walk(L, by_label, max_nodes, overflow):
     """Every history from the horizon back to it, over distinct states.
 
     by_label[name] lists the (delta, color, prob) branches of each label
-    name of LABELS; a frozen site's factor is the probability of its
-    label's delta-0 branch.  `Frontier.step` builds each slice's edges
-    from the kept branches, and the walk reads their colors and weight
-    factors.  `max_nodes` bounds the nodes of the history tree, the root
+    name of LABELS.  `Frontier.branches` marks each slice's kept branches
+    and `Frontier.step` builds its edges from them; the walk reads their
+    colors and weight factors.  An edge's factor multiplies its sites'
+    probabilities in site order, those of the pinned sites 1 and L last,
+    as one product.  `max_nodes` bounds the nodes of the history tree, the root
     and every history alive after each slice, checked before a slice is
     expanded (CapacityError `overflow`).  Returns (index, (profiles,
     spins, colors, factors)): index (histories, 1 + L) holds each
     history's root, then its edge at each slice, as rows of the edge
     tables for `path_rows` and `site_values` to gather.
     """
-    rows = [by_label[name] for name in LABELS]
-    table = branch_table(rows, [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
-    frozen = np.array([next(prob for delta, _, prob in row if delta == 0) for row in rows])
+    table = branch_table([by_label[name] for name in LABELS],
+                         [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
     prof = horizon_profile(L)[None].astype(np.int8)
     frontier = Frontier(np.zeros(1, dtype=np.intp), prof, empty_stacks(L, prof.shape))
     visited = 1
     edges = [(prof, np.zeros((1, (L + 1) // 2), dtype=np.uint8), np.ones(1))]  # the root
     for t in range(1, L + 1):
-        sites = np.array(slice_sites(L, t), dtype=np.intp)
-        frozen_sites = np.array([i for i in (1, L) if (i + t) % 2 == 1], dtype=np.intp)
-        prof = frontier.heights  # the distinct states after slice t - 1
-        labels = site_labels(prof, np.concatenate([sites, frozen_sites]))
-        branches = table[labels[:, :len(sites)]]  # (states, sites, branches)
-        keeps = branches["valid"] & within_reach(prof[:, sites, None] + branches["delta"],
-                                                 sites[:, None], t, L)
-        parent, chosen, colors, heights = frontier.step(branches, keeps, sites,
-                                                        max_nodes - visited, overflow)
+        sites, branches, keeps = frontier.branches(table, t)
+        chosen, colors, heights = frontier.step(branches, keeps, sites,
+                                                max_nodes - visited, overflow)
         visited += len(frontier.node)
-        base = 1.0
-        for label in labels[parent, len(sites):].T:
-            base = base * frozen[label]
-        w = np.ones(len(parent))
-        for k in range(len(sites)):
+        pinned = (sites == 1) | (sites == L)
+        w = np.ones(len(chosen))
+        for k in np.flatnonzero(~pinned):
             w = w * chosen["prob"][:, k]
-        edges.append((heights, colors, w * base))
+        edges.append((heights, colors, w * chosen["prob"][:, pinned].prod(axis=1)))
     # the horizon bound after slice L leaves only histories at the horizon
     profs, colors, factors = (np.concatenate(column) for column in zip(*edges))
     spins = profile_spins(profs, np.repeat(np.arange(L + 1), frontier.sizes), L)

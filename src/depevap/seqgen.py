@@ -4,12 +4,12 @@ The emitter holds one stack per surface site.  Stack i records site i's
 height (the marker position; markers on even sites are E, on odd sites
 F, and never leave their stack) and the colors of the deposited,
 not-yet-evaporated block pairs beneath the marker, most recent on top.
-Odd rounds update the E stacks (even sites), even rounds the F stacks
-(odd interior sites) plus the deterministic boundary emissions; round n
-radiates the L+1 spin qubits of lattice spin row n and the color
-qutrits of vertex row n.
+Round n updates the stacks of `surface.slice_sites(L, n)`, the walk's
+sites: odd rounds the E stacks (even sites), even rounds the F stacks
+(odd sites, 1 and L included); round n radiates the L+1 spin qubits of
+lattice spin row n and the color qutrits of vertex row n.
 
-Per eligible site the channel branches are the reflecting bridge walk's
+Per site the channel branches are the reflecting bridge walk's
 (`exact.event_branches` over the site labels of `exact.site_labels`),
 each with the square root of its probability as amplitude:
 
@@ -20,6 +20,10 @@ each with the square root of its probability as amplitude:
     floor    (a peak with no pairs beneath, at the horizon) a certain
              no change, emits up,up and color 0
     slopes   no change    emits the height-difference pair, 0
+
+Stacks 1 and L stand next to the pinned walls and keep their marker at
+height 1 (the pinned-wall rule): they are the floor or a slope, whose
+certain no-change emits the boundary spins of the F rounds.
 
 Every column of a channel restricted to its reachable domain has unit
 norm, so each round is an isometry.  A round drops every child whose
@@ -40,10 +44,10 @@ The joint state of emitter and record is a set of arrays (`JointState`).
 The emitter is the bond of the sequential (MPS) construction: one
 `exact.Frontier` holds its distinct states (int8 marker heights,
 `codec.empty_stacks` stacks that only `codec.push_pop` reads and
-changes) once each, and each branch is one of its paths.  A round labels
-every distinct emitter state at each of its sites, as the walk labels
-its profiles, reads that label's branches off one cached channel table
-and marks the kept ones; `Frontier.step`, the bridge walk's step, builds
+changes) once each, and each branch is one of its paths.  A round's
+`Frontier.branches`, the walk's, labels every distinct emitter state at
+each of its sites, reads that label's branches off one cached channel
+table and marks the kept ones; `Frontier.step`, the walk's step, builds
 one edge per combination of them with its child state and color row and
 merges equal children, so the emitter's states and paths are the walk's.
 Every branch takes every edge of its state in table order (a depth-first
@@ -65,10 +69,9 @@ import numpy as np
 
 from .codec import empty_stacks, key_order, key_rows, pack_values
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import (LABELS, Frontier, SparseState, _fsum, branch_table, event_branches,
-                    site_labels, site_values, within_reach)
+from .exact import LABELS, Frontier, SparseState, _fsum, branch_table, event_branches, site_values
 from .params import ModelParams, _require_cap
-from .surface import horizon_profile, slice_sites
+from .surface import horizon_profile
 
 MAX_BRANCHES = 2_000_000
 _SIDES = ((-1, -1), (1, 1), (1, 1), (1, -1), (-1, 1))  # (h - h_left, h - h_right) per LABELS code
@@ -158,16 +161,18 @@ def initial_joint(L: int) -> JointState:
 def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRANCHES) -> JointState:
     """One round of local channels on every branch of the joint state.
 
-    The round labels the distinct emitter states and marks their kept
-    channel branches; a copy of the joint's frontier takes one
+    A copy of the joint's frontier labels its distinct emitter states at
+    the round's sites and marks their kept channel branches
+    (`exact.Frontier.branches`, the walk's), then takes one
     `exact.Frontier.step`, which builds one edge per combination of them,
     in table order, with its child state and color row, and merges equal
-    children.  The round emits each edge's spin row.  Each branch takes
-    every edge of its state, branches in order (a depth-first recursion
-    over branches and sites), and multiplies its amplitude by the sites'
-    in site order.  A child's record rank is the rank of (its parent's
-    rank, its edge's rows); two branches of one rank and emitter state
-    raise.  An edge whose updated marker can no longer return to its
+    children.  The round emits each edge's spin row, two spins per site,
+    so the F rounds' sites 1 and L emit the boundary spins.  Each branch
+    takes every edge of its state, branches in order (a depth-first
+    recursion over branches and sites), and multiplies its amplitude by
+    the sites' in site order.  A child's record rank is the rank of (its
+    parent's rank, its edge's rows); two branches of one rank and emitter
+    state raise.  An edge whose updated marker can no longer return to its
     horizon height (`exact.within_reach`) is dropped with its whole
     subtree, so the surviving rows, their order and their amplitude
     products are those of the unpruned round.  The dropped squared mass,
@@ -179,17 +184,14 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     """
     _require_cap("max_branches", max_branches)
     L = params.L
-    sites = np.array(slice_sites(L, n), dtype=np.intp)
     frontier = copy.copy(joint.frontier)  # extended below; `joint` keeps its own
     frontier.sizes, frontier.steps = [*frontier.sizes], [*frontier.steps]
     h = frontier.heights
-    table = _channel_table(params.p, params.colored)
-    branches = table[site_labels(h, sites)]  # (states, sites, branches)
-    valid, new_h = branches["valid"], h[:, sites, None] + branches["delta"]
-    deep = (valid & (new_h > L + 2)).any(axis=(0, 2))
+    sites, branches, keeps = frontier.branches(_channel_table(params.p, params.colored), n)
+    valid = branches["valid"]
+    deep = (valid & (h[:, sites, None] + branches["delta"] > L + 2)).any(axis=(0, 2))
     if deep.any():
         raise CapacityError(f"stack {sites[deep.argmax()]} overflowed its L+2 depth cap")
-    keeps = valid & within_reach(new_h, sites[:, None], n, L)
     weight = branches["amp"] ** 2
     valid_sums = np.where(valid, weight, 0.0).sum(axis=2)
     kept_sums = np.where(keeps, weight, 0.0).sum(axis=2)
@@ -198,18 +200,14 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
         valid_mass = valid_mass * valid_sums[:, k]
         kept_mass = kept_mass * kept_sums[:, k]
     dropped = _fsum(joint.amps ** 2 * (valid_mass - kept_mass)[frontier.node])
-    _, chosen, colors, heights = frontier.step(branches, keeps, sites, max_branches,
-                                               f"joint state exceeded {max_branches} branches")
+    chosen, colors, _ = frontier.step(branches, keeps, sites, max_branches,
+                                      f"joint state exceeded {max_branches} branches")
     rows, edge = frontier.steps[-1]
     amps = joint.amps[rows]
     for k in range(len(sites)):
         amps = amps * chosen["amp"][edge, k]
     row = np.zeros((len(chosen), L + 1), dtype=np.uint8)
     row[:, sites - 1], row[:, sites] = chosen["spin_l"], chosen["spin_r"]
-    if n % 2 == 0:  # boundary emissions of the F rounds
-        row[:, 0] = row[:, L] = 1
-        row[:, 1] = heights[:, 2] == 0
-        row[:, L - 1] = heights[:, L - 1] == 0
     # the records share one length, so (parent rank, edge rank) orders them as their bytes
     _, edge_rank = np.unique(key_rows(np.hstack([row, colors])), return_inverse=True)
     _, record = np.unique(joint.record[rows] * len(row) + edge_rank[edge], return_inverse=True)

@@ -3,15 +3,19 @@
 A configuration is an integer height profile h[0..L+1] with pinned ends,
 unit neighbour steps |h[i] - h[i+1]| = 1, and the parity rule
 h[i] == i (mod 2).  The initial condition is the horizon (a block on
-every second site).  One time slice updates all eligible sites of one
-parity sublattice independently; a site gains or loses a column of two
-blocks, so heights move in steps of +-2 and the neighbour constraint is
-preserved automatically because the other sublattice is frozen during
-the slice.
+every second site).  Time slice t updates the sites of one parity
+sublattice independently, every i in 1..L with i + t odd
+(`slice_sites`, one site per vertex (i, t)); a site gains or loses a
+column of two blocks, so heights move in steps of +-2 and the neighbour
+constraint is preserved automatically because the other sublattice is
+frozen during the slice.
 
-Sites 1 and L are frozen at height 1 for all times: site 0 is pinned at
-0, so neither rule can move them.  The eligible (updatable) sites are
-2..L-1.
+The pinned-wall rule: sites 1 and L stay at height 1 for all times.
+They stand next to a wall pinned at 0, so they are never valleys, only
+a slope or a peak at h = 1, and every walk keeps them on their
+no-change branch.  Their vertices still carry its probability: 1 on a
+slope and on the reflecting floor, the absorbing survival factor (1+p)/2
+on a peak at h = 1.
 
 Reflecting mode forbids any move that would take a height below 0; the
 only case where this bites is a Peak at h=1, which becomes a certain
@@ -81,5 +85,5 @@ def branch_probability(shape: str, delta: int, p: float) -> float:
 
 
 def slice_sites(L: int, t: int) -> list[int]:
-    """Eligible sites updated at slice t: vertex (i, t) exists for i + t odd; 1 and L stay frozen."""
-    return [i for i in range(2, L) if (i + t) % 2 == 1]
+    """The sites of slice t, one per vertex (i, t): every i in 1..L with i + t odd."""
+    return list(range(1 + t % 2, L + 1, 2))

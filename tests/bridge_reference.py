@@ -10,7 +10,9 @@ frontier in `depevap.exact` must reproduce its heights, colors, weights
 keeps every trajectory, not only those back at the horizon; in
 reflecting mode their weights sum to 1.  `trajectory_weight` recomputes
 a record's weight from its events.  `success_probability` sums the
-weights of `depevap.exact.enumerate_bridge`.
+weights of `depevap.exact.enumerate_bridge`, and `bridge_profiles` and
+`bridge_colors` gather its trajectories' profile stacks and vertex
+colors from its edge tables.
 """
 
 from __future__ import annotations
@@ -205,3 +207,17 @@ def trajectory_weight(traj: TrajectoryRecord, params: ModelParams) -> float:
 def success_probability(params: ModelParams) -> float:
     """Total bridge weight of `exact.enumerate_bridge` before renormalization."""
     return math.fsum(exact.enumerate_bridge(params).weights.tolist())
+
+
+def bridge_profiles(bridges: exact.Bridges) -> np.ndarray:
+    """(N, L+1, L+2) int8 zigzag profile stacks of the trajectories, row c the profile
+    after slice c as in `codec.DecodedKeys` (event kinds follow from them)."""
+    L = bridges.index.shape[1] - 1
+    return exact.path_rows(bridges.edges[0], bridges.index).reshape(len(bridges), L + 1, L + 2)
+
+
+def bridge_colors(bridges: exact.Bridges) -> np.ndarray:
+    """(N, vertices) uint8 vertex colors of the trajectories in `codec.vertex_sites` order
+    (0 on no-change vertices; uncolored changes carry r)."""
+    values = exact.site_values(bridges.index, *bridges.edges[1:], np.arange(len(bridges)), True)
+    return values[:, bridges.index.shape[1] ** 2:]

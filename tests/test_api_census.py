@@ -2,7 +2,10 @@
 in src/depevap must be used by the package itself, by the benchmark harness
 (perfbench/) or by the fixed oracle in tests/conftest.py.  API that only tests
 reach belongs in a test-side module (tests/bridge_reference.py,
-tests/hamiltonian_reference.py).  A second census finds every `math.fsum` in src."""
+tests/hamiltonian_reference.py).  A second census finds every `math.fsum` in src.
+A third stands in for a linter with stdlib `ast` alone: src reads every name it
+imports and every private top-level name it defines, and holds no bare `assert`,
+which `python -O` strips."""
 
 import ast
 import io
@@ -19,6 +22,16 @@ KEEP = {
     "exact.load_state": "persistence API: the inverse of save_state",
     "exact.export_state_text": "persistence API: a built state as reviewable text",
     "seqgen.local_channel": "criterion 1 reads the channel table through it",
+}
+
+
+# src names that no src code reads, each kept on purpose
+UNREAD = {
+    "__init__.ModelParams": "package export",
+    "__init__.build_state": "package export",
+    "exact.canonical_key": "noqa re-export: perfbench/traced.py wraps it on exact",
+    "exact.encode_trajectory": "noqa re-export: perfbench/traced.py wraps it on exact",
+    "entropy._site_value": "the fixed oracle in tests/conftest.py reads it",
 }
 
 
@@ -68,3 +81,40 @@ def test_math_fsum_only_in_the_exact_sum():
                                            "<module>")
                     for line, word in _code_words(source) if word == "fsum"}
     assert callers == FSUM_CALLERS, "sum arrays exactly with exact._fsum, not math.fsum"
+
+
+def test_src_reads_its_imports_and_private_names():
+    """Every name a src module imports is read in that module, and every private top-level
+    name is read in its module, imported by another or read as an attribute of its module;
+    src checks raise, since a bare `assert` vanishes under `python -O`."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "depevap").glob("*.py"))}
+    read = {stem: {node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            for stem, tree in trees.items()}
+    reached, unread, asserts = set(), set(), []  # reached: "module.name" read from outside
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                reached.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.Assert):
+                asserts.append(f"{stem}:{node.lineno}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom):
+                    if node.module == "__future__":
+                        continue
+                    reached |= {f"{node.module}.{alias.name}" for alias in node.names}
+                unread |= {f"{stem}.{name}" for name in
+                           ((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+                           if name not in read[stem]}
+        for node in tree.body:
+            targets = ([node] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else
+                       node.targets if isinstance(node, ast.Assign) else [])
+            names = [getattr(target, "name", getattr(target, "id", "")) for target in targets]
+            unread |= {f"{stem}.{name}" for name in names
+                       if name.startswith("_") and not name.endswith("__")
+                       and name not in read[stem] and f"{stem}.{name}" not in reached}
+    assert asserts == [], "raise AssertionError(...) instead of a bare assert"
+    assert unread == set(UNREAD), (
+        "src imports or defines a name that nothing in src reads (remove it, or document "
+        "why it stays in UNREAD); UNREAD entries that gained a reader go")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridge_reference import bridge_records, trajectory_weight
+from bridge_reference import bridge_colors, bridge_profiles, bridge_records, trajectory_weight
 from depevap import ModelParams
 from depevap.codec import (
     KINDS,
@@ -61,13 +61,14 @@ def test_round_trip_randomized(L):
     # keys packed from the bridge arrays decode to their heights and colors and re-encode
     params = ModelParams(L=L, p=0.45, boundary_mode="reflecting", colored=True)
     bridges = enumerate_bridge(params)
+    profiles, colors = bridge_profiles(bridges), bridge_colors(bridges)
     rng = np.random.default_rng(L)
     picks = rng.choice(len(bridges), size=min(60, len(bridges)), replace=False)
-    values = np.hstack([profiles_to_spins(bridges.profiles[picks], L), bridges.colors[picks]])
+    values = np.hstack([profiles_to_spins(profiles[picks], L), colors[picks]])
     for n, key in zip(picks, map(bytes, pack_values(values, L, True))):
         back = decode_config(key_to_config(key, params), params)
-        assert np.array_equal(back.heights, profiles_to_heights(bridges.profiles, L)[n])
-        assert [back.events[v][1] for v in vertex_sites(L)] == bridges.colors[n].tolist()
+        assert np.array_equal(back.heights, profiles_to_heights(profiles, L)[n])
+        assert [back.events[v][1] for v in vertex_sites(L)] == colors[n].tolist()
         assert canonical_key(encode_trajectory(back, params)) == key
 
 
@@ -196,9 +197,9 @@ def test_array_codec_matches_one_key_functions(mode, colored):
     # by key with the one-key wrappers on the reference records
     params = ModelParams(L=5, p=0.6, boundary_mode=mode, colored=colored)
     bridges = enumerate_bridge(params)
-    values = profiles_to_spins(bridges.profiles, params.L)
+    values = profiles_to_spins(bridge_profiles(bridges), params.L)
     if colored:
-        values = np.hstack([values, bridges.colors])
+        values = np.hstack([values, bridge_colors(bridges)])
     keys = list(map(bytes, pack_values(values, params.L, colored)))
     assert values.shape == (len(keys), len(site_order(params.L, colored)))
     assert unpack_keys(keys, params.L, colored).tolist() == values.tolist()

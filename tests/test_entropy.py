@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bridge_reference import slice_outcomes
+from bridge_reference import bridge_colors, bridge_profiles, slice_outcomes
 from conftest import dense_schmidt_weights, oracle_midcut_marginal
 from depevap import ModelParams
 from depevap.codec import (
@@ -459,8 +459,9 @@ def test_sector_labels_match_reference(L, mode):
 
     params = ModelParams(L=L, p=0.5, boundary_mode=mode, colored=True)
     bridges = enumerate_bridge(params)
-    keys = pack_values(np.hstack([profiles_to_spins(bridges.profiles, L), bridges.colors]), L, True)
-    histories = list(zip(profiles_to_heights(bridges.profiles, L).tolist(), bridges.colors.tolist()))
+    profiles, vertex_colors = bridge_profiles(bridges), bridge_colors(bridges)
+    keys = pack_values(np.hstack([profiles_to_spins(profiles, L), vertex_colors]), L, True)
+    histories = list(zip(profiles_to_heights(profiles, L).tolist(), vertex_colors.tolist()))
     if L == 5:
         records = (decode_config(key_to_config(key, params), params) for key in map(bytes, keys))
         histories = [(r.heights.tolist(), [r.events[v][1] for v in vertex_sites(L)]) for r in records]

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bridge_reference import bridge_colors, bridge_profiles
 from bridge_reference import enumerate_bridge as reference_enumerate_bridge
 from bridge_reference import local_shape
 from bridge_reference import success_probability
@@ -30,7 +31,7 @@ from depevap.exact import (
 )
 from depevap.entropy import midcut_distribution
 from depevap.hamiltonian import sector_keys
-from depevap.seqgen import run_generation
+from depevap.seqgen import apply_round, initial_joint, run_generation
 from depevap.surface import horizon_profile
 
 
@@ -48,8 +49,8 @@ def test_l3_colored_three_bridges():
     assert len(trajs) == 3
     assert sorted(trajs.weights) == pytest.approx([0.03125, 0.03125, 0.5625])
     # vertex (2, 1): heights 0 -> 2 on the two deposits, colored r and g
-    heights = profiles_to_heights(trajs.profiles, 3)
-    assert sorted(zip(heights[:, 2, 2].tolist(), trajs.colors[:, 0].tolist())) == \
+    heights = profiles_to_heights(bridge_profiles(trajs), 3)
+    assert sorted(zip(heights[:, 2, 2].tolist(), bridge_colors(trajs)[:, 0].tolist())) == \
         [(0, 0), (2, 1), (2, 2)]
     assert success_probability(params) == pytest.approx(0.625)
 
@@ -166,9 +167,9 @@ def _assert_matches_recursion(params, bridge=True):
     vertices = vertex_sites(L)
     assert len(got) == len(want)
     assert got.weights.tolist() == [w for _, w in want]
-    assert np.array_equal(profiles_to_heights(got.profiles, L),
+    assert np.array_equal(profiles_to_heights(bridge_profiles(got), L),
                           np.stack([ref.heights for ref, _ in want]))
-    assert got.colors.tolist() == [[ref.events[v][1] for v in vertices] for ref, _ in want]
+    assert bridge_colors(got).tolist() == [[ref.events[v][1] for v in vertices] for ref, _ in want]
     if bridge:
         assert len(enumerate_bridge(params, max_nodes=visited)) == len(want)
         with pytest.raises(CapacityError):
@@ -239,9 +240,26 @@ def test_bridge_set_does_not_depend_on_p(L, colored):
     runs = [enumerate_bridge(ModelParams(L=L, p=p, boundary_mode="absorbing", colored=colored))
             for p in (0.25, 0.5, 0.8)]
     for bridges in runs[1:]:
-        assert np.array_equal(bridges.profiles, runs[0].profiles)
-        assert np.array_equal(bridges.colors, runs[0].colors)
+        assert np.array_equal(bridge_profiles(bridges), bridge_profiles(runs[0]))
+        assert np.array_equal(bridge_colors(bridges), bridge_colors(runs[0]))
         assert not np.array_equal(bridges.weights, runs[0].weights)
+
+
+def test_walks_hold_sites_1_and_L_at_height_1():
+    # sites 1 and L are sites of their slices like any other, and the pinned-wall rule keeps
+    # them at h = 1 after every slice: in every bridge of both modes, in every sector history
+    # (whose table lets the floor dip) and in every emitter state of every round
+    for L in (3, 5, 7):
+        for mode in ("reflecting", "absorbing"):
+            for colored in (False, True):
+                params = ModelParams(L=L, p=0.3, boundary_mode=mode, colored=colored)
+                assert (bridge_profiles(enumerate_bridge(params))[:, :, [1, L]] == 1).all()
+        sector = ModelParams(L=L, p=0.3, boundary_mode="absorbing", colored=False)
+        assert (decode_keys(sector_keys(sector), sector).profiles[:, :, [1, L]] == 1).all()
+        joint, params = initial_joint(L), ModelParams(L=L, p=0.3, colored=True)
+        for n in range(1, L + 1):
+            joint = apply_round(joint, n, params)
+            assert (joint.frontier.heights[:, [1, L]] == 1).all()
 
 
 def test_matches_independent_oracle():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bridge_reference import bridge_colors, bridge_profiles
 from bridge_reference import local_shape, site_branches, slice_outcomes
 from depevap import ModelParams
 from depevap.codec import profiles_to_heights, vertex_sites
@@ -14,9 +15,10 @@ from depevap.surface import event_table, horizon_profile, slice_sites
 
 
 def _sample_slice(profile, t, rng, params):
-    """One sampled slice: each eligible site draws a branch of its event table."""
+    """One sampled slice: each site 2..L-1 of the slice draws a branch of its event table."""
     out = np.array(profile, dtype=np.int64, copy=True)
-    for i in slice_sites(params.L, t):
+    sites = [i for i in range(2, params.L) if (i + t) % 2 == 1]  # 1 and L never move
+    for i in sites:
         u = rng.random()
         for new_h, _, _, prob in site_branches(profile[i], profile[i - 1], profile[i + 1], params):
             u -= prob
@@ -148,7 +150,8 @@ def test_advance_slice_stack_resolution():
     # every evaporation takes the color of its site's most recent unmatched deposit
     params = ModelParams(L=5, p=0.6, colored=True)
     bridges = enumerate_bridge(params)
-    for H, colors in zip(profiles_to_heights(bridges.profiles, 5).tolist(), bridges.colors.tolist()):
+    profiles, vertex_colors = bridge_profiles(bridges), bridge_colors(bridges)
+    for H, colors in zip(profiles_to_heights(profiles, 5).tolist(), vertex_colors.tolist()):
         stacks = {i: [] for i in range(1, 6)}
         for (i, t), color in zip(vertex_sites(5), colors):  # slice by slice
             kind = H[t + 1][i] - H[t - 1][i]
@@ -162,9 +165,11 @@ def test_advance_slice_stack_resolution():
 
 
 def test_slice_sites_freezes_boundary():
+    # one site per vertex, 1 and L included: the walks hold those two at h = 1
+    # (test_exact.py::test_walks_hold_sites_1_and_L_at_height_1)
     assert slice_sites(5, 1) == [2, 4]
-    assert slice_sites(5, 2) == [3]
-    assert slice_sites(3, 2) == []
+    assert slice_sites(5, 2) == [1, 3, 5]
+    assert slice_sites(3, 2) == [1, 3]
 
 
 def test_reflecting_soak_never_negative():
