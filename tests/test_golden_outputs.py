@@ -44,6 +44,10 @@ Hamiltonian point (220 terms over the 690-key state); its hash was
 recorded before the term entries were built one pass per shared support
 and the sector spectrum split into connected blocks, so it pins that the
 residuals keep every bit.
+
+The entries with exit code 2 pin the capacity rows: a grid point over a
+capacity guard writes one row of nan in grid order, after any rows the
+point wrote before its guard tripped.
 """
 
 import hashlib
@@ -59,59 +63,80 @@ GOLDEN = [
     ({"experiment": "phase-sweep", "L": [5, 7, 9], "p": [0.25, 0.5, 0.8],
       "mode": "reflecting", "colored": True},
      {"phase_sweep.csv": "9815ff8ecc04af37547cb945b9a0eee95bc133bcf249a8b95b1ae9e7e52c9d63",
-      "phase_exponents.csv": "bd9ab8ceee1063f2e6d4d1f4de44644ecf7918947be3eeaf092ad68712b133a3"}),
+      "phase_exponents.csv": "bd9ab8ceee1063f2e6d4d1f4de44644ecf7918947be3eeaf092ad68712b133a3"}, 0),
     ({"experiment": "phase-sweep", "L": [5, 7, 9], "p": [0.25, 0.5, 0.8],
       "mode": "absorbing", "colored": True},
      {"phase_sweep.csv": "39632553da72cfc00d6eb5c4569c6322bbe50ddc01d218f8013fd230c9d592a4",
-      "phase_exponents.csv": "72e91d1385912596dd939566e06f33eea575278e26f58a9b655141dfd70f5d40"}),
+      "phase_exponents.csv": "72e91d1385912596dd939566e06f33eea575278e26f58a9b655141dfd70f5d40"}, 0),
     ({"experiment": "seqgen-check", "L": [3, 5], "p": [0.3, 0.8],
       "mode": "reflecting", "colored": True},
-     {"seqgen_fidelity.csv": "09a429ac1b49fc730cb29e9632f1c00665dafc7003e5c26abdf5627c3e74157e"}),
+     {"seqgen_fidelity.csv": "09a429ac1b49fc730cb29e9632f1c00665dafc7003e5c26abdf5627c3e74157e"}, 0),
     ({"experiment": "seqgen-check", "L": [3, 5], "p": [0.3, 0.8],
       "mode": "reflecting", "colored": False},
-     {"seqgen_fidelity.csv": "d7dadb98275279bbdadbde634cd990f069d298b94354fa5b798f328877cc9f89"}),
+     {"seqgen_fidelity.csv": "d7dadb98275279bbdadbde634cd990f069d298b94354fa5b798f328877cc9f89"}, 0),
     ({"experiment": "seqgen-check", "L": [7], "p": [0.25, 0.5, 0.8],
       "mode": "reflecting", "colored": True},
-     {"seqgen_fidelity.csv": "bbe906486fdfba273c706af05cc24d3496cdf404d59347510769f23585a8987a"}),
+     {"seqgen_fidelity.csv": "bbe906486fdfba273c706af05cc24d3496cdf404d59347510769f23585a8987a"}, 0),
     ({"experiment": "hamiltonian-check", "L": [3, 5], "p": [0.25, 0.8],
       "mode": "absorbing", "colored": True},
      {"hamiltonian_residuals.csv":
-      "264039c1b996b051957aed8e2bcb14bf6e2d94b8268021e278cd0f085a16bbab"}),
+      "264039c1b996b051957aed8e2bcb14bf6e2d94b8268021e278cd0f085a16bbab"}, 0),
     ({"experiment": "hamiltonian-check", "L": [3, 5], "p": [0.25, 0.8],
       "mode": "absorbing", "colored": False},
      {"hamiltonian_residuals.csv":
-      "28525e27406e1c242bd3d2e809123d3b02741db422aa9ecb7109329b30291cb4"}),
+      "28525e27406e1c242bd3d2e809123d3b02741db422aa9ecb7109329b30291cb4"}, 0),
     ({"experiment": "hamiltonian-check", "L": [7], "p": [0.25, 0.5, 0.8],
       "mode": "absorbing", "colored": False},
      {"hamiltonian_residuals.csv":
-      "3534d3ef53e80e84b2a1b893ff4728bd53637f7b7ddeb92dc7071d0fe6aef148"}),
+      "3534d3ef53e80e84b2a1b893ff4728bd53637f7b7ddeb92dc7071d0fe6aef148"}, 0),
     ({"experiment": "scaling", "L": [32], "p": [0.5, 0.8], "mode": "reflecting",
       "colored": True, "seed": 3, "samples": 8, "tmax": 400, "fit_lo": 20, "fit_hi": 300},
      {"scaling_L32_p0.5.csv": "4702f532d349b54a43c79b96519e68f386d7b34f271c987d20e303c06f87ba5c",
       "scaling_L32_p0.8.csv": "dd447ab729042500fb48b32596f8ebd0de2588f7b822605e85529926c7772311",
-      "scaling_summary.csv": "bc22de8f525a53d5d6d8812780e8ccc7f661e51f1a398133290f60fbef71a6b7"}),
+      "scaling_summary.csv": "bc22de8f525a53d5d6d8812780e8ccc7f661e51f1a398133290f60fbef71a6b7"}, 0),
     ({"experiment": "scaling", "L": [512, 511], "p": [0.5, 0.8], "mode": "reflecting",
       "colored": True, "seed": 3, "samples": 8, "tmax": 260},
      {"scaling_L512_p0.5.csv": "2d021010d58e5006ac22430a26ed1aeabeb0d54c7d102b5e2adb24f71b3944fc",
       "scaling_L512_p0.8.csv": "1f961cbf6e36c37834e2af2826021ea204c6a0793d708d8173d3df7fc2498cc5",
       "scaling_L511_p0.5.csv": "83bebdf5fc981c6748a487c415ffb8b370ac935c1575ebeb15c9e130f79aaa6e",
-      "scaling_L511_p0.8.csv": "7fde76e6ea65f82857709eb4e1a39cc9ce508123864f4d6f03be0ded31e98dac"}),
+      "scaling_L511_p0.8.csv": "7fde76e6ea65f82857709eb4e1a39cc9ce508123864f4d6f03be0ded31e98dac"}, 0),
+    # L = 29 is past the DP's profile guard: one capacity row per p, after the L = 7 rows
+    ({"experiment": "dp-entropy", "L": [5, 7, 29], "p": [0.0, 0.5, 1.0],
+      "mode": "reflecting", "colored": True},
+     {"dp_entropy.csv": "befbdc82782d7ade346b7a4dd6dc90032d1e2f3a1921d7c6f3708e7b18bb3666"}, 2),
+    ({"experiment": "dp-entropy", "L": [5, 7, 9], "p": [0.3], "mode": "absorbing",
+      "colored": False, "cut_row": 2},
+     {"dp_entropy.csv": "e7f4f21b4bc211629310262e3b0876678dedb566265bda05702413ce9f1d3589"}, 0),
+    # a p with no dp row gets no fit row, so phase_exponents.csv is its header alone
+    ({"experiment": "phase-sweep", "L": [29], "p": [0.5, 0.8], "mode": "reflecting",
+      "colored": True},
+     {"phase_sweep.csv": "46ca6cc105c41161def8c83374625a2b41a0b52dc7fcca8295b9bbd0ae485a40",
+      "phase_exponents.csv": "9a79c86d620927b837d5ed651957a866288ba97d3c952ce5df41ebedbfa7b114"}, 2),
+    ({"experiment": "seqgen-check", "L": [3, 5, 7], "p": [0.5], "mode": "reflecting",
+      "colored": True, "max_nodes": 2000},
+     {"seqgen_fidelity.csv": "97493fe4faa2fa41f4b118dd11b4feec802bb0d82a02952ba685555e683f16be"}, 2),
+    # a partial point: L = 7's 400 residual rows stay, and its capacity row follows them
+    # once the sector spectrum trips DENSE_STATES
+    ({"experiment": "hamiltonian-check", "L": [3, 7], "p": [0.5], "mode": "absorbing",
+      "colored": True},
+     {"hamiltonian_residuals.csv":
+      "4c04a037e42acaac34b4eb7fc4ea120a6ffe0a54bce9eff3b5e34e3defd4bffe"}, 2),
 ]
 
 
 def _golden_ids(cases):
     """experiment-mode-colors, plus the sizes where that label repeats."""
     ids = []
-    for m, _ in cases:
+    for m, _, _ in cases:
         label = f"{m['experiment']}-{m['mode']}-{'colored' if m['colored'] else 'uncolored'}"
         ids.append(label if label not in ids else f"{label}-L{'-'.join(map(str, m['L']))}")
     return ids
 
 
-@pytest.mark.parametrize("manifest,hashes", GOLDEN, ids=_golden_ids(GOLDEN))
-def test_golden_csv_bytes(tmp_path, manifest, hashes):
+@pytest.mark.parametrize("manifest,hashes,exit_code", GOLDEN, ids=_golden_ids(GOLDEN))
+def test_golden_csv_bytes(tmp_path, manifest, hashes, exit_code):
     paths, code = run_experiment({**manifest, "out": str(tmp_path)})
-    assert code == 0
+    assert code == exit_code
     by_name = {p.name: p for p in paths}
     for name, want in hashes.items():
         assert hashlib.sha256(by_name[name].read_bytes()).hexdigest() == want, name
