@@ -13,6 +13,20 @@ file carries the only nondeterministic content (timing, memory and the
 range count, which follows the CPUs available) and is excluded from
 that guarantee.
 
+Every experiment runs one loop, `run_experiment`, over its (L, p) grid,
+L-major.  A row of `EXPERIMENTS` gives the point function, a generator of
+(file name, row) pairs for one `ModelParams`; its capacity row; the files
+every run writes, with their headers; and, for phase-sweep, the fit step
+that reads them after the grid.  When a point trips a capacity guard, the
+rows it yielded before stay and its capacity row follows them in the
+first listed file.  A file the row does not list is the point's own
+(scaling's series files, headed by the first row the point yields to
+them) and is written as soon as the point ends, so no later point holds
+its rows; scaling's point runs every p of an L at the L's first p, from
+one `ensemble` call and so from the same draws.  The artifact paths come
+in the order written: the points' own files, the listed files in their
+listed order, then run_metadata.json.
+
 Exit codes: 0 success, 2 capacity guard tripped on some grid points
 (partial results written), 1 hard error or usage error.
 """
@@ -39,14 +53,17 @@ from .params import ModelParams
 from .scaling import DEFAULT_FIT_HI_MIN, DEFAULT_FIT_LO, ensemble, exponent_report, fit_mask
 from .seqgen import fidelity, run_generation
 
-# the entries every experiment takes; each row of EXPERIMENTS adds the ones its runner reads
+# the entries every experiment takes; each row of EXPERIMENTS adds the ones its point reads
 COMMON = {"L": [3], "p": [0.5], "mode": "reflecting", "colored": True, "seed": 0, "out": "out"}
 
 
 def load_manifest(path) -> dict:
     """A manifest file's entries, checked by run_experiment after any flag overrides."""
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"manifest {path} is not UTF-8 text: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidParameterError(f"a manifest must be a JSON object, got {data!r}")
     if "experiment" not in data:
@@ -57,7 +74,7 @@ def load_manifest(path) -> dict:
 def normalize_manifest(data: dict) -> dict:
     if data.get("experiment") not in EXPERIMENTS:
         raise InvalidParameterError(f"experiment must be one of {tuple(EXPERIMENTS)}")
-    _, own, reads = EXPERIMENTS[data["experiment"]]
+    *_, own, reads = EXPERIMENTS[data["experiment"]]
     unread = sorted(set(data) - set(COMMON) - set(reads) - {"experiment"})
     if unread:
         raise InvalidParameterError(f"{data['experiment']} does not read manifest entries {unread}")
@@ -85,14 +102,13 @@ def normalize_manifest(data: dict) -> dict:
             raise InvalidParameterError(f"fit window needs integers fit_lo < fit_hi, got {lo!r}, {hi!r}")
         fit_mask(np.arange(1, out["tmax"] + 1), (lo, DEFAULT_FIT_HI_MIN if hi is None else hi))
     cut = out.get("cut_row")
-    for L in out["L"]:
-        for p in out["p"]:
-            params = ModelParams(L=L, p=p, boundary_mode=out["mode"],
-                                 colored=out["colored"], seed=out["seed"])
-            if out["experiment"] != "scaling":  # the free dynamics alone takes even L
-                params.require_odd_L()
-        if cut is not None and (type(cut) is not int or not 1 <= cut <= L - 1):
-            raise InvalidParameterError(f"cut_row must lie in 1..{L - 1} for L={L}, got {cut!r}")
+    for n, params in enumerate(_grid(out), 1):
+        if out["experiment"] != "scaling":  # the free dynamics alone takes even L
+            params.require_odd_L()
+        last_p = n % len(out["p"]) == 0  # an L's cut once all its points passed: L-major errors
+        if last_p and cut is not None and (type(cut) is not int or not 1 <= cut <= params.L - 1):
+            raise InvalidParameterError(
+                f"cut_row must lie in 1..{params.L - 1} for L={params.L}, got {cut!r}")
     out["p"] = [float(p) for p in out["p"]]  # an integer p writes what --p writes: 1.0, not 1
     for key in ("L", "p"):  # a repeated point would run, and be fitted, twice
         if len(set(out[key])) < len(out[key]):
@@ -100,11 +116,12 @@ def normalize_manifest(data: dict) -> dict:
     return out
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csvs(outdir: Path, files: dict) -> list:
+    """Write each {file name: rows} entry, header row first; returns the paths in order."""
+    for name, rows in files.items():
+        with open(outdir / name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return [outdir / name for name in files]
 
 
 def _grid(manifest):
@@ -120,12 +137,25 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     outdir = Path(manifest["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    runner = EXPERIMENTS[manifest["experiment"]][0]
-    meta = {"manifest": manifest, "seed": manifest["seed"]}
+    point, capacity_row, headers, fit = EXPERIMENTS[manifest["experiment"]][:4]
+    meta = {"manifest": manifest, "seed": manifest["seed"]}  # a point may add entries
+    listed = {name: [header] for name, header in headers.items()}
+    paths, code = [], 0
     try:
-        paths, capacity_hit = runner(manifest, outdir, meta)  # a runner may add entries
+        for params in _grid(manifest):
+            own = {}  # the files of this point alone, each headed by its first row
+            try:
+                for name, row in point(manifest, params, meta):
+                    (listed if name in listed else own).setdefault(name, []).append(row)
+            except CapacityError:  # the rows the point yielded stay; its capacity row follows
+                listed[next(iter(headers))].append(capacity_row(manifest, params))
+                code = 2
+            paths += _write_csvs(outdir, own)
     finally:  # the kept layout would outlive the run (exact._kept)
         exact._KEPT.clear()
+    if fit is not None:
+        fit(listed)
+    paths += _write_csvs(outdir, listed)
     meta["version"] = __version__
     meta["wall_time_s"] = time.perf_counter() - started
     # ru_maxrss is in KiB on Linux; the children's figure is the largest peak of any
@@ -137,73 +167,74 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return paths + [meta_path], 2 if capacity_hit else 0
+    return paths + [meta_path], code
 
 
-def _run_scaling(manifest, outdir, meta):
-    paths = []
-    summary = []
-    meta["trajectory_ranges"] = []
-    window = None
-    if manifest["fit_hi"] is not None:
-        window = (manifest["fit_lo"], manifest["fit_hi"])
-    # _grid runs through every p of one L before the next L; one ensemble
-    # call serves every p of an L from the same draws
-    for first in list(_grid(manifest))[::len(manifest["p"])]:
-        for series in ensemble(first, manifest["samples"], manifest["tmax"], ps=manifest["p"]):
-            params = series.params
-            meta["trajectory_ranges"].append({"L": params.L, "p": params.p,
-                                              "ranges": series.ranges})
-            columns = (series.times, series.W, series.W_stderr, series.mid_height,
-                       series.mid_stderr, series.W_fluct)
-            rows = [(*row, series.n_samples) for row in zip(*(c.tolist() for c in columns))]
-            path = outdir / f"scaling_L{params.L}_p{params.p}.csv"
-            _write_csv(path, ["t", "W_mean", "W_stderr", "mid_mean", "mid_stderr",
-                              "W_fluct", "n"], rows)
-            paths.append(path)
-            rep = exponent_report(series, fit_window=window)
-            summary.append((params.L, params.p,
-                            rep["W"]["exponent"], rep["W"]["r_squared"],
-                            rep["mid"]["exponent"], rep["mid"]["r_squared"],
-                            rep["W_fluct"]["exponent"],
-                            rep["fit_window"][0], rep["fit_window"][1],
-                            rep["saturation_time"] if rep["saturation_time"] else -1))
-    path = outdir / "scaling_summary.csv"
-    _write_csv(path, ["L", "p", "W_exponent", "W_r2", "mid_exponent", "mid_r2",
-                      "W_fluct_exponent", "fit_lo", "fit_hi", "saturation_t"], summary)
-    paths.append(path)
-    return paths, False
+def _scaling_point(manifest, params, meta):
+    """Every p of params.L from one ensemble call, so from the same draws; at the L's first p."""
+    if params.p != manifest["p"][0]:
+        return
+    window = None if manifest["fit_hi"] is None else (manifest["fit_lo"], manifest["fit_hi"])
+    for series in ensemble(params, manifest["samples"], manifest["tmax"], ps=manifest["p"]):
+        L, p = series.params.L, series.params.p
+        meta.setdefault("trajectory_ranges", []).append({"L": L, "p": p, "ranges": series.ranges})
+        name = f"scaling_L{L}_p{p}.csv"
+        yield name, ("t", "W_mean", "W_stderr", "mid_mean", "mid_stderr", "W_fluct", "n")
+        columns = (series.times, series.W, series.W_stderr, series.mid_height,
+                   series.mid_stderr, series.W_fluct)
+        for row in zip(*(c.tolist() for c in columns)):
+            yield name, (*row, series.n_samples)
+        rep = exponent_report(series, fit_window=window)
+        yield "scaling_summary.csv", (L, p, rep["W"]["exponent"], rep["W"]["r_squared"],
+                                      rep["mid"]["exponent"], rep["mid"]["r_squared"],
+                                      rep["W_fluct"]["exponent"],
+                                      rep["fit_window"][0], rep["fit_window"][1],
+                                      rep["saturation_time"] if rep["saturation_time"] else -1)
 
 
-def _entropy_rows(manifest):
-    """(L, p, mode, cut, method, S_uncolored, color_term, S_total) rows of the DP grid.
-
-    exact-entropy puts an "svd" row before each "dp" row; a grid point over
-    a capacity guard gets one "capacity" row of nan.
-    """
-    rows = []
-    capacity = False
-    for params in _grid(manifest):
-        cut = mid_cut_row(params.L) if manifest["cut_row"] is None else manifest["cut_row"]
-        point = (params.L, params.p, params.boundary_mode, cut)
-        try:
-            if manifest["experiment"] == "exact-entropy":
-                report = entropy_exact(build_state(params, max_nodes=manifest["max_nodes"]), cut)
-                rows.append((*point, "svd", report.S_uncolored, report.color_term, report.S_total))
-            report = entropy_dp(params, cut, manifest["max_nodes"])
-            rows.append((*point, "dp", report.S_uncolored, report.color_term, report.S_total))
-        except CapacityError:
-            rows.append((*point, "capacity", float("nan"), float("nan"), float("nan")))
-            capacity = True
-    return rows, capacity
+def _cut(manifest, params):
+    return mid_cut_row(params.L) if manifest["cut_row"] is None else manifest["cut_row"]
 
 
-def _run_entropy(manifest, outdir, meta):
-    rows, capacity = _entropy_rows(manifest)
-    path = outdir / f"{manifest['experiment'].replace('-', '_')}.csv"
-    _write_csv(path, ["L", "p", "mode", "cut", "method",
-                      "S_uncolored", "color_term", "S_total"], rows)
-    return [path], capacity
+def _entropy_row(manifest, params, method, report=None):
+    """(L, p, mode, cut, method, S_uncolored, color_term, S_total); nan without a report."""
+    values = _NAN3 if report is None else (report.S_uncolored, report.color_term, report.S_total)
+    return (params.L, params.p, params.boundary_mode, _cut(manifest, params), method, *values)
+
+
+def _dp_point(manifest, params, meta):
+    """The DP's row, in the experiment's one entropy file."""
+    name = f"{manifest['experiment'].replace('-', '_')}.csv"
+    report = entropy_dp(params, _cut(manifest, params), manifest["max_nodes"])
+    yield name, _entropy_row(manifest, params, "dp", report)
+
+
+def _exact_point(manifest, params, meta):
+    """The Schmidt decomposition's "svd" row, then the DP's row."""
+    state = build_state(params, max_nodes=manifest["max_nodes"])
+    yield "exact_entropy.csv", _entropy_row(manifest, params, "svd",
+                                            entropy_exact(state, _cut(manifest, params)))
+    yield from _dp_point(manifest, params, meta)
+
+
+def _phase_point(manifest, params, meta):
+    """The DP's row without its mode and method."""
+    for name, (L, p, _, cut, _, *values) in _dp_point(manifest, params, meta):
+        yield name, (L, p, cut, *values)
+
+
+def _fit_phase_exponents(files):
+    """Each p's power-law fit of S_total over L, from the points that reached the DP."""
+    by_p = {}
+    for L, p, _, _, _, S_total in files["phase_sweep.csv"][1:]:
+        if not np.isnan(S_total):  # a capacity row has no entropy to fit
+            by_p.setdefault(p, []).append((L, S_total))
+    for p, pts in sorted(by_p.items()):
+        positive = sorted((L, S) for L, S in pts if S > 0)
+        if len(positive) >= 3:
+            files["phase_exponents.csv"].append((p, *fit_power_law(*zip(*positive))))
+        else:  # S = 0 is a valid area law (p = 0) but has no power-law fit
+            files["phase_exponents.csv"].append((p, *_NAN3))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -212,81 +243,56 @@ def _support_label(support) -> str:
     return ";".join("/".join(map(str, s)) for s in support)
 
 
-def _run_hamiltonian_check(manifest, outdir, meta):
-    res_rows = []
-    spec_rows = []
-    capacity = False
-    for params in _grid(manifest):
-        try:
-            state = build_state(params, max_nodes=manifest["max_nodes"])
-            terms = assemble_hamiltonian(params)
-            for n, (term, r) in enumerate(zip(terms, term_residuals(terms, state))):
-                res_rows.append((params.L, params.p, n, term.kind, _support_label(term.support), r))
-            for n, val in enumerate(sector_spectrum(terms, params, k=4)):
-                spec_rows.append((params.L, params.p, n, val))
-        except CapacityError:
-            res_rows.append((params.L, params.p, -1, "capacity", "", float("nan")))
-            capacity = True
-    p1 = outdir / "hamiltonian_residuals.csv"
-    _write_csv(p1, ["L", "p", "term", "kind", "support", "residual"], res_rows)
-    p2 = outdir / "hamiltonian_spectrum.csv"
-    _write_csv(p2, ["L", "p", "index", "eigenvalue"], spec_rows)
-    return [p1, p2], capacity
+def _hamiltonian_point(manifest, params, meta):
+    state = build_state(params, max_nodes=manifest["max_nodes"])
+    terms = assemble_hamiltonian(params)
+    for n, (term, r) in enumerate(zip(terms, term_residuals(terms, state))):
+        yield "hamiltonian_residuals.csv", (params.L, params.p, n, term.kind,
+                                            _support_label(term.support), r)
+    for n, val in enumerate(sector_spectrum(terms, params, k=4)):
+        yield "hamiltonian_spectrum.csv", (params.L, params.p, n, val)
 
 
-def _run_seqgen_check(manifest, outdir, meta):
-    rows = []
-    capacity = False
-    for params in _grid(manifest):
-        try:
-            gen, success = run_generation(params, max_branches=manifest["max_nodes"])
-            state = build_state(params, max_nodes=manifest["max_nodes"])
-            _, success_cool = run_generation(params, cooling=True,
-                                             max_branches=manifest["max_nodes"])
-            rows.append((params.L, params.p, params.colored,
-                         fidelity(gen, state), success, success_cool))
-        except CapacityError:
-            rows.append((params.L, params.p, params.colored,
-                         float("nan"), float("nan"), float("nan")))
-            capacity = True
-    path = outdir / "seqgen_fidelity.csv"
-    _write_csv(path, ["L", "p", "colored", "fidelity", "success", "success_cooling"], rows)
-    return [path], capacity
+def _seqgen_point(manifest, params, meta):
+    gen, success = run_generation(params, max_branches=manifest["max_nodes"])
+    state = build_state(params, max_nodes=manifest["max_nodes"])
+    _, success_cool = run_generation(params, cooling=True, max_branches=manifest["max_nodes"])
+    yield "seqgen_fidelity.csv", (params.L, params.p, params.colored,
+                                  fidelity(gen, state), success, success_cool)
 
 
-def _run_phase_sweep(manifest, outdir, meta):
-    rows, capacity = _entropy_rows(manifest)
-    by_p = {}
-    for L, p, _, _, method, _, _, S_total in rows:
-        if method == "dp":
-            by_p.setdefault(p, []).append((L, S_total))
-    p1 = outdir / "phase_sweep.csv"
-    _write_csv(p1, ["L", "p", "cut", "S_uncolored", "color_term", "S_total"],
-               [(L, p, cut, *values) for L, p, _, cut, _, *values in rows])
-    fits = []
-    for p, pts in sorted(by_p.items()):
-        positive = sorted((L, S) for L, S in pts if S > 0)
-        if len(positive) >= 3:
-            fits.append((p, *fit_power_law(*zip(*positive))))
-        else:  # S = 0 is a valid area law (p = 0) but has no power-law fit
-            fits.append((p, float("nan"), float("nan"), float("nan")))
-    p2 = outdir / "phase_exponents.csv"
-    _write_csv(p2, ["p", "exponent", "amplitude", "r_squared"], fits)
-    return [p1, p2], capacity
-
-
+_NAN3 = (float("nan"),) * 3
+_ENTROPY_HEADER = ["L", "p", "mode", "cut", "method", "S_uncolored", "color_term", "S_total"]
 _ENTROPY_READS = {"max_nodes": MAX_NODES, "cut_row": None}
 
-# experiment: (runner, the one mode it runs in or None, the entries it reads beyond
-# COMMON with their defaults); a manifest entry outside these is refused
+# experiment: (point, its capacity row, the files every run writes with their headers (the
+# capacity row goes to the first), the step after the grid or None, the one mode it runs in
+# or None, the entries it reads beyond COMMON with their defaults); a manifest entry outside
+# these is refused
 EXPERIMENTS = {
-    "scaling": (_run_scaling, "reflecting",
+    "scaling": (_scaling_point, None,
+                {"scaling_summary.csv": ["L", "p", "W_exponent", "W_r2", "mid_exponent", "mid_r2",
+                                         "W_fluct_exponent", "fit_lo", "fit_hi", "saturation_t"]},
+                None, "reflecting",
                 {"samples": 200, "tmax": 4000, "fit_lo": DEFAULT_FIT_LO, "fit_hi": None}),
-    "exact-entropy": (_run_entropy, None, _ENTROPY_READS),
-    "dp-entropy": (_run_entropy, None, _ENTROPY_READS),
-    "hamiltonian-check": (_run_hamiltonian_check, "absorbing", {"max_nodes": MAX_NODES}),
-    "seqgen-check": (_run_seqgen_check, "reflecting", {"max_nodes": MAX_NODES}),
-    "phase-sweep": (_run_phase_sweep, None, _ENTROPY_READS),
+    "exact-entropy": (_exact_point, lambda m, params: _entropy_row(m, params, "capacity"),
+                      {"exact_entropy.csv": _ENTROPY_HEADER}, None, None, _ENTROPY_READS),
+    "dp-entropy": (_dp_point, lambda m, params: _entropy_row(m, params, "capacity"),
+                   {"dp_entropy.csv": _ENTROPY_HEADER}, None, None, _ENTROPY_READS),
+    "hamiltonian-check": (_hamiltonian_point,
+                          lambda m, params: (params.L, params.p, -1, "capacity", "", float("nan")),
+                          {"hamiltonian_residuals.csv": ["L", "p", "term", "kind", "support",
+                                                         "residual"],
+                           "hamiltonian_spectrum.csv": ["L", "p", "index", "eigenvalue"]},
+                          None, "absorbing", {"max_nodes": MAX_NODES}),
+    "seqgen-check": (_seqgen_point, lambda m, params: (params.L, params.p, params.colored, *_NAN3),
+                     {"seqgen_fidelity.csv": ["L", "p", "colored", "fidelity", "success",
+                                              "success_cooling"]},
+                     None, "reflecting", {"max_nodes": MAX_NODES}),
+    "phase-sweep": (_phase_point, lambda m, params: (params.L, params.p, _cut(m, params), *_NAN3),
+                    {"phase_sweep.csv": ["L", "p", "cut", "S_uncolored", "color_term", "S_total"],
+                     "phase_exponents.csv": ["p", "exponent", "amplitude", "r_squared"]},
+                    _fit_phase_exponents, None, _ENTROPY_READS),
 }
 
 
@@ -294,7 +300,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="depevap",
                                      description="deposition-evaporation lattice-state experiments")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (_, own, reads) in EXPERIMENTS.items():
+    for name, (*_, own, reads) in EXPERIMENTS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--manifest", type=str, default=None)
         sp.add_argument("--L", type=int, action="append", default=None)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import depevap
-from depevap import exact, scaling
+from depevap import cli, exact, scaling
 from depevap.cli import COMMON, EXPERIMENTS, load_manifest, main, normalize_manifest, run_experiment
 from depevap.errors import InvalidParameterError
 
@@ -247,6 +247,23 @@ def test_scaling_grid_matches_single_point_runs(tmp_path):
     assert len([p for p in grid_paths if p.suffix == ".csv"]) == 7
 
 
+def test_scaling_writes_each_L_before_the_next_ensemble(tmp_path, monkeypatch):
+    # a run holds one L's series rows at most: they are on disk before the next L runs
+    on_disk = {}
+    real = cli.ensemble
+
+    def spy(params, *args, **kwargs):
+        on_disk[params.L] = {p.name: len(p.read_text().splitlines())
+                             for p in tmp_path.glob("scaling_L*.csv")}
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ensemble", spy)
+    manifest = {"experiment": "scaling", "L": [16, 17], "p": [0.5, 0.8], "samples": 2,
+                "tmax": 200, "out": str(tmp_path)}
+    assert run_experiment(manifest)[1] == 0
+    assert on_disk == {16: {}, 17: {"scaling_L16_p0.5.csv": 201, "scaling_L16_p0.8.csv": 201}}
+
+
 def test_seqgen_and_exact_entropy_reruns_are_byte_identical(tmp_path):
     commands = {"seqgen_fidelity.csv": ["seqgen-check", "--L", "5", "--p", "0.0", "--p", "0.5",
                                         "--p", "1.0"],
@@ -386,6 +403,7 @@ def test_traced_spans_cover_the_cli_calls(tmp_path):
     ["phase-sweep", "--L", "5", "--L", "5", "--L", "7", "--L", "9", "--p", "0.5"],  # a repeated point
     ["scaling", {"L": [16, 16], "samples": 2, "tmax": 500}],
     ["dp-entropy", {"L": 5, "p": [1, 1.0]}],  # the same p once converted to float
+    ["dp-entropy", b"\xff\xfe{}"],  # bytes are written as they are: not UTF-8
 ])
 def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
     out = tmp_path / "run"
@@ -394,7 +412,7 @@ def test_lax_input_rejected_before_any_point(tmp_path, capsys, args):
         if isinstance(manifest, dict):
             manifest = {"experiment": args[0], **manifest}
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
+        path.write_bytes(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
         args = [args[0], "--manifest", str(path)]
     assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -423,7 +441,7 @@ BASE = {"dp-entropy": {"L": 5, "p": 0.5}, "scaling": {"L": 16, "p": 0.5, "sample
 
 @pytest.mark.parametrize("key", [None, *WRONG_TYPED])
 def test_wrong_typed_manifest_entry_is_an_error(tmp_path, capsys, key):
-    assert set(WRONG_TYPED) == set(COMMON).union(*(reads for _, _, reads in EXPERIMENTS.values()))
+    assert set(WRONG_TYPED) == set(COMMON).union(*(reads for *_, reads in EXPERIMENTS.values()))
     for experiment in [READER.get(key, "dp-entropy")] if key else BASE:
         manifest = {"experiment": experiment, **BASE[experiment], "out": str(tmp_path / "run"),
                     **WRONG_TYPED.get(key, {})}
