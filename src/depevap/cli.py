@@ -196,7 +196,7 @@ def _cut(manifest, params):
     return mid_cut_row(params.L) if manifest["cut_row"] is None else manifest["cut_row"]
 
 
-def _entropy_row(manifest, params, method, report=None):
+def _entropy_row(manifest, params, method="capacity", report=None):
     """(L, p, mode, cut, method, S_uncolored, color_term, S_total); nan without a report."""
     values = _NAN3 if report is None else (report.S_uncolored, report.color_term, report.S_total)
     return (params.L, params.p, params.boundary_mode, _cut(manifest, params), method, *values)
@@ -275,10 +275,10 @@ EXPERIMENTS = {
                                          "W_fluct_exponent", "fit_lo", "fit_hi", "saturation_t"]},
                 None, "reflecting",
                 {"samples": 200, "tmax": 4000, "fit_lo": DEFAULT_FIT_LO, "fit_hi": None}),
-    "exact-entropy": (_exact_point, lambda m, params: _entropy_row(m, params, "capacity"),
-                      {"exact_entropy.csv": _ENTROPY_HEADER}, None, None, _ENTROPY_READS),
-    "dp-entropy": (_dp_point, lambda m, params: _entropy_row(m, params, "capacity"),
-                   {"dp_entropy.csv": _ENTROPY_HEADER}, None, None, _ENTROPY_READS),
+    "exact-entropy": (_exact_point, _entropy_row, {"exact_entropy.csv": _ENTROPY_HEADER},
+                      None, None, _ENTROPY_READS),
+    "dp-entropy": (_dp_point, _entropy_row, {"dp_entropy.csv": _ENTROPY_HEADER},
+                   None, None, _ENTROPY_READS),
     "hamiltonian-check": (_hamiltonian_point,
                           lambda m, params: (params.L, params.p, -1, "capacity", "", float("nan")),
                           {"hamiltonian_residuals.csv": ["L", "p", "term", "kind", "support",
