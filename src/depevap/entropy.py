@@ -1,10 +1,12 @@
 """Bipartite entanglement entropy, three ways.
 
-* `entropy_exact`: Schmidt weights of an explicitly built sparse state,
-  via per-sector Gram blocks.  `schmidt_spectrum` decodes all keys in
-  one `codec.decode_keys` call, groups them by their bottom part, and
-  reads each sector label off one key per distinct bottom, its colors by
-  `codec.pending_colors` (`push_pop` on `empty_stacks`).
+* `entropy_exact`: Schmidt weights of an explicitly built sparse state.
+  `schmidt_spectrum` decodes all keys in one `codec.decode_keys` call,
+  groups them by their bottom part, and reads each sector label off one
+  key per distinct bottom, its colors by `codec.pending_colors`
+  (`push_pop` on `empty_stacks`).  The sectors' matrices are stacked by
+  shape (`exact._Stacks`, the package's one dense-block path), with one
+  Gram product and one `eigvalsh` per shape.
 * `entropy_formula`: closed form S = <N_c> + S_uncolored in bits from a
   mid-cut surface distribution; each unmatched deposited pair below the
   cut contributes one bit, and pairs number A/2 for cut area A.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .codec import DecodedKeys, decode_keys, key_rows, pending_colors, site_order
 from .errors import CapacityError, InvalidParameterError
-from .exact import SparseState, _fsum, _kept
+from .exact import SparseState, _fsum, _kept, _Stacks
 from .params import ModelParams, _is_int, _require_cap
 from .surface import event_table, horizon_profile, slice_sites
 
@@ -283,14 +285,18 @@ def _site_value(config, site):
 
 
 def schmidt_spectrum(state: SparseState, cut_row: int):
-    """Schmidt weights with sector labels, grouped Gram-block by sector.
+    """Schmidt weights with sector labels, weights descending.
 
     The space cut after slice `cut_row` splits the state into sectors
     labelled (zigzag profile at the cut, unmatched pair colors below it).
     Every key is decoded and validated once, and each label is read from
-    the decoded rows of one key per distinct bottom part.  A block's Gram
-    rows and columns are its bottom and top parts in lexicographic order
-    of their site values.
+    the decoded rows of one key per distinct bottom part.  A sector's
+    matrix M has its bottom and top parts as rows and columns, each ranked
+    within the sector in lexicographic order of their site values.  The
+    matrices are stacked by shape (`exact._Stacks`), and each stack takes
+    one M M^T and one `eigvalsh`; every sector's eigenvalues of at least
+    SCHMIDT_TOL join the list in label order, ascending, before the one
+    stable sort by weight.
     """
     params = state.params
     L = params.L
@@ -314,20 +320,16 @@ def schmidt_spectrum(state: SparseState, cut_row: int):
     order = sorted(set(labels))
     rank = {label: r for r, label in enumerate(order)}
     sector_of = np.array([rank[label] for label in labels])[bottom_of]
-    keys_by_sector = np.argsort(sector_of, kind="stable")
-    bounds = np.searchsorted(sector_of[keys_by_sector], np.arange(len(order) + 1))
-
-    spectrum = []
-    for label, lo, hi in zip(order, bounds[:-1], bounds[1:]):
-        block = keys_by_sector[lo:hi]
-        rows, row_of = np.unique(bottom_of[block], return_inverse=True)
-        cols, col_of = np.unique(top_of[block], return_inverse=True)
-        M = np.zeros((len(rows), len(cols)))
-        M[row_of, col_of] = amps[block]
-        gram = M @ M.T
-        for lam in np.linalg.eigvalsh(gram):
-            if lam >= SCHMIDT_TOL:
-                spectrum.append((label, float(lam)))
+    at = []  # per part: each key's rank among its sector's distinct parts, and their counts
+    for part in (bottom_of, top_of):
+        pairs, within = np.unique(sector_of * (part.max() + 1) + part, return_inverse=True)
+        count = np.bincount(pairs // (part.max() + 1))
+        at.append((within - (np.cumsum(count) - count)[sector_of], count))
+    (row, rows), (col, cols) = at
+    levels = {}  # each sector's eigenvalues, ascending
+    for ids, M in _Stacks(sector_of, row, col, np.stack([rows, cols], 1))(amps):
+        levels.update(zip(ids.tolist(), np.linalg.eigvalsh(M @ M.transpose(0, 2, 1)).tolist()))
+    spectrum = [(order[s], lam) for s in sorted(levels) for lam in levels[s] if lam >= SCHMIDT_TOL]
     spectrum.sort(key=lambda item: -item[1])
     return spectrum
 

@@ -89,6 +89,36 @@ def _fsum(values) -> float:
                                          for i in range(0, values.size, step)))
 
 
+class _Stacks:
+    """The package's one dense-block path: blocks filled from their entries, stacked by shape.
+
+    Entry e sits at (row[e], col[e]) of block block[e], and `shape`
+    (blocks, 2) gives each block's rows and columns.  The blocks are
+    grouped by shape once, shapes ascending and blocks in order within
+    one.  Each call yields per shape the block ids (B,) and a zeroed
+    (B, rows, cols) stack holding `value` at the entries: the Schmidt
+    split's sector matrices (`entropy.schmidt_spectrum`) and H's connected
+    blocks (`hamiltonian._Blocks`).  A yielded stack is the caller's
+    alone: one that drops it before asking for the next never holds two.
+    """
+
+    def __init__(self, block, row, col, shape):
+        shapes, kind = np.unique(shape, axis=0, return_inverse=True)
+        place, of = np.empty(len(shape), dtype=np.intp), kind[block]
+        self.groups = []  # (block ids, shape, where each entry goes in the stack, entries)
+        for k, size in enumerate(shapes.tolist()):
+            ids, mine = np.flatnonzero(kind == k), np.flatnonzero(of == k)
+            place[ids] = np.arange(len(ids))
+            self.groups.append((ids, size, (place[block[mine]], row[mine], col[mine]), mine))
+
+    def __call__(self, value):
+        for ids, size, at, mine in self.groups:
+            stack = np.zeros((len(ids), *size))
+            stack[at] = value[mine]
+            yield ids, stack
+            del stack
+
+
 @dataclass(eq=False)
 class SparseState:
     """Real amplitudes over distinct canonical keys: `keys` (N, key_length) uint8, one

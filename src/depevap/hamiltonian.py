@@ -37,7 +37,9 @@ constrained sector is the bridges' `exact.walk` with the floor rule
 removed and every branch allowed at any p (`sector_keys`).  Its
 spectrum comes from H's symmetry sectors under reflection, time reversal
 and color swap (`_SymmetryReduction`), each split into connected blocks
-(`_Blocks`) diagonalized in full; `_Layout.levels` runs those steps.
+(`_Blocks`) that `exact._Stacks`, the Schmidt split's dense-block path,
+stacks by size for a full diagonalization; `_Layout.levels` runs those
+steps.
 
 Only the matrix values depend on p.  Terms of one local pattern share a
 read-only (states, matrix), and everything else (the entries' layout
@@ -66,7 +68,7 @@ from .codec import (
     vertex_spin_indices,
 )
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import SparseState, _kept, site_values, walk
+from .exact import SparseState, _kept, _Stacks, site_values, walk
 from .params import ModelParams, _is_int, _require_cap
 from .surface import branch_probability
 
@@ -428,7 +430,7 @@ class _Layout:
         self.count = np.bincount(window[source], minlength=len(table))
         self.window_ends = np.cumsum(self.count)
         self._last = None  # the entries of the last `entries` call, over a copy of its keys
-        self._reduced = None  # (commuting names, _SymmetryReduction, _Blocks) of `levels`
+        self._reduced = None  # (commuting names, _SymmetryReduction, its _Blocks stacker)
 
     def entries(self, keys) -> _Entries:
         """The entries over the key matrix `keys`, rows in order; the last matrix's are kept."""
@@ -480,7 +482,7 @@ class _Layout:
         _, reduction, blocks = self._reduced
         # map drops each stack once its levels are in, before the next stack is built
         return np.concatenate(list(map(lambda block: np.linalg.eigvalsh(block[1]).ravel(),
-                                       blocks.stacks(reduction(value)))))
+                                       blocks(reduction(value)))))
 
 
 def _layout(terms, params: ModelParams):
@@ -678,12 +680,15 @@ class _SymmetryReduction:
         return np.bincount(self.group, weights=weights)
 
 
-class _Blocks:
-    """The connected blocks of H's cells (row, col) over n keys, one group per block size s.
+class _Blocks(_Stacks):
+    """The connected blocks of H's cells (row, col) over n keys, stacked by size (`exact._Stacks`).
 
     Every edge hooks the larger of its keys' roots onto the smaller, and
     pointer jumping flattens the forest, until each key's root is the
-    first key of its block.  A block lists its keys ascending.
+    first key of its block.  `block` numbers each key's block in the
+    order of first keys, and a block lists its keys ascending.  Called
+    with H's values over the cells, it yields (block ids (B,), matrices
+    (B, s, s)) per block size s.
     """
 
     def __init__(self, row, col, n):
@@ -692,29 +697,11 @@ class _Blocks:
             np.minimum.at(root, np.maximum(root[row], root[col]), np.minimum(root[row], root[col]))
             while (root[root] != root).any():
                 root = root[root]
-        size = np.bincount(root, minlength=n)  # a block's size, at its first key
-        start = np.cumsum(size) - size
-        members = np.argsort(root, kind="stable")
-        self.groups = []  # (keys (B, s), where each owned cell goes in the (B, s, s) stack, cells)
-        for s in np.flatnonzero(np.bincount(size)[1:]) + 1:
-            blocks = members[start[size == s, None] + np.arange(s)]
-            cell = np.full(n, -1)
-            cell[blocks.ravel()] = np.arange(blocks.size)  # block rank * s + position in it
-            mine = np.flatnonzero(cell[row] >= 0)
-            at = (cell[row[mine]] // s, cell[row[mine]] % s, cell[col[mine]] % s)
-            self.groups.append((blocks, at, mine))
-
-    def stacks(self, value):
-        """(keys (B, s), matrices (B, s, s)) per block size s, the matrices holding `value`.
-
-        A yielded stack is the caller's alone: one that drops it before
-        asking for the next never holds two.
-        """
-        for blocks, at, mine in self.groups:
-            stack = np.zeros((len(blocks), blocks.shape[1], blocks.shape[1]))
-            stack[at] = value[mine]
-            yield blocks, stack
-            del stack
+        _, self.block = np.unique(root, return_inverse=True)
+        size = np.bincount(self.block)
+        position = np.argsort(np.argsort(self.block, kind="stable"))  # place in (block, key) order
+        position -= (np.cumsum(size) - size)[self.block]  # a key's rank among its block's keys
+        super().__init__(self.block[row], position[row], position[col], np.stack([size, size], 1))
 
 
 def sector_spectrum(terms, params: ModelParams, k: int):
@@ -723,7 +710,8 @@ def sector_spectrum(terms, params: ModelParams, k: int):
     H is first reduced to the sectors of its symmetries
     (`_symmetry_images`, `_commuting`, `_SymmetryReduction`), then LAPACK
     diagonalizes each connected block of every sector (`_Blocks`) in
-    full, equal sizes in one stacked `eigvalsh`.  At L = 7 uncolored,
+    full, equal sizes stacked by `exact._Stacks` into one `eigvalsh`, as
+    the Schmidt split stacks its sectors.  At L = 7 uncolored,
     0 < p < 1, R and T give sectors of 270, 206, 206 and 186 states whose
     largest blocks hold 219, 163, 163 and 145.  That keeps every
     multiplicity and the same floats on every call, which ARPACK

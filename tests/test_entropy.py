@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from bridge_reference import bridge_colors, bridge_profiles, slice_outcomes
 from conftest import dense_schmidt_weights, oracle_midcut_marginal
+from schmidt_reference import schmidt_spectrum as per_sector_schmidt_spectrum
 from depevap import ModelParams
 from depevap.codec import (
     decode_config,
@@ -242,6 +244,54 @@ def test_exact_entropy_bytes_per_key():
 
     _traced_peak(call)  # first-call allocations stay out of the measurement
     assert _traced_peak(call) <= 1.15 * 359 * n, n
+
+
+_SCHMIDT_GRID = [(L, mode, colored) for L in (3, 5, 7) for mode in ("reflecting", "absorbing")
+                 for colored in (False, True)]
+
+
+@functools.lru_cache(maxsize=None)
+def _built(params):
+    """build_state(params), built once for the Schmidt grid tests below."""
+    return build_state(params)
+
+
+# the split of a `_built` state at a cut, taken once for both grid tests
+_split = functools.lru_cache(maxsize=None)(schmidt_spectrum)
+
+
+def _grid_cuts(params, mid_ps):
+    """(state, cut) pairs: every cut at p = 0.5, then the mid cut at each p of `mid_ps`."""
+    L = params.L
+    for p, cuts in [(0.5, range(1, L))] + [(p, [mid_cut_row(L)]) for p in mid_ps]:
+        for cut in cuts:
+            yield _built(params.with_(p=p)), cut
+
+
+@pytest.mark.parametrize("L,mode,colored", _SCHMIDT_GRID)
+def test_schmidt_spectrum_is_the_expanded_dp_law(L, mode, colored):
+    # the DP's law fixes every Schmidt weight, not only their entropy: colored, each
+    # profile x at the cut carries 2^(A(x)/2) equal weights P(x) / 2^(A(x)/2), one per
+    # color stack of its A(x)/2 unmatched pairs (A the area above the horizon);
+    # uncolored, the one weight P(x)
+    params = ModelParams(L=L, p=0.5, boundary_mode=mode, colored=colored)
+    for state, cut in _grid_cuts(params, (0.25, 0.8)):
+        dist = midcut_distribution(state.params, cut)
+        area = dist.heights[:, 1:L + 1].sum(axis=1, dtype=np.int64) - (L + 1) // 2
+        copies = 2 ** (area // 2) if colored else np.ones_like(area)
+        law = np.sort(np.repeat(dist.probs / copies, copies))
+        weights = np.sort([lam for _, lam in _split(state, cut)])
+        assert len(weights) == len(law), (state.params, cut)
+        assert np.max(np.abs(weights - law)) <= 1e-12, (state.params, cut)
+
+
+@pytest.mark.parametrize("L,mode,colored", _SCHMIDT_GRID)
+def test_schmidt_spectrum_matches_the_per_sector_loop(L, mode, colored):
+    # the sectors' M stacked by shape, one Gram product and one eigvalsh per shape, give
+    # the per-sector loop's list float for float: labels, weights and their order
+    params = ModelParams(L=L, p=0.5, boundary_mode=mode, colored=colored)
+    for state, cut in _grid_cuts(params, (0.0, 0.25, 0.8, 1.0)):
+        assert repr(_split(state, cut)) == repr(per_sector_schmidt_spectrum(state, cut))
 
 
 def test_schmidt_rejects_unnormalized(l3_state_reflecting):

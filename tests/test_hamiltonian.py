@@ -420,8 +420,9 @@ def test_sector_blocks_L7():
     H = sector_matrix(terms, keys, params)
     members, label = [], np.full(len(keys), -1)
     row, col, value = _cells(H)
-    for stacked, matrices in _Blocks(row, col, len(keys)).stacks(value):
-        for block, matrix in zip(stacked, matrices):
+    blocks = _Blocks(row, col, len(keys))
+    for ids, matrices in blocks(value):
+        for block, matrix in zip((np.flatnonzero(blocks.block == b) for b in ids), matrices):
             assert (label[block] == -1).all() and list(block) == sorted(block)
             label[block] = len(members)
             members.append(block)
@@ -470,8 +471,8 @@ def test_ground_block_is_a_heat_bath_chain(L, colored, bridges, sector, p, gap):
     psi = np.zeros(len(keys))
     psi[on] = state.amps
     row, col = np.nonzero(H)
-    [ground] = [block for blocks, _, _ in _Blocks(row, col, len(keys)).groups
-                for block in blocks if on[0] in block]
+    block = _Blocks(row, col, len(keys)).block  # each key's block
+    ground = np.flatnonzero(block == block[on[0]])
     assert (len(ground), len(keys)) == (bridges, sector)
     assert np.array_equal(ground, np.sort(on))
     levels, vecs = np.linalg.eigh(H[np.ix_(ground, ground)])
