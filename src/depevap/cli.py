@@ -3,15 +3,18 @@
 Every experiment is described by a manifest (a flat JSON object); flags
 override manifest entries.  Each run writes deterministic CSV data files
 plus run_metadata.json (manifest echo, seed, package version, wall
-time, peak resident memory of the process and the largest peak of the
-children it waited for, and for scaling the trajectory ranges of each
-grid point).  The children's figure is `RUSAGE_CHILDREN`, which also
-counts children that the launcher reaped before it exec'd the process,
-so it is not zero on a run that forks nothing.  Rerunning the
-same manifest reproduces the data files byte for byte; the metadata
-file carries the only nondeterministic content (timing, memory and the
-range count, which follows the CPUs available) and is excluded from
-that guarantee.
+time, peak resident memory of the process, the largest peak of the
+children it waited for and the largest peak of the run's own range
+workers, and for scaling the trajectory ranges of each grid point).
+The children's figure is `RUSAGE_CHILDREN`, which also counts children
+that the launcher reaped before it exec'd the process, so it is not
+zero on a run that forks nothing.  The workers' figure,
+`worker_peak_rss_mb`, is the largest `ru_maxrss` that `os.wait4`
+reported for a range worker of this run, and 0.0 when no worker ran.
+Rerunning the same manifest reproduces the data files byte for byte;
+the metadata file carries the only nondeterministic content (timing,
+memory and the range count, which follows the CPUs available) and is
+excluded from that guarantee.
 
 Every experiment runs one loop, `run_experiment`, over its (L, p) grid,
 L-major.  A row of `EXPERIMENTS` gives the point function, a generator of
@@ -44,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, exact
+from . import __version__, exact, scaling
 from .entropy import entropy_dp, entropy_exact, fit_power_law, mid_cut_row
 from .errors import CapacityError, InvalidParameterError
 from .exact import MAX_NODES, build_state
@@ -141,6 +144,7 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     meta = {"manifest": manifest, "seed": manifest["seed"]}  # a point may add entries
     listed = {name: [header] for name, header in headers.items()}
     paths, code = [], 0
+    scaling._REAPED_RSS.clear()  # the peaks of this run's range workers alone
     try:
         for params in _grid(manifest):
             own = {}  # the files of this point alone, each headed by its first row
@@ -160,9 +164,11 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     meta["wall_time_s"] = time.perf_counter() - started
     # ru_maxrss is in KiB on Linux; the children's figure is the largest peak of any
     # waited-for child, such as the free-dynamics range workers, and counts the children
-    # a launcher reaped before exec too (about 3 MB through a pyenv shim, 0 exec'd directly)
+    # a launcher reaped before exec too (about 3 MB through a pyenv shim, 0 exec'd directly);
+    # the workers' figure is the largest peak of this run's own range workers, 0 without one
     meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     meta["peak_rss_children_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    meta["worker_peak_rss_mb"] = max(scaling._REAPED_RSS, default=0) / 1024
     meta_path = outdir / "run_metadata.json"
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -61,10 +61,20 @@ moment dtype, onto a pipe of its own.  On Linux the pipe is enlarged to
 1 MiB (F_SETPIPE_SZ), a few blocks at L = 512, so that a worker runs
 ahead of the caller's reads.  A worker leaves through os._exit, never
 through the caller's frames.  The caller closes every pipe and then
-reaps every worker, after sending each SIGTERM if it raises.  It puts
-the W columns back in trajectory order and adds the integer partials
-exactly in int64, so the float reductions see the same (block, n_traj)
-operands, and every output is byte-identical, for any number of ranges.
+reaps every worker with os.wait4, after sending each SIGTERM if it
+raises, and notes the worker's ru_maxrss for the CLI's
+`worker_peak_rss_mb`.  It puts the W columns back in trajectory order
+and adds the integer partials exactly in int64, one range at a time, so
+the float reductions see the same (block, n_traj) operands, and every
+output is byte-identical, for any number of ranges.
+
+One block in flight.  A range finishes each block in place on its int64
+sums (L S2 - S1^2, one division into W, the square root in place) and
+keeps no reference to it once it is yielded; the caller squares the
+concatenated W in place for the W_sq sums, forms n C2 - C1^2 in place
+and drops the block before it asks the ranges for the next one.  So the
+last block's arrays never live beside range 0's working set for the
+next one.
 
 Grid points.  A trajectory's stream is keyed by (seed, k), not by p, so
 `ensemble(params, n, t, ps=[...])` serves every p of one L from one
@@ -75,9 +85,9 @@ drawn once and compared with every p's bounds at once.  A range streams
 each block with a leading p axis and the caller reduces every p as
 above in one pass over the last axis, so every p's series is
 byte-identical to its own single-point run.  A range's planes, action
-row and moments grow with P (about 1.2 MB of traced peak per point at
-L = 512 and 100 trajectories, the yielded blocks included); its code
-table does not.
+row and moments grow with P (about 0.8 MB of traced peak per point at
+L = 512 and 100 trajectories, 0.48 of its code table, the yielded
+blocks included); its code table does not.
 """
 
 from __future__ import annotations
@@ -101,6 +111,7 @@ _SATURATION_TOLERANCE = 0.05  # W saturates at the first t where that slope is b
 _MAX_HEIGHT = int(np.iinfo(np.int16).max)
 _MAX_MOMENT_ROOT = math.isqrt(int(np.iinfo(np.int64).max))
 _PIPE_BYTES = 1 << 20  # a range's pipe holds a few blocks (about 190 KB each at L = 512)
+_REAPED_RSS = []  # ru_maxrss of every range worker reaped (KiB on Linux); the CLI clears it per run
 
 
 @dataclass
@@ -226,8 +237,8 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
     curv = np.empty(P * n * R - 1, dtype=np.int16)
     moves = np.empty(P * n * R - 1, dtype=bool)
     actions = np.empty((P, n * R), dtype=np.int8)  # the slice's row, decoded for every point
-    decided = np.empty((2, P, n * R), dtype=bool)  # where each point deposits, evaporates
-    deposits, evaporates = decided.view(np.int8)
+    deposits = actions.view(bool)  # where each point deposits, decoded into `actions` itself
+    evaporates = np.empty((P, n * R), dtype=bool)  # where each point evaporates
     even, odd, flat = *planes.reshape(2, -1), actions.reshape(-1)
     # (h, hl, hr, action) of the even sites, updated by even slices j of a
     # block (blocks start at even t), and of the odd sites
@@ -253,6 +264,25 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
         hsq.sum(axis=2, out=sums[row, 1])
         hsq[..., center_parts[par][0]].sum(axis=1, out=site[par][row, 1])
 
+    def finish(block):  # the block's (w, site1, site2), its rows carried to the next block
+        rows = block + 1
+        b = sums[1:rows].transpose(1, 2, 0, 3).astype(np.int64, order="C")
+        b += sums[:rows - 1].transpose(1, 2, 0, 3)  # the other plane, as the slice before left it
+        b -= h0[-1]  # site L + 1, 0 or 1 like its square; site 0 is 0
+        b1, b2 = b
+        b2 *= L
+        b2 -= np.square(b1, out=b1)  # L S2 - S1^2, exact in int64
+        w = b2 / (L * L)
+        np.sqrt(w, out=w)
+        moments = np.empty((2, P, block, c1 - c0), dtype=hsq.dtype)
+        for par, (_, pos) in enumerate(center_parts):
+            # a slice of the other parity leaves this parity's row as it was
+            site[par][2 - par:rows:2] = site[par][1 - par:rows - 1:2]
+            moments[..., pos] = site[par][1:rows].transpose(1, 2, 0, 3)
+            site[par][0] = site[par][block]
+        sums[0] = sums[block]
+        return (w, *moments)
+
     gens = _trajectory_generators(params, lo, hi)
     measure(0, 0)
     measure(1, 0)  # row 0 ends with the odd plane: slice 0 updates the even one
@@ -264,14 +294,15 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
             # that run over contiguous words
             np.subtract(raw < deposit, raw > evaporate, dtype=codes.dtype).sum(
                 axis=0, dtype=codes.dtype, out=codes[:block, k, 1:1 + draws])
+        del raw  # the last trajectory's words: not kept through the slices
         if L % 2:  # an odd slice has one site fewer: its last uniform is unused
             codes[1:block:2, :, draws] = 0
         for j in range(block):
             h, hl, hr, action = views[j % 2]
             row = codes[j].reshape(-1)
-            np.greater_equal(row, deposit_at, out=decided[0])
-            np.less_equal(row, evaporate_at, out=decided[1])
-            np.subtract(deposits, evaporates, out=actions)
+            np.greater_equal(row, deposit_at, out=deposits)
+            np.less_equal(row, evaporate_at, out=evaporates)
+            np.subtract(actions, evaporates.view(np.int8), out=actions)
             np.add(actions, actions, out=actions)
             np.add(hl, hr, out=curv)
             np.subtract(curv, h, out=curv)
@@ -285,20 +316,7 @@ def _range_blocks(params: ModelParams, ps, lo, hi, t_max):
                 _spot_check(_site_major(planes, L), L)
         if t + block == t_max:
             _spot_check(_site_major(planes, L), L)
-        rows = block + 1
-        b = sums[1:rows].transpose(1, 2, 0, 3).astype(np.int64, order="C")
-        b += sums[:rows - 1].transpose(1, 2, 0, 3)  # the other plane, as the slice before left it
-        b -= h0[-1]  # site L + 1, 0 or 1 like its square; site 0 is 0
-        b1, b2 = b
-        w = np.sqrt((L * b2 - b1 * b1) / (L * L))
-        moments = np.empty((2, P, block, c1 - c0), dtype=hsq.dtype)
-        for par, (_, pos) in enumerate(center_parts):
-            # a slice of the other parity leaves this parity's row as it was
-            site[par][2 - par:rows:2] = site[par][1 - par:rows - 1:2]
-            moments[..., pos] = site[par][1:rows].transpose(1, 2, 0, 3)
-            site[par][0] = site[par][block]
-        sums[0] = sums[block]
-        yield (w, *moments)
+        yield finish(block)  # held by no name here: the block is the caller's alone
 
 
 def _stream_range(fd, params, ps, lo, hi, t_max):
@@ -308,8 +326,17 @@ def _stream_range(fd, params, ps, lo, hi, t_max):
         try:
             for block in _range_blocks(params, ps, lo, hi, t_max):
                 pickle.dump(block, out, protocol=pickle.HIGHEST_PROTOCOL)
+                del block  # not kept while the next block runs
         except Exception as exc:  # the parent raises it
             pickle.dump(exc, out, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _reap(pid):
+    """Wait for worker `pid`, note its peak resident memory in _REAPED_RSS,
+    and return its wait status."""
+    _, status, usage = os.wait4(pid, 0)
+    _REAPED_RSS.append(usage.ru_maxrss)
+    return status
 
 
 def _received_blocks(reader, pid, running):
@@ -321,7 +348,7 @@ def _received_blocks(reader, pid, running):
             item = pickle.load(reader)
         except EOFError:  # every write end is closed: the worker has exited
             running.remove(pid)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            code = os.waitstatus_to_exitcode(_reap(pid))
             raise RuntimeError(f"trajectory worker exited with code {code} "
                                "before its last slice block") from None
         if isinstance(item, Exception):
@@ -339,7 +366,8 @@ def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
     worker that pickles its blocks onto a pipe of its own ("Trajectory
     ranges" in the module docstring).  Every worker is sent SIGTERM if the
     caller raises; the pipes are closed and then every worker is reaped
-    on exit.  One range, or no `os.fork`, runs inline.
+    on exit, its peak resident memory noted in _REAPED_RSS.  One range,
+    or no `os.fork`, runs inline.
     """
     ranges = min(_cpu_count(), n_traj) if hasattr(os, "fork") else 1
     bounds = [n_traj * r // ranges for r in range(ranges + 1)]
@@ -379,7 +407,16 @@ def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
         for reader in readers:
             reader.close()
         for pid in running:
-            os.waitpid(pid, 0)
+            _reap(pid)
+
+
+def _exact_total(parts):
+    """The int64 sum of the ranges' integer partials, added in place one by one:
+    each range's sums fit its dtype, their total need not."""
+    total = parts[0].astype(np.int64)
+    for part in parts[1:]:
+        total += part
+    return total
 
 
 def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
@@ -408,14 +445,18 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
             # trajectories in order, integer partials added exactly: every float
             # reduction over the last axis sees the same (block, n) rows for any split
             w = np.concatenate(ws, axis=2)
-            # widened first: each range's sums fit its dtype, their total need not
-            site1, site2 = (np.sum(part, axis=0, dtype=np.int64) for part in (site1, site2))
+            del ws
+            site1 = _exact_total(site1)
+            site2 = _exact_total(site2)
             rows = slice(t, t + w.shape[1])
-            W_sum[:, rows], W_sq[:, rows] = w.sum(axis=2), (w * w).sum(axis=2)
+            W_sum[:, rows] = w.sum(axis=2)
+            W_sq[:, rows] = np.square(w, out=w).sum(axis=2)
             mid_sum[:, rows], mid_sq[:, rows] = site1[..., mid], site2[..., mid]
             if n > 1:
-                var = (n * site2 - site1 ** 2) / (n * (n - 1))
-                W_fluct[:, rows] = np.sqrt(var.mean(axis=2))
+                site2 *= n
+                site2 -= np.square(site1, out=site1)  # n C2 - C1^2, exact in int64
+                W_fluct[:, rows] = np.sqrt((site2 / (n * (n - 1))).mean(axis=2))
+            del w, site1, site2  # the ranges compute their next blocks without this one
         ranges = len(streams)
 
     def stderr(sq, mean):

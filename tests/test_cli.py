@@ -210,6 +210,23 @@ def test_scaling_ranges_leave_multiprocessing_unloaded(tmp_path):
     assert meta["peak_rss_children_mb"] > 0
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked range workers on this platform")
+def test_worker_peak_is_the_runs_own_workers(tmp_path, monkeypatch):
+    # the largest peak RSS os.wait4 reported for this run's range workers: above 0 with
+    # two ranges, then 0.0 in a one-range run of the same process, whose earlier
+    # workers are not its own
+    manifest = {"experiment": "scaling", "L": [32], "p": [0.5, 0.8], "samples": 4, "tmax": 200}
+    peaks = []
+    for ranges in (2, 1):
+        monkeypatch.setattr(scaling, "_cpu_count", lambda: ranges)
+        out = tmp_path / f"ranges{ranges}"
+        assert run_experiment({**manifest, "out": str(out)})[1] == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert {r["ranges"] for r in meta["trajectory_ranges"]} == {ranges}
+        peaks.append(meta["worker_peak_rss_mb"])
+    assert peaks[0] > 0 and peaks[1] == 0.0, peaks
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_scaling_csvs_do_not_depend_on_cpu_count(tmp_path):
     # one trajectory range pinned to one CPU against one range per CPU, at the
