@@ -4,17 +4,14 @@ Every experiment is described by a manifest (a flat JSON object); flags
 override manifest entries.  Each run writes deterministic CSV data files
 plus run_metadata.json (manifest echo, seed, package version, wall
 time, peak resident memory of the process, the largest peak of the
-children it waited for and the largest peak of the run's own range
-workers, and for scaling the trajectory ranges of each grid point).
-The children's figure is `RUSAGE_CHILDREN`, which also counts children
-that the launcher reaped before it exec'd the process, so it is not
-zero on a run that forks nothing.  The workers' figure,
-`worker_peak_rss_mb`, is the largest `ru_maxrss` that `os.wait4`
-reported for a range worker of this run, and 0.0 when no worker ran.
-Rerunning the same manifest reproduces the data files byte for byte;
-the metadata file carries the only nondeterministic content (timing,
-memory and the range count, which follows the CPUs available) and is
-excluded from that guarantee.
+run's own range workers, and for scaling the trajectory ranges of each
+grid point).  The workers' figure, `worker_peak_rss_mb`, is the largest
+that scaling's `ensemble` handed back with its series, each series
+carrying the largest `ru_maxrss` that `os.wait4` reported for a worker
+of its call; it is 0.0 when no worker ran.  Rerunning the same manifest
+reproduces the data files byte for byte; the metadata file carries the
+only nondeterministic content (timing, memory and the range count, which
+follows the CPUs available) and is excluded from that guarantee.
 
 Every experiment runs one loop, `run_experiment`, over its (L, p) grid,
 L-major.  A row of `EXPERIMENTS` gives the point function, a generator of
@@ -47,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, exact, scaling
+from . import __version__, exact
 from .entropy import entropy_dp, entropy_exact, fit_power_law, mid_cut_row
 from .errors import CapacityError, InvalidParameterError
 from .exact import MAX_NODES, build_state
@@ -141,10 +138,10 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     point, capacity_row, headers, fit = EXPERIMENTS[manifest["experiment"]][:4]
-    meta = {"manifest": manifest, "seed": manifest["seed"]}  # a point may add entries
+    # a point may add entries, and raise the workers' peak from 0.0
+    meta = {"manifest": manifest, "seed": manifest["seed"], "worker_peak_rss_mb": 0.0}
     listed = {name: [header] for name, header in headers.items()}
     paths, code = [], 0
-    scaling._REAPED_RSS.clear()  # the peaks of this run's range workers alone
     try:
         for params in _grid(manifest):
             own = {}  # the files of this point alone, each headed by its first row
@@ -162,13 +159,8 @@ def run_experiment(manifest: dict) -> tuple[list, int]:
     paths += _write_csvs(outdir, listed)
     meta["version"] = __version__
     meta["wall_time_s"] = time.perf_counter() - started
-    # ru_maxrss is in KiB on Linux; the children's figure is the largest peak of any
-    # waited-for child, such as the free-dynamics range workers, and counts the children
-    # a launcher reaped before exec too (about 3 MB through a pyenv shim, 0 exec'd directly);
-    # the workers' figure is the largest peak of this run's own range workers, 0 without one
+    # ru_maxrss is in KiB on Linux; the range workers' peak came with the scaling series
     meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    meta["peak_rss_children_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    meta["worker_peak_rss_mb"] = max(scaling._REAPED_RSS, default=0) / 1024
     meta_path = outdir / "run_metadata.json"
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -184,6 +176,7 @@ def _scaling_point(manifest, params, meta):
     for series in ensemble(params, manifest["samples"], manifest["tmax"], ps=manifest["p"]):
         L, p = series.params.L, series.params.p
         meta.setdefault("trajectory_ranges", []).append({"L": L, "p": p, "ranges": series.ranges})
+        meta["worker_peak_rss_mb"] = max(meta["worker_peak_rss_mb"], series.worker_peak_rss_mb)
         name = f"scaling_L{L}_p{p}.csv"
         yield name, ("t", "W_mean", "W_stderr", "mid_mean", "mid_stderr", "W_fluct", "n")
         columns = (series.times, series.W, series.W_stderr, series.mid_height,

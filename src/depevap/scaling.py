@@ -62,7 +62,8 @@ moment dtype, onto a pipe of its own.  On Linux the pipe is enlarged to
 ahead of the caller's reads.  A worker leaves through os._exit, never
 through the caller's frames.  The caller closes every pipe and then
 reaps every worker with os.wait4, after sending each SIGTERM if it
-raises, and notes the worker's ru_maxrss for the CLI's
+raises, and keeps each worker's ru_maxrss in a list of the call's own,
+whose largest entry every series of the call carries as
 `worker_peak_rss_mb`.  It puts the W columns back in trajectory order
 and adds the integer partials exactly in int64, one range at a time, so
 the float reductions see the same (block, n_traj) operands, and every
@@ -111,7 +112,6 @@ _SATURATION_TOLERANCE = 0.05  # W saturates at the first t where that slope is b
 _MAX_HEIGHT = int(np.iinfo(np.int16).max)
 _MAX_MOMENT_ROOT = math.isqrt(int(np.iinfo(np.int64).max))
 _PIPE_BYTES = 1 << 20  # a range's pipe holds a few blocks (about 190 KB each at L = 512)
-_REAPED_RSS = []  # ru_maxrss of every range worker reaped (KiB on Linux); the CLI clears it per run
 
 
 @dataclass
@@ -137,6 +137,7 @@ class ObservableSeries:
     n_samples: int
     params: ModelParams
     ranges: int = 1  # trajectory ranges the ensemble ran in; no output depends on it
+    worker_peak_rss_mb: float = 0.0  # MB: the largest peak RSS of those ranges' workers, else 0.0
 
 
 def _spot_check(H, L):
@@ -331,25 +332,24 @@ def _stream_range(fd, params, ps, lo, hi, t_max):
             pickle.dump(exc, out, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _reap(pid):
-    """Wait for worker `pid`, note its peak resident memory in _REAPED_RSS,
-    and return its wait status."""
+def _reap(pid, peaks):
+    """Wait for worker `pid`, append its peak resident memory (ru_maxrss,
+    KiB on Linux) to `peaks` and return its exit code."""
     _, status, usage = os.wait4(pid, 0)
-    _REAPED_RSS.append(usage.ru_maxrss)
-    return status
+    peaks.append(usage.ru_maxrss)
+    return os.waitstatus_to_exitcode(status)
 
 
-def _received_blocks(reader, pid, running):
+def _received_blocks(reader, pid, running, peaks):
     """The blocks a worker pickles onto its pipe; raises what the worker
     raised, or RuntimeError if it exits before its last block.  On EOF the
-    worker is reaped and its pid leaves `running`."""
+    worker is reaped into `peaks` and its pid leaves `running`."""
     while True:
         try:
             item = pickle.load(reader)
         except EOFError:  # every write end is closed: the worker has exited
             running.remove(pid)
-            code = os.waitstatus_to_exitcode(_reap(pid))
-            raise RuntimeError(f"trajectory worker exited with code {code} "
+            raise RuntimeError(f"trajectory worker exited with code {_reap(pid, peaks)} "
                                "before its last slice block") from None
         if isinstance(item, Exception):
             raise item
@@ -358,21 +358,22 @@ def _received_blocks(reader, pid, running):
 
 @contextmanager
 def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
-    """Block streams of contiguous trajectory ranges in trajectory order,
-    each over every p of `ps`.
+    """(block streams of contiguous trajectory ranges in trajectory order,
+    each over every p of `ps`; the peaks of their workers).
 
     There is one range per CPU in the affinity mask, at most `n_traj`.
     The caller runs range 0 itself; each other range runs in a forked
     worker that pickles its blocks onto a pipe of its own ("Trajectory
     ranges" in the module docstring).  Every worker is sent SIGTERM if the
     caller raises; the pipes are closed and then every worker is reaped
-    on exit, its peak resident memory noted in _REAPED_RSS.  One range,
-    or no `os.fork`, runs inline.
+    on exit, its peak resident memory (ru_maxrss, KiB on Linux) appended
+    to the peaks list, which is complete once the context exits.  One
+    range, or no `os.fork`, runs inline and leaves the list empty.
     """
     ranges = min(_cpu_count(), n_traj) if hasattr(os, "fork") else 1
     bounds = [n_traj * r // ranges for r in range(ranges + 1)]
     streams = [_range_blocks(params, ps, 0, bounds[1], t_max)]
-    readers, running = [], set()  # running: the pids not reaped yet
+    readers, running, peaks = [], set(), []  # running: the pids not reaped yet
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             r, w = os.pipe()
@@ -395,8 +396,8 @@ def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
             finally:
                 os.close(w)  # the worker's end is then its only one: EOF means it exited
             running.add(pid)
-            streams.append(_received_blocks(reader, pid, running))
-        yield streams
+            streams.append(_received_blocks(reader, pid, running, peaks))
+        yield streams, peaks
     except BaseException:
         import signal  # about 1 ms, so not at import
 
@@ -407,7 +408,7 @@ def _trajectory_ranges(params: ModelParams, ps, n_traj, t_max):
         for reader in readers:
             reader.close()
         for pid in running:
-            _reap(pid)
+            _reap(pid, peaks)
 
 
 def _exact_total(parts):
@@ -439,7 +440,7 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
     mid = (params.L + 1) // 2 - (params.L // 3 + 1)  # the mid site among the central sites
     # per point (rows) and slice (columns)
     W_sum, W_sq, mid_sum, mid_sq, W_fluct = np.zeros((5, len(points), t_max))
-    with _trajectory_ranges(params, [q.p for q in points], n, t_max) as streams:
+    with _trajectory_ranges(params, [q.p for q in points], n, t_max) as (streams, peaks):
         for t in range(0, t_max, _BLOCK_SLICES):
             ws, site1, site2 = zip(*(next(stream) for stream in streams))
             # trajectories in order, integer partials added exactly: every float
@@ -457,7 +458,6 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
                 site2 -= np.square(site1, out=site1)  # n C2 - C1^2, exact in int64
                 W_fluct[:, rows] = np.sqrt((site2 / (n * (n - 1))).mean(axis=2))
             del w, site1, site2  # the ranges compute their next blocks without this one
-        ranges = len(streams)
 
     def stderr(sq, mean):
         if n < 2:
@@ -469,7 +469,8 @@ def ensemble(params: ModelParams, n_traj: int, t_max: int, *, ps=None):
     W_err, mid_err = stderr(W_sq, W), stderr(mid_sq, mid)
     series = [ObservableSeries(times=np.arange(1, t_max + 1), W=W[k], W_stderr=W_err[k],
                                mid_height=mid[k], mid_stderr=mid_err[k], W_fluct=W_fluct[k],
-                               n_samples=n, params=point, ranges=ranges)
+                               n_samples=n, params=point, ranges=len(streams),
+                               worker_peak_rss_mb=max(peaks, default=0) / 1024)
               for k, point in enumerate(points)]
     return series[0] if ps is None else series
 

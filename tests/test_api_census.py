@@ -5,7 +5,8 @@ reach belongs in a test-side module (tests/bridge_reference.py,
 tests/hamiltonian_reference.py).  A second census finds every `math.fsum` in src.
 A third stands in for a linter with stdlib `ast` alone: src reads every name it
 imports and every private top-level name it defines, and holds no bare `assert`,
-which `python -O` strips."""
+which `python -O` strips.  A fourth finds module-level run state: a top-level name
+bound to an empty container, which builds up across calls."""
 
 import ast
 import io
@@ -32,6 +33,12 @@ UNREAD = {
     "exact.canonical_key": "noqa re-export: perfbench/traced.py wraps it on exact",
     "exact.encode_trajectory": "noqa re-export: perfbench/traced.py wraps it on exact",
     "entropy._site_value": "the fixed oracle in tests/conftest.py reads it",
+}
+
+
+# src top-level names bound to an empty container, each emptied by its owner on purpose
+RUN_STATE = {
+    "exact._KEPT": "the one kept layout; cli.run_experiment empties it after every run",
 }
 
 
@@ -118,3 +125,26 @@ def test_src_reads_its_imports_and_private_names():
     assert unread == set(UNREAD), (
         "src imports or defines a name that nothing in src reads (remove it, or document "
         "why it stays in UNREAD); UNREAD entries that gained a reader go")
+
+
+
+def _empty_container(node):
+    """Whether an expression is `[]`, `{}`, `list()`, `dict()` or `set()`."""
+    if isinstance(node, (ast.List, ast.Dict)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("list", "dict", "set") and not node.args and not node.keywords)
+
+
+def test_no_module_level_run_state():
+    """No src module binds a top-level name to an empty list, dict or set: such a name is
+    state that builds up across calls, so what a call reports belongs in what it returns."""
+    empty = set()
+    for path in sorted((ROOT / "src" / "depevap").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty_container(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                empty |= {f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)}
+    assert empty == set(RUN_STATE), (
+        "src keeps run state in a module-level container (hand it back from the call that "
+        "fills it, or document why it stays in RUN_STATE); RUN_STATE entries that went go")

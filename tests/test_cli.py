@@ -64,7 +64,8 @@ def test_scaling_experiment_and_determinism(tmp_path):
     meta = json.loads((tmp_path / "a" / "run_metadata.json").read_text())
     ranges = min(scaling._cpu_count(), 4)
     assert meta["trajectory_ranges"] == [{"L": 32, "p": 0.5, "ranges": ranges}]
-    assert meta["peak_rss_children_mb"] >= 0
+    # the run's own range workers' peak: above 0 exactly when it forked a worker
+    assert (meta["worker_peak_rss_mb"] > 0) == (ranges > 1)
 
 
 def test_capacity_partial_exit(tmp_path):
@@ -196,7 +197,7 @@ def test_exact_experiments_leave_lazy_imports_unloaded(tmp_path):
 
 def test_scaling_ranges_leave_multiprocessing_unloaded(tmp_path):
     # two trajectory ranges fork and pipe without multiprocessing (about 1 MB of modules in
-    # the benchmark's parent); the reaped workers still count in the children's peak
+    # the benchmark's parent); the reaped worker's peak comes back with the series
     out = tmp_path / "scaling"
     manifest = {"experiment": "scaling", "L": [32], "p": [0.5, 0.8], "samples": 4,
                 "tmax": 200, "out": str(out)}
@@ -207,7 +208,7 @@ def test_scaling_ranges_leave_multiprocessing_unloaded(tmp_path):
     assert loaded.strip() == "[]"
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["trajectory_ranges"] == [{"L": 32, "p": p, "ranges": 2} for p in (0.5, 0.8)]
-    assert meta["peak_rss_children_mb"] > 0
+    assert meta["worker_peak_rss_mb"] > 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked range workers on this platform")

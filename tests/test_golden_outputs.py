@@ -45,6 +45,12 @@ recorded before the term entries were built one pass per shared support
 and the sector spectrum split into connected blocks, so it pins that the
 residuals keep every bit.
 
+The dp-entropy entries at L = 21 and 23 pin the heaviest DP the tests
+run (208,012 cut profiles at L = 23), in both modes and with a backward
+pass of 20 slices, so that a faster DP has to keep its bits: an exact
+sum that rounds each 65,536-entry chunk on its own changes the first
+two files.
+
 The entries with exit code 2 pin the capacity rows: a grid point over a
 capacity guard writes one row of nan in grid order, after any rows the
 point wrote before its guard tripped.
@@ -107,6 +113,17 @@ GOLDEN = [
     ({"experiment": "dp-entropy", "L": [5, 7, 9], "p": [0.3], "mode": "absorbing",
       "colored": False, "cut_row": 2},
      {"dp_entropy.csv": "e7f4f21b4bc211629310262e3b0876678dedb566265bda05702413ce9f1d3589"}, 0),
+    # the heavy DP: L = 23 holds 208,012 profiles at the mid cut, and cut_row 3 makes a
+    # 20-slice backward pass
+    ({"experiment": "dp-entropy", "L": [21, 23], "p": [0.25, 0.5, 0.8],
+      "mode": "reflecting", "colored": True},
+     {"dp_entropy.csv": "68abfe265b5ad3de3bf088013dbbe264b17138fee5309b380dfdb39204f3211b"}, 0),
+    ({"experiment": "dp-entropy", "L": [21, 23], "p": [0.25, 0.5, 0.8],
+      "mode": "absorbing", "colored": True},
+     {"dp_entropy.csv": "e01f997874accceb0045abbee8b05cacbcdb9a60d14b7133d8bd92fa72d88322"}, 0),
+    ({"experiment": "dp-entropy", "L": [23], "p": [0.25], "mode": "reflecting",
+      "colored": True, "cut_row": 3},
+     {"dp_entropy.csv": "bffcb271452cb461c51dec389746daeca0ac39d62657b7c1f22d505447f62c4a"}, 0),
     # a p with no dp row gets no fit row, so phase_exponents.csv is its header alone
     ({"experiment": "phase-sweep", "L": [29], "p": [0.5, 0.8], "mode": "reflecting",
       "colored": True},

@@ -266,6 +266,20 @@ def test_ranges_close_their_pipes_and_reap_their_workers(monkeypatch):
         _assert_no_child_left()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked range workers on this platform")
+def test_series_carry_their_own_workers_peak(monkeypatch):
+    # two ranges fork a worker, whose peak RSS every series of the call carries; a later
+    # one-range call in the same process, with nothing reset between, carries exactly 0.0
+    params = ModelParams(L=16, p=0.5, seed=1)
+    for ranges in (2, 1):
+        monkeypatch.setattr(scaling, "_cpu_count", lambda: ranges)
+        series = ensemble(params, 6, 300, ps=[0.5, 0.8])
+        assert [s.ranges for s in series] == [ranges] * 2
+        peaks = [s.worker_peak_rss_mb for s in series]
+        assert all(peak > 0 for peak in peaks) if ranges > 1 else peaks == [0.0, 0.0], peaks
+    _assert_no_child_left()
+
+
 def _exact_means(params, t_max):
     """Exact E[W] over sites 1..L and E[h_mid] after DP slices 1..t_max from the horizon.
 
