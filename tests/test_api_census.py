@@ -127,7 +127,6 @@ def test_src_reads_its_imports_and_private_names():
         "why it stays in UNREAD); UNREAD entries that gained a reader go")
 
 
-
 def _empty_container(node):
     """Whether an expression is `[]`, `{}`, `list()`, `dict()` or `set()`."""
     if isinstance(node, (ast.List, ast.Dict)):

@@ -47,9 +47,9 @@ residuals keep every bit.
 
 The dp-entropy entries at L = 21 and 23 pin the heaviest DP the tests
 run (208,012 cut profiles at L = 23), in both modes and with a backward
-pass of 20 slices, so that a faster DP has to keep its bits: an exact
-sum that rounds each 65,536-entry chunk on its own changes the first
-two files.
+pass of 20 slices (`cut_row` 3), so that a faster DP has to keep its
+bits: an exact sum that adds the rounded sums of its 65,536-entry chunks
+changes the first two files.
 
 The entries with exit code 2 pin the capacity rows: a grid point over a
 capacity guard writes one row of nan in grid order, after any rows the
@@ -113,8 +113,6 @@ GOLDEN = [
     ({"experiment": "dp-entropy", "L": [5, 7, 9], "p": [0.3], "mode": "absorbing",
       "colored": False, "cut_row": 2},
      {"dp_entropy.csv": "e7f4f21b4bc211629310262e3b0876678dedb566265bda05702413ce9f1d3589"}, 0),
-    # the heavy DP: L = 23 holds 208,012 profiles at the mid cut, and cut_row 3 makes a
-    # 20-slice backward pass
     ({"experiment": "dp-entropy", "L": [21, 23], "p": [0.25, 0.5, 0.8],
       "mode": "reflecting", "colored": True},
      {"dp_entropy.csv": "68abfe265b5ad3de3bf088013dbbe264b17138fee5309b380dfdb39204f3211b"}, 0),
