@@ -16,7 +16,10 @@
   (Dyck paths of L + 1 steps, ranked by step code), and `TransferKernel`
   applies a slice as a product of single-site maps, rescaled every slice
   as in the scaled forward-backward algorithm; L = 25 (742,900 profiles)
-  takes seconds.
+  takes seconds.  The p-independent index (`_ProfileIndex`: heights,
+  every site's map with its valleys and floors labelled by
+  `exact.site_labels`, the horizon's rank) is built whole once per L and
+  kept read-only.
 
 Cut convention: cut_row = c bisects the lattice right after update slice
 c; the bottom part holds spin rows 0..c and color vertices with t <= c,
@@ -34,7 +37,7 @@ import numpy as np
 
 from .codec import DecodedKeys, decode_keys, key_rows, pending_colors, site_order
 from .errors import CapacityError, InvalidParameterError
-from .exact import SparseState, _fsum, _kept, _Stacks
+from .exact import LABELS, SparseState, _fsum, _kept, _Stacks, site_labels
 from .params import ModelParams, _is_int, _require_cap
 from .surface import event_table, horizon_profile, slice_sites
 
@@ -92,33 +95,38 @@ def _dyck_codes(L):
 
 
 class _ProfileIndex:
-    """The p-independent part of the DP at one L: every profile and its site maps.
+    """The p-independent part of the DP at one L, built whole and read-only.
 
-    `codes` are the sorted step codes (`_dyck_codes`), `heights[k]` the
-    (L + 2) int8 heights of profile k; both are read-only, since every
-    kernel at this L shares them.  `site_map(i)` gives site i's valleys,
-    the peaks they deposit into and its peaks at h = 1, built on first use.
+    `heights` (profiles, L + 2) int8 holds profile k in row k, ranked by
+    its sorted step code (`_dyck_codes`), column-major so that a site's
+    column is contiguous.  `maps[i - 1]` holds site i's (valleys, the
+    peaks they deposit into, floors) as indices: valleys and floors are
+    the "valley" and "floor" codes of `exact.site_labels`, and each
+    valley's partner is found by its deposited step code.  `horizon` is
+    the horizon's rank.  The step codes are dropped once these exist; every
+    kernel at this L shares the index.
     """
 
     def __init__(self, L):
-        self.codes = _dyck_codes(L)
-        self.heights = np.zeros((self.codes.size, L + 2), dtype=np.int8)
+        codes = _dyck_codes(L)
+        self.heights = np.zeros((codes.size, L + 2), dtype=np.int8, order="F")
         for j in range(L + 1):
-            self.heights[:, j + 1] = self.heights[:, j] + 2 * ((self.codes >> j) & 1) - 1
-        self.codes.flags.writeable = self.heights.flags.writeable = False
-        self._site_maps = {}
-
-    def site_map(self, i):
-        """(valleys, the peaks they deposit into, peaks at h = 1) of site i, as indices."""
-        hit = self._site_maps.get(i)
-        if hit is None:
-            up_left = (self.codes >> (i - 1)) & 1
-            up_right = (self.codes >> i) & 1
-            valleys = np.flatnonzero((up_left == 0) & (up_right == 1))
-            raised = np.searchsorted(self.codes, self.codes[valleys] ^ (3 << (i - 1)))
-            floor = np.flatnonzero((up_left == 1) & (up_right == 0) & (self.heights[:, i] == 1))
-            hit = self._site_maps[i] = (valleys, raised, floor)
-        return hit
+            self.heights[:, j + 1] = self.heights[:, j] + 2 * ((codes >> j) & 1) - 1
+        self.heights.flags.writeable = False
+        maps = []
+        for i in range(1, L + 1):
+            label = site_labels(self.heights, i)
+            valleys = np.flatnonzero(label == LABELS.index("valley"))
+            raised = np.searchsorted(codes, codes[valleys] ^ (3 << (i - 1)))  # steps i-1, i flip
+            floor = np.flatnonzero(label == LABELS.index("floor"))
+            for array in (valleys, raised, floor):
+                array.flags.writeable = False
+            maps.append((valleys, raised, floor))
+        self.maps = tuple(maps)
+        code = np.sum(1 << np.flatnonzero(np.diff(horizon_profile(L)) > 0))  # up step j sets bit j
+        self.horizon = int(np.searchsorted(codes, code))
+        if code not in codes[self.horizon:self.horizon + 1]:
+            raise AssertionError("no profile has the horizon's step code")
 
 
 class TransferKernel:
@@ -137,14 +145,15 @@ class TransferKernel:
     post-selected away.  Sites 1 and L take part like any other site: they
     are never valleys, which leaves exactly their pinned-wall factor.
 
-    Only the probabilities depend on p.  The profiles and site maps come
-    from the kept `_ProfileIndex` (`exact._kept`).
+    Only the probabilities depend on p.  The profiles, every site map and
+    the horizon's rank come from the kept `_ProfileIndex` (`exact._kept`),
+    built whole when the kernel is: a slice only reads them.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self._index = _kept(("profiles", params.L), lambda: _ProfileIndex(params.L))
-        self.codes, self.heights = self._index.codes, self._index.heights
+        self.heights, self.horizon = self._index.heights, self._index.horizon
         p = params.p
         (_, _, _, deposit), (_, _, _, valley_stay) = event_table("valley", False, p, False)
         (_, _, _, evaporate), (_, _, _, peak_stay) = event_table("peak", False, p, False)
@@ -156,7 +165,7 @@ class TransferKernel:
         """v <- per-site [[a, b], [c, d]] on (valley, raised) pairs, for the sites of slice t."""
         v = np.array(v, dtype=float)
         for i in slice_sites(self.params.L, t):
-            valleys, raised, floor = self._index.site_map(i)
+            valleys, raised, floor = self._index.maps[i - 1]
             low, high = v[valleys], v[raised]
             v[valleys] = a * low + b * high
             v[raised] = c * low + d * high
@@ -197,12 +206,8 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     if count > cap:
         raise CapacityError(f"L={L} has {count} zigzag profiles, over the cap of {cap}")
     kernel = TransferKernel(params)
-    code = np.sum(1 << np.flatnonzero(np.diff(horizon_profile(L)) > 0))  # up step j sets bit j
-    horizon = np.searchsorted(kernel.codes, code)
-    if code not in kernel.codes[horizon:horizon + 1]:
-        raise AssertionError("no profile has the horizon's step code")
     start = np.zeros(count)
-    start[horizon] = 1.0
+    start[kernel.horizon] = 1.0
 
     # Equal coefficient tuples (p = 1/2) make the backward pass the forward one: L is
     # odd, so the backward pass's k-th slice, L + 1 - k, has the parity of slice k.

@@ -14,7 +14,9 @@ One walk (`walk`) enumerates histories over distinct states
 (`Frontier`), under branches per site label (`site_labels`): the
 bridges' event table (`event_branches`, which `seqgen`'s rounds read
 with the same labels), or the parent Hamiltonian's p-independent
-sector table (`hamiltonian.sector_keys`).  A state is a zigzag profile
+sector table (`hamiltonian.sector_keys`).  The DP reads the same labels:
+its profile index (`entropy._ProfileIndex`) takes every site's valleys
+and floors from `site_labels`.  A state is a zigzag profile
 with one stack of pending pairs per site (`codec.push_pop`, dtype from
 `codec.empty_stacks`); a slice holds few of them (at most 14 profiles
 at L = 7 and 42 at L = 9, 171 states with their stacks at L = 7
@@ -287,7 +289,9 @@ def event_branches(p, reflecting, colored):
 def site_labels(prof, i):
     """Label codes (rows, sites) of the sites `i` in every profile row: LABELS[code] names a
     valley, a peak, the floor (a peak at h <= 1), or a slope standing above its left
-    (slope_up) or its right (slope_down) neighbour."""
+    (slope_up) or its right (slope_down) neighbour.  Three readers share them: the walk's
+    `Frontier.branches`, the emitter's rounds through it, and the DP's profile index
+    (`entropy._ProfileIndex`), whose valleys and floors are codes 0 and 2."""
     h = prof[:, i]
     above_l, above_r = h > prof[:, i - 1], h > prof[:, i + 1]
     return np.where(above_l & above_r, 1 + (h <= 1), 3 * above_l + 4 * above_r)

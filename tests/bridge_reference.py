@@ -12,7 +12,9 @@ reflecting mode their weights sum to 1.  `trajectory_weight` recomputes
 a record's weight from its events.  `success_probability` sums the
 weights of `depevap.exact.enumerate_bridge`, and `bridge_profiles` and
 `bridge_colors` gather its trajectories' profile stacks and vertex
-colors from its edge tables.
+colors from its edge tables.  `step_code_site_maps` is the DP's site map
+rule read off step codes, the reference for `entropy._ProfileIndex`,
+whose maps come from `exact.site_labels`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from depevap import exact
 from depevap.codec import TrajectoryRecord, vertex_sites
+from depevap.entropy import _dyck_codes
 from depevap.errors import CapacityError, EncodeError, InvalidParameterError
 from depevap.exact import MAX_NODES
 from depevap.params import ModelParams
@@ -112,6 +115,28 @@ def slice_outcomes(profile, t, params: ModelParams):
         prof[i] = profile[i]
 
     yield from rec(0, list(profile), 1.0, [])
+
+
+def step_code_site_maps(L):
+    """(heights, per site i of 1..L its (valleys, raised, floors)) over the sorted step codes.
+
+    Bit j of a code is set when step j, from h_j to h_{j+1}, goes up.  Site
+    i is a valley when step i - 1 goes down and step i up; a deposit flips
+    both, and `searchsorted` finds the raised profile's rank.  A floor is a
+    peak (step i - 1 up, step i down) at h = 1.
+    """
+    codes = _dyck_codes(L)
+    heights = np.zeros((codes.size, L + 2), dtype=np.int8)
+    for j in range(L + 1):
+        heights[:, j + 1] = heights[:, j] + 2 * ((codes >> j) & 1) - 1
+    maps = []
+    for i in range(1, L + 1):
+        up_left, up_right = (codes >> (i - 1)) & 1, (codes >> i) & 1
+        valleys = np.flatnonzero((up_left == 0) & (up_right == 1))
+        raised = np.searchsorted(codes, codes[valleys] ^ (3 << (i - 1)))
+        floor = np.flatnonzero((up_left == 1) & (up_right == 0) & (heights[:, i] == 1))
+        maps.append((valleys, raised, floor))
+    return heights, maps
 
 
 def enumerate_bridge(params: ModelParams, max_nodes: int = MAX_NODES, bridge: bool = True):

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bridge_reference import bridge_colors, bridge_profiles, slice_outcomes
+from bridge_reference import bridge_colors, bridge_profiles, slice_outcomes, step_code_site_maps
 from conftest import dense_schmidt_weights, oracle_midcut_marginal
 from schmidt_reference import schmidt_spectrum as per_sector_schmidt_spectrum
-from depevap import ModelParams
+from depevap import ModelParams, entropy, exact
 from depevap.codec import (
     decode_config,
     decode_keys,
@@ -382,6 +382,50 @@ def test_kernel_slice_matches_slice_outcomes():
                         assert np.abs(got - want).max() <= 1e-15, (L, mode, colored, p, t)
                         got_back = np.vstack([kernel.backward(e, t) for e in eye])
                         assert np.abs(got_back - want).max() <= 1e-15, (L, mode, colored, p, t)
+
+
+def test_kept_maps_are_the_step_code_rule():
+    # the labelled valleys and floors, and the partners of the valleys, are those of
+    # the step-code rule site by site; the horizon is the row of its heights
+    for L in range(3, 22, 2):
+        index = entropy._ProfileIndex(L)
+        heights, maps = step_code_site_maps(L)
+        assert np.array_equal(index.heights, heights) and len(index.maps) == L
+        for i, (got, want) in enumerate(zip(index.maps, maps), start=1):
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (L, i)
+        horizon = np.flatnonzero((index.heights == horizon_profile(L)).all(axis=1))
+        assert horizon.tolist() == [index.horizon], L
+
+
+def _arrays(value):
+    """Every ndarray in `value`, through tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+def test_kept_index_is_whole_and_read_only(monkeypatch):
+    # a kept hit labels no site; the index holds no writeable array and no step codes
+    exact._KEPT.clear()
+    try:
+        kernel = TransferKernel(ModelParams(L=9, p=0.25))
+        with monkeypatch.context() as patch:
+            def no_labels(*args):
+                raise AssertionError("a kept index built a site map")
+            patch.setattr(entropy, "site_labels", no_labels)
+            for p in (0.25, 0.8):
+                midcut_distribution(ModelParams(L=9, p=p), mid_cut_row(9))
+        arrays = _arrays(list(vars(kernel._index).values()))
+        assert len(arrays) == 1 + 3 * 9
+        assert not any(a.flags.writeable for a in arrays)
+        arrays = _arrays(list(vars(entropy._ProfileIndex(21)).values()))
+        assert not any(a.flags.writeable for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 111 * profile_count(21)
+    finally:
+        exact._KEPT.clear()
 
 
 # (mode, L, p, S_uncolored, mean_area, positive-weight cut profiles) of the
