@@ -99,12 +99,12 @@ class _ProfileIndex:
 
     `heights` (profiles, L + 2) int8 holds profile k in row k, ranked by
     its sorted step code (`_dyck_codes`), column-major so that a site's
-    column is contiguous.  `maps[i - 1]` holds site i's (valleys, the
-    peaks they deposit into, floors) as indices: valleys and floors are
-    the "valley" and "floor" codes of `exact.site_labels`, and each
-    valley's partner is found by its deposited step code.  `horizon` is
-    the horizon's rank.  The step codes are dropped once these exist; every
-    kernel at this L shares the index.
+    column is contiguous.  `maps[i - 1]` holds site i's (pairs, floors) as
+    indices, `pairs` stacking its valleys over the peaks they deposit
+    into: valleys and floors are the "valley" and "floor" codes of
+    `exact.site_labels`, and each valley's partner is found by its
+    deposited step code.  `horizon` is the horizon's rank.  The step codes
+    are dropped once these exist; every kernel at this L shares the index.
     """
 
     def __init__(self, L):
@@ -119,9 +119,10 @@ class _ProfileIndex:
             valleys = np.flatnonzero(label == LABELS.index("valley"))
             raised = np.searchsorted(codes, codes[valleys] ^ (3 << (i - 1)))  # steps i-1, i flip
             floor = np.flatnonzero(label == LABELS.index("floor"))
-            for array in (valleys, raised, floor):
+            pairs = np.stack([valleys, raised])
+            for array in (pairs, floor):
                 array.flags.writeable = False
-            maps.append((valleys, raised, floor))
+            maps.append((pairs, floor))
         self.maps = tuple(maps)
         code = np.sum(1 << np.flatnonzero(np.diff(horizon_profile(L)) > 0))  # up step j sets bit j
         self.horizon = int(np.searchsorted(codes, code))
@@ -164,11 +165,11 @@ class TransferKernel:
     def _apply(self, v, t, a, b, c, d):
         """v <- per-site [[a, b], [c, d]] on (valley, raised) pairs, for the sites of slice t."""
         v = np.array(v, dtype=float)
+        by_low, by_high = np.array((a, c, b, d)).reshape(2, 2, 1)  # the matrix's columns
         for i in slice_sites(self.params.L, t):
-            valleys, raised, floor = self._index.maps[i - 1]
-            low, high = v[valleys], v[raised]
-            v[valleys] = a * low + b * high
-            v[raised] = c * low + d * high
+            pairs, floor = self._index.maps[i - 1]
+            low, high = v[pairs]
+            v[pairs] = by_low * low + by_high * high
             if self._floor_stay != 1.0:
                 v[floor] *= self._floor_stay
         return v

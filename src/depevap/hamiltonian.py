@@ -21,9 +21,11 @@ the color c, the two branches carry relative weights
     w(v) = P_down * P_up * P_left * P_right
 
 with each factor the single-vertex event probability implied by the
-branch's center value v.  The falling-spike case (equal endpoints with a
-dip between) is deliberately not deformable: that is what disconnects
-below-horizon histories and lets local terms pin h >= 0.
+branch's center value v.  One case table (`_CASES`) holds each k's
+endpoints and where its branches carry the color, and `_branch` gives a
+branch's window spins and w(v).  The falling-spike case (equal endpoints
+with a dip between) is deliberately not deformable: that is what
+disconnects below-horizon histories and lets local terms pin h >= 0.
 
 All terms are built in the absorbing normalization; the reflecting state
 is not the kernel of any local term set (its Peak-at-1 rule is height
@@ -90,34 +92,27 @@ class LocalTerm:
     matrix: np.ndarray     # symmetric real, over `states`
 
 
-@dataclass(frozen=True)
-class DeformationState:
-    """Two-branch local superposition |D> of one (k, c, S), as `_update_pattern` reads it."""
-
-    states: tuple          # window configurations of the branches
-    coeffs: tuple          # branch amplitudes (unnormalized)
-    norm_exact: float      # <D|D>
-
-
-def _endpoint_pattern(k):
-    if k == 1:
-        return -1, -1
-    if k == 2:
-        return -1, +1
-    if k == 3:
-        return +1, -1
-    raise InvalidParameterError(f"deformation case k must be 1, 2 or 3, got {k}")
+# per deformation case k: the (bottom, top) endpoint directions, then which of the
+# own (lower, upper) vertices carry the color c in the upper and the lower branch
+_CASES = {
+    1: ((-1, -1), (1, 1), (0, 0)),  # spike: deposit below, matching evaporation above
+    2: ((-1, +1), (1, 0), (0, 1)),  # rise: deposit below (early) or above (late)
+    3: ((+1, -1), (0, 1), (1, 0)),  # fall: evaporation above (late) or below (early)
+}
 
 
-def _branch_weight(v, e_down, e_up, s_left, s_right, p):
-    """w(v) = P_down * P_up * P_left * P_right for center value v (+-1).
+def _branch(k, S, v, p):
+    """(12 window spin bits, w(v)) of case k's branch with center value v (+-1), sides S.
 
-    Each factor is an event-table probability.  The site's own vertices
-    take it from e_down to v and from v to e_up, with -1 a valley and +1
-    a peak before the move and the height delta the difference.  A side
+    w(v) = P_down * P_up * P_left * P_right, each factor an event-table
+    probability.  The site's own vertices take it from the bottom
+    endpoint to v and from v to the top one, with -1 a valley and +1 a
+    peak before the move and the height delta the difference.  A side
     vertex whose direction equals v is a valley (v = +1) or a peak
     (v = -1) that stays put; otherwise it is a slope.
     """
+    (e_down, e_up), _, _ = _CASES[k]
+
     def vertical(e_from, e_to):
         return branch_probability("valley" if e_from == -1 else "peak", e_to - e_from, p)
 
@@ -125,7 +120,10 @@ def _branch_weight(v, e_down, e_up, s_left, s_right, p):
         shape = "slope" if delta != v else ("valley" if v == +1 else "peak")
         return branch_probability(shape, 0, p)
 
-    return vertical(e_down, v) * vertical(v, e_up) * side(s_left) * side(s_right)
+    bot, top, lo, s1, s4 = ((1 - e_down) // 2, (1 + e_up) // 2, (1 + v) // 2,
+                            (1 + S[0]) // 2, (1 + S[1]) // 2)
+    bits = (bot, bot, lo, lo, 1 - lo, 1 - lo, top, top, s1, 1 - s1, s4, 1 - s4)
+    return bits, vertical(e_down, v) * vertical(v, e_up) * side(S[0]) * side(S[1])
 
 
 def _window_support(i, t):
@@ -141,57 +139,6 @@ def _window_support(i, t):
     return tuple(spins), (("c", i, t - 1), ("c", i, t + 1))
 
 
-def _window_spin_bits(k, S, v):
-    """The 12 window spin bits for branch center value v."""
-    e_down, e_up = _endpoint_pattern(k)
-    s_left, s_right = S
-    bot = (1 - e_down) // 2
-    top = (1 + e_up) // 2
-    lo_bit = (1 + v) // 2
-    s1 = (1 + s_left) // 2
-    s4 = (1 + s_right) // 2
-    return (
-        bot, bot,
-        lo_bit, lo_bit,
-        1 - lo_bit, 1 - lo_bit,
-        top, top,
-        s1, 1 - s1,
-        s4, 1 - s4,
-    )
-
-
-def build_deformation_state(k, c, S, p) -> DeformationState:
-    """The two-branch superposition for case k, color c and side pattern S.
-
-    Weights follow the product of the four adjacent vertex
-    probabilities; for the colored spike case (k=1) the upper branch
-    carries the extra 1/2 of its single free color choice.
-    """
-    if S[0] not in (-1, 1) or S[1] not in (-1, 1):
-        raise InvalidParameterError(f"S must be a pair of +-1, got {S!r}")
-    e_down, e_up = _endpoint_pattern(k)
-    w_hi = _branch_weight(+1, e_down, e_up, S[0], S[1], p)
-    w_lo = _branch_weight(-1, e_down, e_up, S[0], S[1], p)
-    hi_spins = _window_spin_bits(k, S, +1)
-    lo_spins = _window_spin_bits(k, S, -1)
-    if c is None:
-        states = (hi_spins, lo_spins)
-        coeffs = (math.sqrt(w_hi), math.sqrt(w_lo))
-    else:
-        if c not in (1, 2):
-            raise InvalidParameterError(f"color must be 1 or 2, got {c!r}")
-        qd_hi, qu_hi, qd_lo, qu_lo = {
-            1: (c, c, 0, 0),    # spike: deposit below, matching evaporation above
-            2: (c, 0, 0, c),    # rise: deposit below (early) or above (late)
-            3: (0, c, c, 0),    # fall: evaporation above (late) or below (early)
-        }[k]
-        states = (hi_spins + (qd_hi, qu_hi), lo_spins + (qd_lo, qu_lo))
-        color_split = 0.5 if k == 1 else 1.0
-        coeffs = (math.sqrt(w_hi * color_split), math.sqrt(w_lo))
-    return DeformationState(states=states, coeffs=coeffs,
-                            norm_exact=coeffs[0] ** 2 + coeffs[1] ** 2)
-
-
 def _read_only(matrix):
     """`matrix`, made read-only so that every term built from it can share it."""
     matrix.flags.writeable = False
@@ -204,26 +151,30 @@ _ONE = _read_only(np.array([[1.0]]))  # the matrix of every one-state term
 def _update_pattern(k, c, S, p):
     """(states, matrix) of Pi = I_sub - |D><D| / <D|D> for one (k, c, S).
 
-    I_sub spans the per-vertex-valid window states of this (k, c, S)
-    instance; for k=1 that includes the cross-color evaporation states
-    (deposit c, evaporation c'), which is what gives mismatched colorings
-    their energy.  With <D|D> = 0 (degenerate p) the projector is I_sub.
-    The matrix is read-only: every plaquette's term of this pattern shares it.
+    |D> is the two-branch superposition of case k (`_CASES`), each branch
+    at amplitude sqrt(w(v)) (`_branch`), upper branch first; for the
+    colored spike case (k = 1) the upper branch carries the extra 1/2 of
+    its single free color choice.  I_sub spans the per-vertex-valid
+    window states of this (k, c, S) instance; for k = 1 that includes the
+    cross-color evaporation state (deposit c, evaporation c'), second and
+    at amplitude 0, which is what gives mismatched colorings their
+    energy.  With <D|D> = 0 (degenerate p) the projector is I_sub.  The
+    matrix is read-only: every plaquette's term of this pattern shares it.
     """
-    d = build_deformation_state(k, c, S, p)
-    states = list(d.states)
-    coeffs = list(d.coeffs)
-    if c is not None and k == 1:
-        other = 2 if c == 1 else 1
-        hi_spins = states[0][:12]
-        states.insert(1, hi_spins + (c, other))
+    _, hi_colors, lo_colors = _CASES[k]
+    hi, w_hi = _branch(k, S, +1, p)
+    lo, w_lo = _branch(k, S, -1, p)
+    split = c is not None and k == 1
+    coeffs = [math.sqrt(w_hi * 0.5) if split else math.sqrt(w_hi), math.sqrt(w_lo)]
+    norm = coeffs[0] ** 2 + coeffs[1] ** 2
+    states = [hi, lo] if c is None else [hi + tuple(c * q for q in hi_colors),
+                                         lo + tuple(c * q for q in lo_colors)]
+    if split:
+        states.insert(1, hi + (c, 3 - c))
         coeffs.insert(1, 0.0)
     vec = np.array(coeffs)
     eye = np.eye(len(states))
-    if d.norm_exact > 0:
-        matrix = eye - np.outer(vec, vec) / d.norm_exact
-    else:
-        matrix = eye
+    matrix = eye - np.outer(vec, vec) / norm if norm > 0 else eye
     return tuple(states), _read_only(matrix)
 
 

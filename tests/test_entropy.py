@@ -391,8 +391,8 @@ def test_kept_maps_are_the_step_code_rule():
         index = entropy._ProfileIndex(L)
         heights, maps = step_code_site_maps(L)
         assert np.array_equal(index.heights, heights) and len(index.maps) == L
-        for i, (got, want) in enumerate(zip(index.maps, maps), start=1):
-            for a, b in zip(got, want, strict=True):
+        for i, ((pairs, floor), want) in enumerate(zip(index.maps, maps), start=1):
+            for a, b in zip((*pairs, floor), want, strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (L, i)
         horizon = np.flatnonzero((index.heights == horizon_profile(L)).all(axis=1))
         assert horizon.tolist() == [index.horizon], L
@@ -419,7 +419,7 @@ def test_kept_index_is_whole_and_read_only(monkeypatch):
             for p in (0.25, 0.8):
                 midcut_distribution(ModelParams(L=9, p=p), mid_cut_row(9))
         arrays = _arrays(list(vars(kernel._index).values()))
-        assert len(arrays) == 1 + 3 * 9
+        assert len(arrays) == 1 + 2 * 9
         assert not any(a.flags.writeable for a in arrays)
         arrays = _arrays(list(vars(entropy._ProfileIndex(21)).values()))
         assert not any(a.flags.writeable for a in arrays)

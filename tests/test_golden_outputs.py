@@ -45,6 +45,12 @@ recorded before the term entries were built one pass per shared support
 and the sector spectrum split into connected blocks, so it pins that the
 residuals keep every bit.
 
+The hamiltonian-check entries at p = 0 and 1 pin the degenerate update
+projectors: there a case's two-branch state has norm 0 (k = 2 at p = 0,
+k = 3 at p = 1), and its projector is the identity on the case's states;
+their hashes were recorded before the case table replaced the
+deformation-state builder.
+
 The dp-entropy entries at L = 21 and 23 pin the heaviest DP the tests
 run (208,012 cut profiles at L = 23), in both modes and with a backward
 pass of 20 slices (`cut_row` 3), so that a faster DP has to keep its
@@ -95,6 +101,15 @@ GOLDEN = [
       "mode": "absorbing", "colored": False},
      {"hamiltonian_residuals.csv":
       "3534d3ef53e80e84b2a1b893ff4728bd53637f7b7ddeb92dc7071d0fe6aef148"}, 0),
+    # p = 0 and 1: some update cases have <D|D> = 0, so their projectors are the identity
+    ({"experiment": "hamiltonian-check", "L": [3, 5], "p": [0.0, 1.0],
+      "mode": "absorbing", "colored": True},
+     {"hamiltonian_residuals.csv":
+      "30b0a226ec5efafea4676790f353eff1379a737f2b8c262d61c6b6f63c8157d0"}, 0),
+    ({"experiment": "hamiltonian-check", "L": [3, 5], "p": [0.0, 1.0],
+      "mode": "absorbing", "colored": False},
+     {"hamiltonian_residuals.csv":
+      "611260def1535a84467a619533995ca5c51ff73dfa22dcccd542a9f8dd88cd06"}, 0),
     ({"experiment": "scaling", "L": [32], "p": [0.5, 0.8], "mode": "reflecting",
       "colored": True, "seed": 3, "samples": 8, "tmax": 400, "fit_lo": 20, "fit_hi": 300},
      {"scaling_L32_p0.5.csv": "4702f532d349b54a43c79b96519e68f386d7b34f271c987d20e303c06f87ba5c",

@@ -19,6 +19,8 @@ from hamiltonian_reference import (
     _reference_matrix,
     _reference_sums,
     _reference_term_entries,
+    build_deformation_state,
+    reference_update_pattern,
     sector_matrix,
 )
 from depevap import ModelParams
@@ -39,7 +41,6 @@ from depevap.hamiltonian import (
     assemble_hamiltonian,
     build_boundary_terms,
     build_color_term,
-    build_deformation_state,
     build_gauss_term,
     sector_keys,
     sector_spectrum,
@@ -110,6 +111,21 @@ def test_projector_properties():
                 idx1 = term.states.index(d.states[1])
                 orth[idx0], orth[idx1] = d.coeffs[1], -d.coeffs[0]
                 assert np.allclose(M @ orth, orth, atol=1e-12)
+
+
+def test_update_patterns_match_the_reference():
+    # the case table gives the deformation builder's states, in order, and its matrix bytes,
+    # the degenerate p = 0 and 1 identities included; the matrix is shared, so read-only
+    for k in (1, 2, 3):
+        for S in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+            for c in (None, 1, 2):
+                for p in (0.0, 0.25, 0.37, 0.5, 0.8, 1.0):
+                    states, matrix = _update_pattern(k, c, S, p)
+                    want_states, want = reference_update_pattern(k, c, S, p)
+                    assert states == want_states, (k, S, c, p)
+                    assert matrix.dtype == want.dtype and matrix.shape == want.shape
+                    assert matrix.tobytes() == want.tobytes(), (k, S, c, p)
+                    assert not matrix.flags.writeable
 
 
 def _state_from_key(key, params):
