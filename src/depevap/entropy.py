@@ -168,8 +168,11 @@ class TransferKernel:
         by_low, by_high = np.array((a, c, b, d)).reshape(2, 2, 1)  # the matrix's columns
         for i in slice_sites(self.params.L, t):
             pairs, floor = self._index.maps[i - 1]
-            low, high = v[pairs]
-            v[pairs] = by_low * low + by_high * high
+            mixed = v[pairs]  # (low, high), then in place by_low * low + by_high * high
+            from_high = by_high * mixed[1]
+            mixed[1] = mixed[0]
+            mixed *= by_low
+            v[pairs] = np.add(mixed, from_high, out=mixed)
             if self._floor_stay != 1.0:
                 v[floor] *= self._floor_stay
         return v

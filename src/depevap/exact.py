@@ -11,11 +11,12 @@ no-change branch alone, which contributes that factor whenever they sit
 at the floor, and 1 otherwise.
 
 One walk (`walk`) enumerates histories over distinct states
-(`Frontier`), under branches per site label (`site_labels`): the
-bridges' event table (`event_branches`, which `seqgen`'s rounds read
-with the same labels), or the parent Hamiltonian's p-independent
-sector table (`hamiltonian.sector_keys`).  The DP reads the same labels:
-its profile index (`entropy._ProfileIndex`) takes every site's valleys
+(`Frontier`, every walk and emitter from `Frontier.horizon`), under
+branches per site label (`site_labels`): the bridges' event table
+(`event_branches`, which `seqgen`'s rounds read with the same labels),
+or the same table with the floor taking a peak's rows, the parent
+Hamiltonian's sector (`hamiltonian.sector_keys`).  The DP reads the same
+labels: its profile index (`entropy._ProfileIndex`) takes every site's valleys
 and floors from `site_labels`.  A state is a zigzag profile
 with one stack of pending pairs per site (`codec.push_pop`, dtype from
 `codec.empty_stacks`); a slice holds few of them (at most 14 profiles
@@ -156,6 +157,12 @@ class Frontier:
         self.heights, self.stacks = heights, stacks
         self.sizes = [len(heights)]  # the states before the first slice, then each slice's edges
         self.steps = []  # per slice: (parent path, edge) of every child path
+
+    @classmethod
+    def horizon(cls, L):
+        """One path at the one state every walk and emitter starts from: the horizon, no pairs."""
+        heights = horizon_profile(L)[None].astype(np.int8)
+        return cls(np.zeros(1, dtype=np.intp), heights, empty_stacks(L, heights.shape))
 
     def branches(self, table, t):
         """(sites, branches, keeps) of slice t from the distinct states.
@@ -343,10 +350,9 @@ def walk(L, by_label, max_nodes, overflow):
     """
     table = branch_table([by_label[name] for name in LABELS],
                          [("delta", np.int8), ("color", np.uint8), ("prob", np.float64)])
-    prof = horizon_profile(L)[None].astype(np.int8)
-    frontier = Frontier(np.zeros(1, dtype=np.intp), prof, empty_stacks(L, prof.shape))
+    frontier = Frontier.horizon(L)
     visited = 1
-    edges = [(prof, np.zeros((1, (L + 1) // 2), dtype=np.uint8), np.ones(1))]  # the root
+    edges = [(frontier.heights, np.zeros((1, (L + 1) // 2), dtype=np.uint8), np.ones(1))]  # root
     for t in range(1, L + 1):
         sites, branches, keeps = frontier.branches(table, t)
         chosen, colors, heights = frontier.step(branches, keeps, sites,

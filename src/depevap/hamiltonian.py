@@ -1,10 +1,11 @@
 """Frustration-free parent Hamiltonian of the absorbing colored state.
 
 The Hamiltonian is a sum of local terms: boundary-row and boundary-column
-pin projectors, below-horizon projectors adjacent to the initial/final
-rows, a diagonal Gauss penalty per vertex, per-vertex color-validity
-projectors, and the update projectors that pin the local superposition
-ratios to the dynamics.
+pin projectors (on the spins `codec` pins, against the pinned value),
+below-horizon projectors adjacent to the initial/final rows, a diagonal
+Gauss penalty per vertex, per-vertex color-validity projectors, and the
+update projectors that pin the local superposition ratios to the
+dynamics.
 
 Update projectors act on a 14-site window around one deformable
 plaquette (i, t): the site's height value h~_i(t) can be toggled between
@@ -34,14 +35,16 @@ dependent, hence nonlocal in the spins), and requesting it raises.
 Terms act on canonical keys in bulk, one array pass per shared support,
 and give their nonzero entries by term, then key, then matrix row;
 `term_residuals` and the sector spectrum sum them in that order, as the
-tests' per-key loop does (tests/hamiltonian_reference.py).  The
-constrained sector is the bridges' `exact.walk` with the floor rule
-removed and every branch allowed at any p (`sector_keys`).  Its
-spectrum comes from H's symmetry sectors under reflection, time reversal
-and color swap (`_SymmetryReduction`), each split into connected blocks
-(`_Blocks`) that `exact._Stacks`, the Schmidt split's dense-block path,
-stacks by size for a full diagonalization; `_Layout.levels` runs those
-steps.
+tests' per-key loop does (tests/hamiltonian_reference.py), and
+`term_residuals` adds each term's squares with `exact._fsum`.  The
+constrained sector is the bridges' `exact.walk` of the event table
+(`exact.event_branches`), with the floor taking a peak's rows, every
+branch kept at any 0 < p < 1 and the weights unread (`sector_keys`).
+Its spectrum comes from H's symmetry sectors under reflection, time
+reversal and color swap (`_SymmetryReduction`), each split into
+connected blocks (`_Blocks`) that `exact._Stacks`, the Schmidt split's
+dense-block path, stacks by size for a full diagonalization;
+`_Layout.levels` runs those steps.
 
 Only the matrix values depend on p.  Terms of one local pattern share a
 read-only (states, matrix), and everything else (the entries' layout
@@ -61,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (
+    _lattice,
     key_order,
     key_rows,
     pack_values,
@@ -70,7 +74,7 @@ from .codec import (
     vertex_spin_indices,
 )
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import SparseState, _kept, _Stacks, site_values, walk
+from .exact import SparseState, _fsum, _kept, _Stacks, event_branches, site_values, walk
 from .params import ModelParams, _is_int, _require_cap
 from .surface import branch_probability
 
@@ -187,14 +191,12 @@ def _update_term(i, t, pattern) -> LocalTerm:
     return LocalTerm(kind="update", support=support, weight=1.0, states=states, matrix=matrix)
 
 
-def _pin_term(kind, site, bad_value, weight):
-    return LocalTerm(kind=kind, support=(site,), weight=weight,
-                     states=((bad_value,),), matrix=_ONE)
-
-
 def build_boundary_terms(params: ModelParams):
     """Initial/final row pins plus below-horizon projectors, and column pins.
 
+    A pin puts energy on the one value of a boundary spin that the codec
+    does not pin it to (`codec._lattice`'s pinned spins, whose values the
+    decoder checks); the corners are pinned by their row and their column.
     The below-horizon projectors put energy on an evaporation at any
     first-row odd-site vertex (the site would fall from 1 to -1) and on a
     deposition at any last-row odd-site vertex (the site would have been
@@ -204,24 +206,27 @@ def build_boundary_terms(params: ModelParams):
     params.require_odd_L()
     L = params.L
     w = 1.0 / L
+    good = dict(zip(_lattice(L).pinned_sites, _lattice(L).pinned_values.tolist()))
+
+    def pin(kind, x, y):
+        return LocalTerm(kind=kind, support=(("s", x, y),), weight=w,
+                         states=((1 - good[x, y],),), matrix=_ONE)
+
     terms = []
-    for kind, y, bad, t, pattern in (("initial", 0, 0, 2, EVAPORATE_PATTERN),
-                                     ("final", L, 1, L - 1, DEPOSIT_PATTERN)):
-        terms += [_pin_term(kind, ("s", x, y), bad, w) for x in range(L + 1)]
+    for kind, y, t, pattern in (("initial", 0, 2, EVAPORATE_PATTERN),
+                                ("final", L, L - 1, DEPOSIT_PATTERN)):
+        terms += [pin(kind, x, y) for x in range(L + 1)]
         terms += [LocalTerm(kind=kind, support=tuple(("s",) + s for s in vertex_spin_indices(i, t)),
                             weight=w, states=(pattern,), matrix=_ONE) for i in range(1, L + 1, 2)]
     for y in range(L + 1):
-        good = 1 if y % 2 == 0 else 0
-        terms.append(_pin_term("left", ("s", 0, y), 1 - good, w))
-        terms.append(_pin_term("right", ("s", L, y), 1 - good, w))
+        terms += [pin("left", 0, y), pin("right", L, y)]
     return terms
 
 
 def build_gauss_term(params: ModelParams):
     """Diagonal penalty (left pair sum - right pair sum)^2 per vertex, one shared matrix."""
     params.require_odd_L()
-    states = []
-    diag = []
+    states, diag = [], []
     for bits in np.ndindex(2, 2, 2, 2):
         ll, lu, rl, ru = (int(b) for b in bits)
         res = (2 * ll - 1) + (2 * lu - 1) - (2 * rl - 1) - (2 * ru - 1)
@@ -239,11 +244,9 @@ def build_color_term(params: ModelParams):
     params.require_odd_L()
     if not params.colored:
         return []
-    states = [DEPOSIT_PATTERN + (0,), EVAPORATE_PATTERN + (0,)]
-    for pattern in NO_CHANGE_PATTERNS:
-        for c in (1, 2):
-            states.append(pattern + (c,))
-    states, matrix = tuple(states), _read_only(np.eye(len(states)))
+    states = ((DEPOSIT_PATTERN + (0,), EVAPORATE_PATTERN + (0,))
+              + tuple(pattern + (c,) for pattern in NO_CHANGE_PATTERNS for c in (1, 2)))
+    matrix = _read_only(np.eye(len(states)))
     return [LocalTerm(kind="color",
                       support=tuple(("s",) + s for s in vertex_spin_indices(*v)) + (("c",) + v,),
                       weight=1.0, states=states, matrix=matrix)
@@ -459,30 +462,26 @@ def term_residuals(terms, state: SparseState):
     entries = layout.entries(state.keys)
     group, ends = entries.residual_cells
     sums = np.bincount(group, weights=entries.h(weights, flat) * state.amps[entries.a])
-    squares = (sums * sums).tolist()
-    return [math.sqrt(math.fsum(squares[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
+    squares = sums * sums
+    return [math.sqrt(_fsum(squares[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 # ---------------------------------------------------------------------------
 # restricted-sector spectrum
 
 
-# exact.walk's branches per label: every valley may rise and every peak and floor fall
-# (dips are legal), slopes stay, all at weight 1; changes carry r
-_SECTOR_BRANCHES = {"valley": [(0, 0, 1.0), (2, 1, 1.0)], "peak": [(0, 0, 1.0), (-2, 0, 1.0)],
-                    "floor": [(0, 0, 1.0), (-2, 0, 1.0)], "slope_up": [(0, 0, 1.0)],
-                    "slope_down": [(0, 0, 1.0)]}
-
-
 def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
     """The Gauss + boundary + per-vertex-color-valid sector as a (N, key_length)
     uint8 key matrix, rows sorted as bytes.
 
-    The histories are the bridges' `exact.walk` without the floor rule
-    and at every p (`_SECTOR_BRANCHES`); their change vertices are those
-    with a color.  Colored params then give every history each
-    independent r/g assignment of its change vertices, mismatched ones
-    included.  `max_states` bounds the nodes of the history tree, as
+    The histories are the bridges' `exact.walk` of the uncolored
+    absorbing event table (`exact.event_branches`) with the floor taking
+    a peak's rows: any 0 < p < 1 keeps every branch (p = 1/2 here), and
+    the walk's weights are not read, so every valley may rise and every
+    peak fall, below the horizon too.  An uncolored deposit carries r, so
+    the change vertices are those with a color.  Colored params then give
+    every history each independent r/g assignment of its change vertices,
+    mismatched ones included.  `max_states` bounds the nodes of the history tree, as
     `max_nodes` does the bridges' (2,931 at L = 7 uncolored for 868
     keys), and the colored keys.
     """
@@ -490,7 +489,9 @@ def sector_keys(params: ModelParams, max_states: int = 200_000) -> np.ndarray:
     _require_cap("max_states", max_states)
     L = params.L
     overflow = f"sector exceeds {max_states} states"
-    index, (_, spins, colors, _) = walk(L, _SECTOR_BRANCHES, max_states, overflow)
+    by_label = event_branches(0.5, False, False)
+    by_label["floor"] = by_label["peak"]  # no floor rule: a peak at h = 1 may dip
+    index, (_, spins, colors, _) = walk(L, by_label, max_states, overflow)
     n = len(index)
     values = site_values(index, spins, colors, np.arange(n), params.colored)
     if params.colored:  # one key per color: 0 on a no-change vertex, r or g on a change

@@ -67,13 +67,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import empty_stacks, key_order, key_rows, pack_values
+from .codec import key_order, key_rows, pack_values
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from .exact import LABELS, Frontier, SparseState, _fsum, branch_table, event_branches, site_values
+from .exact import (LABELS, MAX_NODES, Frontier, SparseState, _fsum, branch_table, event_branches,
+                    site_values)
 from .params import ModelParams, _require_cap
 from .surface import horizon_profile
 
-MAX_BRANCHES = 2_000_000
 _SIDES = ((-1, -1), (1, 1), (1, 1), (1, -1), (-1, 1))  # (h - h_left, h - h_right) per LABELS code
 
 
@@ -150,15 +150,14 @@ class JointState:
 
 
 def initial_joint(L: int) -> JointState:
-    """The reference emitter (markers at the horizon, no pairs) and record row, amplitude 1."""
-    heights = horizon_profile(L)[None].astype(np.int8)
-    frontier = Frontier(np.zeros(1, dtype=np.intp), heights, empty_stacks(L, heights.shape))
-    return JointState(frontier, [np.ones((1, L + 1), dtype=np.uint8)],
+    """The walk's start (`exact.Frontier.horizon`) as the reference emitter, with its record
+    row (the pinned all-up bottom spins) and amplitude 1."""
+    return JointState(Frontier.horizon(L), [np.ones((1, L + 1), dtype=np.uint8)],
                       [np.zeros((1, (L + 1) // 2), dtype=np.uint8)], np.zeros(1, dtype=np.intp),
                       np.ones(1))
 
 
-def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRANCHES) -> JointState:
+def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_NODES) -> JointState:
     """One round of local channels on every branch of the joint state.
 
     A copy of the joint's frontier labels its distinct emitter states at
@@ -179,8 +178,9 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     a^2 (prod_i T_i - prod_i K_i) per branch with T_i and K_i the squared
     amplitude of site i's valid and kept branches, is carried in
     `dropped`.  The L+2 depth guard sees every valid branch of every
-    state, and the kept children are checked against `max_branches`
-    before the round is built.
+    state, and the kept children are checked against `max_branches` (by
+    default the bridge walk's cap, `exact.MAX_NODES`) before the round is
+    built.
     """
     _require_cap("max_branches", max_branches)
     L = params.L
@@ -217,7 +217,7 @@ def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_BRAN
     return JointState(frontier, [*joint.spins, row], [*joint.colors, colors], record, amps, dropped)
 
 
-def run_generation(params: ModelParams, cooling=False, max_branches=MAX_BRANCHES):
+def run_generation(params: ModelParams, cooling=False, max_branches=MAX_NODES):
     """Run L rounds, check the reference emitter, and key the records.
 
     After every round the kept squared mass plus the mass dropped so far,

@@ -42,9 +42,9 @@ RUN_STATE = {
 }
 
 
-# the top-level functions of src that may call math.fsum: the one exact array sum, and
-# the slice-wise sums of term_residuals (many short slices of one list, one fsum each)
-FSUM_CALLERS = {"exact._fsum", "hamiltonian.term_residuals"}
+# the one top-level function of src that may call math.fsum: the exact array sum, which
+# every exact total goes through (term_residuals' sums of squares once per term)
+FSUM_CALLERS = {"exact._fsum"}
 
 
 def _code_words(source):
@@ -78,7 +78,7 @@ def test_public_api_has_a_caller_outside_the_tests():
 
 def test_math_fsum_only_in_the_exact_sum():
     """Every exact total over an array is `exact._fsum`, so its body is the one place that
-    decides how the package sums exactly; `term_residuals` is the one exception."""
+    decides how the package sums exactly."""
     callers = set()
     for path in sorted((ROOT / "src" / "depevap").glob("*.py")):
         source = path.read_text()

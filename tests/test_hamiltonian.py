@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import depevap
-from depevap import entropy, exact, hamiltonian
+from depevap import codec, entropy, exact, hamiltonian
 from bridge_reference import bridge_records
 from hamiltonian_reference import (
     AllCharactersReduction,
@@ -157,6 +158,23 @@ def test_boundary_terms_score_violations():
     config.spins[(0, 1)] = 1  # left column must be down at odd rows
     bad = _state_from_key(canonical_key(config), params)
     assert expectation(terms, bad) >= 1.0 / 3 - 1e-12
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9])
+def test_boundary_pins_are_the_codec_pins(L):
+    # each single-site boundary term puts its energy on the value of a spin that the
+    # decoder does not accept (codec's pinned spins), and every pinned spin has one such
+    # term, each corner two: one from its row and one from its column
+    lattice = codec._lattice(L)
+    pinned = dict(zip(lattice.pinned_sites, lattice.pinned_values.tolist()))
+    pins = [term for term in build_boundary_terms(ModelParams(L=L, p=0.5, **ABS))
+            if len(term.support) == 1]
+    for term in pins:
+        (kind, x, y), = term.support
+        assert kind == "s" and term.states == ((1 - pinned[x, y],),), term
+    counts = collections.Counter(term.support[0][1:] for term in pins)
+    corners = {(0, 0), (L, 0), (0, L), (L, L)}
+    assert counts == {site: 2 if site in corners else 1 for site in pinned}
 
 
 def test_gauss_term():

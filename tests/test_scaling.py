@@ -3,7 +3,10 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +280,36 @@ def test_series_carry_their_own_workers_peak(monkeypatch):
         assert [s.ranges for s in series] == [ranges] * 2
         peaks = [s.worker_peak_rss_mb for s in series]
         assert all(peak > 0 for peak in peaks) if ranges > 1 else peaks == [0.0, 0.0], peaks
+    _assert_no_child_left()
+
+
+def _pipe_max_bytes():
+    try:
+        return int(Path("/proc/sys/fs/pipe-max-size").read_text())
+    except (OSError, ValueError):
+        return 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or _pipe_max_bytes() < scaling._PIPE_BYTES,
+                    reason="range pipes are enlarged on Linux alone, up to pipe-max-size")
+def test_range_pipes_hold_a_mebibyte(monkeypatch):
+    # a worker runs ahead of the caller's reads only while its pipe holds a few blocks (README,
+    # trajectory ranges); a worker whose pipe is smaller pickles an error for the caller
+    import fcntl
+
+    stream_range = scaling._stream_range
+
+    def checked(fd, *args):
+        size = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+        if size < scaling._PIPE_BYTES:
+            with open(fd, "wb") as out:
+                pickle.dump(AssertionError(f"the range pipe holds {size} bytes"), out)
+            return
+        stream_range(fd, *args)
+
+    monkeypatch.setattr(scaling, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(scaling, "_stream_range", checked)
+    assert ensemble(ModelParams(L=16, p=0.5, seed=1), 4, 300).ranges == 2
     _assert_no_child_left()
 
 

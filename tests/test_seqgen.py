@@ -9,9 +9,8 @@ from depevap.codec import decode_keys, key_rows, pack_values, site_order
 from depevap.entropy import (entropy_dp, entropy_exact, mid_cut_row, midcut_distribution,
                              schmidt_spectrum)
 from depevap.errors import CapacityError, InvalidParameterError, UnsupportedModeError
-from depevap.exact import build_state, within_reach
+from depevap.exact import MAX_NODES, build_state, within_reach
 from depevap.seqgen import (
-    MAX_BRANCHES,
     JointState,
     apply_round,
     cooling_start,
@@ -23,7 +22,7 @@ from depevap.seqgen import (
 
 
 def _reference_apply_round(joint, n, p, params, cooling_active=False,
-                           max_branches=MAX_BRANCHES):
+                           max_branches=MAX_NODES):
     """The dict-based round: {(stacks, record): amp}, expanded depth first per branch."""
     L = params.L
     out = {}
