@@ -83,22 +83,28 @@ def profile_count(L: int) -> int:
 
 
 def _dyck_codes(L):
-    """Sorted step codes of every zigzag profile: L + 1 steps that stay >= 0 and end at 0."""
+    """Ascending step codes of every zigzag profile: L + 1 steps that stay >= 0 and end at 0.
+
+    Step j sets bit j on an up step.  Each step lists the codes it extends down (bit j
+    clear) before those it extends up, each in their previous order: a stable partition
+    on bit j, so after step j the codes ascend in their low j + 1 bits, as in a
+    least-significant-digit radix sort, and need no sort at the end.
+    """
     codes = np.zeros(1, dtype=np.int64)
     heights = np.zeros(1, dtype=np.int64)
     for j in range(L + 1):
         up = heights < L - j  # an up step leaves enough steps to come back down
         down = heights > 0
-        codes = np.concatenate([codes[up] | (1 << j), codes[down]])
-        heights = np.concatenate([heights[up] + 1, heights[down] - 1])
-    return np.sort(codes)
+        codes = np.concatenate([codes[down], codes[up] | (1 << j)])
+        heights = np.concatenate([heights[down] - 1, heights[up] + 1])
+    return codes
 
 
 class _ProfileIndex:
     """The p-independent part of the DP at one L, built whole and read-only.
 
     `heights` (profiles, L + 2) int8 holds profile k in row k, ranked by
-    its sorted step code (`_dyck_codes`), column-major so that a site's
+    its step code (`_dyck_codes`), column-major so that a site's
     column is contiguous.  `maps[i - 1]` holds site i's (pairs, floors) as
     indices, `pairs` stacking its valleys over the peaks they deposit
     into: valleys and floors are the "valley" and "floor" codes of
@@ -134,7 +140,7 @@ class TransferKernel:
     """One DP slice as a product of single-site maps on vectors over all profiles.
 
     Entry k of a vector belongs to the profile `heights[k]`, ranked by its
-    sorted step code.  Within slice t the sites of `surface.slice_sites`
+    step code.  Within slice t the sites of `surface.slice_sites`
     update independently given the frozen other sublattice, so the slice
     is applied one site at a time.  At site i every valley is paired with the
     peak two units higher that a deposit makes of it, `code ^ (3 << (i-1))`;
@@ -186,16 +192,28 @@ class TransferKernel:
         return self._apply(b, t, *self._backward)
 
 
+def _sweep(step, v, slices):
+    """`v` carried through `step` (a kernel's `forward` or `backward`) over `slices` in
+    turn, rescaled to unit sum after each.  A step returns a new vector, so `v` itself
+    is left as it is."""
+    for t in slices:
+        v = step(v, t)
+        v /= v.sum()
+    return v
+
+
 def midcut_distribution(params: ModelParams, cut_row: int,
                         max_profiles: int = MAX_PROFILES) -> SurfaceDistribution:
     """p(profile at the cut) from forward weights times backward bridge weights.
 
     Color choices cancel from profile marginals, so one DP serves colored
     and uncolored states alike; only the entropy formula differs.  Both
-    passes are rescaled to unit sum after every slice, so their overall
-    scale cannot underflow however long the DP runs.  At p = 1/2 the
-    kernel's forward and backward tuples are equal, and one forward pass
-    serves both, bit for bit.  Other p keep two passes: the one-pass law
+    passes run through `_sweep`, which rescales to unit sum after every
+    slice, so their overall scale cannot underflow however long the DP
+    runs.  At p = 1/2 the kernel's forward and backward tuples are equal:
+    one forward sweep runs to the nearer of cut_row and L - cut_row and
+    goes on from that vector to the farther, bit for bit the two passes.
+    Other p keep a forward and a backward sweep: the one-pass law
     f_c f_{L-c} / pi moves last bits there.  More profiles than
     `max_profiles` or the hard ceiling `MAX_PROFILES`, whichever is lower,
     raise CapacityError before anything is allocated.
@@ -212,28 +230,16 @@ def midcut_distribution(params: ModelParams, cut_row: int,
     kernel = TransferKernel(params)
     start = np.zeros(count)
     start[kernel.horizon] = 1.0
-
-    # Equal coefficient tuples (p = 1/2) make the backward pass the forward one: L is
-    # odd, so the backward pass's k-th slice, L + 1 - k, has the parity of slice k.
-    # Its vector at the cut is then the forward vector after slice L - cut_row.
-    one_pass = kernel._forward == kernel._backward
-    needed = {cut_row, L - cut_row} if one_pass else {cut_row}
-    after = {}  # the forward vectors after the needed slices
-    forward = start  # weights of profiles after slice t
-    for t in range(1, max(needed) + 1):
-        forward = kernel.forward(forward, t)  # a new vector, so a kept one stays as it is
-        forward /= forward.sum()
-        if t in needed:
-            after[t] = forward
-    forward = after[cut_row]
-    if one_pass:
-        backward = after[L - cut_row]
+    if kernel._forward == kernel._backward:
+        # p = 1/2: L is odd, so the backward pass's k-th slice, L + 1 - k, has the parity
+        # of slice k, and its vector at the cut is the forward vector after slice
+        # L - cut_row.  Past the middle the two names swap roles; the product commutes.
+        near, far = sorted((cut_row, L - cut_row))
+        forward = _sweep(kernel.forward, start, range(1, near + 1))
+        backward = _sweep(kernel.forward, forward, range(near + 1, far + 1))
     else:
-        backward = start  # bridge weights given the profile after slice t
-        for t in range(L, cut_row, -1):
-            backward = kernel.backward(backward, t)
-            backward /= backward.sum()
-
+        forward = _sweep(kernel.forward, start, range(1, cut_row + 1))
+        backward = _sweep(kernel.backward, start, range(L, cut_row, -1))
     raw = forward * backward
     total = _fsum(raw)
     if total <= 0:

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import key_order, key_rows, pack_values
+from .codec import key_order, key_rows, pack_values, profile_spins
 from .errors import CapacityError, InvalidParameterError, UnsupportedModeError
 from .exact import (LABELS, MAX_NODES, Frontier, SparseState, _fsum, branch_table, event_branches,
                     site_values)
@@ -151,10 +151,11 @@ class JointState:
 
 def initial_joint(L: int) -> JointState:
     """The walk's start (`exact.Frontier.horizon`) as the reference emitter, with its record
-    row (the pinned all-up bottom spins) and amplitude 1."""
-    return JointState(Frontier.horizon(L), [np.ones((1, L + 1), dtype=np.uint8)],
-                      [np.zeros((1, (L + 1) // 2), dtype=np.uint8)], np.zeros(1, dtype=np.intp),
-                      np.ones(1))
+    row (the pinned bottom spins, read off the horizon by `codec.profile_spins` as the
+    walk reads its root's) and amplitude 1."""
+    frontier, zero = Frontier.horizon(L), np.zeros(1, dtype=np.intp)  # slice 0; record rank 0
+    return JointState(frontier, [profile_spins(frontier.heights, zero, L)],
+                      [np.zeros((1, (L + 1) // 2), dtype=np.uint8)], zero, np.ones(1))
 
 
 def apply_round(joint: JointState, n, params: ModelParams, max_branches=MAX_NODES) -> JointState:

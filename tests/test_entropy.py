@@ -384,6 +384,26 @@ def test_kernel_slice_matches_slice_outcomes():
                         assert np.abs(got_back - want).max() <= 1e-15, (L, mode, colored, p, t)
 
 
+def _path_heights(codes, L):
+    """Heights (codes, L + 1) after each step of the paths whose bit j is an up step j."""
+    return np.cumsum(2 * ((codes[:, None] >> np.arange(L + 1)) & 1) - 1, axis=1)
+
+
+def test_dyck_codes_ascend_as_generated():
+    # the generation order is the rank order that searchsorted and every vector rely on:
+    # one strictly ascending code per profile, each a path that stays >= 0 and ends at 0,
+    # and at small L exactly the paths among all 2^(L+1) codes
+    for L in range(3, 24, 2):
+        codes = entropy._dyck_codes(L)
+        assert codes.size == profile_count(L) and (np.diff(codes) > 0).all(), L
+        heights = _path_heights(codes, L)
+        assert (heights >= 0).all() and (heights[:, -1] == 0).all(), L
+        if L <= 11:
+            every = np.arange(1 << (L + 1))
+            heights = _path_heights(every, L)
+            assert np.array_equal(codes, every[(heights >= 0).all(axis=1) & (heights[:, -1] == 0)])
+
+
 def test_kept_maps_are_the_step_code_rule():
     # the labelled valleys and floors, and the partners of the valleys, are those of
     # the step-code rule site by site; the horizon is the row of its heights
